@@ -1,7 +1,7 @@
 GO ?= go
 DATE := $(shell date +%Y-%m-%d)
 
-.PHONY: all build test vet fmt bench bench-check check-imports
+.PHONY: all build test vet fmt bench bench-check bench-repo check-imports
 
 all: vet build test check-imports
 
@@ -73,3 +73,10 @@ bench-check:
 		echo "bench-check: no committed BENCH_*.json baseline, skipping diff"; \
 	fi
 	@rm -f .benchlist.txt .bench-new.json
+
+# bench-repo vets and tests the repo benchmark (benchmark/, the module
+# BENCHMARK.json runs). It is a module of its own, so the root `go test
+# ./...` never compiles it: this target is what notices when an internal
+# signature its layer probes call (benchmark/probes.go) has changed.
+bench-repo:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...

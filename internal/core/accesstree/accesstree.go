@@ -32,7 +32,6 @@ package accesstree
 
 import (
 	"fmt"
-	"math/bits"
 
 	"diva/internal/core"
 	"diva/internal/decomp"
@@ -89,9 +88,14 @@ const (
 
 // Directional pointer values; values >= 0 name a child index.
 const (
-	towardUp   = -1
-	towardSelf = -2
+	towardUp   int8 = -1
+	towardSelf int8 = -2
 )
+
+// maxChildren bounds the arity of a tree node: one edge bit per neighbor in
+// nodeState.edges, which also keeps child indices inside an int8 pointer
+// and an ack count inside a uint8.
+const maxChildren = 31
 
 type strategy struct {
 	m    *core.Machine
@@ -105,6 +109,9 @@ type strategy struct {
 	// variables. The simulation is single-threaded, so plain slices suffice.
 	txns     core.TxnArena[reqMsg]
 	nodeFree [][]nodeState
+	// lockers holds, per processor, the lock wait of the process running
+	// there (see lock.go).
+	lockers []locker
 	// posTabs caches the modular embedding per root position: the positions
 	// of all tree nodes are a pure function of the root's processor, so all
 	// variables rooted at the same processor share one table and posOf
@@ -113,19 +120,23 @@ type strategy struct {
 }
 
 func newStrategy(m *core.Machine, o Options) *strategy {
-	// Two packed node ids must fit the platform int: the low field is
-	// tagShift bits, the high field gets whatever remains of the sign-free
-	// int width (42 bits on 64-bit platforms, only 10 on 32-bit ones).
-	// Reject oversized trees up front rather than corrupting ids silently.
-	limit := 1 << tagShift
-	if hi := bits.UintSize - 1 - tagShift; hi < tagShift {
-		limit = 1 << hi
-	}
-	if len(m.Tree.Nodes) > limit {
+	// Up to three packed node ids must fit the platform int (tagShift bits
+	// each). Reject oversized trees up front rather than corrupting ids
+	// silently.
+	if limit := 1 << tagShift; len(m.Tree.Nodes) > limit {
 		panic(fmt.Sprintf("accesstree: tree has %d nodes, exceeding the %d-node Msg.Tag packing limit",
 			len(m.Tree.Nodes), limit))
 	}
-	s := &strategy{m: m, t: m.Tree, rng: m.RNG.Split(), opts: o}
+	for i := range m.Tree.Nodes {
+		if n := len(m.Tree.Nodes[i].Children); n > maxChildren {
+			panic(fmt.Sprintf("accesstree: tree node %d has %d children, exceeding the %d-edge node state",
+				i, n, maxChildren))
+		}
+	}
+	s := &strategy{m: m, t: m.Tree, rng: m.RNG.Split(), opts: o, lockers: make([]locker, m.P())}
+	for i := range s.lockers {
+		s.lockers[i].next = -1
+	}
 	if !o.RandomEmbedding {
 		s.posTabs = make([][]int, m.P())
 	}
@@ -186,29 +197,34 @@ type varState struct {
 	// by a wide margin on that path (~15% of total CPU went to
 	// mapaccess2_fast64 before).
 	nodes []nodeState
-	// pending tracks in-flight invalidation acknowledgments per tree node
-	// (allocated lazily: most variables never multicast).
-	pending map[int]*invalWait
-	lock    *lockState
-	// posOverride holds remapped node positions (random embedding with
-	// Options.RemapThreshold only); remaps counts migrations.
+	// write is the write transaction whose invalidation multicast is in
+	// flight: the exclusive transaction slot admits one write per variable,
+	// so its continuation needs no more than this pointer.
+	write *reqMsg
+	lock  lockState
+	// accesses counts the protocol messages handled at each node, driving
+	// the optional remapping; posOverride holds remapped node positions and
+	// remaps counts migrations. All three exist only under the random
+	// embedding with Options.RemapThreshold > 0.
+	accesses    []uint32
 	posOverride map[int]int
 	remaps      int
 }
 
+// nodeState is one tree node's protocol state, packed into 8 bytes: the
+// node tables are the bulk of a variable's footprint, and InitVar, Fork
+// and the disk restore all copy them whole.
 type nodeState struct {
+	edges uint32 // bit 0: parent is a member; bit i+1: child i is a member
+	// toward is the data pointer: the direction of the copy component.
+	// While an invalidation multicast is in flight it doubles as the
+	// acknowledgment route — onInval points it at the neighbor the
+	// invalidation came from, and the multicast root is the one node still
+	// pointing at itself.
+	toward int8
 	member bool
-	toward int32
-	edges  uint32 // bit 0: parent is a member; bit i+1: child i is a member
-	// accesses counts protocol messages handled at this node, driving the
-	// optional remapping.
-	accesses uint32
-}
-
-type invalWait struct {
-	n       int // outstanding acks
-	ackNode int // tree node to acknowledge to (-1: this is the multicast root)
-	done    func()
+	acks   uint8 // invalidation acknowledgments still outstanding here
+	arrow  int8  // lock arrow (lock.go), same encoding as toward
 }
 
 const parentBit = uint32(1)
@@ -218,30 +234,25 @@ func childBit(i int) uint32 { return 1 << uint(i+1) }
 // state returns the variable's strategy state.
 func vstate(v *core.Variable) *varState { return v.State.(*varState) }
 
-// nodePtr returns the mutable state of a tree node: a dense-table index.
-func (s *strategy) nodePtr(vs *varState, id int) *nodeState {
-	return &vs.nodes[id]
-}
-
 // initNodes fills the dense node table with the initial configuration:
-// every pointer leads toward the creator's leaf, which holds the only
-// copy. One linear fill plus one root-to-leaf walk — no per-node lazy
-// materialization needed afterwards.
+// every data pointer and every lock arrow leads toward the creator's leaf,
+// which holds the only copy and the lock token. One linear fill plus one
+// root-to-leaf walk — no per-node lazy materialization needed afterwards.
 func (s *strategy) initNodes(vs *varState) {
 	for i := range vs.nodes {
-		vs.nodes[i] = nodeState{toward: towardUp}
+		vs.nodes[i] = nodeState{toward: towardUp, arrow: towardUp}
 	}
 	cur := s.t.Root()
 	for {
 		n := &s.t.Nodes[cur]
 		if n.Leaf() {
-			vs.nodes[cur] = nodeState{member: true, toward: towardSelf}
+			vs.nodes[cur] = nodeState{member: true, toward: towardSelf, arrow: towardSelf}
 			return
 		}
 		next := -1
 		for i, c := range n.Children {
 			if s.t.Nodes[c].Region.ContainsProc(vs.creator) {
-				vs.nodes[cur].toward = int32(i)
+				vs.nodes[cur].toward, vs.nodes[cur].arrow = int8(i), int8(i)
 				next = c
 				break
 			}
@@ -251,25 +262,6 @@ func (s *strategy) initNodes(vs *varState) {
 		}
 		cur = next
 	}
-}
-
-// defaultToward: pointers lead toward the creator's leaf. (The data
-// pointers live pre-materialized in the dense node table; this analytic
-// form still backs the lazily-materialized lock arrows.)
-func (s *strategy) defaultToward(vs *varState, id int) int32 {
-	n := &s.t.Nodes[id]
-	if !n.Region.ContainsProc(vs.creator) {
-		return towardUp
-	}
-	if n.Leaf() {
-		return towardSelf
-	}
-	for i, c := range n.Children {
-		if s.t.Nodes[c].Region.ContainsProc(vs.creator) {
-			return int32(i)
-		}
-	}
-	panic("accesstree: no child contains the creator position")
 }
 
 // posOf computes the processor simulating a tree node under the
@@ -312,6 +304,7 @@ func (s *strategy) InitVar(v *Variable) {
 		rootPos: s.t.RandomRoot(s.rng),
 		seed:    s.rng.Uint64(),
 		creator: v.Creator,
+		lock:    restingLock(s.t.LeafOfProc[v.Creator]),
 	}
 	if !s.opts.RandomEmbedding {
 		vs.posTab = s.posTable(vs.rootPos)
@@ -323,9 +316,12 @@ func (s *strategy) InitVar(v *Variable) {
 		vs.nodes = make([]nodeState, len(s.t.Nodes))
 	}
 	s.initNodes(vs)
+	if s.opts.RemapThreshold > 0 {
+		vs.accesses = make([]uint32, len(s.t.Nodes))
+	}
 	v.State = vs
 	v.SetLocal(v.Creator)
-	s.cacheInsert(vs, v, s.t.LeafOfProc[v.Creator], v.Creator)
+	s.m.Cache(v.Creator).Insert(v, s.t.LeafOfProc[v.Creator])
 }
 
 // Variable aliases core.Variable for readability.
@@ -339,12 +335,11 @@ func (s *strategy) FreeVar(v *Variable) {
 		// only runs when there are cache entries to drop.
 		for id := range vs.nodes {
 			if vs.nodes[id].member {
-				s.m.Cache(s.procOf(vs, id)).Remove(atKey{v.ID, id})
+				s.m.Cache(s.procOf(vs, id)).Remove(v.ID, id)
 			}
 		}
 	}
 	s.nodeFree = append(s.nodeFree, vs.nodes)
 	vs.nodes = nil
-	vs.pending = nil
 	v.State = nil
 }

@@ -4,79 +4,88 @@ import (
 	"fmt"
 
 	"diva/internal/core"
-	"diva/internal/sim"
 	"diva/internal/xrand"
 )
 
 // core.Forker implementation: deep-copy capture and restore of the access
 // tree strategy's state for machine snapshot/fork. Captured per variable:
 // the embedding (root position / ablation seed), the dense node table
-// (membership, directional pointers, edge bits, access counts), the lock
-// arrows and token position, and the remap overrides. The transaction
-// arena, the recycled node-table pool and the shared embedding tables are
-// deliberately not captured — arenas hold no live transactions at
-// quiescence, and the embedding tables are a pure function of the tree,
+// (membership, directional pointers, edge bits, lock arrows), the leaf the
+// lock token rests at, and the remap counters and overrides. The node
+// tables of one capture share a single block, so a snapshot or a fork
+// costs one table allocation however many variables it holds. The
+// transaction arena, the recycled node-table pool and the shared embedding
+// tables are deliberately not captured — arenas hold no live transactions
+// at quiescence, and the embedding tables are a pure function of the tree,
 // rebuilt lazily per fork.
 
 type snapState struct {
 	rng    xrand.State
 	remaps int
-	vars   []*varSnapState // indexed by VarID; nil for freed variables
+	vars   []varSnapState // indexed by VarID; present=false for freed variables
 }
 
+// varSnapState is one quiescent variable. Of its lock only the arrows (in
+// nodes) and the token's resting leaf persist: queue, waiters and holder
+// must be empty/free at quiescence.
 type varSnapState struct {
+	present     bool
 	rootPos     int
 	seed        uint64
 	creator     int
 	nodes       []nodeState
-	lock        *lockSnapState
+	tokenAt     int
+	accesses    []uint32
 	posOverride map[int]int
 	remaps      int
 }
 
-// lockSnapState is a quiescent lock's persistent state: the arrows left by
-// path reversal and the leaf the free token rests at. Everything else
-// (queue, waiters, holder) must be empty/free at quiescence.
-type lockSnapState struct {
-	arrows  map[int]int32
-	tokenAt int
+func copyOverride(m map[int]int) map[int]int {
+	if m == nil {
+		return nil
+	}
+	c := make(map[int]int, len(m))
+	for k, p := range m {
+		c[k] = p
+	}
+	return c
 }
 
 // SnapshotState implements core.Forker.
 func (s *strategy) SnapshotState(vars []*core.Variable) (interface{}, error) {
-	st := &snapState{rng: s.rng.State(), remaps: s.remaps, vars: make([]*varSnapState, len(vars))}
+	st := &snapState{rng: s.rng.State(), remaps: s.remaps, vars: make([]varSnapState, len(vars))}
+	n := len(s.t.Nodes)
+	tables := make([]nodeState, n*core.LiveVars(vars))
 	for i, v := range vars {
 		if v == nil {
 			continue
 		}
 		vs := vstate(v)
-		if len(vs.pending) > 0 {
+		if vs.write != nil {
 			return nil, fmt.Errorf("accesstree: variable %d has a pending invalidation", v.ID)
 		}
-		vsn := &varSnapState{
-			rootPos: vs.rootPos,
-			seed:    vs.seed,
-			creator: vs.creator,
-			nodes:   append([]nodeState(nil), vs.nodes...),
-			remaps:  vs.remaps,
+		if ls := &vs.lock; ls.inFlight || ls.holder != -1 || ls.succ != -1 || !ls.tokenFree {
+			return nil, fmt.Errorf("accesstree: variable %d has lock activity in flight", v.ID)
 		}
-		if ls := vs.lock; ls != nil {
-			if ls.inFlight || len(ls.waiting) > 0 || ls.holder != -1 || len(ls.next) > 0 || !ls.tokenFree {
-				return nil, fmt.Errorf("accesstree: variable %d has lock activity in flight", v.ID)
-			}
-			lsn := &lockSnapState{tokenAt: ls.tokenAt, arrows: make(map[int]int32, len(ls.arrows))}
-			for k, a := range ls.arrows {
-				lsn.arrows[k] = a
-			}
-			vsn.lock = lsn
+		nodes := tables[:n:n]
+		tables = tables[n:]
+		copy(nodes, vs.nodes)
+		st.vars[i] = varSnapState{
+			present:     true,
+			rootPos:     vs.rootPos,
+			seed:        vs.seed,
+			creator:     vs.creator,
+			nodes:       nodes,
+			tokenAt:     vs.lock.tokenAt,
+			accesses:    append([]uint32(nil), vs.accesses...),
+			posOverride: copyOverride(vs.posOverride),
+			remaps:      vs.remaps,
 		}
-		if vs.posOverride != nil {
-			vsn.posOverride = make(map[int]int, len(vs.posOverride))
-			for k, p := range vs.posOverride {
-				vsn.posOverride[k] = p
-			}
+	}
+	for p := range s.lockers {
+		if s.lockers[p].v != nil {
+			return nil, fmt.Errorf("accesstree: processor %d is blocked in a lock", p)
 		}
-		st.vars[i] = vsn
 	}
 	return st, nil
 }
@@ -92,64 +101,48 @@ func (s *strategy) RestoreState(state interface{}, vars []*core.Variable) error 
 	}
 	s.rng.SetState(st.rng)
 	s.remaps = st.remaps
-	for i, vsn := range st.vars {
-		if vsn == nil {
+	n := len(s.t.Nodes)
+	tables := make([]nodeState, n*core.LiveVars(vars))
+	states := make([]varState, core.LiveVars(vars))
+	counters := 0 // the access side table exists only when remapping
+	if s.opts.RemapThreshold > 0 {
+		counters = n
+	}
+	for i := range st.vars {
+		vsn := &st.vars[i]
+		if !vsn.present {
 			continue
 		}
 		v := vars[i]
 		if v == nil {
 			return fmt.Errorf("accesstree: snapshot has state for freed variable %d", i)
 		}
-		vs := &varState{
-			rootPos: vsn.rootPos,
-			seed:    vsn.seed,
-			creator: vsn.creator,
-			nodes:   append([]nodeState(nil), vsn.nodes...),
-			remaps:  vsn.remaps,
+		if len(vsn.nodes) != n {
+			return fmt.Errorf("accesstree: snapshot variable %d has %d tree nodes, machine has %d", i, len(vsn.nodes), n)
+		}
+		if len(vsn.accesses) != counters {
+			return fmt.Errorf("accesstree: snapshot variable %d has %d access counters, machine needs %d", i, len(vsn.accesses), counters)
+		}
+		nodes := tables[:n:n]
+		tables = tables[n:]
+		copy(nodes, vsn.nodes)
+		vs := &states[0]
+		states = states[1:]
+		*vs = varState{
+			rootPos:     vsn.rootPos,
+			seed:        vsn.seed,
+			creator:     vsn.creator,
+			nodes:       nodes,
+			lock:        restingLock(vsn.tokenAt),
+			accesses:    append([]uint32(nil), vsn.accesses...),
+			posOverride: copyOverride(vsn.posOverride),
+			remaps:      vsn.remaps,
 		}
 		if !s.opts.RandomEmbedding {
 			vs.posTab = s.posTable(vs.rootPos)
 		}
-		if lsn := vsn.lock; lsn != nil {
-			ls := &lockState{
-				arrows:    make(map[int]int32, len(lsn.arrows)),
-				next:      make(map[int]int),
-				tokenAt:   lsn.tokenAt,
-				tokenFree: true,
-				waiting:   make(map[int]*sim.Future),
-				holder:    -1,
-			}
-			for k, a := range lsn.arrows {
-				ls.arrows[k] = a
-			}
-			vs.lock = ls
-		}
-		if vsn.posOverride != nil {
-			vs.posOverride = make(map[int]int, len(vsn.posOverride))
-			for k, p := range vsn.posOverride {
-				vs.posOverride[k] = p
-			}
-		}
 		v.State = vs
 	}
-	return nil
-}
-
-// RestoreCacheEntry implements core.Forker: re-registers one bounded-cache
-// entry (an atKey from the source machine) with a fresh eviction closure.
-func (s *strategy) RestoreCacheEntry(vars []*core.Variable, key interface{}) error {
-	k, ok := key.(atKey)
-	if !ok {
-		return fmt.Errorf("accesstree: foreign cache key %T", key)
-	}
-	if int(k.v) < 0 || int(k.v) >= len(vars) || vars[k.v] == nil {
-		return fmt.Errorf("accesstree: cache entry for unknown variable %d", k.v)
-	}
-	v := vars[k.v]
-	node, proc := k.node, s.procOf(vstate(v), k.node)
-	s.m.Cache(proc).InsertRestored(key, v.Size, func() bool {
-		return s.tryEvict(v, node, proc)
-	})
 	return nil
 }
 

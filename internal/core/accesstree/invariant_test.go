@@ -1,6 +1,7 @@
 package accesstree
 
 import (
+	"strings"
 	"testing"
 
 	"diva/internal/core"
@@ -15,7 +16,12 @@ import (
 //  1. the copy holders form a non-empty connected component of the tree;
 //  2. every directional pointer chain leads to a copy holder;
 //  3. component edge bits are symmetric and span the component;
-//  4. the committed value is the last value written.
+//  4. the committed value is the last value written;
+//  5. nothing of a finished transaction survives it: no pending-ack count,
+//     no write continuation, no lock holder, queue link or waiter;
+//  6. the lock arrows of every node lead to the leaf the token rests at;
+//  7. the machine's local-copy bitmap marks exactly the processors whose
+//     leaf holds a copy.
 
 func newTestMachine(spec decomp.Spec, rows, cols int, seed uint64) *core.Machine {
 	return core.MustNewMachine(core.Config{
@@ -153,6 +159,47 @@ func checkInvariants(t *testing.T, m *core.Machine, v *core.Variable, want inter
 	if v.Data != want {
 		t.Fatalf("committed value %v, want %v", v.Data, want)
 	}
+
+	// 5. Quiescence: no transaction state outlives its transaction.
+	for id := range vs.nodes {
+		if n := vs.nodes[id].acks; n != 0 {
+			t.Fatalf("node %d still waits for %d invalidation acks", id, n)
+		}
+	}
+	if vs.write != nil {
+		t.Fatal("a write continuation survived its transaction")
+	}
+	if ls := vs.lock; ls.inFlight || !ls.tokenFree || ls.holder != -1 || ls.succ != -1 {
+		t.Fatalf("lock not at rest: %+v", ls)
+	}
+	for p, w := range s.lockers {
+		if w != (locker{next: -1}) {
+			t.Fatalf("processor %d still has a lock wait: %+v", p, w)
+		}
+	}
+
+	// 6. Arrow chains terminate at the token.
+	for id := range s.t.Nodes {
+		cur := id
+		for steps := 0; vs.nodes[cur].arrow != towardSelf; steps++ {
+			if steps > len(s.t.Nodes) {
+				t.Fatalf("arrow chain from node %d does not terminate", id)
+			}
+			if cur = s.neighbor(cur, vs.nodes[cur].arrow); cur == -1 {
+				t.Fatalf("arrow chain from %d ran past the root", id)
+			}
+		}
+		if cur != vs.lock.tokenAt {
+			t.Fatalf("arrows from node %d lead to %d, the token rests at %d", id, cur, vs.lock.tokenAt)
+		}
+	}
+
+	// 7. The local-copy bitmap mirrors leaf membership.
+	for p, leaf := range s.t.LeafOfProc {
+		if v.LocalBit(p) != vs.nodes[leaf].member {
+			t.Fatalf("processor %d: local bit %v, leaf member %v", p, v.LocalBit(p), vs.nodes[leaf].member)
+		}
+	}
 }
 
 func TestInvariantsAfterSingleRead(t *testing.T) {
@@ -244,9 +291,13 @@ func TestRandomTrafficInvariantsRandomEmbedding(t *testing.T) {
 			r := xrand.New(uint64(p.ID)*3 + 7)
 			for step := 0; step < 10; step++ {
 				vi := r.Intn(nvars)
-				if r.Intn(3) == 0 {
+				switch r.Intn(4) {
+				case 0:
 					p.Write(vars[vi], p.ID*100+step)
-				} else {
+				case 1:
+					p.Lock(vars[vi])
+					p.Unlock(vars[vi])
+				default:
 					_ = p.Read(vars[vi])
 				}
 				if step%5 == 4 {
@@ -263,11 +314,13 @@ func TestRandomTrafficInvariantsRandomEmbedding(t *testing.T) {
 	}
 }
 
-// TestRandomTrafficInvariants drives random concurrent reads and writes and
-// then checks every invariant, across arities and mesh shapes.
+// TestRandomTrafficInvariants drives random concurrent reads, writes and
+// lock acquisitions and then checks every invariant, across arities and
+// mesh shapes — up to a 32x32 machine, whose upper 512 processors lie
+// beyond the first words of the local-copy bitmap.
 func TestRandomTrafficInvariants(t *testing.T) {
 	specs := []decomp.Spec{decomp.Ary2, decomp.Ary4, decomp.Ary16, decomp.Ary2K4, decomp.Ary4K16}
-	shapes := [][2]int{{4, 4}, {5, 3}, {2, 8}, {8, 8}}
+	shapes := [][2]int{{4, 4}, {5, 3}, {2, 8}, {8, 8}, {32, 32}}
 	for si, spec := range specs {
 		for hi, shape := range shapes {
 			spec, shape := spec, shape
@@ -287,9 +340,13 @@ func TestRandomTrafficInvariants(t *testing.T) {
 					r := xrand.New(uint64(p.ID)*77 + 5)
 					for step := 0; step < 12; step++ {
 						vi := r.Intn(nvars)
-						if r.Intn(3) == 0 {
+						switch r.Intn(4) {
+						case 0:
 							p.Write(vars[vi], p.ID*1000+step)
-						} else {
+						case 1:
+							p.Lock(vars[vi])
+							p.Unlock(vars[vi])
+						default:
 							_ = p.Read(vars[vi])
 						}
 						// A uniform number of barriers per process keeps
@@ -302,11 +359,67 @@ func TestRandomTrafficInvariants(t *testing.T) {
 				}); err != nil {
 					t.Fatal(err)
 				}
+				high := false
 				for i := range vars {
 					v := m.Var(vars[i])
 					checkInvariants(t, m, v, v.Data) // value checked reflexively
+					high = high || v.NextLocal(512) >= 0
+				}
+				if m.P() > 512 && !high {
+					t.Fatal("no processor beyond 512 holds a locally readable copy")
 				}
 			})
 		}
+	}
+}
+
+// TestSnapshotRefusesLiveTransactions: a strategy snapshot taken while an
+// invalidation multicast or a lock is live reports an error naming it — it
+// neither panics nor captures the half-finished state.
+func TestSnapshotRefusesLiveTransactions(t *testing.T) {
+	m := newTestMachine(decomp.Ary2, 4, 4, 9)
+	v := m.AllocAt(0, 64, 0)
+	vars := []*core.Variable{m.Var(v)}
+	// poll snapshots every 50us of simulated time and returns the first
+	// refusal.
+	poll := func(p *core.Proc) error {
+		for i := 0; i < 100; i++ {
+			p.Wait(50)
+			if _, err := m.Strat.(core.Forker).SnapshotState(vars); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var duringWrite, duringLock error
+	if err := m.Run(func(p *core.Proc) {
+		_ = p.Read(v) // everyone holds a copy
+		p.Barrier()
+		switch p.ID {
+		case 5:
+			p.Write(v, 1) // multicasts invalidations to all of them
+		case 0:
+			duringWrite = poll(p)
+		}
+		p.Barrier()
+		switch p.ID {
+		case 5:
+			p.Lock(v)
+			p.Wait(1000)
+			p.Unlock(v)
+		case 0:
+			duringLock = poll(p)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if duringWrite == nil || !strings.Contains(duringWrite.Error(), "pending invalidation") {
+		t.Fatalf("snapshot during an invalidation multicast: %v", duringWrite)
+	}
+	if duringLock == nil || !strings.Contains(duringLock.Error(), "lock") {
+		t.Fatalf("snapshot during a held lock: %v", duringLock)
+	}
+	if _, err := m.Strat.(core.Forker).SnapshotState(vars); err != nil {
+		t.Fatalf("snapshot at quiescence: %v", err)
 	}
 }

@@ -15,69 +15,63 @@ import (
 // message. This is one of the "elegant algorithms that use access trees,
 // too" (§2 of the paper).
 //
-// Like the data pointers, arrows are materialized lazily: the default
-// configuration has every arrow pointing toward the creator's leaf, where
-// the token initially rests.
+// The arrows live in the dense node table next to the data pointers
+// (nodeState.arrow); initially every arrow points toward the creator's
+// leaf, where the token rests.
 
+// lockState is a variable's lock: where the token is, and the head of the
+// distributed FIFO queue.
 type lockState struct {
-	arrows map[int]int32 // explicit deviations from the default arrows
-	// next forms the distributed FIFO queue: tree leaf -> successor leaf.
-	next map[int]int
 	// tokenAt is the leaf where the token rests (meaningless while the
 	// token is in flight).
-	tokenAt   int
+	tokenAt int
+	// succ is the leaf queued directly behind the token's position — its
+	// holder, or the leaf a free token rests at (-1: none).
+	succ      int
+	holder    int // leaf currently holding the lock (-1: none)
 	tokenFree bool
 	inFlight  bool
-	waiting   map[int]*sim.Future // leaf -> future of the blocked process
-	holder    int                 // leaf currently holding the lock (-1: none)
 }
 
-// lockReqMsg is one hop of a lock request along the access tree.
-type lockReqMsg struct {
-	v      *Variable
-	node   int // receiving tree node
-	from   int // tree node the request came from (-1: origin hop)
-	origin int // requesting leaf
+// restingLock is a lock nobody holds or waits for, its token at leaf.
+func restingLock(leaf int) lockState {
+	return lockState{tokenAt: leaf, tokenFree: true, holder: -1, succ: -1}
 }
 
-// lockTokenMsg hands the token to a successor leaf.
-type lockTokenMsg struct {
-	v  *Variable
-	to int // receiving leaf
+// locker is the lock wait of the process on one processor. A process blocks
+// on one thing at a time, so one slot per processor serves every variable:
+// a leaf in a variable's queue that is not the token's position is blocked
+// in Lock on that very variable.
+type locker struct {
+	v    *Variable   // the variable waited for; nil when not blocked in Lock
+	fut  *sim.Future // completed by the token's arrival
+	next int         // leaf queued directly behind this waiter (-1: none)
 }
 
-// lockOf returns (lazily creating) the lock state of v.
-func (s *strategy) lockOf(v *Variable) *lockState {
+// successor returns the queue link behind leaf, which is either the
+// token's position or a blocked waiter (the two places a queue tail can
+// be).
+func (s *strategy) successor(v *Variable, leaf int) *int {
 	vs := vstate(v)
-	if vs.lock == nil {
-		vs.lock = &lockState{
-			arrows:    make(map[int]int32),
-			next:      make(map[int]int),
-			tokenAt:   s.t.LeafOfProc[v.Creator],
-			tokenFree: true,
-			waiting:   make(map[int]*sim.Future),
-			holder:    -1,
-		}
+	if ls := &vs.lock; !ls.inFlight && ls.tokenAt == leaf {
+		return &ls.succ
 	}
-	return vs.lock
-}
-
-// arrow returns the arrow at a tree node (default: toward the creator).
-func (s *strategy) arrow(v *Variable, ls *lockState, id int) int32 {
-	if a, ok := ls.arrows[id]; ok {
-		return a
+	w := &s.lockers[s.procOf(vs, leaf)]
+	if w.v != v {
+		panic("accesstree: queue tail neither holds the token nor waits for it")
 	}
-	return s.defaultToward(vstate(v), id)
+	return &w.next
 }
 
 // Lock implements core.Strategy.
 func (s *strategy) Lock(p *core.Proc, v *Variable) {
-	ls := s.lockOf(v)
+	vs := vstate(v)
+	ls := &vs.lock
 	leaf := s.t.LeafOfProc[p.ID]
 	if ls.holder == leaf {
 		panic("accesstree: recursive lock")
 	}
-	a := s.arrow(v, ls, leaf)
+	a := vs.nodes[leaf].arrow
 	if a == towardSelf {
 		// This leaf is the sink. Either the free token rests here, or the
 		// process would queue behind itself (a double acquire).
@@ -88,84 +82,87 @@ func (s *strategy) Lock(p *core.Proc, v *Variable) {
 		}
 		panic("accesstree: lock re-acquired while queued")
 	}
-	f := sim.NewFuture()
-	ls.waiting[leaf] = f
-	ls.arrows[leaf] = towardSelf
-	s.sendLockHop(v, ls, leaf, a, -1, leaf)
+	f := p.Park()
+	w := &s.lockers[p.ID]
+	w.v, w.fut = v, f
+	vs.nodes[leaf].arrow = towardSelf
+	s.sendLockHop(vs, v, leaf, a, leaf)
 	f.Await(p.Proc)
 	ls.holder = leaf
 }
 
-// sendLockHop forwards the request from tree node cur along direction a.
-func (s *strategy) sendLockHop(v *Variable, ls *lockState, cur int, a int32, from, origin int) {
-	vs := vstate(v)
-	var next int
-	if a == towardUp {
-		next = s.t.Nodes[cur].Parent
-	} else {
-		next = s.t.Nodes[cur].Children[a]
-	}
-	s.m.Net.SendPooled(s.procOf(vs, cur), s.procOf(vs, next), core.LockBytes,
-		kindLockReq, &lockReqMsg{v: v, node: next, from: cur, origin: origin})
+// sendLockHop forwards origin's request from tree node cur along arrow a.
+func (s *strategy) sendLockHop(vs *varState, v *Variable, cur int, a int8, origin int) {
+	next := s.neighbor(cur, a)
+	s.m.Net.SendPooledTag(s.procOf(vs, cur), s.procOf(vs, next), core.LockBytes,
+		kindLockReq, packTag3(next, cur, origin), v)
 }
 
 // onLockReq performs one path-reversal step.
 func (s *strategy) onLockReq(m *mesh.Msg) {
-	lm := m.Payload.(*lockReqMsg)
-	ls := s.lockOf(lm.v)
-	cur := lm.node
-	old := s.arrow(lm.v, ls, cur)
-	ls.arrows[cur] = s.dirTo(cur, lm.from)
+	v := m.Payload.(*Variable)
+	cur, from, origin := unpackTag3(m.Tag)
+	vs := vstate(v)
+	st := &vs.nodes[cur]
+	old := st.arrow
+	st.arrow = s.dirTo(cur, from)
 	if old != towardSelf {
-		s.sendLockHop(lm.v, ls, cur, old, lm.from, lm.origin)
+		s.sendLockHop(vs, v, cur, old, origin)
 		return
 	}
 	// cur is the previous sink: a leaf that holds the token or waits in
 	// the queue. The origin becomes its successor.
-	if _, dup := ls.next[cur]; dup {
+	succ := s.successor(v, cur)
+	if *succ != -1 {
 		panic("accesstree: queue tail already has a successor")
 	}
-	ls.next[cur] = lm.origin
-	if ls.tokenFree && !ls.inFlight && ls.tokenAt == cur {
-		s.passToken(lm.v, ls, cur)
+	*succ = origin
+	if ls := &vs.lock; ls.tokenFree && !ls.inFlight && ls.tokenAt == cur {
+		s.passToken(vs, v, cur)
 	}
 }
 
-// passToken moves the token from leaf cur to its queued successor.
-func (s *strategy) passToken(v *Variable, ls *lockState, cur int) {
-	to := ls.next[cur]
-	delete(ls.next, cur)
+// passToken moves the token from leaf cur, where it is, to the queued
+// successor.
+func (s *strategy) passToken(vs *varState, v *Variable, cur int) {
+	ls := &vs.lock
+	to := ls.succ
+	ls.succ = -1
 	ls.tokenFree = false
 	ls.inFlight = true
-	vs := vstate(v)
-	s.m.Net.SendPooled(s.procOf(vs, cur), s.procOf(vs, to), core.LockBytes,
-		kindLockToken, &lockTokenMsg{v: v, to: to})
+	s.m.Net.SendPooledTag(s.procOf(vs, cur), s.procOf(vs, to), core.LockBytes,
+		kindLockToken, to, v)
 }
 
-// onLockToken delivers the token: the waiting process now holds the lock.
+// onLockToken delivers the token: the waiting process now holds the lock,
+// and whoever queued behind it while it waited now queues behind the token.
 func (s *strategy) onLockToken(m *mesh.Msg) {
-	tm := m.Payload.(*lockTokenMsg)
-	ls := s.lockOf(tm.v)
-	ls.inFlight = false
-	ls.tokenAt = tm.to
-	f := ls.waiting[tm.to]
-	if f == nil {
+	v := m.Payload.(*Variable)
+	to := m.Tag
+	ls := &vstate(v).lock
+	w := &s.lockers[m.Dst]
+	f := w.fut
+	if w.v != v {
 		panic("accesstree: token delivered to a leaf with no waiter")
 	}
-	delete(ls.waiting, tm.to)
+	ls.inFlight = false
+	ls.tokenAt = to
+	ls.succ = w.next
+	*w = locker{next: -1}
 	f.Complete(s.m.K, nil)
 }
 
 // Unlock implements core.Strategy.
 func (s *strategy) Unlock(p *core.Proc, v *Variable) {
-	ls := s.lockOf(v)
+	vs := vstate(v)
+	ls := &vs.lock
 	leaf := s.t.LeafOfProc[p.ID]
 	if ls.holder != leaf {
 		panic("accesstree: unlock by non-holder")
 	}
 	ls.holder = -1
-	if _, ok := ls.next[leaf]; ok {
-		s.passToken(v, ls, leaf)
+	if ls.succ != -1 {
+		s.passToken(vs, v, leaf)
 		return
 	}
 	ls.tokenFree = true

@@ -24,8 +24,10 @@ type reqMsg struct {
 
 // The smaller protocol messages carry no struct payload at all: the
 // variable rides in Msg.Payload and the (small, dense) tree-node ids are
-// packed into Msg.Tag, so every hop of the data-return, invalidation, ack
-// and evict flows is allocation-free.
+// packed into Msg.Tag; what a multicast or a lock request has to remember
+// between hops lives in the node table. No hop of the data-return,
+// invalidation, ack, evict and lock flows allocates (the regression tests
+// in alloc_test.go hold every transaction shape to zero).
 //
 //   - data hop (kindRead/WriteData): Payload = *reqMsg, Tag = path index
 //     the message arrives at;
@@ -33,15 +35,29 @@ type reqMsg struct {
 //     the invalidation came from);
 //   - ack: Payload = *Variable, Tag = receiving node;
 //   - evict note: Payload = *Variable, Tag = pack(receiving node, evicted
-//     node).
+//     node);
+//   - lock request: Payload = *Variable, Tag = pack3(receiving node, node
+//     the request came from, requesting leaf);
+//   - lock token: Payload = *Variable, Tag = receiving leaf.
 //
-// tagShift bounds the packable tree size to 2^21 nodes per field (beyond a
-// 1024x1024 binary-decomposed mesh); newStrategy rejects larger trees up
-// front rather than letting packTag silently corrupt ids.
-const tagShift = 21
+// tagShift splits the sign-free int into three node-id fields: 2^21 nodes
+// on 64-bit platforms (beyond a 1024x1024 binary-decomposed mesh), 2^10 on
+// 32-bit ones; newStrategy rejects larger trees up front rather than
+// letting the packing silently corrupt ids.
+const (
+	tagShift = (bits.UintSize - 1) / 3
+	tagMask  = 1<<tagShift - 1
+)
 
 func packTag(a, b int) int       { return a<<tagShift | b }
-func unpackTag(t int) (a, b int) { return t >> tagShift, t & (1<<tagShift - 1) }
+func unpackTag(t int) (a, b int) { return t >> tagShift, t & tagMask }
+
+func packTag3(a, b, c int) int { return packTag(packTag(a, b), c) }
+func unpackTag3(t int) (a, b, c int) {
+	ab, c := unpackTag(t)
+	a, b = unpackTag(ab)
+	return a, b, c
+}
 
 // Read implements core.Strategy. The caller holds the shared transaction
 // slot, so pointer states can only be extended (by concurrent readers)
@@ -54,7 +70,7 @@ func (s *strategy) Read(p *core.Proc, v *Variable) interface{} {
 		// call (and the interface boxing of the key) keeps the 99%-hit
 		// local read path to a few loads.
 		if c := s.m.Cache(p.ID); c.Bounded() {
-			c.Touch(atKey{v.ID, leaf})
+			c.Touch(v.ID, leaf)
 		}
 		return v.Data
 	}
@@ -111,7 +127,7 @@ func (s *strategy) Write(p *core.Proc, v *Variable, val interface{}) {
 		// Sole copy: a purely local write.
 		v.Data = val
 		if c := s.m.Cache(p.ID); c.Bounded() {
-			c.Touch(atKey{v.ID, leaf})
+			c.Touch(v.ID, leaf)
 		}
 		return
 	}
@@ -136,17 +152,12 @@ func (s *strategy) forward(req *reqMsg) {
 	vs := vstate(req.v)
 	cur := req.path[len(req.path)-1]
 	toward := vs.nodes[cur].toward
-	var next int
-	switch toward {
-	case towardUp:
-		next = s.t.Nodes[cur].Parent
-		if next == -1 {
-			panic("accesstree: pointer chain ran past the root")
-		}
-	case towardSelf:
+	if toward == towardSelf {
 		panic("accesstree: forwarding at a member node")
-	default:
-		next = s.t.Nodes[cur].Children[toward]
+	}
+	next := s.neighbor(cur, toward)
+	if next == -1 {
+		panic("accesstree: pointer chain ran past the root")
 	}
 	req.path = append(req.path, next)
 	kind, size := kindReadReq, core.ReadReqBytes
@@ -181,38 +192,37 @@ func (s *strategy) onReq(m *mesh.Msg) {
 func (s *strategy) serveWrite(req *reqMsg) {
 	vs := vstate(req.v)
 	u := req.path[len(req.path)-1]
-	st := s.nodePtr(vs, u)
+	st := &vs.nodes[u]
 	edges := st.edges
 	st.edges = 0
-	done := func() {
-		req.v.Data = req.val
-		if len(req.path) == 1 {
-			// u is the writer's leaf itself.
-			st := s.nodePtr(vs, u)
-			st.member = true
-			st.toward = towardSelf
-			req.v.SetLocal(s.procOf(vs, u))
-			s.cacheInsert(vs, req.v, u, s.procOf(vs, u))
-			req.fut.Complete(s.m.K, req.val)
-			return
-		}
-		s.sendData(req, len(req.path)-1)
-	}
 	if edges == 0 {
-		done()
+		s.commitWrite(vs, req)
 		return
 	}
-	s.addPending(vs, u, &invalWait{n: bits.OnesCount32(edges), ackNode: -1, done: done})
+	// u is a member, so its pointer leads to itself: that marks it as the
+	// multicast root while the acknowledgments converge.
+	st.acks = uint8(bits.OnesCount32(edges))
+	vs.write = req
 	s.multicastInval(vs, req.v, u, edges)
 }
 
-// addPending records an outstanding invalidation wait, creating the lazily
-// allocated table on first use.
-func (s *strategy) addPending(vs *varState, node int, w *invalWait) {
-	if vs.pending == nil {
-		vs.pending = make(map[int]*invalWait)
+// commitWrite runs at the nearest member u once every other copy is gone:
+// the value is committed and the modified copy travels back to the writer.
+func (s *strategy) commitWrite(vs *varState, req *reqMsg) {
+	req.v.Data = req.val
+	if len(req.path) > 1 {
+		s.sendData(req, len(req.path)-1)
+		return
 	}
-	vs.pending[node] = w
+	// u is the writer's leaf itself.
+	u := req.path[0]
+	proc := s.procOf(vs, u)
+	st := &vs.nodes[u]
+	st.member = true
+	st.toward = towardSelf
+	req.v.SetLocal(proc)
+	s.m.Cache(proc).Insert(req.v, u)
+	req.fut.Complete(s.m.K, req.val)
 }
 
 // multicastInval sends invalidations from node u along the member edges.
@@ -240,7 +250,7 @@ func (s *strategy) onInval(m *mesh.Msg) {
 	v := m.Payload.(*Variable)
 	node, from := unpackTag(m.Tag)
 	vs := vstate(v)
-	st := s.nodePtr(vs, node)
+	st := &vs.nodes[node]
 	if !st.member {
 		panic("accesstree: invalidation reached a non-member")
 	}
@@ -251,12 +261,14 @@ func (s *strategy) onInval(m *mesh.Msg) {
 	if s.t.Nodes[node].Leaf() {
 		v.ClearLocal(s.procOf(vs, node))
 	}
-	s.m.Cache(s.procOf(vs, node)).Remove(atKey{v.ID, node})
+	s.m.Cache(s.procOf(vs, node)).Remove(v.ID, node)
 	if forward == 0 {
 		s.sendAck(vs, v, node, from)
 		return
 	}
-	s.addPending(vs, node, &invalWait{n: bits.OnesCount32(forward), ackNode: from})
+	// The acknowledgments of the subtree are owed to from, which is where
+	// the pointer now leads.
+	st.acks = uint8(bits.OnesCount32(forward))
 	s.multicastInval(vs, v, node, forward)
 }
 
@@ -270,20 +282,22 @@ func (s *strategy) onAck(m *mesh.Msg) {
 	v := m.Payload.(*Variable)
 	node := m.Tag
 	vs := vstate(v)
-	w := vs.pending[node]
-	if w == nil {
+	st := &vs.nodes[node]
+	if st.acks == 0 {
 		panic("accesstree: stray invalidation ack")
 	}
-	w.n--
-	if w.n > 0 {
+	st.acks--
+	if st.acks > 0 {
 		return
 	}
-	delete(vs.pending, node)
-	if w.ackNode >= 0 {
-		s.sendAck(vs, v, node, w.ackNode)
+	if st.toward != towardSelf {
+		s.sendAck(vs, v, node, s.neighbor(node, st.toward))
 		return
 	}
-	w.done()
+	// The multicast root: every other copy is gone.
+	req := vs.write
+	vs.write = nil
+	s.commitWrite(vs, req)
 }
 
 // sendData sends the copy one hop back along the request path, from
@@ -292,8 +306,7 @@ func (s *strategy) sendData(req *reqMsg, idx int) {
 	vs := vstate(req.v)
 	from, to := req.path[idx], req.path[idx-1]
 	// The sender records that its neighbor is about to become a member.
-	st := s.nodePtr(vs, from)
-	st.edges |= s.edgeBit(from, to)
+	vs.nodes[from].edges |= s.edgeBit(from, to)
 	kind := kindReadData
 	if req.write {
 		kind = kindWriteData
@@ -310,11 +323,11 @@ func (s *strategy) onData(m *mesh.Msg) {
 	vs := vstate(req.v)
 	cur := req.path[idx]
 	s.countAccess(vs, cur)
-	st := s.nodePtr(vs, cur)
+	st := &vs.nodes[cur]
 	st.member = true
 	st.toward = towardSelf
 	st.edges |= s.edgeBit(cur, req.path[idx+1])
-	s.cacheInsert(vs, req.v, cur, m.Dst)
+	s.m.Cache(m.Dst).Insert(req.v, cur)
 	if idx == 0 {
 		// path[0] is the requester's leaf — the only leaf a request path
 		// can install a copy at (interior path nodes are internal).
@@ -329,13 +342,12 @@ func (s *strategy) onData(m *mesh.Msg) {
 	s.sendData(req, idx)
 }
 
-// countAccess bumps the remapping counter of a node (only when remapping
-// is enabled, to keep the default path allocation-free).
+// countAccess bumps the remapping counter of a node (the side table only
+// exists when remapping is enabled).
 func (s *strategy) countAccess(vs *varState, node int) {
-	if s.opts.RemapThreshold <= 0 {
-		return
+	if vs.accesses != nil {
+		vs.accesses[node]++
 	}
-	s.nodePtr(vs, node).accesses++
 }
 
 // edgeBit returns node's edge bit toward its tree neighbor nb.
@@ -350,42 +362,31 @@ func (s *strategy) edgeBit(node, nb int) uint32 {
 }
 
 // dirTo returns the pointer value at node that leads to its neighbor nb.
-func (s *strategy) dirTo(node, nb int) int32 {
+func (s *strategy) dirTo(node, nb int) int8 {
 	if s.t.Nodes[node].Parent == nb {
 		return towardUp
 	}
 	if s.t.Nodes[nb].Parent != node {
 		panic("accesstree: dirTo between non-adjacent nodes")
 	}
-	return int32(s.t.Nodes[nb].ChildIndex)
+	return int8(s.t.Nodes[nb].ChildIndex)
 }
 
-// atKey identifies a copy in a node cache.
-type atKey struct {
-	v    core.VarID
-	node int
-}
-
-// cacheInsert registers the copy held for tree node `node` in the memory
-// module of processor `proc`, wiring up the replacement callback. With
-// unbounded caches (the paper's default) this is free: no closure is even
-// constructed.
-func (s *strategy) cacheInsert(vs *varState, v *Variable, node, proc int) {
-	c := s.m.Cache(proc)
-	if !c.Bounded() {
-		return
+// neighbor returns the tree neighbor of node that pointer value dir (up or
+// a child index) leads to.
+func (s *strategy) neighbor(node int, dir int8) int {
+	if dir == towardUp {
+		return s.t.Nodes[node].Parent
 	}
-	key := atKey{v.ID, node}
-	c.Insert(key, v.Size, func() bool {
-		return s.tryEvict(v, node, proc)
-	})
+	return s.t.Nodes[node].Children[dir]
 }
 
-// tryEvict implements LRU replacement for the access tree strategy: a copy
-// may only be dropped if the variable is idle and the copy is a leaf of the
-// copy component (so the component stays connected and no data is lost).
-// The one remaining component neighbor is notified with a small message.
-func (s *strategy) tryEvict(v *Variable, node, proc int) bool {
+// TryEvict implements core.Evictor, the access tree's LRU replacement: a
+// copy may only be dropped if the variable is idle and the copy is a leaf of
+// the copy component (so the component stays connected and no data is
+// lost). The one remaining component neighbor is notified with a small
+// message.
+func (s *strategy) TryEvict(v *Variable, node, proc int) bool {
 	if v.State == nil || !v.Idle() {
 		return false
 	}
@@ -409,8 +410,8 @@ func (s *strategy) tryEvict(v *Variable, node, proc int) bool {
 	// other as "remaining" and both evict, losing the last copy (a real
 	// implementation prevents this with an eviction handshake; we model
 	// the handshake's effect and charge its message below).
-	s.nodePtr(vs, nb).edges &^= s.edgeBit(nb, node)
-	s.m.Cache(proc).Remove(atKey{v.ID, node})
+	vs.nodes[nb].edges &^= s.edgeBit(nb, node)
+	s.m.Cache(proc).Remove(v.ID, node)
 	s.m.Net.SendPooledTag(proc, s.procOf(vs, nb), core.AckBytes, kindEvict,
 		packTag(nb, node), v)
 	return true

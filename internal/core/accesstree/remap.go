@@ -36,8 +36,8 @@ func (s *strategy) maybeRemap(vs *varState, v *Variable) {
 	}
 	// The dense node table iterates in id order, which keeps the RNG
 	// stream deterministic without sorting.
-	for id := range vs.nodes {
-		if int(vs.nodes[id].accesses) >= s.opts.RemapThreshold {
+	for id, n := range vs.accesses {
+		if int(n) >= s.opts.RemapThreshold {
 			s.remapNode(vs, v, id)
 		}
 	}
@@ -46,7 +46,7 @@ func (s *strategy) maybeRemap(vs *varState, v *Variable) {
 // remapNode moves one tree node to a fresh random position.
 func (s *strategy) remapNode(vs *varState, v *Variable, id int) {
 	st := &vs.nodes[id]
-	st.accesses = 0
+	vs.accesses[id] = 0
 	oldProc := s.posOf(vs, id)
 	region := s.t.Nodes[id].Region
 	if region.Single() {
@@ -65,8 +65,8 @@ func (s *strategy) remapNode(vs *varState, v *Variable, id int) {
 	size := core.ReadReqBytes
 	if st.member {
 		size = core.DataBytes(v.Size)
-		s.m.Cache(oldProc).Remove(atKey{v.ID, id})
-		s.cacheInsert(vs, v, id, newProc)
+		s.m.Cache(oldProc).Remove(v.ID, id)
+		s.m.Cache(newProc).Insert(v, id)
 	}
 	s.m.Net.Send(&mesh.Msg{
 		Src: oldProc, Dst: newProc,

@@ -133,12 +133,12 @@ func TestLockTokenMovesToLastHolder(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := m.Strat.(*strategy)
-	ls := s.lockOf(m.Var(v))
+	ls := &vstate(m.Var(v)).lock
 	if ls.tokenAt != s.t.LeafOfProc[13] || !ls.tokenFree {
 		t.Fatalf("token at node %d free=%v, want at proc 13's leaf, free", ls.tokenAt, ls.tokenFree)
 	}
 	// A re-acquisition by 13 is now free.
-	if len(ls.next) != 0 || len(ls.waiting) != 0 {
+	if ls.succ != -1 || s.lockers[13] != (locker{next: -1}) {
 		t.Fatal("lock queue not empty after release")
 	}
 }

@@ -21,29 +21,36 @@ type Wire struct {
 // VarWire is one variable's tree state. Values, not pointers: gob rejects
 // nil elements in pointer slices, and freed variables leave holes.
 type VarWire struct {
-	Present     bool
-	RootPos     int
-	Seed        uint64
-	Creator     int
-	Nodes       []NodeWire
-	Lock        *LockWire
+	Present bool
+	RootPos int
+	Seed    uint64
+	Creator int
+	// Nodes is the dense node table, one packed word per tree node (see
+	// packNode).
+	Nodes       []uint64
+	TokenAt     int // leaf the free lock token rests at
+	Accesses    []uint32
 	PosOverride map[int]int
 	Remaps      int
 }
 
-// NodeWire is one dense node-table entry.
-type NodeWire struct {
-	Member   bool
-	Toward   int32
-	Edges    uint32
-	Accesses uint32
+// packNode packs a quiescent node (no acknowledgment outstanding) into one
+// word: edges in the low half, then toward, arrow and the member flag.
+func packNode(n nodeState) uint64 {
+	w := uint64(n.edges) | uint64(uint8(n.toward))<<32 | uint64(uint8(n.arrow))<<40
+	if n.member {
+		w |= 1 << 48
+	}
+	return w
 }
 
-// LockWire is a quiescent lock: path-reversal arrows plus the leaf the
-// free token rests at.
-type LockWire struct {
-	Arrows  map[int]int32
-	TokenAt int
+func unpackNode(w uint64) nodeState {
+	return nodeState{
+		edges:  uint32(w),
+		toward: int8(w >> 32),
+		arrow:  int8(w >> 40),
+		member: w>>48&1 == 1,
+	}
 }
 
 func init() {
@@ -53,33 +60,24 @@ func init() {
 // Wire implements core.WireSnapshotter.
 func (st *snapState) Wire() core.StratWire {
 	w := &Wire{RNG: st.rng, Remaps: st.remaps, Vars: make([]VarWire, len(st.vars))}
-	for i, vsn := range st.vars {
-		if vsn == nil {
+	for i := range st.vars {
+		vsn := &st.vars[i]
+		if !vsn.present {
 			continue
 		}
 		vw := VarWire{
-			Present: true,
-			RootPos: vsn.rootPos,
-			Seed:    vsn.seed,
-			Creator: vsn.creator,
-			Nodes:   make([]NodeWire, len(vsn.nodes)),
-			Remaps:  vsn.remaps,
+			Present:     true,
+			RootPos:     vsn.rootPos,
+			Seed:        vsn.seed,
+			Creator:     vsn.creator,
+			Nodes:       make([]uint64, len(vsn.nodes)),
+			TokenAt:     vsn.tokenAt,
+			Accesses:    vsn.accesses,
+			PosOverride: vsn.posOverride,
+			Remaps:      vsn.remaps,
 		}
 		for j, n := range vsn.nodes {
-			vw.Nodes[j] = NodeWire{Member: n.member, Toward: n.toward, Edges: n.edges, Accesses: n.accesses}
-		}
-		if lsn := vsn.lock; lsn != nil {
-			lw := &LockWire{TokenAt: lsn.tokenAt, Arrows: make(map[int]int32, len(lsn.arrows))}
-			for k, a := range lsn.arrows {
-				lw.Arrows[k] = a
-			}
-			vw.Lock = lw
-		}
-		if vsn.posOverride != nil {
-			vw.PosOverride = make(map[int]int, len(vsn.posOverride))
-			for k, p := range vsn.posOverride {
-				vw.PosOverride[k] = p
-			}
+			vw.Nodes[j] = packNode(n)
 		}
 		w.Vars[i] = vw
 	}
@@ -88,46 +86,27 @@ func (st *snapState) Wire() core.StratWire {
 
 // Blob implements core.StratWire.
 func (w *Wire) Blob() interface{} {
-	st := &snapState{rng: w.RNG, remaps: w.Remaps, vars: make([]*varSnapState, len(w.Vars))}
+	st := &snapState{rng: w.RNG, remaps: w.Remaps, vars: make([]varSnapState, len(w.Vars))}
 	for i := range w.Vars {
 		vw := &w.Vars[i]
 		if !vw.Present {
 			continue
 		}
-		vsn := &varSnapState{
-			rootPos: vw.RootPos,
-			seed:    vw.Seed,
-			creator: vw.Creator,
-			nodes:   make([]nodeState, len(vw.Nodes)),
-			remaps:  vw.Remaps,
+		vsn := varSnapState{
+			present:     true,
+			rootPos:     vw.RootPos,
+			seed:        vw.Seed,
+			creator:     vw.Creator,
+			nodes:       make([]nodeState, len(vw.Nodes)),
+			tokenAt:     vw.TokenAt,
+			accesses:    vw.Accesses,
+			posOverride: vw.PosOverride,
+			remaps:      vw.Remaps,
 		}
 		for j, n := range vw.Nodes {
-			vsn.nodes[j] = nodeState{member: n.Member, toward: n.Toward, edges: n.Edges, accesses: n.Accesses}
-		}
-		if lw := vw.Lock; lw != nil {
-			lsn := &lockSnapState{tokenAt: lw.TokenAt, arrows: make(map[int]int32, len(lw.Arrows))}
-			for k, a := range lw.Arrows {
-				lsn.arrows[k] = a
-			}
-			vsn.lock = lsn
-		}
-		if vw.PosOverride != nil {
-			vsn.posOverride = make(map[int]int, len(vw.PosOverride))
-			for k, p := range vw.PosOverride {
-				vsn.posOverride[k] = p
-			}
+			vsn.nodes[j] = unpackNode(n)
 		}
 		st.vars[i] = vsn
 	}
 	return st
-}
-
-// CacheKey implements core.StratWire.
-func (w *Wire) CacheKey(k core.KeyWire) interface{} {
-	return atKey{v: core.VarID(k.Var), node: k.Node}
-}
-
-// WireKey implements core.WireKeyer.
-func (k atKey) WireKey() core.KeyWire {
-	return core.KeyWire{Var: int32(k.v), Node: k.node}
 }

@@ -153,10 +153,10 @@ func (b *barrier) wait(p *Proc, val interface{}, combine func(a, b interface{}) 
 	if b.m.P() == 1 {
 		return val
 	}
-	f := sim.NewFuture()
 	if b.waiting[p.ID] != nil {
 		panic("core: process entered barrier twice")
 	}
+	f := p.Park()
 	b.waiting[p.ID] = f
 	parent := t.Nodes[leaf].Parent
 	bm := b.msgs[b.m.ShardOf(p.ID)].Acquire()

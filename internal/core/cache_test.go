@@ -8,32 +8,58 @@ import (
 
 // White-box tests of the LRU replacement machinery.
 
+// fakeEvictor scripts the strategy side of replacement: copies of the
+// variables in pinned refuse eviction, every other copy goes — and is
+// removed by the evictor itself unless forget is set.
+type fakeEvictor struct {
+	c       *Cache
+	pinned  map[VarID]bool
+	forget  bool
+	evicted []VarID
+}
+
+func (f *fakeEvictor) TryEvict(v *Variable, node, proc int) bool {
+	if f.pinned[v.ID] {
+		return false
+	}
+	f.evicted = append(f.evicted, v.ID)
+	if !f.forget {
+		f.c.Remove(v.ID, node)
+	}
+	return true
+}
+
+// boundedCache returns a cache of the given capacity wired to a fake
+// evictor, plus three 100-byte test variables a, b, c.
+func boundedCache(capacity int) (*Cache, *fakeEvictor, [3]*Variable) {
+	c := &Cache{capacity: capacity}
+	f := &fakeEvictor{c: c, pinned: map[VarID]bool{}}
+	c.ev = f
+	var vars [3]*Variable
+	for i := range vars {
+		vars[i] = &Variable{ID: VarID(i), Size: 100}
+	}
+	return c, f, vars
+}
+
 func TestCacheUnboundedIsNoop(t *testing.T) {
-	var c Cache // capacity 0
-	c.Insert("a", 100, func() bool { t.Fatal("evict called"); return false })
-	c.Touch("a")
-	c.Remove("a")
-	if c.Bounded() || c.Len() != 0 || c.Bytes() != 0 {
+	c, f, v := boundedCache(0)
+	c.Insert(v[0], 0)
+	c.Touch(v[0].ID, 0)
+	c.Remove(v[0].ID, 0)
+	if c.Bounded() || c.Len() != 0 || c.Bytes() != 0 || len(f.evicted) != 0 {
 		t.Fatal("unbounded cache tracked state")
 	}
 }
 
 func TestCacheLRUEvictionOrder(t *testing.T) {
-	c := Cache{capacity: 250}
-	var evicted []string
-	mk := func(name string) func() bool {
-		return func() bool {
-			evicted = append(evicted, name)
-			c.Remove(name)
-			return true
-		}
-	}
-	c.Insert("a", 100, mk("a"))
-	c.Insert("b", 100, mk("b"))
-	c.Touch("a") // b is now least recently used
-	c.Insert("c", 100, mk("c"))
-	if len(evicted) != 1 || evicted[0] != "b" {
-		t.Fatalf("evicted %v, want [b]", evicted)
+	c, f, v := boundedCache(250)
+	c.Insert(v[0], 0)
+	c.Insert(v[1], 0)
+	c.Touch(v[0].ID, 0) // b is now least recently used
+	c.Insert(v[2], 0)
+	if len(f.evicted) != 1 || f.evicted[0] != v[1].ID {
+		t.Fatalf("evicted %v, want [b]", f.evicted)
 	}
 	if c.Bytes() != 200 || c.Len() != 2 {
 		t.Fatalf("bytes=%d len=%d after eviction", c.Bytes(), c.Len())
@@ -44,19 +70,14 @@ func TestCacheLRUEvictionOrder(t *testing.T) {
 }
 
 func TestCacheRefusedEvictionSkipped(t *testing.T) {
-	c := Cache{capacity: 150}
-	pinned := func() bool { return false }
-	var evicted []string
-	c.Insert("pinned", 100, pinned)
-	c.Insert("free", 100, func() bool {
-		evicted = append(evicted, "free")
-		c.Remove("free")
-		return true
-	})
-	// "pinned" is LRU but refuses; "free" must go instead.
-	c.Insert("new", 100, pinned)
-	if len(evicted) != 1 || evicted[0] != "free" {
-		t.Fatalf("evicted %v, want [free]", evicted)
+	c, f, v := boundedCache(150)
+	f.pinned[v[0].ID], f.pinned[v[2].ID] = true, true
+	c.Insert(v[0], 0)
+	c.Insert(v[1], 0)
+	// v[0] is LRU but refuses; v[1] must go instead.
+	c.Insert(v[2], 0)
+	if len(f.evicted) != 1 || f.evicted[0] != v[1].ID {
+		t.Fatalf("evicted %v, want [free]", f.evicted)
 	}
 	// The cache can stay over capacity when nothing is evictable.
 	if c.Bytes() != 200 {
@@ -65,30 +86,52 @@ func TestCacheRefusedEvictionSkipped(t *testing.T) {
 }
 
 func TestCacheDuplicateInsertRefreshes(t *testing.T) {
-	c := Cache{capacity: 300}
-	c.Insert("a", 100, func() bool { c.Remove("a"); return true })
-	c.Insert("a", 100, func() bool { c.Remove("a"); return true })
+	c, _, v := boundedCache(300)
+	c.Insert(v[0], 0)
+	c.Insert(v[0], 0)
 	if c.Bytes() != 100 || c.Len() != 1 {
 		t.Fatalf("duplicate insert double-counted: bytes=%d len=%d", c.Bytes(), c.Len())
+	}
+	// The same variable under another node is another copy.
+	c.Insert(v[0], 1)
+	if c.Bytes() != 200 || c.Len() != 2 {
+		t.Fatalf("second copy not tracked: bytes=%d len=%d", c.Bytes(), c.Len())
 	}
 }
 
 func TestCacheRemoveUnknownIgnored(t *testing.T) {
-	c := Cache{capacity: 100}
-	c.Remove("ghost") // must not panic
-	c.Touch("ghost")
+	c, _, _ := boundedCache(100)
+	c.Remove(7, 0) // must not panic
+	c.Touch(7, 0)
 	if c.Len() != 0 {
 		t.Fatal("phantom entry appeared")
 	}
 }
 
 func TestCacheEvictorForgotRemoveGuard(t *testing.T) {
-	c := Cache{capacity: 100}
-	c.Insert("a", 80, func() bool { return true }) // does NOT call Remove
-	c.Insert("b", 80, func() bool { return false })
-	// enforce must have cleaned "a" up itself.
-	if c.Bytes() != 80 || c.Len() != 1 {
+	c, f, v := boundedCache(150)
+	f.forget = true // TryEvict does NOT call Remove
+	f.pinned[v[1].ID] = true
+	c.Insert(v[0], 0)
+	c.Insert(v[1], 0)
+	// enforce must have cleaned v[0] up itself.
+	if c.Bytes() != 100 || c.Len() != 1 {
 		t.Fatalf("guard failed: bytes=%d len=%d", c.Bytes(), c.Len())
+	}
+}
+
+// TestCacheRecyclesEntries: once warm, a copy that comes and goes costs no
+// allocation.
+func TestCacheRecyclesEntries(t *testing.T) {
+	c, f, v := boundedCache(150)
+	c.Insert(v[0], 0)
+	c.Insert(v[1], 0) // evicts v[0]
+	if n := testing.AllocsPerRun(100, func() {
+		f.evicted = f.evicted[:0]
+		c.Insert(v[0], 0)
+		c.Insert(v[1], 0)
+	}); n != 0 {
+		t.Fatalf("%v allocs per insert/evict cycle, want 0", n)
 	}
 }
 

@@ -1,0 +1,28 @@
+package fixedhome
+
+import (
+	"testing"
+
+	"diva/internal/core"
+	"diva/internal/core/coretest"
+	"diva/internal/decomp"
+)
+
+// TestZeroAllocTransactions: no protocol transaction allocates once the
+// pools are warm — not a write's invalidation wave, not a lock hand-off
+// through the home's queue, and not the eviction notes of a bounded cache.
+func TestZeroAllocTransactions(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cache int
+	}{
+		{"unbounded", 0},
+		{"bounded", 100},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			coretest.ZeroAllocTransactions(t, core.Config{
+				Rows: 4, Cols: 4, Seed: 7, Tree: decomp.Ary2, Strategy: Factory(), CacheCapacity: tc.cache,
+			})
+		})
+	}
+}

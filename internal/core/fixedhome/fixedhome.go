@@ -23,7 +23,6 @@ package fixedhome
 
 import (
 	"fmt"
-	"sort"
 
 	"diva/internal/core"
 	"diva/internal/mesh"
@@ -62,6 +61,9 @@ type strategy struct {
 	// txns arena-allocates transaction records in slabs, each record next
 	// to its future (a core.TxnArena, shared machinery with accesstree).
 	txns core.TxnArena[req]
+	// lockWait holds, per processor, the lock wait of the process running
+	// there (see lock.go).
+	lockWait []lockWaiter
 }
 
 // acquireReq returns a transaction record from the arena.
@@ -98,7 +100,7 @@ func (s *strategy) releaseReq(r *req) {
 }
 
 func newStrategy(m *core.Machine) *strategy {
-	s := &strategy{m: m, rng: m.RNG.Split()}
+	s := &strategy{m: m, rng: m.RNG.Split(), lockWait: make([]lockWaiter, m.P())}
 	net := m.Net
 	net.Handle(kindReadReq, s.onReadReq)
 	net.Handle(kindFetch, s.onFetch)
@@ -122,19 +124,19 @@ func newStrategy(m *core.Machine) *strategy {
 func (s *strategy) Name() string { return "fixed home" }
 
 // varState is the per-variable record: the directory lives at the home
-// processor; holders doubles as each processor's local validity flag (they
-// are kept consistent because transactions on one variable are serialized).
+// processor. The set of copy holders is the variable's local-copy bitmap
+// (core.Variable.LocalBit/SetLocal/NextLocal) — directory and per-processor
+// validity flags are one structure, kept consistent because transactions on
+// one variable are serialized.
 type varState struct {
-	home    int
-	owner   int // processor id; == home when "main memory" owns it
-	holders map[int]struct{}
-	pending *writeWait
-	lock    *lockState
-}
-
-type writeWait struct {
-	n   int
-	req *req
+	home  int
+	owner int // processor id; == home when "main memory" owns it
+	// write is the write transaction whose invalidations are in flight and
+	// acks the number still unacknowledged; the exclusive transaction slot
+	// admits one write per variable.
+	write *req
+	acks  int
+	lock  lockState
 }
 
 // req is a read or write transaction in flight.
@@ -150,19 +152,20 @@ func vstate(v *core.Variable) *varState { return v.State.(*varState) }
 
 func (s *strategy) InitVar(v *core.Variable) {
 	vs := &varState{
-		home:    s.rng.Intn(s.m.P()),
-		owner:   v.Creator,
-		holders: map[int]struct{}{v.Creator: {}},
+		home:  s.rng.Intn(s.m.P()),
+		owner: v.Creator,
+		lock:  freeLock,
 	}
 	v.State = vs
 	v.SetLocal(v.Creator)
-	s.cacheInsert(v, v.Creator)
+	s.m.Cache(v.Creator).Insert(v, v.Creator)
 }
 
 func (s *strategy) FreeVar(v *core.Variable) {
-	vs := vstate(v)
-	for h := range vs.holders {
-		s.m.Cache(h).Remove(fhKey{v.ID, h})
+	if s.m.CachesBounded() {
+		for h := v.NextLocal(0); h >= 0; h = v.NextLocal(h + 1) {
+			s.m.Cache(h).Remove(v.ID, h)
+		}
 	}
 	v.State = nil
 }
@@ -170,9 +173,9 @@ func (s *strategy) FreeVar(v *core.Variable) {
 // Read implements core.Strategy (shared transaction slot held).
 func (s *strategy) Read(p *core.Proc, v *core.Variable) interface{} {
 	vs := vstate(v)
-	if _, ok := vs.holders[p.ID]; ok {
+	if v.LocalBit(p.ID) {
 		if c := s.m.Cache(p.ID); c.Bounded() {
-			c.Touch(fhKey{v.ID, p.ID})
+			c.Touch(v.ID, p.ID)
 		}
 		return v.Data
 	}
@@ -197,7 +200,7 @@ func (s *strategy) onReadReq(m *mesh.Msg) {
 			return
 		}
 	}
-	if _, ok := vs.holders[vs.home]; ok || vs.owner == vs.home {
+	if r.v.LocalBit(vs.home) || vs.owner == vs.home {
 		s.replyData(r)
 		return
 	}
@@ -225,9 +228,8 @@ func (s *strategy) onFetchData(m *mesh.Msg) {
 	r := m.Payload.(*req)
 	vs := vstate(r.v)
 	vs.owner = vs.home
-	vs.holders[vs.home] = struct{}{}
 	r.v.SetLocal(vs.home)
-	s.cacheInsert(r.v, vs.home)
+	s.m.Cache(vs.home).Insert(r.v, vs.home)
 	s.replyData(r)
 }
 
@@ -239,13 +241,11 @@ func (s *strategy) replyData(r *req) {
 
 func (s *strategy) onData(m *mesh.Msg) {
 	r := m.Payload.(*req)
-	vs := vstate(r.v)
 	if s.react && r.fut.Done() {
 		return // duplicate reply via a redirected request
 	}
-	vs.holders[r.from] = struct{}{}
 	r.v.SetLocal(r.from)
-	s.cacheInsert(r.v, r.from)
+	s.m.Cache(r.from).Insert(r.v, r.from)
 	r.fut.Complete(s.m.K, r.v.Data)
 }
 
@@ -256,7 +256,7 @@ func (s *strategy) Write(p *core.Proc, v *core.Variable, val interface{}) {
 		// "Write accesses of the owner can be served locally."
 		v.Data = val
 		if c := s.m.Cache(p.ID); c.Bounded() {
-			c.Touch(fhKey{v.ID, p.ID})
+			c.Touch(v.ID, p.ID)
 		}
 		return
 	}
@@ -272,7 +272,7 @@ func (s *strategy) onWriteReq(m *mesh.Msg) {
 	r := m.Payload.(*req)
 	vs := vstate(r.v)
 	if s.react {
-		if r.fut.Done() || (vs.pending != nil && vs.pending.req == r) {
+		if r.fut.Done() || vs.write == r {
 			return // late duplicate: done, or its invalidations are in flight
 		}
 		if m.Dst != vs.home {
@@ -280,34 +280,31 @@ func (s *strategy) onWriteReq(m *mesh.Msg) {
 			return
 		}
 	}
-	targets := make([]int, 0, len(vs.holders))
-	for h := range vs.holders {
+	// Invalidate every copy but the writer's, in processor order. The
+	// write is pending before the first send: an invalidation to the home
+	// itself is acknowledged through the same bookkeeping.
+	vs.write = r
+	for h := r.v.NextLocal(0); h >= 0; h = r.v.NextLocal(h + 1) {
 		if h != r.from {
-			targets = append(targets, h)
+			vs.acks++
+			s.m.Net.SendPooled(vs.home, h, core.InvalBytes, kindInval, r)
 		}
 	}
-	sort.Ints(targets)
-	if len(targets) == 0 {
+	if vs.acks == 0 {
+		vs.write = nil
 		s.finishWrite(r)
-		return
-	}
-	vs.pending = &writeWait{n: len(targets), req: r}
-	for _, h := range targets {
-		s.m.Net.SendPooled(vs.home, h, core.InvalBytes, kindInval, r)
 	}
 }
 
 func (s *strategy) onInval(m *mesh.Msg) {
 	r := m.Payload.(*req)
-	s.m.Cache(m.Dst).Remove(fhKey{r.v.ID, m.Dst})
+	s.m.Cache(m.Dst).Remove(r.v.ID, m.Dst)
 	s.m.Net.SendPooled(m.Dst, vstate(r.v).home, core.AckBytes, kindAck, r)
 }
 
 func (s *strategy) onAck(m *mesh.Msg) {
 	r := m.Payload.(*req)
-	vs := vstate(r.v)
-	w := vs.pending
-	if w == nil || w.req != r {
+	if !s.ackWrite(r) {
 		if s.react {
 			// A real ack racing an emulated one (invalGiveUp), or the ack
 			// of an invalidation wave a redirect already completed.
@@ -315,24 +312,29 @@ func (s *strategy) onAck(m *mesh.Msg) {
 		}
 		panic("fixedhome: stray invalidation ack")
 	}
-	w.n--
-	if w.n == 0 {
-		vs.pending = nil
+}
+
+// ackWrite counts one acknowledgment (real or emulated) of r's invalidation
+// wave and finishes the write with the last one. It reports false when r is
+// not the write in flight.
+func (s *strategy) ackWrite(r *req) bool {
+	vs := vstate(r.v)
+	if vs.write != r {
+		return false
+	}
+	vs.acks--
+	if vs.acks == 0 {
+		vs.write = nil
 		s.finishWrite(r)
 	}
+	return true
 }
 
 // finishWrite installs the writer as owner and sole holder and grants the
 // write.
 func (s *strategy) finishWrite(r *req) {
 	vs := vstate(r.v)
-	for h := range vs.holders {
-		if h != r.from {
-			delete(vs.holders, h)
-		}
-	}
 	vs.owner = r.from
-	vs.holders[r.from] = struct{}{}
 	r.v.ClearAllLocal()
 	r.v.SetLocal(r.from)
 	s.m.Net.SendPooled(vs.home, r.from, core.GrantBytes, kindGrant, r)
@@ -344,32 +346,14 @@ func (s *strategy) onGrant(m *mesh.Msg) {
 		return // duplicate grant via a redirected request
 	}
 	r.v.Data = r.val
-	s.cacheInsert(r.v, r.from)
+	s.m.Cache(r.from).Insert(r.v, r.from)
 	r.fut.Complete(s.m.K, nil)
 }
 
-// fhKey identifies a copy in a node cache.
-type fhKey struct {
-	v    core.VarID
-	node int
-}
-
-// cacheInsert registers a copy for replacement tracking. Fixed-home copies
-// may always be dropped (except the owner's, which holds the only current
-// value), with a small notification to the home directory. With unbounded
-// caches this is free.
-func (s *strategy) cacheInsert(v *core.Variable, proc int) {
-	c := s.m.Cache(proc)
-	if !c.Bounded() {
-		return
-	}
-	key := fhKey{v.ID, proc}
-	c.Insert(key, v.Size, func() bool {
-		return s.tryEvict(v, proc)
-	})
-}
-
-func (s *strategy) tryEvict(v *core.Variable, proc int) bool {
+// TryEvict implements core.Evictor. Fixed-home copies may always be dropped
+// (except the owner's, which holds the only current value), with a small
+// notification to the home directory.
+func (s *strategy) TryEvict(v *core.Variable, _, proc int) bool {
 	if v.State == nil || !v.Idle() {
 		return false
 	}
@@ -377,20 +361,15 @@ func (s *strategy) tryEvict(v *core.Variable, proc int) bool {
 	if vs.owner == proc || vs.home == proc {
 		return false // the owner's copy is the only current one
 	}
-	if _, ok := vs.holders[proc]; !ok {
+	if !v.LocalBit(proc) {
 		return false
 	}
-	delete(vs.holders, proc)
 	v.ClearLocal(proc)
-	s.m.Cache(proc).Remove(fhKey{v.ID, proc})
+	s.m.Cache(proc).Remove(v.ID, proc)
 	// Notify the home so the directory stays exact (a real implementation
 	// may also use lazy directory cleaning; the message keeps congestion
 	// accounting honest).
-	s.m.Net.Send(&mesh.Msg{
-		Src: proc, Dst: vs.home,
-		Size: core.AckBytes, Kind: kindEvictNote,
-		Payload: &lockMsg{v: v, from: proc},
-	})
+	s.m.Net.SendPooled(proc, vs.home, core.AckBytes, kindEvictNote, nil)
 	return true
 }
 

@@ -1,6 +1,7 @@
 package fixedhome
 
 import (
+	"strings"
 	"testing"
 
 	"diva/internal/core"
@@ -23,13 +24,22 @@ func newTestMachine(rows, cols int, seed uint64) *core.Machine {
 func checkDirectory(t *testing.T, v *core.Variable) *varState {
 	t.Helper()
 	vs := vstate(v)
-	if len(vs.holders) == 0 {
+	if len(holders(v)) == 0 {
 		t.Fatal("no copy of the variable exists")
 	}
-	if _, ok := vs.holders[vs.owner]; !ok {
+	if !v.LocalBit(vs.owner) {
 		t.Fatalf("owner %d does not hold a copy", vs.owner)
 	}
 	return vs
+}
+
+// holders lists the directory of v: the processors holding a copy.
+func holders(v *core.Variable) []int {
+	var hs []int
+	for h := v.NextLocal(0); h >= 0; h = v.NextLocal(h + 1) {
+		hs = append(hs, h)
+	}
+	return hs
 }
 
 func TestOwnershipMovesToHomeOnRead(t *testing.T) {
@@ -51,8 +61,8 @@ func TestOwnershipMovesToHomeOnRead(t *testing.T) {
 		t.Fatalf("owner %d after remote read, want home %d", vs.owner, vs.home)
 	}
 	for _, h := range []int{3, 10, vs.home} {
-		if _, ok := vs.holders[h]; !ok {
-			t.Fatalf("holder %d missing after read (holders %v)", h, vs.holders)
+		if !m.Var(v).LocalBit(h) {
+			t.Fatalf("holder %d missing after read (holders %v)", h, holders(m.Var(v)))
 		}
 	}
 }
@@ -73,8 +83,8 @@ func TestWriteMakesWriterSoleOwner(t *testing.T) {
 	if vs.owner != 7 {
 		t.Fatalf("owner %d after write, want 7", vs.owner)
 	}
-	if len(vs.holders) != 1 {
-		t.Fatalf("%d holders after write, want 1 (invalidation incomplete)", len(vs.holders))
+	if n := len(holders(m.Var(v))); n != 1 {
+		t.Fatalf("%d holders after write, want 1 (invalidation incomplete)", n)
 	}
 	if m.Var(v).Data != 1 {
 		t.Fatalf("value %v, want 1", m.Var(v).Data)
@@ -117,31 +127,69 @@ func TestHomeSpread(t *testing.T) {
 	}
 }
 
-func TestRandomTrafficDirectoryInvariants(t *testing.T) {
-	m := newTestMachine(4, 4, 5)
-	const nvars = 8
-	vars := make([]core.VarID, nvars)
-	for i := range vars {
-		vars[i] = m.AllocAt(i%m.P(), 32, -1)
+// checkQuiescent asserts that nothing of a finished transaction survives
+// it: no write in flight or ack owed, no lock held, queued or waited for,
+// and no directory bit beyond the last processor.
+func checkQuiescent(t *testing.T, m *core.Machine, v *core.Variable) {
+	t.Helper()
+	vs := vstate(v)
+	if vs.write != nil || vs.acks != 0 {
+		t.Fatalf("write state survived: write=%v acks=%d", vs.write, vs.acks)
 	}
-	if err := m.Run(func(p *core.Proc) {
-		r := xrand.New(uint64(p.ID)*13 + 1)
-		for step := 0; step < 15; step++ {
-			vi := r.Intn(nvars)
-			if r.Intn(3) == 0 {
-				p.Write(vars[vi], p.ID*100+step)
-			} else {
-				_ = p.Read(vars[vi])
-			}
-			if step%5 == 4 {
-				p.Barrier()
-			}
+	if ls := &vs.lock; ls.held || ls.owner != -1 || ls.holder != -1 || ls.queue.Len() != 0 {
+		t.Fatalf("lock not at rest: %+v", *ls)
+	}
+	for p, w := range m.Strat.(*strategy).lockWait {
+		if w != (lockWaiter{}) {
+			t.Fatalf("processor %d still has a lock wait", p)
 		}
-	}); err != nil {
-		t.Fatal(err)
 	}
-	for _, id := range vars {
-		checkDirectory(t, m.Var(id))
+	if h := v.NextLocal(m.P()); h >= 0 {
+		t.Fatalf("directory lists processor %d of %d", h, m.P())
+	}
+}
+
+// TestRandomTrafficDirectoryInvariants drives random concurrent reads,
+// writes and lock acquisitions and checks the directory and the quiescence
+// invariants — also on a 32x32 machine, whose upper 512 processors lie
+// beyond the first words of the directory bitmap.
+func TestRandomTrafficDirectoryInvariants(t *testing.T) {
+	for _, shape := range [][2]int{{4, 4}, {32, 32}} {
+		m := newTestMachine(shape[0], shape[1], 5)
+		const nvars = 8
+		vars := make([]core.VarID, nvars)
+		for i := range vars {
+			vars[i] = m.AllocAt(i%m.P(), 32, -1)
+		}
+		if err := m.Run(func(p *core.Proc) {
+			r := xrand.New(uint64(p.ID)*13 + 1)
+			for step := 0; step < 15; step++ {
+				vi := r.Intn(nvars)
+				switch r.Intn(4) {
+				case 0:
+					p.Write(vars[vi], p.ID*100+step)
+				case 1:
+					p.Lock(vars[vi])
+					p.Unlock(vars[vi])
+				default:
+					_ = p.Read(vars[vi])
+				}
+				if step%5 == 4 {
+					p.Barrier()
+				}
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		high := false
+		for _, id := range vars {
+			checkDirectory(t, m.Var(id))
+			checkQuiescent(t, m, m.Var(id))
+			high = high || m.Var(id).NextLocal(512) >= 0
+		}
+		if m.P() > 512 && !high {
+			t.Fatal("no processor beyond 512 is in a directory")
+		}
 	}
 }
 
@@ -225,11 +273,62 @@ func TestEvictionNotifiesDirectory(t *testing.T) {
 		if v.Data != i {
 			t.Fatalf("var %d value %v", i, v.Data)
 		}
-		if _, ok := vstate(v).holders[3]; ok {
+		if v.LocalBit(3) {
 			held++
 		}
 	}
 	if held == len(vars) {
 		t.Fatal("directory still lists evicted copies")
+	}
+}
+
+// TestSnapshotRefusesLiveTransactions: a strategy snapshot taken while a
+// write's invalidations or a lock are live reports an error naming it — it
+// neither panics nor captures the half-finished state.
+func TestSnapshotRefusesLiveTransactions(t *testing.T) {
+	m := newTestMachine(4, 4, 9)
+	v := m.AllocAt(0, 64, 0)
+	vars := []*core.Variable{m.Var(v)}
+	// poll snapshots every 50us of simulated time and returns the first
+	// refusal.
+	poll := func(p *core.Proc) error {
+		for i := 0; i < 100; i++ {
+			p.Wait(50)
+			if _, err := m.Strat.(core.Forker).SnapshotState(vars); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var duringWrite, duringLock error
+	if err := m.Run(func(p *core.Proc) {
+		_ = p.Read(v) // everyone holds a copy
+		p.Barrier()
+		switch p.ID {
+		case 5:
+			p.Write(v, 1) // the home invalidates all of them
+		case 0:
+			duringWrite = poll(p)
+		}
+		p.Barrier()
+		switch p.ID {
+		case 5:
+			p.Lock(v)
+			p.Wait(1000)
+			p.Unlock(v)
+		case 0:
+			duringLock = poll(p)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if duringWrite == nil || !strings.Contains(duringWrite.Error(), "write in flight") {
+		t.Fatalf("snapshot during an invalidation wave: %v", duringWrite)
+	}
+	if duringLock == nil || !strings.Contains(duringLock.Error(), "lock") {
+		t.Fatalf("snapshot during a held lock: %v", duringLock)
+	}
+	if _, err := m.Strat.(core.Forker).SnapshotState(vars); err != nil {
+		t.Fatalf("snapshot at quiescence: %v", err)
 	}
 }

@@ -2,48 +2,49 @@ package fixedhome
 
 import (
 	"fmt"
-	"sort"
 
 	"diva/internal/core"
 	"diva/internal/xrand"
 )
 
 // core.Forker implementation for the fixed home strategy. Captured per
-// variable: the home, the owner and the holder set. A quiescent lock has no
-// persistent state (free, empty queue), so locks only need the quiescence
-// check; the transaction arena holds no live records at quiescence.
+// variable: the home and the owner — the holder set is the variable's
+// local-copy bitmap, which the machine layer captures. A quiescent lock has
+// no persistent state (free, empty queue), so locks only need the
+// quiescence check; the transaction arena holds no live records at
+// quiescence.
 
 type snapState struct {
 	rng  xrand.State
-	vars []*varSnapState // indexed by VarID; nil for freed variables
+	vars []varSnapState // indexed by VarID; present=false for freed variables
 }
 
 type varSnapState struct {
+	present bool
 	home    int
 	owner   int
-	holders []int // sorted
 }
 
 // SnapshotState implements core.Forker.
 func (s *strategy) SnapshotState(vars []*core.Variable) (interface{}, error) {
-	st := &snapState{rng: s.rng.State(), vars: make([]*varSnapState, len(vars))}
+	st := &snapState{rng: s.rng.State(), vars: make([]varSnapState, len(vars))}
 	for i, v := range vars {
 		if v == nil {
 			continue
 		}
 		vs := vstate(v)
-		if vs.pending != nil {
+		if vs.write != nil {
 			return nil, fmt.Errorf("fixedhome: variable %d has a write in flight", v.ID)
 		}
-		if ls := vs.lock; ls != nil && (ls.held || len(ls.queue) > 0 || len(ls.waiting) > 0) {
+		if ls := &vs.lock; ls.held || ls.owner != -1 || ls.queue.Len() > 0 {
 			return nil, fmt.Errorf("fixedhome: variable %d has lock activity in flight", v.ID)
 		}
-		vsn := &varSnapState{home: vs.home, owner: vs.owner, holders: make([]int, 0, len(vs.holders))}
-		for h := range vs.holders {
-			vsn.holders = append(vsn.holders, h)
+		st.vars[i] = varSnapState{present: true, home: vs.home, owner: vs.owner}
+	}
+	for p := range s.lockWait {
+		if s.lockWait[p].fut != nil {
+			return nil, fmt.Errorf("fixedhome: processor %d is blocked in a lock", p)
 		}
-		sort.Ints(vsn.holders)
-		st.vars[i] = vsn
 	}
 	return st, nil
 }
@@ -58,41 +59,21 @@ func (s *strategy) RestoreState(state interface{}, vars []*core.Variable) error 
 		return fmt.Errorf("fixedhome: snapshot has %d variables, machine has %d", len(st.vars), len(vars))
 	}
 	s.rng.SetState(st.rng)
+	states := make([]varState, core.LiveVars(vars))
 	for i, vsn := range st.vars {
-		if vsn == nil {
+		if !vsn.present {
 			continue
 		}
 		v := vars[i]
 		if v == nil {
 			return fmt.Errorf("fixedhome: snapshot has state for freed variable %d", i)
 		}
-		vs := &varState{
-			home:    vsn.home,
-			owner:   vsn.owner,
-			holders: make(map[int]struct{}, len(vsn.holders)),
+		if p := s.m.P(); vsn.home < 0 || vsn.home >= p || vsn.owner < 0 || vsn.owner >= p {
+			return fmt.Errorf("fixedhome: snapshot variable %d has home %d, owner %d on a %d-processor machine", i, vsn.home, vsn.owner, p)
 		}
-		for _, h := range vsn.holders {
-			vs.holders[h] = struct{}{}
-		}
-		v.State = vs
+		states[0] = varState{home: vsn.home, owner: vsn.owner, lock: freeLock}
+		v.State, states = &states[0], states[1:]
 	}
-	return nil
-}
-
-// RestoreCacheEntry implements core.Forker.
-func (s *strategy) RestoreCacheEntry(vars []*core.Variable, key interface{}) error {
-	k, ok := key.(fhKey)
-	if !ok {
-		return fmt.Errorf("fixedhome: foreign cache key %T", key)
-	}
-	if int(k.v) < 0 || int(k.v) >= len(vars) || vars[k.v] == nil {
-		return fmt.Errorf("fixedhome: cache entry for unknown variable %d", k.v)
-	}
-	v := vars[k.v]
-	proc := k.node
-	s.m.Cache(proc).InsertRestored(key, v.Size, func() bool {
-		return s.tryEvict(v, proc)
-	})
 	return nil
 }
 

@@ -9,7 +9,8 @@ import (
 // Locks in the fixed home strategy are managed by the variable's home
 // processor with a FIFO queue: LOCK-REQ travels to the home, the home
 // grants the lock or queues the requester, and UNLOCK releases it at the
-// home, which grants the next requester.
+// home, which grants the next requester. Every lock message carries the
+// variable as its payload and the requesting processor in Msg.Tag.
 
 type lockState struct {
 	held  bool
@@ -18,123 +19,115 @@ type lockState struct {
 	// free): the reactive-mode duplicate guards key on it — a redirected
 	// request or release can be delivered twice, once per channel.
 	holder int
-	queue  []int
-	// waiting maps a requesting processor to its blocked process future.
-	waiting map[int]*sim.Future
+	queue  core.FIFO[int]
 }
 
-type lockMsg struct {
-	v    *core.Variable
-	from int
+// freeLock is a lock nobody holds, requested or queues for.
+var freeLock = lockState{owner: -1, holder: -1}
+
+// lockWaiter is the lock wait of the process on one processor: a process
+// blocks on one thing at a time, so one slot per processor serves every
+// variable. v names the variable waited for, so a stray or duplicate grant
+// for another one is still recognized.
+type lockWaiter struct {
+	v   *core.Variable
+	fut *sim.Future
 }
 
-func (s *strategy) lockOf(v *core.Variable) *lockState {
-	vs := vstate(v)
-	if vs.lock == nil {
-		vs.lock = &lockState{owner: -1, holder: -1, waiting: make(map[int]*sim.Future)}
-	}
-	return vs.lock
+// sendLock sends one lock message about v on behalf of processor from.
+func (s *strategy) sendLock(src, dst int, kind uint8, v *core.Variable, from int) {
+	s.m.Net.SendPooledTag(src, dst, core.LockBytes, kind, from, v)
 }
 
 // Lock implements core.Strategy.
 func (s *strategy) Lock(p *core.Proc, v *core.Variable) {
-	ls := s.lockOf(v)
-	if ls.owner == p.ID {
+	vs := vstate(v)
+	if vs.lock.owner == p.ID {
 		panic("fixedhome: recursive lock")
 	}
-	f := sim.NewFuture()
-	ls.waiting[p.ID] = f
-	s.m.Net.Send(&mesh.Msg{
-		Src: p.ID, Dst: vstate(v).home,
-		Size: core.LockBytes, Kind: kindLockReq,
-		Payload: &lockMsg{v: v, from: p.ID},
-	})
+	f := p.Park()
+	s.lockWait[p.ID] = lockWaiter{v: v, fut: f}
+	s.sendLock(p.ID, vs.home, kindLockReq, v, p.ID)
 	f.Await(p.Proc)
-	ls.owner = p.ID
+	vs.lock.owner = p.ID
 }
 
 func (s *strategy) onLockReq(m *mesh.Msg) {
-	lm := m.Payload.(*lockMsg)
-	ls := s.lockOf(lm.v)
+	v, from := m.Payload.(*core.Variable), m.Tag
+	vs := vstate(v)
+	ls := &vs.lock
 	if s.react {
-		if m.Dst != vstate(lm.v).home {
+		if m.Dst != vs.home {
 			// The lock manager failed over: forward to the current home.
-			s.m.Net.SendPooled(m.Dst, vstate(lm.v).home, m.Size, m.Kind, lm)
+			s.sendLock(m.Dst, vs.home, m.Kind, v, from)
 			return
 		}
-		if ls.held && ls.holder == lm.from {
+		if ls.held && ls.holder == from {
 			return // duplicate of the request that holds the lock
 		}
-		for _, q := range ls.queue {
-			if q == lm.from {
+		for _, q := range ls.queue.Items() {
+			if q == from {
 				return // duplicate of an already-queued request
 			}
 		}
 	}
 	if ls.held {
-		ls.queue = append(ls.queue, lm.from)
+		ls.queue.Push(from)
 		return
 	}
 	ls.held = true
-	s.grantLock(lm.v, lm.from)
+	s.grantLock(v, from)
 }
 
 func (s *strategy) grantLock(v *core.Variable, to int) {
-	s.lockOf(v).holder = to
-	s.m.Net.Send(&mesh.Msg{
-		Src: vstate(v).home, Dst: to,
-		Size: core.LockBytes, Kind: kindLockGrant,
-		Payload: &lockMsg{v: v, from: to},
-	})
+	vs := vstate(v)
+	vs.lock.holder = to
+	s.sendLock(vs.home, to, kindLockGrant, v, to)
 }
 
 func (s *strategy) onLockGrant(m *mesh.Msg) {
-	lm := m.Payload.(*lockMsg)
-	ls := s.lockOf(lm.v)
-	f := ls.waiting[lm.from]
-	if f == nil {
+	w := &s.lockWait[m.Tag]
+	if w.fut == nil || w.v != m.Payload.(*core.Variable) {
 		if s.react {
 			return // duplicate grant via a redirected request
 		}
 		panic("fixedhome: lock granted to a non-waiter")
 	}
-	delete(ls.waiting, lm.from)
+	f := w.fut
+	*w = lockWaiter{}
 	f.Complete(s.m.K, nil)
 }
 
 // Unlock implements core.Strategy.
 func (s *strategy) Unlock(p *core.Proc, v *core.Variable) {
-	ls := s.lockOf(v)
-	if ls.owner != p.ID {
+	vs := vstate(v)
+	if vs.lock.owner != p.ID {
 		panic("fixedhome: unlock by non-holder")
 	}
-	ls.owner = -1
-	s.m.Net.Send(&mesh.Msg{
-		Src: p.ID, Dst: vstate(v).home,
-		Size: core.LockBytes, Kind: kindLockRel,
-		Payload: &lockMsg{v: v, from: p.ID},
-	})
+	vs.lock.owner = -1
+	s.sendLock(p.ID, vs.home, kindLockRel, v, p.ID)
 }
 
 func (s *strategy) onLockRel(m *mesh.Msg) {
-	lm := m.Payload.(*lockMsg)
-	ls := s.lockOf(lm.v)
+	v, from := m.Payload.(*core.Variable), m.Tag
+	vs := vstate(v)
+	ls := &vs.lock
 	if s.react {
-		if m.Dst != vstate(lm.v).home {
-			s.m.Net.SendPooled(m.Dst, vstate(lm.v).home, m.Size, m.Kind, lm)
+		if m.Dst != vs.home {
+			s.sendLock(m.Dst, vs.home, m.Kind, v, from)
 			return
 		}
-		if !ls.held || ls.holder != lm.from {
+		if !ls.held || ls.holder != from {
 			return // duplicate release: the lock already moved on
 		}
 	}
 	if !ls.held {
 		panic("fixedhome: release of a free lock")
 	}
-	if len(ls.queue) > 0 {
-		next := ls.queue[0]
-		ls.queue = ls.queue[1:]
-		s.grantLock(lm.v, next)
+	if ls.queue.Len() > 0 {
+		next := ls.queue.Front()
+		ls.queue.Pop()
+		s.grantLock(v, next)
 		return
 	}
 	ls.held = false

@@ -77,14 +77,17 @@ func (s *strategy) failover(v *core.Variable, from, to int) {
 	if vs.owner == from {
 		vs.owner = to
 	}
-	if _, ok := vs.holders[from]; ok {
-		delete(vs.holders, from)
-		v.ClearLocal(from)
-		s.m.Cache(from).Remove(fhKey{v.ID, from})
-		vs.holders[to] = struct{}{}
+	if v.LocalBit(from) {
+		s.dropCopy(v, from)
 		v.SetLocal(to)
-		s.cacheInsert(v, to)
+		s.m.Cache(to).Insert(v, to)
 	}
+}
+
+// dropCopy removes a dead processor's copy from the directory.
+func (s *strategy) dropCopy(v *core.Variable, proc int) {
+	v.ClearLocal(proc)
+	s.m.Cache(proc).Remove(v.ID, proc)
 }
 
 // homeGiveUp redirects an undeliverable home-addressed request to the
@@ -111,7 +114,7 @@ func (s *strategy) homeGiveUpReq(g *mesh.GiveUp) (int, mesh.GiveUpAction) {
 }
 
 func (s *strategy) homeGiveUpLock(g *mesh.GiveUp) (int, mesh.GiveUpAction) {
-	return s.homeGiveUp(g, g.Payload.(*lockMsg).v)
+	return s.homeGiveUp(g, g.Payload.(*core.Variable))
 }
 
 // invalGiveUp handles an invalidation the transport could not deliver: a
@@ -121,19 +124,8 @@ func (s *strategy) invalGiveUp(g *mesh.GiveUp) (int, mesh.GiveUpAction) {
 		return g.Dst, mesh.GiveUpRetry
 	}
 	r := g.Payload.(*req)
-	vs := vstate(r.v)
-	if _, ok := vs.holders[g.Dst]; ok {
-		delete(vs.holders, g.Dst)
-		r.v.ClearLocal(g.Dst)
-		s.m.Cache(g.Dst).Remove(fhKey{r.v.ID, g.Dst})
-	}
-	if w := vs.pending; w != nil && w.req == r {
-		w.n--
-		if w.n == 0 {
-			vs.pending = nil
-			s.finishWrite(r)
-		}
-	}
+	s.dropCopy(r.v, g.Dst)
+	s.ackWrite(r)
 	return g.Dst, mesh.GiveUpDrop
 }
 
@@ -147,14 +139,9 @@ func (s *strategy) fetchGiveUp(g *mesh.GiveUp) (int, mesh.GiveUpAction) {
 	vs := vstate(r.v)
 	if vs.owner == g.Dst {
 		vs.owner = vs.home
-		if _, ok := vs.holders[g.Dst]; ok {
-			delete(vs.holders, g.Dst)
-			r.v.ClearLocal(g.Dst)
-			s.m.Cache(g.Dst).Remove(fhKey{r.v.ID, g.Dst})
-		}
-		vs.holders[vs.home] = struct{}{}
+		s.dropCopy(r.v, g.Dst)
 		r.v.SetLocal(vs.home)
-		s.cacheInsert(r.v, vs.home)
+		s.m.Cache(vs.home).Insert(r.v, vs.home)
 	}
 	if !r.fut.Done() {
 		s.replyData(r)

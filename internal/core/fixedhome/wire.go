@@ -17,13 +17,14 @@ type Wire struct {
 	Vars []VarWire // indexed by VarID; Present=false for freed variables
 }
 
-// VarWire is one variable's directory record. Values, not pointers: gob
-// rejects nil elements in pointer slices, and freed variables leave holes.
+// VarWire is one variable's directory record (the holder set travels as
+// the variable's local-copy bitmap in core.VarWire). Values, not pointers:
+// gob rejects nil elements in pointer slices, and freed variables leave
+// holes.
 type VarWire struct {
 	Present bool
 	Home    int
 	Owner   int
-	Holders []int // sorted
 }
 
 func init() {
@@ -34,42 +35,16 @@ func init() {
 func (st *snapState) Wire() core.StratWire {
 	w := &Wire{RNG: st.rng, Vars: make([]VarWire, len(st.vars))}
 	for i, vsn := range st.vars {
-		if vsn == nil {
-			continue
-		}
-		w.Vars[i] = VarWire{
-			Present: true,
-			Home:    vsn.home,
-			Owner:   vsn.owner,
-			Holders: append([]int(nil), vsn.holders...),
-		}
+		w.Vars[i] = VarWire{Present: vsn.present, Home: vsn.home, Owner: vsn.owner}
 	}
 	return w
 }
 
 // Blob implements core.StratWire.
 func (w *Wire) Blob() interface{} {
-	st := &snapState{rng: w.RNG, vars: make([]*varSnapState, len(w.Vars))}
-	for i := range w.Vars {
-		vw := &w.Vars[i]
-		if !vw.Present {
-			continue
-		}
-		st.vars[i] = &varSnapState{
-			home:    vw.Home,
-			owner:   vw.Owner,
-			holders: append([]int(nil), vw.Holders...),
-		}
+	st := &snapState{rng: w.RNG, vars: make([]varSnapState, len(w.Vars))}
+	for i, vw := range w.Vars {
+		st.vars[i] = varSnapState{present: vw.Present, home: vw.Home, owner: vw.Owner}
 	}
 	return st
-}
-
-// CacheKey implements core.StratWire.
-func (w *Wire) CacheKey(k core.KeyWire) interface{} {
-	return fhKey{v: core.VarID(k.Var), node: k.Node}
-}
-
-// WireKey implements core.WireKeyer.
-func (k fhKey) WireKey() core.KeyWire {
-	return core.KeyWire{Var: int32(k.v), Node: k.node}
 }

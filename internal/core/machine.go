@@ -146,6 +146,14 @@ type Machine struct {
 	// fastLocal enables the local-read fast path: unbounded caches mean a
 	// local hit involves no replacement bookkeeping at all.
 	fastLocal bool
+	// localSlab is the unused tail of the current bitmap slab the
+	// variables' local-copy bitmaps are carved from (one bit per
+	// processor each); localFree recycles the bitmaps of freed variables.
+	// Slabs double from localSlabMin bitmaps, so a machine with a handful of
+	// variables does not pay for a big first block.
+	localSlab []uint64
+	localGrow int
+	localFree [][]uint64
 
 	bar *barrier
 
@@ -300,13 +308,14 @@ func NewMachine(cfg Config) (*Machine, error) {
 	}
 	m.Tree = decomp.Build(m.Topo, cfg.Tree)
 	m.caches = make([]Cache, m.Topo.N())
-	for i := range m.caches {
-		m.caches[i].capacity = cfg.CacheCapacity
-	}
 	m.fastLocal = cfg.CacheCapacity == 0
 	m.bar = newBarrier(m)
 	if cfg.Strategy != nil {
 		m.Strat = cfg.Strategy(m)
+	}
+	ev, _ := m.Strat.(Evictor)
+	for i := range m.caches {
+		m.caches[i] = Cache{capacity: cfg.CacheCapacity, proc: i, ev: ev}
 	}
 	return m, nil
 }
@@ -395,6 +404,18 @@ type Proc struct {
 	*sim.Proc
 	ID int // processor id, row-major
 	M  *Machine
+
+	park sim.Future
+}
+
+// Park resets and returns p's reusable future. A process blocks on one
+// thing at a time — a transaction slot, a lock, a barrier — so the library
+// parks it on this one future instead of allocating one per wait. The
+// future must be dropped by whoever completes it: it is live again at p's
+// next wait.
+func (p *Proc) Park() *sim.Future {
+	p.park = sim.Future{}
+	return &p.park
 }
 
 // Run spawns one process per processor executing program and runs the
@@ -448,6 +469,7 @@ func (m *Machine) alloc(creator, size int, val interface{}) VarID {
 		Size:    size,
 		Creator: creator,
 		Data:    val,
+		local:   m.newLocal(),
 	}
 	m.vars = append(m.vars, v)
 	m.Strat.InitVar(v)
@@ -463,6 +485,36 @@ func (m *Machine) Free(id VarID) {
 	}
 	m.Strat.FreeVar(v)
 	m.vars[id] = nil
+	m.localFree = append(m.localFree, v.local)
+	v.local = nil
+}
+
+// The first bitmap slab holds localSlabMin bitmaps, no slab more than
+// localSlabMax.
+const (
+	localSlabMin = 8
+	localSlabMax = 1024
+)
+
+// localWords is the length of one local-copy bitmap in words.
+func (m *Machine) localWords() int { return (m.P() + 63) / 64 }
+
+// newLocal returns an empty local-copy bitmap for a fresh variable.
+func (m *Machine) newLocal() []uint64 {
+	if n := len(m.localFree); n > 0 {
+		b := m.localFree[n-1]
+		m.localFree = m.localFree[:n-1]
+		clear(b)
+		return b
+	}
+	w := m.localWords()
+	if len(m.localSlab) < w {
+		m.localGrow = min(max(localSlabMin, 2*m.localGrow), localSlabMax)
+		m.localSlab = make([]uint64, w*m.localGrow)
+	}
+	b := m.localSlab[:w:w]
+	m.localSlab = m.localSlab[w:]
+	return b
 }
 
 // Read returns the current value of v, migrating or replicating copies
@@ -474,7 +526,7 @@ func (p *Proc) Read(id VarID) interface{} {
 	// bookkeeping, and since it cannot block, the reader-count round-trip
 	// through the rw queue is unobservable — one bitmap load replaces the
 	// strategy dispatch and its pointer chase through the variable state.
-	if p.M.fastLocal && !v.rw.writer && len(v.rw.waiters) == 0 && v.LocalBit(p.ID) {
+	if p.M.fastLocal && !v.rw.writer && v.rw.waiters.Len() == 0 && v.LocalBit(p.ID) {
 		return v.Data
 	}
 	v.acquireRead(p)

@@ -46,11 +46,6 @@ type Forker interface {
 	// per-variable protocol state on the fork's variable records. The blob
 	// is never mutated, so many forks can restore from one.
 	RestoreState(state interface{}, vars []*Variable) error
-	// RestoreCacheEntry re-registers one bounded-cache entry under the
-	// strategy's own key type. The machine layer replays entries in the
-	// source cache's LRU order; the insert must not trigger replacement
-	// (Cache.InsertRestored).
-	RestoreCacheEntry(vars []*Variable, key interface{}) error
 	// Reseed re-derives the strategy's private random stream from a fresh
 	// seed, so a fork diverges from its siblings in every future random
 	// draw (new variable placements). State inherited from the snapshot is
@@ -68,6 +63,18 @@ const (
 	faultSalt = 0x9e6c63d0876a9a35
 	reactSalt = 0xc2b2ae3d27d4eb4f
 )
+
+// LiveVars counts the variables that exist: vars is indexed by id, and
+// freed variables leave nil holes.
+func LiveVars(vars []*Variable) int {
+	n := 0
+	for _, v := range vars {
+		if v != nil {
+			n++
+		}
+	}
+	return n
+}
 
 // Snapshot is a deep copy of a quiescent machine's simulated state.
 // Immutable after capture; Fork any number of times, concurrently.
@@ -90,7 +97,7 @@ type varSnap struct {
 	size    int
 	creator int
 	data    interface{}
-	local   [localBits / 64]uint64
+	local   []uint64 // carved from one block per snapshot
 }
 
 type barrierSnap struct {
@@ -103,7 +110,7 @@ type barrierSnap struct {
 // cacheSnap is one node cache's entry keys in LRU→MRU order plus its
 // replacement counter; entry sizes are re-derived from the variables.
 type cacheSnap struct {
-	keys      []interface{}
+	keys      []KeyWire
 	evictions uint64
 }
 
@@ -178,11 +185,16 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 	}
 	s.net = ns
 	s.vars = make([]varSnap, len(m.vars))
+	w := m.localWords()
+	locals := make([]uint64, w*LiveVars(m.vars))
 	for i, v := range m.vars {
 		if v == nil {
 			continue
 		}
-		s.vars[i] = varSnap{present: true, size: v.Size, creator: v.Creator, data: v.Data, local: v.local}
+		local := locals[:w:w]
+		locals = locals[w:]
+		copy(local, v.local)
+		s.vars[i] = varSnap{present: true, size: v.Size, creator: v.Creator, data: v.Data, local: local}
 	}
 	s.barrier = barrierSnap{
 		epoch:    append([]uint64(nil), m.bar.epoch...),
@@ -194,9 +206,10 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 	for i := range m.caches {
 		c := &m.caches[i]
 		cs := cacheSnap{evictions: c.evictions}
-		if c.lru != nil {
-			for e := c.lru.Back(); e != nil; e = e.Prev() {
-				cs.keys = append(cs.keys, e.Value.(*cacheEntry).key)
+		if n := c.Len(); n > 0 {
+			cs.keys = make([]KeyWire, 0, n)
+			for e := c.lru.prev; e != &c.lru; e = e.prev {
+				cs.keys = append(cs.keys, KeyWire{Var: int32(e.v.ID), Node: e.node})
 			}
 		}
 		s.caches[i] = cs
@@ -241,17 +254,28 @@ func (s *Snapshot) Fork(o ForkOptions) (*Machine, error) {
 	}
 	m.RNG.SetState(s.rng)
 	m.vars = make([]*Variable, len(s.vars))
+	present := 0
+	for i := range s.vars {
+		if s.vars[i].present {
+			present++
+		}
+	}
+	w := m.localWords()
+	locals := make([]uint64, w*present)
 	for i := range s.vars {
 		vs := &s.vars[i]
 		if !vs.present {
 			continue
 		}
+		local := locals[:w:w]
+		locals = locals[w:]
+		copy(local, vs.local)
 		m.vars[i] = &Variable{
 			ID:      VarID(i),
 			Size:    vs.size,
 			Creator: vs.creator,
 			Data:    vs.data,
-			local:   vs.local,
+			local:   local,
 		}
 	}
 	copy(m.bar.epoch, s.barrier.epoch)
@@ -261,11 +285,14 @@ func (s *Snapshot) Fork(o ForkOptions) (*Machine, error) {
 		if err := f.RestoreState(s.strat, m.vars); err != nil {
 			return nil, fmt.Errorf("diva: fork: %w", err)
 		}
+		// Cache entries replay in the source caches' LRU order, without
+		// triggering replacement.
 		for node := range s.caches {
 			for _, key := range s.caches[node].keys {
-				if err := f.RestoreCacheEntry(m.vars, key); err != nil {
-					return nil, fmt.Errorf("diva: fork: %w", err)
+				if int(key.Var) < 0 || int(key.Var) >= len(m.vars) || m.vars[key.Var] == nil {
+					return nil, fmt.Errorf("diva: fork: cache entry for unknown variable %d", key.Var)
 				}
+				m.caches[node].InsertRestored(m.vars[key.Var], key.Node)
 			}
 		}
 	}

@@ -1,6 +1,10 @@
 package core
 
-import "diva/internal/sim"
+import (
+	"math/bits"
+
+	"diva/internal/sim"
+)
 
 // VarID names a global variable.
 type VarID int32
@@ -25,38 +29,46 @@ type Variable struct {
 	// strategies (SetLocal/ClearLocal): bit p set means processor p can
 	// serve a read from its local copy with no protocol action. It backs
 	// the machine's read fast path on unbounded-cache machines — one load
-	// next to the rw state instead of the pointer chase through State.
-	// Processors >= localBits (larger machines than the paper ever
-	// measures) simply never take the fast path.
-	local [localBits / 64]uint64
+	// next to the rw state instead of the pointer chase through State —
+	// and is the fixed home strategy's copy directory. One bit per
+	// processor, carved from the machine's bitmap slab (Machine.newLocal).
+	local []uint64
 }
-
-// localBits caps the processors covered by the local-copy bitmap (the
-// paper's largest configuration is 512).
-const localBits = 512
 
 // LocalBit reports whether processor p holds a locally readable copy.
 func (v *Variable) LocalBit(p int) bool {
-	return p < localBits && v.local[p>>6]>>(uint(p)&63)&1 == 1
+	return v.local[p>>6]>>(uint(p)&63)&1 == 1
 }
 
 // SetLocal marks processor p as holding a locally readable copy.
 func (v *Variable) SetLocal(p int) {
-	if p < localBits {
-		v.local[p>>6] |= 1 << (uint(p) & 63)
-	}
+	v.local[p>>6] |= 1 << (uint(p) & 63)
 }
 
 // ClearLocal removes processor p from the local-copy bitmap.
 func (v *Variable) ClearLocal(p int) {
-	if p < localBits {
-		v.local[p>>6] &^= 1 << (uint(p) & 63)
-	}
+	v.local[p>>6] &^= 1 << (uint(p) & 63)
 }
 
 // ClearAllLocal empties the local-copy bitmap (write invalidation).
 func (v *Variable) ClearAllLocal() {
-	v.local = [localBits / 64]uint64{}
+	clear(v.local)
+}
+
+// NextLocal returns the lowest processor >= from that holds a locally
+// readable copy, or -1 when there is none: an ascending scan over the copy
+// holders is `for h := v.NextLocal(0); h >= 0; h = v.NextLocal(h + 1)`.
+func (v *Variable) NextLocal(from int) int {
+	for w := from >> 6; w < len(v.local); w++ {
+		word := v.local[w]
+		if w == from>>6 {
+			word &= ^uint64(0) << (uint(from) & 63)
+		}
+		if word != 0 {
+			return w<<6 + bits.TrailingZeros64(word)
+		}
+	}
+	return -1
 }
 
 // rwQueue serializes transactions on one variable: concurrent readers are
@@ -67,7 +79,7 @@ func (v *Variable) ClearAllLocal() {
 type rwQueue struct {
 	readers int
 	writer  bool
-	waiters []rwWaiter
+	waiters FIFO[rwWaiter]
 }
 
 type rwWaiter struct {
@@ -76,7 +88,7 @@ type rwWaiter struct {
 }
 
 func (v *Variable) busy() bool {
-	return v.rw.readers > 0 || v.rw.writer || len(v.rw.waiters) > 0
+	return v.rw.readers > 0 || v.rw.writer || v.rw.waiters.Len() > 0
 }
 
 // Idle reports whether no transaction is active or queued on v. Used by
@@ -85,12 +97,12 @@ func (v *Variable) Idle() bool { return !v.busy() }
 
 func (v *Variable) acquireRead(p *Proc) {
 	q := &v.rw
-	if !q.writer && len(q.waiters) == 0 {
+	if !q.writer && q.waiters.Len() == 0 {
 		q.readers++
 		return
 	}
-	f := sim.NewFuture()
-	q.waiters = append(q.waiters, rwWaiter{write: false, fut: f})
+	f := p.Park()
+	q.waiters.Push(rwWaiter{write: false, fut: f})
 	f.Await(p.Proc)
 	// The releaser admitted us: the reader count was already incremented.
 }
@@ -106,12 +118,12 @@ func (v *Variable) releaseRead(k *sim.Kernel) {
 
 func (v *Variable) acquireWrite(p *Proc) {
 	q := &v.rw
-	if !q.writer && q.readers == 0 && len(q.waiters) == 0 {
+	if !q.writer && q.readers == 0 && q.waiters.Len() == 0 {
 		q.writer = true
 		return
 	}
-	f := sim.NewFuture()
-	q.waiters = append(q.waiters, rwWaiter{write: true, fut: f})
+	f := p.Park()
+	q.waiters.Push(rwWaiter{write: true, fut: f})
 	f.Await(p.Proc)
 }
 
@@ -127,14 +139,14 @@ func (v *Variable) releaseWrite(k *sim.Kernel) {
 // pump admits queued transactions in FIFO order: a writer when the variable
 // is fully idle, then a maximal run of readers.
 func (q *rwQueue) pump(k *sim.Kernel) {
-	for len(q.waiters) > 0 {
-		w := q.waiters[0]
+	for q.waiters.Len() > 0 {
+		w := q.waiters.Front()
 		if w.write {
 			if q.writer || q.readers > 0 {
 				return
 			}
 			q.writer = true
-			q.waiters = q.waiters[1:]
+			q.waiters.Pop()
 			w.fut.Complete(k, nil)
 			return
 		}
@@ -142,7 +154,7 @@ func (q *rwQueue) pump(k *sim.Kernel) {
 			return
 		}
 		q.readers++
-		q.waiters = q.waiters[1:]
+		q.waiters.Pop()
 		w.fut.Complete(k, nil)
 	}
 }

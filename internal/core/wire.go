@@ -14,22 +14,14 @@ import (
 // serializable — so the wire form carries only the mutable simulated
 // state; the store persists the machine's spec document alongside it and
 // rebuilds an identically configured machine before converting back
-// (SnapshotFromWire). Strategy blobs and cache keys cross the boundary
-// through the StratWire/KeyWire indirection implemented by the built-in
-// strategies.
+// (SnapshotFromWire). Strategy blobs cross the boundary through the
+// StratWire indirection implemented by the built-in strategies.
 
-// KeyWire is the serializable form of a strategy cache key: both built-in
-// strategies key copies by (variable, node).
+// KeyWire names one cache entry: the variable and the strategy's name for
+// the place holding the copy (Cache.Insert).
 type KeyWire struct {
 	Var  int32
 	Node int
-}
-
-// WireKeyer is implemented by strategy cache key types that can convert to
-// KeyWire; a snapshot whose cache keys do not implement it cannot be
-// persisted.
-type WireKeyer interface {
-	WireKey() KeyWire
 }
 
 // StratWire is the exported, gob-encodable form of a strategy's snapshot
@@ -38,9 +30,6 @@ type StratWire interface {
 	// Blob converts back to the strategy's private snapshot blob (the
 	// Forker.RestoreState input).
 	Blob() interface{}
-	// CacheKey converts a KeyWire back to the strategy's private cache key
-	// type (the Forker.RestoreCacheEntry input).
-	CacheKey(k KeyWire) interface{}
 }
 
 // WireSnapshotter is implemented by strategy snapshot blobs that can
@@ -91,18 +80,19 @@ type CacheWire struct {
 }
 
 // Wire converts the snapshot to its serializable form. It fails when the
-// strategy blob or a cache key has no wire representation.
+// strategy blob has no wire representation.
 func (s *Snapshot) Wire() (*SnapshotWire, error) {
 	w := &SnapshotWire{Kern: s.kern, Cluster: s.cluster, Net: s.net.Wire(), RNG: s.rng}
 	w.Vars = make([]VarWire, len(s.vars))
 	for i := range s.vars {
 		vs := &s.vars[i]
+		// Local aliases the snapshot's bitmap: both are immutable.
 		w.Vars[i] = VarWire{
 			Present: vs.present,
 			Size:    vs.size,
 			Creator: vs.creator,
 			Data:    vs.data,
-			Local:   append([]uint64(nil), vs.local[:]...),
+			Local:   vs.local,
 		}
 	}
 	w.Barrier = BarrierWire{
@@ -114,15 +104,7 @@ func (s *Snapshot) Wire() (*SnapshotWire, error) {
 	w.Caches = make([]CacheWire, len(s.caches))
 	for i := range s.caches {
 		cs := &s.caches[i]
-		cw := CacheWire{Evictions: cs.evictions}
-		for _, key := range cs.keys {
-			wk, ok := key.(WireKeyer)
-			if !ok {
-				return nil, fmt.Errorf("diva: cache key %T has no wire form", key)
-			}
-			cw.Keys = append(cw.Keys, wk.WireKey())
-		}
-		w.Caches[i] = cw
+		w.Caches[i] = CacheWire{Keys: cs.keys, Evictions: cs.evictions}
 	}
 	if s.strat != nil {
 		ws, ok := s.strat.(WireSnapshotter)
@@ -166,13 +148,22 @@ func SnapshotFromWire(m *Machine, w *SnapshotWire) (*Snapshot, error) {
 	}
 	s.net = net
 	s.vars = make([]varSnap, len(w.Vars))
+	words := m.localWords()
 	for i := range w.Vars {
 		vw := &w.Vars[i]
 		vs := varSnap{present: vw.Present, size: vw.Size, creator: vw.Creator, data: vw.Data}
-		if len(vw.Local) > len(vs.local) {
-			return nil, fmt.Errorf("diva: wire variable %d has a %d-word local bitmap, max %d", i, len(vw.Local), len(vs.local))
+		if vw.Present {
+			// The bitmap is the fixed home strategy's copy directory: a bit
+			// past the last processor would address a node that does not
+			// exist.
+			if len(vw.Local) != words {
+				return nil, fmt.Errorf("diva: wire variable %d has a %d-word local bitmap, machine needs %d", i, len(vw.Local), words)
+			}
+			if tail := uint(m.P()) & 63; tail != 0 && vw.Local[words-1]>>tail != 0 {
+				return nil, fmt.Errorf("diva: wire variable %d marks a copy beyond processor %d", i, m.P()-1)
+			}
+			vs.local = vw.Local
 		}
-		copy(vs.local[:], vw.Local)
 		s.vars[i] = vs
 	}
 	if len(w.Barrier.Epoch) != len(m.bar.epoch) {
@@ -193,14 +184,10 @@ func SnapshotFromWire(m *Machine, w *SnapshotWire) (*Snapshot, error) {
 	s.caches = make([]cacheSnap, len(w.Caches))
 	for i := range w.Caches {
 		cw := &w.Caches[i]
-		cs := cacheSnap{evictions: cw.Evictions}
-		for _, k := range cw.Keys {
-			if w.Strat == nil {
-				return nil, fmt.Errorf("diva: wire snapshot has cache keys but no strategy state")
-			}
-			cs.keys = append(cs.keys, w.Strat.CacheKey(k))
+		if len(cw.Keys) > 0 && w.Strat == nil {
+			return nil, fmt.Errorf("diva: wire snapshot has cache keys but no strategy state")
 		}
-		s.caches[i] = cs
+		s.caches[i] = cacheSnap{keys: cw.Keys, evictions: cw.Evictions}
 	}
 	if w.Strat != nil {
 		s.strat = w.Strat.Blob()

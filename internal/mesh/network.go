@@ -124,9 +124,9 @@ type Network struct {
 	// every hop: the oracle the fused pipeline is A/B tested against
 	// (SetTwoStageDelivery).
 	twoStage bool
-	// freeMsgs is the Msg free list (the simulation is single-threaded, so
-	// a plain slice does what sync.Pool would, without the overhead).
-	freeMsgs []*Msg
+	// pool recycles pooled messages (the simulation is single-threaded, so
+	// a plain free list does what sync.Pool would, without the overhead).
+	pool msgPool
 
 	// routeBuf/startBuf are the reusable route buffers of the delivery hot
 	// path, sized once from the topology's diameter (no route is longer).
@@ -165,7 +165,7 @@ type Network struct {
 	// Sharded-cluster state (shard.go); nil on a single-kernel network.
 	kernels []*sim.Kernel    // per-shard kernels, indexed by shard
 	shardOf []int            // node -> shard
-	freeSh  [][]*Msg         // per-shard Msg free lists
+	poolSh  []msgPool        // per-shard message pools
 	statSh  []shardSendStats // per-shard send counters (in-window local sends)
 	defSh   [][]deferredSend // per-shard deferred cross-node sends
 	defCur  []int            // replay cursors into defSh
@@ -299,13 +299,43 @@ func (nw *Network) SetTwoStageDelivery(on bool) { nw.twoStage = on }
 // fresh one). It is recycled automatically after its destination handler
 // returns; see Msg for the retention contract. SendPooled wraps the common
 // acquire-fill-send sequence.
-func (nw *Network) AcquireMsg() *Msg {
-	if n := len(nw.freeMsgs); n > 0 {
-		m := nw.freeMsgs[n-1]
-		nw.freeMsgs = nw.freeMsgs[:n-1]
+func (nw *Network) AcquireMsg() *Msg { return nw.pool.get() }
+
+// msgPool is a free list of pooled messages. A miss carves the message
+// from a chunk instead of allocating it alone; chunks double from
+// msgChunkMin to msgChunkMax messages, so a short run (a forked query)
+// allocates a few small chunks and a long one a chunk per msgChunkMax
+// messages in flight.
+type msgPool struct {
+	free  []*Msg
+	chunk []Msg // unused tail of the newest chunk
+	grow  int   // length of the newest chunk
+}
+
+const (
+	msgChunkMin = 8
+	msgChunkMax = 256
+)
+
+func (p *msgPool) get() *Msg {
+	if n := len(p.free); n > 0 {
+		m := p.free[n-1]
+		p.free = p.free[:n-1]
 		return m
 	}
-	return &Msg{pooled: true}
+	if len(p.chunk) == 0 {
+		p.grow = min(max(msgChunkMin, 2*p.grow), msgChunkMax)
+		p.chunk = make([]Msg, p.grow)
+	}
+	m := &p.chunk[0]
+	p.chunk = p.chunk[1:]
+	m.pooled = true
+	return m
+}
+
+func (p *msgPool) put(m *Msg) {
+	*m = Msg{pooled: true}
+	p.free = append(p.free, m)
 }
 
 // SendPooled sends a recycled message: protocol hot paths use it to make a
@@ -328,13 +358,10 @@ func (nw *Network) SendPooledTag(src, dst, size int, kind uint8, tag int, payloa
 // shard that just ran its handler (the destination's) when clustered.
 func (nw *Network) releaseMsg(m *Msg) {
 	if nw.shardOf != nil {
-		si := nw.shardOf[m.Dst]
-		*m = Msg{pooled: true}
-		nw.freeSh[si] = append(nw.freeSh[si], m)
+		nw.poolSh[nw.shardOf[m.Dst]].put(m)
 		return
 	}
-	*m = Msg{pooled: true}
-	nw.freeMsgs = append(nw.freeMsgs, m)
+	nw.pool.put(m)
 }
 
 // Handle registers the handler for a message kind. Registering kind 0

@@ -179,6 +179,7 @@ type reactNode struct {
 	recv     map[int]*recvChan // src -> receiver dedup state
 	suspect  map[int]sim.Time  // dst -> time the sender declared it suspect
 	stats    FaultStats        // event-context counters (summed by FaultStats)
+	free     []*xmit           // recycled transmission records of this sender
 }
 
 // reactState is the network's reactive-mode state; nil in oracle mode.
@@ -188,7 +189,6 @@ type reactState struct {
 	nodes  []reactNode
 	giveUp [256]GiveUpHandler
 	base   FaultStats // restored-snapshot baseline of the folded node stats
-	free   []*xmit
 }
 
 // xkey packs a channel identity (destination, channel sequence).
@@ -282,18 +282,18 @@ func (nw *Network) ReactReseed(seed uint64) {
 	}
 }
 
-func (r *reactState) acquireXmit() *xmit {
-	if n := len(r.free); n > 0 {
-		x := r.free[n-1]
-		r.free = r.free[:n-1]
+func (sn *reactNode) acquireXmit() *xmit {
+	if n := len(sn.free); n > 0 {
+		x := sn.free[n-1]
+		sn.free = sn.free[:n-1]
 		return x
 	}
 	return &xmit{}
 }
 
-func (r *reactState) releaseXmit(x *xmit) {
+func (sn *reactNode) releaseXmit(x *xmit) {
 	*x = xmit{}
-	r.free = append(r.free, x)
+	sn.free = append(sn.free, x)
 }
 
 // jitter draws the deterministic timeout jitter, uniform in [1, 1.25),
@@ -316,7 +316,7 @@ func (nw *Network) reactOnSend(m *Msg, depart sim.Time) {
 	sn.nextSend[m.Dst]++
 	m.xseq = sn.nextSend[m.Dst]
 	m.xatt = 1
-	x := r.acquireXmit()
+	x := sn.acquireXmit()
 	*x = xmit{
 		src: m.Src, dst: m.Dst, size: m.Size, kind: m.Kind, tag: m.Tag,
 		payload: m.Payload, xseq: m.xseq, attempt: 1,
@@ -356,13 +356,13 @@ func (nw *Network) reactTimeout(xi interface{}) {
 		switch action {
 		case GiveUpDrop:
 			delete(sn.out, xkey(x.dst, x.xseq))
-			r.releaseXmit(x)
+			sn.releaseXmit(x)
 			return
 		case GiveUpRedirect:
 			sn.stats.Failovers++
 			src, size, kind, tag, payload := x.src, x.size, x.kind, x.tag, x.payload
 			delete(sn.out, xkey(x.dst, x.xseq))
-			r.releaseXmit(x)
+			sn.releaseXmit(x)
 			m := nw.acquireMsgFor(src)
 			m.Src, m.Dst, m.Size, m.Kind, m.Tag, m.Payload = src, newDst, size, kind, tag, payload
 			nw.Send(m) // a fresh first transmission on the new channel
@@ -442,5 +442,5 @@ func (nw *Network) reactOnAck(m *Msg) {
 		delete(sn.suspect, m.Src)
 	}
 	delete(sn.out, xkey(m.Src, m.xseq))
-	r.releaseXmit(x)
+	sn.releaseXmit(x)
 }

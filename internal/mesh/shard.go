@@ -40,7 +40,7 @@ func (nw *Network) Shard(cl *sim.Cluster, shardOf []int) {
 	}
 	nw.kernels = ks
 	nw.shardOf = shardOf
-	nw.freeSh = make([][]*Msg, len(ks))
+	nw.poolSh = make([]msgPool, len(ks))
 	nw.statSh = make([]shardSendStats, len(ks))
 	nw.defSh = make([][]deferredSend, len(ks))
 	nw.defCur = make([]int, len(ks))
@@ -98,13 +98,7 @@ func (nw *Network) replayDeferred(si int, gseq uint64) {
 // shard (the executing shard: sends always run on the sender's owner).
 func (nw *Network) acquireMsgFor(src int) *Msg {
 	if nw.shardOf == nil {
-		return nw.AcquireMsg()
+		return nw.pool.get()
 	}
-	fl := nw.freeSh[nw.shardOf[src]]
-	if n := len(fl); n > 0 {
-		m := fl[n-1]
-		nw.freeSh[nw.shardOf[src]] = fl[:n-1]
-		return m
-	}
-	return &Msg{pooled: true}
+	return nw.poolSh[nw.shardOf[src]].get()
 }

@@ -40,8 +40,10 @@ import (
 
 // magic is the file format version header. Bump the trailing digit on any
 // incompatible layout change; old files then fail with a clear error
-// instead of a gob decode panic.
-const magic = "DIVASNP1"
+// instead of a gob decode panic. (2: packed access-tree node tables, the
+// copy directory of the fixed home strategy carried by the variables'
+// per-processor bitmaps.)
+const magic = "DIVASNP2"
 
 const fileExt = ".snap"
 

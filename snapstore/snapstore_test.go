@@ -8,7 +8,10 @@
 package snapstore_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
@@ -320,5 +323,59 @@ func TestLoadRejectsCorruption(t *testing.T) {
 	}
 	if entries[0].Spec.Workload.Name != "matmul" {
 		t.Errorf("List entry spec lost the workload: %+v", entries[0].Spec)
+	}
+}
+
+// TestLoadRejectsOldFormat: a well-formed file of the previous format
+// version (DIVASNP1: valid checksum, old gob shapes behind it) is refused
+// by its magic — Load reports it, List skips it — and never half-decoded
+// into a machine.
+func TestLoadRejectsOldFormat(t *testing.T) {
+	sp := machineSpec("mesh", "fixedhome", 4, 4)
+	sp.Workload = spec.Workload{Name: "matmul", Block: 64, Seed: 1}
+	m, warm, err := diva.FromSpec(sp, diva.WithConcurrent(true))
+	if err != nil {
+		t.Fatalf("FromSpec: %v", err)
+	}
+	mustRun(t, m, warm)
+	snap, err := m.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	dir := t.TempDir()
+	st, err := snapstore.Open(dir)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	handle := snapstore.Handle(sp)
+	if err := st.Save(handle, sp, snap); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	path := filepath.Join(dir, handle+".snap")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(data, []byte("DIVASNP2")) {
+		t.Fatalf("file starts with %q, want DIVASNP2", data[:8])
+	}
+	// Re-stamp the file as version 1 under a checksum that matches, so the
+	// magic is the only thing left to refuse it.
+	old := append([]byte("DIVASNP1"), data[8:len(data)-8]...)
+	h := fnv.New64a()
+	h.Write(old)
+	old = binary.BigEndian.AppendUint64(old, h.Sum64())
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, got, err := st.Load(handle); err == nil || got != nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Errorf("DIVASNP1 file: snapshot %v, err = %v; want a bad-magic error", got, err)
+	}
+	entries, err := st.List()
+	if err != nil {
+		t.Fatalf("List: %v", err)
+	}
+	if len(entries) != 0 {
+		t.Errorf("List = %+v, want the DIVASNP1 file skipped", entries)
 	}
 }
