@@ -1,6 +1,7 @@
 package accesstree
 
 import (
+	"bytes"
 	"testing"
 
 	"diva/internal/core"
@@ -153,5 +154,78 @@ func TestRemapLeavesPinned(t *testing.T) {
 		if s.t.Nodes[id].Leaf() {
 			t.Fatalf("leaf node %d was remapped", id)
 		}
+	}
+}
+
+// TestRemapSnapshotSerialization: position overrides live in a map, and the
+// serialized snapshot must not inherit its iteration order — the same
+// capture always encodes to the same bytes, a snapshot decoded from them
+// encodes to those bytes again, and a fork of the decoded snapshot continues
+// exactly like a fork of the live one.
+func TestRemapSnapshotSerialization(t *testing.T) {
+	m := remapMachine(2)
+	vars := []core.VarID{m.AllocAt(0, 64, 0), m.AllocAt(5, 64, 0), m.AllocAt(10, 64, 0)}
+	traffic := func(p *core.Proc) {
+		for r := 0; r < 12; r++ {
+			for i, v := range vars {
+				p.Read(v)
+				p.Barrier()
+				if p.ID == (r*5+i)%16 {
+					p.Write(v, r)
+				}
+				p.Barrier()
+			}
+		}
+	}
+	if err := m.Run(traffic); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range vars {
+		if n := len(vstate(m.Var(v)).posOverride); n < 2 {
+			t.Fatalf("variable %d has %d position overrides; the test needs a map with an order to lose", v, n)
+		}
+	}
+	snap, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	encode := func(snap *core.Snapshot) (tables, locals, state []byte) {
+		t.Helper()
+		w, err := snap.Wire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := w.WriteState(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return w.Tables, w.Locals, buf.Bytes()
+	}
+	tables, locals, state := encode(snap)
+	for i := 0; i < 8; i++ {
+		if _, _, again := encode(snap); !bytes.Equal(again, state) {
+			t.Fatal("the same snapshot encoded to different bytes")
+		}
+	}
+	loaded, err := core.SnapshotFromWire(remapMachine(2), tables, locals, state)
+	if err != nil {
+		t.Fatalf("SnapshotFromWire: %v", err)
+	}
+	if t2, l2, s2 := encode(loaded); !bytes.Equal(t2, tables) || !bytes.Equal(l2, locals) || !bytes.Equal(s2, state) {
+		t.Error("a decoded snapshot encoded to different bytes")
+	}
+	var prints [2]uint64
+	for i, s := range []*core.Snapshot{snap, loaded} {
+		f, err := s.Fork(core.ForkOptions{})
+		if err != nil {
+			t.Fatalf("Fork: %v", err)
+		}
+		if err := f.Run(traffic); err != nil {
+			t.Fatal(err)
+		}
+		prints[i] = f.K.Fingerprint()
+	}
+	if prints[0] != prints[1] {
+		t.Errorf("fork of the decoded snapshot diverged: fingerprint %#x, live %#x", prints[1], prints[0])
 	}
 }

@@ -1,6 +1,7 @@
 package fixedhome
 
 import (
+	"encoding/gob"
 	"fmt"
 
 	"diva/internal/core"
@@ -14,20 +15,31 @@ import (
 // quiescence check; the transaction arena holds no live records at
 // quiescence.
 
-type snapState struct {
-	rng  xrand.State
-	vars []varSnapState // indexed by VarID; present=false for freed variables
+// State is the strategy's captured state (core.StratState): forks restore
+// from it and a snapshot file carries it, whole, through encoding/gob.
+type State struct {
+	RNG  xrand.State
+	Vars []VarState // indexed by VarID; the zero value marks a freed variable
 }
 
-type varSnapState struct {
-	present bool
-	home    int
-	owner   int
+// VarState is one variable's directory record. Values, not pointers: gob
+// rejects nil elements in pointer slices, and freed variables leave holes.
+type VarState struct {
+	Present bool
+	Home    int
+	Owner   int
 }
+
+func init() {
+	gob.RegisterName("diva/fixedhome.State", &State{})
+}
+
+// AppendTables implements core.StratState: the strategy has no bulk table.
+func (st *State) AppendTables(b []byte) []byte { return b }
 
 // SnapshotState implements core.Forker.
-func (s *strategy) SnapshotState(vars []*core.Variable) (interface{}, error) {
-	st := &snapState{rng: s.rng.State(), vars: make([]varSnapState, len(vars))}
+func (s *strategy) SnapshotState(vars []*core.Variable) (core.StratState, error) {
+	st := &State{RNG: s.rng.State(), Vars: make([]VarState, len(vars))}
 	for i, v := range vars {
 		if v == nil {
 			continue
@@ -39,7 +51,7 @@ func (s *strategy) SnapshotState(vars []*core.Variable) (interface{}, error) {
 		if ls := &vs.lock; ls.held || ls.owner != -1 || ls.queue.Len() > 0 {
 			return nil, fmt.Errorf("fixedhome: variable %d has lock activity in flight", v.ID)
 		}
-		st.vars[i] = varSnapState{present: true, home: vs.home, owner: vs.owner}
+		st.Vars[i] = VarState{Present: true, Home: vs.home, Owner: vs.owner}
 	}
 	for p := range s.lockWait {
 		if s.lockWait[p].fut != nil {
@@ -49,30 +61,50 @@ func (s *strategy) SnapshotState(vars []*core.Variable) (interface{}, error) {
 	return st, nil
 }
 
-// RestoreState implements core.Forker.
-func (s *strategy) RestoreState(state interface{}, vars []*core.Variable) error {
-	st, ok := state.(*snapState)
+// check validates a state against this strategy's machine; live reports
+// whether the machine's variable i exists.
+func (s *strategy) check(state core.StratState, vars int, live func(i int) bool) (*State, error) {
+	st, ok := state.(*State)
 	if !ok {
-		return fmt.Errorf("fixedhome: foreign snapshot state %T", state)
+		return nil, fmt.Errorf("fixedhome: foreign snapshot state %T", state)
 	}
-	if len(st.vars) != len(vars) {
-		return fmt.Errorf("fixedhome: snapshot has %d variables, machine has %d", len(st.vars), len(vars))
+	if len(st.Vars) != vars {
+		return nil, fmt.Errorf("fixedhome: snapshot has %d variables, machine has %d", len(st.Vars), vars)
 	}
-	s.rng.SetState(st.rng)
+	for i, vsn := range st.Vars {
+		if vsn.Present != live(i) {
+			return nil, fmt.Errorf("fixedhome: snapshot and machine disagree on whether variable %d exists", i)
+		}
+		if p := s.m.P(); vsn.Present && (vsn.Home < 0 || vsn.Home >= p || vsn.Owner < 0 || vsn.Owner >= p) {
+			return nil, fmt.Errorf("fixedhome: snapshot variable %d has home %d, owner %d on a %d-processor machine", i, vsn.Home, vsn.Owner, p)
+		}
+	}
+	return st, nil
+}
+
+// LoadState implements core.Forker.
+func (s *strategy) LoadState(state core.StratState, tables []byte, vars []core.VarState) error {
+	if len(tables) != 0 {
+		return fmt.Errorf("fixedhome: snapshot has a %d-byte table section, the strategy has no tables", len(tables))
+	}
+	_, err := s.check(state, len(vars), func(i int) bool { return vars[i].Present })
+	return err
+}
+
+// RestoreState implements core.Forker.
+func (s *strategy) RestoreState(state core.StratState, vars []*core.Variable) error {
+	st, err := s.check(state, len(vars), func(i int) bool { return vars[i] != nil })
+	if err != nil {
+		return err
+	}
+	s.rng.SetState(st.RNG)
 	states := make([]varState, core.LiveVars(vars))
-	for i, vsn := range st.vars {
-		if !vsn.present {
+	for i, vsn := range st.Vars {
+		if !vsn.Present {
 			continue
 		}
-		v := vars[i]
-		if v == nil {
-			return fmt.Errorf("fixedhome: snapshot has state for freed variable %d", i)
-		}
-		if p := s.m.P(); vsn.home < 0 || vsn.home >= p || vsn.owner < 0 || vsn.owner >= p {
-			return fmt.Errorf("fixedhome: snapshot variable %d has home %d, owner %d on a %d-processor machine", i, vsn.home, vsn.owner, p)
-		}
-		states[0] = varState{home: vsn.home, owner: vsn.owner, lock: freeLock}
-		v.State, states = &states[0], states[1:]
+		states[0] = varState{home: vsn.Home, owner: vsn.Owner, lock: freeLock}
+		vars[i].State, states = &states[0], states[1:]
 	}
 	return nil
 }

@@ -40,17 +40,34 @@ type Forker interface {
 	// indexes the machine's variables by id (nil entries are freed). It
 	// fails when protocol state that cannot be captured is live (pending
 	// invalidations, queued lock requests, a held lock).
-	SnapshotState(vars []*Variable) (interface{}, error)
+	SnapshotState(vars []*Variable) (StratState, error)
 	// RestoreState deep-copies a SnapshotState result onto this strategy
 	// (bound to an identically configured machine), installing the
-	// per-variable protocol state on the fork's variable records. The blob
+	// per-variable protocol state on the fork's variable records. The state
 	// is never mutated, so many forks can restore from one.
-	RestoreState(state interface{}, vars []*Variable) error
+	RestoreState(state StratState, vars []*Variable) error
+	// LoadState completes a state that encoding/gob just decoded from a
+	// snapshot file: it decodes the raw table section (AppendTables'
+	// output) onto it and validates the whole against this strategy's
+	// machine, vars being the stored variable records. A state that
+	// passes restores without error.
+	LoadState(state StratState, tables []byte, vars []VarState) error
 	// Reseed re-derives the strategy's private random stream from a fresh
 	// seed, so a fork diverges from its siblings in every future random
 	// draw (new variable placements). State inherited from the snapshot is
 	// unaffected.
 	Reseed(seed uint64)
+}
+
+// StratState is a strategy's captured state: the value a fork restores
+// from and the value a snapshot file carries. It crosses the gob boundary
+// as an interface value (the defining package registers the concrete type
+// and exports the fields that persist), except for bulk numeric tables,
+// which travel beside the gob stream as raw little-endian words.
+type StratState interface {
+	// AppendTables appends the state's bulk tables to b (nothing, for a
+	// strategy without any) and returns the extended slice.
+	AppendTables(b []byte) []byte
 }
 
 // seedSalt decorrelates the machine RNG from the raw user seed; InitVar
@@ -77,41 +94,60 @@ func LiveVars(vars []*Variable) int {
 }
 
 // Snapshot is a deep copy of a quiescent machine's simulated state.
-// Immutable after capture; Fork any number of times, concurrently.
+// Immutable after capture; Fork any number of times, concurrently. A
+// snapshot read back from a file (SnapshotFromWire) has the very same
+// representation as one captured live, so both fork through one path.
 type Snapshot struct {
-	cfg     Config
-	kern    sim.KernelState
-	cluster *sim.ClusterState
-	net     *mesh.NetworkState
-	rng     xrand.State
-	vars    []varSnap
-	barrier barrierSnap
-	caches  []cacheSnap
-	strat   interface{}
+	cfg Config
+	st  snapState
+	// locals holds the local-copy bitmaps of the live variables back to
+	// back, in variable order.
+	locals []uint64
+	// data holds the variables' values by id, shared by reference — values
+	// are immutable by the library-wide Write contract.
+	data []interface{}
 }
 
-// varSnap captures one variable record. Data is shared by reference —
-// values are immutable by the library-wide Write contract.
-type varSnap struct {
-	present bool
-	size    int
-	creator int
-	data    interface{}
-	local   []uint64 // carved from one block per snapshot
+// snapState is the part of a snapshot that encoding/gob carries into a
+// snapshot file as one value (wire.go).
+type snapState struct {
+	Kern    sim.KernelState
+	Cluster *sim.ClusterState
+	Net     *mesh.NetworkState
+	RNG     xrand.State
+	Vars    []VarState // by id; the zero value marks a freed variable
+	Barrier BarrierState
+	Caches  []CacheState
+	Strat   StratState
 }
 
-type barrierSnap struct {
-	epoch    []uint64
-	batched  uint64
-	cascaded uint64
-	aborted  uint64
+// VarState captures one variable record's scalars.
+type VarState struct {
+	Present bool
+	Size    int
+	Creator int
 }
 
-// cacheSnap is one node cache's entry keys in LRU→MRU order plus its
+// BarrierState is the barrier's epochs and commit counters.
+type BarrierState struct {
+	Epoch    []uint64
+	Batched  uint64
+	Cascaded uint64
+	Aborted  uint64
+}
+
+// CacheState is one node cache's entry keys in LRU→MRU order plus its
 // replacement counter; entry sizes are re-derived from the variables.
-type cacheSnap struct {
-	keys      []KeyWire
-	evictions uint64
+type CacheState struct {
+	Keys      []CacheKey
+	Evictions uint64
+}
+
+// CacheKey names one cache entry: the variable and the strategy's name for
+// the place holding the copy (Cache.Insert).
+type CacheKey struct {
+	Var  int32
+	Node int
 }
 
 // ForkOptions tunes Snapshot.Fork.
@@ -162,7 +198,8 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 			return nil, fmt.Errorf("diva: strategy %q does not support snapshot/fork", m.Strat.Name())
 		}
 	}
-	s := &Snapshot{rng: m.RNG.State()}
+	s := &Snapshot{}
+	s.st.RNG = m.RNG.State()
 	// Pin the resolved shard count so a fork never re-reads DIVA_SHARDS.
 	s.cfg = m.Cfg
 	s.cfg.Shards = m.Shards()
@@ -171,55 +208,54 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 		if err != nil {
 			return nil, fmt.Errorf("diva: snapshot: %w", err)
 		}
-		s.cluster = &cs
+		s.st.Cluster = &cs
 	} else {
 		ks, err := m.K.SnapshotState()
 		if err != nil {
 			return nil, fmt.Errorf("diva: snapshot: %w", err)
 		}
-		s.kern = ks
+		s.st.Kern = ks
 	}
 	ns, err := m.Net.SnapshotState()
 	if err != nil {
 		return nil, fmt.Errorf("diva: snapshot: %w", err)
 	}
-	s.net = ns
-	s.vars = make([]varSnap, len(m.vars))
-	w := m.localWords()
-	locals := make([]uint64, w*LiveVars(m.vars))
+	s.st.Net = ns
+	s.st.Vars = make([]VarState, len(m.vars))
+	s.data = make([]interface{}, len(m.vars))
+	s.locals = make([]uint64, 0, m.localWords()*LiveVars(m.vars))
 	for i, v := range m.vars {
 		if v == nil {
 			continue
 		}
-		local := locals[:w:w]
-		locals = locals[w:]
-		copy(local, v.local)
-		s.vars[i] = varSnap{present: true, size: v.Size, creator: v.Creator, data: v.Data, local: local}
+		s.locals = append(s.locals, v.local...)
+		s.st.Vars[i] = VarState{Present: true, Size: v.Size, Creator: v.Creator}
+		s.data[i] = v.Data
 	}
-	s.barrier = barrierSnap{
-		epoch:    append([]uint64(nil), m.bar.epoch...),
-		batched:  m.bar.batched,
-		cascaded: m.bar.cascaded,
-		aborted:  m.bar.aborted,
+	s.st.Barrier = BarrierState{
+		Epoch:    append([]uint64(nil), m.bar.epoch...),
+		Batched:  m.bar.batched,
+		Cascaded: m.bar.cascaded,
+		Aborted:  m.bar.aborted,
 	}
-	s.caches = make([]cacheSnap, len(m.caches))
+	s.st.Caches = make([]CacheState, len(m.caches))
 	for i := range m.caches {
 		c := &m.caches[i]
-		cs := cacheSnap{evictions: c.evictions}
+		cs := CacheState{Evictions: c.evictions}
 		if n := c.Len(); n > 0 {
-			cs.keys = make([]KeyWire, 0, n)
+			cs.Keys = make([]CacheKey, 0, n)
 			for e := c.lru.prev; e != &c.lru; e = e.prev {
-				cs.keys = append(cs.keys, KeyWire{Var: int32(e.v.ID), Node: e.node})
+				cs.Keys = append(cs.Keys, CacheKey{Var: int32(e.v.ID), Node: e.node})
 			}
 		}
-		s.caches[i] = cs
+		s.st.Caches[i] = cs
 	}
 	if forker != nil {
-		blob, err := forker.SnapshotState(m.vars)
+		st, err := forker.SnapshotState(m.vars)
 		if err != nil {
 			return nil, fmt.Errorf("diva: snapshot: %w", err)
 		}
-		s.strat = blob
+		s.st.Strat = st
 	}
 	return s, nil
 }
@@ -239,70 +275,60 @@ func (s *Snapshot) Fork(o ForkOptions) (*Machine, error) {
 	if m.Shards() != cfg.Shards {
 		return nil, fmt.Errorf("diva: fork resolved %d shards, snapshot has %d", m.Shards(), cfg.Shards)
 	}
-	if s.cluster != nil {
+	st := &s.st
+	if st.Cluster != nil {
 		if m.cluster == nil {
 			return nil, fmt.Errorf("diva: fork of a sharded snapshot built a sequential machine")
 		}
-		if err := m.cluster.RestoreState(*s.cluster); err != nil {
+		if err := m.cluster.RestoreState(*st.Cluster); err != nil {
 			return nil, fmt.Errorf("diva: fork: %w", err)
 		}
-	} else if err := m.K.RestoreState(s.kern); err != nil {
+	} else if err := m.K.RestoreState(st.Kern); err != nil {
 		return nil, fmt.Errorf("diva: fork: %w", err)
 	}
-	if err := m.Net.RestoreState(s.net); err != nil {
+	if err := m.Net.RestoreState(st.Net); err != nil {
 		return nil, fmt.Errorf("diva: fork: %w", err)
 	}
-	m.RNG.SetState(s.rng)
-	m.vars = make([]*Variable, len(s.vars))
-	present := 0
-	for i := range s.vars {
-		if s.vars[i].present {
-			present++
-		}
-	}
+	m.RNG.SetState(st.RNG)
+	m.vars = make([]*Variable, len(st.Vars))
 	w := m.localWords()
-	locals := make([]uint64, w*present)
-	for i := range s.vars {
-		vs := &s.vars[i]
-		if !vs.present {
+	locals := append([]uint64(nil), s.locals...)
+	for i := range st.Vars {
+		vs := &st.Vars[i]
+		if !vs.Present {
 			continue
 		}
-		local := locals[:w:w]
-		locals = locals[w:]
-		copy(local, vs.local)
 		m.vars[i] = &Variable{
 			ID:      VarID(i),
-			Size:    vs.size,
-			Creator: vs.creator,
-			Data:    vs.data,
-			local:   local,
+			Size:    vs.Size,
+			Creator: vs.Creator,
+			Data:    s.data[i],
+			local:   locals[:w:w],
 		}
+		locals = locals[w:]
 	}
-	copy(m.bar.epoch, s.barrier.epoch)
-	m.bar.batched, m.bar.cascaded, m.bar.aborted = s.barrier.batched, s.barrier.cascaded, s.barrier.aborted
-	if s.strat != nil {
+	copy(m.bar.epoch, st.Barrier.Epoch)
+	m.bar.batched, m.bar.cascaded, m.bar.aborted = st.Barrier.Batched, st.Barrier.Cascaded, st.Barrier.Aborted
+	if st.Strat != nil {
 		f := m.Strat.(Forker) // same config built the same strategy type
-		if err := f.RestoreState(s.strat, m.vars); err != nil {
+		if err := f.RestoreState(st.Strat, m.vars); err != nil {
 			return nil, fmt.Errorf("diva: fork: %w", err)
 		}
 		// Cache entries replay in the source caches' LRU order, without
 		// triggering replacement.
-		for node := range s.caches {
-			for _, key := range s.caches[node].keys {
-				if int(key.Var) < 0 || int(key.Var) >= len(m.vars) || m.vars[key.Var] == nil {
-					return nil, fmt.Errorf("diva: fork: cache entry for unknown variable %d", key.Var)
-				}
+		for node := range st.Caches {
+			for _, key := range st.Caches[node].Keys {
 				m.caches[node].InsertRestored(m.vars[key.Var], key.Node)
 			}
 		}
 	}
-	for i := range s.caches {
-		m.caches[i].evictions = s.caches[i].evictions
+	for i := range st.Caches {
+		m.caches[i].evictions = st.Caches[i].Evictions
 	}
 	if o.Reseed {
 		m.RNG = xrand.New(o.Seed ^ seedSalt)
 		m.Net.ReactReseed(o.Seed ^ reactSalt)
-		if s.strat != nil {
+		if st.Strat != nil {
 			m.Strat.(Forker).Reseed(o.Seed)
 		}
 	}

@@ -1,196 +1,258 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"fmt"
-
-	"diva/internal/mesh"
-	"diva/internal/sim"
-	"diva/internal/xrand"
+	"io"
+	"reflect"
 )
 
-// Wire forms of the machine snapshot, for on-disk persistence
+// The serialized form of a machine snapshot, for on-disk persistence
 // (diva/snapstore). A Snapshot pins the machine Config, which holds a
 // Topology interface and a Strategy factory function — neither is
-// serializable — so the wire form carries only the mutable simulated
-// state; the store persists the machine's spec document alongside it and
-// rebuilds an identically configured machine before converting back
-// (SnapshotFromWire). Strategy blobs cross the boundary through the
-// StratWire indirection implemented by the built-in strategies.
+// serializable — so the sections carry only the simulated state; the store
+// persists the machine's spec document alongside them and rebuilds an
+// identically configured machine before reading them back
+// (SnapshotFromWire). There is no second representation: the sections are
+// encoded from, and decoded into, the very values Fork restores from.
 
-// KeyWire names one cache entry: the variable and the strategy's name for
-// the place holding the copy (Cache.Insert).
-type KeyWire struct {
-	Var  int32
-	Node int
+// Sections is the bulk numeric state of a snapshot as the raw
+// little-endian words a snapshot file holds; everything irregular follows
+// as one gob stream (WriteState).
+type Sections struct {
+	// Shards is the kernel shard count of the captured machine (1 for a
+	// sequential one). The store pins it in the spec; it is not encoded.
+	Shards int
+	// Tables is the strategy's bulk table section (StratState.AppendTables;
+	// every access-tree node table, in variable order).
+	Tables []byte
+	// Locals holds the local-copy bitmaps of the live variables, one
+	// uint64 per word, in variable order.
+	Locals []byte
+
+	snap *Snapshot
 }
 
-// StratWire is the exported, gob-encodable form of a strategy's snapshot
-// blob. Implementations register their concrete types with encoding/gob.
-type StratWire interface {
-	// Blob converts back to the strategy's private snapshot blob (the
-	// Forker.RestoreState input).
-	Blob() interface{}
-}
-
-// WireSnapshotter is implemented by strategy snapshot blobs that can
-// convert to a StratWire; a strategy whose blob does not implement it
-// cannot be persisted (live snapshot/fork is unaffected).
-type WireSnapshotter interface {
-	Wire() StratWire
-}
-
-// SnapshotWire is the gob-encodable form of a machine Snapshot: everything
-// but the Config. Variable payloads ride along as interface values; the
-// concrete payload types are registered with gob by the packages defining
-// them, and an unregistered payload surfaces as an encode error at save
-// time.
-type SnapshotWire struct {
-	Kern    sim.KernelState
-	Cluster *sim.ClusterState
-	Net     *mesh.NetworkWire
-	RNG     xrand.State
-	Vars    []VarWire
-	Barrier BarrierWire
-	Caches  []CacheWire
-	Strat   StratWire
-}
-
-// VarWire is one variable record.
-type VarWire struct {
-	Present bool
-	Size    int
-	Creator int
-	Data    interface{}
-	Local   []uint64
-}
-
-// BarrierWire is the barrier's epochs and commit counters.
-type BarrierWire struct {
-	Epoch    []uint64
-	Batched  uint64
-	Cascaded uint64
-	Aborted  uint64
-}
-
-// CacheWire is one node cache: entry keys in LRU→MRU order plus the
-// replacement counter.
-type CacheWire struct {
-	Keys      []KeyWire
-	Evictions uint64
-}
-
-// Wire converts the snapshot to its serializable form. It fails when the
-// strategy blob has no wire representation.
-func (s *Snapshot) Wire() (*SnapshotWire, error) {
-	w := &SnapshotWire{Kern: s.kern, Cluster: s.cluster, Net: s.net.Wire(), RNG: s.rng}
-	w.Vars = make([]VarWire, len(s.vars))
-	for i := range s.vars {
-		vs := &s.vars[i]
-		// Local aliases the snapshot's bitmap: both are immutable.
-		w.Vars[i] = VarWire{
-			Present: vs.present,
-			Size:    vs.size,
-			Creator: vs.creator,
-			Data:    vs.data,
-			Local:   vs.local,
-		}
+// Wire converts the snapshot's bulk state to its serialized sections. The
+// conversion itself cannot fail; what can — an unregistered payload type —
+// surfaces from WriteState.
+func (s *Snapshot) Wire() (*Sections, error) {
+	w := &Sections{Shards: s.cfg.Shards, snap: s}
+	if s.st.Strat != nil {
+		w.Tables = s.st.Strat.AppendTables(nil)
 	}
-	w.Barrier = BarrierWire{
-		Epoch:    append([]uint64(nil), s.barrier.epoch...),
-		Batched:  s.barrier.batched,
-		Cascaded: s.barrier.cascaded,
-		Aborted:  s.barrier.aborted,
-	}
-	w.Caches = make([]CacheWire, len(s.caches))
-	for i := range s.caches {
-		cs := &s.caches[i]
-		w.Caches[i] = CacheWire{Keys: cs.keys, Evictions: cs.evictions}
-	}
-	if s.strat != nil {
-		ws, ok := s.strat.(WireSnapshotter)
-		if !ok {
-			return nil, fmt.Errorf("diva: strategy snapshot %T has no wire form", s.strat)
-		}
-		w.Strat = ws.Wire()
+	w.Locals = make([]byte, 8*len(s.locals))
+	for i, x := range s.locals {
+		binary.LittleEndian.PutUint64(w.Locals[8*i:], x)
 	}
 	return w, nil
 }
 
-// SnapshotFromWire reconstructs a Snapshot from its wire form, pinning the
-// Config of m — a machine freshly built from the same machine description
-// the wire was captured under (the store keeps that description alongside
-// the wire data). The wire's shape is validated against m: shard count,
-// topology size, barrier width, strategy presence. m itself is not
-// touched; it only donates the configuration.
-func SnapshotFromWire(m *Machine, w *SnapshotWire) (*Snapshot, error) {
-	if w.Net == nil {
-		return nil, fmt.Errorf("diva: wire snapshot has no network state")
+// WriteState writes the state section, one gob stream: the snapshot's
+// remaining state as one value (kernel, network, barrier, caches,
+// per-variable scalars, strategy state), then the variable values
+// (encodeValues). It fails when a variable value or a queued message
+// payload has a type its package did not register with encoding/gob.
+func (w *Sections) WriteState(out io.Writer) error {
+	enc := gob.NewEncoder(out)
+	if err := enc.Encode(&w.snap.st); err != nil {
+		return fmt.Errorf("diva: encode snapshot: %w", err)
 	}
-	s := &Snapshot{rng: w.RNG}
-	s.cfg = m.Cfg
-	s.cfg.Shards = m.Shards()
-	if w.Cluster != nil {
-		if len(w.Cluster.Kernels) != s.cfg.Shards {
-			return nil, fmt.Errorf("diva: wire snapshot has %d shards, machine resolves %d", len(w.Cluster.Kernels), s.cfg.Shards)
-		}
-		cs := *w.Cluster
-		cs.Kernels = append([]sim.KernelState(nil), w.Cluster.Kernels...)
-		s.cluster = &cs
-	} else {
-		if s.cfg.Shards != 1 {
-			return nil, fmt.Errorf("diva: sequential wire snapshot, machine resolves %d shards", s.cfg.Shards)
-		}
-		s.kern = w.Kern
+	if err := encodeValues(enc, w.snap.data); err != nil {
+		return fmt.Errorf("diva: encode snapshot: variable values: %w", err)
 	}
-	net, err := w.Net.State()
-	if err != nil {
+	return nil
+}
+
+// encodeValues writes the variable values grouped by concrete type: the
+// kind of every variable (0: no value; k: the k-th type in order of first
+// appearance), then per kind one value behind an interface — which names
+// the type through gob's own registry — and all values of the kind, in
+// variable order, as one typed slice. A thousand values of three types
+// cost three interface round trips instead of a thousand.
+func encodeValues(enc *gob.Encoder, data []interface{}) error {
+	kinds := make([]int, len(data))
+	kindOf := make(map[reflect.Type]int)
+	var groups []reflect.Value
+	for i, d := range data {
+		if d == nil {
+			continue
+		}
+		t := reflect.TypeOf(d)
+		k, ok := kindOf[t]
+		if !ok {
+			groups = append(groups, reflect.MakeSlice(reflect.SliceOf(t), 0, len(data)-i))
+			k = len(groups)
+			kindOf[t] = k
+		}
+		kinds[i] = k
+		groups[k-1] = reflect.Append(groups[k-1], reflect.ValueOf(d))
+	}
+	if err := enc.Encode(kinds); err != nil {
+		return err
+	}
+	for _, g := range groups {
+		sample := g.Index(0).Interface()
+		if err := enc.Encode(&sample); err != nil {
+			return err
+		}
+		if err := enc.EncodeValue(g); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// decodeValues reads what encodeValues wrote, returning the values by
+// variable id.
+func decodeValues(dec *gob.Decoder, vars []VarState) ([]interface{}, error) {
+	var kinds []int
+	if err := dec.Decode(&kinds); err != nil {
 		return nil, err
 	}
-	s.net = net
-	s.vars = make([]varSnap, len(w.Vars))
-	words := m.localWords()
-	for i := range w.Vars {
-		vw := &w.Vars[i]
-		vs := varSnap{present: vw.Present, size: vw.Size, creator: vw.Creator, data: vw.Data}
-		if vw.Present {
-			// The bitmap is the fixed home strategy's copy directory: a bit
-			// past the last processor would address a node that does not
-			// exist.
-			if len(vw.Local) != words {
-				return nil, fmt.Errorf("diva: wire variable %d has a %d-word local bitmap, machine needs %d", i, len(vw.Local), words)
-			}
-			if tail := uint(m.P()) & 63; tail != 0 && vw.Local[words-1]>>tail != 0 {
-				return nil, fmt.Errorf("diva: wire variable %d marks a copy beyond processor %d", i, m.P()-1)
-			}
-			vs.local = vw.Local
+	if len(kinds) != len(vars) {
+		return nil, fmt.Errorf("%d value kinds for %d variables", len(kinds), len(vars))
+	}
+	var count []int // values per kind
+	for i, k := range kinds {
+		if k < 0 || k > len(count)+1 || (k != 0 && !vars[i].Present) {
+			return nil, fmt.Errorf("variable %d has value kind %d", i, k)
 		}
-		s.vars[i] = vs
-	}
-	if len(w.Barrier.Epoch) != len(m.bar.epoch) {
-		return nil, fmt.Errorf("diva: wire barrier has %d epochs, machine has %d", len(w.Barrier.Epoch), len(m.bar.epoch))
-	}
-	s.barrier = barrierSnap{
-		epoch:    append([]uint64(nil), w.Barrier.Epoch...),
-		batched:  w.Barrier.Batched,
-		cascaded: w.Barrier.Cascaded,
-		aborted:  w.Barrier.Aborted,
-	}
-	if len(w.Caches) != len(m.caches) {
-		return nil, fmt.Errorf("diva: wire snapshot has %d caches, machine has %d", len(w.Caches), len(m.caches))
-	}
-	if w.Strat != nil && m.Strat == nil {
-		return nil, fmt.Errorf("diva: wire snapshot has strategy state, machine has no strategy")
-	}
-	s.caches = make([]cacheSnap, len(w.Caches))
-	for i := range w.Caches {
-		cw := &w.Caches[i]
-		if len(cw.Keys) > 0 && w.Strat == nil {
-			return nil, fmt.Errorf("diva: wire snapshot has cache keys but no strategy state")
+		if k > len(count) {
+			count = append(count, 0)
 		}
-		s.caches[i] = cacheSnap{keys: cw.Keys, evictions: cw.Evictions}
+		if k > 0 {
+			count[k-1]++
+		}
 	}
-	if w.Strat != nil {
-		s.strat = w.Strat.Blob()
+	// Values of a pointer type are decoded as one block of pointees (gob
+	// flattens pointers, the stream is the same) and handed out by
+	// address: one allocation a kind instead of one a value.
+	groups := make([]reflect.Value, len(count))
+	byAddr := make([]bool, len(count))
+	for k := range groups {
+		var sample interface{}
+		if err := dec.Decode(&sample); err != nil {
+			return nil, err
+		}
+		if sample == nil {
+			return nil, fmt.Errorf("value kind %d has no type", k+1)
+		}
+		t := reflect.TypeOf(sample)
+		if byAddr[k] = t.Kind() == reflect.Pointer; byAddr[k] {
+			t = t.Elem()
+		}
+		g := reflect.New(reflect.SliceOf(t))
+		if err := dec.DecodeValue(g); err != nil {
+			return nil, err
+		}
+		if groups[k] = g.Elem(); groups[k].Len() != count[k] {
+			return nil, fmt.Errorf("value kind %d has %d values, %d variables use it", k+1, groups[k].Len(), count[k])
+		}
+	}
+	data := make([]interface{}, len(vars))
+	next := make([]int, len(groups))
+	for i, k := range kinds {
+		if k == 0 {
+			continue
+		}
+		v := groups[k-1].Index(next[k-1])
+		next[k-1]++
+		if byAddr[k-1] {
+			v = v.Addr()
+		}
+		data[i] = v.Interface()
+	}
+	return data, nil
+}
+
+// SnapshotFromWire reconstructs a Snapshot from its serialized form: the
+// two raw sections and the state section's gob stream. It pins the Config
+// of m, a machine freshly built from the machine description the snapshot
+// was captured under (the store keeps that description alongside the
+// sections); m itself is not touched. Everything Fork relies on is
+// validated against m here — shard count, network and strategy shape,
+// barrier width, cache count and keys, bitmap words — so the snapshot
+// returned forks without error.
+func SnapshotFromWire(m *Machine, tables, locals, state []byte) (*Snapshot, error) {
+	s := &Snapshot{cfg: m.Cfg}
+	s.cfg.Shards = m.Shards()
+	st := &s.st
+	dec := gob.NewDecoder(bytes.NewReader(state))
+	if err := dec.Decode(st); err != nil {
+		return nil, fmt.Errorf("diva: decode snapshot: %w", err)
+	}
+	if st.Cluster == nil {
+		if m.cluster != nil {
+			return nil, fmt.Errorf("diva: sequential stored snapshot, machine resolves %d shards", s.cfg.Shards)
+		}
+	} else if m.cluster == nil || len(st.Cluster.Kernels) != s.cfg.Shards {
+		return nil, fmt.Errorf("diva: stored snapshot has %d shards, machine resolves %d", len(st.Cluster.Kernels), s.cfg.Shards)
+	}
+	if st.Net == nil {
+		return nil, fmt.Errorf("diva: stored snapshot has no network state")
+	}
+	if err := m.Net.CheckState(st.Net); err != nil {
+		return nil, err
+	}
+	if len(st.Barrier.Epoch) != len(m.bar.epoch) {
+		return nil, fmt.Errorf("diva: stored barrier has %d epochs, machine has %d", len(st.Barrier.Epoch), len(m.bar.epoch))
+	}
+	if len(st.Caches) != len(m.caches) {
+		return nil, fmt.Errorf("diva: stored snapshot has %d caches, machine has %d", len(st.Caches), len(m.caches))
+	}
+	if (st.Strat != nil) != (m.Strat != nil) {
+		return nil, fmt.Errorf("diva: stored snapshot and machine disagree on having a strategy")
+	}
+	for i := range st.Caches {
+		for _, key := range st.Caches[i].Keys {
+			if st.Strat == nil {
+				return nil, fmt.Errorf("diva: stored snapshot has cache keys but no strategy state")
+			}
+			if int(key.Var) < 0 || int(key.Var) >= len(st.Vars) || !st.Vars[key.Var].Present {
+				return nil, fmt.Errorf("diva: stored cache entry for unknown variable %d", key.Var)
+			}
+		}
+	}
+
+	// The bitmap is the fixed home strategy's copy directory: a bit past
+	// the last processor would address a node that does not exist.
+	words, live := m.localWords(), 0
+	for i := range st.Vars {
+		if st.Vars[i].Present {
+			live++
+		}
+	}
+	if len(locals) != 8*words*live {
+		return nil, fmt.Errorf("diva: stored bitmap section has %d bytes, %d variables of %d words need %d", len(locals), live, words, 8*words*live)
+	}
+	s.locals = make([]uint64, words*live)
+	for i := range s.locals {
+		s.locals[i] = binary.LittleEndian.Uint64(locals[8*i:])
+	}
+	if tail := uint(m.P()) & 63; tail != 0 {
+		for i := words - 1; i < len(s.locals); i += words {
+			if s.locals[i]>>tail != 0 {
+				return nil, fmt.Errorf("diva: stored snapshot marks a copy beyond processor %d", m.P()-1)
+			}
+		}
+	}
+	if st.Strat != nil {
+		forker, ok := m.Strat.(Forker)
+		if !ok {
+			return nil, fmt.Errorf("diva: strategy %q does not support snapshot/fork", m.Strat.Name())
+		}
+		if err := forker.LoadState(st.Strat, tables, st.Vars); err != nil {
+			return nil, err
+		}
+	} else if len(tables) != 0 {
+		return nil, fmt.Errorf("diva: stored snapshot has strategy tables but no strategy state")
+	}
+	var err error
+	if s.data, err = decodeValues(dec, st.Vars); err != nil {
+		return nil, fmt.Errorf("diva: decode snapshot: variable values: %w", err)
 	}
 	return s, nil
 }

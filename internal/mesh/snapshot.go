@@ -23,57 +23,66 @@ import (
 // send counters (folded into the global counters here; SendStats only ever
 // reports the sum).
 
-// NetworkState is a deep copy of a Network's mutable simulated state. It is
-// immutable after capture; any number of forks can restore from one.
+// NetworkState is a deep copy of a Network's mutable simulated state: the
+// value a fork restores from and, its fields being exported, the value
+// encoding/gob writes into a snapshot file (diva/snapstore) — one
+// representation for both. It is immutable after capture; any number of
+// forks can restore from one. Message payloads are shared by reference
+// (immutable by the library-wide contract) and cross the gob boundary as
+// interface values of types their defining packages register.
 type NetworkState struct {
-	links     []link
-	cpuFree   []sim.Time
-	computeUS []float64
-	sendMsgs  [256]uint64
-	sendBytes [256]uint64
-	inboxes   []inboxState
+	// Per directed link: the busy-until clock and the accumulated load.
+	LinkBusy  []sim.Time
+	LinkMsgs  []uint64
+	LinkBytes []uint64
+	CPUFree   []sim.Time
+	ComputeUS []float64
+	SendMsgs  [256]uint64
+	SendBytes [256]uint64
+	Inboxes   []InboxState
 
 	// Fault engine position: the schedule cursor plus counters. The
 	// schedule itself is part of the machine configuration (replayed at
 	// fork construction), so the position fully determines link state —
 	// restore re-applies the schedule prefix.
-	faultCursor int
-	faultStats  FaultStats
+	FaultCursor int
+	FaultStats  FaultStats
 
 	// Reactive transport state (nil for oracle-mode captures): per-node
 	// jitter-RNG positions, channel sequence counters, receiver dedup
 	// state and suspect sets, plus the folded transport counters. No
 	// outstanding transmissions or timers exist at quiescence (a live
 	// record always holds a pending timer, which blocks the capture).
-	react *reactCapture
+	React *ReactState
 }
 
-// reactCapture is the reactive transport's captured state.
-type reactCapture struct {
-	stats FaultStats // folded per-node counters plus any restored baseline
-	nodes []reactNodeCap
+// ReactState is the reactive transport's captured state.
+type ReactState struct {
+	Stats FaultStats // folded per-node counters plus any restored baseline
+	Nodes []ReactNodeState
 }
 
-// reactNodeCap is one node's transport state in canonical (sorted-key)
-// form, so captures of identical runs are identical.
-type reactNodeCap struct {
-	rng       xrand.State
-	sendDst   []int
-	sendSeq   []uint32
-	recvSrc   []int
-	recvFloor []uint32
-	recvSeen  [][]uint32
-	suspDst   []int
-	suspAt    []sim.Time
+// ReactNodeState is one node's transport state in canonical form —
+// parallel key/value slices, keys ascending — so captures of identical
+// runs are identical.
+type ReactNodeState struct {
+	RNG       xrand.State
+	SendDst   []int
+	SendSeq   []uint32
+	RecvSrc   []int
+	RecvFloor []uint32
+	RecvSeen  [][]uint32
+	SuspDst   []int
+	SuspAt    []sim.Time
 }
 
-// inboxState is one node's queued inbox messages, per tag in ascending tag
-// order, each tag's queue in FIFO order. Msg values are copied (payloads
-// are shared by reference; the library-wide contract treats them as
-// immutable).
-type inboxState struct {
-	tags   []int
-	queues [][]Msg
+// InboxState is one node's queued inbox messages, per tag in ascending tag
+// order, each tag's queue in FIFO order. Msg values are copied; of a Msg
+// only the exported fields reach a snapshot file, which is all a delivered
+// message still needs.
+type InboxState struct {
+	Tags   []int
+	Queues [][]Msg
 }
 
 // SnapshotState captures the network's state. It fails when state that
@@ -89,28 +98,34 @@ func (nw *Network) SnapshotState() (*NetworkState, error) {
 		}
 	}
 	st := &NetworkState{
-		links:     append([]link(nil), nw.links...),
-		cpuFree:   append([]sim.Time(nil), nw.cpuFree...),
-		computeUS: append([]float64(nil), nw.computeUS...),
-		sendMsgs:  nw.sendMsgs,
-		sendBytes: nw.sendBytes,
-		inboxes:   make([]inboxState, len(nw.inboxes)),
+		LinkBusy:  make([]sim.Time, len(nw.links)),
+		LinkMsgs:  make([]uint64, len(nw.links)),
+		LinkBytes: make([]uint64, len(nw.links)),
+		CPUFree:   append([]sim.Time(nil), nw.cpuFree...),
+		ComputeUS: append([]float64(nil), nw.computeUS...),
+		SendMsgs:  nw.sendMsgs,
+		SendBytes: nw.sendBytes,
+		Inboxes:   make([]InboxState, len(nw.inboxes)),
+	}
+	for i := range nw.links {
+		l := &nw.links[i]
+		st.LinkBusy[i], st.LinkMsgs[i], st.LinkBytes[i] = l.busyUntil, l.load.Msgs, l.load.Bytes
 	}
 	if nw.faults != nil {
-		st.faultCursor = nw.faults.cursor
-		st.faultStats = nw.faults.stats
+		st.FaultCursor = nw.faults.cursor
+		st.FaultStats = nw.faults.stats
 	}
 	// Fold the per-shard counters of in-window node-local sends into the
 	// global arrays: SendStats reports the sum, so the split is invisible.
 	for i := range nw.statSh {
 		sh := &nw.statSh[i]
 		for k := range sh.msgs {
-			st.sendMsgs[k] += sh.msgs[k]
-			st.sendBytes[k] += sh.bytes[k]
+			st.SendMsgs[k] += sh.msgs[k]
+			st.SendBytes[k] += sh.bytes[k]
 		}
 	}
 	if r := nw.react; r != nil {
-		rc := &reactCapture{stats: r.base, nodes: make([]reactNodeCap, len(r.nodes))}
+		rc := &ReactState{Stats: r.base, Nodes: make([]ReactNodeState, len(r.nodes))}
 		for i := range r.nodes {
 			n := &r.nodes[i]
 			if len(n.out) > 0 {
@@ -118,44 +133,44 @@ func (nw *Network) SnapshotState() (*NetworkState, error) {
 				// timer, which keeps the kernel busy. Defensive.
 				return nil, fmt.Errorf("mesh: node %d has %d outstanding transmissions", i, len(n.out))
 			}
-			rc.stats = rc.stats.add(n.stats)
-			nc := &rc.nodes[i]
-			nc.rng = n.rng.State()
-			nc.sendDst = make([]int, 0, len(n.nextSend))
+			rc.Stats = rc.Stats.add(n.stats)
+			nc := &rc.Nodes[i]
+			nc.RNG = n.rng.State()
+			nc.SendDst = make([]int, 0, len(n.nextSend))
 			for d := range n.nextSend {
-				nc.sendDst = append(nc.sendDst, d)
+				nc.SendDst = append(nc.SendDst, d)
 			}
-			sort.Ints(nc.sendDst)
-			nc.sendSeq = make([]uint32, len(nc.sendDst))
-			for j, d := range nc.sendDst {
-				nc.sendSeq[j] = n.nextSend[d]
+			sort.Ints(nc.SendDst)
+			nc.SendSeq = make([]uint32, len(nc.SendDst))
+			for j, d := range nc.SendDst {
+				nc.SendSeq[j] = n.nextSend[d]
 			}
-			nc.recvSrc = make([]int, 0, len(n.recv))
+			nc.RecvSrc = make([]int, 0, len(n.recv))
 			for s := range n.recv {
-				nc.recvSrc = append(nc.recvSrc, s)
+				nc.RecvSrc = append(nc.RecvSrc, s)
 			}
-			sort.Ints(nc.recvSrc)
-			nc.recvFloor = make([]uint32, len(nc.recvSrc))
-			nc.recvSeen = make([][]uint32, len(nc.recvSrc))
-			for j, s := range nc.recvSrc {
+			sort.Ints(nc.RecvSrc)
+			nc.RecvFloor = make([]uint32, len(nc.RecvSrc))
+			nc.RecvSeen = make([][]uint32, len(nc.RecvSrc))
+			for j, s := range nc.RecvSrc {
 				ch := n.recv[s]
-				nc.recvFloor[j] = ch.floor
+				nc.RecvFloor[j] = ch.floor
 				for sq := range ch.seen {
-					nc.recvSeen[j] = append(nc.recvSeen[j], sq)
+					nc.RecvSeen[j] = append(nc.RecvSeen[j], sq)
 				}
-				sort.Slice(nc.recvSeen[j], func(a, b int) bool { return nc.recvSeen[j][a] < nc.recvSeen[j][b] })
+				sort.Slice(nc.RecvSeen[j], func(a, b int) bool { return nc.RecvSeen[j][a] < nc.RecvSeen[j][b] })
 			}
-			nc.suspDst = make([]int, 0, len(n.suspect))
+			nc.SuspDst = make([]int, 0, len(n.suspect))
 			for d := range n.suspect {
-				nc.suspDst = append(nc.suspDst, d)
+				nc.SuspDst = append(nc.SuspDst, d)
 			}
-			sort.Ints(nc.suspDst)
-			nc.suspAt = make([]sim.Time, len(nc.suspDst))
-			for j, d := range nc.suspDst {
-				nc.suspAt[j] = n.suspect[d]
+			sort.Ints(nc.SuspDst)
+			nc.SuspAt = make([]sim.Time, len(nc.SuspDst))
+			for j, d := range nc.SuspDst {
+				nc.SuspAt[j] = n.suspect[d]
 			}
 		}
-		st.react = rc
+		st.React = rc
 	}
 	for n := range nw.inboxes {
 		ib := &nw.inboxes[n]
@@ -164,96 +179,128 @@ func (nw *Network) SnapshotState() (*NetworkState, error) {
 				return nil, fmt.Errorf("mesh: node %d has a process blocked in Recv(tag=%d)", n, tag)
 			}
 		}
-		is := &st.inboxes[n]
+		is := &st.Inboxes[n]
 		for tag, q := range ib.queues {
 			if len(q) > 0 {
-				is.tags = append(is.tags, tag)
+				is.Tags = append(is.Tags, tag)
 			}
 		}
-		sort.Ints(is.tags)
-		is.queues = make([][]Msg, len(is.tags))
-		for i, tag := range is.tags {
+		sort.Ints(is.Tags)
+		is.Queues = make([][]Msg, len(is.Tags))
+		for i, tag := range is.Tags {
 			q := make([]Msg, len(ib.queues[tag]))
 			for j, m := range ib.queues[tag] {
 				q[j] = *m
 				q[j].pooled = false // inbox messages are never recycled
 			}
-			is.queues[i] = q
+			is.Queues[i] = q
 		}
 	}
 	return st, nil
 }
 
+// CheckState validates a state against this network's shape: every count
+// RestoreState relies on, so a state that passes restores without error on
+// any network of the same configuration. States captured live pass by
+// construction; the check is for states decoded from a snapshot file.
+func (nw *Network) CheckState(st *NetworkState) error {
+	if len(st.LinkBusy) != len(nw.links) || len(st.LinkMsgs) != len(nw.links) || len(st.LinkBytes) != len(nw.links) {
+		return fmt.Errorf("mesh: snapshot has %d/%d/%d link clocks/message counts/byte counts, network has %d links",
+			len(st.LinkBusy), len(st.LinkMsgs), len(st.LinkBytes), len(nw.links))
+	}
+	if n := len(nw.cpuFree); len(st.CPUFree) != n || len(st.ComputeUS) != n || len(st.Inboxes) != n {
+		return fmt.Errorf("mesh: snapshot has %d/%d/%d node clocks/compute totals/inboxes, network has %d nodes",
+			len(st.CPUFree), len(st.ComputeUS), len(st.Inboxes), n)
+	}
+	for n := range st.Inboxes {
+		if is := &st.Inboxes[n]; len(is.Tags) != len(is.Queues) {
+			return fmt.Errorf("mesh: snapshot inbox %d has %d tags but %d queues", n, len(is.Tags), len(is.Queues))
+		}
+	}
+	if nw.faults == nil {
+		if st.FaultCursor != 0 || st.FaultStats != (FaultStats{}) {
+			return fmt.Errorf("mesh: snapshot is mid fault schedule but the network has none installed")
+		}
+	} else if st.FaultCursor < 0 || st.FaultCursor > len(nw.faults.sched) {
+		return fmt.Errorf("mesh: snapshot is at entry %d of a %d-entry fault schedule", st.FaultCursor, len(nw.faults.sched))
+	}
+	if (st.React != nil) != (nw.react != nil) {
+		return fmt.Errorf("mesh: snapshot and network disagree on reactive mode")
+	}
+	if rc := st.React; rc != nil {
+		if len(rc.Nodes) != len(nw.react.nodes) {
+			return fmt.Errorf("mesh: snapshot has reactive state for %d nodes, network has %d", len(rc.Nodes), len(nw.react.nodes))
+		}
+		for i := range rc.Nodes {
+			nc := &rc.Nodes[i]
+			if len(nc.SendDst) != len(nc.SendSeq) ||
+				len(nc.RecvSrc) != len(nc.RecvFloor) || len(nc.RecvSrc) != len(nc.RecvSeen) ||
+				len(nc.SuspDst) != len(nc.SuspAt) {
+				return fmt.Errorf("mesh: snapshot reactive node %d has mismatched key/value slices", i)
+			}
+		}
+	}
+	return nil
+}
+
 // RestoreState overwrites a freshly constructed network's state with a
 // captured one. The topology (link and node counts) must match.
 func (nw *Network) RestoreState(st *NetworkState) error {
-	if len(st.links) != len(nw.links) {
-		return fmt.Errorf("mesh: snapshot has %d links, network has %d", len(st.links), len(nw.links))
-	}
-	if len(st.cpuFree) != len(nw.cpuFree) {
-		return fmt.Errorf("mesh: snapshot has %d nodes, network has %d", len(st.cpuFree), len(nw.cpuFree))
-	}
-	if st.faultCursor != 0 || st.faultStats != (FaultStats{}) {
-		if nw.faults == nil {
-			return fmt.Errorf("mesh: snapshot is mid fault schedule but the network has none installed")
-		}
-	}
-	if (st.react != nil) != (nw.react != nil) {
-		return fmt.Errorf("mesh: snapshot and network disagree on reactive mode")
-	}
-	if st.react != nil && len(st.react.nodes) != len(nw.react.nodes) {
-		return fmt.Errorf("mesh: snapshot has reactive state for %d nodes, network has %d", len(st.react.nodes), len(nw.react.nodes))
+	if err := nw.CheckState(st); err != nil {
+		return err
 	}
 	if nw.faults != nil {
-		nw.faults.resetTo(st.faultCursor)
-		nw.faults.stats = st.faultStats
+		nw.faults.resetTo(st.FaultCursor)
+		nw.faults.stats = st.FaultStats
 	}
-	if rc := st.react; rc != nil {
+	if rc := st.React; rc != nil {
 		r := nw.react
-		r.base = rc.stats
-		for i := range rc.nodes {
-			nc := &rc.nodes[i]
+		r.base = rc.Stats
+		for i := range rc.Nodes {
+			nc := &rc.Nodes[i]
 			n := &r.nodes[i]
-			n.rng.SetState(nc.rng)
+			n.rng.SetState(nc.RNG)
 			n.stats = FaultStats{} // folded into base at capture
-			n.nextSend = make(map[int]uint32, len(nc.sendDst))
-			for j, d := range nc.sendDst {
-				n.nextSend[d] = nc.sendSeq[j]
+			n.nextSend = make(map[int]uint32, len(nc.SendDst))
+			for j, d := range nc.SendDst {
+				n.nextSend[d] = nc.SendSeq[j]
 			}
 			n.out = make(map[uint64]*xmit)
-			n.recv = make(map[int]*recvChan, len(nc.recvSrc))
-			for j, s := range nc.recvSrc {
-				ch := &recvChan{floor: nc.recvFloor[j]}
-				for _, sq := range nc.recvSeen[j] {
+			n.recv = make(map[int]*recvChan, len(nc.RecvSrc))
+			for j, s := range nc.RecvSrc {
+				ch := &recvChan{floor: nc.RecvFloor[j]}
+				for _, sq := range nc.RecvSeen[j] {
 					if ch.seen == nil {
-						ch.seen = make(map[uint32]struct{}, len(nc.recvSeen[j]))
+						ch.seen = make(map[uint32]struct{}, len(nc.RecvSeen[j]))
 					}
 					ch.seen[sq] = struct{}{}
 				}
 				n.recv[s] = ch
 			}
-			n.suspect = make(map[int]sim.Time, len(nc.suspDst))
-			for j, d := range nc.suspDst {
-				n.suspect[d] = nc.suspAt[j]
+			n.suspect = make(map[int]sim.Time, len(nc.SuspDst))
+			for j, d := range nc.SuspDst {
+				n.suspect[d] = nc.SuspAt[j]
 			}
 		}
 	}
-	copy(nw.links, st.links)
-	copy(nw.cpuFree, st.cpuFree)
-	copy(nw.computeUS, st.computeUS)
-	nw.sendMsgs = st.sendMsgs
-	nw.sendBytes = st.sendBytes
-	for n := range st.inboxes {
-		is := &st.inboxes[n]
-		if len(is.tags) == 0 {
+	for i := range nw.links {
+		nw.links[i] = link{busyUntil: st.LinkBusy[i], load: LinkLoad{Msgs: st.LinkMsgs[i], Bytes: st.LinkBytes[i]}}
+	}
+	copy(nw.cpuFree, st.CPUFree)
+	copy(nw.computeUS, st.ComputeUS)
+	nw.sendMsgs = st.SendMsgs
+	nw.sendBytes = st.SendBytes
+	for n := range st.Inboxes {
+		is := &st.Inboxes[n]
+		if len(is.Tags) == 0 {
 			continue
 		}
 		ib := &nw.inboxes[n]
 		ib.init()
-		for i, tag := range is.tags {
-			q := make([]*Msg, len(is.queues[i]))
-			for j := range is.queues[i] {
-				m := is.queues[i][j] // copy, so forks never share a Msg
+		for i, tag := range is.Tags {
+			q := make([]*Msg, len(is.Queues[i]))
+			for j := range is.Queues[i] {
+				m := is.Queues[i][j] // copy, so forks never share a Msg
 				q[j] = &m
 			}
 			ib.queues[tag] = q

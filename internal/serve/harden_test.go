@@ -264,6 +264,16 @@ func TestSnapshotRestartRecovery(t *testing.T) {
 		t.Errorf("restart run diverged:\n got: %+v\nbase: %+v", got, base)
 	}
 
+	// The restore is visible in the health counters: the first run on the
+	// restarted server loaded the file, a second one finds it resident.
+	if hz := healthz(t, ts2); hz.SnapshotLoads != 1 || hz.SnapshotLoadUS <= 0 || hz.SnapshotHits != 0 {
+		t.Errorf("healthz after the first restored run: %+v, want 1 load with its time and no hit", hz)
+	}
+	run(ts2, "second run after restart")
+	if hz := healthz(t, ts2); hz.SnapshotLoads != 1 || hz.SnapshotHits != 1 {
+		t.Errorf("healthz after the second restored run: %+v, want still 1 load, and 1 hit", hz)
+	}
+
 	// The restarted server lists the stored snapshot.
 	resp2, err := ts2.Client().Get(ts2.URL + "/v1/snapshots")
 	if err != nil {

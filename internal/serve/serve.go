@@ -639,6 +639,12 @@ type healthzResponse struct {
 	Timeouts    int64  `json:"timeouts"`
 	Disconnects int64  `json:"disconnects"`
 	Snapshots   int    `json:"snapshots"`
+	// Snapshot cache: requests that found their snapshot (base machine or
+	// stored handle) resident, snapshots restored from the store because
+	// they were not, and the total time those restores took.
+	SnapshotHits   int64 `json:"snapshot_hits"`
+	SnapshotLoads  int64 `json:"snapshot_loads"`
+	SnapshotLoadUS int64 `json:"snapshot_load_us"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -656,6 +662,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Timeouts:    s.timeouts.Load(),
 		Disconnects: s.disconnects.Load(),
 		Snapshots:   s.snaps.len(),
+
+		SnapshotHits:   s.snaps.hits.Load(),
+		SnapshotLoads:  s.snaps.loads.Load(),
+		SnapshotLoadUS: s.snaps.loadUS.Load(),
 	})
 }
 
@@ -689,6 +699,8 @@ type snapCache struct {
 	cap   int
 	m     map[string]*snapEntry
 	order []string // least recently used first
+
+	hits, loads, loadUS atomic.Int64 // healthz counters
 }
 
 type snapEntry struct {
@@ -709,6 +721,7 @@ func (c *snapCache) entry(key string) *snapEntry {
 	}
 	e, ok := c.m[key]
 	if ok {
+		c.hits.Add(1)
 		c.touch(key)
 		return e
 	}
@@ -724,10 +737,15 @@ func (c *snapCache) entry(key string) *snapEntry {
 
 // drop removes a failed entry so a later request can retry: run-time
 // failures (a canceled warm-up, a vanished file) are not permanent
-// properties of the key the way validation failures are.
-func (c *snapCache) drop(key string) {
+// properties of the key the way validation failures are. Only e itself is
+// dropped: by the time its load has failed, e may have been evicted and the
+// key re-created by a request that succeeded.
+func (c *snapCache) drop(key string, e *snapEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.m[key] != e {
+		return
+	}
 	delete(c.m, key)
 	for i, k := range c.order {
 		if k == key {
@@ -735,6 +753,15 @@ func (c *snapCache) drop(key string) {
 			break
 		}
 	}
+}
+
+// load restores a stored snapshot into e, counting the restore.
+func (c *snapCache) load(e *snapEntry, store *snapstore.Store, handle string) {
+	start := time.Now()
+	e.sp, e.snap, e.err = store.Load(handle, diva.WithConcurrent(true))
+	e.restored = true
+	c.loads.Add(1)
+	c.loadUS.Add(time.Since(start).Microseconds())
 }
 
 // base returns the birth snapshot for the machine half of a normalized
@@ -768,14 +795,13 @@ func (s *Server) snapshotByHandle(handle string) (*snapEntry, error) {
 	key := "snap:" + handle
 	e := s.snaps.entry(key)
 	e.once.Do(func() {
-		e.sp, e.snap, e.err = s.store.Load(handle, diva.WithConcurrent(true))
-		e.restored = true
+		s.snaps.load(e, s.store, handle)
 		if e.err != nil {
 			e.err = fmt.Errorf("unknown snapshot %q: %w", handle, e.err)
 		}
 	})
 	if e.err != nil {
-		s.snaps.drop(key)
+		s.snaps.drop(key, e)
 		return nil, e.err
 	}
 	return e, nil
@@ -789,8 +815,7 @@ func (s *Server) warmOrLoad(ctx context.Context, handle string, sp spec.Spec) (*
 	e := s.snaps.entry(key)
 	e.once.Do(func() {
 		if s.store.Has(handle) {
-			e.sp, e.snap, e.err = s.store.Load(handle, diva.WithConcurrent(true))
-			e.restored = true
+			s.snaps.load(e, s.store, handle)
 			return
 		}
 		n := sp.Normalized()
@@ -819,7 +844,7 @@ func (s *Server) warmOrLoad(ctx context.Context, handle string, sp spec.Spec) (*
 		e.sp, e.snap = n, snap
 	})
 	if e.err != nil {
-		s.snaps.drop(key)
+		s.snaps.drop(key, e)
 		return nil, e.err
 	}
 	return e, nil

@@ -326,3 +326,29 @@ func TestSnapshotCacheSharing(t *testing.T) {
 		t.Errorf("snapshot cache holds %d machines, want 2 (workloads share)", n)
 	}
 }
+
+// TestSnapshotCacheDropIsByIdentity: a load that fails late must not take
+// down a healthy entry. Its own entry may have been LRU-evicted meanwhile
+// and the key re-created by a request that succeeded; dropping by key
+// would evict that one.
+func TestSnapshotCacheDropIsByIdentity(t *testing.T) {
+	c := snapCache{cap: 2}
+	failed := c.entry("snap:a") // its load is still running …
+	c.entry("snap:b")
+	c.entry("snap:c") // … when two other handles push it out …
+	healthy := c.entry("snap:a")
+	if healthy == failed {
+		t.Fatal("entry was not evicted; the test needs a second entry under the key")
+	}
+	c.drop("snap:a", failed) // … and only now it reports its failure.
+	if got := c.entry("snap:a"); got != healthy {
+		t.Error("dropping the failed entry evicted the healthy one created under the same key")
+	}
+	c.drop("snap:a", healthy)
+	if got := c.entry("snap:a"); got == healthy {
+		t.Error("drop left the entry it was given in the cache")
+	}
+	if n := c.len(); n != 2 {
+		t.Errorf("cache holds %d entries, want 2", n)
+	}
+}

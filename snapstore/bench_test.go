@@ -1,0 +1,117 @@
+package snapstore_test
+
+import (
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"diva"
+	"diva/snapstore"
+	"diva/spec"
+)
+
+// refSpec is the reference snapshot of this package's benchmarks: the
+// machine the repo benchmark's warm-state workload restores most, warmed
+// with pointer-heavy payloads (mesh 8×8 at4, Barnes-Hut 600 bodies × 2
+// steps: 910 live variables, a ~700 KB file).
+func refSpec() spec.Spec {
+	sp := machineSpec("mesh", "at4", 8, 8)
+	sp.Workload = spec.Workload{Name: "barneshut", Bodies: 600, Steps: 2, MeasureFrom: 1}
+	return sp
+}
+
+// warmSnapshot builds sp's machine, runs its warm-up workload and captures
+// the result.
+func warmSnapshot(tb testing.TB, sp spec.Spec) *diva.Snapshot {
+	tb.Helper()
+	m, warm, err := diva.FromSpec(sp, diva.WithConcurrent(true))
+	if err != nil {
+		tb.Fatalf("FromSpec: %v", err)
+	}
+	if _, err := warm.Run(m, nil); err != nil {
+		tb.Fatalf("%s: %v", warm.Name(), err)
+	}
+	snap, err := m.Snapshot()
+	if err != nil {
+		tb.Fatalf("Snapshot: %v", err)
+	}
+	return snap
+}
+
+// savedRef stores the reference snapshot in a fresh store and returns the
+// store, the handle, the snapshot and the file size.
+func savedRef(tb testing.TB) (*snapstore.Store, string, *diva.Snapshot, int64) {
+	tb.Helper()
+	sp := refSpec()
+	snap := warmSnapshot(tb, sp)
+	st, err := snapstore.Open(tb.TempDir())
+	if err != nil {
+		tb.Fatalf("Open: %v", err)
+	}
+	handle := snapstore.Handle(sp)
+	if err := st.Save(handle, sp, snap); err != nil {
+		tb.Fatalf("Save: %v", err)
+	}
+	fi, err := os.Stat(filepath.Join(st.Dir(), handle+".snap"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return st, handle, snap, fi.Size()
+}
+
+func BenchmarkSave(b *testing.B) {
+	st, handle, snap, size := savedRef(b)
+	sp := refSpec()
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := st.Save(handle, sp, snap); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkLoad(b *testing.B) {
+	st, handle, _, size := savedRef(b)
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := st.Load(handle, diva.WithConcurrent(true)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestLoadAllocBudget pins the restore path's memory cost: one Load of the
+// reference snapshot may allocate at most 2.5× the file size and 3 000
+// objects. The file buffer and the decoded bulk tables are the floor; a
+// per-variable or per-node allocation creeping back in breaks the budget.
+func TestLoadAllocBudget(t *testing.T) {
+	st, handle, _, size := savedRef(t)
+	load := func() {
+		if _, _, err := st.Load(handle, diva.WithConcurrent(true)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	load() // lazily built tables (gob engines, registries) are not the restore's cost
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		load()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	objs := float64(after.Mallocs-before.Mallocs) / runs
+	t.Logf("file %d bytes; one Load allocates %.0f bytes (%.2f× the file) in %.0f objects", size, bytes, bytes/float64(size), objs)
+	if bytes > 2.5*float64(size) {
+		t.Errorf("Load allocates %.0f bytes, more than 2.5× the %d-byte file", bytes, size)
+	}
+	if objs > 3000 {
+		t.Errorf("Load allocates %.0f objects, budget 3000", objs)
+	}
+}

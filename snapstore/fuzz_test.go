@@ -1,0 +1,109 @@
+package snapstore_test
+
+import (
+	"encoding/binary"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"diva"
+	"diva/snapstore"
+	"diva/spec"
+)
+
+// FuzzLoad feeds arbitrary bytes to the store as a snapshot file. Whatever
+// they are, List and Load return — an error, or a snapshot that forks —
+// without panicking and without allocating more than a constant multiple
+// of the input (plus a constant: the rebuilt machine, and the fixed-size
+// chunks encoding/gob allocates for a slice before its elements arrive).
+// Every input is tried twice, as it is and under a matching checksum, so
+// that mutations reach the decoders behind the checksum.
+func FuzzLoad(f *testing.F) {
+	matmul := spec.Workload{Name: "matmul", Block: 64, Seed: 1}
+	bare := spec.Spec{Topology: "mesh", Rows: 4, Cols: 4, Tree: "2-ary", Seed: 1999,
+		Workload: spec.Workload{Name: "stencil", Iters: 2, Halo: 32, Compute: true, Seed: 7}}
+	seedDir := f.TempDir()
+	for _, sp := range []spec.Spec{machineSpec("mesh", "at4", 4, 4), machineSpec("torus", "fixedhome", 4, 4), bare} {
+		if sp.Workload.Name == "" {
+			sp.Workload = matmul
+		}
+		st, err := snapstore.Open(seedDir)
+		if err != nil {
+			f.Fatal(err)
+		}
+		handle := snapstore.Handle(sp)
+		if err := st.Save(handle, sp, warmSnapshot(f, sp)); err != nil {
+			f.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(seedDir, handle+".snap"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		off := fileSections(f, data)
+		for i := 1; i < len(off); i++ {
+			f.Add(data[:off[i]-1]) // torn inside a part
+			f.Add(data[:off[i]])   // torn at a boundary
+			if off[i-1] < off[i] {
+				flipped := append([]byte(nil), data...)
+				flipped[(off[i-1]+off[i])/2] ^= 0x10
+				f.Add(flipped)
+			}
+		}
+		long := append([]byte(nil), data...)
+		binary.LittleEndian.PutUint64(long[16:], 1<<40) // a table section larger than the file
+		f.Add(long)
+		f.Add(append([]byte("DIVASNP2"), data[8:]...))
+	}
+
+	dir := f.TempDir()
+	const handle = "0123456789abcdef"
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := snapstore.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := [][]byte{data}
+		if len(data) >= 8 {
+			files = append(files, stamp(append([]byte(nil), data[:len(data)-8]...)))
+		}
+		for _, file := range files {
+			if err := os.WriteFile(filepath.Join(dir, handle+".snap"), file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			entries, err := st.List()
+			if err != nil {
+				t.Fatalf("List: %v", err)
+			}
+			// A file names its machine, and a mutated spec can name one too
+			// large to build in a fuzz iteration; the spec layer is not
+			// what is fuzzed here.
+			if len(entries) == 1 && tooLarge(entries[0].Spec) {
+				continue
+			}
+			_, snap, err := st.Load(handle, diva.WithConcurrent(true))
+			if err == nil {
+				if _, err := diva.Fork(snap); err != nil {
+					t.Errorf("Load accepted a snapshot that does not fork: %v", err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(file)+64<<20); got > limit {
+				t.Errorf("%d bytes allocated for a %d-byte file (limit %d)", got, len(file), limit)
+			}
+		}
+	})
+}
+
+func tooLarge(sp spec.Spec) bool {
+	if sp.Rows < 0 || sp.Cols < 0 || sp.Rows > 64 || sp.Cols > 64 || sp.Rows*sp.Cols > 256 || sp.Shards > 8 {
+		return true
+	}
+	if ft := sp.Fault; ft != nil && (len(ft.Events) > 64 || ft.LinkFailures > 64 || ft.NodeChurn > 64) {
+		return true
+	}
+	return false
+}

@@ -1,18 +1,49 @@
 // Package snapstore persists machine snapshots to disk, crash-consistently.
 //
-// A stored snapshot is one file: the machine's normalized spec document
-// (the serializable run description of diva/spec) followed by the
-// gob-encoded wire form of the simulated state, under a versioned magic
-// header and over an FNV-1a checksum. Writes are atomic — temp file,
-// fsync, rename, directory fsync — so a crash mid-save leaves either the
-// previous version or nothing, never a torn file; a torn or tampered file
-// fails the checksum at load time instead of resurrecting corrupt state.
+// A stored snapshot is one file in the DIVASNP3 layout, laid out so that
+// restoring it is a checksum pass, one small gob decode and two linear
+// copies. All integers are little-endian:
 //
-// Load rebuilds a machine from the stored spec and grafts the wire state
-// onto its configuration, returning a Snapshot that forks bit-identically
-// to one captured live — across process restarts, which is the point: a
-// service can warm a machine once, persist the handle, and keep serving
-// forks from it after a crash or deploy.
+//	offset  size  content
+//	0       8     magic "DIVASNP3"
+//	8       8     S: length of the spec section
+//	16      8     T: length of the table section
+//	24      8     L: length of the bitmap section
+//	32      8     G: length of the state section
+//	40      S     spec: the machine's normalized spec document (the
+//	              serializable run description of diva/spec), JSON, with
+//	              the shard count pinned
+//	40+S    T     tables: the strategy's bulk protocol tables — every
+//	              access-tree node table in variable order, 8 bytes a node
+//	              (edges uint32, toward int8, member 0/1, acks 0, arrow
+//	              int8); empty for the other strategies
+//	..      L     bitmaps: the local-copy bitmap of every live variable in
+//	              variable order, ceil(P/64) uint64 words each
+//	..      G     state: one gob stream holding the irregular remainder —
+//	              kernel, network, barrier, cache and strategy state and the
+//	              per-variable scalars as one value, then the variable
+//	              values grouped by concrete type, one typed slice per type
+//	40+S+T+L+G 8  checksum of every byte before it: CRC-32C in the high
+//	              half, CRC-32 (IEEE) in the low half — both computed by
+//	              hardware instructions, and two independent polynomials
+//	              instead of one 32-bit check
+//
+// The four lengths must add up to the file size exactly, which is checked
+// before anything is allocated; the checksum is verified before anything
+// is decoded. Writes are atomic — temp file, fsync, rename, directory
+// fsync — so a crash mid-save leaves either the previous version or
+// nothing, never a torn file; a torn or tampered file fails the checksum at
+// load time instead of resurrecting corrupt state. Files of an older layout
+// (DIVASNP1, DIVASNP2) are refused by their magic.
+//
+// Load rebuilds a machine from the stored spec and decodes the sections
+// straight into the state a fork restores from — the same representation a
+// live capture has — after validating every shape against the rebuilt
+// machine, returning a Snapshot that forks bit-identically to one captured
+// live — across process restarts, which is the point: a service can warm a
+// machine once, persist the handle, and keep serving forks from it after a
+// crash or deploy. Saving is deterministic: the same snapshot always
+// produces the same bytes, and Save → Load → Save reproduces the file.
 //
 // The store holds the machine's simulated state only. Variable payloads
 // and strategy state cross the gob boundary through concrete types
@@ -24,14 +55,16 @@ package snapstore
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 
 	"diva"
 	"diva/internal/core"
@@ -40,10 +73,21 @@ import (
 
 // magic is the file format version header. Bump the trailing digit on any
 // incompatible layout change; old files then fail with a clear error
-// instead of a gob decode panic. (2: packed access-tree node tables, the
-// copy directory of the fixed home strategy carried by the variables'
-// per-processor bitmaps.)
-const magic = "DIVASNP2"
+// instead of a decode failure.
+const magic = "DIVASNP3"
+
+// headerLen is the magic plus the four section lengths; sumLen the
+// trailing checksum.
+const (
+	headerLen = len(magic) + 4*8
+	sumLen    = 8
+)
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+func checksum(body []byte) uint64 {
+	return uint64(crc32.Checksum(body, castagnoli))<<32 | uint64(crc32.ChecksumIEEE(body))
+}
 
 const fileExt = ".snap"
 
@@ -114,34 +158,28 @@ func (s *Store) Save(handle string, sp spec.Spec, snap *diva.Snapshot) error {
 		return err
 	}
 	sp = sp.Normalized()
-	if w.Cluster != nil {
-		sp.Shards = len(w.Cluster.Kernels)
-	} else {
-		sp.Shards = 1
-	}
+	sp.Shards = w.Shards
 	specJSON, err := json.Marshal(sp)
 	if err != nil {
 		return fmt.Errorf("snapstore: marshal spec: %w", err)
 	}
-	var blob bytes.Buffer
-	if err := gob.NewEncoder(&blob).Encode(w); err != nil {
-		return fmt.Errorf("snapstore: encode snapshot: %w", err)
+	var state bytes.Buffer
+	if err := w.WriteState(&state); err != nil {
+		return err
 	}
-
-	var buf bytes.Buffer
-	buf.WriteString(magic)
-	var uv [binary.MaxVarintLen64]byte
-	buf.Write(uv[:binary.PutUvarint(uv[:], uint64(len(specJSON)))])
-	buf.Write(specJSON)
-	buf.Write(uv[:binary.PutUvarint(uv[:], uint64(blob.Len()))])
-	buf.Write(blob.Bytes())
-	h := fnv.New64a()
-	h.Write(buf.Bytes())
-	var sum [8]byte
-	binary.BigEndian.PutUint64(sum[:], h.Sum64())
-	buf.Write(sum[:])
-
-	return s.writeAtomic(handle, buf.Bytes())
+	sections := [4][]byte{specJSON, w.Tables, w.Locals, state.Bytes()}
+	size := headerLen + sumLen
+	for _, sec := range sections {
+		size += len(sec)
+	}
+	file := append(make([]byte, 0, size), magic...)
+	for _, sec := range sections {
+		file = binary.LittleEndian.AppendUint64(file, uint64(len(sec)))
+	}
+	for _, sec := range sections {
+		file = append(file, sec...)
+	}
+	return s.writeAtomic(handle, binary.LittleEndian.AppendUint64(file, checksum(file)))
 }
 
 func (s *Store) writeAtomic(handle string, data []byte) error {
@@ -195,66 +233,93 @@ func (s *Store) Load(handle string, extra ...diva.Option) (spec.Spec, *diva.Snap
 	if err := checkHandle(handle); err != nil {
 		return sp, nil, err
 	}
-	data, err := os.ReadFile(s.path(handle))
+	data, err := readFile(s.path(handle))
 	if err != nil {
 		return sp, nil, fmt.Errorf("snapstore: %w", err)
 	}
-	specJSON, blob, err := parseFile(data)
+	defer fileBufs.Put(data)
+	sections, err := parseFile(*data)
 	if err != nil {
 		return sp, nil, fmt.Errorf("snapstore: %s%s: %w", handle, fileExt, err)
 	}
-	if err := json.Unmarshal(specJSON, &sp); err != nil {
+	if err := json.Unmarshal(sections[0], &sp); err != nil {
 		return sp, nil, fmt.Errorf("snapstore: %s%s: spec: %w", handle, fileExt, err)
-	}
-	var w core.SnapshotWire
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&w); err != nil {
-		return sp, nil, fmt.Errorf("snapstore: %s%s: decode snapshot: %w", handle, fileExt, err)
 	}
 	m, err := diva.MachineFromSpec(sp, extra...)
 	if err != nil {
 		return sp, nil, fmt.Errorf("snapstore: %s%s: rebuild machine: %w", handle, fileExt, err)
 	}
-	snap, err := core.SnapshotFromWire(m, &w)
+	snap, err := core.SnapshotFromWire(m, sections[1], sections[2], sections[3])
 	if err != nil {
 		return sp, nil, fmt.Errorf("snapstore: %s%s: %w", handle, fileExt, err)
 	}
 	return sp, snap, nil
 }
 
-func parseFile(data []byte) (specJSON, blob []byte, err error) {
-	if len(data) < len(magic)+8 {
-		return nil, nil, fmt.Errorf("truncated file (%d bytes)", len(data))
-	}
-	if got := string(data[:len(magic)]); got != magic {
-		return nil, nil, fmt.Errorf("bad magic %q, want %q", got, magic)
-	}
-	body, sum := data[:len(data)-8], data[len(data)-8:]
-	h := fnv.New64a()
-	h.Write(body)
-	if got := binary.BigEndian.Uint64(sum); got != h.Sum64() {
-		return nil, nil, fmt.Errorf("checksum mismatch: file %016x, computed %016x", got, h.Sum64())
-	}
-	rest := body[len(magic):]
-	specJSON, rest, err = lengthPrefixed(rest, "spec")
+// fileBufs recycles Load's file buffers. Every section is decoded by copy,
+// so once Load returns nothing refers to the file's bytes — and allocating
+// and zeroing a fresh buffer per restore would cost more than the checksum
+// pass over it.
+var fileBufs sync.Pool
+
+func readFile(path string) (*[]byte, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	blob, rest, err = lengthPrefixed(rest, "snapshot")
+	defer f.Close()
+	fi, err := f.Stat()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if len(rest) != 0 {
-		return nil, nil, fmt.Errorf("%d trailing bytes", len(rest))
+	buf, _ := fileBufs.Get().(*[]byte)
+	if buf == nil {
+		buf = new([]byte)
 	}
-	return specJSON, blob, nil
+	if n := int(fi.Size()); cap(*buf) < n {
+		*buf = make([]byte, n)
+	} else {
+		*buf = (*buf)[:n]
+	}
+	if _, err := io.ReadFull(f, *buf); err != nil {
+		fileBufs.Put(buf)
+		return nil, err
+	}
+	return buf, nil
 }
 
-func lengthPrefixed(data []byte, what string) (field, rest []byte, err error) {
-	n, k := binary.Uvarint(data)
-	if k <= 0 || n > uint64(len(data)-k) {
-		return nil, nil, fmt.Errorf("truncated %s section", what)
+// parseFile checks a file's framing — magic, section lengths against the
+// file size, checksum — and returns its four sections (spec, tables,
+// bitmaps, state), aliasing data.
+func parseFile(data []byte) (sections [4][]byte, err error) {
+	if len(data) < headerLen+sumLen {
+		return sections, fmt.Errorf("truncated file (%d bytes)", len(data))
 	}
-	return data[k : k+int(n)], data[k+int(n):], nil
+	if got := string(data[:len(magic)]); got != magic {
+		return sections, fmt.Errorf("bad magic %q, want %q", got, magic)
+	}
+	body := data[:len(data)-sumLen]
+	rest := uint64(len(body) - headerLen)
+	var lens [4]uint64
+	for i := range lens {
+		lens[i] = binary.LittleEndian.Uint64(data[len(magic)+8*i:])
+		if lens[i] > rest {
+			return sections, fmt.Errorf("section %d claims %d bytes, %d are left of a %d-byte file", i, lens[i], rest, len(data))
+		}
+		rest -= lens[i]
+	}
+	if rest != 0 {
+		return sections, fmt.Errorf("%d trailing bytes", rest)
+	}
+	if got, want := binary.LittleEndian.Uint64(data[len(body):]), checksum(body); got != want {
+		return sections, fmt.Errorf("checksum mismatch: file %016x, computed %016x", got, want)
+	}
+	off := uint64(headerLen)
+	for i, n := range lens {
+		sections[i] = body[off : off+n : off+n]
+		off += n
+	}
+	return sections, nil
 }
 
 // Entry describes one stored snapshot.
@@ -285,12 +350,12 @@ func (s *Store) List() ([]Entry, error) {
 		if err != nil {
 			continue
 		}
-		specJSON, _, err := parseFile(data)
+		sections, err := parseFile(data)
 		if err != nil {
 			continue
 		}
 		var sp spec.Spec
-		if err := json.Unmarshal(specJSON, &sp); err != nil {
+		if err := json.Unmarshal(sections[0], &sp); err != nil {
 			continue
 		}
 		out = append(out, Entry{Handle: handle, Spec: sp})

@@ -11,10 +11,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"diva"
@@ -166,7 +167,7 @@ func TestDiskABDSM(t *testing.T) {
 }
 
 // TestDiskABHandOpt pins the disk round trip on strategy-free machines
-// under kernel sharding: the wire form carries the full cluster state.
+// under kernel sharding: the state section carries the full cluster state.
 func TestDiskABHandOpt(t *testing.T) {
 	query := diva.BitonicHandOpt(diva.BitonicConfig{KeysPerProc: 32, Check: true, Seed: 9})
 	for _, shards := range []int{1, 4} {
@@ -197,7 +198,7 @@ func TestDiskABBarnesHut(t *testing.T) {
 }
 
 // TestDiskABReactive pins the disk round trip for reactive-mode machines:
-// the transport's wire capture (per-node RNG positions, channel sequence
+// the transport's captured state (per-node RNG positions, channel sequence
 // counters, receiver dedup floors, suspect sets) must survive the
 // save/load boundary so forks from disk replay the query — including its
 // retransmissions and give-ups — bit-identically. The warm workload runs
@@ -246,21 +247,37 @@ func TestHandleStability(t *testing.T) {
 	}
 }
 
+// fileSections returns the offsets framing a DIVASNP3 file, as the package
+// comment lays it out: header, the four sections, checksum, end of file.
+func fileSections(t testing.TB, data []byte) [7]int {
+	t.Helper()
+	if len(data) < 48 || string(data[:8]) != "DIVASNP3" {
+		t.Fatalf("not a DIVASNP3 file: %d bytes, starts %q", len(data), data[:min(8, len(data))])
+	}
+	off := [7]int{0, 40}
+	for i := 0; i < 4; i++ {
+		off[i+2] = off[i+1] + int(binary.LittleEndian.Uint64(data[8+8*i:]))
+	}
+	off[6] = off[5] + 8
+	if off[6] != len(data) {
+		t.Fatalf("sections end at %d, file has %d bytes", off[6], len(data))
+	}
+	return off
+}
+
+// stamp returns body under the checksum the package comment documents.
+func stamp(body []byte) []byte {
+	sum := uint64(crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))<<32 | uint64(crc32.ChecksumIEEE(body))
+	return binary.LittleEndian.AppendUint64(body[:len(body):len(body)], sum)
+}
+
 // TestLoadRejectsCorruption pins the crash-consistency checks: a flipped
-// byte, a truncated file and a bad handle all fail loudly; stray temp
-// files are invisible to List.
+// byte in any part of the file, a truncated file and a bad handle all fail
+// loudly; stray temp files are invisible to List.
 func TestLoadRejectsCorruption(t *testing.T) {
 	sp := machineSpec("mesh", "at4", 4, 4)
 	sp.Workload = spec.Workload{Name: "matmul", Block: 64, Seed: 1}
-	m, warm, err := diva.FromSpec(sp, diva.WithConcurrent(true))
-	if err != nil {
-		t.Fatalf("FromSpec: %v", err)
-	}
-	mustRun(t, m, warm)
-	snap, err := m.Snapshot()
-	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
+	snap := warmSnapshot(t, sp)
 	dir := t.TempDir()
 	st, err := snapstore.Open(dir)
 	if err != nil {
@@ -276,14 +293,24 @@ func TestLoadRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Flip one byte mid-file: checksum mismatch.
-	bad := append([]byte(nil), data...)
-	bad[len(bad)/2] ^= 0x40
-	if err := os.WriteFile(path, bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := st.Load(handle); err == nil || !strings.Contains(err.Error(), "checksum") {
-		t.Errorf("corrupted file loaded: err = %v, want checksum mismatch", err)
+	// Flip one byte in the middle of each part of the file — the section
+	// lengths, the spec, the node tables, the bitmaps, the gob stream, the
+	// checksum itself: checksum mismatch every time (a damaged length may
+	// be caught by the framing check first).
+	off := fileSections(t, data)
+	for i, part := range []string{"header", "spec", "tables", "bitmaps", "state", "checksum"} {
+		if off[i] == off[i+1] {
+			t.Fatalf("%s section is empty, nothing to corrupt", part)
+		}
+		bad := append([]byte(nil), data...)
+		bad[max(8, (off[i]+off[i+1])/2)] ^= 0x40 // past the magic
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, got, err := st.Load(handle)
+		if err == nil || got != nil || !(strings.Contains(err.Error(), "checksum") || part == "header" && strings.Contains(err.Error(), "section")) {
+			t.Errorf("byte flipped in the %s: snapshot %v, err = %v; want a checksum mismatch", part, got, err)
+		}
 	}
 
 	// Truncate: a torn write must not decode.
@@ -326,22 +353,14 @@ func TestLoadRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsOldFormat: a well-formed file of the previous format
-// version (DIVASNP1: valid checksum, old gob shapes behind it) is refused
-// by its magic — Load reports it, List skips it — and never half-decoded
+// TestLoadRejectsOldFormat: well-formed files of the previous format
+// versions (valid checksum, old layouts behind the magic) are refused by
+// their magic — Load reports it, List skips them — and never half-decoded
 // into a machine.
 func TestLoadRejectsOldFormat(t *testing.T) {
 	sp := machineSpec("mesh", "fixedhome", 4, 4)
 	sp.Workload = spec.Workload{Name: "matmul", Block: 64, Seed: 1}
-	m, warm, err := diva.FromSpec(sp, diva.WithConcurrent(true))
-	if err != nil {
-		t.Fatalf("FromSpec: %v", err)
-	}
-	mustRun(t, m, warm)
-	snap, err := m.Snapshot()
-	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
+	snap := warmSnapshot(t, sp)
 	dir := t.TempDir()
 	st, err := snapstore.Open(dir)
 	if err != nil {
@@ -356,26 +375,152 @@ func TestLoadRejectsOldFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(data, []byte("DIVASNP2")) {
-		t.Fatalf("file starts with %q, want DIVASNP2", data[:8])
+	if !bytes.HasPrefix(data, []byte("DIVASNP3")) {
+		t.Fatalf("file starts with %q, want DIVASNP3", data[:8])
 	}
-	// Re-stamp the file as version 1 under a checksum that matches, so the
-	// magic is the only thing left to refuse it.
-	old := append([]byte("DIVASNP1"), data[8:len(data)-8]...)
-	h := fnv.New64a()
-	h.Write(old)
-	old = binary.BigEndian.AppendUint64(old, h.Sum64())
-	if err := os.WriteFile(path, old, 0o644); err != nil {
+	for _, magic := range []string{"DIVASNP1", "DIVASNP2"} {
+		// Re-stamp the file as the old version under a checksum that
+		// matches, so the magic is the only thing left to refuse it.
+		old := stamp(append([]byte(magic), data[8:len(data)-8]...))
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, got, err := st.Load(handle); err == nil || got != nil || !strings.Contains(err.Error(), "bad magic") {
+			t.Errorf("%s file: snapshot %v, err = %v; want a bad-magic error", magic, got, err)
+		}
+		entries, err := st.List()
+		if err != nil {
+			t.Fatalf("List: %v", err)
+		}
+		if len(entries) != 0 {
+			t.Errorf("List = %+v, want the %s file skipped", entries, magic)
+		}
+	}
+	// The same bytes under the current magic load: the magic was the reason.
+	if err := os.WriteFile(path, stamp(append([]byte(nil), data[:len(data)-8]...)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, got, err := st.Load(handle); err == nil || got != nil || !strings.Contains(err.Error(), "bad magic") {
-		t.Errorf("DIVASNP1 file: snapshot %v, err = %v; want a bad-magic error", got, err)
+	if _, _, err := st.Load(handle, diva.WithConcurrent(true)); err != nil {
+		t.Errorf("re-stamped current-format file failed to load: %v", err)
 	}
-	entries, err := st.List()
+}
+
+// TestSaveDeterministic: the same snapshot always produces the same bytes,
+// and a snapshot read back from a file saves to that very file again —
+// across strategies, with bounded caches, pointer-heavy payloads and a
+// reactive capture. (Position overrides, the one map in the state, are not
+// reachable from a spec; internal/core/accesstree pins them.)
+func TestSaveDeterministic(t *testing.T) {
+	matmul := spec.Workload{Name: "matmul", Block: 64, Seed: 1}
+	bounded := machineSpec("mesh", "at4", 4, 4)
+	bounded.CacheCapacity = 2048
+	reactive := machineSpec("mesh", "at4", 4, 4)
+	reactive.Fault = &spec.Fault{Events: []spec.FaultEvent{
+		{AtUS: 200, Kind: "node-down", A: 5},
+		{AtUS: 30000, Kind: "node-up", A: 5},
+	}}
+	reactive.Recovery = spec.RecoveryReactive
+	reactive.AckTimeoutUS, reactive.MaxRetries, reactive.Backoff = 500, 3, 2
+	barnesHut := machineSpec("mesh", "at4", 4, 4)
+	barnesHut.Workload = spec.Workload{Name: "barneshut", Bodies: 32, Steps: 2, MeasureFrom: 1}
+	sharded := spec.Spec{Topology: "mesh", Rows: 4, Cols: 4, Tree: "2-ary", Seed: 1999, Shards: 2,
+		Workload: spec.Workload{Name: "stencil", Iters: 3, Halo: 32, Compute: true, Check: true, Seed: 7}}
+	for name, sp := range map[string]spec.Spec{
+		"at4":        machineSpec("mesh", "at4", 8, 8),
+		"fixedhome":  machineSpec("torus", "fixedhome", 8, 8),
+		"bounded":    bounded,
+		"reactive":   reactive,
+		"barneshut":  barnesHut,
+		"handopt-x2": sharded,
+	} {
+		if sp.Workload.Name == "" {
+			sp.Workload = matmul
+		}
+		t.Run(name, func(t *testing.T) {
+			snap := warmSnapshot(t, sp)
+			dir := t.TempDir()
+			st, err := snapstore.Open(dir)
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			handle := snapstore.Handle(sp)
+			path := filepath.Join(dir, handle+".snap")
+			save := func(sp spec.Spec, snap *diva.Snapshot) []byte {
+				t.Helper()
+				if err := st.Save(handle, sp, snap); err != nil {
+					t.Fatalf("Save: %v", err)
+				}
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return data
+			}
+			first := save(sp, snap)
+			if again := save(sp, snap); !bytes.Equal(again, first) {
+				t.Error("saving the same snapshot twice produced different files")
+			}
+			spLoaded, loaded, err := st.Load(handle, diva.WithConcurrent(true))
+			if err != nil {
+				t.Fatalf("Load: %v", err)
+			}
+			if resaved := save(spLoaded, loaded); !bytes.Equal(resaved, first) {
+				off := fileSections(t, first)
+				t.Errorf("Save → Load → Save changed the file: %d → %d bytes (sections at %v)", len(first), len(resaved), off)
+			}
+		})
+	}
+}
+
+// TestLoadConcurrent: Loads share recycled file buffers, so concurrent
+// restores of different files must not see each other's bytes — every
+// loaded snapshot forks exactly like the live one it was saved from. (Run
+// under -race in CI.)
+func TestLoadConcurrent(t *testing.T) {
+	st, err := snapstore.Open(t.TempDir())
 	if err != nil {
-		t.Fatalf("List: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
-	if len(entries) != 0 {
-		t.Errorf("List = %+v, want the DIVASNP1 file skipped", entries)
+	query := diva.Bitonic(diva.BitonicConfig{KeysPerProc: 16, Check: true, Seed: 2})
+	var handles []string
+	var want []traj
+	for _, sp := range []spec.Spec{machineSpec("mesh", "at4", 4, 4), machineSpec("torus", "fixedhome", 4, 4)} {
+		sp.Workload = spec.Workload{Name: "matmul", Block: 64, Seed: 1}
+		snap := warmSnapshot(t, sp)
+		handle := snapstore.Handle(sp)
+		if err := st.Save(handle, sp, snap); err != nil {
+			t.Fatalf("Save: %v", err)
+		}
+		handles = append(handles, handle)
+		want = append(want, forkQuery(t, snap, query))
 	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 6; i++ {
+				k := (g + i) % len(handles)
+				_, snap, err := st.Load(handles[k], diva.WithConcurrent(true))
+				if err != nil {
+					t.Errorf("Load: %v", err)
+					return
+				}
+				f, err := diva.Fork(snap, diva.ForkConcurrent(true))
+				if err != nil {
+					t.Errorf("Fork: %v", err)
+					return
+				}
+				res, err := query.Run(f, nil)
+				if err != nil {
+					t.Errorf("%s: %v", query.Name(), err)
+					return
+				}
+				if got := capture(t, f, res); got != want[k] {
+					t.Errorf("concurrent restore of %s diverged:\n disk: %+v\n live: %+v", handles[k], got, want[k])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
