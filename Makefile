@@ -28,12 +28,15 @@ check-imports:
 	@echo "check-imports: examples/ and cmd/ are clean"
 
 # bench runs every figure benchmark (plus the kernel-queue and message-hop
-# micro-benchmarks) once and records ns/op, allocs/op and all reported
+# micro-benchmarks, and internal/core's fork and machine-build benchmarks)
+# once and records the host, ns/op, allocs/op and all reported
 # simulated-result metrics as BENCH_<date>.json, keeping the perf
-# trajectory machine-readable across PRs (see PERF.md).
-BENCH_PATTERN = 'BenchmarkFig|BenchmarkKernelQueue|BenchmarkMessageHop|BenchmarkShardScaling|BenchmarkGraphRoute|BenchmarkReactiveTransport'
+# trajectory machine-readable across PRs (see PERF.md). At one iteration
+# BenchmarkBuild is the cold build: topology, plan and machine.
+BENCH_PATTERN = 'BenchmarkFig|BenchmarkKernelQueue|BenchmarkMessageHop|BenchmarkShardScaling|BenchmarkGraphRoute|BenchmarkReactiveTransport|BenchmarkFork|BenchmarkBuild'
+BENCH_PKGS = . ./internal/core
 bench:
-	$(GO) test -run '^$$' -bench $(BENCH_PATTERN) -benchmem -benchtime 1x . \
+	$(GO) test -run '^$$' -bench $(BENCH_PATTERN) -benchmem -benchtime 1x $(BENCH_PKGS) \
 		| $(GO) run ./cmd/benchjson > BENCH_$(DATE).json
 	@echo wrote BENCH_$(DATE).json
 
@@ -41,14 +44,16 @@ bench:
 # BENCH_<date>.json baseline is never clobbered) and validates the pipeline
 # end to end: the JSON must parse and cover every BenchmarkFig the test
 # binary lists, and `benchjson -diff` gates it against the latest committed
-# BENCH_*.json in the tree — failing on >50% ns/op regressions and, with zero
+# BENCH_*.json in the tree — failing on >100% ns/op regressions (a single
+# iteration on a shared host resolves no less) and, with zero
 # tolerance, on ANY simulated-metric drift (the metrics are deterministic,
 # so a drift means the simulation semantics changed).
 # The baseline is the newest BENCH_*.json known to git (a local `make
-# bench` for a new date must not silently replace the gate's reference);
-# MAX_REGRESS is overridable because absolute ns/op is machine-relative —
-# CI compares cross-machine and passes a loose bound, the simulated-metric
-# check stays zero-tolerance everywhere.
+# bench` for a new date must not silently replace the gate's reference).
+# Absolute ns/op is machine-relative: benchjson compares it only when the
+# baseline and the fresh run record the same host (CPU model, nproc, Go
+# version, GOMAXPROCS), so on CI's shared runners the gate is allocs/op
+# and the simulated metrics, which stay zero-tolerance everywhere.
 # MAX_ALLOC_REGRESS gates allocs/op with a tight default: allocation
 # counts are near-deterministic and machine-independent, so unlike ns/op
 # the bound does not need to be loosened for cross-machine CI runs.
@@ -57,13 +62,13 @@ bench:
 # what the current test binary lists, so without the baseline check a new
 # benchmark family could land without ever refreshing BENCH_<date>.json.
 BASELINE = $(lastword $(sort $(shell git ls-files 'BENCH_*.json')))
-BENCH_REQUIRE = BenchmarkShardScaling,BenchmarkGraphRoute,BenchmarkReactiveTransport
-MAX_REGRESS ?= 50
+BENCH_REQUIRE = BenchmarkShardScaling,BenchmarkGraphRoute,BenchmarkReactiveTransport,BenchmarkFork,BenchmarkBuild
+MAX_REGRESS ?= 100
 MAX_ALLOC_REGRESS ?= 10
 bench-check:
-	$(GO) test -run '^$$' -bench $(BENCH_PATTERN) -benchmem -benchtime 1x . \
+	$(GO) test -run '^$$' -bench $(BENCH_PATTERN) -benchmem -benchtime 1x $(BENCH_PKGS) \
 		| $(GO) run ./cmd/benchjson > .bench-new.json
-	$(GO) test -run '^$$' -list $(BENCH_PATTERN) . | grep '^Benchmark' > .benchlist.txt
+	$(GO) test -run '^$$' -list $(BENCH_PATTERN) $(BENCH_PKGS) | grep '^Benchmark' > .benchlist.txt
 	$(GO) run ./cmd/benchjson -check .bench-new.json -expect .benchlist.txt -require $(BENCH_REQUIRE)
 	@if [ -n "$(BASELINE)" ]; then \
 		$(GO) run ./cmd/benchjson -check "$(BASELINE)" -require $(BENCH_REQUIRE); \

@@ -1,6 +1,7 @@
 // Command benchjson converts `go test -bench` output on stdin into a JSON
-// document mapping benchmark name to ns/op, allocation counters and every
-// reported simulated-result metric. `make bench` uses it to emit
+// document recording the host it ran on and, per benchmark name, ns/op,
+// allocation counters and every reported simulated-result metric. `make
+// bench` uses it to emit
 // BENCH_<date>.json, so the perf trajectory of the simulator — and the
 // simulated experiment outcomes riding along as b.ReportMetric values —
 // stay machine-readable across PRs.
@@ -9,7 +10,7 @@
 //
 //	go test -run '^$' -bench BenchmarkFig -benchmem . | benchjson > BENCH_2026-07-26.json
 //	benchjson -check BENCH_2026-07-26.json -expect benchlist.txt -require BenchmarkShardScaling
-//	benchjson -diff BENCH_old.json BENCH_new.json [-max-regress 50] [-max-alloc-regress 10]
+//	benchjson -diff BENCH_old.json BENCH_new.json [-max-regress 100] [-max-alloc-regress 10]
 //
 // Check mode guards the pipeline against silent drift: it verifies the
 // emitted file parses, that every benchmark named in -expect (one name per
@@ -23,7 +24,9 @@
 // Diff mode compares two emitted documents benchmark by benchmark and
 // fails when new is worse than old: an ns/op regression beyond
 // -max-regress percent (generous by default — CI runs single iterations
-// on shared machines, so wall-clock wobbles), an allocs/op regression
+// on shared machines, so wall-clock wobbles; not compared at all unless
+// both documents record the same host, since nanoseconds from two
+// machines say nothing about the code), an allocs/op regression
 // beyond -max-alloc-regress percent plus a small absolute slack
 // (allocation counts are near-deterministic, so the bound is tight and
 // machine-independent), a benchmark that disappeared, or — with zero
@@ -38,10 +41,27 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 )
+
+// host is where a document's numbers were measured. ns/op is comparable
+// only between documents whose hosts are equal.
+type host struct {
+	NProc      int    `json:"nproc"`
+	CPU        string `json:"cpu"` // the "cpu:" line of the go test output
+	GoVersion  string `json:"go_version"`
+	GoMaxProcs int    `json:"gomaxprocs"` // the -N suffix of the benchmark names
+}
+
+// document is an emitted BENCH_<date>.json. Files from before hosts were
+// recorded are the bare benchmarks map; loadResults reads both.
+type document struct {
+	Host       *host             `json:"host,omitempty"`
+	Benchmarks map[string]result `json:"benchmarks"`
+}
 
 // result is one benchmark line, decoded.
 type result struct {
@@ -57,7 +77,7 @@ func main() {
 	expect := flag.String("expect", "", "check mode: file listing required benchmark names, one per line")
 	require := flag.String("require", "", "check mode: comma-separated benchmark-name prefixes that must each match at least one entry")
 	diff := flag.Bool("diff", false, "compare two BENCH json files: benchjson -diff old.json new.json")
-	maxRegress := flag.Float64("max-regress", 50, "diff mode: max tolerated ns/op regression in percent")
+	maxRegress := flag.Float64("max-regress", 100, "diff mode: max tolerated ns/op regression in percent (same host, runs of 10 ms and more)")
 	maxAllocRegress := flag.Float64("max-alloc-regress", 10, "diff mode: max tolerated allocs/op regression in percent (plus a fixed slack of 16 allocs)")
 	flag.Parse()
 	if *diff {
@@ -80,10 +100,16 @@ func main() {
 	}
 
 	out := make(map[string]result)
+	// The converter runs on the host and toolchain of the benchmark run it
+	// is piped from (`go test ... | go run ./cmd/benchjson`).
+	h := &host{NProc: runtime.NumCPU(), GoVersion: runtime.Version(), GoMaxProcs: 1}
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
 		line := sc.Text()
+		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok {
+			h.CPU = cpu
+		}
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
 		}
@@ -95,8 +121,8 @@ func main() {
 		// Strip the -GOMAXPROCS suffix (e.g. "BenchmarkFoo-8") without
 		// touching digits that belong to the benchmark name itself.
 		if i := strings.LastIndexByte(name, '-'); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i]
+			if procs, err := strconv.Atoi(name[i+1:]); err == nil {
+				name, h.GoMaxProcs = name[:i], procs
 			}
 		}
 		iters, err := strconv.ParseInt(fields[1], 10, 64)
@@ -132,43 +158,56 @@ func main() {
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
+	if err := enc.Encode(document{Host: h, Benchmarks: out}); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
 }
 
-// loadResults reads and parses an emitted BENCH json document.
-func loadResults(path string) (map[string]result, error) {
+// loadResults reads and parses an emitted BENCH json document; the host
+// is nil for a file from before hosts were recorded.
+func loadResults(path string) (map[string]result, *host, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	got := make(map[string]result)
-	if err := json.Unmarshal(data, &got); err != nil {
-		return nil, fmt.Errorf("%s does not parse: %w", path, err)
+	var doc document
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return nil, nil, fmt.Errorf("%s does not parse: %w", path, err)
 	}
-	if len(got) == 0 {
-		return nil, fmt.Errorf("%s contains no benchmark entries", path)
+	if doc.Benchmarks == nil {
+		if err := json.Unmarshal(data, &doc.Benchmarks); err != nil {
+			return nil, nil, fmt.Errorf("%s does not parse: %w", path, err)
+		}
 	}
-	return got, nil
+	if len(doc.Benchmarks) == 0 {
+		return nil, nil, fmt.Errorf("%s contains no benchmark entries", path)
+	}
+	return doc.Benchmarks, doc.Host, nil
 }
 
 // runDiff compares new against old: it fails on a missing benchmark, an
-// ns/op regression beyond maxRegress percent, an allocs/op regression
+// ns/op regression beyond maxRegress percent when both ran on the same
+// recorded host and the old run took at least 10 ms (otherwise ns/op is
+// not compared), an allocs/op regression
 // beyond maxAllocRegress percent (+16 allocs absolute slack, so tiny
 // benchmarks with near-zero allocation counts don't trip on noise), or
 // any simulated-metric drift (zero tolerance: the metrics are
 // deterministic). New benchmarks and new metrics are reported but
 // allowed — the suite is expected to grow.
 func runDiff(oldPath, newPath string, maxRegress, maxAllocRegress float64) error {
-	old, err := loadResults(oldPath)
+	old, oldHost, err := loadResults(oldPath)
 	if err != nil {
 		return err
 	}
-	cur, err := loadResults(newPath)
+	cur, curHost, err := loadResults(newPath)
 	if err != nil {
 		return err
+	}
+	sameHost := oldHost != nil && curHost != nil && *oldHost == *curHost
+	nsGate := fmt.Sprintf("ns/op within %.0f%%", maxRegress)
+	if !sameHost {
+		nsGate = "ns/op not compared (different or unrecorded hosts)"
 	}
 	names := make([]string, 0, len(old))
 	for name := range old {
@@ -190,7 +229,10 @@ func runDiff(oldPath, newPath string, maxRegress, maxAllocRegress float64) error
 			continue
 		}
 		compared++
-		if o.NsPerOp > 0 && n.NsPerOp > o.NsPerOp*(1+maxRegress/100) {
+		// A run shorter than nsGateMin is one iteration of a microsecond
+		// benchmark: its time is scheduling noise, its allocs/op still count.
+		const nsGateMin = 10e6
+		if sameHost && o.NsPerOp*float64(o.Iterations) >= nsGateMin && n.NsPerOp > o.NsPerOp*(1+maxRegress/100) {
 			problems = append(problems, fmt.Sprintf("%s: ns/op regressed %.1f%% (%.0f -> %.0f, tolerance %.0f%%)",
 				name, 100*(n.NsPerOp/o.NsPerOp-1), o.NsPerOp, n.NsPerOp, maxRegress))
 		}
@@ -223,8 +265,8 @@ func runDiff(oldPath, newPath string, maxRegress, maxAllocRegress float64) error
 		}
 		return fmt.Errorf("%d problem(s) comparing %s -> %s", len(problems), oldPath, newPath)
 	}
-	fmt.Printf("benchjson: %s -> %s ok (%d benchmarks compared, %d added, ns/op within %.0f%%, allocs/op within %.0f%%, simulated metrics identical)\n",
-		oldPath, newPath, compared, added, maxRegress, maxAllocRegress)
+	fmt.Printf("benchjson: %s -> %s ok (%d benchmarks compared, %d added, %s, allocs/op within %.0f%%, simulated metrics identical)\n",
+		oldPath, newPath, compared, added, nsGate, maxAllocRegress)
 	return nil
 }
 
@@ -232,7 +274,7 @@ func runDiff(oldPath, newPath string, maxRegress, maxAllocRegress float64) error
 // every expected benchmark and at least one entry per required prefix,
 // and every entry must have run.
 func runCheck(path, expectPath, require string) error {
-	got, err := loadResults(path)
+	got, _, err := loadResults(path)
 	if err != nil {
 		return err
 	}
@@ -270,7 +312,15 @@ func runCheck(path, expectPath, require string) error {
 				continue
 			}
 			expected++
-			if _, ok := got[name]; !ok {
+			// `go test -list` names a benchmark, not its sub-benchmarks.
+			found := false
+			for have := range got {
+				if have == name || strings.HasPrefix(have, name+"/") {
+					found = true
+					break
+				}
+			}
+			if !found {
 				missing = append(missing, name)
 			}
 		}

@@ -71,7 +71,12 @@ type options struct {
 	cfg     core.Config
 	treeSet bool
 	defTree decomp.Spec
-	err     error
+	// named and build are the registry topology WithTopologyName selected
+	// (build nil: none); New builds it only if no machine plan of the
+	// process holds it already.
+	named core.TopoName
+	build topology.Builder
+	err   error
 }
 
 // Option configures a machine built by New.
@@ -88,7 +93,7 @@ func (o *options) fail(err error) {
 func WithMesh(rows, cols int) Option {
 	return func(o *options) {
 		o.cfg.Rows, o.cfg.Cols = rows, cols
-		o.cfg.Topology = nil
+		o.cfg.Topology, o.build = nil, nil
 	}
 }
 
@@ -100,20 +105,22 @@ func WithTopology(t Topology) Option {
 			o.fail(fmt.Errorf("diva: WithTopology(nil)"))
 			return
 		}
-		o.cfg.Topology = t
+		o.cfg.Topology, o.build = t, nil
 	}
 }
 
 // WithTopologyName selects the interconnect by registry name (see
-// diva/topology) for the canonical rows×cols machine size.
+// diva/topology) for the canonical rows×cols machine size. A registered
+// name and size denote one network: machines selecting it share one
+// topology instance, built by the first of them.
 func WithTopologyName(name string, rows, cols int) Option {
 	return func(o *options) {
-		t, err := topology.Build(name, rows, cols)
+		s, err := topology.Get(name)
 		if err != nil {
 			o.fail(err)
 			return
 		}
-		o.cfg.Topology = t
+		o.named, o.build = core.TopoName{Name: name, Rows: rows, Cols: cols}, s.Build
 	}
 }
 
@@ -264,6 +271,11 @@ func New(opts ...Option) (*Machine, error) {
 	}
 	if !o.treeSet && o.defTree != (decomp.Spec{}) {
 		o.cfg.Tree = o.defTree
+	}
+	if o.build != nil {
+		return core.NewNamedMachine(o.cfg, o.named, func() (Topology, error) {
+			return o.build(o.named.Rows, o.named.Cols)
+		})
 	}
 	return core.NewMachine(o.cfg)
 }

@@ -68,6 +68,15 @@
 // fork's random streams so independent scenario branches diverge from a
 // shared warm state.
 //
+// What depends only on the topology and the tree spec — the decomposition
+// tree every access tree is a copy of, the route memo, the embedding
+// position tables, a registry-named topology's instance with a graph's
+// BFS tables — is one immutable plan, built once per process and shared by
+// reference by every machine on that topology and tree: New finds it in a
+// small process-wide table, a Snapshot pins its machine's, and a Fork
+// builds only the per-machine state (links, clocks, inboxes, caches, the
+// kernel) before restoring the captured one.
+//
 // Long runs are cancellable without giving up determinism. RunContext and
 // WorkloadContext tie a run to a context.Context; cancellation (or an
 // expired deadline, or the spec's timeout_ms through the service) raises

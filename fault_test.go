@@ -206,3 +206,24 @@ func TestFaultKindNamesLockstep(t *testing.T) {
 		t.Error("unknown fault kind accepted")
 	}
 }
+
+// TestFaultGoldenDegraded pins the fault golden of the repo benchmark and
+// the verify notes in the root suite too: matmul on the 8×8 degraded mesh
+// under a drawn schedule. The degraded mesh's edge set, the drawn schedule
+// and the re-routing all feed this one fingerprint.
+func TestFaultGoldenDegraded(t *testing.T) {
+	m, w, err := diva.FromSpec(diva.Spec{
+		Topology: "graph:degraded", Rows: 8, Cols: 8, Strategy: "at4", Seed: 1999,
+		Fault:    &spec.Fault{LinkFailures: 4, NodeChurn: 1, MeanDownUS: 20000, HorizonUS: 100000},
+		Workload: diva.WorkloadSpec{Name: "matmul", Block: 256},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Run(m, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.K.Fingerprint(); got != 0xf3461460b6586779 {
+		t.Fatalf("fingerprint %#x, want 0xf3461460b6586779", got)
+	}
+}

@@ -105,18 +105,18 @@ type strategy struct {
 	// remaps counts node migrations across all variables (ablation D3).
 	remaps int
 	// txns arena-allocates transaction records (reqMsg + path buffer +
-	// future) in slabs; nodeFree recycles dense node tables of freed
-	// variables. The simulation is single-threaded, so plain slices suffice.
-	txns     core.TxnArena[reqMsg]
-	nodeFree [][]nodeState
+	// future) in slabs. The simulation is single-threaded, so plain slices
+	// suffice.
+	txns core.TxnArena[reqMsg]
+	// states carves and recycles the per-variable records; nodeFree recycles
+	// the dense node tables of freed variables, and nodeChunk is the unused
+	// tail of the block of nodeChunkTables that fresh ones are carved from.
+	states    core.TxnArena[varState]
+	nodeFree  [][]nodeState
+	nodeChunk []nodeState
 	// lockers holds, per processor, the lock wait of the process running
 	// there (see lock.go).
 	lockers []locker
-	// posTabs caches the modular embedding per root position: the positions
-	// of all tree nodes are a pure function of the root's processor, so all
-	// variables rooted at the same processor share one table and posOf
-	// becomes a slice lookup instead of an O(depth) arithmetic walk.
-	posTabs [][]int
 }
 
 func newStrategy(m *core.Machine, o Options) *strategy {
@@ -136,9 +136,6 @@ func newStrategy(m *core.Machine, o Options) *strategy {
 	s := &strategy{m: m, t: m.Tree, rng: m.RNG.Split(), opts: o, lockers: make([]locker, m.P())}
 	for i := range s.lockers {
 		s.lockers[i].next = -1
-	}
-	if !o.RandomEmbedding {
-		s.posTabs = make([][]int, m.P())
 	}
 	net := m.Net
 	net.Handle(kindReadReq, s.onReq)
@@ -189,8 +186,11 @@ type varState struct {
 	seed    uint64 // for the random-embedding ablation
 	creator int    // processor that created the variable
 	// posTab maps tree node id to simulating processor under the modular
-	// embedding (shared per root position; nil for the random embedding).
-	posTab []int
+	// embedding: the positions are a pure function of the root's processor,
+	// so every variable rooted there — on any machine of the plan — shares
+	// one table (core.Plan.PosTable) and posOf is a slice lookup instead of
+	// an O(depth) arithmetic walk. nil for the random embedding.
+	posTab []int32
 	// nodes holds the state of every tree node, indexed by tree node id.
 	// The dense table replaces the old map of deviations: a protocol hop
 	// touches it once per message, and the slice index beats the map hash
@@ -279,19 +279,7 @@ func (s *strategy) posOf(vs *varState, id int) int {
 		}
 		return s.t.RandomPos(vs.seed, id)
 	}
-	return vs.posTab[id]
-}
-
-// posTable returns the shared node→processor table for a root position,
-// computing it on first use (one EmbedAll pass, identical to the old
-// per-hop root-down walk).
-func (s *strategy) posTable(rootPos int) []int {
-	if tab := s.posTabs[rootPos]; tab != nil {
-		return tab
-	}
-	tab := s.t.EmbedAll(rootPos)
-	s.posTabs[rootPos] = tab
-	return tab
+	return int(vs.posTab[id])
 }
 
 // procOf returns the processor simulating tree node id.
@@ -300,21 +288,17 @@ func (s *strategy) procOf(vs *varState, id int) int {
 }
 
 func (s *strategy) InitVar(v *Variable) {
-	vs := &varState{
+	vs := s.states.Acquire()
+	*vs = varState{
 		rootPos: s.t.RandomRoot(s.rng),
 		seed:    s.rng.Uint64(),
 		creator: v.Creator,
 		lock:    restingLock(s.t.LeafOfProc[v.Creator]),
 	}
 	if !s.opts.RandomEmbedding {
-		vs.posTab = s.posTable(vs.rootPos)
+		vs.posTab = s.m.Plan.PosTable(vs.rootPos)
 	}
-	if n := len(s.nodeFree); n > 0 {
-		vs.nodes = s.nodeFree[n-1]
-		s.nodeFree = s.nodeFree[:n-1]
-	} else {
-		vs.nodes = make([]nodeState, len(s.t.Nodes))
-	}
+	vs.nodes = s.newNodes()
 	s.initNodes(vs)
 	if s.opts.RemapThreshold > 0 {
 		vs.accesses = make([]uint32, len(s.t.Nodes))
@@ -340,6 +324,26 @@ func (s *strategy) FreeVar(v *Variable) {
 		}
 	}
 	s.nodeFree = append(s.nodeFree, vs.nodes)
-	vs.nodes = nil
+	*vs = varState{}
+	s.states.Release(vs)
 	v.State = nil
+}
+
+const nodeChunkTables = 16
+
+// newNodes returns a node table for a fresh variable, contents undefined:
+// a freed variable's, or the next one of the current block.
+func (s *strategy) newNodes() []nodeState {
+	if n := len(s.nodeFree); n > 0 {
+		tab := s.nodeFree[n-1]
+		s.nodeFree = s.nodeFree[:n-1]
+		return tab
+	}
+	n := len(s.t.Nodes)
+	if len(s.nodeChunk) < n {
+		s.nodeChunk = make([]nodeState, n*nodeChunkTables)
+	}
+	tab := s.nodeChunk[:n:n]
+	s.nodeChunk = s.nodeChunk[n:]
+	return tab
 }

@@ -18,9 +18,10 @@ import (
 // tables of one capture share a single block, so a snapshot, a fork or a
 // restore from disk costs one table allocation however many variables it
 // holds. The transaction arena, the recycled node-table pool and the
-// shared embedding tables are deliberately not captured — arenas hold no
-// live transactions at quiescence, and the embedding tables are a pure
-// function of the tree, rebuilt lazily per fork.
+// embedding tables are deliberately not captured — arenas hold no live
+// transactions at quiescence, and the embedding tables are a pure function
+// of the tree, shared through the machine's core.Plan by the source, its
+// forks and every other machine on the same topology and tree.
 
 // State is the strategy's captured state (core.StratState): forks restore
 // from it, and a snapshot file carries it — the exported fields through
@@ -198,7 +199,7 @@ func (s *strategy) RestoreState(state core.StratState, vars []*core.Variable) er
 		}
 		tables = tables[n:]
 		if !s.opts.RandomEmbedding {
-			vs.posTab = s.posTable(vs.rootPos)
+			vs.posTab = s.m.Plan.PosTable(vs.rootPos)
 		}
 		vars[i].State = vs
 	}

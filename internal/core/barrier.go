@@ -47,7 +47,7 @@ import (
 // the cascade path runs instead (see PERF.md for measured hit rates).
 type barrier struct {
 	m   *Machine
-	pos []int // embedding of every tree node: the simulating processor
+	pos []int32 // embedding of every tree node: the simulating processor (shared, Plan.PosTable)
 
 	epoch   []uint64      // per processor: next epoch to enter
 	waiting []*sim.Future // per processor: outstanding completion
@@ -123,7 +123,7 @@ func newBarrier(m *Machine) *barrier {
 		b.state[i] = make(map[barKey]*barState)
 	}
 	b.noBatch = m.Net.Reactive()
-	b.pos = m.Tree.EmbedAll(m.Tree.RandomRoot(m.RNG))
+	b.pos = m.Plan.PosTable(m.Tree.RandomRoot(m.RNG))
 	b.wokenAt = make([]sim.Time, m.P())
 	for i := range b.wokenAt {
 		b.wokenAt[i] = math.Inf(1)
@@ -134,7 +134,7 @@ func newBarrier(m *Machine) *barrier {
 }
 
 // proc returns the processor simulating tree node n.
-func (b *barrier) proc(n int) int { return b.pos[n] }
+func (b *barrier) proc(n int) int { return int(b.pos[n]) }
 
 // releaseMsg recycles a barrier payload whose message was handled; si is
 // the executing kernel shard (the handling processor's).

@@ -61,6 +61,8 @@ type strategy struct {
 	// txns arena-allocates transaction records in slabs, each record next
 	// to its future (a core.TxnArena, shared machinery with accesstree).
 	txns core.TxnArena[req]
+	// states carves and recycles the per-variable records.
+	states core.TxnArena[varState]
 	// lockWait holds, per processor, the lock wait of the process running
 	// there (see lock.go).
 	lockWait []lockWaiter
@@ -151,7 +153,8 @@ type req struct {
 func vstate(v *core.Variable) *varState { return v.State.(*varState) }
 
 func (s *strategy) InitVar(v *core.Variable) {
-	vs := &varState{
+	vs := s.states.Acquire()
+	*vs = varState{
 		home:  s.rng.Intn(s.m.P()),
 		owner: v.Creator,
 		lock:  freeLock,
@@ -167,6 +170,7 @@ func (s *strategy) FreeVar(v *core.Variable) {
 			s.m.Cache(h).Remove(v.ID, h)
 		}
 	}
+	s.states.Release(vstate(v))
 	v.State = nil
 }
 

@@ -137,6 +137,9 @@ type Machine struct {
 	Net  *mesh.Network
 	Topo mesh.Topology
 	Tree *decomp.Tree
+	// Plan is what the machine shares with every other machine on the same
+	// topology and tree spec; Topo and Tree are its.
+	Plan *Plan
 	Cfg  Config
 	RNG  *xrand.RNG
 
@@ -154,6 +157,8 @@ type Machine struct {
 	localSlab []uint64
 	localGrow int
 	localFree [][]uint64
+	// varRecs carves and recycles the variable records themselves.
+	varRecs TxnArena[Variable]
 
 	bar *barrier
 
@@ -170,7 +175,9 @@ type Machine struct {
 // NewMachine builds a machine from cfg. The configuration is validated:
 // invalid setups — non-positive mesh dimensions, an unsupported
 // decomposition spec, a negative cache capacity — are reported as errors,
-// never as panics, so embedding applications can surface them.
+// never as panics, so embedding applications can surface them. Everything
+// that depends only on the topology and the tree spec comes from the
+// process-wide Plan the machine shares with every other machine like it.
 func NewMachine(cfg Config) (*Machine, error) {
 	topo := cfg.Topology
 	if topo == nil {
@@ -181,29 +188,59 @@ func NewMachine(cfg Config) (*Machine, error) {
 	} else if topo.N() <= 0 {
 		return nil, fmt.Errorf("diva: topology %v has no processors", topo)
 	}
+	if err := cfg.normalize(); err != nil {
+		return nil, err
+	}
+	return newMachine(cfg, planFor(topo, cfg.Tree))
+}
+
+// NewNamedMachine is NewMachine for a topology a registry builds from a
+// name and a size: build runs only when no plan of the process holds that
+// topology yet. cfg.Topology is ignored.
+func NewNamedMachine(cfg Config, name TopoName, build func() (mesh.Topology, error)) (*Machine, error) {
+	if err := cfg.normalize(); err != nil {
+		return nil, err
+	}
+	plan, err := plans.get(planKey{name, cfg.Tree}, func() (mesh.Topology, error) {
+		t, err := build()
+		if err == nil && t.N() <= 0 {
+			err = fmt.Errorf("diva: topology %v has no processors", t)
+		}
+		return t, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	cfg.Topology = plan.Topo
+	return newMachine(cfg, plan)
+}
+
+// normalize validates the topology-independent part of the configuration
+// and fills in its defaults.
+func (cfg *Config) normalize() error {
 	if cfg.Net == (mesh.Params{}) {
 		cfg.Net = mesh.GCelParams()
 	} else if cfg.Net.BytesPerUS <= 0 {
 		// Partially-specified params are not silently replaced by the
 		// defaults: that would drop the fields the caller did set.
-		return nil, fmt.Errorf("diva: link bandwidth must be positive, have %v bytes/us (start from GCelParams when overriding individual timings)", cfg.Net.BytesPerUS)
+		return fmt.Errorf("diva: link bandwidth must be positive, have %v bytes/us (start from GCelParams when overriding individual timings)", cfg.Net.BytesPerUS)
 	}
 	if cfg.Tree.Base == 0 {
 		cfg.Tree = decomp.Ary4
 	}
 	if !cfg.Tree.Valid() {
-		return nil, fmt.Errorf("diva: unsupported decomposition tree %s (base must be 2, 4 or 16; k must be 0 or >= base)", cfg.Tree.Name())
+		return fmt.Errorf("diva: unsupported decomposition tree %s (base must be 2, 4 or 16; k must be 0 or >= base)", cfg.Tree.Name())
 	}
 	if cfg.CacheCapacity < 0 {
-		return nil, fmt.Errorf("diva: cache capacity must be non-negative, have %d", cfg.CacheCapacity)
+		return fmt.Errorf("diva: cache capacity must be non-negative, have %d", cfg.CacheCapacity)
 	}
 	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("diva: shard count must be non-negative, have %d", cfg.Shards)
+		return fmt.Errorf("diva: shard count must be non-negative, have %d", cfg.Shards)
 	}
 	switch cfg.Recovery {
 	case "", RecoveryOracle:
 		if cfg.AckTimeoutUS != 0 || cfg.MaxRetries != 0 || cfg.Backoff != 0 {
-			return nil, fmt.Errorf("diva: reactive transport parameters (ack timeout, max retries, backoff) require recovery %q", RecoveryReactive)
+			return fmt.Errorf("diva: reactive transport parameters (ack timeout, max retries, backoff) require recovery %q", RecoveryReactive)
 		}
 	case RecoveryReactive:
 		// Fill the unset transport parameters from the defaults now, so the
@@ -219,8 +256,14 @@ func NewMachine(cfg Config) (*Machine, error) {
 			cfg.Backoff = def.Backoff
 		}
 	default:
-		return nil, fmt.Errorf("diva: unknown recovery mode %q (want %q or %q)", cfg.Recovery, RecoveryOracle, RecoveryReactive)
+		return fmt.Errorf("diva: unknown recovery mode %q (want %q or %q)", cfg.Recovery, RecoveryOracle, RecoveryReactive)
 	}
+	return nil
+}
+
+// newMachine builds the per-machine state of a normalized cfg on plan.
+func newMachine(cfg Config, plan *Plan) (*Machine, error) {
+	topo := plan.Topo
 	shards := cfg.Shards
 	if shards == 0 {
 		shards = 1
@@ -261,6 +304,8 @@ func NewMachine(cfg Config) (*Machine, error) {
 	}
 	m := &Machine{
 		Topo: topo,
+		Tree: plan.Tree,
+		Plan: plan,
 		Cfg:  cfg,
 		RNG:  xrand.New(cfg.Seed ^ seedSalt),
 	}
@@ -273,7 +318,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 		m.K = sim.New()
 		m.K.SetPinned(!cfg.Concurrent)
 	}
-	m.Net = mesh.NewNetwork(m.K, m.Topo, cfg.Net)
+	m.Net = mesh.NewNetworkOn(m.K, plan.Routes, cfg.Net)
 	if m.cluster != nil {
 		m.Net.Shard(m.cluster, m.shardOf)
 	}
@@ -306,7 +351,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 			return nil, err
 		}
 	}
-	m.Tree = decomp.Build(m.Topo, cfg.Tree)
 	m.caches = make([]Cache, m.Topo.N())
 	m.fastLocal = cfg.CacheCapacity == 0
 	m.bar = newBarrier(m)
@@ -464,7 +508,8 @@ func (m *Machine) alloc(creator, size int, val interface{}) VarID {
 	if size <= 0 {
 		panic("core: variable size must be positive")
 	}
-	v := &Variable{
+	v := m.varRecs.Acquire()
+	*v = Variable{
 		ID:      VarID(len(m.vars)),
 		Size:    size,
 		Creator: creator,
@@ -486,7 +531,8 @@ func (m *Machine) Free(id VarID) {
 	m.Strat.FreeVar(v)
 	m.vars[id] = nil
 	m.localFree = append(m.localFree, v.local)
-	v.local = nil
+	*v = Variable{}
+	m.varRecs.Release(v)
 }
 
 // The first bitmap slab holds localSlabMin bitmaps, no slab more than

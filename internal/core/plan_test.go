@@ -1,0 +1,112 @@
+package core_test
+
+import (
+	"runtime"
+	"testing"
+
+	"diva/internal/core"
+	"diva/internal/core/accesstree"
+	"diva/internal/decomp"
+	"diva/internal/mesh"
+)
+
+// planTraffic runs reads, writes and barriers all over the machine — a
+// variable per processor, so nearly as many embedding tables, and routes
+// between most tree-node hosts — and returns the run's fingerprint.
+func planTraffic(t *testing.T, m *core.Machine) uint64 {
+	t.Helper()
+	n := m.P()
+	vars := make([]core.VarID, n)
+	for i := range vars {
+		vars[i] = m.AllocAt(i, 64, i)
+	}
+	err := m.Run(func(p *core.Proc) {
+		for r := 1; r <= 3; r++ {
+			_ = p.Read(vars[(p.ID*7+r*13)%n])
+			p.Barrier()
+			if p.ID%3 == r%3 {
+				p.Write(vars[(p.ID+r)%n], r)
+			}
+			p.Barrier()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.K.Fingerprint()
+}
+
+// TestPlanAtCeilingSameFingerprint: a plan that may memoize nothing, or
+// that fills up in the middle of the run, walks the routes and computes the
+// embedding tables it cannot keep — the simulated machine is the same.
+func TestPlanAtCeilingSameFingerprint(t *testing.T) {
+	cfg := core.Config{Topology: mesh.New(16, 16), Seed: 11, Tree: decomp.Ary2, Strategy: accesstree.Factory()}
+	want := planTraffic(t, core.MustNewMachine(cfg))
+	for _, lim := range []struct {
+		name       string
+		route, pos int
+	}{
+		{"nothing", 0, 0},
+		{"one-chunk", 256 << 10, 16 << 10},
+	} {
+		m, err := core.NewMachineWithLimits(cfg, lim.route, lim.pos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := planTraffic(t, m); got != want {
+			t.Errorf("%s: fingerprint %#x, want %#x", lim.name, got, want)
+		}
+		// The pair table of 256 processors is 256 KB; links come on top.
+		if b := m.Plan.Routes.Bytes(); b > int64(256<<10+lim.route) {
+			t.Errorf("%s: route memo holds %d bytes, past its limit", lim.name, b)
+		}
+	}
+}
+
+// TestForkAllocBudget pins what a fork costs now that the plan is shared:
+// the per-machine state only — links, clocks, inboxes, caches, kernel —
+// never the tree, the route table or the embedding tables.
+func TestForkAllocBudget(t *testing.T) {
+	for _, tc := range []struct {
+		n      int
+		bytes  uint64
+		allocs float64
+	}{
+		{16, 128 << 10, 1000},
+		{32, 1 << 20, 1000},
+	} {
+		for _, strat := range []struct {
+			name string
+			tree decomp.Spec
+			f    core.Factory
+		}{
+			{"at4", decomp.Ary4, accesstree.Factory()},
+			{"handopt", decomp.Ary2, nil},
+		} {
+			m := core.MustNewMachine(core.Config{Rows: tc.n, Cols: tc.n, Seed: 1, Tree: strat.tree, Strategy: strat.f, Concurrent: true})
+			snap, err := m.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fork := func() {
+				f, err := snap.Fork(core.ForkOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if f.Tree != m.Tree {
+					t.Fatal("fork rebuilt the tree")
+				}
+			}
+			allocs := testing.AllocsPerRun(5, fork)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			fork()
+			runtime.ReadMemStats(&after)
+			bytes := after.TotalAlloc - before.TotalAlloc
+			if allocs > tc.allocs || bytes > tc.bytes {
+				t.Errorf("fork of a birth %dx%d %s snapshot: %d bytes in %.0f allocations, budget %d in %.0f",
+					tc.n, tc.n, strat.name, bytes, allocs, tc.bytes, tc.allocs)
+			}
+		}
+	}
+}

@@ -23,12 +23,14 @@ import (
 // fork per query" — and the same capture doubles as a checkpoint for
 // crash-consistent long runs.
 //
-// A fork is built by constructing a fresh machine from the pinned config
-// (construction is deterministic: the same seed replays the same barrier
-// root draw and strategy stream split) and then overwriting every piece of
-// mutable state with deep copies from the snapshot. The snapshot itself is
-// immutable after capture, so concurrent forks from one snapshot are safe —
-// the serve layer relies on this.
+// A fork is built by constructing the per-machine state of a fresh machine
+// from the pinned config, on the snapshot's pinned Plan — tree, route memo
+// and embedding tables are shared by reference, never rebuilt, and no
+// table is consulted to find them (construction is deterministic: the same
+// seed replays the same barrier root draw and strategy stream split) — and
+// then overwriting every piece of mutable state with deep copies from the
+// snapshot. The snapshot itself is immutable after capture, so concurrent
+// forks from one snapshot are safe — the serve layer relies on this.
 
 // Forker is the optional interface a Strategy implements to support
 // Machine.Snapshot and fork. Both built-in strategies (accesstree,
@@ -99,7 +101,9 @@ func LiveVars(vars []*Variable) int {
 // representation as one captured live, so both fork through one path.
 type Snapshot struct {
 	cfg Config
-	st  snapState
+	// plan is the source machine's: every fork runs on it.
+	plan *Plan
+	st   snapState
 	// locals holds the local-copy bitmaps of the live variables back to
 	// back, in variable order.
 	locals []uint64
@@ -198,7 +202,7 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 			return nil, fmt.Errorf("diva: strategy %q does not support snapshot/fork", m.Strat.Name())
 		}
 	}
-	s := &Snapshot{}
+	s := &Snapshot{plan: m.Plan}
 	s.st.RNG = m.RNG.State()
 	// Pin the resolved shard count so a fork never re-reads DIVA_SHARDS.
 	s.cfg = m.Cfg
@@ -268,7 +272,7 @@ func (s *Snapshot) Fork(o ForkOptions) (*Machine, error) {
 	if o.Concurrent != nil {
 		cfg.Concurrent = *o.Concurrent
 	}
-	m, err := NewMachine(cfg)
+	m, err := newMachine(cfg, s.plan)
 	if err != nil {
 		return nil, fmt.Errorf("diva: fork: %w", err)
 	}
@@ -293,12 +297,14 @@ func (s *Snapshot) Fork(o ForkOptions) (*Machine, error) {
 	m.vars = make([]*Variable, len(st.Vars))
 	w := m.localWords()
 	locals := append([]uint64(nil), s.locals...)
+	recs := make([]Variable, len(locals)/w) // one record per live variable
 	for i := range st.Vars {
 		vs := &st.Vars[i]
 		if !vs.Present {
 			continue
 		}
-		m.vars[i] = &Variable{
+		m.vars[i], recs = &recs[0], recs[1:]
+		*m.vars[i] = Variable{
 			ID:      VarID(i),
 			Size:    vs.Size,
 			Creator: vs.Creator,

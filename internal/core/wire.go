@@ -170,14 +170,14 @@ func decodeValues(dec *gob.Decoder, vars []VarState) ([]interface{}, error) {
 
 // SnapshotFromWire reconstructs a Snapshot from its serialized form: the
 // two raw sections and the state section's gob stream. It pins the Config
-// of m, a machine freshly built from the machine description the snapshot
+// and the Plan of m, a machine freshly built from the machine description the snapshot
 // was captured under (the store keeps that description alongside the
 // sections); m itself is not touched. Everything Fork relies on is
 // validated against m here — shard count, network and strategy shape,
 // barrier width, cache count and keys, bitmap words — so the snapshot
 // returned forks without error.
 func SnapshotFromWire(m *Machine, tables, locals, state []byte) (*Snapshot, error) {
-	s := &Snapshot{cfg: m.Cfg}
+	s := &Snapshot{cfg: m.Cfg, plan: m.Plan}
 	s.cfg.Shards = m.Shards()
 	st := &s.st
 	dec := gob.NewDecoder(bytes.NewReader(state))

@@ -119,19 +119,61 @@ func Build(t mesh.Topology, spec Spec) *Tree {
 	if !spec.Valid() {
 		panic(fmt.Sprintf("decomp: invalid spec %+v", spec))
 	}
-	tr := &Tree{T: t, Spec: spec, LeafOfProc: make([]int, t.N())}
+	n := t.N()
+	tr := &Tree{
+		T: t, Spec: spec,
+		Nodes:      make([]Node, 0, 2*n-1), // a 2-ary tree's count; flatter trees have fewer
+		Leaves:     make([]int, 0, n),
+		LeafOfProc: make([]int, n),
+		ProcOfLeaf: make([]int, 0, n),
+	}
 	for i := range tr.LeafOfProc {
 		tr.LeafOfProc[i] = -1
 	}
-	tr.build(rootRegion(t), -1, -1, 0)
-	if len(tr.Leaves) != t.N() {
-		panic(fmt.Sprintf("decomp: built %d leaves for %d processors", len(tr.Leaves), t.N()))
+	switch root := rootRegion(t).(type) {
+	case Rect:
+		(&builder[Rect]{t: tr}).build(root, -1, -1, 0)
+	case Span:
+		(&builder[Span]{t: tr}).build(root, -1, -1, 0)
+	}
+	if len(tr.Leaves) != n {
+		panic(fmt.Sprintf("decomp: built %d leaves for %d processors", len(tr.Leaves), n))
+	}
+	// Children are carved from one slab: a node's children were built in
+	// ChildIndex order, so a count and a fill in node order place them.
+	// Leaves keep a nil slice.
+	count := make([]int, len(tr.Nodes))
+	for id := 1; id < len(tr.Nodes); id++ {
+		count[tr.Nodes[id].Parent]++
+	}
+	slab := make([]int, len(tr.Nodes)-1)
+	for id, c := range count {
+		if c > 0 {
+			tr.Nodes[id].Children, slab = slab[:c:c], slab[c:]
+		}
+	}
+	for id := 1; id < len(tr.Nodes); id++ {
+		nd := &tr.Nodes[id]
+		tr.Nodes[nd.Parent].Children[nd.ChildIndex] = id
 	}
 	return tr
 }
 
+// builder materializes a tree over one concrete region type, so the
+// intermediate halves of a multi-level edge are never boxed into a Region.
+type builder[R interface {
+	Region
+	split() (R, R)
+}] struct {
+	t *Tree
+	// stack holds the child regions of the nodes on the current root-down
+	// path, each node's above its parent's.
+	stack []R
+}
+
 // build materializes the node for region and recursively its children.
-func (t *Tree) build(region Region, parent, childIndex, depth int) int {
+func (b *builder[R]) build(region R, parent, childIndex, depth int) {
+	t := b.t
 	id := len(t.Nodes)
 	t.Nodes = append(t.Nodes, Node{
 		ID: id, Parent: parent, Region: region, Depth: depth,
@@ -140,53 +182,40 @@ func (t *Tree) build(region Region, parent, childIndex, depth int) int {
 	if depth > t.MaxDepth {
 		t.MaxDepth = depth
 	}
-	switch {
-	case region.Single():
-		t.addLeaf(id, region)
-	case t.Spec.TermK > 0 && region.Size() <= t.Spec.TermK:
+	if region.Single() {
+		proc := region.FirstProc()
+		t.Nodes[id].LeafIndex = len(t.Leaves)
+		t.Leaves = append(t.Leaves, id)
+		t.ProcOfLeaf = append(t.ProcOfLeaf, proc)
+		t.LeafOfProc[proc] = id
+		return
+	}
+	levels := t.Spec.levelsPerEdge()
+	if t.Spec.TermK > 0 && region.Size() <= t.Spec.TermK {
 		// Terminal node: one leaf child per processor, in the 2-ary
 		// decomposition order of the region.
-		for _, cell := range decompOrder(region) {
-			cid := t.build(cell, id, len(t.Nodes[id].Children), depth+1)
-			t.Nodes[id].Children = append(t.Nodes[id].Children, cid)
-		}
-	default:
-		for _, sub := range descend(region, t.Spec.levelsPerEdge()) {
-			cid := t.build(sub, id, len(t.Nodes[id].Children), depth+1)
-			t.Nodes[id].Children = append(t.Nodes[id].Children, cid)
-		}
+		levels = -1
 	}
-	return id
+	base := len(b.stack)
+	b.descend(region, levels)
+	for i, end := base, len(b.stack); i < end; i++ {
+		b.build(b.stack[i], id, i-base, depth+1)
+	}
+	b.stack = b.stack[:base]
 }
 
-func (t *Tree) addLeaf(id int, region Region) {
-	proc := region.FirstProc()
-	t.Nodes[id].LeafIndex = len(t.Leaves)
-	t.Leaves = append(t.Leaves, id)
-	t.ProcOfLeaf = append(t.ProcOfLeaf, proc)
-	t.LeafOfProc[proc] = id
-}
-
-// descend splits region through `levels` binary levels and returns the
-// resulting regions in decomposition order. Regions that reach a single
-// processor early are returned as-is (this is how a 4-ary tree attaches a
-// leaf that appears at an odd 2-ary level).
-func descend(region Region, levels int) []Region {
+// descend splits region through `levels` binary levels (all the way down
+// when negative) and pushes the resulting regions in decomposition order.
+// Regions that reach a single processor early are pushed as they are (this
+// is how a 4-ary tree attaches a leaf that appears at an odd 2-ary level).
+func (b *builder[R]) descend(region R, levels int) {
 	if levels == 0 || region.Single() {
-		return []Region{region}
+		b.stack = append(b.stack, region)
+		return
 	}
-	a, b := region.Halves()
-	return append(descend(a, levels-1), descend(b, levels-1)...)
-}
-
-// decompOrder returns the single processors of region in the order of the
-// 2-ary decomposition's leaves.
-func decompOrder(region Region) []Region {
-	if region.Single() {
-		return []Region{region}
-	}
-	a, b := region.Halves()
-	return append(decompOrder(a), decompOrder(b)...)
+	x, y := region.split()
+	b.descend(x, levels-1)
+	b.descend(y, levels-1)
 }
 
 // Root returns the root node id (always 0).

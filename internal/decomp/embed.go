@@ -39,12 +39,13 @@ func (t *Tree) EmbedPathDown(rootProc int, path []int) []int {
 }
 
 // EmbedAll returns the processor of every tree node under the modular
-// embedding with the given root processor, indexed by node id.
-func (t *Tree) EmbedAll(rootProc int) []int {
-	out := make([]int, len(t.Nodes))
-	out[0] = rootProc
+// embedding with the given root processor, indexed by node id. The tables
+// are the bulk of what machines share per tree, hence the narrow element.
+func (t *Tree) EmbedAll(rootProc int) []int32 {
+	out := make([]int32, len(t.Nodes))
+	out[0] = int32(rootProc)
 	for id := 1; id < len(t.Nodes); id++ {
-		out[id] = t.EmbedChild(out[t.Nodes[id].Parent], id)
+		out[id] = int32(t.EmbedChild(int(out[t.Nodes[id].Parent]), id))
 	}
 	return out
 }

@@ -18,7 +18,7 @@ func TestEmbedChildStaysInSubmesh(t *testing.T) {
 			root := tr.RandomRoot(rng)
 			pos := tr.EmbedAll(root)
 			for id, n := range tr.Nodes {
-				if !n.Region.ContainsProc(pos[id]) {
+				if !n.Region.ContainsProc(int(pos[id])) {
 					t.Fatalf("%s: node %d at %v outside %+v", spec.Name(), id, pos[id], n.Region)
 				}
 			}
@@ -33,7 +33,7 @@ func TestEmbedLeafIsItself(t *testing.T) {
 	tr := Build(m, Ary2)
 	pos := tr.EmbedAll(m.ID(mesh.Coord{Row: 3, Col: 5}))
 	for li, nid := range tr.Leaves {
-		if pos[nid] != tr.ProcOfLeaf[li] {
+		if int(pos[nid]) != tr.ProcOfLeaf[li] {
 			t.Fatalf("leaf %d embedded at %v, want %v", nid, pos[nid], tr.ProcOfLeaf[li])
 		}
 	}
@@ -80,7 +80,7 @@ func TestEmbedPathDownMatchesEmbedAll(t *testing.T) {
 		path := tr.PathDown(leaf)
 		pos := tr.EmbedPathDown(root, path)
 		for i, nid := range path {
-			if pos[i] != all[nid] {
+			if pos[i] != int(all[nid]) {
 				return false
 			}
 		}
@@ -124,7 +124,7 @@ func TestModularEmbeddingShortensPaths(t *testing.T) {
 			if n.Parent == -1 {
 				continue
 			}
-			modular += float64(m.Dist(pos[id], pos[n.Parent]))
+			modular += float64(m.Dist(int(pos[id]), int(pos[n.Parent])))
 			random += float64(m.Dist(tr.RandomPos(seed, id), tr.RandomPos(seed, n.Parent)))
 			count++
 		}
@@ -146,13 +146,13 @@ func TestNonGridEmbedding(t *testing.T) {
 			for trial := 0; trial < 10; trial++ {
 				pos := tr.EmbedAll(tr.RandomRoot(rng))
 				for id, n := range tr.Nodes {
-					if !n.Region.ContainsProc(pos[id]) {
+					if !n.Region.ContainsProc(int(pos[id])) {
 						t.Fatalf("%s/%s: node %d at %d outside %+v",
 							topo, spec.Name(), id, pos[id], n.Region)
 					}
 				}
 				for li, nid := range tr.Leaves {
-					if pos[nid] != tr.ProcOfLeaf[li] {
+					if int(pos[nid]) != tr.ProcOfLeaf[li] {
 						t.Fatalf("%s/%s: leaf %d not pinned", topo, spec.Name(), nid)
 					}
 				}

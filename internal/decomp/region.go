@@ -95,6 +95,8 @@ func (r Rect) Halves() (a, b Region) {
 	return x, y
 }
 
+func (r Rect) split() (a, b Rect) { return r.Split() }
+
 // Embed implements Region with the paper's coordinate-wise modular rule:
 // if the parent is mapped to the node in row i, column j of its submesh,
 // the child is mapped to the node in row i mod m1, column j mod m2 of its
@@ -134,6 +136,11 @@ func (s Span) Single() bool { return s.Hi-s.Lo == 1 }
 
 // Halves implements Region.
 func (s Span) Halves() (a, b Region) {
+	x, y := s.split()
+	return x, y
+}
+
+func (s Span) split() (a, b Span) {
 	if s.Single() {
 		panic("decomp: splitting a single processor")
 	}

@@ -394,3 +394,102 @@ func TestDegradedMeshDropsLinks(t *testing.T) {
 		t.Fatalf("degraded mesh keeps %d edges, want %d", got, full-5)
 	}
 }
+
+// degradedMeshReference is NewDegradedMesh's kept-edge computation as it
+// was before the reusable connectivity scratch: an adjacency list rebuilt
+// with append for every candidate edge.
+func degradedMeshReference(rows, cols, drop int, seed uint64) [][2]int {
+	n := rows * cols
+	var edges [][2]int
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			if c+1 < cols {
+				edges = append(edges, [2]int{r*cols + c, r*cols + c + 1})
+			}
+			if r+1 < rows {
+				edges = append(edges, [2]int{r*cols + c, (r+1)*cols + c})
+			}
+		}
+	}
+	connected := func(removed []bool) bool {
+		adj := make([][]int, n)
+		for ei, e := range edges {
+			if !removed[ei] {
+				adj[e[0]] = append(adj[e[0]], e[1])
+				adj[e[1]] = append(adj[e[1]], e[0])
+			}
+		}
+		seen := make([]bool, n)
+		seen[0] = true
+		stack, count := []int{0}, 1
+		for len(stack) > 0 {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, v := range adj[u] {
+				if !seen[v] {
+					seen[v] = true
+					count++
+					stack = append(stack, v)
+				}
+			}
+		}
+		return count == n
+	}
+	removed := make([]bool, len(edges))
+	dropped := 0
+	for _, ei := range xrand.New(seed).Perm(len(edges)) {
+		if dropped >= drop {
+			break
+		}
+		removed[ei] = true
+		if connected(removed) {
+			dropped++
+		} else {
+			removed[ei] = false
+		}
+	}
+	var kept [][2]int
+	for ei, e := range edges {
+		if !removed[ei] {
+			kept = append(kept, e)
+		}
+	}
+	return kept
+}
+
+// TestDegradedMeshKeptEdgesUnchanged: the one-adjacency connectivity
+// check keeps exactly the edges the per-candidate rebuild kept — also when
+// most candidates are refused — and a 16×16 build stays in the allocation
+// range of the other graph families instead of ten times above it.
+func TestDegradedMeshKeptEdgesUnchanged(t *testing.T) {
+	for _, tc := range []struct {
+		rows, cols, drop int
+		seed             uint64
+	}{
+		{4, 4, 5, 99}, {8, 8, 11, 1}, {16, 16, 48, 0x67726170685f3842 ^ 256},
+		{5, 9, 1000, 7}, // far more than can go: ends as a spanning tree
+		{1, 6, 2, 3},    // a path: nothing can go
+	} {
+		g, err := NewDegradedMesh(tc.rows, tc.cols, tc.drop, tc.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := degradedMeshReference(tc.rows, tc.cols, tc.drop, tc.seed)
+		if len(g.edges) != len(want) {
+			t.Fatalf("%dx%d drop %d: kept %d edges, reference %d", tc.rows, tc.cols, tc.drop, len(g.edges), len(want))
+		}
+		for i := range want { // both lists ascend: NewGraph sorts, the mesh enumeration already is
+			if g.edges[i] != want[i] {
+				t.Fatalf("%dx%d drop %d: edge %d is %v, reference %v", tc.rows, tc.cols, tc.drop, i, g.edges[i], want[i])
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := NewDegradedMesh(16, 16, 48, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4000 {
+		t.Errorf("NewDegradedMesh(16x16) = %.0f allocs, want the ~3 000 of the other graph builders", allocs)
+	}
+}

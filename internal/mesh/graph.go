@@ -207,6 +207,9 @@ func (g *Graph) ForEachLink(f func(link, from, to int)) {
 // processor id space.
 func (g *Graph) Grid() (rows, cols int, ok bool) { return 0, 0, false }
 
+// TableBytes returns the size of the route tables: two int32 per pair.
+func (g *Graph) TableBytes() int64 { return int64(4 * (len(g.nextLink) + len(g.dist))) }
+
 // Degree returns node u's number of incident undirected edges.
 func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
 
@@ -354,53 +357,89 @@ func NewDegradedMesh(rows, cols, drop int, seed uint64) (*Graph, error) {
 	}
 	rng := xrand.New(seed)
 	order := rng.Perm(len(edges))
-	removed := make([]bool, len(edges))
+	conn := newConnectivity(n, edges)
 	dropped := 0
 	for _, ei := range order {
 		if dropped >= drop {
 			break
 		}
-		removed[ei] = true
-		if connectedWithout(n, edges, removed) {
+		conn.removed[ei] = true
+		if conn.connected() {
 			dropped++
 		} else {
-			removed[ei] = false
+			conn.removed[ei] = false
 		}
 	}
 	kept := make([][2]int, 0, len(edges)-dropped)
 	for ei, e := range edges {
-		if !removed[ei] {
+		if !conn.removed[ei] {
 			kept = append(kept, e)
 		}
 	}
 	return NewGraph(fmt.Sprintf("%dx%d mesh, %d links dropped", rows, cols, dropped), n, kept)
 }
 
-// connectedWithout reports whether the graph stays connected when the
-// marked edges are removed.
-func connectedWithout(n int, edges [][2]int, removed []bool) bool {
-	adj := make([][]int, n)
-	for ei, e := range edges {
-		if removed[ei] {
-			continue
-		}
-		adj[e[0]] = append(adj[e[0]], e[1])
-		adj[e[1]] = append(adj[e[1]], e[0])
+// connectivity answers "is the graph still connected without the removed
+// edges" for one candidate removal after another: the adjacency is laid
+// out once (CSR: node u's half-edges are adj[start[u]:start[u+1]]) and the
+// traversal scratch is reused, so a query allocates nothing.
+type connectivity struct {
+	removed []bool  // by edge index; set by the caller between queries
+	start   []int32 // n+1 offsets into adj
+	adj     []connHalf
+	seen    []bool
+	stack   []int32
+}
+
+// connHalf is one direction of an undirected edge.
+type connHalf struct {
+	to   int32
+	edge int32
+}
+
+func newConnectivity(n int, edges [][2]int) *connectivity {
+	c := &connectivity{
+		removed: make([]bool, len(edges)),
+		start:   make([]int32, n+1),
+		adj:     make([]connHalf, 2*len(edges)),
+		seen:    make([]bool, n),
+		stack:   make([]int32, 0, n),
 	}
-	seen := make([]bool, n)
-	seen[0] = true
-	stack := []int{0}
+	for _, e := range edges {
+		c.start[e[0]+1]++
+		c.start[e[1]+1]++
+	}
+	for u := 0; u < n; u++ {
+		c.start[u+1] += c.start[u]
+	}
+	// Each node's half-edges in edge order, as appending them would give.
+	next := append([]int32(nil), c.start[:n]...)
+	for ei, e := range edges {
+		c.adj[next[e[0]]] = connHalf{int32(e[1]), int32(ei)}
+		next[e[0]]++
+		c.adj[next[e[1]]] = connHalf{int32(e[0]), int32(ei)}
+		next[e[1]]++
+	}
+	return c
+}
+
+// connected reports whether every node is reachable from node 0 over the
+// edges not marked removed.
+func (c *connectivity) connected() bool {
+	clear(c.seen)
+	c.seen[0] = true
+	c.stack = append(c.stack[:0], 0)
 	count := 1
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, v := range adj[u] {
-			if !seen[v] {
-				seen[v] = true
+	for len(c.stack) > 0 {
+		u := c.stack[len(c.stack)-1]
+		c.stack = c.stack[:len(c.stack)-1]
+		for _, h := range c.adj[c.start[u]:c.start[u+1]] {
+			if !c.removed[h.edge] && !c.seen[h.to] {
+				c.seen[h.to] = true
 				count++
-				stack = append(stack, v)
+				c.stack = append(c.stack, h.to)
 			}
 		}
 	}
-	return count == n
+	return count == len(c.seen)
 }

@@ -96,7 +96,6 @@ type Network struct {
 	T Topology
 	P Params
 
-	n        int // cached T.N(): the route memo's row stride
 	links    []link
 	handlers [256]Handler
 
@@ -135,16 +134,11 @@ type Network struct {
 	routeBuf []int
 	startBuf []sim.Time
 
-	// routes memoizes the topology's deterministic route per (src, dst)
-	// pair, filled lazily on first use: routing every message through
-	// AppendRoute's coordinate walk was ~15% of the Barnes-Hut profile,
-	// a slab load is not. An entry packs offset<<8 | length into the
-	// shared link-id slab (0 = not cached yet), so the table costs four
-	// bytes per pair and the paths one int32 per link — read-only once
-	// built, no per-pair allocations.
-	routes     []uint32
-	routeSlab  []int32
-	route32Buf []int32 // scratch for routes the packed table cannot hold
+	// routes is the topology's route memo, shared with every other network
+	// over the same Routes (routes.go); route32Buf is this network's scratch
+	// for the routes the memo cannot hold.
+	routes     *Routes
+	route32Buf []int32
 
 	// ilj journals Inline* charges between InlineBegin and
 	// InlineCommit/InlineAbort so a speculative replay can be reverted.
@@ -260,32 +254,39 @@ func (nw *Network) InlineAbort() {
 	nw.InlineCommit()
 }
 
-// NewNetwork creates a network over topology t using kernel k.
+// NewNetwork creates a network over topology t using kernel k, with a
+// route memo of its own.
 func NewNetwork(k *sim.Kernel, t Topology, p Params) *Network {
+	return NewNetworkOn(k, NewRoutes(t, RouteBytesMax), p)
+}
+
+// RouteBytesMax is the byte limit of a route memo's link chunks (the pair
+// table, at most 16 MB, comes on top). The paper's largest figure cell,
+// matmul on 32×32, touches 0.5 MB of links; a complete 16×16 memo is 3 MB.
+const RouteBytesMax = 16 << 20
+
+// NewNetworkOn creates a network over the topology of r, sharing r's route
+// memo with every other network created on it.
+func NewNetworkOn(k *sim.Kernel, r *Routes, p Params) *Network {
 	if p.BytesPerUS <= 0 {
 		panic("mesh: BytesPerUS must be positive")
 	}
+	t := r.t
 	nw := &Network{
 		K:         k,
 		T:         t,
 		P:         p,
-		n:         t.N(),
 		links:     make([]link, t.NumLinks()),
 		cpuFree:   make([]sim.Time, t.N()),
 		computeUS: make([]float64, t.N()),
 		inboxes:   make([]nodeInbox, t.N()),
 		routeBuf:  make([]int, 0, t.Diameter()+1),
 		startBuf:  make([]sim.Time, 0, t.Diameter()+1),
+		routes:    r,
 	}
 	nw.handlers[KindInbox] = nw.deliverInbox
 	nw.arriveFn = nw.msgArrive
 	nw.readyFn = nw.msgReady
-	// The route memo table costs 4 bytes per (src, dst) pair; past ~2k
-	// nodes (16 MB) the table would dwarf the simulation itself, so huge
-	// machines keep the per-message route walk instead.
-	if n := t.N(); n*n <= 1<<22 {
-		nw.routes = make([]uint32, n*n)
-	}
 	return nw
 }
 
@@ -594,14 +595,6 @@ func (nw *Network) InlineRecvAt(dst int, arrive sim.Time) sim.Time {
 	return ready
 }
 
-// scratchRoute computes (src, dst)'s route into the reusable scratch
-// buffer, for machines without a memo table.
-func (nw *Network) scratchRoute(src, dst int) []int32 {
-	p := nw.T.AppendRoute(nw.routeBuf[:0], src, dst)
-	nw.routeBuf = p[:0] // keep any growth beyond the initial diameter sizing
-	return nw.appendRoute32(p)
-}
-
 // appendRoute32 copies a route into the reusable int32 scratch buffer.
 func (nw *Network) appendRoute32(p []int) []int32 {
 	nw.route32Buf = nw.route32Buf[:0]
@@ -643,31 +636,22 @@ func (nw *Network) routeRawEx(src, dst, size int, depart sim.Time) (arrive sim.T
 }
 
 // healthyPath returns the topology's deterministic shortest route for
-// (src, dst), src != dst. Routes come from the memo table — AppendRoute's
-// coordinate walk runs once per pair, not once per message. The returned
-// slice is valid until the next healthyPath call (slab entries live
-// forever; scratch entries are reused).
+// (src, dst), src != dst. Routes come from the shared memo — AppendRoute's
+// coordinate walk runs once per pair and process, not once per message —
+// except those the memo cannot hold (machine too large for a pair table,
+// byte limit reached), which are walked into the scratch buffer. The
+// returned slice is valid until the next healthyPath call (memo entries
+// live forever; scratch entries are reused).
 func (nw *Network) healthyPath(src, dst int) []int32 {
-	if nw.routes == nil {
-		// Machine too large for the memo table: walk the route directly.
-		return nw.scratchRoute(src, dst)
+	if p := nw.routes.get(src, dst); p != nil {
+		return p
 	}
-	if ent := nw.routes[src*nw.n+dst]; ent != 0 {
-		return nw.routeSlab[ent>>8 : ent>>8+ent&0xff]
+	walk := nw.T.AppendRoute(nw.routeBuf[:0], src, dst)
+	nw.routeBuf = walk[:0] // keep any growth beyond the initial diameter sizing
+	if p := nw.routes.publish(src, dst, walk); p != nil {
+		return p
 	}
-	p := nw.T.AppendRoute(nw.routeBuf[:0], src, dst)
-	nw.routeBuf = p[:0] // keep any growth beyond the initial diameter sizing
-	// Entries pack offset<<8 | length; a route longer than 255 links
-	// or a slab past 2^24 entries (neither reachable at the paper's
-	// machine sizes) is recomputed per message instead.
-	if s := len(nw.routeSlab); len(p) <= 0xff && s <= 1<<24-1 {
-		for _, li := range p {
-			nw.routeSlab = append(nw.routeSlab, int32(li))
-		}
-		nw.routes[src*nw.n+dst] = uint32(s)<<8 | uint32(len(p))
-		return nw.routeSlab[s:]
-	}
-	return nw.appendRoute32(p)
+	return nw.appendRoute32(walk)
 }
 
 // chargePath models wormhole transmission of size bytes along path

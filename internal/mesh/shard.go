@@ -3,8 +3,8 @@ package mesh
 import "diva/internal/sim"
 
 // This file is the network's side of the sharded conservative-parallel
-// kernel (sim/cluster.go). The link array, the route memo and the global
-// send counters are shared, non-commutative state: two shards routing
+// kernel (sim/cluster.go). The link array and the global send counters
+// are shared, non-commutative state: two shards routing
 // concurrently would both race and change the charge order, so inside a
 // window every cross-node send is deferred — logged in the sending
 // shard's op log and replayed by the cluster coordinator at the boundary
@@ -35,7 +35,7 @@ type deferredSend struct {
 // this network. Must be called before any message is sent.
 func (nw *Network) Shard(cl *sim.Cluster, shardOf []int) {
 	ks := cl.Kernels()
-	if len(shardOf) != nw.n {
+	if len(shardOf) != len(nw.cpuFree) {
 		panic("mesh: shard map does not cover the topology")
 	}
 	nw.kernels = ks

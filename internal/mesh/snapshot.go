@@ -18,9 +18,9 @@ import (
 // Deliberately NOT captured, because a fork starting fresh is provably
 // indistinguishable: the Msg free lists (recycled messages are zeroed on
 // acquire, their identity never observable), the route memo (a pure
-// function of the topology, rebuilt lazily — and per fork, so concurrently
-// running forks never share the lazily-appended slab), and the per-shard
-// send counters (folded into the global counters here; SendStats only ever
+// function of the topology: a fork's network is created on the very Routes
+// of its source, publish-once and safe to share, see routes.go), and the
+// per-shard send counters (folded into the global counters here; SendStats only ever
 // reports the sum).
 
 // NetworkState is a deep copy of a Network's mutable simulated state: the

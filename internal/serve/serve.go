@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"diva"
+	"diva/internal/core"
 	"diva/snapstore"
 	"diva/spec"
 )
@@ -645,6 +646,15 @@ type healthzResponse struct {
 	SnapshotHits   int64 `json:"snapshot_hits"`
 	SnapshotLoads  int64 `json:"snapshot_loads"`
 	SnapshotLoadUS int64 `json:"snapshot_load_us"`
+	// Machine plans (decomposition tree, route memo, embedding tables,
+	// topology instance — shared by every machine on the same topology and
+	// tree): plans resident in the process and the memory they hold,
+	// machines built on a plan already there, and plans built. A fork
+	// takes its snapshot's plan and counts as neither.
+	Plans      int   `json:"plans"`
+	PlanBytes  int64 `json:"plan_bytes"`
+	PlanHits   int64 `json:"plan_hits"`
+	PlanBuilds int64 `json:"plan_builds"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -652,6 +662,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		status = "draining"
 	}
+	plans := core.ReadPlanStats()
 	s.writeJSON(w, http.StatusOK, healthzResponse{
 		Status:      status,
 		Runs:        s.runs.Load(),
@@ -666,6 +677,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		SnapshotHits:   s.snaps.hits.Load(),
 		SnapshotLoads:  s.snaps.loads.Load(),
 		SnapshotLoadUS: s.snaps.loadUS.Load(),
+
+		Plans:      plans.Plans,
+		PlanBytes:  plans.Bytes,
+		PlanHits:   plans.Hits,
+		PlanBuilds: plans.Builds,
 	})
 }
 

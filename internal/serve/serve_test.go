@@ -352,3 +352,35 @@ func TestSnapshotCacheDropIsByIdentity(t *testing.T) {
 		t.Errorf("cache holds %d entries, want 2", n)
 	}
 }
+
+// TestHealthzPlanCounters pins what /v1/healthz says about machine plans:
+// the first machine on a topology and tree builds the plan, a second
+// machine like it (another seed, so another base snapshot) finds it, and a
+// request that forks a cached snapshot does not look a plan up at all. The
+// table is process-wide, so the test reads differences; a 2×8 torus with a
+// 4-16-ary tree is a machine no other test of the package builds.
+func TestHealthzPlanCounters(t *testing.T) {
+	ts := httptest.NewServer(mustServer(t, Options{Workers: 1}).Handler())
+	defer ts.Close()
+	doc := func(seed uint64) string {
+		return fmt.Sprintf(`{"topology":"torus","rows":2,"cols":8,"strategy":"at4","tree":"4-16-ary","seed":%d,
+			"workload":{"name":"bitonic","keys":8}}`, seed)
+	}
+	step := func(name, body string, hits, builds int64) {
+		t.Helper()
+		before := healthz(t, ts)
+		if resp, out := post(t, ts, body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", name, resp.StatusCode, out)
+		}
+		after := healthz(t, ts)
+		if h, b := after.PlanHits-before.PlanHits, after.PlanBuilds-before.PlanBuilds; h != hits || b != builds {
+			t.Errorf("%s: %d plan hits and %d builds, want %d and %d", name, h, b, hits, builds)
+		}
+		if after.Plans < 1 || after.PlanBytes <= 0 {
+			t.Errorf("%s: healthz reports %d plans holding %d bytes", name, after.Plans, after.PlanBytes)
+		}
+	}
+	step("first machine", doc(1), 0, 1)
+	step("fork of the cached snapshot", doc(1), 0, 0)
+	step("second machine, same topology and tree", doc(2), 1, 0)
+}

@@ -1,0 +1,95 @@
+package diva_test
+
+import (
+	"sync"
+	"testing"
+
+	"diva"
+)
+
+// TestForkSharedPlanConcurrent runs forks of one 16×16 snapshot and fresh
+// machines on the same topology side by side, each on its own workload.
+// They all read and lazily fill one machine plan (route memo, embedding
+// tables), so every fingerprint must equal the one the same job produces
+// when it runs alone — whichever machine happened to fill an entry — and
+// the forks must share the source's tree by reference, not rebuild it.
+// Run under -race: it is the concurrency test of the plan's publish-once
+// tables.
+func TestForkSharedPlanConcurrent(t *testing.T) {
+	newMachine := func(strat string, seed uint64) *diva.Machine {
+		return diva.MustNew(diva.WithMesh(16, 16), diva.WithStrategyName(strat),
+			diva.WithSeed(seed), diva.WithConcurrent(true))
+	}
+	src := newMachine("at4", 5)
+	mustRun(t, src, diva.Matmul(diva.MatmulConfig{BlockInts: 4, Seed: 1}))
+	snap, err := src.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	matmul := func(block int) diva.Workload {
+		return diva.Matmul(diva.MatmulConfig{BlockInts: block, Seed: 3})
+	}
+	bitonic := func(keys int) diva.Workload {
+		return diva.Bitonic(diva.BitonicConfig{KeysPerProc: keys, Seed: 4})
+	}
+	jobs := []struct {
+		name  string
+		fresh string // strategy of a fresh machine; "" forks the snapshot
+		w     func() diva.Workload
+	}{
+		{"fork/matmul9", "", func() diva.Workload { return matmul(9) }},
+		{"fork/matmul16", "", func() diva.Workload { return matmul(16) }},
+		{"fork/matmul25", "", func() diva.Workload { return matmul(25) }},
+		{"fork/bitonic4", "", func() diva.Workload { return bitonic(4) }},
+		{"fork/stencil", "", func() diva.Workload { return diva.Stencil(diva.StencilConfig{Iters: 2, HaloInts: 8, Seed: 6}) }},
+		{"fresh/at4/matmul9", "at4", func() diva.Workload { return matmul(9) }},
+		{"fresh/at4/matmul16", "at4", func() diva.Workload { return matmul(16) }},
+		{"fresh/fixedhome/matmul9", "fixedhome", func() diva.Workload { return matmul(9) }},
+		{"fresh/fixedhome/matmul25", "fixedhome", func() diva.Workload { return matmul(25) }},
+	}
+	run := func(i int) (uint64, *diva.Machine, error) {
+		j := jobs[i]
+		m := (*diva.Machine)(nil)
+		if j.fresh != "" {
+			m = newMachine(j.fresh, 9)
+		} else {
+			var err error
+			if m, err = diva.Fork(snap, diva.ForkConcurrent(true)); err != nil {
+				return 0, nil, err
+			}
+		}
+		if _, err := j.w().Run(m, nil); err != nil {
+			return 0, nil, err
+		}
+		return m.K.Fingerprint(), m, nil
+	}
+	// All nine at once first, while the plan's tables are still mostly
+	// empty, so the jobs race to fill them.
+	got := make([]uint64, len(jobs))
+	var wg sync.WaitGroup
+	for i := range jobs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			fp, m, err := run(i)
+			if err != nil {
+				t.Errorf("%s concurrent: %v", jobs[i].name, err)
+				return
+			}
+			got[i] = fp
+			if m.Tree != src.Tree || m.Plan != src.Plan {
+				t.Errorf("%s: machine does not share the source machine's plan and tree", jobs[i].name)
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i, j := range jobs {
+		fp, _, err := run(i)
+		if err != nil {
+			t.Fatalf("%s alone: %v", j.name, err)
+		}
+		if got[i] != fp {
+			t.Errorf("%s: fingerprint %#x concurrent, %#x alone", j.name, got[i], fp)
+		}
+	}
+}
