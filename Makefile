@@ -44,8 +44,7 @@ bench:
 # BENCH_<date>.json baseline is never clobbered) and validates the pipeline
 # end to end: the JSON must parse and cover every BenchmarkFig the test
 # binary lists, and `benchjson -diff` gates it against the latest committed
-# BENCH_*.json in the tree — failing on >100% ns/op regressions (a single
-# iteration on a shared host resolves no less) and, with zero
+# BENCH_*.json in the tree — failing on >50% ns/op regressions and, with zero
 # tolerance, on ANY simulated-metric drift (the metrics are deterministic,
 # so a drift means the simulation semantics changed).
 # The baseline is the newest BENCH_*.json known to git (a local `make
@@ -63,7 +62,7 @@ bench:
 # benchmark family could land without ever refreshing BENCH_<date>.json.
 BASELINE = $(lastword $(sort $(shell git ls-files 'BENCH_*.json')))
 BENCH_REQUIRE = BenchmarkShardScaling,BenchmarkGraphRoute,BenchmarkReactiveTransport,BenchmarkFork,BenchmarkBuild
-MAX_REGRESS ?= 100
+MAX_REGRESS ?= 50
 MAX_ALLOC_REGRESS ?= 10
 bench-check:
 	$(GO) test -run '^$$' -bench $(BENCH_PATTERN) -benchmem -benchtime 1x $(BENCH_PKGS) \

@@ -10,7 +10,7 @@
 //
 //	go test -run '^$' -bench BenchmarkFig -benchmem . | benchjson > BENCH_2026-07-26.json
 //	benchjson -check BENCH_2026-07-26.json -expect benchlist.txt -require BenchmarkShardScaling
-//	benchjson -diff BENCH_old.json BENCH_new.json [-max-regress 100] [-max-alloc-regress 10]
+//	benchjson -diff BENCH_old.json BENCH_new.json [-max-regress 50] [-max-alloc-regress 10]
 //
 // Check mode guards the pipeline against silent drift: it verifies the
 // emitted file parses, that every benchmark named in -expect (one name per
@@ -77,7 +77,7 @@ func main() {
 	expect := flag.String("expect", "", "check mode: file listing required benchmark names, one per line")
 	require := flag.String("require", "", "check mode: comma-separated benchmark-name prefixes that must each match at least one entry")
 	diff := flag.Bool("diff", false, "compare two BENCH json files: benchjson -diff old.json new.json")
-	maxRegress := flag.Float64("max-regress", 100, "diff mode: max tolerated ns/op regression in percent (same host, runs of 10 ms and more)")
+	maxRegress := flag.Float64("max-regress", 50, "diff mode: max tolerated ns/op regression in percent (compared on the same host only)")
 	maxAllocRegress := flag.Float64("max-alloc-regress", 10, "diff mode: max tolerated allocs/op regression in percent (plus a fixed slack of 16 allocs)")
 	flag.Parse()
 	if *diff {
@@ -188,8 +188,7 @@ func loadResults(path string) (map[string]result, *host, error) {
 
 // runDiff compares new against old: it fails on a missing benchmark, an
 // ns/op regression beyond maxRegress percent when both ran on the same
-// recorded host and the old run took at least 10 ms (otherwise ns/op is
-// not compared), an allocs/op regression
+// recorded host (otherwise ns/op is not compared), an allocs/op regression
 // beyond maxAllocRegress percent (+16 allocs absolute slack, so tiny
 // benchmarks with near-zero allocation counts don't trip on noise), or
 // any simulated-metric drift (zero tolerance: the metrics are
@@ -229,10 +228,7 @@ func runDiff(oldPath, newPath string, maxRegress, maxAllocRegress float64) error
 			continue
 		}
 		compared++
-		// A run shorter than nsGateMin is one iteration of a microsecond
-		// benchmark: its time is scheduling noise, its allocs/op still count.
-		const nsGateMin = 10e6
-		if sameHost && o.NsPerOp*float64(o.Iterations) >= nsGateMin && n.NsPerOp > o.NsPerOp*(1+maxRegress/100) {
+		if sameHost && o.NsPerOp > 0 && n.NsPerOp > o.NsPerOp*(1+maxRegress/100) {
 			problems = append(problems, fmt.Sprintf("%s: ns/op regressed %.1f%% (%.0f -> %.0f, tolerance %.0f%%)",
 				name, 100*(n.NsPerOp/o.NsPerOp-1), o.NsPerOp, n.NsPerOp, maxRegress))
 		}

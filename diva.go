@@ -71,12 +71,7 @@ type options struct {
 	cfg     core.Config
 	treeSet bool
 	defTree decomp.Spec
-	// named and build are the registry topology WithTopologyName selected
-	// (build nil: none); New builds it only if no machine plan of the
-	// process holds it already.
-	named core.TopoName
-	build topology.Builder
-	err   error
+	err     error
 }
 
 // Option configures a machine built by New.
@@ -93,7 +88,7 @@ func (o *options) fail(err error) {
 func WithMesh(rows, cols int) Option {
 	return func(o *options) {
 		o.cfg.Rows, o.cfg.Cols = rows, cols
-		o.cfg.Topology, o.build = nil, nil
+		o.cfg.Topology = nil
 	}
 }
 
@@ -105,22 +100,20 @@ func WithTopology(t Topology) Option {
 			o.fail(fmt.Errorf("diva: WithTopology(nil)"))
 			return
 		}
-		o.cfg.Topology, o.build = t, nil
+		o.cfg.Topology = t
 	}
 }
 
 // WithTopologyName selects the interconnect by registry name (see
-// diva/topology) for the canonical rows×cols machine size. A registered
-// name and size denote one network: machines selecting it share one
-// topology instance, built by the first of them.
+// diva/topology) for the canonical rows×cols machine size.
 func WithTopologyName(name string, rows, cols int) Option {
 	return func(o *options) {
-		s, err := topology.Get(name)
+		t, err := topology.Build(name, rows, cols)
 		if err != nil {
 			o.fail(err)
 			return
 		}
-		o.named, o.build = core.TopoName{Name: name, Rows: rows, Cols: cols}, s.Build
+		o.cfg.Topology = t
 	}
 }
 
@@ -271,11 +264,6 @@ func New(opts ...Option) (*Machine, error) {
 	}
 	if !o.treeSet && o.defTree != (decomp.Spec{}) {
 		o.cfg.Tree = o.defTree
-	}
-	if o.build != nil {
-		return core.NewNamedMachine(o.cfg, o.named, func() (Topology, error) {
-			return o.build(o.named.Rows, o.named.Cols)
-		})
 	}
 	return core.NewMachine(o.cfg)
 }

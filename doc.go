@@ -73,7 +73,9 @@
 // position tables, a registry-named topology's instance with a graph's
 // BFS tables — is one immutable plan, built once per process and shared by
 // reference by every machine on that topology and tree: New finds it in a
-// small process-wide table, a Snapshot pins its machine's, and a Fork
+// small process-wide table (the built-in topologies are immutable; a
+// Topology of your own gets a plan per machine), a Snapshot pins its
+// machine's, and a Fork
 // builds only the per-machine state (links, clocks, inboxes, caches, the
 // kernel) before restoring the captured one.
 //

@@ -81,6 +81,54 @@ func TestSoleCopyNeverEvicted(t *testing.T) {
 	}
 }
 
+// TestLateEvictNoteFindsFreedVariableDead: an eviction note carries its
+// *Variable, and the variable may be freed while the note is in flight. The
+// record must stay dead — never be handed to the next Alloc — or the late
+// note would clear a component edge of an unrelated variable (missed
+// invalidations, stale reads).
+func TestLateEvictNoteFindsFreedVariableDead(t *testing.T) {
+	m := core.MustNewMachine(core.Config{
+		Rows: 4, Cols: 4, Seed: 3, Tree: decomp.Ary2,
+		Strategy:      Factory(),
+		CacheCapacity: 1 << 20, // bounded, so copies are tracked and evictable
+	})
+	s := m.Strat.(*strategy)
+	v1 := m.AllocAt(0, 64, 1)
+	if err := m.Run(func(p *core.Proc) {
+		if p.ID != 9 {
+			return
+		}
+		_ = p.Read(v1)
+		old := m.Var(v1)
+		leaf := s.t.LeafOfProc[9]
+		parent := s.t.Nodes[leaf].Parent
+		if !s.TryEvict(old, leaf, 9) {
+			t.Fatal("copy at the reader's leaf is not evictable")
+		}
+		// The note to the parent's host is in flight now.
+		m.Free(v1)
+		fresh := m.Var(m.AllocAt(9, 64, 2))
+		if fresh == old {
+			t.Error("Alloc handed out the record of a freed variable")
+		}
+		// Give the new variable the very edge the stale note names.
+		vs := vstate(fresh)
+		vs.nodes[parent].edges |= s.edgeBit(parent, leaf)
+		want := append([]nodeState(nil), vs.nodes...)
+		p.Wait(1e6)
+		for i := range want {
+			if vs.nodes[i] != want[i] {
+				t.Errorf("node %d of the new variable changed: %+v, was %+v", i, vs.nodes[i], want[i])
+			}
+		}
+		if old.State != nil {
+			t.Error("freed variable came back to life")
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestUnboundedCacheNeverEvicts matches the paper's default configuration.
 func TestUnboundedCacheNeverEvicts(t *testing.T) {
 	m := newTestMachine(decomp.Ary2, 4, 4, 9)

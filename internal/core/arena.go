@@ -1,17 +1,16 @@
 package core
 
-// TxnSlab is the most records a TxnArena materializes per slab.
+// TxnSlab is how many transaction records a TxnArena materializes per
+// slab.
 const TxnSlab = 64
 
-// TxnArena slab-allocates a machine's small records — the strategies'
-// transaction records, and the per-variable ones: the variable records
-// and the strategies' protocol state. One slab materializes its records as
-// a single contiguous block — the Init hook wires each record's companion
-// state (its future, path buffer, ...) from sibling blocks it allocates
-// alongside — so a record costs a fraction of an allocation and a
-// transaction's whole lifetime state sits side by side. Slabs double from
-// txnSlabMin to TxnSlab records, so a machine with a handful of records
-// pays for no big first block. Released records recycle through a free
+// TxnArena slab-allocates the strategies' transaction records, and their
+// per-variable ones: one slab materializes TxnSlab records as a single
+// contiguous block — the Init
+// hook wires each record's companion state (its future, path buffer, ...)
+// from sibling blocks it allocates alongside — so a transaction's whole
+// lifetime state sits side by side and warm-up costs a few allocations
+// per slab instead of a few per record. Records recycle through a free
 // stack; the simulation is single-threaded, so no locking is needed.
 // Callers reset record fields on acquire/release, the arena only manages
 // storage.
@@ -21,29 +20,22 @@ type TxnArena[T any] struct {
 	Init func(recs []T)
 
 	free []*T
-	slab []T // records of the newest slab not handed out yet
-	grow int // length of the newest slab
 }
 
-const txnSlabMin = 8
-
-// Acquire returns a recycled record, or the next one of the newest slab,
-// growing the arena by one slab when that is used up.
+// Acquire returns a recycled record, growing the arena by one slab when
+// empty.
 func (a *TxnArena[T]) Acquire() *T {
-	if n := len(a.free); n > 0 {
-		r := a.free[n-1]
-		a.free = a.free[:n-1]
-		return r
-	}
-	if len(a.slab) == 0 {
-		a.grow = min(max(txnSlabMin, 2*a.grow), TxnSlab)
-		a.slab = make([]T, a.grow)
+	if len(a.free) == 0 {
+		recs := make([]T, TxnSlab)
 		if a.Init != nil {
-			a.Init(a.slab)
+			a.Init(recs)
+		}
+		for i := range recs {
+			a.free = append(a.free, &recs[i])
 		}
 	}
-	r := &a.slab[0]
-	a.slab = a.slab[1:]
+	r := a.free[len(a.free)-1]
+	a.free = a.free[:len(a.free)-1]
 	return r
 }
 

@@ -7,7 +7,6 @@ import (
 	"diva/internal/core"
 	"diva/internal/core/accesstree"
 	"diva/internal/decomp"
-	"diva/internal/mesh"
 	"diva/topology"
 )
 
@@ -56,13 +55,11 @@ func BenchmarkBuild(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				m, err := core.NewNamedMachine(core.Config{Seed: 1, Tree: decomp.Ary4, Strategy: accesstree.Factory(), Concurrent: true},
-					core.TopoName{Name: name, Rows: 16, Cols: 16},
-					func() (mesh.Topology, error) { return topology.Build(name, 16, 16) })
+				topo, err := topology.Build(name, 16, 16)
 				if err != nil {
 					b.Fatal(err)
 				}
-				benchSink = m
+				benchSink = core.MustNewMachine(core.Config{Topology: topo, Seed: 1, Tree: decomp.Ary4, Strategy: accesstree.Factory(), Concurrent: true})
 			}
 		})
 	}

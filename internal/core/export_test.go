@@ -1,11 +1,10 @@
 package core
 
+import "diva/internal/mesh"
+
 // NewMachineWithLimits builds a machine on a private plan whose route memo
 // and position tables stop growing at the given sizes, for the tests of
-// what a full plan falls back to.
+// what a full plan falls back to. cfg names its topology and tree.
 func NewMachineWithLimits(cfg Config, routeBytes, posBytes int) (*Machine, error) {
-	if err := cfg.normalize(); err != nil {
-		return nil, err
-	}
-	return newMachine(cfg, newPlan(cfg.Topology, cfg.Tree, routeBytes, posBytes))
+	return newMachine(cfg, newPlan(cfg.Topology, cfg.Tree, mesh.NewRoutes(cfg.Topology, routeBytes), posBytes))
 }

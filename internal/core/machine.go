@@ -157,8 +157,11 @@ type Machine struct {
 	localSlab []uint64
 	localGrow int
 	localFree [][]uint64
-	// varRecs carves and recycles the variable records themselves.
-	varRecs TxnArena[Variable]
+	// varSlab is the unused tail of the block of varSlabLen records that
+	// fresh variable records are carved from. A freed record is never handed
+	// out again: a protocol message still in flight may point at it, and
+	// must find it dead.
+	varSlab []Variable
 
 	bar *barrier
 
@@ -178,9 +181,15 @@ type Machine struct {
 // never as panics, so embedding applications can surface them. Everything
 // that depends only on the topology and the tree spec comes from the
 // process-wide Plan the machine shares with every other machine like it.
-func NewMachine(cfg Config) (*Machine, error) {
+func NewMachine(cfg Config) (*Machine, error) { return newMachine(cfg, nil) }
+
+// newMachine is NewMachine on a given plan — a fork's, pinned by its
+// snapshot — or, with none, on the shared plan of cfg's topology and tree.
+func newMachine(cfg Config, plan *Plan) (*Machine, error) {
 	topo := cfg.Topology
-	if topo == nil {
+	if plan != nil {
+		topo = plan.Topo
+	} else if topo == nil {
 		if cfg.Rows <= 0 || cfg.Cols <= 0 {
 			return nil, fmt.Errorf("diva: mesh dimensions must be positive, have %dx%d", cfg.Rows, cfg.Cols)
 		}
@@ -188,59 +197,29 @@ func NewMachine(cfg Config) (*Machine, error) {
 	} else if topo.N() <= 0 {
 		return nil, fmt.Errorf("diva: topology %v has no processors", topo)
 	}
-	if err := cfg.normalize(); err != nil {
-		return nil, err
-	}
-	return newMachine(cfg, planFor(topo, cfg.Tree))
-}
-
-// NewNamedMachine is NewMachine for a topology a registry builds from a
-// name and a size: build runs only when no plan of the process holds that
-// topology yet. cfg.Topology is ignored.
-func NewNamedMachine(cfg Config, name TopoName, build func() (mesh.Topology, error)) (*Machine, error) {
-	if err := cfg.normalize(); err != nil {
-		return nil, err
-	}
-	plan, err := plans.get(planKey{name, cfg.Tree}, func() (mesh.Topology, error) {
-		t, err := build()
-		if err == nil && t.N() <= 0 {
-			err = fmt.Errorf("diva: topology %v has no processors", t)
-		}
-		return t, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	cfg.Topology = plan.Topo
-	return newMachine(cfg, plan)
-}
-
-// normalize validates the topology-independent part of the configuration
-// and fills in its defaults.
-func (cfg *Config) normalize() error {
 	if cfg.Net == (mesh.Params{}) {
 		cfg.Net = mesh.GCelParams()
 	} else if cfg.Net.BytesPerUS <= 0 {
 		// Partially-specified params are not silently replaced by the
 		// defaults: that would drop the fields the caller did set.
-		return fmt.Errorf("diva: link bandwidth must be positive, have %v bytes/us (start from GCelParams when overriding individual timings)", cfg.Net.BytesPerUS)
+		return nil, fmt.Errorf("diva: link bandwidth must be positive, have %v bytes/us (start from GCelParams when overriding individual timings)", cfg.Net.BytesPerUS)
 	}
 	if cfg.Tree.Base == 0 {
 		cfg.Tree = decomp.Ary4
 	}
 	if !cfg.Tree.Valid() {
-		return fmt.Errorf("diva: unsupported decomposition tree %s (base must be 2, 4 or 16; k must be 0 or >= base)", cfg.Tree.Name())
+		return nil, fmt.Errorf("diva: unsupported decomposition tree %s (base must be 2, 4 or 16; k must be 0 or >= base)", cfg.Tree.Name())
 	}
 	if cfg.CacheCapacity < 0 {
-		return fmt.Errorf("diva: cache capacity must be non-negative, have %d", cfg.CacheCapacity)
+		return nil, fmt.Errorf("diva: cache capacity must be non-negative, have %d", cfg.CacheCapacity)
 	}
 	if cfg.Shards < 0 {
-		return fmt.Errorf("diva: shard count must be non-negative, have %d", cfg.Shards)
+		return nil, fmt.Errorf("diva: shard count must be non-negative, have %d", cfg.Shards)
 	}
 	switch cfg.Recovery {
 	case "", RecoveryOracle:
 		if cfg.AckTimeoutUS != 0 || cfg.MaxRetries != 0 || cfg.Backoff != 0 {
-			return fmt.Errorf("diva: reactive transport parameters (ack timeout, max retries, backoff) require recovery %q", RecoveryReactive)
+			return nil, fmt.Errorf("diva: reactive transport parameters (ack timeout, max retries, backoff) require recovery %q", RecoveryReactive)
 		}
 	case RecoveryReactive:
 		// Fill the unset transport parameters from the defaults now, so the
@@ -256,14 +235,11 @@ func (cfg *Config) normalize() error {
 			cfg.Backoff = def.Backoff
 		}
 	default:
-		return fmt.Errorf("diva: unknown recovery mode %q (want %q or %q)", cfg.Recovery, RecoveryOracle, RecoveryReactive)
+		return nil, fmt.Errorf("diva: unknown recovery mode %q (want %q or %q)", cfg.Recovery, RecoveryOracle, RecoveryReactive)
 	}
-	return nil
-}
-
-// newMachine builds the per-machine state of a normalized cfg on plan.
-func newMachine(cfg Config, plan *Plan) (*Machine, error) {
-	topo := plan.Topo
+	if plan == nil {
+		plan = planFor(topo, cfg.Tree)
+	}
 	shards := cfg.Shards
 	if shards == 0 {
 		shards = 1
@@ -508,7 +484,11 @@ func (m *Machine) alloc(creator, size int, val interface{}) VarID {
 	if size <= 0 {
 		panic("core: variable size must be positive")
 	}
-	v := m.varRecs.Acquire()
+	if len(m.varSlab) == 0 {
+		m.varSlab = make([]Variable, varSlabLen)
+	}
+	v := &m.varSlab[0]
+	m.varSlab = m.varSlab[1:]
 	*v = Variable{
 		ID:      VarID(len(m.vars)),
 		Size:    size,
@@ -531,15 +511,15 @@ func (m *Machine) Free(id VarID) {
 	m.Strat.FreeVar(v)
 	m.vars[id] = nil
 	m.localFree = append(m.localFree, v.local)
-	*v = Variable{}
-	m.varRecs.Release(v)
+	v.local = nil
 }
 
 // The first bitmap slab holds localSlabMin bitmaps, no slab more than
-// localSlabMax.
+// localSlabMax; variable records come varSlabLen to a block.
 const (
 	localSlabMin = 8
 	localSlabMax = 1024
+	varSlabLen   = 16
 )
 
 // localWords is the length of one local-copy bitmap in words.

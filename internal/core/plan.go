@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"sync"
 	"sync/atomic"
 
@@ -25,7 +24,7 @@ import (
 type Plan struct {
 	Topo   mesh.Topology
 	Tree   *decomp.Tree
-	Routes *mesh.Routes
+	Routes *mesh.Routes // of the topology: one for its plans under every tree spec
 
 	key      planKey                   // in the plan table; zero for a private plan
 	mu       sync.Mutex                // serializes position-table fills
@@ -34,20 +33,17 @@ type Plan struct {
 	posMax   int64
 }
 
-// The growth limits of one plan: route links as in a network of its own,
-// and as much again for position tables (a 32×32 machine's full set is
-// 8 MB). Past them routes are walked per message and position tables
-// computed per variable, as correct and slower.
-const (
-	planRouteBytes = mesh.RouteBytesMax
-	planPosBytes   = 16 << 20
-)
+// planPosBytes is where a plan's position tables stop growing (a 32×32
+// machine's full set is 8 MB), as its route memo does at
+// mesh.RouteBytesMax. Past them routes are walked per message and position
+// tables computed per variable, as correct and slower.
+const planPosBytes = 16 << 20
 
-func newPlan(t mesh.Topology, spec decomp.Spec, routeBytes, posBytes int) *Plan {
+func newPlan(t mesh.Topology, spec decomp.Spec, routes *mesh.Routes, posBytes int) *Plan {
 	return &Plan{
 		Topo:   t,
 		Tree:   decomp.Build(t, spec),
-		Routes: mesh.NewRoutes(t, routeBytes),
+		Routes: routes,
 		pos:    make([]atomic.Pointer[[]int32], t.N()),
 		posMax: int64(posBytes),
 	}
@@ -73,31 +69,10 @@ func (p *Plan) PosTable(root int) []int32 {
 	return tab
 }
 
-// Bytes estimates the memory the plan holds: the tree, the route memo and
-// the position tables computed so far, plus a graph topology's tables.
-func (p *Plan) Bytes() int64 {
-	const nodeBytes = 128 // a decomp.Node, its boxed region and its slot in the children slab
-	b := int64(nodeBytes*len(p.Tree.Nodes)+8*len(p.pos)) + p.Routes.Bytes() + p.posBytes.Load()
-	if g, ok := p.Topo.(*mesh.Graph); ok {
-		b += g.TableBytes()
-	}
-	return b
-}
-
-// TopoName identifies a topology built by a registry: the same name and
-// size always denote the same network, so its plans — and through them the
-// topology instance, with a graph's BFS tables — are found by name instead
-// of being rebuilt.
-type TopoName struct {
-	Name       string
-	Rows, Cols int
-}
-
-// planKey identifies a plan: topo is a TopoName, or the topology value
-// itself — compared by content for the built-in families, by pointer for
-// graphs.
+// planKey identifies a plan: the topology compares by content for the
+// built-in families, by pointer for graphs.
 type planKey struct {
-	topo interface{}
+	topo mesh.Topology
 	spec decomp.Spec
 }
 
@@ -110,85 +85,59 @@ type planTable struct {
 	builds int64
 }
 
-const (
-	maxPlans = 16
-	// planKeepBytes is the most a plan may hold at construction (a graph's
-	// BFS tables, the pair table of a 2 000-processor machine) and still be
-	// kept: a bigger one serves the machine it was built for only.
-	planKeepBytes = 16 << 20
-)
+const maxPlans = 16
 
 var plans planTable
 
-// find returns the plan under key, marking it used. Without one it returns
-// the topology instance another spec's plan holds for the same TopoName,
-// if any. Callers hold pt.mu.
-func (pt *planTable) find(key planKey) (*Plan, mesh.Topology) {
-	var t mesh.Topology
+// get returns the plan under key, marking it used. A missing one is built
+// under the lock — so exactly once however many machines ask at the same
+// time — on the route memo of any other plan of the same topology: routes
+// do not depend on the tree spec.
+func (pt *planTable) get(key planKey) *Plan {
+	pt.mu.Lock()
+	defer pt.mu.Unlock()
+	var routes *mesh.Routes
 	for i, p := range pt.plans {
 		if p.key == key {
 			copy(pt.plans[i:], pt.plans[i+1:])
 			pt.plans[len(pt.plans)-1] = p
-			return p, nil
+			pt.hits++
+			return p
 		}
-		if _, named := key.topo.(TopoName); named && p.key.topo == key.topo {
-			t = p.Topo
-		}
-	}
-	return nil, t
-}
-
-// get returns the plan for key, building it (and, unless another plan
-// already holds one, its topology) when the table has none. Plans are built
-// outside the lock; of two racing builders the second adopts the first's.
-func (pt *planTable) get(key planKey, build func() (mesh.Topology, error)) (*Plan, error) {
-	pt.mu.Lock()
-	p, t := pt.find(key)
-	if p != nil {
-		pt.hits++
-	}
-	pt.mu.Unlock()
-	if p != nil {
-		return p, nil
-	}
-	if t == nil {
-		var err error
-		if t, err = build(); err != nil {
-			return nil, err
+		if p.key.topo == key.topo {
+			routes = p.Routes
 		}
 	}
-	p = newPlan(t, key.spec, planRouteBytes, planPosBytes)
+	if routes == nil {
+		routes = mesh.NewRoutes(key.topo, mesh.RouteBytesMax)
+	}
+	p := newPlan(key.topo, key.spec, routes, planPosBytes)
 	p.key = key
-	pt.mu.Lock()
-	defer pt.mu.Unlock()
-	if q, _ := pt.find(key); q != nil {
-		pt.hits++
-		return q, nil
-	}
 	pt.builds++
-	if p.Bytes() <= planKeepBytes {
-		pt.plans = append(pt.plans, p)
-		if len(pt.plans) > maxPlans {
-			pt.plans = append(pt.plans[:0], pt.plans[1:]...)
-		}
+	pt.plans = append(pt.plans, p)
+	if len(pt.plans) > maxPlans {
+		pt.plans = append(pt.plans[:0], pt.plans[1:]...)
 	}
-	return p, nil
+	return p
 }
 
-// planFor returns the shared plan of (t, spec). A topology whose type is
-// not comparable has no identity to share under and gets a plan of its own.
+// planFor returns the plan of a machine on (t, spec): the shared one for
+// the built-in topologies, which are immutable — the families are plain
+// values, a graph never changes once built. Any other implementation may
+// answer differently the next time it is asked (or hold state that does
+// not compare), so each of its machines gets a plan of its own.
 func planFor(t mesh.Topology, spec decomp.Spec) *Plan {
-	if !reflect.TypeOf(t).Comparable() {
-		return newPlan(t, spec, planRouteBytes, planPosBytes)
+	switch t.(type) {
+	case mesh.Mesh, mesh.Torus, mesh.Hypercube, mesh.FatTree, *mesh.Graph:
+		return plans.get(planKey{t, spec})
 	}
-	p, _ := plans.get(planKey{t, spec}, func() (mesh.Topology, error) { return t, nil })
-	return p
+	return newPlan(t, spec, mesh.NewRoutes(t, mesh.RouteBytesMax), planPosBytes)
 }
 
 // PlanStats describes the process-wide plan table.
 type PlanStats struct {
 	Plans  int   // plans resident
-	Bytes  int64 // memory they hold (Plan.Bytes)
+	Bytes  int64 // their route memos and position tables, as filled so far
 	Hits   int64 // machines built on a plan that was already there
 	Builds int64 // plans built
 }
@@ -198,8 +147,13 @@ func ReadPlanStats() PlanStats {
 	plans.mu.Lock()
 	defer plans.mu.Unlock()
 	st := PlanStats{Plans: len(plans.plans), Hits: plans.hits, Builds: plans.builds}
+	memos := map[*mesh.Routes]bool{} // one per topology, shared across specs
 	for _, p := range plans.plans {
-		st.Bytes += p.Bytes()
+		st.Bytes += p.posBytes.Load()
+		if !memos[p.Routes] {
+			memos[p.Routes] = true
+			st.Bytes += p.Routes.Bytes()
+		}
 	}
 	return st
 }

@@ -13,12 +13,7 @@ func TestPlanTableEvictsOldest(t *testing.T) {
 	var pt planTable
 	get := func(cols int) *Plan {
 		t.Helper()
-		topo := mesh.New(1, cols)
-		p, err := pt.get(planKey{topo, decomp.Ary2}, func() (mesh.Topology, error) { return topo, nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
+		return pt.get(planKey{mesh.New(1, cols), decomp.Ary2})
 	}
 	first := get(2)
 	for cols := 3; cols < 2+maxPlans; cols++ {
@@ -41,40 +36,49 @@ func TestPlanTableEvictsOldest(t *testing.T) {
 	}
 }
 
-// TestPlanTableSkipsHugePlans: a plan past planKeepBytes at construction
-// (here the 16 MB pair table of 2 025 processors) is handed out but not
-// kept.
-func TestPlanTableSkipsHugePlans(t *testing.T) {
+// TestPlanTableSharesRoutesAcrossSpecs: routes depend on the topology
+// alone, so its plans under different tree specs hold one memo — and a
+// plan each, with its own tree.
+func TestPlanTableSharesRoutesAcrossSpecs(t *testing.T) {
 	var pt planTable
-	topo := mesh.New(45, 45)
-	for i := 0; i < 2; i++ {
-		p, err := pt.get(planKey{topo, decomp.Ary4}, func() (mesh.Topology, error) { return topo, nil })
-		if err != nil || p.Bytes() <= planKeepBytes {
-			t.Fatalf("plan of %d bytes, err %v: want one past %d", p.Bytes(), err, planKeepBytes)
-		}
-	}
-	if len(pt.plans) != 0 || pt.builds != 2 || pt.hits != 0 {
-		t.Fatalf("table kept %d plans after %d builds and %d hits, want 0, 2, 0", len(pt.plans), pt.builds, pt.hits)
-	}
-}
-
-// TestPlanTableSharesNamedTopology: plans found by registry name reuse the
-// topology instance across tree specs — the builder runs once.
-func TestPlanTableSharesNamedTopology(t *testing.T) {
-	var pt planTable
-	built := 0
-	build := func() (mesh.Topology, error) {
-		built++
-		return mesh.NewRandomRegular(16, 4, 1)
-	}
-	name := TopoName{Name: "graph:test", Rows: 4, Cols: 4}
-	a, err := pt.get(planKey{name, decomp.Ary2}, build)
+	g, err := mesh.NewRandomRegular(16, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := pt.get(planKey{name, decomp.Ary4}, build)
-	c, _ := pt.get(planKey{name, decomp.Ary2}, build)
-	if built != 1 || a.Topo != b.Topo || a == b || a != c {
-		t.Fatalf("builder ran %d times; plans share topology: %v, same spec same plan: %v", built, a.Topo == b.Topo, a == c)
+	a := pt.get(planKey{g, decomp.Ary2})
+	b := pt.get(planKey{g, decomp.Ary4})
+	c := pt.get(planKey{g, decomp.Ary2})
+	if a == b || a != c || a.Tree == b.Tree || a.Routes != b.Routes {
+		t.Fatalf("same spec same plan: %v; specs share the route memo: %v", a == c, a.Routes == b.Routes)
+	}
+	if other := pt.get(planKey{mesh.New(4, 4), decomp.Ary2}); other.Routes == a.Routes {
+		t.Fatal("two topologies share a route memo")
+	}
+}
+
+// sliceTopo is a user topology that holds a slice, so it does not compare;
+// wrapTopo's type does, but a wrapTopo holding a sliceTopo panics when
+// compared.
+type sliceTopo struct {
+	mesh.Mesh
+	scratch []int
+}
+
+type wrapTopo struct{ mesh.Topology }
+
+// TestPlanPrivateForUserTopology: only the built-in topologies are known
+// to be immutable, so any other implementation — comparable or not, by
+// value or by pointer — gets a plan per machine and never enters the table.
+func TestPlanPrivateForUserTopology(t *testing.T) {
+	inner := sliceTopo{Mesh: mesh.New(2, 2)}
+	before := ReadPlanStats()
+	for _, topo := range []mesh.Topology{inner, wrapTopo{inner}, &inner} {
+		a, b := planFor(topo, decomp.Ary2), planFor(topo, decomp.Ary2)
+		if a == b || a.Routes == b.Routes {
+			t.Errorf("%T: two machines share a plan", topo)
+		}
+	}
+	if after := ReadPlanStats(); after != before {
+		t.Errorf("plan table moved: %+v, was %+v", after, before)
 	}
 }

@@ -207,9 +207,6 @@ func (g *Graph) ForEachLink(f func(link, from, to int)) {
 // processor id space.
 func (g *Graph) Grid() (rows, cols int, ok bool) { return 0, 0, false }
 
-// TableBytes returns the size of the route tables: two int32 per pair.
-func (g *Graph) TableBytes() int64 { return int64(4 * (len(g.nextLink) + len(g.dist))) }
-
 // Degree returns node u's number of incident undirected edges.
 func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
 

@@ -261,8 +261,10 @@ func NewNetwork(k *sim.Kernel, t Topology, p Params) *Network {
 }
 
 // RouteBytesMax is the byte limit of a route memo's link chunks (the pair
-// table, at most 16 MB, comes on top). The paper's largest figure cell,
-// matmul on 32×32, touches 0.5 MB of links; a complete 16×16 memo is 3 MB.
+// table, at most 16 MB, comes on top). A complete 16×16 memo is 3 MB; over
+// the repo benchmark's four workloads the largest memo grows to 1.8 MB
+// (16×16, all tree specs of the figure cells on it) and the 32×32 one to
+// 0.5 MB (PERF.md, PR 18).
 const RouteBytesMax = 16 << 20
 
 // NewNetworkOn creates a network over the topology of r, sharing r's route

@@ -648,8 +648,9 @@ type healthzResponse struct {
 	SnapshotLoadUS int64 `json:"snapshot_load_us"`
 	// Machine plans (decomposition tree, route memo, embedding tables,
 	// topology instance — shared by every machine on the same topology and
-	// tree): plans resident in the process and the memory they hold,
-	// machines built on a plan already there, and plans built. A fork
+	// tree): plans resident in the process, the memory their route memos
+	// and embedding tables have grown to, machines built on a plan already
+	// there, and plans built. A fork
 	// takes its snapshot's plan and counts as neither.
 	Plans      int   `json:"plans"`
 	PlanBytes  int64 `json:"plan_bytes"`

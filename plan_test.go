@@ -93,3 +93,19 @@ func TestForkSharedPlanConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestNamedGraphSharedAcrossMachines: machines selecting a graph by
+// registry name get one instance of it (topology.Build remembers it), so
+// they find one plan per tree spec, and across tree specs one route memo.
+func TestNamedGraphSharedAcrossMachines(t *testing.T) {
+	newMachine := func(strat string) *diva.Machine {
+		return diva.MustNew(diva.WithTopologyName("graph:er", 6, 6), diva.WithStrategyName(strat), diva.WithConcurrent(true))
+	}
+	a, b, c := newMachine("at4"), newMachine("at4"), newMachine("at2")
+	if a.Topo != c.Topo || a.Plan != b.Plan {
+		t.Fatalf("same named graph: one instance %v, one plan per tree spec %v", a.Topo == c.Topo, a.Plan == b.Plan)
+	}
+	if a.Plan == c.Plan || a.Tree == c.Tree || a.Plan.Routes != c.Plan.Routes {
+		t.Fatalf("tree specs: own plan %v, shared route memo %v", a.Plan != c.Plan, a.Plan.Routes == c.Plan.Routes)
+	}
+}

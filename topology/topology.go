@@ -17,6 +17,7 @@ package topology
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"diva/internal/mesh"
 	"diva/internal/registry"
@@ -110,7 +111,8 @@ func NewDegradedMesh(rows, cols, drop int, seed uint64) (*Graph, error) {
 
 // Builder constructs a topology from the canonical ROWSxCOLS machine size.
 // Builders for non-grid topologies derive their shape from the processor
-// count rows*cols.
+// count rows*cols. A builder is a pure function of the size: Build may hand
+// out what it returned before.
 type Builder func(rows, cols int) (Topology, error)
 
 // Spec is one registry entry: a named, documented topology builder.
@@ -142,13 +144,61 @@ func Register(s Spec) {
 func Get(name string) (Spec, error) { return reg.Get(name) }
 
 // Build resolves name through the registry and builds the topology for the
-// canonical ROWSxCOLS machine size.
+// canonical ROWSxCOLS machine size. A graph is immutable once built and a
+// registered name denotes one per size, so the graphs built last are
+// remembered and handed out again: their BFS tables are computed once, and
+// machines selecting the same named graph share one instance and, through
+// it, one machine plan.
 func Build(name string, rows, cols int) (Topology, error) {
 	s, err := Get(name)
 	if err != nil {
 		return nil, err
 	}
-	return s.Build(rows, cols)
+	key := graphKey{name, rows, cols}
+	if g := graphs.get(key, nil); g != nil {
+		return g, nil
+	}
+	t, err := s.Build(rows, cols)
+	if g, ok := t.(*Graph); ok && err == nil {
+		return graphs.get(key, g), nil
+	}
+	return t, err
+}
+
+type graphKey struct {
+	name       string
+	rows, cols int
+}
+
+// graphMemo remembers the graphs Build built last.
+type graphMemo struct {
+	mu     sync.Mutex
+	recent [8]struct {
+		key graphKey
+		g   *Graph
+	}
+	next int
+}
+
+var graphs graphMemo
+
+// get returns the graph remembered under key. Without one it remembers
+// built, if given, in place of the oldest — of two racing builders the
+// second adopts the first's graph.
+func (m *graphMemo) get(key graphKey, built *Graph) *Graph {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, b := range m.recent {
+		if b.key == key {
+			return b.g
+		}
+	}
+	if built != nil {
+		e := &m.recent[m.next%len(m.recent)]
+		e.key, e.g = key, built
+		m.next++
+	}
+	return built
 }
 
 // Names returns the registered topology names, sorted.

@@ -62,8 +62,13 @@ func TestGraphRegistryInvariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Rebuild: identical link enumeration.
-			tp2, err := topology.Build(name, 4, 4)
+			// Build remembers graphs: the same instance again.
+			if again, _ := topology.Build(name, 4, 4); again != tp {
+				t.Fatal("a second Build of the same graph entry made a new instance")
+			}
+			// Rebuild, past Build's memory: identical link enumeration.
+			s, _ := topology.Get(name)
+			tp2, err := s.Build(4, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,4 +175,25 @@ func TestRegisterValidation(t *testing.T) {
 	mustPanic("empty name", func() { topology.Register(topology.Spec{Build: builder}) })
 	mustPanic("nil builder", func() { topology.Register(topology.Spec{Name: "x"}) })
 	mustPanic("duplicate", func() { topology.Register(topology.Spec{Name: "mesh", Build: builder}) })
+}
+
+// TestBuildForgetsOldestGraph: Build remembers a fixed number of graphs;
+// past it the oldest is built anew.
+func TestBuildForgetsOldestGraph(t *testing.T) {
+	first, err := topology.Build("graph:er", 3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cols := 4; cols < 12; cols++ {
+		if _, err := topology.Build("graph:er", 3, cols); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if again, _ := topology.Build("graph:er", 3, 3); again == first {
+		t.Fatal("Build still holds the graph built nine builds ago")
+	}
+	recent, _ := topology.Build("graph:er", 3, 11)
+	if again, _ := topology.Build("graph:er", 3, 11); again != recent {
+		t.Fatal("a recent graph was not remembered")
+	}
 }
