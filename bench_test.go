@@ -420,58 +420,6 @@ func BenchmarkAblationBackpressureOff(b *testing.B) { benchBackpressure(b, true)
 
 // --- Simulator micro-benchmarks (the event hot path itself) ---
 
-// BenchmarkKernelEventChurn measures raw event-queue throughput: one
-// schedule + pop + dispatch per iteration through the 4-ary heap. The
-// closure is long-lived, so the steady state allocates nothing.
-func BenchmarkKernelEventChurn(b *testing.B) {
-	k := sim.New()
-	n := 0
-	var fn func()
-	fn = func() {
-		n++
-		if n < b.N {
-			k.After(1, fn)
-		}
-	}
-	k.At(0, fn)
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := k.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// benchKernelQueue measures pure schedule/pop churn through the ladder
-// event queue at a standing population of `size` events: the queue is
-// pre-filled with uniformly spread timestamps and every executed event
-// reschedules itself `size` microseconds ahead, so each iteration is one
-// push + one pop at that depth. The heap oracle pays O(log n) sifts here;
-// the ladder's amortized cost stays flat as size grows (compare the
-// BenchmarkKernelQueue* ns/op against each other in BENCH_*.json).
-func benchKernelQueue(b *testing.B, size int) {
-	k := sim.New()
-	n := 0
-	var fn func(interface{})
-	fn = func(x interface{}) {
-		n++
-		if n <= b.N {
-			k.AtCall(k.Now()+float64(size), fn, nil)
-		}
-	}
-	for i := 0; i < size; i++ {
-		k.AtCall(sim.Time(i+1), fn, nil)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := k.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func BenchmarkKernelQueue256(b *testing.B)   { benchKernelQueue(b, 256) }
-func BenchmarkKernelQueue4096(b *testing.B)  { benchKernelQueue(b, 4096) }
-func BenchmarkKernelQueue65536(b *testing.B) { benchKernelQueue(b, 65536) }
-
 // BenchmarkMessageHop measures ONE end-to-end message hop between two
 // adjacent mesh nodes — send startup, routing, the fused arrive stage and
 // the handler dispatch — the unit the fused delivery pipeline reduced to

@@ -44,6 +44,7 @@ import (
 
 	"diva"
 	"diva/internal/core"
+	"diva/internal/sim"
 	"diva/snapstore"
 	"diva/spec"
 )
@@ -656,6 +657,15 @@ type healthzResponse struct {
 	PlanBytes  int64 `json:"plan_bytes"`
 	PlanHits   int64 `json:"plan_hits"`
 	PlanBuilds int64 `json:"plan_builds"`
+	// Kernel event storage (sim.StoreStats): sets of slabs and payload
+	// tables that finished kernels left for the next ones, the memory they
+	// keep resident (bounded by a constant), and how the slab requests of
+	// the kernels finished so far were served — from a free list or by
+	// allocation.
+	KernelStoreSets   int    `json:"kernel_store_sets"`
+	KernelStoreBytes  int64  `json:"kernel_store_bytes"`
+	KernelStoreHits   uint64 `json:"kernel_store_hits"`
+	KernelStoreMisses uint64 `json:"kernel_store_misses"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -664,6 +674,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status = "draining"
 	}
 	plans := core.ReadPlanStats()
+	store := sim.StoreStats()
 	s.writeJSON(w, http.StatusOK, healthzResponse{
 		Status:      status,
 		Runs:        s.runs.Load(),
@@ -683,6 +694,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		PlanBytes:  plans.Bytes,
 		PlanHits:   plans.Hits,
 		PlanBuilds: plans.Builds,
+
+		KernelStoreSets:   store.Sets,
+		KernelStoreBytes:  store.Bytes,
+		KernelStoreHits:   store.Hits,
+		KernelStoreMisses: store.Misses,
 	})
 }
 

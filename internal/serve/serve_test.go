@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"diva/internal/sim"
 	"diva/spec"
 )
 
@@ -383,4 +384,52 @@ func TestHealthzPlanCounters(t *testing.T) {
 	step("first machine", doc(1), 0, 1)
 	step("fork of the cached snapshot", doc(1), 0, 0)
 	step("second machine, same topology and tree", doc(2), 1, 0)
+}
+
+// TestHealthzKernelStoreBounded sends a burst of requests of mixed sizes —
+// 4×4 to 32×32 machines, DSM and hand-optimized, two at a time — and reads
+// what /v1/healthz says about the kernel event storage they leave behind:
+// sets are waiting for the next request, their slab requests were counted,
+// and the resident bytes stay under the stock's constant ceiling however
+// large the largest run was.
+func TestHealthzKernelStoreBounded(t *testing.T) {
+	ts := httptest.NewServer(mustServer(t, Options{Workers: 2}).Handler())
+	defer ts.Close()
+	docs := []string{
+		`{"rows":4,"cols":4,"strategy":"at4","seed":3,"workload":{"name":"matmul","block":16}}`,
+		`{"rows":16,"cols":16,"strategy":"fixedhome","seed":3,"workload":{"name":"bitonic","keys":16}}`,
+		`{"rows":32,"cols":32,"strategy":"handopt","seed":3,"workload":{"name":"stencil","iters":2,"halo":64}}`,
+		`{"rows":8,"cols":8,"strategy":"at4","seed":3,"workload":{"name":"matmul","block":64}}`,
+	}
+	before := healthz(t, ts)
+	var wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				doc := docs[(c+i)%len(docs)]
+				resp, err := ts.Client().Post(ts.URL+"/v1/run", "application/json", strings.NewReader(doc))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("%s: status %d", doc, resp.StatusCode)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	after := healthz(t, ts)
+	ceiling := sim.StoreStats().Ceiling
+	if after.KernelStoreSets < 1 || after.KernelStoreBytes <= 0 || after.KernelStoreBytes > ceiling {
+		t.Errorf("healthz reports %d kernel store sets holding %d bytes; want at least one set and at most %d bytes",
+			after.KernelStoreSets, after.KernelStoreBytes, ceiling)
+	}
+	if after.KernelStoreHits <= before.KernelStoreHits || after.KernelStoreMisses < before.KernelStoreMisses {
+		t.Errorf("slab counters went from %d hits / %d misses to %d / %d over 16 runs",
+			before.KernelStoreHits, before.KernelStoreMisses, after.KernelStoreHits, after.KernelStoreMisses)
+	}
 }

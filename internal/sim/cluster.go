@@ -156,6 +156,7 @@ func NewCluster(shards int, lookahead Time) *Cluster {
 	for i := range cl.ks {
 		k := New()
 		k.sh = &shard{cl: cl, k: k, idx: i}
+		k.st.own = true // a shard keeps its store for life: it takes none from the stock
 		cl.ks[i] = k
 	}
 	return cl

@@ -68,6 +68,56 @@
 // than every queued event of the same timestamp, so FIFO order is
 // (time, sequence) order.
 //
+// # Storage
+//
+// The kernel has one storage layer for events, evStore (store.go). Every
+// []event it queues on — front, tail and rung buckets of the regular and
+// the lazy ladder queue, the same-timestamp FIFO, the epoch-sort scratch —
+// is a slab: capacity a power of two from 8 events (256 bytes) up to 2^20,
+// one free list per size class. A request beyond the largest class is
+// allocated exactly and not kept. The callback payload table and its free
+// stack, the scratch of a rung spawn and retired rung structs belong to
+// the same store, so both queues share all of it.
+//
+// A slab has one owner at a time. A tier takes one with get (or grow, which
+// moves its events to the next class and puts the old slab back) when it
+// receives its first event, and gives it back with put the moment its
+// events are consumed: the front's slab when the next epoch is swapped in,
+// a bucket's when it is spread into a child rung, the tail's when it is
+// converted. An empty bucket holds nothing, so a retired rung is a bare
+// struct. The push fast path is a plain in-capacity append; the store is
+// touched only when a slab is full. The sorted front is consumed from its
+// head and extended at its end, so its live window — at most a few dozen
+// events — slides through the slab; when it reaches the end it is moved
+// back to the start if half the slab is consumed space, and only otherwise
+// does the slab grow. In steady state a run allocates nothing
+// (TestLadderSteadyStateZeroAlloc).
+//
+// When Run returns with no event pending on any tier, the store outlives
+// its use: the queues give up their last slabs and the whole set — free
+// lists, payload table, scratch, rungs — is handed to a process-wide stock,
+// from which the next kernel takes it at its first slab request, so a fork
+// or a fresh figure cell starts on warm storage. Payload slots an event
+// took before that first request move into the adopted table. A run that
+// ended with events pending (Stop, cancellation, deadlock) keeps its store,
+// a kernel that runs again after a hand-over adopts afresh, and the shards
+// of a Cluster keep theirs for life and take none. Storage never decides
+// order — bucket membership and sorts read (t, seq) only — so a run is
+// bit-identical whatever set it found.
+//
+// Before a set enters the stock it is trimmed and scrubbed. Trimmed: at
+// most 8 MiB a set, largest slabs dropped first, and at most 4 sets wait,
+// so the stock keeps a constant 32 MiB at most; a set released while the
+// stock is full is dropped. Scrubbed: stale events in consumed slabs still
+// name their *Proc, and used payload slots their callback and argument, so
+// every slab handed out since the last scrub (a low-water mark per class
+// tells which) and every used payload slot is cleared — a finished machine
+// is collectable while its slabs live on (TestReleasedStoreIsCleared). The
+// stock is a mutex-guarded array, not a sync.Pool: a pinned Run changes
+// GOMAXPROCS twice, and each change empties every pool. StoreStats reports
+// sets and bytes resident, adoptions, and the slab hits and misses of the
+// kernels that have handed over; /v1/healthz shows them as kernel_store_*.
+//
 // # The lazy event tier
 //
 // AtLazyCall schedules a callback that executes at the exact (t, seq)

@@ -25,8 +25,9 @@ type event struct {
 }
 
 // payload holds a callback event's fields: a typed callback applied to arg,
-// or a func() closure as the fallback. Slots are recycled through a free
-// stack, so scheduling stays allocation-free in steady state.
+// or a func() closure as the fallback. Slots live in the kernel's store
+// (evStore.pay) and are recycled through a free stack, so scheduling stays
+// allocation-free in steady state.
 type payload struct {
 	hfn func(interface{})
 	arg interface{}
@@ -105,9 +106,6 @@ type Kernel struct {
 	cancelCtr uint32
 	canceled  bool
 
-	pay     []payload // callback payload slots referenced by event.slot
-	payFree []int32   // recycled payload slots
-
 	// nowq is a FIFO bypass for events scheduled at the current time —
 	// future completions, yields, spawn kick-offs. Such an event is always
 	// younger (higher seq) than every queued event of the same timestamp,
@@ -121,13 +119,19 @@ type Kernel struct {
 	// mode) or a per-window temporary namespace, the loop stops at window
 	// horizons, and Run drives the whole cluster.
 	sh *shard
+
+	// st is the kernel's event storage (store.go): the slabs lq, lazyq
+	// and nowq queue on and the callback payload table. It is handed to the
+	// process-wide stock when Run returns with nothing pending and adopted
+	// from there on first need.
+	st evStore
 }
 
 // New returns an empty kernel at time 0.
 func New() *Kernel {
 	k := &Kernel{mainCh: make(chan struct{}, 1), useHeap: defaultHeapQueue}
-	k.lq.init()
-	k.lazyq.init()
+	k.lq.init(&k.st)
+	k.lazyq.init(&k.st)
 	return k
 }
 
@@ -303,10 +307,10 @@ func (k *Kernel) SkipSeq() { k.allocSeq() }
 // takeSlot fetches and recycles a callback event's payload. The slot is
 // recycled without clearing: it is fully overwritten on reuse, and until
 // then it retains only a bounded number of already-executed callback
-// references.
+// references, which the store scrubs before it outlives the kernel.
 func (k *Kernel) takeSlot(slot int32) payload {
-	pl := k.pay[slot]
-	k.payFree = append(k.payFree, slot)
+	pl := k.st.pay[slot]
+	k.st.payFree = append(k.st.payFree, slot)
 	return pl
 }
 
@@ -323,7 +327,7 @@ func (k *Kernel) checkPast(t Time) {
 // comment.
 func (k *Kernel) sched(e event) {
 	if e.t == k.now {
-		k.nowq = append(k.nowq, e)
+		k.nowq = k.st.add(k.nowq, e)
 		return
 	}
 	if k.useHeap {
@@ -427,14 +431,15 @@ func (k *Kernel) next() (event, bool) {
 
 // slot stores a callback payload and returns its table index.
 func (k *Kernel) slot(p payload) int32 {
-	if n := len(k.payFree); n > 0 {
-		s := k.payFree[n-1]
-		k.payFree = k.payFree[:n-1]
-		k.pay[s] = p
+	st := &k.st
+	if n := len(st.payFree); n > 0 {
+		s := st.payFree[n-1]
+		st.payFree = st.payFree[:n-1]
+		st.pay[s] = p
 		return s
 	}
-	k.pay = append(k.pay, p)
-	return int32(len(k.pay) - 1)
+	st.pay = append(st.pay, p)
+	return int32(len(st.pay) - 1)
 }
 
 // At schedules fn to run in event context at absolute time t. Scheduling in
@@ -535,7 +540,22 @@ func (k *Kernel) Run() error {
 		k.killAll()
 		return &DeadlockError{Blocked: blocked, At: k.now}
 	}
+	if k.localPending() == 0 {
+		k.releaseStore()
+	}
 	return nil
+}
+
+// releaseStore hands the kernel's event storage to the process-wide stock
+// once a run has drained every tier. A run that ended with events pending
+// — Stop, cancellation, deadlock — keeps its store: the events are in it.
+// The kernel stays usable; scheduling again adopts storage afresh.
+func (k *Kernel) releaseStore() {
+	k.lq.reset()
+	k.lazyq.reset()
+	k.st.put(k.nowq)
+	k.nowq = nil
+	k.st.release()
 }
 
 // loop executes events on the calling goroutine — the current baton holder

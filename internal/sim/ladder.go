@@ -50,6 +50,12 @@ import (
 // Pushes below frontEnd insert into the sorted front (binary search +
 // memmove); a front grown past lqFrontCap spills into a fresh deepest
 // rung so the insertion cost stays bounded.
+//
+// Storage: front, tail and every bucket are slabs of the kernel's evStore
+// (store.go), shared by the kernel's two ladder queues. A tier holds a slab
+// only while it holds events: the consumed front, a bucket spread into a
+// child rung and a converted tail go back to the store at once, and an
+// empty bucket is nil.
 type ladderQueue struct {
 	n int // total events across front, rungs and tail
 
@@ -57,13 +63,11 @@ type ladderQueue struct {
 	fh       int     // head index into front
 	frontEnd Time    // exclusive time bound of the front partition
 
-	rungs  []*lrung // rungs[len-1] is the deepest (currently consumed)
-	spare  []*lrung // recycled rung structs (bucket capacity retained)
-	idxBuf []uint8  // scratch bucket indices for spread
+	rungs []*lrung // rungs[len-1] is the deepest (currently consumed)
 
 	tail []event // unsorted overflow beyond the shallowest rung
 
-	sortBuf []event // cached epoch-sort scratch, reused across materializations
+	st *evStore // slabs, rung structs, sort and spread scratch
 }
 
 const (
@@ -114,23 +118,22 @@ func (r *lrung) bucketOf(t Time) int {
 // add appends e to its canonical bucket. The caller has checked that e
 // lies in the rung's remaining (unconsumed) range, so the bucket it
 // lands in has not been materialized yet.
-func (r *lrung) add(e event) {
+func (r *lrung) add(st *evStore, e event) {
 	b := r.bucketOf(e.t)
-	r.bkts[b] = append(r.bkts[b], e)
+	r.bkts[b] = st.add(r.bkts[b], e)
 	r.occ |= 1 << b
 	r.n++
 }
 
-// spread bulk-distributes evs into a fresh rung's buckets with
-// exact-capacity allocation: one pass bins, then each touched bucket is
-// sized once, then events are placed — no append-doubling garbage, which
-// dominated the ladder's allocation profile when clustered epochs spawned
-// child rungs repeatedly.
+// spread bulk-distributes evs into a fresh rung's buckets: one pass bins,
+// then each touched bucket draws one slab that fits its count, then events
+// are placed — no growth while placing.
 func (q *ladderQueue) spread(r *lrung, evs []event) {
-	if cap(q.idxBuf) < len(evs) {
-		q.idxBuf = make([]uint8, len(evs))
+	st := q.st
+	if cap(st.idxBuf) < len(evs) {
+		st.idxBuf = make([]uint8, 1<<bits.Len(uint(len(evs)-1)))
 	}
-	idx := q.idxBuf[:len(evs)]
+	idx := st.idxBuf[:len(evs)]
 	var cnt [lqBuckets]int32
 	for i := range evs {
 		b := r.bucketOf(evs[i].t)
@@ -139,9 +142,7 @@ func (q *ladderQueue) spread(r *lrung, evs []event) {
 	}
 	for b, c := range cnt {
 		if c > 0 {
-			if cap(r.bkts[b]) < int(c) {
-				r.bkts[b] = make([]event, 0, c)
-			}
+			r.bkts[b] = st.get(int(c))
 			r.occ |= 1 << b
 		}
 	}
@@ -152,7 +153,27 @@ func (q *ladderQueue) spread(r *lrung, evs []event) {
 	r.n += len(evs)
 }
 
-func (q *ladderQueue) init() {
+func (q *ladderQueue) init(st *evStore) {
+	q.st = st
+	q.frontEnd = math.Inf(1)
+}
+
+// reset returns an empty queue to its initial state, its slabs and rungs
+// to the store. Where the partition bounds stood does not matter to an
+// empty queue: pop order depends on (t, seq) alone.
+func (q *ladderQueue) reset() {
+	if q.n != 0 {
+		panic("sim: ladder queue reset with events queued")
+	}
+	st := q.st
+	st.put(q.front)
+	st.put(q.tail)
+	q.front, q.fh, q.tail = nil, 0, nil
+	for i, r := range q.rungs {
+		st.spare = append(st.spare, r)
+		q.rungs[i] = nil
+	}
+	q.rungs = q.rungs[:0]
 	q.frontEnd = math.Inf(1)
 }
 
@@ -168,18 +189,23 @@ func (q *ladderQueue) push(e event) {
 	for i := len(q.rungs) - 1; i >= 0; i-- {
 		r := q.rungs[i]
 		if e.t < r.end {
-			r.add(e)
+			r.add(q.st, e)
 			return
 		}
 	}
-	q.tail = append(q.tail, e)
+	q.tail = q.st.add(q.tail, e)
 }
 
-// pushFront inserts e into the sorted front at its (t, seq) position.
+// pushFront inserts e into the sorted front at its (t, seq) position. The
+// live window [fh, len) slides through its slab as pops consume the head;
+// when it reaches the end makeFrontRoom moves it back to the start.
 func (q *ladderQueue) pushFront(e event) {
 	if q.fh == len(q.front) {
-		q.front = append(q.front[:0], e)
-		q.fh = 0
+		if cap(q.front) == 0 {
+			q.front = q.st.get(1)
+		}
+		q.front, q.fh = q.front[:1], 0
+		q.front[0] = e
 		return
 	}
 	if len(q.front)-q.fh >= lqFrontCap && q.spillFront() {
@@ -187,6 +213,9 @@ func (q *ladderQueue) pushFront(e event) {
 		q.n--
 		q.push(e)
 		return
+	}
+	if len(q.front) == cap(q.front) {
+		q.makeFrontRoom()
 	}
 	// Binary search for the first element after e.
 	lo, hi := q.fh, len(q.front)
@@ -198,9 +227,21 @@ func (q *ladderQueue) pushFront(e event) {
 			hi = mid
 		}
 	}
-	q.front = append(q.front, event{})
+	q.front = q.front[:len(q.front)+1]
 	copy(q.front[lo+1:], q.front[lo:len(q.front)-1])
 	q.front[lo] = e
+}
+
+// makeFrontRoom frees a place at the end of a full front slab: the live
+// window moves back to the start when at least half of the slab is
+// consumed space, otherwise the slab doubles.
+func (q *ladderQueue) makeFrontRoom() {
+	if 2*q.fh >= len(q.front) {
+		q.front = q.front[:copy(q.front, q.front[q.fh:])]
+		q.fh = 0
+		return
+	}
+	q.front = q.st.grow(q.front)
 }
 
 // spillFront converts the live front into a fresh deepest rung so sorted
@@ -237,9 +278,9 @@ func (q *ladderQueue) newRung(start, end Time) *lrung {
 		return nil
 	}
 	var r *lrung
-	if k := len(q.spare); k > 0 {
-		r = q.spare[k-1]
-		q.spare = q.spare[:k-1]
+	if sp := q.st.spare; len(sp) > 0 {
+		r = sp[len(sp)-1]
+		q.st.spare = sp[:len(sp)-1]
 	} else {
 		r = new(lrung)
 	}
@@ -250,16 +291,17 @@ func (q *ladderQueue) newRung(start, end Time) *lrung {
 // peek returns a pointer to the minimum event; nil when empty. It may
 // materialize the next epoch into the front (amortized against pops).
 func (q *ladderQueue) peek() *event {
-	if !q.ensureFront() {
+	if q.fh == len(q.front) && !q.ensureFront() {
 		return nil
 	}
 	return &q.front[q.fh]
 }
 
 // pop removes and returns the minimum event. Consumed entries are left
-// in place until their backing is reused: an event holds no payload —
-// only a *Proc (alive via Kernel.procs regardless) or a payload-table
-// slot index — so stale copies retain nothing the GC could free.
+// in place until their slab is reused: an event holds no payload — only a
+// *Proc (alive via Kernel.procs regardless) or a payload-table slot index
+// — so stale copies retain nothing the GC could free while the kernel
+// lives, and the store scrubs them before it outlives the kernel.
 func (q *ladderQueue) pop() event {
 	q.ensureFront()
 	return q.popFront()
@@ -276,43 +318,13 @@ func (q *ladderQueue) popFront() event {
 }
 
 // ensureFront refills the sorted front from the deeper tiers until it is
-// nonempty; reports false when the whole queue is empty.
+// nonempty; reports false when the whole queue is empty. The work is in
+// nextEpoch and convertTail: this loop runs at every peek of an empty
+// queue and keeps no temporaries.
 func (q *ladderQueue) ensureFront() bool {
 	for q.fh == len(q.front) {
-		if d := len(q.rungs) - 1; d >= 0 {
-			r := q.rungs[d]
-			if r.n == 0 {
-				q.spare = append(q.spare, r)
-				q.rungs[d] = nil
-				q.rungs = q.rungs[:d]
-				continue
-			}
-			c := bits.TrailingZeros32(r.occ)
-			r.occ &^= 1 << c
-			b := r.bkts[c]
-			r.n -= len(b)
-			bEnd := r.edge(c + 1)
-			if c == lqBuckets-1 {
-				bEnd = r.end
-			}
-			if len(b) > lqSpawn && len(q.rungs) < lqMaxRungs {
-				if child := q.newRung(r.edge(c), bEnd); child != nil {
-					q.spread(child, b)
-					r.bkts[c] = b[:0]
-					q.rungs = append(q.rungs, child)
-					continue
-				}
-			}
-			// This bucket is the next epoch: sort it in place and swap
-			// it in as the front — the consumed front backing becomes
-			// the bucket's empty backing, no copying. spread's
-			// exact-capacity allocation keeps the swapped capacities
-			// from churning.
-			q.sortEpoch(b)
-			old := q.front[:0]
-			q.front, q.fh = b, 0
-			r.bkts[c] = old
-			q.frontEnd = bEnd
+		if len(q.rungs) > 0 {
+			q.nextEpoch()
 			continue
 		}
 		if len(q.tail) == 0 {
@@ -321,6 +333,44 @@ func (q *ladderQueue) ensureFront() bool {
 		q.convertTail()
 	}
 	return true
+}
+
+// nextEpoch takes one step on the deepest rung: retires it when empty,
+// spreads its next bucket into a child rung when oversized, or else makes
+// that bucket the front.
+func (q *ladderQueue) nextEpoch() {
+	d := len(q.rungs) - 1
+	r := q.rungs[d]
+	if r.n == 0 {
+		q.st.spare = append(q.st.spare, r)
+		q.rungs[d] = nil
+		q.rungs = q.rungs[:d]
+		return
+	}
+	c := bits.TrailingZeros32(r.occ)
+	r.occ &^= 1 << c
+	b := r.bkts[c]
+	r.bkts[c] = nil
+	r.n -= len(b)
+	bEnd := r.edge(c + 1)
+	if c == lqBuckets-1 {
+		bEnd = r.end
+	}
+	if len(b) > lqSpawn && len(q.rungs) < lqMaxRungs {
+		if child := q.newRung(r.edge(c), bEnd); child != nil {
+			q.spread(child, b)
+			q.st.put(b)
+			q.rungs = append(q.rungs, child)
+			return
+		}
+	}
+	// This bucket is the next epoch: sort it in place and make its slab
+	// the front, no copying; the consumed front's slab goes back to the
+	// store.
+	q.sortEpoch(b)
+	q.st.put(q.front)
+	q.front, q.fh = b, 0
+	q.frontEnd = bEnd
 }
 
 // convertTail turns the unsorted tail into a fresh rung 0 — or, when it
@@ -345,18 +395,19 @@ func (q *ladderQueue) convertTail() {
 	if len(q.tail) > lqFrontCap {
 		if r := q.newRung(min, math.Nextafter(max, math.Inf(1))); r != nil {
 			q.spread(r, q.tail)
-			q.tail = q.tail[:0]
+			q.st.put(q.tail)
+			q.tail = nil
 			q.rungs = append(q.rungs, r)
 			q.frontEnd = min
 			return
 		}
 	}
-	// Small tail (or zero time span): the whole tail is one epoch,
-	// swapped in as the front without copying.
+	// Small tail (or zero time span): the whole tail is one epoch, its
+	// slab the new front without copying.
 	q.sortEpoch(q.tail)
-	old := q.front[:0]
+	q.st.put(q.front)
 	q.front, q.fh = q.tail, 0
-	q.tail = old
+	q.tail = nil
 	q.frontEnd = math.Nextafter(max, math.Inf(1))
 }
 
@@ -387,7 +438,7 @@ func (q *ladderQueue) remapSeqs(f func(uint64) uint64) {
 // sortEpoch sorts one epoch by strict (t, seq) order. Small epochs — the
 // common case at GCel event densities — take the insertion fast path with
 // no further dispatch. Larger epochs run a bottom-up merge sort whose
-// scratch buffer is cached on the queue and reused across epoch
+// scratch slab is kept on the store and reused across epoch
 // materializations, so the ~5% epoch-sort share of a run costs no
 // per-epoch allocation and each merge pass is a sequential scan (with an
 // already-ordered shortcut) instead of the random exchanges of the
@@ -406,10 +457,12 @@ func (q *ladderQueue) sortEpoch(a []event) {
 		}
 		insertionSortEvents(a[lo:hi])
 	}
-	if cap(q.sortBuf) < n {
-		q.sortBuf = make([]event, n)
+	st := q.st
+	if cap(st.sortBuf) < n {
+		st.put(st.sortBuf)
+		st.sortBuf = st.get(n)
 	}
-	buf := q.sortBuf[:n]
+	buf := st.sortBuf[:n]
 	src, dst := a, buf
 	for width := lqSmallEpoch; width < n; width <<= 1 {
 		for lo := 0; lo < n; lo += width << 1 {

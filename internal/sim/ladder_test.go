@@ -52,27 +52,53 @@ func runQueue(q evQueue, ops qops) []event {
 }
 
 // checkIdentical is the differential property: the ladder queue must pop
-// the byte-identical event order the retained heap oracle pops.
+// the byte-identical event order the retained heap oracle pops — on fresh
+// storage and on storage recycled from a previous, differently shaped run.
 func checkIdentical(t *testing.T, ops qops) {
 	t.Helper()
-	lq := &ladderQueue{}
-	lq.init()
-	got := runQueue(lq, ops)
 	want := runQueue(&heapQueue{}, ops)
+	lq := &ladderQueue{}
+	lq.init(&evStore{own: true})
+	checkPops(t, "fresh storage", runQueue(lq, ops), want)
+	checkPops(t, "recycled storage", runQueue(recycledLadder(ops), ops), want)
+}
+
+// recycledLadder returns a ladder queue whose store went through the whole
+// hand-over: a differently shaped run (ops' own timestamps scaled and
+// reversed, bursts swapped) on another queue, its reset, release to the
+// stock — trimmed and scrubbed — and adoption from there.
+func recycledLadder(ops qops) *ladderQueue {
+	shape := qops{pushN: ops.popN, popN: ops.pushN}
+	for i := len(ops.ts) - 1; i >= 0; i-- {
+		shape.ts = append(shape.ts, ops.ts[i]*37+Time(i%5))
+	}
+	st := &evStore{own: true}
+	prev := &ladderQueue{}
+	prev.init(st)
+	runQueue(prev, shape)
+	prev.reset()
+	st.release()
+	lq := &ladderQueue{}
+	lq.init(&evStore{})
+	return lq
+}
+
+func checkPops(t *testing.T, what string, got, want []event) {
+	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("ladder popped %d events, heap %d", len(got), len(want))
+		t.Fatalf("%s: ladder popped %d events, heap %d", what, len(got), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("pop %d: ladder (t=%v seq=%d slot=%d), heap (t=%v seq=%d slot=%d)",
-				i, got[i].t, got[i].seq, got[i].slot, want[i].t, want[i].seq, want[i].slot)
+			t.Fatalf("%s, pop %d: ladder (t=%v seq=%d slot=%d), heap (t=%v seq=%d slot=%d)",
+				what, i, got[i].t, got[i].seq, got[i].slot, want[i].t, want[i].seq, want[i].slot)
 		}
 	}
 	// The strict order is also checkable directly: (t, seq) must ascend.
 	for i := 1; i < len(got); i++ {
 		if !got[i-1].before(&got[i]) {
-			t.Fatalf("pop %d not in strict (t, seq) order: (%v,%d) then (%v,%d)",
-				i, got[i-1].t, got[i-1].seq, got[i].t, got[i].seq)
+			t.Fatalf("%s, pop %d not in strict (t, seq) order: (%v,%d) then (%v,%d)",
+				what, i, got[i-1].t, got[i-1].seq, got[i].t, got[i].seq)
 		}
 	}
 }

@@ -1,0 +1,245 @@
+package sim
+
+import (
+	"math/bits"
+	"sync"
+	"unsafe"
+)
+
+// evStore is a kernel's one storage layer for events (doc.go, "Storage").
+// Every []event the kernel queues on — the front, tail and rung buckets of
+// both ladder queues, the same-timestamp FIFO, the epoch-sort scratch — is a
+// power-of-two slab drawn from the size-classed free lists here and put
+// back the moment it is consumed; the callback payload table, its free
+// stack, the spread scratch and retired rung structs live here too. A slab
+// is owned by exactly one holder at a time: whoever got it from get (or
+// grow) until that holder hands it to put. When Run returns with nothing
+// pending the whole store is scrubbed of references and handed to the
+// process-wide stock, where the next kernel finds it on its first need.
+type evStore struct {
+	pay     []payload // callback payload slots referenced by event.slot
+	payFree []int32   // recycled payload slots
+
+	// free[c] stacks the idle slabs of capacity 1<<(c+slabMinShift), each
+	// with len 0. clean[c] counts the slabs at the bottom of free[c] not
+	// handed out since they were last scrubbed — the low-water mark of the
+	// stack — so a small run on a large adopted set scrubs only what it
+	// touched.
+	free  [slabClasses][][]event
+	clean [slabClasses]int32
+
+	spare   []*lrung // retired rung structs; every bucket nil
+	sortBuf []event  // epoch-sort scratch, a slab
+	idxBuf  []uint8  // spread's scratch bucket indices
+
+	// own is set once the store has looked in the stock (or must not:
+	// shard kernels never hand theirs back, so they take none). From then
+	// on growth allocates.
+	own bool
+
+	hits, misses uint64 // slab requests served from free / by make
+}
+
+const (
+	slabMinShift = 3  // smallest slab: 8 events, 256 bytes
+	slabMaxShift = 20 // larger requests are allocated exactly and not kept
+	slabClasses  = slabMaxShift - slabMinShift + 1
+
+	// The stock's bounds. A released set is trimmed to stockSetBytes,
+	// largest slabs first, and at most stockSets sets wait for adoption,
+	// so what the stock keeps resident is a constant, ≤ 32 MiB.
+	stockSets     = 4
+	stockSetBytes = 8 << 20
+)
+
+const (
+	eventBytes   = int(unsafe.Sizeof(event{}))
+	payloadBytes = int(unsafe.Sizeof(payload{}))
+	rungBytes    = int(unsafe.Sizeof(lrung{}))
+)
+
+// get returns an empty slab of capacity ≥ n (a power of two, at least
+// 1<<slabMinShift). It is the slow path of every growth: the first call
+// on a fresh store is where the stock is consulted.
+func (s *evStore) get(n int) []event {
+	c := 0
+	if n > 1<<slabMinShift {
+		c = bits.Len(uint(n-1)) - slabMinShift
+		if c >= slabClasses {
+			return make([]event, 0, n)
+		}
+	}
+	if !s.own {
+		s.adopt()
+	}
+	if l := s.free[c]; len(l) > 0 {
+		top := len(l) - 1
+		b := l[top]
+		s.free[c] = l[:top]
+		if int32(top) < s.clean[c] {
+			s.clean[c] = int32(top)
+		}
+		s.hits++
+		return b
+	}
+	s.misses++
+	return make([]event, 0, 1<<(c+slabMinShift))
+}
+
+// put takes back a slab its holder has consumed. Anything below the
+// smallest class (nil, in practice) is ignored.
+func (s *evStore) put(b []event) {
+	c := bits.Len(uint(cap(b))) - 1 - slabMinShift
+	if c < 0 || c >= slabClasses {
+		return
+	}
+	s.free[c] = append(s.free[c], b[:0])
+}
+
+// add appends e to b: a plain in-capacity append, the store touched only
+// when b is full.
+func (s *evStore) add(b []event, e event) []event {
+	if len(b) == cap(b) {
+		b = s.grow(b)
+	}
+	return append(b, e)
+}
+
+// grow moves b's events to a slab of twice the capacity and puts b back.
+func (s *evStore) grow(b []event) []event {
+	nb := s.get(2 * cap(b))[:len(b)]
+	copy(nb, b)
+	s.put(b)
+	return nb
+}
+
+// bytes is the memory the set keeps alive.
+func (s *evStore) bytes() int {
+	n := cap(s.pay)*payloadBytes + cap(s.payFree)*4 + cap(s.idxBuf) + len(s.spare)*rungBytes
+	for c := range s.free {
+		n += len(s.free[c]) * (eventBytes << (c + slabMinShift))
+	}
+	return n
+}
+
+// trim drops storage until the set is within stockSetBytes: slabs from
+// the largest class down, and the payload table only if it alone is over.
+func (s *evStore) trim() {
+	over := s.bytes() - stockSetBytes
+	for c := slabClasses - 1; c >= 0 && over > 0; c-- {
+		l := s.free[c]
+		for len(l) > 0 && over > 0 {
+			l[len(l)-1] = nil
+			l = l[:len(l)-1]
+			over -= eventBytes << (c + slabMinShift)
+		}
+		s.free[c] = l
+		if int32(len(l)) < s.clean[c] {
+			s.clean[c] = int32(len(l))
+		}
+	}
+	if over > 0 {
+		s.pay, s.payFree, s.idxBuf, s.spare = nil, nil, nil, nil
+	}
+}
+
+// scrub clears every reference the set could keep alive — the *Proc of
+// stale events in slabs handed out since the last scrub, and hfn, arg and
+// fn of used payload slots — so the machine that ran on it is collectable
+// while the set waits in the stock.
+func (s *evStore) scrub() {
+	for c := range s.free {
+		l := s.free[c]
+		for _, b := range l[s.clean[c]:] {
+			clear(b[:cap(b)])
+		}
+		s.clean[c] = int32(len(l))
+	}
+	clear(s.pay)
+	s.pay, s.payFree = s.pay[:0], s.payFree[:0]
+}
+
+// stock is the process-wide shelf of released sets. sync.Pool does not
+// fit: a pinned Run changes GOMAXPROCS twice, and each change empties
+// every pool.
+var stock struct {
+	mu   sync.Mutex
+	sets [stockSets]evStore
+	n    int
+
+	adoptions, hits, misses uint64
+}
+
+// adopt takes the most recently released set, if there is one. It runs at
+// the store's first slab request, so the store is empty but for the
+// payload slots of events scheduled before that (Kernel.slot grows the
+// table by plain append: a call there would cost its inlining); they move
+// into the adopted table.
+func (s *evStore) adopt() {
+	s.own = true
+	stock.mu.Lock()
+	if stock.n == 0 {
+		stock.mu.Unlock()
+		return
+	}
+	stock.n--
+	set := stock.sets[stock.n]
+	stock.sets[stock.n] = evStore{}
+	stock.adoptions++
+	stock.mu.Unlock()
+	if len(s.pay) <= cap(set.pay) {
+		set.pay = append(set.pay[:0], s.pay...)
+		set.payFree = append(set.payFree[:0], s.payFree...)
+	} else {
+		set.pay, set.payFree = s.pay, s.payFree
+	}
+	set.own = true
+	*s = set
+}
+
+// release hands the store to the stock and leaves it empty. The caller
+// has put back every slab it held.
+func (s *evStore) release() {
+	if !s.own {
+		return // never needed storage: nothing to give
+	}
+	s.put(s.sortBuf)
+	s.sortBuf = nil
+	s.trim()
+	s.scrub()
+	hits, misses := s.hits, s.misses
+	s.own, s.hits, s.misses = false, 0, 0
+	stock.mu.Lock()
+	stock.hits += hits
+	stock.misses += misses
+	if stock.n < stockSets {
+		stock.sets[stock.n] = *s
+		stock.n++
+	}
+	stock.mu.Unlock()
+	*s = evStore{}
+}
+
+// StockStats describes the process-wide stock of kernel event storage.
+// Hits and Misses count slab requests (free list vs. allocation) of the
+// kernels that have handed their store over so far.
+type StockStats struct {
+	Sets      int    // sets waiting for adoption
+	Bytes     int64  // memory they keep resident
+	Ceiling   int64  // the constant Bytes never exceeds
+	Adoptions uint64 // kernels that started on a released set
+	Hits      uint64
+	Misses    uint64
+}
+
+// StoreStats returns the stock's current state and counters.
+func StoreStats() StockStats {
+	stock.mu.Lock()
+	defer stock.mu.Unlock()
+	st := StockStats{Sets: stock.n, Ceiling: stockSets * stockSetBytes,
+		Adoptions: stock.adoptions, Hits: stock.hits, Misses: stock.misses}
+	for i := range stock.sets[:stock.n] {
+		st.Bytes += int64(stock.sets[i].bytes())
+	}
+	return st
+}

@@ -1,6 +1,7 @@
 package diva_test
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -107,5 +108,52 @@ func TestNamedGraphSharedAcrossMachines(t *testing.T) {
 	}
 	if a.Plan == c.Plan || a.Tree == c.Tree || a.Plan.Routes != c.Plan.Routes {
 		t.Fatalf("tree specs: own plan %v, shared route memo %v", a.Plan != c.Plan, a.Plan.Routes == c.Plan.Routes)
+	}
+}
+
+// TestRunAllocBudget pins what one service request costs end to end once
+// the process is warm: the second fork + run of a small DSM cell and of a
+// large hand-optimized one. The fork is per-machine state only
+// (TestForkAllocBudget in internal/core); the run starts on the event
+// storage the first one handed to the kernel stock, so neither grows a
+// queue from nothing. Shards are pinned to one: a sharded kernel keeps its
+// store for life and takes none from the stock.
+func TestRunAllocBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		m     *diva.Machine
+		w     func() diva.Workload
+		bytes uint64
+	}{
+		{"4x4 at4 matmul(16)",
+			diva.MustNew(diva.WithMesh(4, 4), diva.WithStrategyName("at4"), diva.WithSeed(1), diva.WithShards(1)),
+			func() diva.Workload { return diva.Matmul(diva.MatmulConfig{BlockInts: 16, Seed: 1}) },
+			96 << 10}, // measured 76 KB; 161 KB before the kernel stock
+		{"32x32 handopt stencil(1)",
+			diva.MustNew(diva.WithMesh(32, 32), diva.WithTree(diva.Ary2), diva.WithSeed(1), diva.WithShards(1)),
+			func() diva.Workload { return diva.Stencil(diva.StencilConfig{Iters: 1, HaloInts: 64, Seed: 1}) },
+			2560 << 10}, // measured 2.0 MB; 5.6 MB before
+	} {
+		snap, err := tc.m.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		forkRun := func() {
+			f, err := diva.Fork(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustRun(t, f, tc.w())
+		}
+		forkRun()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		forkRun()
+		runtime.ReadMemStats(&after)
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: second fork + run allocates %d bytes", tc.name, got)
+		if got > tc.bytes {
+			t.Errorf("%s: second fork + run allocates %d bytes, budget %d", tc.name, got, tc.bytes)
+		}
 	}
 }
