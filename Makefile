@@ -28,13 +28,13 @@ check-imports:
 	@echo "check-imports: examples/ and cmd/ are clean"
 
 # bench runs every figure benchmark (plus the message-hop micro-benchmark,
-# internal/sim's kernel-queue and cold-run benchmarks, and internal/core's
-# fork and machine-build benchmarks) once and records the host, ns/op,
-# allocs/op and all reported simulated-result metrics as BENCH_<date>.json,
-# keeping the perf trajectory machine-readable across PRs (see PERF.md). At
-# one iteration BenchmarkBuild is the cold build: topology, plan and
-# machine.
-BENCH_PATTERN = 'BenchmarkFig|BenchmarkKernelQueue|BenchmarkKernelColdRun|BenchmarkMessageHop|BenchmarkShardScaling|BenchmarkGraphRoute|BenchmarkReactiveTransport|BenchmarkFork|BenchmarkBuild'
+# internal/sim's kernel-queue, cold-run, process-switch and spawn benchmarks,
+# and internal/core's fork and machine-build benchmarks) once and records
+# the host, ns/op, allocs/op and all reported simulated-result metrics as
+# BENCH_<date>.json, keeping the perf trajectory machine-readable across PRs
+# (see PERF.md). At one iteration BenchmarkBuild is the cold build:
+# topology, plan and machine.
+BENCH_PATTERN = 'BenchmarkFig|BenchmarkKernelQueue|BenchmarkKernelColdRun|BenchmarkProcSwitch|BenchmarkSpawnRun|BenchmarkMessageHop|BenchmarkShardScaling|BenchmarkGraphRoute|BenchmarkReactiveTransport|BenchmarkFork|BenchmarkBuild'
 BENCH_PKGS = . ./internal/sim ./internal/core
 bench:
 	$(GO) test -run '^$$' -bench $(BENCH_PATTERN) -benchmem -benchtime 1x $(BENCH_PKGS) \
@@ -62,7 +62,7 @@ bench:
 # what the current test binary lists, so without the baseline check a new
 # benchmark family could land without ever refreshing BENCH_<date>.json.
 BASELINE = $(lastword $(sort $(shell git ls-files 'BENCH_*.json')))
-BENCH_REQUIRE = BenchmarkShardScaling,BenchmarkGraphRoute,BenchmarkReactiveTransport,BenchmarkFork,BenchmarkBuild,BenchmarkKernelColdRun
+BENCH_REQUIRE = BenchmarkShardScaling,BenchmarkGraphRoute,BenchmarkReactiveTransport,BenchmarkFork,BenchmarkBuild,BenchmarkKernelColdRun,BenchmarkProcSwitch,BenchmarkSpawnRun
 MAX_REGRESS ?= 50
 MAX_ALLOC_REGRESS ?= 10
 bench-check:

@@ -352,7 +352,7 @@ func benchShardScaling(b *testing.B, rows, cols, shards int) {
 	for i := 0; i < b.N; i++ {
 		m := core.MustNewMachine(core.Config{
 			Rows: rows, Cols: cols, Seed: 1999, Tree: decomp.Ary2,
-			Shards: shards, Concurrent: true,
+			Shards: shards,
 		})
 		res, err := stencil.Run(m, stencil.Config{
 			Iters: 32, HaloInts: 256, WithCompute: true, OpUS: 0.5, Seed: 7,

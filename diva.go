@@ -169,13 +169,11 @@ func WithNetParams(p NetParams) Option {
 	return func(o *options) { o.cfg.Net = p }
 }
 
-// WithConcurrent marks a machine that runs concurrently with other
-// machines in the same process (parallel experiment sweeps): it disables
-// the kernel's process-wide GOMAXPROCS pin. Simulated results are
-// unaffected.
-func WithConcurrent(on bool) Option {
-	return func(o *options) { o.cfg.Concurrent = on }
-}
+// WithConcurrent does nothing.
+//
+// Deprecated: machines no longer pin GOMAXPROCS while they run, so any
+// number of them run side by side without saying so.
+func WithConcurrent(on bool) Option { return func(*options) {} }
 
 // WithShards partitions the processors across n event-kernel shards for
 // conservative-parallel execution: simulated results are bit-identical to

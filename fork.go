@@ -27,13 +27,10 @@ func ForkSeed(seed uint64) ForkOption {
 	return func(o *core.ForkOptions) { o.Reseed, o.Seed = true, seed }
 }
 
-// ForkConcurrent overrides the snapshot's Concurrent flag (see
-// WithConcurrent) for this fork. Servers fork with true so concurrent
-// queries do not fight over the process-wide GOMAXPROCS pin; simulated
-// results are unaffected either way.
-func ForkConcurrent(on bool) ForkOption {
-	return func(o *core.ForkOptions) { o.Concurrent = &on }
-}
+// ForkConcurrent does nothing.
+//
+// Deprecated: see WithConcurrent.
+func ForkConcurrent(on bool) ForkOption { return func(*core.ForkOptions) {} }
 
 // Fork builds an independent machine resuming exactly where snap was
 // captured: running a workload on the fork is bit-identical — kernel

@@ -46,9 +46,8 @@ var treeByName = map[string]Tree{
 }
 
 // MachineFromSpec validates the machine half of s and builds the machine.
-// extra options (WithConcurrent for parallel sweeps, typically) are
-// applied after the spec-derived ones. The workload half is ignored, for
-// embedders that drive their own programs.
+// extra options are applied after the spec-derived ones. The workload half
+// is ignored, for embedders that drive their own programs.
 func MachineFromSpec(s Spec, extra ...Option) (*Machine, error) {
 	if err := s.ValidateMachine(); err != nil {
 		return nil, err

@@ -18,7 +18,7 @@ var benchSink *core.Machine
 // before any process ran — what the service forks every request from.
 func birthSnapshot(tb testing.TB, n int) *core.Snapshot {
 	tb.Helper()
-	m := core.MustNewMachine(core.Config{Rows: n, Cols: n, Seed: 1, Tree: decomp.Ary4, Strategy: accesstree.Factory(), Concurrent: true})
+	m := core.MustNewMachine(core.Config{Rows: n, Cols: n, Seed: 1, Tree: decomp.Ary4, Strategy: accesstree.Factory()})
 	snap, err := m.Snapshot()
 	if err != nil {
 		tb.Fatal(err)
@@ -59,7 +59,7 @@ func BenchmarkBuild(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				benchSink = core.MustNewMachine(core.Config{Topology: topo, Seed: 1, Tree: decomp.Ary4, Strategy: accesstree.Factory(), Concurrent: true})
+				benchSink = core.MustNewMachine(core.Config{Topology: topo, Seed: 1, Tree: decomp.Ary4, Strategy: accesstree.Factory()})
 			}
 		})
 	}

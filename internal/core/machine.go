@@ -73,13 +73,6 @@ type Config struct {
 	// CacheCapacity bounds the memory for copies per node, in bytes.
 	// 0 means unbounded (the paper's default setting).
 	CacheCapacity int
-	// Concurrent marks a machine that runs concurrently with other
-	// machines in the same process (parallel experiment sweeps): it
-	// disables the kernel's GOMAXPROCS pin, which is a process-wide
-	// setting and would serialize all of them. Simulation results are
-	// unaffected — the pin is purely a wall-clock optimization for
-	// single-machine runs.
-	Concurrent bool
 	// Shards partitions the processors across that many event-kernel
 	// shards for conservative-parallel execution (sim.Cluster): same
 	// simulated results bit for bit, less wall-clock on multicore hosts.
@@ -292,7 +285,6 @@ func newMachine(cfg Config, plan *Plan) (*Machine, error) {
 		m.K = m.kernels[0]
 	} else {
 		m.K = sim.New()
-		m.K.SetPinned(!cfg.Concurrent)
 	}
 	m.Net = mesh.NewNetworkOn(m.K, plan.Routes, cfg.Net)
 	if m.cluster != nil {
@@ -449,12 +441,18 @@ func (m *Machine) Run(program func(p *Proc)) error {
 // SpawnAll spawns the SPMD processes without running the kernel; use
 // together with m.K.Run when the caller schedules additional activity.
 func (m *Machine) SpawnAll(program func(p *Proc)) {
-	for i := 0; i < m.P(); i++ {
-		p := &Proc{ID: i, M: m}
-		m.procs = append(m.procs, p)
-		p.Proc = m.KernelAt(i).Spawn(fmt.Sprintf("p%d", i), func(sp *sim.Proc) {
-			program(p)
-		})
+	// One slab holds both records of every process, and they share one body
+	// that finds its Proc by index: nothing is allocated per process.
+	recs := make([]struct {
+		p  Proc
+		sp sim.Proc
+	}, m.P())
+	body := func(sp *sim.Proc) { program(&recs[sp.Index()].p) }
+	for i := range recs {
+		r := &recs[i]
+		r.p = Proc{Proc: &r.sp, ID: i, M: m}
+		m.procs = append(m.procs, &r.p)
+		m.KernelAt(i).SpawnAt(&r.sp, i, body)
 	}
 }
 

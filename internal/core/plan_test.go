@@ -83,7 +83,7 @@ func TestForkAllocBudget(t *testing.T) {
 			{"at4", decomp.Ary4, accesstree.Factory()},
 			{"handopt", decomp.Ary2, nil},
 		} {
-			m := core.MustNewMachine(core.Config{Rows: tc.n, Cols: tc.n, Seed: 1, Tree: strat.tree, Strategy: strat.f, Concurrent: true})
+			m := core.MustNewMachine(core.Config{Rows: tc.n, Cols: tc.n, Seed: 1, Tree: strat.tree, Strategy: strat.f})
 			snap, err := m.Snapshot()
 			if err != nil {
 				t.Fatal(err)

@@ -161,11 +161,6 @@ type ForkOptions struct {
 	// future random draw while inheriting the snapshot's state unchanged.
 	Reseed bool
 	Seed   uint64
-	// Concurrent, when non-nil, overrides the config's Concurrent flag —
-	// the serve layer forks with true so concurrent queries do not fight
-	// over the process-wide GOMAXPROCS pin. Simulated results are
-	// unaffected either way.
-	Concurrent *bool
 }
 
 // Snapshot captures the machine's state. The machine must be quiescent:
@@ -269,9 +264,6 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 // machine. Any number of forks can be taken, concurrently.
 func (s *Snapshot) Fork(o ForkOptions) (*Machine, error) {
 	cfg := s.cfg
-	if o.Concurrent != nil {
-		cfg.Concurrent = *o.Concurrent
-	}
 	m, err := newMachine(cfg, s.plan)
 	if err != nil {
 		return nil, fmt.Errorf("diva: fork: %w", err)

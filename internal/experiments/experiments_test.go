@@ -74,15 +74,15 @@ func TestFig2StarVsTree(t *testing.T) {
 // and asserts the orderings the paper reports.
 func TestFig3QuickShapes(t *testing.T) {
 	r := New(&bytes.Buffer{}, true, 3)
-	hand, err := r.runMatmul(8, 256, nil, decomp.Ary2, false)
+	hand, err := r.runMatmul(8, 256, nil, decomp.Ary2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fh, err := r.runMatmul(8, 256, fixedhome.Factory(), decomp.Ary4, false)
+	fh, err := r.runMatmul(8, 256, fixedhome.Factory(), decomp.Ary4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	at, err := r.runMatmul(8, 256, accesstree.Factory(), decomp.Ary4, false)
+	at, err := r.runMatmul(8, 256, accesstree.Factory(), decomp.Ary4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +101,11 @@ func TestFig3QuickShapes(t *testing.T) {
 func TestFig4ScalingShape(t *testing.T) {
 	r := New(&bytes.Buffer{}, true, 4)
 	ratio := func(side int) float64 {
-		fh, err := r.runMatmul(side, 256, fixedhome.Factory(), decomp.Ary4, false)
+		fh, err := r.runMatmul(side, 256, fixedhome.Factory(), decomp.Ary4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		at, err := r.runMatmul(side, 256, accesstree.Factory(), decomp.Ary4, false)
+		at, err := r.runMatmul(side, 256, accesstree.Factory(), decomp.Ary4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,15 +121,15 @@ func TestFig4ScalingShape(t *testing.T) {
 // TestFig6BitonicShapes: bitonic orderings.
 func TestFig6BitonicShapes(t *testing.T) {
 	r := New(&bytes.Buffer{}, true, 5)
-	hand, err := r.runBitonic(8, 512, nil, decomp.Ary2, false)
+	hand, err := r.runBitonic(8, 512, nil, decomp.Ary2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	at, err := r.runBitonic(8, 512, accesstree.Factory(), decomp.Ary2K4, false)
+	at, err := r.runBitonic(8, 512, accesstree.Factory(), decomp.Ary2K4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fh, err := r.runBitonic(8, 512, fixedhome.Factory(), decomp.Ary2, false)
+	fh, err := r.runBitonic(8, 512, fixedhome.Factory(), decomp.Ary2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestFig8OrderingQuick(t *testing.T) {
 	for _, s := range []strategyUnderTest{
 		fhStrategy(), atStrategy(decomp.Ary16), atStrategy(decomp.Ary4), atStrategy(decomp.Ary2),
 	} {
-		row, err := r.runBarnesHut(4, 4, 600, s, false)
+		row, err := r.runBarnesHut(4, 4, 600, s)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -95,12 +95,10 @@ func (r *Runner) bhMeshSide() int {
 }
 
 // runBarnesHut executes one configuration and extracts the metrics.
-// concurrent marks a call from an in-figure fan-out: the machine then runs
-// alongside the other cells' machines (simulated results are unaffected).
-func (r *Runner) runBarnesHut(rows, cols, n int, s strategyUnderTest, concurrent bool) (bhRow, error) {
+func (r *Runner) runBarnesHut(rows, cols, n int, s strategyUnderTest) (bhRow, error) {
 	key := fmt.Sprintf("%dx%d/%d/%s", rows, cols, n, s.name)
 	return r.bhCache.getOrCompute(key, func() (bhRow, error) {
-		m := r.machineConc(rows, cols, s.fact, s.spec, concurrent)
+		m := r.machine(rows, cols, s.fact, s.spec)
 		col := metrics.New(m.Net)
 		steps, measureFrom := 7, 2
 		if r.Quick {
@@ -134,8 +132,8 @@ func (r *Runner) bhSweep() (map[string][]bhRow, error) {
 	strategies := bhStrategies()
 	sizes := r.bhSizes()
 	if r.Workers > 1 {
-		_, err := runCells(r, len(strategies)*len(sizes), func(i int, concurrent bool) (bhRow, error) {
-			return r.runBarnesHut(side, side, sizes[i%len(sizes)], strategies[i/len(sizes)], concurrent)
+		_, err := runCells(r, len(strategies)*len(sizes), func(i int) (bhRow, error) {
+			return r.runBarnesHut(side, side, sizes[i%len(sizes)], strategies[i/len(sizes)])
 		})
 		if err != nil {
 			return nil, err
@@ -144,7 +142,7 @@ func (r *Runner) bhSweep() (map[string][]bhRow, error) {
 	out := make(map[string][]bhRow)
 	for _, s := range strategies {
 		for _, n := range sizes {
-			row, err := r.runBarnesHut(side, side, n, s, false)
+			row, err := r.runBarnesHut(side, side, n, s)
 			if err != nil {
 				return nil, err
 			}
@@ -285,11 +283,11 @@ func (r *Runner) Fig11() error {
 	for _, ms := range meshes {
 		p := ms[0] * ms[1]
 		n := perProc * p
-		ra, err := r.runBarnesHut(ms[0], ms[1], n, at, false)
+		ra, err := r.runBarnesHut(ms[0], ms[1], n, at)
 		if err != nil {
 			return err
 		}
-		rf, err := r.runBarnesHut(ms[0], ms[1], n, fh, false)
+		rf, err := r.runBarnesHut(ms[0], ms[1], n, fh)
 		if err != nil {
 			return err
 		}

@@ -11,9 +11,8 @@ import (
 // runBitonic measures one (mesh, keys, strategy) configuration with
 // execution time (the paper: local computation is very limited, so the
 // execution time is reported; we charge the compare/merge costs).
-// concurrent marks a call from a cell fan-out (results are unaffected).
-func (r *Runner) runBitonic(side, keys int, f core.Factory, spec decomp.Spec, concurrent bool) (mmPoint, error) {
-	m := r.machineConc(side, side, f, spec, concurrent)
+func (r *Runner) runBitonic(side, keys int, f core.Factory, spec decomp.Spec) (mmPoint, error) {
+	m := r.machine(side, side, f, spec)
 	cfg := bitonic.Config{
 		KeysPerProc: keys, Seed: r.Seed,
 		WithCompute: true, CompareUS: 1.0,
@@ -55,14 +54,14 @@ func (r *Runner) Fig6() error {
 	r.header(fmt.Sprintf("Figure 6: bitonic sorting on a %dx%d mesh (ratios vs hand-optimized)", side, side))
 
 	fh, at := fhFactory(), atFactory()
-	cells, err := runRatioCells(r, len(keys), func(row, kind int, concurrent bool) (mmPoint, error) {
+	cells, err := runRatioCells(r, len(keys), func(row, kind int) (mmPoint, error) {
 		switch kind {
 		case 0:
-			return r.runBitonic(side, keys[row], nil, decomp.Ary2, concurrent)
+			return r.runBitonic(side, keys[row], nil, decomp.Ary2)
 		case 1:
-			return r.runBitonic(side, keys[row], fh, decomp.Ary2, concurrent)
+			return r.runBitonic(side, keys[row], fh, decomp.Ary2)
 		default:
-			return r.runBitonic(side, keys[row], at, decomp.Ary2K4, concurrent)
+			return r.runBitonic(side, keys[row], at, decomp.Ary2K4)
 		}
 	})
 	if err != nil {
@@ -110,14 +109,14 @@ func (r *Runner) Fig7() error {
 	r.header(fmt.Sprintf("Figure 7: bitonic sorting with %d keys per processor (ratios vs hand-optimized)", keys))
 
 	fh, at := fhFactory(), atFactory()
-	cells, err := runRatioCells(r, len(sides), func(row, kind int, concurrent bool) (mmPoint, error) {
+	cells, err := runRatioCells(r, len(sides), func(row, kind int) (mmPoint, error) {
 		switch kind {
 		case 0:
-			return r.runBitonic(sides[row], keys, nil, decomp.Ary2, concurrent)
+			return r.runBitonic(sides[row], keys, nil, decomp.Ary2)
 		case 1:
-			return r.runBitonic(sides[row], keys, fh, decomp.Ary2, concurrent)
+			return r.runBitonic(sides[row], keys, fh, decomp.Ary2)
 		default:
-			return r.runBitonic(sides[row], keys, at, decomp.Ary2K4, concurrent)
+			return r.runBitonic(sides[row], keys, at, decomp.Ary2K4)
 		}
 	})
 	if err != nil {

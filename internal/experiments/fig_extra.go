@@ -33,7 +33,6 @@ func (r *Runner) AblationReplacement() error {
 			diva.WithStrategyName("at2"),
 			diva.WithCacheCapacity(capacity),
 			diva.WithShards(r.Shards),
-			diva.WithConcurrent(r.concurrent),
 		)
 		col := metrics.New(m.Net)
 		_, err := barneshut.Run(m, barneshut.Config{
@@ -92,7 +91,6 @@ func (r *Runner) AblationRemap() error {
 			diva.WithTree(decomp.Ary4),
 			diva.WithStrategy(accesstree.FactoryOpts(mode.opts)),
 			diva.WithShards(r.Shards),
-			diva.WithConcurrent(r.concurrent),
 		)
 		col := metrics.New(m.Net)
 		if _, err := barneshut.Run(m, barneshut.Config{

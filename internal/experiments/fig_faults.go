@@ -43,13 +43,12 @@ type faultCell struct {
 // runFaultCell runs the DSM matrix square for one degradation cell. The
 // runner's Recovery field selects the fault-tolerance mode (default
 // oracle; "reactive" repeats the sweep with timeout-based detection).
-func (r *Runner) runFaultCell(topo string, side int, rate faultRate, strat string, concurrent bool) (faultCell, error) {
+func (r *Runner) runFaultCell(topo string, side int, rate faultRate, strat string) (faultCell, error) {
 	opts := []diva.Option{
 		diva.WithTopologyName(topo, side, side),
 		diva.WithSeed(r.Seed),
 		diva.WithStrategyName(strat),
 		diva.WithShards(r.Shards),
-		diva.WithConcurrent(concurrent),
 		diva.WithFaultGen(fault.Gen{
 			LinkFailures: rate.links, NodeChurn: rate.churn,
 			MeanDownUS: 20000, HorizonUS: 100000,
@@ -95,11 +94,11 @@ func (r *Runner) FigFaults() error {
 	fmt.Fprintf(r.W, "starting inside the first 100000 us; churn takes a node's interface down.\n")
 
 	nCells := len(topos) * len(rates) * len(strategies)
-	cells, err := runCells(r, nCells, func(i int, concurrent bool) (faultCell, error) {
+	cells, err := runCells(r, nCells, func(i int) (faultCell, error) {
 		ti := i / (len(rates) * len(strategies))
 		ri := i / len(strategies) % len(rates)
 		si := i % len(strategies)
-		return r.runFaultCell(topos[ti], side, rates[ri], strategies[si], concurrent)
+		return r.runFaultCell(topos[ti], side, rates[ri], strategies[si])
 	})
 	if err != nil {
 		return err

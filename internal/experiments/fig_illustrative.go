@@ -143,7 +143,6 @@ func (r *Runner) AblationEmbedding() error {
 			diva.WithTree(decomp.Ary4),
 			diva.WithStrategy(accesstree.FactoryOpts(mode.opts)),
 			diva.WithShards(r.Shards),
-			diva.WithConcurrent(r.concurrent),
 		)
 		res, err := runMatmulOn(m, block, r.Seed)
 		if err != nil {

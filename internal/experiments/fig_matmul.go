@@ -33,9 +33,9 @@ type mmRatioRow struct {
 // (hand-optimized, fixed home, access tree) per parameter value — through
 // the runner's cell fan-out: every cell is an independent simulation, so
 // they spread across the shared worker pool and reassemble in row order.
-func runRatioCells(r *Runner, n int, cell func(row, kind int, concurrent bool) (mmPoint, error)) ([]mmRatioRow, error) {
-	points, err := runCells(r, 3*n, func(i int, concurrent bool) (mmPoint, error) {
-		return cell(i/3, i%3, concurrent)
+func runRatioCells(r *Runner, n int, cell func(row, kind int) (mmPoint, error)) ([]mmRatioRow, error) {
+	points, err := runCells(r, 3*n, func(i int) (mmPoint, error) {
+		return cell(i/3, i%3)
 	})
 	if err != nil {
 		return nil, err
@@ -48,10 +48,9 @@ func runRatioCells(r *Runner, n int, cell func(row, kind int, concurrent bool) (
 }
 
 // runMatmul measures one (mesh, block, strategy) configuration in the
-// paper's communication-time mode. concurrent marks a call from a cell
-// fan-out (simulated results are unaffected).
-func (r *Runner) runMatmul(side, blockInts int, f core.Factory, spec decomp.Spec, concurrent bool) (mmPoint, error) {
-	m := r.machineConc(side, side, f, spec, concurrent)
+// paper's communication-time mode.
+func (r *Runner) runMatmul(side, blockInts int, f core.Factory, spec decomp.Spec) (mmPoint, error) {
+	m := r.machine(side, side, f, spec)
 	cfg := matmul.Config{BlockInts: blockInts, Seed: r.Seed}
 	var (
 		res matmul.Result
@@ -91,14 +90,14 @@ func (r *Runner) Fig3() error {
 	r.header(fmt.Sprintf("Figure 3: matrix multiplication on a %dx%d mesh (ratios vs hand-optimized)", side, side))
 
 	fh, at := fhFactory(), atFactory()
-	cells, err := runRatioCells(r, len(blocks), func(row, kind int, concurrent bool) (mmPoint, error) {
+	cells, err := runRatioCells(r, len(blocks), func(row, kind int) (mmPoint, error) {
 		switch kind {
 		case 0:
-			return r.runMatmul(side, blocks[row], nil, decomp.Ary2, concurrent)
+			return r.runMatmul(side, blocks[row], nil, decomp.Ary2)
 		case 1:
-			return r.runMatmul(side, blocks[row], fh, decomp.Ary4, concurrent)
+			return r.runMatmul(side, blocks[row], fh, decomp.Ary4)
 		default:
-			return r.runMatmul(side, blocks[row], at, decomp.Ary4, concurrent)
+			return r.runMatmul(side, blocks[row], at, decomp.Ary4)
 		}
 	})
 	if err != nil {
@@ -149,14 +148,14 @@ func (r *Runner) Fig4() error {
 	r.header(fmt.Sprintf("Figure 4: matrix multiplication with block size %d (ratios vs hand-optimized)", block))
 
 	fh, at := fhFactory(), atFactory()
-	cells, err := runRatioCells(r, len(sides), func(row, kind int, concurrent bool) (mmPoint, error) {
+	cells, err := runRatioCells(r, len(sides), func(row, kind int) (mmPoint, error) {
 		switch kind {
 		case 0:
-			return r.runMatmul(sides[row], block, nil, decomp.Ary2, concurrent)
+			return r.runMatmul(sides[row], block, nil, decomp.Ary2)
 		case 1:
-			return r.runMatmul(sides[row], block, fh, decomp.Ary4, concurrent)
+			return r.runMatmul(sides[row], block, fh, decomp.Ary4)
 		default:
-			return r.runMatmul(sides[row], block, at, decomp.Ary4, concurrent)
+			return r.runMatmul(sides[row], block, at, decomp.Ary4)
 		}
 	})
 	if err != nil {

@@ -30,13 +30,12 @@ type recoveryCell struct {
 // The reactive transport is tuned fast (0.5 ms initial timeout, 3 retries)
 // so detection beats the ~20 ms outages and the strategies actually fail
 // over, instead of the transport quietly retrying across the heal.
-func (r *Runner) runRecoveryCell(topo string, side int, reactive bool, strat string, concurrent bool) (recoveryCell, error) {
+func (r *Runner) runRecoveryCell(topo string, side int, reactive bool, strat string) (recoveryCell, error) {
 	opts := []diva.Option{
 		diva.WithTopologyName(topo, side, side),
 		diva.WithSeed(r.Seed),
 		diva.WithStrategyName(strat),
 		diva.WithShards(r.Shards),
-		diva.WithConcurrent(concurrent),
 		diva.WithFaultGen(fault.Gen{
 			LinkFailures: 2, NodeChurn: 1,
 			MeanDownUS: 20000, HorizonUS: 100000,
@@ -88,11 +87,11 @@ func (r *Runner) FigRecovery() error {
 	fmt.Fprintf(r.W, "re-issues over the re-embedded spanning forest.\n")
 
 	nCells := len(topos) * len(modes) * len(strategies)
-	cells, err := runCells(r, nCells, func(i int, concurrent bool) (recoveryCell, error) {
+	cells, err := runCells(r, nCells, func(i int) (recoveryCell, error) {
 		ti := i / (len(modes) * len(strategies))
 		mi := i / len(strategies) % len(modes)
 		si := i % len(strategies)
-		return r.runRecoveryCell(topos[ti], side, mi == 1, strategies[si], concurrent)
+		return r.runRecoveryCell(topos[ti], side, mi == 1, strategies[si])
 	})
 	if err != nil {
 		return err

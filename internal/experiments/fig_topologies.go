@@ -44,14 +44,13 @@ type topoCell struct {
 }
 
 // runTopoCell runs the Barnes-Hut workload for one sweep cell.
-func (r *Runner) runTopoCell(topo mesh.Topology, s strategyUnderTest, n, steps int, concurrent bool) (topoCell, error) {
+func (r *Runner) runTopoCell(topo mesh.Topology, s strategyUnderTest, n, steps int) (topoCell, error) {
 	m, err := diva.New(
 		diva.WithTopology(topo),
 		diva.WithSeed(r.Seed),
 		diva.WithTree(s.spec),
 		diva.WithStrategy(s.fact),
 		diva.WithShards(r.Shards),
-		diva.WithConcurrent(concurrent),
 	)
 	if err != nil {
 		return topoCell{}, err
@@ -93,10 +92,9 @@ func (r *Runner) FigTopologies() error {
 	table(r.W, rows)
 
 	// Run the sweep: cells are independent, so they fan out across the
-	// runner's shared worker pool (each machine is marked Concurrent to
-	// keep the per-kernel GOMAXPROCS pin off).
-	cells, err := runCells(r, len(topos)*len(strategies), func(i int, concurrent bool) (topoCell, error) {
-		return r.runTopoCell(topos[i/len(strategies)], strategies[i%len(strategies)], n, steps, concurrent)
+	// runner's shared worker pool.
+	cells, err := runCells(r, len(topos)*len(strategies), func(i int) (topoCell, error) {
+		return r.runTopoCell(topos[i/len(strategies)], strategies[i%len(strategies)], n, steps)
 	})
 	if err != nil {
 		return err

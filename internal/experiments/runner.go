@@ -38,11 +38,9 @@ type Runner struct {
 	// the topologies sweep, the matmul/bitonic ratio figures) all draw
 	// from one shared pool of this many slots — a figure goroutine lends
 	// its slot to its own fan-out, so the pool bounds the number of
-	// concurrently running simulations across the whole run. Every
-	// parallel machine runs with the kernels' GOMAXPROCS pin disabled (it
-	// is process-wide and would serialize the workers). Output is buffered
-	// per figure and emitted in figure order, so the bytes written to W
-	// are identical to a sequential run's.
+	// concurrently running simulations across the whole run. Output is
+	// buffered per figure and emitted in figure order, so the bytes written
+	// to W are identical to a sequential run's.
 	Workers int
 	// Shards is the event-kernel shard count per machine, passed through
 	// to diva.WithShards (0 reads $DIVA_SHARDS; figures are identical for
@@ -59,9 +57,6 @@ type Runner struct {
 	// goroutine currently occupies a slot, so runCells can lend it out.
 	pool    chan struct{}
 	holding bool
-
-	// concurrent marks a worker clone: its machines run alongside others.
-	concurrent bool
 
 	bhCache *bhCache
 }
@@ -81,13 +76,12 @@ func (r *Runner) ensurePool() {
 // independent of completion order and byte-identical to a sequential run.
 // A figure goroutine that itself holds a pool slot lends it to the fan-out
 // for the duration: whole figures and cells share one pool without nested
-// acquisitions, which keeps the pool deadlock-free. Cells run on machines
-// marked concurrent (no GOMAXPROCS pin); simulated results are unaffected.
-func runCells[T any](r *Runner, n int, compute func(i int, concurrent bool) (T, error)) ([]T, error) {
+// acquisitions, which keeps the pool deadlock-free.
+func runCells[T any](r *Runner, n int, compute func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	if r.Workers <= 1 || n <= 1 {
 		for i := range out {
-			v, err := compute(i, r.concurrent)
+			v, err := compute(i)
 			if err != nil {
 				return nil, err
 			}
@@ -108,7 +102,7 @@ func runCells[T any](r *Runner, n int, compute func(i int, concurrent bool) (T, 
 			defer wg.Done()
 			r.pool <- struct{}{}
 			defer func() { <-r.pool }()
-			out[i], errs[i] = compute(i, true)
+			out[i], errs[i] = compute(i)
 		}(i)
 	}
 	wg.Wait()
@@ -215,8 +209,7 @@ func (r *Runner) runParallel(names []string) error {
 			sub := &Runner{
 				W: &results[i].buf, Quick: r.Quick, Seed: r.Seed,
 				Workers: r.Workers, Shards: r.Shards, Recovery: r.Recovery,
-				pool: r.pool, holding: true,
-				concurrent: true, bhCache: r.bhCache,
+				pool: r.pool, holding: true, bhCache: r.bhCache,
 			}
 			results[i].err = sub.Run(f)
 		}(i, f)
@@ -237,20 +230,12 @@ func (r *Runner) runParallel(names []string) error {
 // machine builds a machine for one experiment run through the public
 // diva API (the machines here are exactly the ones embedders get).
 func (r *Runner) machine(rows, cols int, f core.Factory, spec decomp.Spec) *core.Machine {
-	return r.machineConc(rows, cols, f, spec, false)
-}
-
-// machineConc is machine with an explicit concurrency mark for in-figure
-// fan-outs (cells running alongside each other disable the kernel's
-// process-wide GOMAXPROCS pin; simulated results are unaffected).
-func (r *Runner) machineConc(rows, cols int, f core.Factory, spec decomp.Spec, concurrent bool) *core.Machine {
 	return diva.MustNew(
 		diva.WithMesh(rows, cols),
 		diva.WithSeed(r.Seed),
 		diva.WithTree(spec),
 		diva.WithStrategy(f),
 		diva.WithShards(r.Shards),
-		diva.WithConcurrent(r.concurrent || concurrent),
 	)
 }
 

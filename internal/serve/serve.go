@@ -149,7 +149,8 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // runs get 503 with Retry-After; healthz keeps answering, reporting
 // "draining"), in-flight runs get until timeout to finish, and whatever is
 // still simulating at the deadline is canceled at its next kernel
-// checkpoint. Drain returns when no run remains; it is idempotent, and
+// checkpoint. Drain returns when no run remains and the idle process
+// workers the runs left behind have exited; it is idempotent, and
 // concurrent calls all block until the first completes.
 func (s *Server) Drain(timeout time.Duration) {
 	s.drainOnce.Do(func() {
@@ -158,6 +159,7 @@ func (s *Server) Drain(timeout time.Duration) {
 		defer t.Stop()
 		s.wg.Wait()
 		s.baseCancel()
+		sim.DropIdleWorkers()
 	})
 	s.wg.Wait()
 }
@@ -438,7 +440,7 @@ func (s *Server) run(ctx context.Context, sp spec.Spec, handle string) (*RunResp
 			return nil, http.StatusUnprocessableEntity, err
 		}
 	}
-	m, err := diva.Fork(snap, diva.ForkConcurrent(true))
+	m, err := diva.Fork(snap)
 	if err != nil {
 		return nil, http.StatusInternalServerError, err
 	}
@@ -666,6 +668,12 @@ type healthzResponse struct {
 	KernelStoreBytes  int64  `json:"kernel_store_bytes"`
 	KernelStoreHits   uint64 `json:"kernel_store_hits"`
 	KernelStoreMisses uint64 `json:"kernel_store_misses"`
+	// Process runtime (sim.ProcStats): idle workers in the stock, first
+	// wake-ups served from it or by a new one, switches of finished runs.
+	ProcPoolIdle   int    `json:"proc_pool_idle"`
+	ProcPoolHits   uint64 `json:"proc_pool_hits"`
+	ProcPoolMisses uint64 `json:"proc_pool_misses"`
+	ProcSwitches   uint64 `json:"proc_switches"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -675,6 +683,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	plans := core.ReadPlanStats()
 	store := sim.StoreStats()
+	procs := sim.ProcStats()
 	s.writeJSON(w, http.StatusOK, healthzResponse{
 		Status:      status,
 		Runs:        s.runs.Load(),
@@ -699,6 +708,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		KernelStoreBytes:  store.Bytes,
 		KernelStoreHits:   store.Hits,
 		KernelStoreMisses: store.Misses,
+
+		ProcPoolIdle:   procs.Idle,
+		ProcPoolHits:   procs.Hits,
+		ProcPoolMisses: procs.Misses,
+		ProcSwitches:   procs.Switches,
 	})
 }
 
@@ -791,7 +805,7 @@ func (c *snapCache) drop(key string, e *snapEntry) {
 // load restores a stored snapshot into e, counting the restore.
 func (c *snapCache) load(e *snapEntry, store *snapstore.Store, handle string) {
 	start := time.Now()
-	e.sp, e.snap, e.err = store.Load(handle, diva.WithConcurrent(true))
+	e.sp, e.snap, e.err = store.Load(handle)
 	e.restored = true
 	c.loads.Add(1)
 	c.loadUS.Add(time.Since(start).Microseconds())
@@ -813,7 +827,7 @@ func (c *snapCache) base(n spec.Spec) (*diva.Snapshot, error) {
 	e := c.entry("spec:" + string(key))
 	e.once.Do(func() {
 		var m *diva.Machine
-		m, e.err = diva.MachineFromSpec(n, diva.WithConcurrent(true))
+		m, e.err = diva.MachineFromSpec(n)
 		if e.err != nil {
 			return
 		}
@@ -852,7 +866,7 @@ func (s *Server) warmOrLoad(ctx context.Context, handle string, sp spec.Spec) (*
 			return
 		}
 		n := sp.Normalized()
-		m, wl, err := diva.FromSpec(n, diva.WithConcurrent(true))
+		m, wl, err := diva.FromSpec(n)
 		if err != nil {
 			e.err = err
 			return

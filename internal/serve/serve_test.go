@@ -391,7 +391,9 @@ func TestHealthzPlanCounters(t *testing.T) {
 // what /v1/healthz says about the kernel event storage they leave behind:
 // sets are waiting for the next request, their slab requests were counted,
 // and the resident bytes stay under the stock's constant ceiling however
-// large the largest run was.
+// large the largest run was. The process workers they leave behind are
+// reported the same way: idle ones within the stock's cap, later requests
+// served from it, switches counted.
 func TestHealthzKernelStoreBounded(t *testing.T) {
 	ts := httptest.NewServer(mustServer(t, Options{Workers: 2}).Handler())
 	defer ts.Close()
@@ -431,5 +433,11 @@ func TestHealthzKernelStoreBounded(t *testing.T) {
 	if after.KernelStoreHits <= before.KernelStoreHits || after.KernelStoreMisses < before.KernelStoreMisses {
 		t.Errorf("slab counters went from %d hits / %d misses to %d / %d over 16 runs",
 			before.KernelStoreHits, before.KernelStoreMisses, after.KernelStoreHits, after.KernelStoreMisses)
+	}
+	if after.ProcPoolIdle < 1 || after.ProcPoolIdle > sim.ProcStats().Cap ||
+		after.ProcPoolHits <= before.ProcPoolHits || after.ProcSwitches <= before.ProcSwitches {
+		t.Errorf("process pool went from %d idle / %d hits / %d switches to %d / %d / %d over 16 runs (cap %d)",
+			before.ProcPoolIdle, before.ProcPoolHits, before.ProcSwitches,
+			after.ProcPoolIdle, after.ProcPoolHits, after.ProcSwitches, sim.ProcStats().Cap)
 	}
 }

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"strconv"
+	"testing"
+)
 
 // BenchmarkKernelEventChurn measures raw event throughput at a standing
 // population of one: one schedule + pop + dispatch per iteration. The
@@ -69,5 +72,52 @@ func BenchmarkKernelColdRun(b *testing.B) {
 		if err := k.Run(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// switchKernel returns a kernel on which procs processes wake in turn: each
+// Wait(1) of every process is one switch to the next (through the driving
+// goroutine), rounds of them per process.
+func switchKernel(procs, rounds int) *Kernel {
+	k := New()
+	body := func(p *Proc) {
+		for j := 0; j < rounds; j++ {
+			p.Wait(1)
+		}
+	}
+	recs := make([]Proc, procs)
+	for i := range recs {
+		k.SpawnAt(&recs[i], i, body)
+	}
+	return k
+}
+
+// BenchmarkProcSwitch is one process switch per iteration at a standing
+// population of 2, 64 and 1 024 parked processes.
+func BenchmarkProcSwitch(b *testing.B) {
+	for _, procs := range []int{2, 64, 1024} {
+		b.Run(strconv.Itoa(procs), func(b *testing.B) {
+			k := switchKernel(procs, b.N/procs+1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := k.Run(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// BenchmarkSpawnRun is the process runtime's share of a request: a new
+// kernel, 16 or 1 024 processes that wait once each, run, dropped.
+func BenchmarkSpawnRun(b *testing.B) {
+	for _, procs := range []int{16, 1024} {
+		b.Run(strconv.Itoa(procs), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := switchKernel(procs, 1).Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -240,8 +240,8 @@ func (cl *Cluster) crossWake(k *Kernel, t Time, p *Proc) {
 // global minimum due time and the lookahead, executed (inline for an
 // exclusive window, on per-shard runner goroutines otherwise), and merged.
 // Mirrors Kernel.Run's contract: an error reports processes still blocked
-// at the end. GOMAXPROCS is not pinned — shards are meant to run in
-// parallel; on a single-CPU host they interleave through the scheduler.
+// at the end. On a single-CPU host the shards' runners interleave through
+// the scheduler.
 func (cl *Cluster) Run() error {
 	for !cl.stopped {
 		if cl.cancel != nil && cl.cancel.Load() {
@@ -284,7 +284,7 @@ func (cl *Cluster) Run() error {
 			k := cl.ks[act]
 			k.sh.openWindow(h)
 			cl.window = true
-			k.loop(nil, false)
+			k.loop(nil)
 		} else {
 			cl.pendAtOpn = 0
 			for _, k := range cl.ks {
@@ -333,7 +333,7 @@ func (cl *Cluster) ensureRunners() {
 		cl.goChs[i] = make(chan struct{})
 		go func(i int) {
 			for range cl.goChs[i] {
-				cl.ks[i].loop(nil, false)
+				cl.ks[i].loop(nil)
 				cl.doneCh <- struct{}{}
 			}
 		}(i)
@@ -468,6 +468,7 @@ func (cl *Cluster) finish() error {
 	k0 := cl.ks[0]
 	for _, k := range cl.ks {
 		k.now = end
+		k.foldSwitches()
 		if k != k0 {
 			k0.Stat.Events += k.Stat.Events
 			k0.Stat.FusedDeliveries += k.Stat.FusedDeliveries
@@ -489,17 +490,11 @@ func (cl *Cluster) finish() error {
 	}
 	var blocked []string
 	for _, k := range cl.ks {
-		for _, p := range k.procs {
-			if !p.done {
-				blocked = append(blocked, p.name)
-			}
-		}
+		blocked = k.blocked(blocked)
 	}
 	if len(blocked) > 0 {
 		sort.Strings(blocked)
-		for _, k := range cl.ks {
-			k.killAll()
-		}
+		cl.shutdown()
 		return &DeadlockError{Blocked: blocked, At: end}
 	}
 	return nil

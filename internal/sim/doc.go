@@ -3,8 +3,8 @@
 //
 // The kernel advances virtual time by executing events from a priority
 // queue. Exactly one thing runs at a time: either an event callback or one
-// process goroutine. Processes hand control back to the kernel whenever they
-// block (Wait, Await, ...), so all executions are serialized and the whole
+// process. Processes hand control back to the kernel whenever they block
+// (Wait, Await, ...), so all executions are serialized and the whole
 // simulation is reproducible — same inputs, same event order, same results.
 //
 // Two execution contexts exist:
@@ -12,9 +12,9 @@
 //   - Event context: callbacks scheduled with At/After/AtCall run inline in
 //     the kernel loop. They must not block. Protocol handlers (message
 //     deliveries) run in this context.
-//   - Process context: goroutines spawned with Spawn. They may block on
-//     futures and timed waits. Application programs (one per simulated
-//     processor) run in this context.
+//   - Process context: bodies started with Spawn, each on a coroutine of its
+//     own. They may block on futures and timed waits. Application programs
+//     (one per simulated processor) run in this context.
 //
 // Time is measured in microseconds (float64); ties are broken by schedule
 // order, which makes runs deterministic.
@@ -113,8 +113,10 @@
 // every slab handed out since the last scrub (a low-water mark per class
 // tells which) and every used payload slot is cleared — a finished machine
 // is collectable while its slabs live on (TestReleasedStoreIsCleared). The
-// stock is a mutex-guarded array, not a sync.Pool: a pinned Run changes
-// GOMAXPROCS twice, and each change empties every pool. StoreStats reports
+// stock is a mutex-guarded array, not a sync.Pool: a pool drops what two
+// collections found unused — a figure cell collects many times while it
+// runs, so the next would start cold — and cannot bound what it holds.
+// StoreStats reports
 // sets and bytes resident, adoptions, and the slab hits and misses of the
 // kernels that have handed over; /v1/healthz shows them as kernel_store_*.
 //
@@ -132,56 +134,65 @@
 // (Network.SetTwoStageDelivery is the A/B oracle; the A/B tests pin equal
 // kernel fingerprints across all four queue x pipeline combinations).
 //
-// # The single-rendezvous handoff
+// # Process switches
 //
-// The kernel loop is not pinned to one goroutine. Whichever goroutine
-// currently runs — the one that called Run, or any process goroutine —
-// holds a conceptual baton; it executes the loop (popping events and
-// running event callbacks inline) until it pops a wakeup for a different
-// process. It then hands the baton over with a single send on that
-// process's buffered resume channel and blocks on (or, for a finished
-// process, exits instead of) its own rendezvous. A full context switch
-// therefore costs exactly one channel rendezvous — one futex wake plus one
-// sleep — instead of the two of the classic park/resume ping-pong through a
-// dedicated scheduler goroutine, and a process that parks and is the next
-// to wake (a timed Wait with nothing in between, the most common pattern)
-// resumes with zero channel operations: it pops its own wakeup inside the
-// loop it is already running.
+// A process body runs on a worker (worker.go): a coroutine made by iter.Pull,
+// a goroutine with its own stack that the runtime switches to and from
+// directly — no run queue, channel or futex on the way, the same cost
+// whatever GOMAXPROCS is. So Run pins nothing and kernels run side by side.
 //
-// States of a process goroutine:
+// The goroutine that called Run (or a shard's window runner) is the driver.
+// It executes the loop; when it pops the wake-up of a process it resumes that
+// process's worker and is suspended until the worker yields. A process that
+// parks (Wait, Await, ...) does not yield at once: it executes the loop
+// itself, inside park, until it pops a process wake-up. Its own — park
+// returns with no switch at all, the common case of a timed Wait with
+// nothing in between. Another's — it names that process in Kernel.to and
+// yields, and the driver resumes the one named: a coroutine can only yield
+// to whoever resumed it, so a switch between two processes is two coroutine
+// switches through the driver. Hence the parked process keeps driving:
+// yielding at every park would pay both switches per park, where now the
+// callbacks between two wake-ups run on a stack that is already hot.
 //
-//	SPAWNED --(first wakeup popped: baton handed over)--> RUNNING
-//	RUNNING --(park: Wait/WaitUntil/Yield/Await)--------> DRIVING
-//	DRIVING --(pops own wakeup)-------------------------> RUNNING   (0 rendezvous)
-//	DRIVING --(pops another proc's wakeup: hand baton)--> PARKED    (1 rendezvous)
-//	DRIVING --(event it ran killed it: baton to Run)----> EXITED    (unwinds via panic)
-//	PARKED  --(own wakeup popped elsewhere: baton in)---> RUNNING
-//	RUNNING --(body returns)----------------------------> DRIVING (done)
-//	DRIVING (done) --(hand baton or queue drained)------> EXITED
-//	SPAWNED/PARKED --(kill)-----------------------------> EXITED   (unwinds via panic)
+//	SPAWNED --(driver pops first wakeup: binds a worker, resumes)--> RUNNING
+//	RUNNING --(park: Wait/WaitUntil/Yield/Await)-------------------> DRIVING
+//	DRIVING --(pops own wakeup)------------------------------------> RUNNING  (no switch)
+//	DRIVING --(pops another's wakeup: names it, yields)------------> PARKED
+//	DRIVING --(nothing left to run in this run or window: yields)--> PARKED
+//	DRIVING --(event it ran killed it: unwinds, worker exits)------> DONE
+//	PARKED  --(driver resumes it: own wakeup popped elsewhere)-----> RUNNING
+//	PARKED  --(kill: unwinds on its own worker, worker exits)------> DONE
+//	SPAWNED --(kill: never had a worker)---------------------------> DONE
+//	RUNNING --(body returns: worker yields, driver shelves it)-----> DONE
 //
-// DRIVING means the goroutine is executing the kernel loop inline (inside
-// park, or as the continuation after its body returned). The goroutine that
-// called Run is a regular participant: it drives until it hands the baton
-// to the first process and then sleeps on the kernel's main channel; it
-// does not take part in per-switch ping-pong at all. The main channel is
-// signaled when the simulation terminates (queue drained or Stop) — or by
-// a driving goroutine that must unwind because an event callback it just
-// executed killed its own process; the Run goroutine then resumes driving
-// the remaining events.
+// Until its first wake-up pops a process is a record and a kick-off event, so
+// a kernel that is spawned on and dropped holds no goroutine. A worker whose
+// body returned goes to a process-wide, mutex-guarded stock and the next
+// first wake-up on any kernel takes it: a warm run starts no goroutine and
+// allocates nothing per process. The worker keeps its stack, so a body does
+// not grow one by copying run after run (the collector halves a stack used
+// to less than a quarter, so a worker idle for long ends on the minimum). An
+// idle worker is not free — every collection visits it and is paced by its
+// stack's size — so the stock holds at most maxIdleWorkers, 2 048: two
+// machines of the largest figure mesh. A worker finishing beyond that exits;
+// DropIdleWorkers ends them all; ProcStats and /v1/healthz (proc_pool_*,
+// proc_switches) report the stock and the switches of finished runs.
 //
-// Exactly one goroutine is ever runnable per kernel: every handoff is a
-// send to a goroutine that is blocked (or about to block) on its own
-// channel, immediately followed by the sender blocking or exiting. The
-// happens-before chain of those channel operations is also what makes the
-// kernel's state safely visible across the goroutines under `go test
-// -race`, even when several kernels run concurrently (SetPinned(false)).
+// One goroutine per kernel executes at a time: resuming suspends the resumer,
+// yielding the yielder, and iter.Pull orders both sides of every switch (race
+// detector included). Coroutines add one restriction: a worker cannot move
+// between a goroutine locked to its OS thread and another, so Run must not
+// be called under runtime.LockOSThread.
 //
-// Killing a process (kernel shutdown, deadlock cleanup, tests) marks it
-// done and deposits a kill signal in its resume buffer; the process unwinds
-// with a panic the Spawn wrapper swallows. A killed process that still has
-// a wakeup queued is skipped when that event pops — the event is still
-// folded into the Fingerprint, which hashes every popped event.
+// Killing a process (Shutdown; the cleanup after a deadlock, a cancellation
+// or a panic) marks it done. A parked one is stopped: resumed with its yield
+// reporting false, it unwinds on its own worker — deferred calls run — and
+// the worker exits before kill returns, never to be shelved. The process
+// that is executing, having run the callback that kills it, unwinds when the
+// callback returns. A wakeup still queued for a killed process is skipped
+// when it pops, but folded into the Fingerprint like every popped event. A
+// body's own panic travels through iter.Pull to the driver and leaves Run
+// with its value, the parked processes unwound first.
 //
 // # Sharded conservative-parallel execution
 //

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync/atomic"
 )
@@ -86,21 +85,20 @@ type Kernel struct {
 
 	// Stat is written by the kernel and — for the delivery counters — by
 	// the network layer; read it after Run for hit-rate reporting.
-	Stat Stats
-	// mainCh hands the baton back to the goroutine that called Run: at
-	// termination (queue drained or Stop), or when the goroutine driving
-	// the loop was itself killed by an event it executed and must unwind.
-	// The Run goroutine resumes driving either way; its loop condition
-	// detects termination. Buffered so the send never blocks the sender.
-	mainCh  chan struct{}
+	Stat    Stats
 	stopped bool
-	noPin   bool
 	fp      uint64 // running hash of the executed event order
+
+	// Process switching (doc.go): cur is the process whose worker executes
+	// (nil while the driver does), to the process a parked one asks the
+	// driver to resume next, switches the resumptions of this run.
+	cur, to  *Proc
+	switches uint64
 
 	// Cooperative cancellation (cancel.go): when cancel is non-nil the
 	// loop polls it every cancelCheckEvery executed events (cancelCtr is
-	// only ever touched by the current baton holder — or the shard's own
-	// executing goroutine — so it needs no synchronization); canceled
+	// only ever touched by whoever executes the loop, one goroutine at a
+	// time, so it needs no synchronization); canceled
 	// marks a run stopped by the flag rather than by Stop.
 	cancel    *atomic.Bool
 	cancelCtr uint32
@@ -129,7 +127,7 @@ type Kernel struct {
 
 // New returns an empty kernel at time 0.
 func New() *Kernel {
-	k := &Kernel{mainCh: make(chan struct{}, 1), useHeap: defaultHeapQueue}
+	k := &Kernel{useHeap: defaultHeapQueue}
 	k.lq.init(&k.st)
 	k.lazyq.init(&k.st)
 	return k
@@ -243,11 +241,10 @@ func (k *Kernel) SetHeapQueue(useHeap bool) {
 	k.useHeap = useHeap
 }
 
-// SetPinned controls whether Run pins GOMAXPROCS to 1 (the default).
-// Disable the pin when several independent kernels run concurrently —
-// e.g. parallel experiment sweeps — where the process-wide GOMAXPROCS
-// setting would serialize all of them.
-func (k *Kernel) SetPinned(pinned bool) { k.noPin = !pinned }
+// SetPinned does nothing.
+//
+// Deprecated: Run pins nothing; process switches bypass the scheduler.
+func (k *Kernel) SetPinned(pinned bool) {}
 
 // Fingerprint returns a hash chain over the executed event order: every
 // popped event folds its (time, sequence) pair into the running value.
@@ -499,24 +496,18 @@ func (k *Kernel) After(d Time, fn func()) {
 
 // Run executes events until the queue is empty or Stop is called. It
 // returns an error if, at the end, some processes are still blocked — that
-// indicates a deadlock (or a forgotten wake-up) in the simulated system.
+// indicates a deadlock (or a forgotten wake-up) in the simulated system. A
+// panic in a process body leaves Run with its value, the parked processes
+// unwound.
 //
-// The simulation is strictly sequential: exactly one goroutine (the caller
-// or one process) runs at any time; see doc.go for the baton-passing
-// handoff that enforces it with one rendezvous per context switch. Running
-// on a single P makes those handoffs cheap scheduler switches instead of
-// cross-core futex wake-ups (~2x end-to-end), so Run pins GOMAXPROCS to 1
-// for its duration and restores it afterwards — unless SetPinned(false)
-// opted out because several kernels run concurrently.
+// The simulation is strictly sequential: the caller's goroutine or one
+// process's worker runs at any time; see doc.go for the coroutine switches
+// that enforce it without the Go scheduler.
 func (k *Kernel) Run() error {
 	if k.sh != nil {
 		// A clustered kernel is one shard: Run drives the whole cluster
-		// under conservative windows (cluster.go), unpinned so shards can
-		// execute in parallel.
+		// under conservative windows (cluster.go).
 		return k.sh.cl.Run()
-	}
-	if !k.noPin {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	}
 	if k.cancelRequested() {
 		// Canceled before the first event (e.g. an already-expired
@@ -524,18 +515,20 @@ func (k *Kernel) Run() error {
 		k.canceled = true
 		k.stopped = true
 	}
-	k.loop(nil, false)
+	returned := false
+	defer func() {
+		if !returned {
+			k.killAll()
+		}
+		k.foldSwitches()
+	}()
+	k.loop(nil)
+	returned = true
 	if k.canceled {
 		k.killAll()
 		return &CanceledError{At: k.now, Events: k.Stat.Events}
 	}
-	var blocked []string
-	for _, p := range k.procs {
-		if !p.done {
-			blocked = append(blocked, p.name)
-		}
-	}
-	if len(blocked) > 0 {
+	if blocked := k.blocked(nil); len(blocked) > 0 {
 		sort.Strings(blocked)
 		k.killAll()
 		return &DeadlockError{Blocked: blocked, At: k.now}
@@ -544,6 +537,24 @@ func (k *Kernel) Run() error {
 		k.releaseStore()
 	}
 	return nil
+}
+
+// blocked appends the names of the processes that have not finished.
+func (k *Kernel) blocked(names []string) []string {
+	for _, p := range k.procs {
+		if !p.done {
+			names = append(names, p.Name())
+		}
+	}
+	return names
+}
+
+// foldSwitches adds the kernel's process switches to ProcStats.
+func (k *Kernel) foldSwitches() {
+	procPool.mu.Lock()
+	procPool.switches += k.switches
+	procPool.mu.Unlock()
+	k.switches = 0
 }
 
 // releaseStore hands the kernel's event storage to the process-wide stock
@@ -558,27 +569,15 @@ func (k *Kernel) releaseStore() {
 	k.st.release()
 }
 
-// loop executes events on the calling goroutine — the current baton holder
-// (see doc.go). self is nil for the Run goroutine; continuation marks a
-// process goroutine whose body already returned and that is driving the
-// loop only until it can hand the baton off. The loop ends when:
-//
-//   - it pops the wakeup of self: return, so park (and thus Wait/Await)
-//     returns into the process body with zero channel operations;
-//   - it pops the wakeup of another process: hand the baton over with one
-//     buffered send; the Run goroutine then sleeps until the baton comes
-//     back (termination, or a killed holder handing over) and resumes
-//     driving, a continuation exits, and a parked process blocks on its
-//     own rendezvous until its wakeup is popped elsewhere — or a kill
-//     unwinds it;
-//   - an event callback it just executed killed self (kill targets the
-//     process whose goroutine is driving): hand the baton to the Run
-//     goroutine and unwind — the body must never resume;
-//   - the queue drains or Stop was called: the Run goroutine returns to
-//     Run; anyone else signals the Run goroutine, then exits
-//     (continuation) or blocks for the inevitable kill (a drained queue
-//     with a parked process is a deadlock).
-func (k *Kernel) loop(self *Proc, continuation bool) {
+// loop executes events on the calling goroutine: the driver (self nil) —
+// the caller of Run, or a shard's window runner — or a parked process. It
+// returns when it pops the wakeup of self, so park returns without a switch.
+// On another process's wakeup the driver resumes it and goes on; a process
+// names it in k.to and yields to the driver, to return from park when it is
+// resumed in turn. When nothing is left to run here the driver returns and a
+// process yields, to be resumed by a later window or unwound by a kill.
+// doc.go, "Process switches", has the state table.
+func (k *Kernel) loop(self *Proc) {
 	for k.localPending() > 0 && !k.stopped {
 		if sh := k.sh; sh != nil && sh.window && (sh.paused || sh.cl.curtail) {
 			break // window over: horizon reached, or curtailed by an injection
@@ -600,22 +599,13 @@ func (k *Kernel) loop(self *Proc, continuation bool) {
 			if p == self {
 				return
 			}
-			p.resume <- procSignal{}
-			if self == nil {
-				// The baton returns on termination or from a killed
-				// holder; either way, resume driving (the loop condition
-				// detects termination).
-				<-k.mainCh
-				continue
+			if self != nil {
+				k.to = p
+				self.toDriver()
+				return // our wakeup was popped by another driver; park returns
 			}
-			if continuation {
-				return // finished body: the goroutine exits
-			}
-			sig := <-self.resume
-			if sig.kill {
-				panic(killed{})
-			}
-			return // our wakeup was popped by another holder; park returns
+			k.resume(p)
+			continue
 		}
 		pl := k.takeSlot(e.slot)
 		if pl.hfn != nil {
@@ -623,27 +613,32 @@ func (k *Kernel) loop(self *Proc, continuation bool) {
 		} else {
 			pl.fn()
 		}
-		if self != nil && !continuation && self.done {
-			// The callback we just ran killed us. The body must not resume:
-			// hand the baton to the Run goroutine and unwind. (done is only
-			// ever written in kernel context, which we are, so this read is
-			// race-free.)
-			k.mainCh <- struct{}{}
+		if self != nil && self.done {
+			// The callback we just ran killed us: the body must not resume.
 			panic(killed{})
 		}
 	}
-	if self == nil {
-		return
+	if self != nil {
+		self.toDriver()
 	}
-	k.mainCh <- struct{}{}
-	if continuation {
-		return
-	}
-	// Parked with no wakeup scheduled and nothing left to run: that is a
-	// deadlock; Run (now holding the baton) will kill us.
-	sig := <-self.resume
-	if sig.kill {
-		panic(killed{})
+}
+
+// resume runs p, then whichever process each parked one names in k.to,
+// until one gives control back naming none: it finished, found nothing to
+// run, or was killed. A worker whose body returned goes back to the stock.
+func (k *Kernel) resume(p *Proc) {
+	for ; p != nil; p = k.to {
+		w := p.w
+		if w == nil {
+			w = bind(p)
+		}
+		k.cur, k.to = p, nil
+		k.switches++
+		_, alive := w.next()
+		k.cur = nil
+		if alive && w.p == nil {
+			w.shelve()
+		}
 	}
 }
 

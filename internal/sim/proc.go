@@ -1,34 +1,33 @@
 package sim
 
-import "fmt"
-
-// procSignal is the token handed to a process when it may run. kill makes
-// the process unwind instead of resuming.
-type procSignal struct {
-	kill bool
-}
+import "strconv"
 
 // killed is the panic value used to unwind force-terminated processes.
 type killed struct{}
 
-// Proc is a cooperative simulated process. A Proc runs on its own
-// goroutine, but the kernel guarantees that at most one process (or event
-// callback) executes at a time, so process code needs no locking against
-// other simulated activity.
+// Proc is a cooperative simulated process. Its body runs on a pooled worker
+// coroutine (see doc.go), and the kernel guarantees that at most one process
+// (or event callback) executes at a time, so process code needs no locking
+// against other simulated activity.
 type Proc struct {
 	k    *Kernel
-	name string
-	// resume is the process's rendezvous: a context switch to this process
-	// is one buffered send here by the previous baton holder (see doc.go).
-	// Capacity 1 so the sender never sleeps on the handoff — at most one
-	// signal is ever in flight, because kernel code only runs again after
-	// the receiver consumed it.
-	resume chan procSignal
-	done   bool
+	body func(*Proc)
+	w    *worker // bound at the first wake-up, gone when the body is left
+	name string  // "" for a process spawned by index: "p<idx>" on demand
+	idx  int
+	done bool
 }
 
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
+// Name returns the process name given at Spawn, or "p<i>" for SpawnAt.
+func (p *Proc) Name() string {
+	if p.name == "" {
+		return "p" + strconv.Itoa(p.idx)
+	}
+	return p.name
+}
+
+// Index returns the index given at SpawnAt (0 for a named process).
+func (p *Proc) Index() int { return p.idx }
 
 // Kernel returns the kernel this process runs on.
 func (p *Proc) Kernel() *Kernel { return p.k }
@@ -39,53 +38,48 @@ func (p *Proc) Now() Time { return p.k.now }
 // Spawn creates a process executing body. The process starts (in FIFO order
 // with other events) at the current simulation time.
 func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, resume: make(chan procSignal, 1)}
-	k.procs = append(k.procs, p)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(killed); ok {
-					return // force-terminated by the kernel; swallow
-				}
-				panic(r) // real bug: re-raise
-			}
-		}()
-		sig := <-p.resume // wait for first scheduling
-		if sig.kill {
-			panic(killed{})
-		}
-		body(p)
-		p.done = true
-		// Final hand-back: the goroutine keeps driving the kernel loop as a
-		// continuation. It exits at the next handoff (one rendezvous, the
-		// send) — or with none at all when the queue drains first. In
-		// particular a body that never parks costs at most one rendezvous
-		// total after the initial wakeup.
-		k.loop(p, true)
-	}()
-	k.atProc(k.now, p)
+	p := &Proc{name: name}
+	k.SpawnAt(p, 0, body)
 	return p
+}
+
+// SpawnAt is Spawn into a record of the caller's, named "p<i>": an SPMD
+// layer carves its P records from one slab and shares one body among them.
+// Until the first wake-up nothing exists but the record and its event.
+func (k *Kernel) SpawnAt(p *Proc, i int, body func(p *Proc)) {
+	p.k, p.idx, p.body = k, i, body
+	k.procs = append(k.procs, p)
+	k.atProc(k.now, p)
 }
 
 // park hands control back to the kernel and blocks until resumed: the
 // process itself keeps driving the kernel loop until it pops either its own
-// wakeup (park returns directly, no channel operation) or another process's
-// (one rendezvous). Must only be called from process context.
-func (p *Proc) park() {
-	p.k.loop(p, false)
+// wakeup (park returns directly, no switch) or another process's (a switch
+// through the driving goroutine). Must only be called from process context.
+func (p *Proc) park() { p.k.loop(p) }
+
+// toDriver switches to the goroutine driving the kernel and returns when that
+// resumes p; a kill in between unwinds the body from here.
+func (p *Proc) toDriver() {
+	if !p.w.yield(struct{}{}) {
+		panic(killed{})
+	}
 }
 
-// kill unblocks a process so it unwinds instead of resuming. Must be called
-// from kernel context (an event callback, or after Run returned): the
-// target is then blocked on — or headed for — <-p.resume with an empty
-// buffer, so the buffered send cannot be reordered with a pending resume.
-// Marking done first makes any still-queued wakeup event a no-op.
+// kill makes a process unwind instead of resuming; when kill returns it has
+// (a parked one, synchronously, on its own worker) or never will run (one
+// that never started). Must be called from kernel or process context of p's
+// kernel, or after Run returned. Marking done first makes any still-queued
+// wakeup event a no-op. The process that is executing — it ran the callback
+// that kills it — unwinds when that callback returns (loop).
 func (p *Proc) kill() {
 	if p.done {
 		return
 	}
 	p.done = true
-	p.resume <- procSignal{kill: true}
+	if p.w != nil && p.k.cur != p {
+		p.w.stop()
+	}
 }
 
 // Wait suspends the process for d microseconds of simulated time.
@@ -117,4 +111,4 @@ func (p *Proc) Yield() {
 }
 
 // String implements fmt.Stringer.
-func (p *Proc) String() string { return fmt.Sprintf("proc(%s)", p.name) }
+func (p *Proc) String() string { return "proc(" + p.Name() + ")" }

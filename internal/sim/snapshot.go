@@ -58,7 +58,7 @@ func (k *Kernel) checkQuiescent() error {
 	}
 	for _, p := range k.procs {
 		if !p.done {
-			return fmt.Errorf("sim: process %s still live", p.name)
+			return fmt.Errorf("sim: process %s still live", p.Name())
 		}
 	}
 	return nil

@@ -160,8 +160,8 @@ func (s *evStore) scrub() {
 }
 
 // stock is the process-wide shelf of released sets. sync.Pool does not
-// fit: a pinned Run changes GOMAXPROCS twice, and each change empties
-// every pool.
+// fit: it drops what two collections found unused, which is any set while
+// a long run is under way, and cannot bound what it holds.
 var stock struct {
 	mu   sync.Mutex
 	sets [stockSets]evStore

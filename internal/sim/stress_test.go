@@ -138,8 +138,7 @@ func TestDeterministicUnderRandomLoad(t *testing.T) {
 
 // --- kill-during-handoff stress ---
 //
-// The single-rendezvous handoff must preserve the synchronous-kill
-// guarantees of the old two-channel scheduler: once kill() returns, the
+// Process switching must keep kill synchronous: once kill() returns, the
 // target never executes user code again, regardless of whether it was
 // parked with no wakeup, runnable with a wakeup queued, or not yet first
 // scheduled (mid-Spawn). These tests run under -race in CI.
@@ -208,8 +207,8 @@ func TestKillMidSpawn(t *testing.T) {
 // from event context at random times against parked, runnable and
 // freshly-spawned targets. Two runs of every seed must execute the same
 // event sequence (fingerprint), nobody may run after being killed, and
-// survivors must complete. Run under -race in CI to pin the rendezvous
-// memory ordering.
+// survivors must complete. Run under -race in CI to pin the memory ordering
+// of the switches.
 func TestKillStressMixed(t *testing.T) {
 	trial := func(seed uint64) (uint64, int) {
 		k := New()

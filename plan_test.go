@@ -116,7 +116,9 @@ func TestNamedGraphSharedAcrossMachines(t *testing.T) {
 // large hand-optimized one. The fork is per-machine state only
 // (TestForkAllocBudget in internal/core); the run starts on the event
 // storage the first one handed to the kernel stock, so neither grows a
-// queue from nothing. Shards are pinned to one: a sharded kernel keeps its
+// queue from nothing, and its processes on the workers the first one left in
+// the process stock, so it starts no goroutine and allocates one slab of
+// process records. Shards are pinned to one: a sharded kernel keeps its
 // store for life and takes none from the stock.
 func TestRunAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
@@ -124,15 +126,16 @@ func TestRunAllocBudget(t *testing.T) {
 		m     *diva.Machine
 		w     func() diva.Workload
 		bytes uint64
+		objs  uint64
 	}{
 		{"4x4 at4 matmul(16)",
 			diva.MustNew(diva.WithMesh(4, 4), diva.WithStrategyName("at4"), diva.WithSeed(1), diva.WithShards(1)),
 			func() diva.Workload { return diva.Matmul(diva.MatmulConfig{BlockInts: 16, Seed: 1}) },
-			96 << 10}, // measured 76 KB; 161 KB before the kernel stock
+			88 << 10, 180}, // measured 74 KB, 150 objects; 76 KB, 246 with a goroutine a process
 		{"32x32 handopt stencil(1)",
 			diva.MustNew(diva.WithMesh(32, 32), diva.WithTree(diva.Ary2), diva.WithSeed(1), diva.WithShards(1)),
 			func() diva.Workload { return diva.Stencil(diva.StencilConfig{Iters: 1, HaloInts: 64, Seed: 1}) },
-			2560 << 10}, // measured 2.0 MB; 5.6 MB before
+			2240 << 10, 20000}, // measured 1.9 MB, 18 248 objects; 2.1 MB, 25 213
 	} {
 		snap, err := tc.m.Snapshot()
 		if err != nil {
@@ -150,10 +153,10 @@ func TestRunAllocBudget(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		forkRun()
 		runtime.ReadMemStats(&after)
-		got := after.TotalAlloc - before.TotalAlloc
-		t.Logf("%s: second fork + run allocates %d bytes", tc.name, got)
-		if got > tc.bytes {
-			t.Errorf("%s: second fork + run allocates %d bytes, budget %d", tc.name, got, tc.bytes)
+		got, objs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+		t.Logf("%s: second fork + run allocates %d bytes, %d objects", tc.name, got, objs)
+		if got > tc.bytes || objs > tc.objs {
+			t.Errorf("%s: second fork + run allocates %d bytes, %d objects; budget %d, %d", tc.name, got, objs, tc.bytes, tc.objs)
 		}
 	}
 }

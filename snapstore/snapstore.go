@@ -227,7 +227,7 @@ func (s *Store) Has(handle string) bool {
 // state onto it. The returned snapshot forks bit-identically to the live
 // snapshot Save was given, and the returned spec is the stored run
 // description (shard count pinned). extra machine options are applied
-// after the spec-derived ones; servers pass diva.WithConcurrent(true).
+// after the spec-derived ones.
 func (s *Store) Load(handle string, extra ...diva.Option) (spec.Spec, *diva.Snapshot, error) {
 	var sp spec.Spec
 	if err := checkHandle(handle); err != nil {
