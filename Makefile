@@ -34,7 +34,7 @@ check-imports:
 # BENCH_<date>.json, keeping the perf trajectory machine-readable across PRs
 # (see PERF.md). At one iteration BenchmarkBuild is the cold build:
 # topology, plan and machine.
-BENCH_PATTERN = 'BenchmarkFig|BenchmarkKernelQueue|BenchmarkKernelColdRun|BenchmarkProcSwitch|BenchmarkSpawnRun|BenchmarkMessageHop|BenchmarkShardScaling|BenchmarkGraphRoute|BenchmarkReactiveTransport|BenchmarkFork|BenchmarkBuild'
+BENCH_PATTERN = 'BenchmarkFig|BenchmarkKernelQueue|BenchmarkKernelColdRun|BenchmarkProcSwitch|BenchmarkSpawnRun|BenchmarkMessageHop|BenchmarkGraphRoute|BenchmarkReactiveTransport|BenchmarkFork|BenchmarkBuild'
 BENCH_PKGS = . ./internal/sim ./internal/core
 bench:
 	$(GO) test -run '^$$' -bench $(BENCH_PATTERN) -benchmem -benchtime 1x $(BENCH_PKGS) \
@@ -62,7 +62,7 @@ bench:
 # what the current test binary lists, so without the baseline check a new
 # benchmark family could land without ever refreshing BENCH_<date>.json.
 BASELINE = $(lastword $(sort $(shell git ls-files 'BENCH_*.json')))
-BENCH_REQUIRE = BenchmarkShardScaling,BenchmarkGraphRoute,BenchmarkReactiveTransport,BenchmarkFork,BenchmarkBuild,BenchmarkKernelColdRun,BenchmarkProcSwitch,BenchmarkSpawnRun
+BENCH_REQUIRE = BenchmarkGraphRoute,BenchmarkReactiveTransport,BenchmarkFork,BenchmarkBuild,BenchmarkKernelColdRun,BenchmarkProcSwitch,BenchmarkSpawnRun
 MAX_REGRESS ?= 50
 MAX_ALLOC_REGRESS ?= 10
 bench-check:

@@ -17,7 +17,6 @@ import (
 	"diva/internal/apps/barneshut"
 	"diva/internal/apps/bitonic"
 	"diva/internal/apps/matmul"
-	"diva/internal/apps/stencil"
 	"diva/internal/core"
 	"diva/internal/core/accesstree"
 	"diva/internal/core/fixedhome"
@@ -335,44 +334,6 @@ func BenchmarkFig11BarnesHutScale8x16AccessTree4K8(b *testing.B) {
 func BenchmarkFig11BarnesHutScale8x16FixedHome(b *testing.B) {
 	benchBarnesHut(b, 8, 16, 200*8*16/4, fixedhome.Factory(), decomp.Ary4)
 }
-
-// --- Kernel-shard scaling (PR 6) ---
-
-// benchShardScaling runs the stencil halo exchange — the canonical
-// shard-scaling workload: nearest-neighbor traffic stays inside a shard's
-// topology block except at block boundaries — split across `shards` kernel
-// shards. Strong scaling holds the machine at the Fig-11 network size
-// (8x16) while the shard count grows; weak scaling grows the machine with
-// the shard count (32 processors per shard). The simulated trajectory is
-// bit-identical at every shard count (pinned by TestShardAB*); only the
-// wall clock may differ, and only when the host grants the runners real
-// parallelism — see PERF.md for measured numbers and the single-CPU caveat.
-func benchShardScaling(b *testing.B, rows, cols, shards int) {
-	var lastTime float64
-	for i := 0; i < b.N; i++ {
-		m := core.MustNewMachine(core.Config{
-			Rows: rows, Cols: cols, Seed: 1999, Tree: decomp.Ary2,
-			Shards: shards,
-		})
-		res, err := stencil.Run(m, stencil.Config{
-			Iters: 32, HaloInts: 256, WithCompute: true, OpUS: 0.5, Seed: 7,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		lastTime = res.ElapsedUS
-	}
-	b.ReportMetric(lastTime/1000, "simulated-ms")
-	b.ReportMetric(float64(shards), "shards")
-}
-
-func BenchmarkShardScalingStrong1(b *testing.B) { benchShardScaling(b, 8, 16, 1) }
-func BenchmarkShardScalingStrong2(b *testing.B) { benchShardScaling(b, 8, 16, 2) }
-func BenchmarkShardScalingStrong4(b *testing.B) { benchShardScaling(b, 8, 16, 4) }
-
-func BenchmarkShardScalingWeak1(b *testing.B) { benchShardScaling(b, 4, 8, 1) }
-func BenchmarkShardScalingWeak2(b *testing.B) { benchShardScaling(b, 8, 8, 2) }
-func BenchmarkShardScalingWeak4(b *testing.B) { benchShardScaling(b, 8, 16, 4) }
 
 // --- Ablations (DESIGN.md) ---
 

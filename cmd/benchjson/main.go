@@ -9,7 +9,7 @@
 // Usage:
 //
 //	go test -run '^$' -bench BenchmarkFig -benchmem . | benchjson > BENCH_2026-07-26.json
-//	benchjson -check BENCH_2026-07-26.json -expect benchlist.txt -require BenchmarkShardScaling
+//	benchjson -check BENCH_2026-07-26.json -expect benchlist.txt -require BenchmarkGraphRoute
 //	benchjson -diff BENCH_old.json BENCH_new.json [-max-regress 50] [-max-alloc-regress 10]
 //
 // Check mode guards the pipeline against silent drift: it verifies the

@@ -123,7 +123,6 @@ func runMain(args []string) {
 	retries := fs.Int("retries", 0, "reactive: retransmissions before the strategy recovers (0 = default 5)")
 	backoff := fs.Float64("backoff", 0, "reactive: exponential backoff multiplier (0 = default 2)")
 	capacity := fs.Int("capacity", 0, "cache capacity per node in bytes (0 = unbounded)")
-	shards := fs.Int("shards", 0, "event-kernel shards for parallel execution (0 = $DIVA_SHARDS or 1; results are identical)")
 	specFile := fs.String("spec", "", "run the spec JSON document from this file instead of the flags")
 	list := fs.Bool("list", false, "list the registered strategies, topologies and workloads, then exit")
 	verbose := fs.Bool("v", false, "print per-message-kind statistics")
@@ -161,14 +160,6 @@ func runMain(args []string) {
 				workload = *app + "-handopt"
 			}
 		}
-		// The flag's 0 means $DIVA_SHARDS, preserved here at the CLI
-		// boundary: a serialized Spec itself never reads the environment.
-		nshards := *shards
-		if nshards == 0 {
-			if v, err := strconv.Atoi(os.Getenv("DIVA_SHARDS")); err == nil && v > 0 {
-				nshards = v
-			}
-		}
 		s = diva.Spec{
 			Topology:      *topoFlag,
 			Rows:          rows,
@@ -176,7 +167,6 @@ func runMain(args []string) {
 			Strategy:      strategy,
 			Tree:          *tree,
 			Seed:          *seed,
-			Shards:        nshards,
 			CacheCapacity: *capacity,
 			Recovery:      *recovery,
 			AckTimeoutUS:  *ackTimeout,

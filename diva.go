@@ -175,17 +175,6 @@ func WithNetParams(p NetParams) Option {
 // number of them run side by side without saying so.
 func WithConcurrent(on bool) Option { return func(*options) {} }
 
-// WithShards partitions the processors across n event-kernel shards for
-// conservative-parallel execution: simulated results are bit-identical to
-// the sequential kernel, wall-clock improves on multicore hosts. 0 (the
-// default) reads the DIVA_SHARDS environment variable, defaulting to 1.
-// The count is clamped to the processor count; machines with a data
-// management strategy run sequentially regardless (DSM request/response
-// traffic has no lookahead window to parallelize across).
-func WithShards(n int) Option {
-	return func(o *options) { o.cfg.Shards = n }
-}
-
 // WithFaults installs an explicit fault schedule (see diva/fault): timed
 // link outages and node churn, applied deterministically in the network's
 // global routing order. Repeated options accumulate (and compose with

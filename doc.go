@@ -46,8 +46,8 @@
 // # Specs, snapshot/fork and the service
 //
 // A run is serializable: diva/spec defines the JSON-friendly Spec naming
-// the machine (topology, strategy, tree, network timing, seed, shards,
-// cache capacity) and the workload with its knobs, with typed per-field
+// the machine (topology, strategy, tree, network timing, seed, cache
+// capacity) and the workload with its knobs, with typed per-field
 // validation. FromSpec turns a Spec into a machine and a workload, so the
 // divasim command line, a -spec document, an embedder and the HTTP
 // service all describe the identical, bit-reproducible run.
@@ -100,8 +100,8 @@
 // under its "fault" key, and both build bit-identical machines when they
 // describe the same events. Faults are applied lazily in the network's
 // deterministic routing order — no extra kernel events — so faulty runs
-// keep every determinism guarantee: fingerprints are identical at any
-// kernel shard count, and snapshot/fork works mid-schedule. A message
+// keep every determinism guarantee: fingerprints are identical across
+// re-runs and forks, and snapshot/fork works mid-schedule. A message
 // whose shortest route crosses a dead link re-routes over the spanning
 // forest of the live graph (path stretch); a message into a partitioned
 // or churned-out region is held and retransmitted when the schedule heals
@@ -126,7 +126,7 @@
 // over the re-embedded spanning forest; receiver-side per-channel
 // deduplication keeps both protocol-safe. Reactive runs simulate a
 // different (more faithful) machine than oracle runs, but carry the same
-// guarantees: fingerprints are identical across kernel shard counts,
+// guarantees: fingerprints are identical across re-runs,
 // declared-vs-drawn schedules and snapshot/fork — including forks taken
 // mid-recovery — and Network.FaultStats adds drop, ack, retransmission,
 // detection-latency, failover and re-issue counters. The default remains

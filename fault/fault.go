@@ -1,7 +1,7 @@
 // Package fault is the public façade over the simulator's fault-injection
 // subsystem: deterministic schedules of link outages and node churn,
 // applied lazily in the network's global routing order so faulty runs stay
-// bit-reproducible, fingerprint-stable across kernel shard counts, and
+// bit-reproducible, fingerprint-stable across re-runs and forks, and
 // snapshot/fork-able like every other run.
 //
 // A schedule is either declared explicitly (a fault.Schedule of timed

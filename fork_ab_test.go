@@ -3,8 +3,9 @@
 // executed-event-order fingerprint, simulated time, congestion, message
 // counts and evictions — to running the query directly on the source
 // machine. The matrix covers topology × strategy cells, the hand-optimized
-// path under kernel sharding, bounded caches, and the reseeded-fork
-// divergence contract.
+// workloads on every topology, under drawn faults and under the reactive
+// transport, a randomized stencil sweep, bounded caches, and the
+// reseeded-fork divergence contract.
 package diva_test
 
 import (
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"diva"
+	"diva/fault"
 )
 
 // forkTraj is one run's observable trajectory after the query workload.
@@ -124,51 +126,144 @@ func checkForkAB(t *testing.T, warm, query diva.Workload, opts ...diva.Option) {
 }
 
 // TestForkABDSM is the fork matrix over topology × strategy cells: warm
-// with the matrix square, query with bitonic sorting, both through the
-// data management strategy.
+// with the matrix square, query with bitonic sorting (Barnes-Hut on the
+// 4×4 cells), both through the data management strategy.
 func TestForkABDSM(t *testing.T) {
-	cells := []struct{ topo, strat string }{
-		{"mesh", "at4"},
-		{"torus", "fixedhome"},
-		{"hypercube", "at2"},
-		{"fattree", "at4k8"},
+	cells := []struct {
+		topo, strat string
+		barnesHut   bool
+	}{
+		{"mesh", "at4", false},
+		{"torus", "fixedhome", false},
+		{"hypercube", "at2", false},
+		{"fattree", "at4k8", false},
+		{"hypercube", "fixedhome", true},
+		{"fattree", "at4", true},
 	}
 	warm := diva.Matmul(diva.MatmulConfig{BlockInts: 64, Seed: 1})
-	query := diva.Bitonic(diva.BitonicConfig{KeysPerProc: 16, Check: true, Seed: 2})
 	for _, cell := range cells {
 		cell := cell
-		t.Run(cell.topo+"/"+cell.strat, func(t *testing.T) {
+		name, side := cell.topo+"/"+cell.strat, 8
+		query := diva.Bitonic(diva.BitonicConfig{KeysPerProc: 16, Check: true, Seed: 2})
+		if cell.barnesHut {
+			name, side = name+"/barneshut", 4
+			query = diva.BarnesHut(diva.BarnesHutConfig{N: 128, Steps: 2, MeasureFrom: 1, Seed: 3, WithCompute: true})
+		}
+		t.Run(name, func(t *testing.T) {
+			if cell.barnesHut && testing.Short() {
+				t.Skip("Barnes-Hut cells are slow")
+			}
 			checkForkAB(t, warm, query,
-				diva.WithTopologyName(cell.topo, 8, 8),
+				diva.WithTopologyName(cell.topo, side, side),
 				diva.WithStrategyName(cell.strat),
 				diva.WithSeed(1999))
 		})
 	}
 }
 
-// TestForkABHandOpt pins the fork contract on strategy-free machines under
-// kernel sharding: the snapshot captures the sharded cluster state and the
-// fork re-shards identically.
+// handOptCell is one row of TestForkABHandOpt: machine options, the warm
+// and query workloads, and an optional check that the warmed machine
+// exercised what the row is there for.
+type handOptCell struct {
+	name        string
+	opts        []diva.Option
+	warm, query diva.Workload
+	engaged     func(m *diva.Machine) error
+}
+
+// TestForkABHandOpt pins the fork contract on strategy-free machines: the
+// hand-optimized workloads on every topology, under a drawn fault schedule
+// (the cell must re-route or hold), under the reactive transport (acks
+// must flow), and over randomized stencil configurations.
 func TestForkABHandOpt(t *testing.T) {
-	warm := diva.Stencil(diva.StencilConfig{Iters: 3, HaloInts: 32, WithCompute: true, OpUS: 0.5, Check: true, Seed: 7})
-	query := diva.BitonicHandOpt(diva.BitonicConfig{KeysPerProc: 32, Check: true, Seed: 9})
-	var base *forkTraj
-	for _, shards := range []int{1, 4} {
-		shards := shards
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			checkForkAB(t, warm, query,
-				diva.WithMesh(8, 8), diva.WithSeed(1999),
-				diva.WithTree(diva.Ary2), diva.WithShards(shards))
-			// Cross-check the shard counts against each other too: the
-			// sharded fork's trajectory must equal the sequential one.
-			m := diva.MustNew(diva.WithMesh(8, 8), diva.WithSeed(1999),
-				diva.WithTree(diva.Ary2), diva.WithShards(shards), diva.WithConcurrent(true))
-			mustRun(t, m, warm)
-			traj := capture(t, m, mustRun(t, m, query))
-			if base == nil {
-				base = &traj
-			} else if traj != *base {
-				t.Errorf("shards=%d trajectory diverged from sequential: %+v vs %+v", shards, traj, *base)
+	stencil := diva.Stencil(diva.StencilConfig{Iters: 3, HaloInts: 32, WithCompute: true, OpUS: 0.5, Check: true, Seed: 7})
+	bitonic := diva.BitonicHandOpt(diva.BitonicConfig{KeysPerProc: 32, Check: true, Seed: 9})
+	ary2 := func(topo string, side int, more ...diva.Option) []diva.Option {
+		return append([]diva.Option{diva.WithTopologyName(topo, side, side), diva.WithSeed(1999), diva.WithTree(diva.Ary2)}, more...)
+	}
+	faulted := func(m *diva.Machine) error {
+		if st := m.Net.FaultStats(); st.Routed == 0 || st.Rerouted+st.Held == 0 {
+			return fmt.Errorf("faults never engaged: %+v", st)
+		}
+		return nil
+	}
+	acked := func(m *diva.Machine) error {
+		if st := m.Net.FaultStats(); st.AckMsgs == 0 {
+			return fmt.Errorf("transport idle: %+v", st)
+		}
+		return nil
+	}
+	cells := []handOptCell{{name: "mesh", opts: ary2("mesh", 8), warm: stencil, query: bitonic}}
+	for _, topo := range []string{"mesh", "torus", "hypercube", "fattree"} {
+		cells = append(cells,
+			handOptCell{name: "stencil/" + topo, opts: ary2(topo, 8), warm: bitonic,
+				query: diva.Stencil(diva.StencilConfig{Iters: 4, HaloInts: 64, WithCompute: true, OpUS: 0.5, Check: true, Seed: 7})},
+			handOptCell{name: "bitonic-handopt/" + topo, opts: ary2(topo, 8), warm: stencil,
+				query: diva.BitonicHandOpt(diva.BitonicConfig{KeysPerProc: 64, Check: true, Seed: 7})})
+	}
+	cells = append(cells, handOptCell{name: "matmul-handopt/mesh", opts: ary2("mesh", 8),
+		warm:  diva.MatmulHandOpt(diva.MatmulConfig{BlockInts: 256, WithCompute: true, OpUS: 3.45, Seed: 1, Check: true}),
+		query: bitonic})
+	for _, topo := range []string{"mesh", "torus", "graph:degraded", "graph:regular"} {
+		cells = append(cells, handOptCell{name: "faults/" + topo, opts: ary2(topo, 8, diva.WithFaultGen(faultGen)),
+			warm:    diva.Stencil(diva.StencilConfig{Iters: 4, HaloInts: 64, WithCompute: true, OpUS: 0.5, Check: true, Seed: 7}),
+			query:   bitonic,
+			engaged: faulted})
+	}
+	for _, rc := range []struct {
+		name           string
+		seed           uint64
+		gen            fault.Gen
+		ackUS, backoff float64
+		retries        int
+	}{
+		{"links-fast", 41, fault.Gen{LinkFailures: 2, MeanDownUS: 5000, HorizonUS: 40000}, 500, 2, 3},
+		{"churn-mixed", 97, fault.Gen{LinkFailures: 1, NodeChurn: 2, MeanDownUS: 8000, HorizonUS: 60000}, 1000, 1.5, 2},
+		{"churn-patient", 7, fault.Gen{NodeChurn: 1, MeanDownUS: 20000, HorizonUS: 30000}, 2000, 2, 5},
+	} {
+		opts := []diva.Option{diva.WithMesh(4, 4), diva.WithSeed(rc.seed), diva.WithFaultGen(rc.gen),
+			diva.WithRecovery(diva.RecoveryReactive), diva.WithAckTransport(rc.ackUS, rc.retries, rc.backoff)}
+		mm := diva.MatmulHandOpt(diva.MatmulConfig{BlockInts: 16, Seed: 5, Check: true})
+		st := diva.Stencil(diva.StencilConfig{Iters: 3, HaloInts: 32, Check: true, Seed: 5})
+		cells = append(cells,
+			handOptCell{name: "reactive/" + rc.name + "/matmul", opts: opts, warm: st, query: mm, engaged: acked},
+			handOptCell{name: "reactive/" + rc.name + "/stencil", opts: opts, warm: mm, query: st, engaged: acked})
+	}
+	// Randomized stencil sweep, drawn from a fixed xorshift stream.
+	rng := uint64(0x1999)
+	next := func(n int) int {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return int(rng % uint64(n))
+	}
+	fuzz := 6
+	if testing.Short() {
+		fuzz = 2
+	}
+	topos := []string{"mesh", "torus", "hypercube", "fattree"}
+	for i := 0; i < fuzz; i++ {
+		topo := topos[next(len(topos))]
+		rows, cols := 4+4*next(2), 8
+		iters, halo := 2+next(4), 16<<next(3)
+		seed := uint64(1 + next(1_000_000))
+		w := diva.Stencil(diva.StencilConfig{Iters: iters, HaloInts: halo, WithCompute: next(2) == 0, OpUS: 0.5, Check: true, Seed: seed})
+		cells = append(cells, handOptCell{
+			name: fmt.Sprintf("fuzz/%s_%dx%d_it%d_h%d_s%d", topo, rows, cols, iters, halo, seed),
+			opts: []diva.Option{diva.WithTopologyName(topo, rows, cols), diva.WithSeed(seed), diva.WithTree(diva.Ary2)},
+			warm: w, query: bitonic})
+	}
+	for _, cell := range cells {
+		cell := cell
+		t.Run(cell.name, func(t *testing.T) {
+			checkForkAB(t, cell.warm, cell.query, cell.opts...)
+			if cell.engaged == nil {
+				return
+			}
+			m := diva.MustNew(cell.opts...)
+			mustRun(t, m, cell.warm)
+			if err := cell.engaged(m); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

@@ -53,17 +53,10 @@ func MachineFromSpec(s Spec, extra ...Option) (*Machine, error) {
 		return nil, err
 	}
 	n := s.Normalized()
-	shards := n.Shards
-	if shards == 0 {
-		// A serialized run description must not depend on the environment:
-		// spec shards 0 means sequential, never $DIVA_SHARDS.
-		shards = 1
-	}
 	opts := []Option{
 		WithTopologyName(n.Topology, n.Rows, n.Cols),
 		WithSeed(n.Seed),
 		WithCacheCapacity(n.CacheCapacity),
-		WithShards(shards),
 	}
 	if n.Strategy == "" {
 		opts = append(opts, WithTree(Ary2))

@@ -34,7 +34,6 @@ func TestFromSpecMatchesOptions(t *testing.T) {
 		diva.WithTopologyName("torus", 8, 8),
 		diva.WithStrategyName("at4"),
 		diva.WithSeed(1999),
-		diva.WithShards(1),
 	)
 	wo := diva.Bitonic(diva.BitonicConfig{KeysPerProc: 16, CompareUS: 1.0, Check: true, Seed: 1999})
 	resO, err := wo.Run(mo, nil)
@@ -86,19 +85,6 @@ func TestFromSpecRejectsInvalid(t *testing.T) {
 	}
 	if _, ok := err.(*spec.ValidationError); !ok {
 		t.Fatalf("want *spec.ValidationError, got %T: %v", err, err)
-	}
-}
-
-// TestFromSpecIgnoresEnvShards pins that a serialized run description
-// never reads $DIVA_SHARDS: shards 0 means sequential.
-func TestFromSpecIgnoresEnvShards(t *testing.T) {
-	t.Setenv("DIVA_SHARDS", "4")
-	m, err := diva.MachineFromSpec(diva.Spec{Workload: diva.WorkloadSpec{Name: "stencil"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Shards() != 1 {
-		t.Errorf("spec shards 0 resolved to %d shards; must ignore DIVA_SHARDS", m.Shards())
 	}
 }
 

@@ -8,10 +8,7 @@
 // uniformly distributed short-haul traffic instead of hotspots.
 //
 // There is only a hand-optimized message passing variant; the pattern has
-// no shared-variable formulation that isn't just this exchange. It is the
-// canonical workload of the kernel-shard scaling benchmarks: traffic
-// between neighboring processors stays inside a shard's block except at
-// block boundaries, so conservative windows stay busy.
+// no shared-variable formulation that isn't just this exchange.
 package stencil
 
 import (

@@ -52,12 +52,8 @@ type barrier struct {
 	epoch   []uint64      // per processor: next epoch to enter
 	waiting []*sim.Future // per processor: outstanding completion
 
-	// state holds the partial arrival combines, one map per kernel shard:
-	// a tree node's arrivals all execute on the shard owning its host
-	// processor, so sharding the map by executing shard removes the only
-	// map the barrier would otherwise share across shards. Sequential
-	// machines have exactly one.
-	state []map[barKey]*barState
+	// state holds the partial arrival combines.
+	state map[barKey]*barState
 
 	// relHeap is the reusable frontier heap of the batched release replay,
 	// wakeBuf its deferred leaf wake-ups and wokenAt the per-processor wake
@@ -83,11 +79,9 @@ type barrier struct {
 	noBatch bool
 
 	// msgs/sts recycle the cascade's payload and combining records through
-	// the package's slab arenas, one per kernel shard (records acquired on
-	// one shard and handled on another simply migrate free lists, like the
-	// network's pooled messages).
-	msgs []TxnArena[barMsg]
-	sts  []TxnArena[barState]
+	// the package's slab arenas.
+	msgs TxnArena[barMsg]
+	sts  TxnArena[barState]
 }
 
 type barKey struct {
@@ -115,12 +109,7 @@ func newBarrier(m *Machine) *barrier {
 		m:       m,
 		epoch:   make([]uint64, m.P()),
 		waiting: make([]*sim.Future, m.P()),
-		state:   make([]map[barKey]*barState, m.Shards()),
-		msgs:    make([]TxnArena[barMsg], m.Shards()),
-		sts:     make([]TxnArena[barState], m.Shards()),
-	}
-	for i := range b.state {
-		b.state[i] = make(map[barKey]*barState)
+		state:   make(map[barKey]*barState),
 	}
 	b.noBatch = m.Net.Reactive()
 	b.pos = m.Plan.PosTable(m.Tree.RandomRoot(m.RNG))
@@ -136,11 +125,10 @@ func newBarrier(m *Machine) *barrier {
 // proc returns the processor simulating tree node n.
 func (b *barrier) proc(n int) int { return int(b.pos[n]) }
 
-// releaseMsg recycles a barrier payload whose message was handled; si is
-// the executing kernel shard (the handling processor's).
-func (b *barrier) releaseMsg(si int, bm *barMsg) {
+// releaseMsg recycles a barrier payload whose message was handled.
+func (b *barrier) releaseMsg(bm *barMsg) {
 	*bm = barMsg{}
-	b.msgs[si].Release(bm)
+	b.msgs.Release(bm)
 }
 
 // wait enters the barrier from process p, optionally contributing a
@@ -159,7 +147,7 @@ func (b *barrier) wait(p *Proc, val interface{}, combine func(a, b interface{}) 
 	f := p.Park()
 	b.waiting[p.ID] = f
 	parent := t.Nodes[leaf].Parent
-	bm := b.msgs[b.m.ShardOf(p.ID)].Acquire()
+	bm := b.msgs.Acquire()
 	bm.node, bm.epoch, bm.val, bm.size, bm.combine = parent, epoch, val, size, combine
 	b.m.Net.SendPooled(p.ID, b.proc(parent), BarrierBytes+size, KindBarrierArrive, bm)
 	return f.Await(p.Proc)
@@ -168,27 +156,26 @@ func (b *barrier) wait(p *Proc, val interface{}, combine func(a, b interface{}) 
 func (b *barrier) onArrive(m *mesh.Msg) {
 	bm := m.Payload.(*barMsg)
 	t := b.m.Tree
-	si := b.m.ShardOf(m.Dst)
 	key := barKey{node: bm.node, epoch: bm.epoch}
-	st := b.state[si][key]
+	st := b.state[key]
 	if st == nil {
-		st = b.sts[si].Acquire()
+		st = b.sts.Acquire()
 		st.arrived, st.val, st.combine, st.size = 0, bm.val, bm.combine, bm.size
-		b.state[si][key] = st
+		b.state[key] = st
 	} else if st.combine != nil {
 		st.val = st.combine(st.val, bm.val)
 	}
 	st.arrived++
 	node := &t.Nodes[bm.node]
 	if st.arrived < len(node.Children) {
-		b.releaseMsg(si, bm)
+		b.releaseMsg(bm)
 		return
 	}
-	delete(b.state[si], key)
+	delete(b.state, key)
 	if node.Parent == -1 {
 		// Root complete: release downward.
 		b.release(bm.node, bm.epoch, st.val, st.size)
-		b.releaseMsg(si, bm)
+		b.releaseMsg(bm)
 	} else {
 		// Forward the combined arrival upward, reusing the payload record.
 		bm.node, bm.val, bm.size, bm.combine = node.Parent, st.val, st.size, st.combine
@@ -196,7 +183,7 @@ func (b *barrier) onArrive(m *mesh.Msg) {
 			KindBarrierArrive, bm)
 	}
 	st.val, st.combine = nil, nil
-	b.sts[si].Release(st)
+	b.sts.Release(st)
 }
 
 // relEvent is one in-flight release message of the batched replay: the
@@ -221,7 +208,7 @@ func relBefore(a, b *relEvent) bool {
 // simulated time: batched when the kernel is quiescent and the speculative
 // replay proves itself exact, as a per-hop message cascade otherwise.
 func (b *barrier) release(n int, epoch uint64, val interface{}, size int) {
-	if !b.noBatch && b.m.KernelAt(b.proc(n)).Pending() == 0 && b.releaseBatched(n, val, size) {
+	if !b.noBatch && b.m.K.Pending() == 0 && b.releaseBatched(n, val, size) {
 		b.batched++
 		return
 	}
@@ -234,11 +221,10 @@ func (b *barrier) release(n int, epoch uint64, val interface{}, size int) {
 func (b *barrier) releaseCascade(n int, epoch uint64, val interface{}, size int) {
 	t := b.m.Tree
 	src := b.proc(n)
-	si := b.m.ShardOf(src)
 	for _, child := range t.Nodes[n].Children {
 		// A leaf's region is its single processor, so the embedding pins
 		// the leaf to the processor whose process it releases.
-		bm := b.msgs[si].Acquire()
+		bm := b.msgs.Acquire()
 		bm.node, bm.epoch, bm.val, bm.size = child, epoch, val, size
 		b.m.Net.SendPooled(src, b.proc(child), BarrierBytes+size, KindBarrierRelease, bm)
 	}
@@ -261,11 +247,8 @@ type relWake struct {
 func (b *barrier) releaseBatched(root int, val interface{}, size int) bool {
 	tr := b.m.Tree
 	nw := b.m.Net
-	// The executing kernel is the root host's: its clock is the replay's
-	// origin, and the leaf wakeups below route from it — cross-shard wakes
-	// go through the cluster's injection path, which the quiescence gate in
-	// release() makes exact.
-	k := b.m.KernelAt(b.proc(root))
+	// The kernel's clock is the replay's origin.
+	k := b.m.K
 	h := b.relHeap[:0]
 	wakes := b.wakeBuf[:0]
 	minWoken := math.Inf(1)
@@ -382,9 +365,9 @@ func (b *barrier) onRelease(m *mesh.Msg) {
 		proc := b.proc(bm.node)
 		f := b.waiting[proc]
 		b.waiting[proc] = nil
-		f.Complete(b.m.KernelAt(proc), bm.val)
+		f.Complete(b.m.K, bm.val)
 	} else {
 		b.releaseCascade(bm.node, bm.epoch, bm.val, bm.size)
 	}
-	b.releaseMsg(b.m.ShardOf(m.Dst), bm)
+	b.releaseMsg(bm)
 }

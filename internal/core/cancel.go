@@ -6,12 +6,11 @@ import (
 )
 
 // ArmCancel ties the machine's run to ctx: when ctx is canceled (or its
-// deadline passes), a cooperative cancellation flag shared by every kernel
-// shard is raised and the run stops at the kernel's next checkpoint,
-// returning an error that unwraps to sim.ErrCanceled. The checkpoint is a
-// counter increment per event plus one atomic load every 1024th — and
-// nothing at all on machines that never arm — so arming is safe on hot
-// paths.
+// deadline passes), a cooperative cancellation flag is raised and the run
+// stops at the kernel's next checkpoint, returning an error that unwraps to
+// sim.ErrCanceled. The checkpoint is a counter increment per event plus one
+// atomic load every 1024th — and nothing at all on machines that never
+// arm — so arming is safe on hot paths.
 //
 // Cancellation leaves no partial observable state: every live process is
 // killed, the machine is permanently stopped (it can never pass the
@@ -22,7 +21,7 @@ import (
 // The returned release function detaches the watcher from ctx; call it
 // once the run has returned so a later ctx cancellation cannot touch the
 // flag (the flag itself stays installed but is only ever read by this
-// machine's kernels).
+// machine's kernel).
 func (m *Machine) ArmCancel(ctx context.Context) (release func()) {
 	flag := new(atomic.Bool)
 	if ctx.Err() != nil {

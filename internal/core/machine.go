@@ -21,8 +21,6 @@ package core
 
 import (
 	"fmt"
-	"os"
-	"strconv"
 
 	"diva/internal/decomp"
 	"diva/internal/mesh"
@@ -73,27 +71,12 @@ type Config struct {
 	// CacheCapacity bounds the memory for copies per node, in bytes.
 	// 0 means unbounded (the paper's default setting).
 	CacheCapacity int
-	// Shards partitions the processors across that many event-kernel
-	// shards for conservative-parallel execution (sim.Cluster): same
-	// simulated results bit for bit, less wall-clock on multicore hosts.
-	// 0 reads the DIVA_SHARDS environment variable, defaulting to 1
-	// (sequential). The count is clamped to the processor count; machines
-	// with a data management strategy run sequentially regardless — DSM
-	// request/response traffic has no lookahead to parallelize across.
-	Shards int
 	// Faults is an explicit fault schedule (link outages and node churn)
 	// applied lazily in the network's global routing order; FaultGen, when
 	// non-nil, additionally draws a randomized schedule from a seed-derived
 	// RNG at construction (so the same seed always yields the same faults,
 	// across re-runs and forks, without advancing the machine RNG). Both
 	// empty means a fault-free machine on the exact pre-fault code path.
-	//
-	// Lookahead note for sharded runs: faults only ever remove links, and
-	// shortest live routes over a sub-network are at least as long as the
-	// healthy-net routes the lookahead window was derived from, so the
-	// conservative window stays valid under every schedule — no dynamic
-	// shrinking is needed. (Held messages retransmit with a full fresh
-	// send startup, which is itself at least the window.)
 	Faults mesh.FaultSchedule
 	// FaultGen draws additional randomized faults from a seed-derived RNG.
 	FaultGen *mesh.FaultGen
@@ -106,9 +89,8 @@ type Config struct {
 	// messages crossing a failure point are dropped, failures are detected
 	// by ack timeouts, and the strategies recover at the protocol level
 	// (fixedhome home failover, accesstree re-issue). Reactive runs are
-	// deterministic — fingerprint-identical across shard counts and
-	// fork/restore — but simulate a different (more faithful) machine than
-	// oracle runs.
+	// deterministic — fingerprint-identical across fork/restore — but
+	// simulate a different (more faithful) machine than oracle runs.
 	Recovery string
 	// AckTimeoutUS, MaxRetries and Backoff tune the reactive transport
 	// (zero values take mesh.DefaultReactParams); setting any of them with
@@ -159,13 +141,6 @@ type Machine struct {
 	bar *barrier
 
 	procs []*Proc
-
-	// Sharded conservative-parallel execution (sim.Cluster); all nil on a
-	// sequential machine. K is the cluster's first kernel then — the one
-	// that carries the aggregated stats and fingerprint after Run.
-	cluster *sim.Cluster
-	kernels []*sim.Kernel
-	shardOf []int
 }
 
 // NewMachine builds a machine from cfg. The configuration is validated:
@@ -206,9 +181,6 @@ func newMachine(cfg Config, plan *Plan) (*Machine, error) {
 	if cfg.CacheCapacity < 0 {
 		return nil, fmt.Errorf("diva: cache capacity must be non-negative, have %d", cfg.CacheCapacity)
 	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("diva: shard count must be non-negative, have %d", cfg.Shards)
-	}
 	switch cfg.Recovery {
 	case "", RecoveryOracle:
 		if cfg.AckTimeoutUS != 0 || cfg.MaxRetries != 0 || cfg.Backoff != 0 {
@@ -233,63 +205,15 @@ func newMachine(cfg Config, plan *Plan) (*Machine, error) {
 	if plan == nil {
 		plan = planFor(topo, cfg.Tree)
 	}
-	shards := cfg.Shards
-	if shards == 0 {
-		shards = 1
-		if s := os.Getenv("DIVA_SHARDS"); s != "" {
-			n, err := strconv.Atoi(s)
-			if err != nil || n < 1 {
-				return nil, fmt.Errorf("diva: DIVA_SHARDS must be a positive integer, have %q", s)
-			}
-			shards = n
-		}
-	}
-	// Effective shard count: clamped to the processor count, forced to 1
-	// when a strategy is attached (DSM traffic has no lookahead window) or
-	// when the timing parameters leave no positive lookahead.
-	if shards > topo.N() {
-		shards = topo.N()
-	}
-	if cfg.Strategy != nil {
-		shards = 1
-	}
-	var shardOf []int
-	var lookahead sim.Time
-	if shards > 1 {
-		shardOf = decomp.ShardBlocks(topo, shards)
-		// The window lookahead is the minimum delay any cross-shard
-		// interaction takes: one send startup plus the head latency of the
-		// route. Any shard holding more than one node can issue node-local
-		// cross-node sends through the shared wormhole links, so only the
-		// all-singleton partition gets credit for longer minimum routes.
-		d := 1
-		if shards == topo.N() {
-			d = minCrossShardDist(topo, shardOf)
-		}
-		lookahead = sim.Time(cfg.Net.StartupSendUS + cfg.Net.HopLatencyUS*float64(d))
-		if lookahead <= 0 {
-			shards, shardOf = 1, nil
-		}
-	}
 	m := &Machine{
+		K:    sim.New(),
 		Topo: topo,
 		Tree: plan.Tree,
 		Plan: plan,
 		Cfg:  cfg,
 		RNG:  xrand.New(cfg.Seed ^ seedSalt),
 	}
-	if shards > 1 {
-		m.cluster = sim.NewCluster(shards, lookahead)
-		m.kernels = m.cluster.Kernels()
-		m.shardOf = shardOf
-		m.K = m.kernels[0]
-	} else {
-		m.K = sim.New()
-	}
 	m.Net = mesh.NewNetworkOn(m.K, plan.Routes, cfg.Net)
-	if m.cluster != nil {
-		m.Net.Shard(m.cluster, m.shardOf)
-	}
 	// Fault schedule: explicit events first, then the seeded draw. The draw
 	// uses its own seed-derived RNG — never the shared machine RNG — so a
 	// machine given the drawn schedule explicitly (FaultSchedule() declared
@@ -342,51 +266,8 @@ func MustNewMachine(cfg Config) *Machine {
 	return m
 }
 
-// minCrossShardDist returns the minimum route length between processors of
-// different shards (the lookahead credit for all-singleton partitions).
-func minCrossShardDist(t mesh.Topology, shardOf []int) int {
-	best := t.Diameter()
-	for a := 0; a < t.N(); a++ {
-		for b := a + 1; b < t.N(); b++ {
-			if shardOf[a] == shardOf[b] {
-				continue
-			}
-			if d := t.Dist(a, b); d < best {
-				best = d
-			}
-		}
-	}
-	return best
-}
-
 // P returns the number of processors.
 func (m *Machine) P() int { return m.Topo.N() }
-
-// Shards returns the number of event-kernel shards the machine runs on
-// (1 for a sequential machine).
-func (m *Machine) Shards() int {
-	if m.cluster == nil {
-		return 1
-	}
-	return len(m.kernels)
-}
-
-// ShardOf returns the shard index owning node (0 on a sequential machine).
-func (m *Machine) ShardOf(node int) int {
-	if m.shardOf == nil {
-		return 0
-	}
-	return m.shardOf[node]
-}
-
-// KernelAt returns the kernel owning node: every event scheduled for a
-// node — and every Now() read on its behalf — must go through its owner.
-func (m *Machine) KernelAt(node int) *sim.Kernel {
-	if m.cluster == nil {
-		return m.K
-	}
-	return m.kernels[m.shardOf[node]]
-}
 
 // MeshTopo returns the machine's topology as a 2D mesh when it is one
 // (the hand-optimized message passing programs and the link heatmaps are
@@ -452,7 +333,7 @@ func (m *Machine) SpawnAll(program func(p *Proc)) {
 		r := &recs[i]
 		r.p = Proc{Proc: &r.sp, ID: i, M: m}
 		m.procs = append(m.procs, &r.p)
-		m.KernelAt(i).SpawnAt(&r.sp, i, body)
+		m.K.SpawnAt(&r.sp, i, body)
 	}
 }
 

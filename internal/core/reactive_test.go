@@ -1,11 +1,14 @@
 package core_test
 
 import (
+	"errors"
+	"sync/atomic"
 	"testing"
 
 	"diva/internal/core"
 	"diva/internal/decomp"
 	"diva/internal/mesh"
+	"diva/internal/sim"
 )
 
 // Tests of the reactive fault-tolerance mode end to end: timeout-based
@@ -239,5 +242,75 @@ func TestReactiveForkAB(t *testing.T) {
 				t.Errorf("fork fault stats diverged:\n%+v\n%+v", fsA, fsB)
 			}
 		})
+	}
+}
+
+// TestReactiveDeterminismAfterCancel: canceling a reactive run mid-outage —
+// with retransmission timers pending — reports a *CanceledError, leaves the
+// machine un-snapshottable, and keeps a snapshot taken before the canceled
+// run fully valid: two forks of it replay the remainder bit-identically.
+func TestReactiveDeterminismAfterCancel(t *testing.T) {
+	sched := mesh.FaultSchedule{
+		{AtUS: 200, Kind: mesh.FaultNodeDown, A: 5},
+		{AtUS: 500000, Kind: mesh.FaultNodeUp, A: 5},
+	}
+	m := newReactiveMachine(t, testStrategies()["fixedhome"], sched)
+	v := m.AllocAt(0, 64, 0)
+	workload := func(mm *core.Machine) error {
+		return mm.Run(func(p *core.Proc) {
+			for r := 0; r < 8; r++ {
+				if p.ID == (r*5)%mm.P() {
+					p.Read(v)
+					p.Write(v, r+1)
+				}
+				p.Barrier()
+				p.Read(v)
+				p.Barrier()
+			}
+		})
+	}
+
+	// Snapshot the fresh (quiescent) machine, then cancel the run from an
+	// event deep inside the outage: the flag is raised at t=5000 and the
+	// kernel stops at the next checkpoint — with node 5 cut off and its
+	// traffic outstanding on retransmission timers.
+	snap, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var flag atomic.Bool
+	m.K.SetCancel(&flag)
+	m.K.At(5000, func() { flag.Store(true) })
+	err = workload(m)
+	var ce *sim.CanceledError
+	if !errors.As(err, &ce) || !errors.Is(err, sim.ErrCanceled) {
+		t.Fatalf("canceled run returned %v, want *sim.CanceledError", err)
+	}
+	if ce.Events == 0 {
+		t.Fatalf("canceled at %d events, want > 0", ce.Events)
+	}
+	if n := m.K.PendingTimers(); n == 0 {
+		t.Fatal("no retransmission timers pending at cancellation — the test lost its point")
+	}
+	if _, err := m.Snapshot(); err == nil {
+		t.Fatal("canceled (non-quiescent) machine produced a snapshot")
+	}
+
+	// The pre-cancel snapshot is untouched: two forks replay the full
+	// workload (across the outage and its heal) identically.
+	rest := func() (uint64, mesh.FaultStats) {
+		fork, err := snap.Fork(core.ForkOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := workload(fork); err != nil {
+			t.Fatal(err)
+		}
+		return fork.K.Fingerprint(), fork.Net.FaultStats()
+	}
+	fpA, fsA := rest()
+	fpB, fsB := rest()
+	if fpA != fpB || fsA != fsB {
+		t.Errorf("forks of the pre-cancel snapshot diverged:\n%x %+v\n%x %+v", fpA, fsA, fpB, fsB)
 	}
 }

@@ -116,7 +116,6 @@ type Snapshot struct {
 // snapshot file as one value (wire.go).
 type snapState struct {
 	Kern    sim.KernelState
-	Cluster *sim.ClusterState
 	Net     *mesh.NetworkState
 	RNG     xrand.State
 	Vars    []VarState // by id; the zero value marks a freed variable
@@ -180,10 +179,8 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 			return nil, fmt.Errorf("diva: snapshot with an active transaction on variable %d", v.ID)
 		}
 	}
-	for _, st := range m.bar.state {
-		if len(st) > 0 {
-			return nil, fmt.Errorf("diva: snapshot with a partial barrier arrival")
-		}
+	if len(m.bar.state) > 0 {
+		return nil, fmt.Errorf("diva: snapshot with a partial barrier arrival")
 	}
 	for i, f := range m.bar.waiting {
 		if f != nil {
@@ -199,22 +196,12 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 	}
 	s := &Snapshot{plan: m.Plan}
 	s.st.RNG = m.RNG.State()
-	// Pin the resolved shard count so a fork never re-reads DIVA_SHARDS.
 	s.cfg = m.Cfg
-	s.cfg.Shards = m.Shards()
-	if m.cluster != nil {
-		cs, err := m.cluster.SnapshotState()
-		if err != nil {
-			return nil, fmt.Errorf("diva: snapshot: %w", err)
-		}
-		s.st.Cluster = &cs
-	} else {
-		ks, err := m.K.SnapshotState()
-		if err != nil {
-			return nil, fmt.Errorf("diva: snapshot: %w", err)
-		}
-		s.st.Kern = ks
+	ks, err := m.K.SnapshotState()
+	if err != nil {
+		return nil, fmt.Errorf("diva: snapshot: %w", err)
 	}
+	s.st.Kern = ks
 	ns, err := m.Net.SnapshotState()
 	if err != nil {
 		return nil, fmt.Errorf("diva: snapshot: %w", err)
@@ -268,18 +255,8 @@ func (s *Snapshot) Fork(o ForkOptions) (*Machine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("diva: fork: %w", err)
 	}
-	if m.Shards() != cfg.Shards {
-		return nil, fmt.Errorf("diva: fork resolved %d shards, snapshot has %d", m.Shards(), cfg.Shards)
-	}
 	st := &s.st
-	if st.Cluster != nil {
-		if m.cluster == nil {
-			return nil, fmt.Errorf("diva: fork of a sharded snapshot built a sequential machine")
-		}
-		if err := m.cluster.RestoreState(*st.Cluster); err != nil {
-			return nil, fmt.Errorf("diva: fork: %w", err)
-		}
-	} else if err := m.K.RestoreState(st.Kern); err != nil {
+	if err := m.K.RestoreState(st.Kern); err != nil {
 		return nil, fmt.Errorf("diva: fork: %w", err)
 	}
 	if err := m.Net.RestoreState(st.Net); err != nil {

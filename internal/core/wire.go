@@ -22,9 +22,6 @@ import (
 // little-endian words a snapshot file holds; everything irregular follows
 // as one gob stream (WriteState).
 type Sections struct {
-	// Shards is the kernel shard count of the captured machine (1 for a
-	// sequential one). The store pins it in the spec; it is not encoded.
-	Shards int
 	// Tables is the strategy's bulk table section (StratState.AppendTables;
 	// every access-tree node table, in variable order).
 	Tables []byte
@@ -39,7 +36,7 @@ type Sections struct {
 // conversion itself cannot fail; what can — an unregistered payload type —
 // surfaces from WriteState.
 func (s *Snapshot) Wire() (*Sections, error) {
-	w := &Sections{Shards: s.cfg.Shards, snap: s}
+	w := &Sections{snap: s}
 	if s.st.Strat != nil {
 		w.Tables = s.st.Strat.AppendTables(nil)
 	}
@@ -173,23 +170,15 @@ func decodeValues(dec *gob.Decoder, vars []VarState) ([]interface{}, error) {
 // and the Plan of m, a machine freshly built from the machine description the snapshot
 // was captured under (the store keeps that description alongside the
 // sections); m itself is not touched. Everything Fork relies on is
-// validated against m here — shard count, network and strategy shape,
+// validated against m here — network and strategy shape,
 // barrier width, cache count and keys, bitmap words — so the snapshot
 // returned forks without error.
 func SnapshotFromWire(m *Machine, tables, locals, state []byte) (*Snapshot, error) {
 	s := &Snapshot{cfg: m.Cfg, plan: m.Plan}
-	s.cfg.Shards = m.Shards()
 	st := &s.st
 	dec := gob.NewDecoder(bytes.NewReader(state))
 	if err := dec.Decode(st); err != nil {
 		return nil, fmt.Errorf("diva: decode snapshot: %w", err)
-	}
-	if st.Cluster == nil {
-		if m.cluster != nil {
-			return nil, fmt.Errorf("diva: sequential stored snapshot, machine resolves %d shards", s.cfg.Shards)
-		}
-	} else if m.cluster == nil || len(st.Cluster.Kernels) != s.cfg.Shards {
-		return nil, fmt.Errorf("diva: stored snapshot has %d shards, machine resolves %d", len(st.Cluster.Kernels), s.cfg.Shards)
 	}
 	if st.Net == nil {
 		return nil, fmt.Errorf("diva: stored snapshot has no network state")

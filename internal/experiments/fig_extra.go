@@ -32,7 +32,6 @@ func (r *Runner) AblationReplacement() error {
 			diva.WithTree(decomp.Ary2),
 			diva.WithStrategyName("at2"),
 			diva.WithCacheCapacity(capacity),
-			diva.WithShards(r.Shards),
 		)
 		col := metrics.New(m.Net)
 		_, err := barneshut.Run(m, barneshut.Config{
@@ -90,7 +89,6 @@ func (r *Runner) AblationRemap() error {
 			diva.WithSeed(r.Seed),
 			diva.WithTree(decomp.Ary4),
 			diva.WithStrategy(accesstree.FactoryOpts(mode.opts)),
-			diva.WithShards(r.Shards),
 		)
 		col := metrics.New(m.Net)
 		if _, err := barneshut.Run(m, barneshut.Config{

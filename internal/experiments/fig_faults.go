@@ -48,7 +48,6 @@ func (r *Runner) runFaultCell(topo string, side int, rate faultRate, strat strin
 		diva.WithTopologyName(topo, side, side),
 		diva.WithSeed(r.Seed),
 		diva.WithStrategyName(strat),
-		diva.WithShards(r.Shards),
 		diva.WithFaultGen(fault.Gen{
 			LinkFailures: rate.links, NodeChurn: rate.churn,
 			MeanDownUS: 20000, HorizonUS: 100000,

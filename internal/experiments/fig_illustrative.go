@@ -142,7 +142,6 @@ func (r *Runner) AblationEmbedding() error {
 			diva.WithSeed(r.Seed),
 			diva.WithTree(decomp.Ary4),
 			diva.WithStrategy(accesstree.FactoryOpts(mode.opts)),
-			diva.WithShards(r.Shards),
 		)
 		res, err := runMatmulOn(m, block, r.Seed)
 		if err != nil {

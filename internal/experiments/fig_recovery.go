@@ -35,7 +35,6 @@ func (r *Runner) runRecoveryCell(topo string, side int, reactive bool, strat str
 		diva.WithTopologyName(topo, side, side),
 		diva.WithSeed(r.Seed),
 		diva.WithStrategyName(strat),
-		diva.WithShards(r.Shards),
 		diva.WithFaultGen(fault.Gen{
 			LinkFailures: 2, NodeChurn: 1,
 			MeanDownUS: 20000, HorizonUS: 100000,

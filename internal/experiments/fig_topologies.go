@@ -50,7 +50,6 @@ func (r *Runner) runTopoCell(topo mesh.Topology, s strategyUnderTest, n, steps i
 		diva.WithSeed(r.Seed),
 		diva.WithTree(s.spec),
 		diva.WithStrategy(s.fact),
-		diva.WithShards(r.Shards),
 	)
 	if err != nil {
 		return topoCell{}, err

@@ -42,10 +42,6 @@ type Runner struct {
 	// buffered per figure and emitted in figure order, so the bytes written
 	// to W are identical to a sequential run's.
 	Workers int
-	// Shards is the event-kernel shard count per machine, passed through
-	// to diva.WithShards (0 reads $DIVA_SHARDS; figures are identical for
-	// every count).
-	Shards int
 	// Recovery selects the fault-tolerance mode of the degradation sweep's
 	// machines ("" or "oracle": the default oracle mode; "reactive": the
 	// timeout-based mode with its default transport tuning). The dedicated
@@ -208,7 +204,7 @@ func (r *Runner) runParallel(names []string) error {
 			// rows.
 			sub := &Runner{
 				W: &results[i].buf, Quick: r.Quick, Seed: r.Seed,
-				Workers: r.Workers, Shards: r.Shards, Recovery: r.Recovery,
+				Workers: r.Workers, Recovery: r.Recovery,
 				pool: r.pool, holding: true, bhCache: r.bhCache,
 			}
 			results[i].err = sub.Run(f)
@@ -235,7 +231,6 @@ func (r *Runner) machine(rows, cols int, f core.Factory, spec decomp.Spec) *core
 		diva.WithSeed(r.Seed),
 		diva.WithTree(spec),
 		diva.WithStrategy(f),
-		diva.WithShards(r.Shards),
 	)
 }
 

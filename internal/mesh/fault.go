@@ -294,12 +294,10 @@ func (s FaultStats) Stretch() float64 {
 
 // faultState is the link-fault engine of a Network. Faults are applied
 // lazily: no kernel events exist for them. Every routing decision first
-// advances the schedule cursor to the message's departure time — and
-// because both the sequential kernel and the sharded cluster route
-// messages in the exact global (time, seq) send order (cross-shard sends
-// are deferred and replayed at the merge in that order), the cursor
-// advances through an identical interleaving at every shard count. That
-// is what keeps faulty runs fingerprint-stable across shards and lets
+// advances the schedule cursor to the message's departure time, and
+// messages are routed in the kernel's (time, seq) send order, so the
+// cursor advances through the same interleaving on every run. That is
+// what keeps faulty runs fingerprint-stable across fork/restore and lets
 // quiescent machines snapshot mid-schedule with nothing in flight.
 type faultState struct {
 	sched  FaultSchedule // normalized + validated
@@ -523,7 +521,7 @@ func (fs *faultState) validate() error {
 }
 
 // sync applies every schedule event at or before t. Cursor movement is
-// monotonic; the global routing order makes it shard-count-invariant.
+// monotonic; the routing order makes it deterministic.
 func (fs *faultState) sync(t sim.Time) {
 	for fs.cursor < len(fs.sched) && fs.sched[fs.cursor].AtUS <= t {
 		fs.apply(fs.sched[fs.cursor])
@@ -808,11 +806,9 @@ func (fs *faultState) route(nw *Network, src, dst, size int, depart sim.Time) (s
 	fs.stats.HeldBytes += uint64(size)
 	// The retransmission departs one send startup after the heal: the held
 	// message sits in the source's network interface and the retry startup
-	// is interface work, not CPU work — deliberately independent of
-	// nw.cpuFree, which sharded runs advance between a send and its
-	// deferred replay. healT > depart (sync already applied every event at
-	// or before depart), so the charge is a pure function of the departure
-	// time and both execution modes compute it identically.
+	// is interface work, not CPU work, so it is independent of nw.cpuFree.
+	// healT > depart (sync already applied every event at or before
+	// depart), so the charge is a pure function of the departure time.
 	depart2 := healT + nw.P.StartupSendUS
 	fs.stats.RetryMsgs++
 	fs.stats.RetryBytes += uint64(size)

@@ -24,7 +24,7 @@ func (nw *Network) deliverInbox(m *Msg) {
 	ib.init()
 	if ws := ib.waiters[m.Tag]; len(ws) > 0 {
 		ib.waiters[m.Tag] = ws[1:]
-		ws[0].Complete(nw.kOf(m.Dst), m)
+		ws[0].Complete(nw.K, m)
 		return
 	}
 	ib.queues[m.Tag] = append(ib.queues[m.Tag], m)

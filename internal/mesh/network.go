@@ -155,14 +155,6 @@ type Network struct {
 	// reactTimeoutFn is the bound retransmission-timeout callback, so
 	// timer scheduling allocates no closures (the arriveFn pattern).
 	reactTimeoutFn func(interface{})
-
-	// Sharded-cluster state (shard.go); nil on a single-kernel network.
-	kernels []*sim.Kernel    // per-shard kernels, indexed by shard
-	shardOf []int            // node -> shard
-	poolSh  []msgPool        // per-shard message pools
-	statSh  []shardSendStats // per-shard send counters (in-window local sends)
-	defSh   [][]deferredSend // per-shard deferred cross-node sends
-	defCur  []int            // replay cursors into defSh
 }
 
 // inlineJournal records every mutation the Inline* helpers (and routeRaw
@@ -344,7 +336,7 @@ func (p *msgPool) put(m *Msg) {
 // SendPooled sends a recycled message: protocol hot paths use it to make a
 // full send-route-deliver cycle allocation-free.
 func (nw *Network) SendPooled(src, dst, size int, kind uint8, payload interface{}) {
-	m := nw.acquireMsgFor(src)
+	m := nw.pool.get()
 	m.Src, m.Dst, m.Size, m.Kind, m.Payload = src, dst, size, kind, payload
 	nw.Send(m)
 }
@@ -352,19 +344,9 @@ func (nw *Network) SendPooled(src, dst, size int, kind uint8, payload interface{
 // SendPooledTag is SendPooled with a Tag, for protocols that pack their
 // per-hop state into the tag instead of allocating a payload.
 func (nw *Network) SendPooledTag(src, dst, size int, kind uint8, tag int, payload interface{}) {
-	m := nw.acquireMsgFor(src)
+	m := nw.pool.get()
 	m.Src, m.Dst, m.Size, m.Kind, m.Tag, m.Payload = src, dst, size, kind, tag, payload
 	nw.Send(m)
-}
-
-// releaseMsg returns a pooled message to the free list — the list of the
-// shard that just ran its handler (the destination's) when clustered.
-func (nw *Network) releaseMsg(m *Msg) {
-	if nw.shardOf != nil {
-		nw.poolSh[nw.shardOf[m.Dst]].put(m)
-		return
-	}
-	nw.pool.put(m)
 }
 
 // Handle registers the handler for a message kind. Registering kind 0
@@ -405,21 +387,13 @@ func (nw *Network) SendFrom(p *sim.Proc, m *Msg) {
 // SendStats reports how many messages (and payload bytes) of each kind
 // were sent, including node-local deliveries.
 func (nw *Network) SendStats() (msgs, bytes [256]uint64) {
-	msgs, bytes = nw.sendMsgs, nw.sendBytes
-	for i := range nw.statSh {
-		st := &nw.statSh[i]
-		for k := range st.msgs {
-			msgs[k] += st.msgs[k]
-			bytes[k] += st.bytes[k]
-		}
-	}
-	return msgs, bytes
+	return nw.sendMsgs, nw.sendBytes
 }
 
 // chargeSend reserves the source CPU for the send startup and returns the
 // time the message leaves the node.
 func (nw *Network) chargeSend(src int) sim.Time {
-	t := nw.kOf(src).Now()
+	t := nw.K.Now()
 	if nw.cpuFree[src] > t {
 		t = nw.cpuFree[src]
 	}
@@ -442,53 +416,21 @@ func (nw *Network) deliverAfterRoute(m *Msg, depart sim.Time) {
 	if nw.react != nil {
 		// Reactive mode: stamp the channel sequence, register the
 		// outstanding record and schedule the retransmission timer before
-		// the delivery below allocates the arrival sequence (or defers it
-		// to the boundary merge) — both modes then allocate in the same
-		// order. No-op for local messages, acks and retransmissions.
+		// the delivery below allocates the arrival sequence. No-op for
+		// local messages, acks and retransmissions.
 		nw.reactOnSend(m, depart)
-	}
-	if nw.shardOf != nil {
-		if ks := nw.kOf(m.Src); ks.InWindow() {
-			if m.Src != m.Dst {
-				// Cross-node send inside a window: routing would touch
-				// the shared link state, so the send is deferred —
-				// logged in the shard's op log and replayed by the
-				// coordinator at the boundary merge in exact global
-				// order (replayDeferred in shard.go).
-				ks.LogDefer()
-				si := nw.shardOf[m.Src]
-				nw.defSh[si] = append(nw.defSh[si], deferredSend{m, depart})
-				return
-			}
-			// Node-local delivery: no link access, stays inline on the
-			// owning shard; counters go to the per-shard stats.
-			st := &nw.statSh[nw.shardOf[m.Src]]
-			st.msgs[m.Kind]++
-			st.bytes[m.Kind] += uint64(m.Size)
-			arrive := depart + nw.P.LocalDeliveryUS
-			if nw.twoStage {
-				ks.Stat.TwoStageDeliveries++
-				ks.AtCall(arrive, nw.arriveFn, m)
-				return
-			}
-			ks.Stat.FusedDeliveries++
-			ks.AtLazyCall(arrive, nw.arriveFn, m)
-			return
-		}
 	}
 	nw.sendMsgs[m.Kind]++
 	nw.sendBytes[m.Kind] += uint64(m.Size)
 	arrive, delivered := nw.routeRawEx(m.Src, m.Dst, m.Size, depart)
-	kd := nw.kOf(m.Dst)
+	kd := nw.K
 	if !delivered {
 		// The message vanished at a failure point (reactive mode): no
 		// arrival event exists, only the sequence it would have carried is
-		// consumed — mirroring the boundary merge, which allocates a
-		// global sequence per deferred send before the replay outcome is
-		// known (shard.go).
+		// consumed (see SkipSeq).
 		kd.SkipSeq()
 		if m.pooled {
-			nw.releaseMsg(m)
+			nw.pool.put(m)
 		}
 		return
 	}
@@ -507,7 +449,7 @@ func (nw *Network) deliverAfterRoute(m *Msg, depart sim.Time) {
 // the charging is identical.
 func (nw *Network) msgArrive(x interface{}) {
 	m := x.(*Msg)
-	k := nw.kOf(m.Dst)
+	k := nw.K
 	t := k.Now()
 	if f := nw.cpuFree[m.Dst]; f > t {
 		// The receiver's CPU is busy at arrival: the receive startup
@@ -535,13 +477,13 @@ func (nw *Network) msgReady(x interface{}) {
 		if m.Kind == KindTransportAck {
 			nw.reactOnAck(m)
 			if m.pooled {
-				nw.releaseMsg(m)
+				nw.pool.put(m)
 			}
 			return
 		}
 		if m.xseq != 0 && !nw.reactAccept(m) {
 			if m.pooled {
-				nw.releaseMsg(m)
+				nw.pool.put(m)
 			}
 			return
 		}
@@ -552,7 +494,7 @@ func (nw *Network) msgReady(x interface{}) {
 	}
 	h(m)
 	if m.pooled {
-		nw.releaseMsg(m)
+		nw.pool.put(m)
 	}
 }
 
@@ -718,7 +660,7 @@ func (nw *Network) Compute(p *sim.Proc, node int, d float64) {
 	if d <= 0 {
 		return
 	}
-	t := nw.kOf(node).Now()
+	t := nw.K.Now()
 	if nw.cpuFree[node] > t {
 		t = nw.cpuFree[node]
 	}
@@ -731,7 +673,7 @@ func (nw *Network) Compute(p *sim.Proc, node int, d float64) {
 // ChargeCPU charges d microseconds of protocol bookkeeping on node without
 // blocking anyone and without counting it as application compute.
 func (nw *Network) ChargeCPU(node int, d float64) {
-	t := nw.kOf(node).Now()
+	t := nw.K.Now()
 	if nw.cpuFree[node] > t {
 		t = nw.cpuFree[node]
 	}

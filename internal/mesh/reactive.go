@@ -24,9 +24,8 @@ import (
 //
 // Everything is deterministic by construction: timers are ordinary
 // (t, seq) events, per-channel sequence numbers and RNG draws advance in
-// each node's event order (every node is owned by exactly one kernel
-// shard), and the drop decision happens in the global routing order. Runs
-// are therefore fingerprint-identical across DIVA_SHARDS and fork/restore.
+// each node's event order, and the drop decision happens in the routing
+// order. Runs are therefore fingerprint-identical across fork/restore.
 
 // KindTransportAck is the message kind reserved for transport
 // acknowledgements in reactive mode. It is intercepted by the delivery
@@ -170,8 +169,7 @@ func (c *recvChan) accept(xseq uint32) bool {
 }
 
 // reactNode is one node's transport state. Every field is touched only in
-// the node's own event context (its owning kernel shard), so sharded runs
-// are race-free and advance each field in the exact sequential order.
+// the node's own event context.
 type reactNode struct {
 	rng      *xrand.RNG
 	nextSend map[int]uint32    // dst -> last channel sequence issued
@@ -323,7 +321,7 @@ func (nw *Network) reactOnSend(m *Msg, depart sim.Time) {
 		delayUS: r.p.AckTimeoutUS, firstDepart: depart,
 	}
 	sn.out[xkey(m.Dst, m.xseq)] = x
-	x.timer = nw.kOf(m.Src).TimerAt(depart+x.delayUS*sn.jitter(), nw.reactTimeoutFn, x)
+	x.timer = nw.K.TimerAt(depart+x.delayUS*sn.jitter(), nw.reactTimeoutFn, x)
 }
 
 // reactTimeout fires when a transmission's ack timeout expires, in the
@@ -334,7 +332,7 @@ func (nw *Network) reactTimeout(xi interface{}) {
 	x := xi.(*xmit)
 	r := nw.react
 	sn := &r.nodes[x.src]
-	k := nw.kOf(x.src)
+	k := nw.K
 	if x.attempt > r.p.MaxRetries {
 		if !x.gaveUp {
 			// Detection: the first give-up of this cycle.
@@ -363,7 +361,7 @@ func (nw *Network) reactTimeout(xi interface{}) {
 			src, size, kind, tag, payload := x.src, x.size, x.kind, x.tag, x.payload
 			delete(sn.out, xkey(x.dst, x.xseq))
 			sn.releaseXmit(x)
-			m := nw.acquireMsgFor(src)
+			m := nw.pool.get()
 			m.Src, m.Dst, m.Size, m.Kind, m.Tag, m.Payload = src, newDst, size, kind, tag, payload
 			nw.Send(m) // a fresh first transmission on the new channel
 			return
@@ -386,11 +384,11 @@ func (nw *Network) reactTimeout(xi interface{}) {
 	if x.delayUS *= r.p.Backoff; x.delayUS > r.p.AckTimeoutUS*reactMaxBackoff {
 		x.delayUS = r.p.AckTimeoutUS * reactMaxBackoff
 	}
-	m := nw.acquireMsgFor(x.src)
+	m := nw.pool.get()
 	m.Src, m.Dst, m.Size, m.Kind, m.Tag, m.Payload = x.src, x.dst, x.size, x.kind, x.tag, x.payload
 	m.xseq, m.xatt = x.xseq, uint16(x.attempt)
 	depart := nw.chargeSend(x.src)
-	x.timer = nw.kOf(x.src).TimerAt(depart+x.delayUS*sn.jitter(), nw.reactTimeoutFn, x)
+	x.timer = nw.K.TimerAt(depart+x.delayUS*sn.jitter(), nw.reactTimeoutFn, x)
 	nw.deliverAfterRoute(m, depart)
 }
 
@@ -413,7 +411,7 @@ func (nw *Network) reactAccept(m *Msg) bool {
 	}
 	dn.stats.AckMsgs++
 	dn.stats.AckBytes += TransportAckBytes
-	ack := nw.acquireMsgFor(m.Dst)
+	ack := nw.pool.get()
 	ack.Src, ack.Dst, ack.Size, ack.Kind = m.Dst, m.Src, TransportAckBytes, KindTransportAck
 	ack.xseq, ack.xatt = m.xseq, m.xatt
 	depart := nw.chargeSend(m.Dst)
@@ -432,13 +430,13 @@ func (nw *Network) reactOnAck(m *Msg) {
 	if x == nil {
 		return // duplicate ack for an already-retired record
 	}
-	nw.kOf(m.Dst).CancelTimer(x.timer)
+	nw.K.CancelTimer(x.timer)
 	if a := int(m.xatt); a < x.attempt {
 		sn.stats.FalseTimeouts += uint64(x.attempt - a)
 	}
 	if t, ok := sn.suspect[m.Src]; ok {
 		sn.stats.Recovered++
-		sn.stats.RecoverUS += nw.kOf(m.Dst).Now() - t
+		sn.stats.RecoverUS += nw.K.Now() - t
 		delete(sn.suspect, m.Src)
 	}
 	delete(sn.out, xkey(m.Src, m.xseq))

@@ -12,16 +12,13 @@ import (
 // machine snapshot/fork. The capture is only legal at kernel quiescence —
 // no messages in flight, no processes blocked in Recv — which the machine
 // layer verifies before calling in here; the network-level checks below
-// are the defensive remainder (inbox waiters, deferred sends, an open
-// inline journal).
+// are the defensive remainder (inbox waiters, an open inline journal).
 //
 // Deliberately NOT captured, because a fork starting fresh is provably
 // indistinguishable: the Msg free lists (recycled messages are zeroed on
 // acquire, their identity never observable), the route memo (a pure
 // function of the topology: a fork's network is created on the very Routes
-// of its source, publish-once and safe to share, see routes.go), and the
-// per-shard send counters (folded into the global counters here; SendStats only ever
-// reports the sum).
+// of its source, publish-once and safe to share, see routes.go).
 
 // NetworkState is a deep copy of a Network's mutable simulated state: the
 // value a fork restores from and, its fields being exported, the value
@@ -86,16 +83,11 @@ type InboxState struct {
 }
 
 // SnapshotState captures the network's state. It fails when state that
-// cannot be captured is live: processes blocked in Recv, deferred
-// cross-shard sends awaiting replay, or an open inline journal.
+// cannot be captured is live: processes blocked in Recv or an open inline
+// journal.
 func (nw *Network) SnapshotState() (*NetworkState, error) {
 	if nw.ilj.active {
 		return nil, fmt.Errorf("mesh: inline journal open")
-	}
-	for i := range nw.defSh {
-		if nw.defCur[i] != 0 || len(nw.defSh[i]) > 0 {
-			return nil, fmt.Errorf("mesh: shard %d has deferred sends awaiting replay", i)
-		}
 	}
 	st := &NetworkState{
 		LinkBusy:  make([]sim.Time, len(nw.links)),
@@ -114,15 +106,6 @@ func (nw *Network) SnapshotState() (*NetworkState, error) {
 	if nw.faults != nil {
 		st.FaultCursor = nw.faults.cursor
 		st.FaultStats = nw.faults.stats
-	}
-	// Fold the per-shard counters of in-window node-local sends into the
-	// global arrays: SendStats reports the sum, so the split is invisible.
-	for i := range nw.statSh {
-		sh := &nw.statSh[i]
-		for k := range sh.msgs {
-			st.SendMsgs[k] += sh.msgs[k]
-			st.SendBytes[k] += sh.bytes[k]
-		}
 	}
 	if r := nw.react; r != nil {
 		rc := &ReactState{Stats: r.base, Nodes: make([]ReactNodeState, len(r.nodes))}

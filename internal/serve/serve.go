@@ -168,9 +168,11 @@ func (s *Server) Drain(timeout time.Duration) {
 // outcome and the event-order fingerprint. Two responses with equal
 // fingerprints executed the bit-identical event trajectory.
 type RunResponse struct {
-	Workload    string  `json:"workload"`
-	Topology    string  `json:"topology"`
-	Strategy    string  `json:"strategy"`
+	Workload string `json:"workload"`
+	Topology string `json:"topology"`
+	Strategy string `json:"strategy"`
+	// Shards is always 1: the simulator runs one sequential kernel. The
+	// field stays for clients that read it.
 	Shards      int     `json:"shards"`
 	Seed        uint64  `json:"seed"`
 	ElapsedUS   float64 `json:"elapsed_us"`
@@ -231,7 +233,8 @@ type RecoverySummary struct {
 // SnapshotResponse is the POST /v1/snapshots answer.
 type SnapshotResponse struct {
 	Handle string `json:"handle"`
-	Shards int    `json:"shards"`
+	// Shards is always 1, as in RunResponse.
+	Shards int `json:"shards"`
 	// Restored reports that the handle was recovered from disk rather than
 	// warmed by this request — after a restart, typically.
 	Restored bool `json:"restored,omitempty"`
@@ -464,7 +467,7 @@ func (s *Server) run(ctx context.Context, sp spec.Spec, handle string) (*RunResp
 		Workload:    wl.Name(),
 		Topology:    n.Topology,
 		Strategy:    stratName,
-		Shards:      m.Shards(),
+		Shards:      1,
 		Seed:        n.Seed,
 		ElapsedUS:   res.ElapsedUS,
 		Fingerprint: fmt.Sprintf("0x%016x", m.K.Fingerprint()),
@@ -556,11 +559,7 @@ func (s *Server) snapshotSafe(ctx context.Context, sp spec.Spec) (resp *Snapshot
 		}
 		return nil, http.StatusUnprocessableEntity, err
 	}
-	shards := e.sp.Shards
-	if shards == 0 {
-		shards = 1
-	}
-	return &SnapshotResponse{Handle: handle, Shards: shards, Restored: e.restored}, 0, nil
+	return &SnapshotResponse{Handle: handle, Shards: 1, Restored: e.restored}, 0, nil
 }
 
 // faultSummary extracts the degradation counters; nil when the machine
@@ -884,10 +883,6 @@ func (s *Server) warmOrLoad(ctx context.Context, handle string, sp spec.Spec) (*
 			e.err = err
 			return
 		}
-		// Pin the resolved shard count, as Save does on disk, so run
-		// requests merge against exactly what a restarted server would
-		// load.
-		n.Shards = m.Shards()
 		e.sp, e.snap = n, snap
 	})
 	if e.err != nil {

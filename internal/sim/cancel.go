@@ -9,8 +9,7 @@ import (
 // ErrCanceled is the sentinel a canceled run unwraps to. A run is canceled
 // cooperatively: an external party sets the flag installed by SetCancel
 // and the kernel notices it at the next checkpoint (every cancelCheckEvery
-// executed events on a sequential kernel; additionally once per window on
-// a cluster). errors.Is(err, ErrCanceled) identifies a canceled run; the
+// executed events). errors.Is(err, ErrCanceled) identifies a canceled run; the
 // concrete *CanceledError carries the progress diagnostics.
 var ErrCanceled = errors.New("sim: run canceled")
 
@@ -41,24 +40,9 @@ const cancelCheckEvery = 1024
 
 // SetCancel installs flag as the kernel's cooperative cancellation
 // checkpoint; a nil flag uninstalls it. Once flag is true the run stops at
-// the next checkpoint and Run returns a *CanceledError. On a clustered
-// kernel the flag is shared across every shard and checked once per shard
-// window as well. Install before Run or between runs; the flag itself may
+// the next checkpoint and Run returns a *CanceledError. Install before Run or between runs; the flag itself may
 // be set from any goroutine at any time.
-func (k *Kernel) SetCancel(flag *atomic.Bool) {
-	if k.sh != nil {
-		k.sh.cl.setCancel(flag)
-		return
-	}
-	k.cancel = flag
-}
-
-func (cl *Cluster) setCancel(flag *atomic.Bool) {
-	cl.cancel = flag
-	for _, k := range cl.ks {
-		k.cancel = flag
-	}
-}
+func (k *Kernel) SetCancel(flag *atomic.Bool) { k.cancel = flag }
 
 // cancelRequested reports whether a cancellation flag is installed and set.
 func (k *Kernel) cancelRequested() bool {

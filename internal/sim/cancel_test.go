@@ -78,47 +78,3 @@ func TestCancelUnsetIsFree(t *testing.T) {
 		t.Fatalf("ran %d events, want %d", ran, 2*cancelCheckEvery)
 	}
 }
-
-// TestClusterCancel: the shared flag stops a 2-shard cluster — pre-run at
-// the coordinator's between-window checkpoint, and mid-run through a shard
-// kernel's in-window checkpoint — with processes on both shards killed.
-func TestClusterCancel(t *testing.T) {
-	for _, pre := range []bool{true, false} {
-		cl := newTestCluster(t)
-		ks := cl.Kernels()
-		flag := new(atomic.Bool)
-		ks[0].SetCancel(flag)
-		if pre {
-			flag.Store(true)
-		}
-		for i, k := range ks {
-			i := i
-			k.Spawn("worker", func(p *Proc) {
-				for j := 0; j < 4*cancelCheckEvery; j++ {
-					p.Wait(Time(1 + (i+j)%3))
-				}
-			})
-		}
-		if !pre {
-			ks[0].At(2, func() { flag.Store(true) })
-		}
-		err := ks[0].Run()
-		if !errors.Is(err, ErrCanceled) {
-			t.Fatalf("pre=%v: Run() = %v, want ErrCanceled", pre, err)
-		}
-		var ce *CanceledError
-		if !errors.As(err, &ce) {
-			t.Fatalf("pre=%v: Run() = %v, want *CanceledError", pre, err)
-		}
-		for _, k := range ks {
-			for _, p := range k.procs {
-				if !p.done {
-					t.Fatalf("pre=%v: process %s still live after cancellation", pre, p.name)
-				}
-			}
-		}
-		if _, err := cl.SnapshotState(); err == nil {
-			t.Fatalf("pre=%v: a canceled cluster must not be capturable", pre)
-		}
-	}
-}

@@ -100,8 +100,8 @@
 // or a fresh figure cell starts on warm storage. Payload slots an event
 // took before that first request move into the adopted table. A run that
 // ended with events pending (Stop, cancellation, deadlock) keeps its store,
-// a kernel that runs again after a hand-over adopts afresh, and the shards
-// of a Cluster keep theirs for life and take none. Storage never decides
+// and a kernel that runs again after a hand-over adopts afresh. Storage
+// never decides
 // order — bucket membership and sorts read (t, seq) only — so a run is
 // bit-identical whatever set it found.
 //
@@ -141,7 +141,7 @@
 // directly — no run queue, channel or futex on the way, the same cost
 // whatever GOMAXPROCS is. So Run pins nothing and kernels run side by side.
 //
-// The goroutine that called Run (or a shard's window runner) is the driver.
+// The goroutine that called Run is the driver.
 // It executes the loop; when it pops the wake-up of a process it resumes that
 // process's worker and is suspended until the worker yields. A process that
 // parks (Wait, Await, ...) does not yield at once: it executes the loop
@@ -158,7 +158,7 @@
 //	RUNNING --(park: Wait/WaitUntil/Yield/Await)-------------------> DRIVING
 //	DRIVING --(pops own wakeup)------------------------------------> RUNNING  (no switch)
 //	DRIVING --(pops another's wakeup: names it, yields)------------> PARKED
-//	DRIVING --(nothing left to run in this run or window: yields)--> PARKED
+//	DRIVING --(nothing left to run: yields)------------------------> PARKED
 //	DRIVING --(event it ran killed it: unwinds, worker exits)------> DONE
 //	PARKED  --(driver resumes it: own wakeup popped elsewhere)-----> RUNNING
 //	PARKED  --(kill: unwinds on its own worker, worker exits)------> DONE
@@ -193,70 +193,5 @@
 // when it pops, but folded into the Fingerprint like every popped event. A
 // body's own panic travels through iter.Pull to the driver and leaves Run
 // with its value, the parked processes unwound first.
-//
-// # Sharded conservative-parallel execution
-//
-// A Cluster (cluster.go) runs K kernels as shards of one simulation,
-// conservatively parallel: the caller partitions its simulated processors
-// across the shards (the machine layer cuts topology-aware blocks via
-// decomp.ShardBlocks) and provides a lookahead L — a proven lower bound
-// on the delay between any cross-shard cause and its earliest effect. The
-// machine derives L from the link model: a message needs at least
-// StartupSendUS + HopLatencyUS·d to reach another node, with d = 1
-// whenever a shard holds more than one node (any cross-node send touches
-// the globally shared wormhole link state) and the genuine minimum
-// cross-shard distance only in the all-singleton case. A DSM strategy
-// shares protocol state with zero simulated delay, so those machines get
-// no window at all: the shard request collapses to one kernel.
-//
-// Execution alternates windows and boundary merges:
-//
-//   - Window: with t0 the global minimum due time, every shard runs its
-//     own events in [t0, t0+L) — shards whose next event lies at or past
-//     the horizon sit the window out. Multi-shard windows run on
-//     persistent per-shard runner goroutines (channel rendezvous per
-//     window, zero atomics in simulated code); a single-active-shard
-//     window runs inline on the coordinating goroutine.
-//   - Merge: at the barrier the coordinator walks the shards' executed-
-//     event logs in global (t, seq) order, assigning the definitive
-//     sequence numbers and folding the shared fingerprint.
-//
-// Determinism hinges on sequence numbers. Inside a window a shard cannot
-// know how many events the others will execute first, so it allocates
-// temporaries (watermark-relative) and logs every allocation in program
-// order. The merge replays those logs in the exact order the sequential
-// kernel would have executed — each executed event closes the batch of
-// sequence numbers its callback allocated — so the final numbering, and
-// therefore every future pop order, is bit-identical to the sequential
-// kernel's. The fingerprint is folded from the merged order, which is why
-// shards=K and shards=1 produce equal Fingerprint values (pinned by the
-// A/B and fuzz suites at the repository root).
-//
-// Cross-shard interactions never touch another shard's queue mid-window:
-//
-//   - Sends to another shard's node are deferred (the network logs the
-//     departure with LogDefer and replays routing + delivery injection at
-//     the merge, via the Cluster replay hook) — legal because the arrival
-//     lies at least L past the departure, hence past the horizon.
-//   - Wakes for another shard (future completions) must land at or past
-//     the horizon and are buffered as deferred wakes, injected in merge
-//     order. An exception exists for a single-active-shard window: the
-//     other shards are provably quiescent at the barrier, so the active
-//     shard may inject below-horizon wakes directly (the batched barrier
-//     release depends on this; the injection curtails the window so the
-//     woken shards re-enter immediately). Pending() is exact in that
-//     quiescent state — the barrier's release gate relies on it — and
-//     conservative (a lower bound of 2) only while a multi-shard window
-//     is actually executing.
-//
-// Contract and limitations: processes on different shards may not share
-// mutable Go state with same-window timing (a cross-shard Future
-// completion must be scheduled at least one window after the waiter
-// parks — message passing through the network layer always satisfies
-// this); kills are shard-local operations (a cross-shard kill must be
-// requested via a process on the victim's shard); Stop() takes effect for
-// other shards at the current window boundary. Clocks join at the global
-// maximum when the cluster drains, statistics aggregate into the first
-// kernel, and cross-shard deadlocks are reported exactly like sequential
-// ones (TestClusterCrossShardDeadlock).
+
 package sim

@@ -16,15 +16,6 @@ type heapQueue struct {
 
 func (q *heapQueue) len() int { return len(q.h) }
 
-// remapSeqs rewrites every queued event's sequence number through f. The
-// rewrite is order-preserving (see Kernel.remapSeqs), so the heap
-// property is untouched.
-func (q *heapQueue) remapSeqs(f func(uint64) uint64) {
-	for i := range q.h {
-		q.h[i].seq = f(q.h[i].seq)
-	}
-}
-
 // push inserts e with inlined sift-up.
 func (q *heapQueue) push(e event) {
 	h := append(q.h, e)

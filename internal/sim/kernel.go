@@ -7,6 +7,9 @@ import (
 	"sync/atomic"
 )
 
+// fpGolden is the multiplier of the fingerprint hash chain (see fold).
+const fpGolden = 0x9e3779b97f4a7c15
+
 // Time is simulated time in microseconds.
 type Time = float64
 
@@ -112,12 +115,6 @@ type Kernel struct {
 	nowq     []event
 	nowqHead int
 
-	// sh is non-nil when this kernel is one shard of a Cluster
-	// (cluster.go): sequence numbers then come from the cluster (direct
-	// mode) or a per-window temporary namespace, the loop stops at window
-	// horizons, and Run drives the whole cluster.
-	sh *shard
-
 	// st is the kernel's event storage (store.go): the slabs lq, lazyq
 	// and nowq queue on and the callback payload table. It is handed to the
 	// process-wide stock when Run returns with nothing pending and adopted
@@ -137,96 +134,11 @@ func New() *Kernel {
 func (k *Kernel) Now() Time { return k.now }
 
 // Pending returns the number of scheduled events that have not executed
-// yet, including lazy-tier events. Event callbacks can use it as a
-// quiescence check: Pending() == 0 means nothing else is in flight
-// besides the running callback. On a clustered kernel the answer covers
-// all shards: exact outside windows and in exclusive windows (where
-// deferred sends and wakeups each count as the one event they will
-// materialize into); in a multi-shard window it reports the count at
-// window open, which is necessarily positive — quiescence gates stay
-// conservatively closed (see cluster.go).
+// yet, including lazy-tier and timer events. It is exact at every point,
+// so event callbacks can use it as a quiescence check: Pending() == 0
+// means nothing else is in flight besides the running callback.
 func (k *Kernel) Pending() int {
-	if k.sh != nil {
-		return k.sh.cl.pending(k)
-	}
-	return k.localPending()
-}
-
-// localPending counts this kernel's own unexecuted events across all
-// tiers (the pre-cluster Pending).
-func (k *Kernel) localPending() int {
 	return k.lq.len() + k.hq.len() + k.lazyq.len() + k.tq.len() + len(k.nowq) - k.nowqHead
-}
-
-// minDue returns the timestamp of this kernel's earliest unexecuted
-// event; ok is false when nothing is pending. The cluster coordinator
-// derives window bounds from it between windows.
-func (k *Kernel) minDue() (Time, bool) {
-	var best Time
-	ok := false
-	if k.nowqHead < len(k.nowq) {
-		best, ok = k.nowq[k.nowqHead].t, true
-	}
-	if k.useHeap {
-		if k.hq.len() > 0 {
-			if t := k.hq.h[0].t; !ok || t < best {
-				best, ok = t, true
-			}
-		}
-	} else if e := k.lq.peek(); e != nil {
-		if !ok || e.t < best {
-			best, ok = e.t, true
-		}
-	}
-	if k.lazyq.len() > 0 {
-		if e := k.lazyq.peek(); !ok || e.t < best {
-			best, ok = e.t, true
-		}
-	}
-	if te := k.tq.peek(); te != nil {
-		if !ok || te.t < best {
-			best, ok = te.t, true
-		}
-	}
-	return best, ok
-}
-
-// remapSeqs rewrites the sequence numbers of every queued event through f
-// (the boundary renumbering of temporary sequences). Within one shard and
-// window, temporaries are allocated in the same relative order their
-// final sequences are assigned in, so the rewrite preserves the strict
-// (t, seq) order of any two queued events and every queue invariant.
-func (k *Kernel) remapSeqs(f func(uint64) uint64) {
-	k.lq.remapSeqs(f)
-	k.hq.remapSeqs(f)
-	k.lazyq.remapSeqs(f)
-	k.tq.remapSeqs(f)
-	for i := k.nowqHead; i < len(k.nowq); i++ {
-		k.nowq[i].seq = f(k.nowq[i].seq)
-	}
-}
-
-// InWindow reports whether this kernel is a shard currently executing
-// inside a conservative window (the network layer defers cross-node
-// sends exactly then).
-func (k *Kernel) InWindow() bool { return k.sh != nil && k.sh.window }
-
-// LogDefer records a deferred cross-node send in the shard's window op
-// log, holding its place in the global sequence-allocation order until
-// the boundary merge replays it.
-func (k *Kernel) LogDefer() {
-	k.sh.ops = append(k.sh.ops, opDefer)
-	k.sh.deferN++
-}
-
-// InjectCallAt buffers a callback event carrying a pre-assigned final
-// sequence number for this shard's queue (lazy tier when lazy is set).
-// Only the cluster's deferred-send replay uses it, during a boundary
-// merge; the buffered events are pushed after the queues are renumbered.
-func (k *Kernel) InjectCallAt(t Time, seq uint64, lazy bool, fn func(interface{}), arg interface{}) {
-	cl := k.sh.cl
-	cl.mat = append(cl.mat, matEvent{k: k, lazy: lazy,
-		e: event{t: t, seq: seq, slot: k.slot(payload{hfn: fn, arg: arg})}})
 }
 
 // SetHeapQueue selects the event queue implementation: the retained 4-ary
@@ -256,49 +168,24 @@ func (k *Kernel) Fingerprint() uint64 { return k.fp }
 // fingerprint hash chain. Every executed event — regular pop, FIFO
 // bypass, or lazy tier — folds through this one function, so the
 // bit-identical-order guarantees pinned by the A/B tests cannot drift
-// between execution sites. On a shard executing inside a window the
-// event is logged instead: the boundary merge folds it into the cluster
-// fingerprint with its final sequence, in exact global order.
+// between execution sites.
 func (k *Kernel) fold(e *event) {
-	if sh := k.sh; sh != nil {
-		if sh.window {
-			sh.logExec(e)
-			return
-		}
-		sh.cl.fp = sh.cl.fp*fpGolden + (math.Float64bits(e.t) ^ e.seq)
-		return
-	}
 	k.fp = k.fp*fpGolden + (math.Float64bits(e.t) ^ e.seq)
 }
 
 // allocSeq returns the next sequence number for an event scheduled by
-// this kernel: the kernel's own monotone counter normally; on a clustered
-// kernel, the cluster's global counter (direct mode) or a per-window
-// temporary above the watermark, recorded in the op log so the boundary
-// merge can assign the final sequence in exact global allocation order.
+// this kernel.
 func (k *Kernel) allocSeq() uint64 {
-	if sh := k.sh; sh != nil {
-		if sh.window {
-			k.seq++
-			sh.ops = append(sh.ops, opLocal)
-			return k.seq
-		}
-		cl := sh.cl
-		cl.gseq++
-		return cl.gseq
-	}
 	k.seq++
 	return k.seq
 }
 
 // SkipSeq consumes one sequence number without scheduling an event. The
 // network's reactive mode calls it when a routed message is dropped at a
-// failure point: the sequential kernel then burns the sequence its arrival
-// event would have carried, mirroring the sharded cluster — whose boundary
-// merge allocates a global sequence per deferred send before it knows the
-// replay outcome — so both execution modes number every subsequent event
-// identically. Dropped events are never executed, so the skipped sequence
-// never reaches the fingerprint in either mode.
+// failure point, in place of the arrival event the message would have
+// carried. It keeps the event numbering that the reactive goldens pin;
+// the skipped sequence is never executed, so it never reaches the
+// fingerprint.
 func (k *Kernel) SkipSeq() { k.allocSeq() }
 
 // takeSlot fetches and recycles a callback event's payload. The slot is
@@ -376,12 +263,6 @@ func (k *Kernel) next() (event, bool) {
 				ct, cs = le.t, le.seq
 			}
 			if reg == nil || ct < reg.t || (ct == reg.t && cs < reg.seq) {
-				if sh := k.sh; sh != nil && sh.window && ct >= sh.horizon {
-					// The globally next local event lies at or beyond the
-					// window horizon: the window is over for this shard.
-					sh.paused = true
-					return event{}, false
-				}
 				if useTimer {
 					t := k.tq.popFront()
 					k.now = t.t
@@ -404,10 +285,6 @@ func (k *Kernel) next() (event, bool) {
 			}
 		}
 		if reg == nil {
-			return event{}, false
-		}
-		if sh := k.sh; sh != nil && sh.window && reg.t >= sh.horizon {
-			sh.paused = true
 			return event{}, false
 		}
 		if fromNowq {
@@ -470,17 +347,10 @@ func (k *Kernel) AtLazyCall(t Time, fn func(interface{}), arg interface{}) {
 	k.lazyq.push(event{t: t, seq: k.allocSeq(), slot: k.slot(payload{hfn: fn, arg: arg})})
 }
 
-// atProc schedules p to resume at absolute time t, with no allocation. A
-// process owned by another shard of the same cluster is routed through
-// the cluster's cross-shard wakeup path (deferred past the horizon,
-// injected in an exclusive window).
+// atProc schedules p to resume at absolute time t, with no allocation.
 func (k *Kernel) atProc(t Time, p *Proc) {
 	if p.k != k {
-		if k.sh == nil || p.k.sh == nil || p.k.sh.cl != k.sh.cl {
-			panic("sim: scheduling a wakeup for a process of an unrelated kernel")
-		}
-		k.sh.cl.crossWake(k, t, p)
-		return
+		panic("sim: scheduling a wakeup for a process of another kernel")
 	}
 	k.checkPast(t)
 	k.sched(event{t: t, seq: k.allocSeq(), proc: p})
@@ -504,11 +374,6 @@ func (k *Kernel) After(d Time, fn func()) {
 // process's worker runs at any time; see doc.go for the coroutine switches
 // that enforce it without the Go scheduler.
 func (k *Kernel) Run() error {
-	if k.sh != nil {
-		// A clustered kernel is one shard: Run drives the whole cluster
-		// under conservative windows (cluster.go).
-		return k.sh.cl.Run()
-	}
 	if k.cancelRequested() {
 		// Canceled before the first event (e.g. an already-expired
 		// deadline): stop deterministically without executing anything.
@@ -518,22 +383,22 @@ func (k *Kernel) Run() error {
 	returned := false
 	defer func() {
 		if !returned {
-			k.killAll()
+			k.Shutdown()
 		}
 		k.foldSwitches()
 	}()
 	k.loop(nil)
 	returned = true
 	if k.canceled {
-		k.killAll()
+		k.Shutdown()
 		return &CanceledError{At: k.now, Events: k.Stat.Events}
 	}
 	if blocked := k.blocked(nil); len(blocked) > 0 {
 		sort.Strings(blocked)
-		k.killAll()
+		k.Shutdown()
 		return &DeadlockError{Blocked: blocked, At: k.now}
 	}
-	if k.localPending() == 0 {
+	if k.Pending() == 0 {
 		k.releaseStore()
 	}
 	return nil
@@ -569,25 +434,22 @@ func (k *Kernel) releaseStore() {
 	k.st.release()
 }
 
-// loop executes events on the calling goroutine: the driver (self nil) —
-// the caller of Run, or a shard's window runner — or a parked process. It
+// loop executes events on the calling goroutine: the driver (self nil, the
+// caller of Run) or a parked process. It
 // returns when it pops the wakeup of self, so park returns without a switch.
 // On another process's wakeup the driver resumes it and goes on; a process
 // names it in k.to and yields to the driver, to return from park when it is
 // resumed in turn. When nothing is left to run here the driver returns and a
-// process yields, to be resumed by a later window or unwound by a kill.
+// process yields, to be unwound by a kill.
 // doc.go, "Process switches", has the state table.
 func (k *Kernel) loop(self *Proc) {
-	for k.localPending() > 0 && !k.stopped {
-		if sh := k.sh; sh != nil && sh.window && (sh.paused || sh.cl.curtail) {
-			break // window over: horizon reached, or curtailed by an injection
-		}
+	for k.Pending() > 0 && !k.stopped {
 		if k.cancel != nil && k.checkCancel() {
 			break // cancellation checkpoint hit; Run returns CanceledError
 		}
 		e, ok := k.next()
 		if !ok {
-			continue // only lazy events were due (or the horizon hit); re-evaluate
+			continue // only lazy events were due; re-evaluate
 		}
 		k.now = e.t
 		k.Stat.Events++
@@ -646,18 +508,9 @@ func (k *Kernel) resume(p *Proc) {
 // processes are not killed; call Shutdown for that.
 func (k *Kernel) Stop() { k.stopped = true }
 
-// Shutdown force-terminates all live processes (on every shard, for a
-// clustered kernel). It is safe to call after Run has returned; used by
-// tests to avoid goroutine leaks.
+// Shutdown force-terminates all live processes. It is safe to call after
+// Run has returned; used by tests to avoid goroutine leaks.
 func (k *Kernel) Shutdown() {
-	if k.sh != nil {
-		k.sh.cl.shutdown()
-		return
-	}
-	k.killAll()
-}
-
-func (k *Kernel) killAll() {
 	for _, p := range k.procs {
 		if !p.done {
 			p.kill()

@@ -411,30 +411,6 @@ func (q *ladderQueue) convertTail() {
 	q.frontEnd = math.Nextafter(max, math.Inf(1))
 }
 
-// remapSeqs rewrites every queued event's sequence number through f. The
-// rewrite is order-preserving (see Kernel.remapSeqs), so sorted fronts
-// stay sorted and the time-partition invariants are untouched — bucket
-// membership depends only on timestamps.
-func (q *ladderQueue) remapSeqs(f func(uint64) uint64) {
-	if q.n == 0 {
-		return
-	}
-	for i := q.fh; i < len(q.front); i++ {
-		q.front[i].seq = f(q.front[i].seq)
-	}
-	for _, r := range q.rungs {
-		for b := range r.bkts {
-			bk := r.bkts[b]
-			for i := range bk {
-				bk[i].seq = f(bk[i].seq)
-			}
-		}
-	}
-	for i := range q.tail {
-		q.tail[i].seq = f(q.tail[i].seq)
-	}
-}
-
 // sortEpoch sorts one epoch by strict (t, seq) order. Small epochs — the
 // common case at GCel event densities — take the insertion fast path with
 // no further dispatch. Larger epochs run a bottom-up merge sort whose

@@ -32,9 +32,8 @@ type evStore struct {
 	sortBuf []event  // epoch-sort scratch, a slab
 	idxBuf  []uint8  // spread's scratch bucket indices
 
-	// own is set once the store has looked in the stock (or must not:
-	// shard kernels never hand theirs back, so they take none). From then
-	// on growth allocates.
+	// own is set once the store has looked in the stock. From then on
+	// growth allocates.
 	own bool
 
 	hits, misses uint64 // slab requests served from free / by make

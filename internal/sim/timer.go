@@ -10,7 +10,7 @@ package sim
 // no pop, and never perturbs the (t, seq) trajectory of the surviving
 // events. That is what keeps runs with many canceled retransmission timers
 // (the common case: almost every ack cancels one) fingerprint-identical
-// across kernel shard counts and fork/restore.
+// across fork/restore.
 //
 // Like the lazy tier, timers execute inline at the loop's pop boundary and
 // can never be the event that resumes a process; callbacks must not block.
@@ -116,15 +116,6 @@ func (q *timerQueue) release(slot int32) {
 	q.pos[slot] = -1
 	q.gen[slot]++
 	q.free = append(q.free, slot)
-}
-
-// remapSeqs rewrites every pending timer's sequence through f (window
-// boundary renumbering). The map is monotone over each shard's window
-// allocations, so heap order is preserved.
-func (q *timerQueue) remapSeqs(f func(uint64) uint64) {
-	for i := range q.h {
-		q.h[i].seq = f(q.h[i].seq)
-	}
 }
 
 func (q *timerQueue) less(i, j int) bool {

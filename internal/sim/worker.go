@@ -7,7 +7,7 @@ import (
 
 // worker is a coroutine (iter.Pull: a goroutine and its stack, switched to
 // and from without the scheduler) that runs one process body after another.
-// Only the goroutine driving a kernel (Run, a shard window) resumes it.
+// Only the goroutine driving a kernel (the caller of Run) resumes it.
 type worker struct {
 	p     *Proc // the process it runs; nil while idle
 	next  func() (struct{}, bool)

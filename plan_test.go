@@ -118,8 +118,7 @@ func TestNamedGraphSharedAcrossMachines(t *testing.T) {
 // storage the first one handed to the kernel stock, so neither grows a
 // queue from nothing, and its processes on the workers the first one left in
 // the process stock, so it starts no goroutine and allocates one slab of
-// process records. Shards are pinned to one: a sharded kernel keeps its
-// store for life and takes none from the stock.
+// process records.
 func TestRunAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -129,11 +128,11 @@ func TestRunAllocBudget(t *testing.T) {
 		objs  uint64
 	}{
 		{"4x4 at4 matmul(16)",
-			diva.MustNew(diva.WithMesh(4, 4), diva.WithStrategyName("at4"), diva.WithSeed(1), diva.WithShards(1)),
+			diva.MustNew(diva.WithMesh(4, 4), diva.WithStrategyName("at4"), diva.WithSeed(1)),
 			func() diva.Workload { return diva.Matmul(diva.MatmulConfig{BlockInts: 16, Seed: 1}) },
 			88 << 10, 180}, // measured 74 KB, 150 objects; 76 KB, 246 with a goroutine a process
 		{"32x32 handopt stencil(1)",
-			diva.MustNew(diva.WithMesh(32, 32), diva.WithTree(diva.Ary2), diva.WithSeed(1), diva.WithShards(1)),
+			diva.MustNew(diva.WithMesh(32, 32), diva.WithTree(diva.Ary2), diva.WithSeed(1)),
 			func() diva.Workload { return diva.Stencil(diva.StencilConfig{Iters: 1, HaloInts: 64, Seed: 1}) },
 			2240 << 10, 20000}, // measured 1.9 MB, 18 248 objects; 2.1 MB, 25 213
 	} {

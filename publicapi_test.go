@@ -101,7 +101,6 @@ func TestNewValidation(t *testing.T) {
 		{"bad tree", []diva.Option{diva.WithMesh(4, 4), diva.WithTree(diva.Tree{Base: 3})}, "unsupported decomposition tree"},
 		{"bad term-k", []diva.Option{diva.WithMesh(4, 4), diva.WithTree(diva.Tree{Base: 4, TermK: 2})}, "unsupported decomposition tree"},
 		{"negative capacity", []diva.Option{diva.WithMesh(4, 4), diva.WithCacheCapacity(-1)}, "cache capacity"},
-		{"negative shards", []diva.Option{diva.WithMesh(4, 4), diva.WithShards(-1)}, "shard count"},
 		{"partial net params", []diva.Option{diva.WithMesh(4, 4), diva.WithNetParams(diva.NetParams{HopLatencyUS: 5})}, "bandwidth must be positive"},
 	}
 	for _, tc := range cases {

@@ -11,8 +11,7 @@
 //	24      8     L: length of the bitmap section
 //	32      8     G: length of the state section
 //	40      S     spec: the machine's normalized spec document (the
-//	              serializable run description of diva/spec), JSON, with
-//	              the shard count pinned
+//	              serializable run description of diva/spec), JSON
 //	40+S    T     tables: the strategy's bulk protocol tables — every
 //	              access-tree node table in variable order, 8 bytes a node
 //	              (edges uint32, toward int8, member 0/1, acks 0, arrow
@@ -146,9 +145,7 @@ func (s *Store) path(handle string) string {
 // Save persists snap under handle, atomically: the file appears complete
 // or not at all, and an existing file under the same handle is replaced
 // atomically. sp must be the run description the snapshot was captured
-// under; its shard count is pinned to the snapshot's actual shape so a
-// later Load — possibly in a different environment — rebuilds the same
-// machine.
+// under: a later Load rebuilds the machine from it.
 func (s *Store) Save(handle string, sp spec.Spec, snap *diva.Snapshot) error {
 	if err := checkHandle(handle); err != nil {
 		return err
@@ -157,9 +154,7 @@ func (s *Store) Save(handle string, sp spec.Spec, snap *diva.Snapshot) error {
 	if err != nil {
 		return err
 	}
-	sp = sp.Normalized()
-	sp.Shards = w.Shards
-	specJSON, err := json.Marshal(sp)
+	specJSON, err := json.Marshal(sp.Normalized())
 	if err != nil {
 		return fmt.Errorf("snapstore: marshal spec: %w", err)
 	}
@@ -226,7 +221,7 @@ func (s *Store) Has(handle string) bool {
 // rebuilding the machine from the stored spec, and grafting the persisted
 // state onto it. The returned snapshot forks bit-identically to the live
 // snapshot Save was given, and the returned spec is the stored run
-// description (shard count pinned). extra machine options are applied
+// description. extra machine options are applied
 // after the spec-derived ones.
 func (s *Store) Load(handle string, extra ...diva.Option) (spec.Spec, *diva.Snapshot, error) {
 	var sp spec.Spec

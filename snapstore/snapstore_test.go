@@ -1,8 +1,8 @@
 // Disk A/B tests for the snapshot store: a snapshot saved to disk, loaded
 // back — through a fresh Store, as after a process restart — and forked
 // must replay the query workload bit-identically to a fork of the live
-// snapshot, across the topology × strategy matrix, under kernel sharding,
-// with bounded caches, and with pointer-heavy variable payloads
+// snapshot, across the topology × strategy matrix, on strategy-free
+// machines, with bounded caches, and with pointer-heavy variable payloads
 // (Barnes-Hut). Plus the crash-consistency format checks: checksum,
 // truncation, stray temp files.
 package snapstore_test
@@ -10,7 +10,7 @@ package snapstore_test
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -120,14 +120,9 @@ func checkDiskAB(t *testing.T, sp spec.Spec, query diva.Workload) {
 		t.Errorf("fork from disk diverged from fork from live snapshot:\n disk: %+v\n live: %+v", got, base)
 	}
 
-	// The stored spec pins the resolved shard count, so a reload in any
-	// environment rebuilds the same machine shape.
-	wantShards := sp.Normalized().Shards
-	if wantShards == 0 {
-		wantShards = 1
-	}
-	if spLoaded.Shards != wantShards {
-		t.Errorf("stored spec has shards=%d, want %d", spLoaded.Shards, wantShards)
+	// The stored spec is the run description the snapshot was saved under.
+	if got := snapstore.Handle(spLoaded); got != handle {
+		t.Errorf("stored spec %+v has handle %s, want %s", spLoaded, got, handle)
 	}
 
 	// Saving the same snapshot again replaces the file atomically and
@@ -166,16 +161,15 @@ func TestDiskABDSM(t *testing.T) {
 	}
 }
 
-// TestDiskABHandOpt pins the disk round trip on strategy-free machines
-// under kernel sharding: the state section carries the full cluster state.
+// TestDiskABHandOpt pins the disk round trip on strategy-free machines,
+// on a grid and on the fat tree.
 func TestDiskABHandOpt(t *testing.T) {
-	query := diva.BitonicHandOpt(diva.BitonicConfig{KeysPerProc: 32, Check: true, Seed: 9})
-	for _, shards := range []int{1, 4} {
-		shards := shards
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			sp := spec.Spec{Topology: "mesh", Rows: 8, Cols: 8, Tree: "2-ary", Seed: 1999, Shards: shards}
+	for _, topo := range []string{"mesh", "fattree"} {
+		topo := topo
+		t.Run(topo, func(t *testing.T) {
+			sp := spec.Spec{Topology: topo, Rows: 8, Cols: 8, Tree: "2-ary", Seed: 1999}
 			sp.Workload = spec.Workload{Name: "stencil", Iters: 3, Halo: 32, Compute: true, Check: true, Seed: 7}
-			checkDiskAB(t, sp, query)
+			checkDiskAB(t, sp, diva.BitonicHandOpt(diva.BitonicConfig{KeysPerProc: 32, Check: true, Seed: 9}))
 		})
 	}
 }
@@ -217,8 +211,8 @@ func TestDiskABReactive(t *testing.T) {
 		sp.Workload = spec.Workload{Name: "matmul", Block: 64, Seed: 1}
 		checkDiskAB(t, sp, diva.Bitonic(diva.BitonicConfig{KeysPerProc: 16, Check: true, Seed: 2}))
 	})
-	t.Run("handopt-sharded", func(t *testing.T) {
-		sp := spec.Spec{Topology: "mesh", Rows: 4, Cols: 4, Tree: "2-ary", Seed: 1999, Shards: 2}
+	t.Run("handopt", func(t *testing.T) {
+		sp := spec.Spec{Topology: "mesh", Rows: 4, Cols: 4, Tree: "2-ary", Seed: 1999}
 		sp.Fault = outage
 		sp.Recovery = spec.RecoveryReactive
 		sp.Workload = spec.Workload{Name: "stencil", Iters: 3, Halo: 32, Compute: true, Check: true, Seed: 7}
@@ -405,6 +399,53 @@ func TestLoadRejectsOldFormat(t *testing.T) {
 	}
 }
 
+// TestLoadEarlierFiles loads two DIVASNP3 files written before sharded
+// execution was removed, committed under testdata/. The sequential one
+// (its spec pins "shards":1, a 4×4 at4 machine warmed by matmul(16)) loads
+// and forks a bitonic query to the trajectory its writer recorded; the
+// sharded one (spec "shards":4) is refused by spec validation.
+func TestLoadEarlierFiles(t *testing.T) {
+	const seqHandle, shardedHandle = "a1a790fc5a44a7bf", "202c151ed633b902"
+	dir := t.TempDir()
+	for _, h := range []string{seqHandle, shardedHandle} {
+		data, err := os.ReadFile(filepath.Join("testdata", h+".snap"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, h+".snap"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := snapstore.Open(dir)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+
+	sp, snap, err := st.Load(seqHandle)
+	if err != nil {
+		t.Fatalf("Load sequential file: %v", err)
+	}
+	if sp.Shards != 1 {
+		t.Errorf("stored spec has shards=%d, want the 1 its writer pinned", sp.Shards)
+	}
+	f, err := diva.Fork(snap)
+	if err != nil {
+		t.Fatalf("Fork: %v", err)
+	}
+	res := mustRun(t, f, diva.Bitonic(diva.BitonicConfig{KeysPerProc: 16, Check: true, Seed: 2}))
+	if fp, ev := f.K.Fingerprint(), f.K.Stat.Events; fp != 0xab248516eb1f969e || ev != 7276 || res.ElapsedUS != 101644 || !res.Verified {
+		t.Errorf("fork of the stored file: fingerprint %#x, %d events, %v us, verified %v; want 0xab248516eb1f969e, 7276, 101644, true",
+			fp, ev, res.ElapsedUS, res.Verified)
+	}
+
+	_, got, err := st.Load(shardedHandle)
+	var ve *spec.ValidationError
+	if got != nil || !errors.As(err, &ve) || len(ve.Fields) != 1 || ve.Fields[0].Field != "shards" ||
+		!strings.Contains(ve.Fields[0].Msg, "sharded execution was removed") {
+		t.Errorf("sharded file: snapshot %v, err = %v; want the shards field error", got, err)
+	}
+}
+
 // TestSaveDeterministic: the same snapshot always produces the same bytes,
 // and a snapshot read back from a file saves to that very file again —
 // across strategies, with bounded caches, pointer-heavy payloads and a
@@ -423,15 +464,15 @@ func TestSaveDeterministic(t *testing.T) {
 	reactive.AckTimeoutUS, reactive.MaxRetries, reactive.Backoff = 500, 3, 2
 	barnesHut := machineSpec("mesh", "at4", 4, 4)
 	barnesHut.Workload = spec.Workload{Name: "barneshut", Bodies: 32, Steps: 2, MeasureFrom: 1}
-	sharded := spec.Spec{Topology: "mesh", Rows: 4, Cols: 4, Tree: "2-ary", Seed: 1999, Shards: 2,
+	handOpt := spec.Spec{Topology: "mesh", Rows: 4, Cols: 4, Tree: "2-ary", Seed: 1999,
 		Workload: spec.Workload{Name: "stencil", Iters: 3, Halo: 32, Compute: true, Check: true, Seed: 7}}
 	for name, sp := range map[string]spec.Spec{
-		"at4":        machineSpec("mesh", "at4", 8, 8),
-		"fixedhome":  machineSpec("torus", "fixedhome", 8, 8),
-		"bounded":    bounded,
-		"reactive":   reactive,
-		"barneshut":  barnesHut,
-		"handopt-x2": sharded,
+		"at4":       machineSpec("mesh", "at4", 8, 8),
+		"fixedhome": machineSpec("torus", "fixedhome", 8, 8),
+		"bounded":   bounded,
+		"reactive":  reactive,
+		"barneshut": barnesHut,
+		"handopt":   handOpt,
 	} {
 		if sp.Workload.Name == "" {
 			sp.Workload = matmul

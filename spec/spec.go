@@ -1,6 +1,6 @@
 // Package spec defines the serializable run description of the diva
 // simulator: one JSON-friendly Spec names the machine (topology, strategy,
-// decomposition tree, network timing, seed, shards, cache capacity) and
+// decomposition tree, network timing, seed, cache capacity) and
 // the workload with its knobs. It is the single funnel every run
 // description flows through — the divasim command line, embedding
 // applications, and the HTTP service all build the same Spec and hand it
@@ -42,10 +42,9 @@ type Spec struct {
 	// Seed is the master random seed. Identical specs give bit-identical
 	// runs.
 	Seed uint64 `json:"seed,omitempty"`
-	// Shards is the event-kernel shard count for conservative-parallel
-	// execution; results are identical for every count. 0 means
-	// sequential (unlike diva.WithShards, a Spec never reads the
-	// environment: a serialized run description must not depend on it).
+	// Shards is kept so that stored run descriptions which record it keep
+	// decoding: 0 and 1 both mean the one sequential kernel, and any other
+	// value is rejected because sharded execution was removed.
 	Shards int `json:"shards,omitempty"`
 	// CacheCapacity bounds the copy memory per node in bytes; 0 means
 	// unbounded (the paper's default).
@@ -383,6 +382,8 @@ func (s Spec) machineErrors() []FieldError {
 	}
 	if s.Shards < 0 {
 		errs = append(errs, FieldError{"shards", fmt.Sprintf("must be non-negative, got %d", s.Shards)})
+	} else if s.Shards > 1 {
+		errs = append(errs, FieldError{"shards", fmt.Sprintf("must be 0 or 1, got %d: sharded execution was removed", s.Shards)})
 	}
 	if s.CacheCapacity < 0 {
 		errs = append(errs, FieldError{"cache_capacity", fmt.Sprintf("must be non-negative, got %d", s.CacheCapacity)})

@@ -82,6 +82,34 @@ func TestValidateFieldErrors(t *testing.T) {
 	}
 }
 
+// TestValidateShards pins the shards field: 0 and 1 both name the one
+// sequential kernel; anything above 1 is refused because sharded execution
+// was removed, and a negative count is refused as before.
+func TestValidateShards(t *testing.T) {
+	for _, tc := range []struct {
+		shards int
+		want   string // "" means valid
+	}{
+		{0, ""},
+		{1, ""},
+		{2, "sharded execution was removed"},
+		{-1, "must be non-negative"},
+	} {
+		s := Spec{Rows: 4, Cols: 4, Shards: tc.shards, Workload: Workload{Name: "stencil"}}
+		err := s.Validate()
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("shards=%d: %v", tc.shards, err)
+			}
+			continue
+		}
+		ve, ok := err.(*ValidationError)
+		if !ok || len(ve.Fields) != 1 || ve.Fields[0].Field != "shards" || !strings.Contains(ve.Fields[0].Msg, tc.want) {
+			t.Errorf("shards=%d: got %v, want one shards field error mentioning %q", tc.shards, err, tc.want)
+		}
+	}
+}
+
 // TestStrategyWorkloadCrossRules pins the handopt/DSM pairing rules.
 func TestStrategyWorkloadCrossRules(t *testing.T) {
 	cases := []struct {
@@ -120,7 +148,7 @@ func TestValidateMachineIgnoresWorkload(t *testing.T) {
 func TestJSONRoundTrip(t *testing.T) {
 	s := Spec{
 		Topology: "hypercube", Rows: 4, Cols: 8, Strategy: "at2k4",
-		Tree: "2-4-ary", Seed: 42, Shards: 4, CacheCapacity: 1 << 20,
+		Tree: "2-4-ary", Seed: 42, Shards: 1, CacheCapacity: 1 << 20,
 		Net:      &Net{BytesPerUS: 1, HopLatencyUS: 2, StartupSendUS: 3, StartupRecvUS: 4, LocalDeliveryUS: 5, NoBackpressure: true},
 		Workload: Workload{Name: "bitonic", Keys: 128, Compute: true, Check: true, Seed: 9},
 	}

@@ -144,8 +144,7 @@ func BarnesHut(cfg BarnesHutConfig) Workload {
 
 // Stencil returns the iterative halo-exchange kernel: nearest-neighbor
 // messages plus a global barrier per iteration, hand-optimized message
-// passing only (the machine needs no strategy). It is the canonical
-// workload of the kernel-shard scaling benchmarks.
+// passing only (the machine needs no strategy).
 func Stencil(cfg StencilConfig) Workload {
 	return workload{name: "stencil", run: func(m *Machine, _ *Collector) (Result, error) {
 		res, err := stencil.Run(m, cfg)
