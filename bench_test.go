@@ -382,9 +382,8 @@ func BenchmarkAblationBackpressureOff(b *testing.B) { benchBackpressure(b, true)
 // --- Simulator micro-benchmarks (the event hot path itself) ---
 
 // BenchmarkMessageHop measures ONE end-to-end message hop between two
-// adjacent mesh nodes — send startup, routing, the fused arrive stage and
-// the handler dispatch — the unit the fused delivery pipeline reduced to
-// a single regular kernel event.
+// adjacent mesh nodes — send startup, routing, the arrive stage and the
+// handler dispatch: two kernel events.
 func BenchmarkMessageHop(b *testing.B) {
 	k := sim.New()
 	nw := mesh.NewNetwork(k, mesh.New(1, 2), mesh.GCelParams())

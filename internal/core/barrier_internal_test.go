@@ -22,11 +22,10 @@ func fastParams() mesh.Params {
 
 // barrierTrajectory runs rounds of barriers (with a reduction every other
 // round) and returns everything observable about the run.
-func barrierTrajectory(t *testing.T, cfg Config, rounds int, noBatch, twoStage bool) (elapsed float64, cong mesh.Congestion, msgs [256]uint64, b *barrier) {
+func barrierTrajectory(t *testing.T, cfg Config, rounds int, noBatch bool) (elapsed float64, cong mesh.Congestion, msgs [256]uint64, b *barrier) {
 	t.Helper()
 	m := MustNewMachine(cfg)
 	m.bar.noBatch = noBatch
-	m.Net.SetTwoStageDelivery(twoStage)
 	err := m.Run(func(p *Proc) {
 		for r := 0; r < rounds; r++ {
 			if r%2 == 1 {
@@ -52,26 +51,32 @@ func barrierTrajectory(t *testing.T, cfg Config, rounds int, noBatch, twoStage b
 	return m.Elapsed(), m.Net.Congestion(nil), msgs, m.bar
 }
 
-// TestBatchedReleaseMatchesCascade: on machines where the speculative
-// batched release commits, every simulated observable — elapsed time,
-// congestion, per-kind send counts — must be bit-identical to the plain
-// message cascade. This is the exactness contract of the batching gate.
+// TestBatchedReleaseMatchesCascade: every simulated observable — elapsed
+// time, congestion, per-kind send counts — must be bit-identical to the
+// plain message cascade, on machines where the speculative batched release
+// commits and on machines where the replay starts and the exactness gate
+// rolls the InlineSendAt/InlineRecvAt journal back (wantAbort). This is the
+// exactness contract of the batching gate.
 func TestBatchedReleaseMatchesCascade(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		cfg  Config
+		name      string
+		cfg       Config
+		wantAbort bool
 	}{
-		{"mesh4x4-ary2-gcel", Config{Rows: 4, Cols: 4, Seed: 7, Tree: decomp.Ary2}},
-		{"mesh4x4-ary4", Config{Rows: 4, Cols: 4, Seed: 7, Tree: decomp.Ary4, Net: fastParams()}},
-		{"mesh8x8-ary16", Config{Rows: 8, Cols: 8, Seed: 9, Tree: decomp.Ary16, Net: fastParams()}},
-		{"mesh2x2-ary2", Config{Rows: 2, Cols: 2, Seed: 3, Tree: decomp.Ary2, Net: fastParams()}},
-		{"mesh4x8-gcel", Config{Rows: 4, Cols: 8, Seed: 5, Tree: decomp.Ary4}},
+		// Binary trees keep the fan-out tight: the batch commits.
+		{"mesh4x4-ary2-gcel", Config{Rows: 4, Cols: 4, Seed: 7, Tree: decomp.Ary2}, false},
+		{"mesh2x2-ary2", Config{Rows: 2, Cols: 2, Seed: 3, Tree: decomp.Ary2, Net: fastParams()}, false},
+		// Wider fan-outs under this trajectory's compute skew: the replay
+		// starts every epoch and rolls back, low startups or GCel ones.
+		{"mesh4x4-ary4", Config{Rows: 4, Cols: 4, Seed: 7, Tree: decomp.Ary4, Net: fastParams()}, true},
+		{"mesh8x8-ary16", Config{Rows: 8, Cols: 8, Seed: 9, Tree: decomp.Ary16, Net: fastParams()}, true},
+		{"mesh4x8-gcel", Config{Rows: 4, Cols: 8, Seed: 5, Tree: decomp.Ary4}, true},
+		{"mesh4x4-ary4-gcel", Config{Rows: 4, Cols: 4, Seed: 7, Tree: decomp.Ary4}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const rounds = 12
-			elA, congA, msgsA, barA := barrierTrajectory(t, tc.cfg, rounds, false, false)
-			batched := barA.batched
-			elB, congB, msgsB, barB := barrierTrajectory(t, tc.cfg, rounds, true, false)
+			elA, congA, msgsA, barA := barrierTrajectory(t, tc.cfg, rounds, false)
+			elB, congB, msgsB, barB := barrierTrajectory(t, tc.cfg, rounds, true)
 			if barB.batched != 0 {
 				t.Fatalf("noBatch run still batched %d epochs", barB.batched)
 			}
@@ -85,7 +90,71 @@ func TestBatchedReleaseMatchesCascade(t *testing.T) {
 				t.Errorf("send stats diverged: %v vs %v",
 					msgsA[KindBarrierRelease], msgsB[KindBarrierRelease])
 			}
-			t.Logf("%s: %d/%d epochs batched", tc.name, batched, rounds)
+			if tc.wantAbort && barA.aborted == 0 {
+				t.Errorf("expected the speculative replay to start and roll back, but no aborts happened (batched=%d cascaded=%d)", barA.batched, barA.cascaded)
+			}
+			if !tc.wantAbort && barA.batched == 0 {
+				t.Errorf("expected the batch to commit, got batched=0 (cascaded=%d, aborts=%d)", barA.cascaded, barA.aborted)
+			}
+			t.Logf("%s: %d/%d epochs batched, %d aborted", tc.name, barA.batched, rounds, barA.aborted)
+		})
+	}
+}
+
+// TestBarrierReleaseWithFusedDelivery checks how the barrier's two release
+// paths use the network's single-event (fused) delivery: the cascade sends
+// every message as one fused hop, a committed batch accounts its release
+// messages inline and takes them off the event path, and a replay the
+// exactness gate rolls back leaves no inline-accounted message behind.
+// Against the plain cascade, the fused hops the batched run saved must be
+// exactly the messages its committed epochs accounted inline.
+func TestBarrierReleaseWithFusedDelivery(t *testing.T) {
+	sum := func(msgs [256]uint64) (n uint64) {
+		for _, c := range msgs {
+			n += c
+		}
+		return n
+	}
+	for _, tc := range []struct {
+		name      string
+		cfg       Config
+		wantAbort bool
+	}{
+		{"commit-mesh4x4-ary2-gcel", Config{Rows: 4, Cols: 4, Seed: 7, Tree: decomp.Ary2}, false},
+		{"commit-mesh2x2-ary2", Config{Rows: 2, Cols: 2, Seed: 3, Tree: decomp.Ary2, Net: fastParams()}, false},
+		{"abort-mesh8x8-ary16", Config{Rows: 8, Cols: 8, Seed: 9, Tree: decomp.Ary16, Net: fastParams()}, true},
+		{"abort-mesh4x4-ary4-gcel", Config{Rows: 4, Cols: 4, Seed: 7, Tree: decomp.Ary4}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const rounds = 12
+			// Read the kernel counters before the next run reuses its storage.
+			_, _, msgsB, barB := barrierTrajectory(t, tc.cfg, rounds, false)
+			batched, aborted, fusedB := barB.batched, barB.aborted, barB.m.K.Stat.FusedDeliveries
+			_, _, msgsC, barC := barrierTrajectory(t, tc.cfg, rounds, true)
+			fusedC := barC.m.K.Stat.FusedDeliveries
+			if sum(msgsB) != sum(msgsC) {
+				t.Fatalf("send counts diverged: batched %d, cascade %d", sum(msgsB), sum(msgsC))
+			}
+			if fusedC != sum(msgsC) {
+				t.Errorf("cascade: %d fused hops for %d sends", fusedC, sum(msgsC))
+			}
+			if fusedB > fusedC {
+				t.Errorf("batched run delivered %d fused hops, more than the cascade's %d", fusedB, fusedC)
+			}
+			inline := fusedC - fusedB
+			if batched == 0 && inline != 0 {
+				t.Errorf("no epoch committed, yet %d messages were accounted inline (aborts=%d)", inline, aborted)
+			}
+			if batched != 0 && inline == 0 {
+				t.Errorf("%d epochs committed, but every message still went through fused delivery", batched)
+			}
+			if tc.wantAbort && aborted == 0 {
+				t.Errorf("expected the speculative replay to start and roll back, but no aborts happened (batched=%d)", batched)
+			}
+			if !tc.wantAbort && batched == 0 {
+				t.Errorf("expected the batch to commit, got batched=0 (aborts=%d)", aborted)
+			}
+			t.Logf("%s: %d epochs batched, %d aborted, %d of %d messages accounted inline", tc.name, batched, aborted, inline, sum(msgsC))
 		})
 	}
 }
@@ -97,63 +166,10 @@ func TestBatchedReleaseMatchesCascade(t *testing.T) {
 func TestBatchedReleaseCommitsSomewhere(t *testing.T) {
 	_, _, _, bar := barrierTrajectory(t, Config{
 		Rows: 4, Cols: 4, Seed: 7, Tree: decomp.Ary2,
-	}, 12, false, false)
+	}, 12, false)
 	batched, cascaded := bar.batched, bar.cascaded
 	t.Logf("batched=%d cascaded=%d", batched, cascaded)
 	if batched == 0 {
 		t.Fatal("batched release never committed on the low-startup machine")
-	}
-}
-
-// TestBarrierReleaseWithFusedDelivery is the delivery-pipeline A/B on the
-// barrier's two release paths: with fused (single-event) delivery and
-// with the two-stage oracle, every simulated observable and the
-// batched/cascaded split must be bit-identical — on machines where the
-// batch commits, and on machines where the speculative replay starts and
-// the exactness gate rolls the InlineSendAt/InlineRecvAt journal back.
-func TestBarrierReleaseWithFusedDelivery(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		cfg       Config
-		wantAbort bool
-	}{
-		// Binary tree on GCel params: the batch commits (PR 4).
-		{"commit-mesh4x4-ary2-gcel", Config{Rows: 4, Cols: 4, Seed: 7, Tree: decomp.Ary2}, false},
-		// Low-startup machine, tight binary fan-out: commits.
-		{"commit-mesh2x2-ary2", Config{Rows: 2, Cols: 2, Seed: 3, Tree: decomp.Ary2, Net: fastParams()}, false},
-		// Low-startup but 16-wide fan-out under this trajectory's compute
-		// skew: the replay starts every epoch and rolls back.
-		{"abort-mesh8x8-ary16", Config{Rows: 8, Cols: 8, Seed: 9, Tree: decomp.Ary16, Net: fastParams()}, true},
-		// Ary4 on GCel params: the 100us startups serialize the fan-out
-		// enough that the replay aborts and rolls back its journal.
-		{"abort-mesh4x4-ary4-gcel", Config{Rows: 4, Cols: 4, Seed: 7, Tree: decomp.Ary4}, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			const rounds = 12
-			elF, congF, msgsF, barF := barrierTrajectory(t, tc.cfg, rounds, false, false)
-			batF, casF, abF, fusedF := barF.batched, barF.cascaded, barF.aborted, barF.m.K.Stat.FusedDeliveries
-			elT, congT, msgsT, barT := barrierTrajectory(t, tc.cfg, rounds, false, true)
-			batT, casT, abT, fusedT := barT.batched, barT.cascaded, barT.aborted, barT.m.K.Stat.FusedDeliveries
-			if fusedF == 0 {
-				t.Error("fused run delivered no fused hops")
-			}
-			if fusedT != 0 {
-				t.Error("two-stage run still delivered fused hops")
-			}
-			if elF != elT || congF != congT || msgsF != msgsT {
-				t.Errorf("observables diverged: fused (t=%v, %+v) vs two-stage (t=%v, %+v)",
-					elF, congF, elT, congT)
-			}
-			if batF != batT || casF != casT || abF != abT {
-				t.Errorf("release paths diverged: fused %d/%d batched/cascaded (%d aborts), two-stage %d/%d (%d aborts)",
-					batF, casF, abF, batT, casT, abT)
-			}
-			if tc.wantAbort && abF == 0 {
-				t.Errorf("expected the speculative replay to start and roll back, but no aborts happened (batched=%d cascaded=%d)", batF, casF)
-			}
-			if !tc.wantAbort && batF == 0 {
-				t.Errorf("expected the batch to commit, got batched=0 (cascaded=%d, aborts=%d)", casF, abF)
-			}
-		})
 	}
 }

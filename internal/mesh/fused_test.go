@@ -6,11 +6,10 @@ import (
 	"diva/internal/sim"
 )
 
-// TestFusedBusyRecvTiming pins the busy-CPU case of the fused delivery
-// pipeline with hand-computed times: when a message arrives while the
-// destination CPU is still working off an earlier receive startup, its
-// handler must run only once the CPU frees up — exactly as in the classic
-// two-stage pipeline — and the kernel stat must count the busy arrival.
+// TestFusedBusyRecvTiming pins the busy-CPU case of message delivery with
+// hand-computed times: when a message arrives while the destination CPU is
+// still working off an earlier receive startup, its handler must run only
+// once the CPU frees up, and the kernel stat must count the busy arrival.
 func TestFusedBusyRecvTiming(t *testing.T) {
 	k, nw := newTestNet(1, 2)
 	var times []sim.Time
@@ -35,107 +34,19 @@ func TestFusedBusyRecvTiming(t *testing.T) {
 	if got := k.Stat.FusedBusyRecv; got != 1 {
 		t.Errorf("FusedBusyRecv = %d, want 1 (second arrival found the CPU busy)", got)
 	}
-	if got := k.Stat.TwoStageDeliveries; got != 0 {
-		t.Errorf("TwoStageDeliveries = %d, want 0 in fused mode", got)
-	}
 }
 
-// stormRun drives a deterministic message storm (cross traffic, shared
-// destinations, mixed sizes, node-local deliveries) through one pipeline
-// and returns every observable: per-delivery (tag, time) order, link
-// loads, congestion, send stats, compute times and the kernel's event-
-// order fingerprint.
-func stormRun(t *testing.T, twoStage bool) (deliv []sim.Time, tags []int, cong Congestion, loads []LinkLoad, fp uint64, stat sim.Stats) {
-	t.Helper()
-	k := sim.New()
-	nw := NewNetwork(k, New(4, 4), testParams())
-	nw.SetTwoStageDelivery(twoStage)
-	const kind = 9
-	nw.Handle(kind, func(m *Msg) {
-		deliv = append(deliv, k.Now())
-		tags = append(tags, m.Tag)
-		// Every third delivery triggers a reply, so handler-issued sends
-		// interleave with the scheduled bursts.
-		if m.Tag%3 == 0 && m.Tag < 900 {
-			nw.SendPooledTag(m.Dst, m.Src, 17+m.Tag%31, kind, 900+m.Tag, nil)
-		}
-	})
-	// Bursts at staggered times: pseudo-random but fixed pattern.
-	h := uint64(0x9e3779b97f4a7c15)
-	for i := 0; i < 200; i++ {
-		h = h*6364136223846793005 + 1442695040888963407
-		src := int(h>>33) % 16
-		dst := int(h>>17) % 16
-		size := 8 + int(h>>7)%300
-		at := sim.Time(int(h>>45)%500) * 3
-		tag := i
-		k.At(at, func() { nw.SendPooledTag(src, dst, size, kind, tag, nil) })
-	}
+// TestFusedTimingGoldens pins the hand-computed delivery time of a two-hop
+// message: send startup, two link hops and the receive startup.
+func TestFusedTimingGoldens(t *testing.T) {
+	k, nw := newTestNet(1, 3)
+	var at sim.Time
+	nw.Handle(42, func(m *Msg) { at = k.Now() })
+	k.At(0, func() { nw.Send(&Msg{Src: 0, Dst: 2, Size: 50, Kind: 42}) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return deliv, tags, nw.Congestion(nil), nw.Loads(), k.Fingerprint(), k.Stat
-}
-
-// TestFusedMatchesTwoStage is the pipeline A/B: the fused single-event
-// delivery must reproduce the classic two-stage pipeline on every
-// observable — delivery order and times, congestion, per-link loads, and
-// even the kernel's executed (t, seq) fingerprint, because the lazy
-// arrive stage occupies the exact queue position of the skipped arrive
-// event.
-func TestFusedMatchesTwoStage(t *testing.T) {
-	dF, tagF, congF, loadsF, fpF, statF := stormRun(t, false)
-	dT, tagT, congT, loadsT, fpT, statT := stormRun(t, true)
-	if len(dF) != len(dT) {
-		t.Fatalf("delivery counts differ: fused %d, two-stage %d", len(dF), len(dT))
-	}
-	for i := range dF {
-		if dF[i] != dT[i] || tagF[i] != tagT[i] {
-			t.Fatalf("delivery %d differs: fused (tag %d, t=%v), two-stage (tag %d, t=%v)",
-				i, tagF[i], dF[i], tagT[i], dT[i])
-		}
-	}
-	if congF != congT {
-		t.Errorf("congestion differs: fused %+v, two-stage %+v", congF, congT)
-	}
-	for i := range loadsF {
-		if loadsF[i] != loadsT[i] {
-			t.Errorf("link %d load differs: fused %+v, two-stage %+v", i, loadsF[i], loadsT[i])
-		}
-	}
-	if fpF != fpT {
-		t.Errorf("kernel fingerprints differ: fused %#x, two-stage %#x (event order not bit-identical)", fpF, fpT)
-	}
-	if statF.FusedDeliveries == 0 || statF.TwoStageDeliveries != 0 {
-		t.Errorf("fused run stats: %+v, want all hops fused", statF)
-	}
-	if statT.FusedDeliveries != 0 || statT.TwoStageDeliveries == 0 {
-		t.Errorf("two-stage run stats: %+v, want all hops two-stage", statT)
-	}
-	if statF.FusedDeliveries != statT.TwoStageDeliveries {
-		t.Errorf("hop counts differ: fused %d, two-stage %d",
-			statF.FusedDeliveries, statT.TwoStageDeliveries)
-	}
-	if statF.FusedBusyRecv == 0 {
-		t.Error("storm produced no busy-CPU arrivals; the test no longer covers the fallback charging")
-	}
-}
-
-// TestFusedTimingGoldens re-runs the hand-computed timing checks of the
-// classic pipeline through the two-stage oracle, pinning that the suite's
-// other timing tests (which run fused by default) cover the same math.
-func TestFusedTimingGoldens(t *testing.T) {
-	for _, twoStage := range []bool{false, true} {
-		k, nw := newTestNet(1, 3)
-		nw.SetTwoStageDelivery(twoStage)
-		var at sim.Time
-		nw.Handle(42, func(m *Msg) { at = k.Now() })
-		k.At(0, func() { nw.Send(&Msg{Src: 0, Dst: 2, Size: 50, Kind: 42}) })
-		if err := k.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if at != 260 {
-			t.Fatalf("twoStage=%v: delivered at %v, want 260", twoStage, at)
-		}
+	if at != 260 {
+		t.Fatalf("delivered at %v, want 260", at)
 	}
 }

@@ -111,18 +111,10 @@ type Network struct {
 
 	// arriveFn/readyFn are the two delivery stages, bound once so every
 	// message schedules through the kernel's typed-callback events
-	// instead of two fresh closures. In the fused pipeline (the default)
-	// the arrive stage runs on the kernel's lazy tier — same (t, seq)
-	// position, same charges, no regular event — so a hop costs one
-	// regular kernel event; in two-stage mode both stages are regular
-	// events.
+	// instead of two fresh closures.
 	arriveFn func(interface{})
 	readyFn  func(interface{})
 
-	// twoStage forces the classic two-event arrive → ready pair for
-	// every hop: the oracle the fused pipeline is A/B tested against
-	// (SetTwoStageDelivery).
-	twoStage bool
 	// pool recycles pooled messages (the simulation is single-threaded, so
 	// a plain free list does what sync.Pool would, without the overhead).
 	pool msgPool
@@ -284,12 +276,6 @@ func NewNetworkOn(k *sim.Kernel, r *Routes, p Params) *Network {
 	return nw
 }
 
-// SetTwoStageDelivery forces the classic two-event (arrive → ready)
-// delivery pipeline for every hop instead of the fused single-event
-// pipeline. Both produce bit-identical simulated results — the switch
-// exists as the exact-by-construction oracle for A/B tests.
-func (nw *Network) SetTwoStageDelivery(on bool) { nw.twoStage = on }
-
 // AcquireMsg returns a zeroed message from the network's free list (or a
 // fresh one). It is recycled automatically after its destination handler
 // returns; see Msg for the retention contract. SendPooled wraps the common
@@ -402,16 +388,10 @@ func (nw *Network) chargeSend(src int) sim.Time {
 	return depart
 }
 
-// deliverAfterRoute routes m starting at depart and schedules the arrival
-// stage. In the fused pipeline (the default) the arrive stage runs on the
-// kernel's lazy event tier: it executes at the exact (time, schedule
-// order) position its regular event would occupy — charging the
-// destination CPU identically and interleaving identically with every
-// other event — but without costing a regular kernel event, so a hop's
-// regular event traffic is the single ready event. In two-stage mode
-// (SetTwoStageDelivery, the A/B oracle) the arrive stage is a regular
-// event, the classic pair. Either way both stages are typed events
-// carrying the *Msg itself — no closures, no allocations.
+// deliverAfterRoute routes m starting at depart and schedules the arrive
+// stage at the arrival time; the arrive stage schedules the ready stage,
+// which dispatches. Both are typed events carrying the *Msg itself — no
+// closures, no allocations.
 func (nw *Network) deliverAfterRoute(m *Msg, depart sim.Time) {
 	if nw.react != nil {
 		// Reactive mode: stamp the channel sequence, register the
@@ -434,33 +414,22 @@ func (nw *Network) deliverAfterRoute(m *Msg, depart sim.Time) {
 		}
 		return
 	}
-	if nw.twoStage {
-		kd.Stat.TwoStageDeliveries++
-		kd.AtCall(arrive, nw.arriveFn, m)
-		return
-	}
 	kd.Stat.FusedDeliveries++
-	kd.AtLazyCall(arrive, nw.arriveFn, m)
+	kd.AtCall(arrive, nw.arriveFn, m)
 }
 
-// msgArrive charges the receive overhead on the destination CPU and
-// schedules the handler dispatch. It runs at the arrival time — on the
-// lazy tier in the fused pipeline, as a regular event in two-stage mode;
-// the charging is identical.
+// msgArrive runs at the arrival time: it charges the receive overhead on
+// the destination CPU and schedules the handler dispatch for when that
+// overhead is done.
 func (nw *Network) msgArrive(x interface{}) {
 	m := x.(*Msg)
 	k := nw.K
 	t := k.Now()
 	if f := nw.cpuFree[m.Dst]; f > t {
 		// The receiver's CPU is busy at arrival: the receive startup
-		// queues behind it. Still one regular event in the fused
-		// pipeline — but worth counting, because a send-time fusion
-		// (predicting the ready time when the message departs) would
-		// have had to fall back to the two-event path here.
+		// queues behind it.
 		t = f
-		if !nw.twoStage {
-			k.Stat.FusedBusyRecv++
-		}
+		k.Stat.FusedBusyRecv++
 	}
 	ready := t + nw.P.StartupRecvUS
 	nw.cpuFree[m.Dst] = ready

@@ -30,7 +30,7 @@ func BenchmarkKernelEventChurn(b *testing.B) {
 // event queue at a standing population of `size` events: the queue is
 // pre-filled with uniformly spread timestamps and every executed event
 // reschedules itself `size` microseconds ahead, so each iteration is one
-// push + one pop at that depth. The heap oracle pays O(log n) sifts here;
+// push + one pop at that depth. A heap pays O(log n) sifts here;
 // the ladder's amortized cost stays flat as size grows (compare the
 // BenchmarkKernelQueue* ns/op against each other in BENCH_*.json).
 func benchKernelQueue(b *testing.B, size int) {

@@ -78,3 +78,31 @@ func TestCancelUnsetIsFree(t *testing.T) {
 		t.Fatalf("ran %d events, want %d", ran, 2*cancelCheckEvery)
 	}
 }
+
+// TestCancelTimerOnlyRun: timers are executed events like any other, so a
+// run made only of timers reaches the checkpoint too. A self-re-arming timer
+// sets the flag at its first firing; the run must stop within one polling
+// period instead of executing all of its firings.
+func TestCancelTimerOnlyRun(t *testing.T) {
+	k := New()
+	flag := new(atomic.Bool)
+	k.SetCancel(flag)
+	const total = 5_000_000
+	ran := 0
+	var fire func(interface{})
+	fire = func(interface{}) {
+		ran++
+		flag.Store(true)
+		if ran < total {
+			k.TimerAt(k.Now()+1, fire, nil)
+		}
+	}
+	k.TimerAt(1, fire, nil)
+	err := k.Run()
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("Run() = %v after %d of %d timer firings, want ErrCanceled", err, ran, total)
+	}
+	if ran > cancelCheckEvery {
+		t.Fatalf("%d timer firings ran past a set flag; the checkpoint is every %d events", ran, cancelCheckEvery)
+	}
+}

@@ -29,7 +29,7 @@
 // paths (proc wakeups, message deliveries) schedule with zero
 // allocations.
 //
-// The default queue is a ladder/calendar queue (ladder.go) with three
+// It is a ladder/calendar queue (ladder.go) with three
 // nested tiers: a sorted "front" (the current epoch, popped by index
 // increment — O(1)), a stack of rungs whose equal-width buckets partition
 // successive time intervals (each deeper rung refines one bucket of its
@@ -55,29 +55,35 @@
 //   - ties are broken by the globally monotone sequence number
 //     everywhere, so pop order is the strict (t, seq) order.
 //
-// The retained 4-ary min-heap (heapq.go) pops in the provably identical
-// order and stays behind Kernel.SetHeapQueue and the diva_heapq build tag
-// as the differential-test oracle: randomized and fuzzed (t, seq)
-// workloads must produce byte-identical pop sequences from both
-// (ladder_test.go), and the whole test suite runs against the heap build
-// in CI.
-//
 // Events scheduled at the current timestamp — future completions, yields,
 // spawn kick-offs: the bulk of the protocol layer's churn — bypass the
-// queue entirely through a FIFO, which is exact: such an event is younger
-// than every queued event of the same timestamp, so FIFO order is
-// (time, sequence) order.
+// ladder through a FIFO, which is exact: such an event is younger than
+// every queued event of the same timestamp, so FIFO order is (time,
+// sequence) order. Timers (TimerAt,
+// timer.go) live in an indexed binary heap of their own, the only tier
+// that can remove an event before it runs (CancelTimer). The loop selects
+// the next event across these three tiers by (t, seq) and is the one place
+// that advances the clock, counts, folds the fingerprint, polls
+// cancellation and dispatches.
+//
+// A 4-ary min-heap (heapq_test.go) is the test-only reference: randomized
+// and fuzzed (t, seq) workloads must pop byte-identically from it and the
+// ladder (ladder_test.go), and random mixes of all three tiers — events at
+// now and later, process wake-ups, timers canceled from callbacks — must
+// execute in its order with the same event count and fingerprint
+// (order_test.go).
 //
 // # Storage
 //
 // The kernel has one storage layer for events, evStore (store.go). Every
-// []event it queues on — front, tail and rung buckets of the regular and
-// the lazy ladder queue, the same-timestamp FIFO, the epoch-sort scratch —
+// []event it queues on — front, tail and rung buckets of the ladder, the
+// same-timestamp FIFO, the epoch-sort scratch —
 // is a slab: capacity a power of two from 8 events (256 bytes) up to 2^20,
 // one free list per size class. A request beyond the largest class is
 // allocated exactly and not kept. The callback payload table and its free
 // stack, the scratch of a rung spawn and retired rung structs belong to
-// the same store, so both queues share all of it.
+// the same store. The timer heap keeps its own arrays; a timer's callback
+// takes a payload slot like any other.
 //
 // A slab has one owner at a time. A tier takes one with get (or grow, which
 // moves its events to the next class and puts the old slab back) when it
@@ -119,20 +125,6 @@
 // StoreStats reports
 // sets and bytes resident, adoptions, and the slab hits and misses of the
 // kernels that have handed over; /v1/healthz shows them as kernel_store_*.
-//
-// # The lazy event tier
-//
-// AtLazyCall schedules a callback that executes at the exact (t, seq)
-// position a regular event would occupy — the loop runs due lazy events
-// inline during event selection, advancing the clock and folding them
-// into the fingerprint exactly as if popped — but without a regular
-// event's pop. A lazy event can never resume a process. The network's
-// fused delivery pipeline runs the per-hop arrive stage here: a message
-// hop costs one regular kernel event (the handler dispatch) instead of
-// two, while charging, event interleaving, sequence allocation and thus
-// every simulated metric stay bit-identical to the two-stage pipeline
-// (Network.SetTwoStageDelivery is the A/B oracle; the A/B tests pin equal
-// kernel fingerprints across all four queue x pipeline combinations).
 //
 // # Process switches
 //

@@ -1,11 +1,10 @@
 package sim
 
-// heapQueue is the retained 4-ary min-heap event queue: the oracle the
-// ladder queue (ladder.go) is differentially tested against, and the
-// kernel's queue implementation when the diva_heapq build tag — or
-// Kernel.SetHeapQueue — selects it. Both implementations pop events in
-// the exact same strict (t, seq) order; see the fuzz/property tests in
-// ladder_test.go.
+// heapQueue is a 4-ary min-heap event queue: the reference the ladder
+// queue (ladder.go) and the kernel's three-tier event selection are
+// differentially tested against. It pops in strict (t, seq) order by
+// construction; see the fuzz and property tests in ladder_test.go and
+// order_test.go.
 //
 // Entries live unboxed in a plain []event backing array with inlined
 // sift-up/sift-down (a 4-ary heap halves the tree depth vs. a binary heap

@@ -18,7 +18,7 @@ type Time = float64
 // wakeups — the most frequent event by far — carry their payload inline;
 // callbacks pay one indirection. Keeping the queue entry at 32 bytes
 // (vs. 56 with the callback variants unboxed inline) nearly halves the
-// memory traffic of the sift operations, which dominate pop.
+// memory the ladder's appends, inserts and epoch sorts move.
 type event struct {
 	t    Time
 	seq  uint64
@@ -45,22 +45,15 @@ func (e *event) before(o *event) bool {
 }
 
 // Stats are cumulative counters of kernel activity. Events counts every
-// executed event — regular pops and lazy-tier executions (including
-// skipped wakeups of killed processes). The delivery counters are
-// maintained by the network layer: FusedDeliveries counts message hops
-// delivered through the fused single-event pipeline (the arrive stage ran
-// on the lazy tier), FusedBusyRecv the subset of those that found the
-// receiver's CPU busy at arrival (the receive startup then queues behind
-// it — still one regular event, but the case a send-time fusion would
-// have had to fall back on), and TwoStageDeliveries counts hops through
-// the classic arrive → ready event pair when two-stage delivery is
-// forced. FusedDeliveries / (FusedDeliveries + TwoStageDeliveries) is the
-// fused hit rate PERF.md tracks.
+// executed event, timers and skipped wakeups of killed processes included.
+// The delivery counters are maintained by the network layer:
+// FusedDeliveries counts delivered message hops, FusedBusyRecv the arrivals
+// among them that found the receiver's CPU busy, so the receive startup
+// queued behind it.
 type Stats struct {
-	Events             uint64
-	FusedDeliveries    uint64
-	FusedBusyRecv      uint64
-	TwoStageDeliveries uint64
+	Events          uint64
+	FusedDeliveries uint64
+	FusedBusyRecv   uint64
 }
 
 // Kernel is the simulation engine. The zero value is not usable; construct
@@ -68,26 +61,14 @@ type Stats struct {
 type Kernel struct {
 	now Time
 	seq uint64
-	lq  ladderQueue // default event queue (ladder.go)
-	hq  heapQueue   // oracle event queue, selected by SetHeapQueue
-	// lazyq is the lazy event tier (AtLazyCall): callbacks executed
-	// inline at the loop's pop boundary, in their exact (t, seq) queue
-	// position, without costing a regular event pop. The network's fused
-	// delivery runs every arrive stage here, making a message hop one
-	// regular kernel event instead of two.
-	lazyq ladderQueue
+	lq  ladderQueue // the event queue (ladder.go)
 	// tq is the timer tier (TimerAt/CancelTimer, timer.go): cancelable
-	// timeout events in an indexed heap, executed inline like the lazy
-	// tier but removable without tombstones.
-	tq timerQueue
-	// useHeap routes scheduling through the retained 4-ary heap instead
-	// of the ladder queue: the differential-test oracle, and a whole-run
-	// A/B switch (default from the diva_heapq build tag).
-	useHeap bool
-	procs   []*Proc
+	// timeout events in an indexed heap, removable without tombstones.
+	tq    timerQueue
+	procs []*Proc
 
 	// Stat is written by the kernel and — for the delivery counters — by
-	// the network layer; read it after Run for hit-rate reporting.
+	// the network layer; read it after Run.
 	Stat    Stats
 	stopped bool
 	fp      uint64 // running hash of the executed event order
@@ -110,13 +91,13 @@ type Kernel struct {
 	// nowq is a FIFO bypass for events scheduled at the current time —
 	// future completions, yields, spawn kick-offs. Such an event is always
 	// younger (higher seq) than every queued event of the same timestamp,
-	// so FIFO order is (t, seq) order and the heap's O(log n) sift is
-	// avoided entirely for the same-timestamp churn of the protocol layer.
+	// so FIFO order is (t, seq) order and the same-timestamp churn of the
+	// protocol layer never pays the ladder's sorted insertion.
 	nowq     []event
 	nowqHead int
 
-	// st is the kernel's event storage (store.go): the slabs lq, lazyq
-	// and nowq queue on and the callback payload table. It is handed to the
+	// st is the kernel's event storage (store.go): the slabs lq and nowq
+	// queue on and the callback payload table. It is handed to the
 	// process-wide stock when Run returns with nothing pending and adopted
 	// from there on first need.
 	st evStore
@@ -124,9 +105,8 @@ type Kernel struct {
 
 // New returns an empty kernel at time 0.
 func New() *Kernel {
-	k := &Kernel{useHeap: defaultHeapQueue}
+	k := &Kernel{}
 	k.lq.init(&k.st)
-	k.lazyq.init(&k.st)
 	return k
 }
 
@@ -134,23 +114,11 @@ func New() *Kernel {
 func (k *Kernel) Now() Time { return k.now }
 
 // Pending returns the number of scheduled events that have not executed
-// yet, including lazy-tier and timer events. It is exact at every point,
-// so event callbacks can use it as a quiescence check: Pending() == 0
-// means nothing else is in flight besides the running callback.
+// yet, timers included. It is exact at every point, so event callbacks can
+// use it as a quiescence check: Pending() == 0 means nothing else is in
+// flight besides the running callback.
 func (k *Kernel) Pending() int {
-	return k.lq.len() + k.hq.len() + k.lazyq.len() + k.tq.len() + len(k.nowq) - k.nowqHead
-}
-
-// SetHeapQueue selects the event queue implementation: the retained 4-ary
-// heap oracle (true) or the default ladder queue (false). Both pop in the
-// exact same (t, seq) order, so whole-run results are identical; the
-// switch exists for A/B tests and the diva_heapq build tag flips the
-// default. It must be called before any event is scheduled.
-func (k *Kernel) SetHeapQueue(useHeap bool) {
-	if k.Pending() > 0 {
-		panic("sim: SetHeapQueue with events already scheduled")
-	}
-	k.useHeap = useHeap
+	return k.lq.len() + k.tq.len() + len(k.nowq) - k.nowqHead
 }
 
 // SetPinned does nothing.
@@ -165,10 +133,8 @@ func (k *Kernel) SetPinned(pinned bool) {}
 func (k *Kernel) Fingerprint() uint64 { return k.fp }
 
 // fold records an executed event's (time, sequence) pair in the
-// fingerprint hash chain. Every executed event — regular pop, FIFO
-// bypass, or lazy tier — folds through this one function, so the
-// bit-identical-order guarantees pinned by the A/B tests cannot drift
-// between execution sites.
+// fingerprint hash chain. loop is its only caller: every event, whichever
+// tier it came from, folds there.
 func (k *Kernel) fold(e *event) {
 	k.fp = k.fp*fpGolden + (math.Float64bits(e.t) ^ e.seq)
 }
@@ -206,101 +172,45 @@ func (k *Kernel) checkPast(t Time) {
 }
 
 // sched enqueues e: same-timestamp events take the FIFO bypass, future
-// events the selected queue (ladder by default, heap in oracle mode).
-// Both orders compose to the global (t, seq) order — see the nowq field
-// comment.
+// events the ladder. Both orders compose to the global (t, seq) order — see
+// the nowq field comment.
 func (k *Kernel) sched(e event) {
 	if e.t == k.now {
 		k.nowq = k.st.add(k.nowq, e)
 		return
 	}
-	if k.useHeap {
-		k.hq.push(e)
-		return
-	}
 	k.lq.push(e)
 }
 
-// next selects and removes the globally next event by strict (t, seq)
-// order across all tiers — the main queue, the same-timestamp FIFO
-// bypass, and the lazy tier. Due lazy events are executed inline here
-// (with the clock advanced to their timestamps, exactly as if popped);
-// the returned event is always a regular one. ok is false when the
-// pending events were all lazy (everything ran inline) or a lazy
-// callback stopped the kernel — the caller re-evaluates.
-func (k *Kernel) next() (event, bool) {
-	for {
-		var reg *event
-		if k.useHeap {
-			if k.hq.len() > 0 {
-				reg = &k.hq.h[0]
-			}
-		} else {
-			reg = k.lq.peek()
+// next removes and returns the globally next event by strict (t, seq)
+// order across the three tiers: the ladder, the same-timestamp FIFO and the
+// timer heap. A timer comes back as the event of its callback's payload
+// slot. The caller has checked that an event is pending.
+func (k *Kernel) next() event {
+	e := k.lq.peek()
+	fromNowq := false
+	if k.nowqHead < len(k.nowq) {
+		// A bypass entry is younger than every queued event of its
+		// timestamp, so the (t, seq) comparison reproduces the "queue
+		// first at equal time" rule exactly.
+		if h := &k.nowq[k.nowqHead]; e == nil || h.before(e) {
+			e, fromNowq = h, true
 		}
-		fromNowq := false
-		if k.nowqHead < len(k.nowq) {
-			// A bypass entry is younger than every queued event of its
-			// timestamp, so the (t, seq) comparison reproduces the
-			// "queue first at equal time" rule exactly.
-			if h := &k.nowq[k.nowqHead]; reg == nil || h.before(reg) {
-				reg = h
-				fromNowq = true
-			}
-		}
-		// The inline tiers — lazy events and timers — execute at the pop
-		// boundary in their exact (t, seq) positions. Pick the earlier of
-		// the two tier heads, then compare against the regular candidate.
-		le := k.lazyq.peek()
-		te := k.tq.peek()
-		if le != nil || te != nil {
-			useTimer := le == nil || (te != nil && (te.t < le.t || (te.t == le.t && te.seq < le.seq)))
-			var ct Time
-			var cs uint64
-			if useTimer {
-				ct, cs = te.t, te.seq
-			} else {
-				ct, cs = le.t, le.seq
-			}
-			if reg == nil || ct < reg.t || (ct == reg.t && cs < reg.seq) {
-				if useTimer {
-					t := k.tq.popFront()
-					k.now = t.t
-					k.Stat.Events++
-					e := event{t: t.t, seq: t.seq}
-					k.fold(&e)
-					t.fn(t.arg)
-				} else {
-					e := k.lazyq.popFront()
-					k.now = e.t
-					k.Stat.Events++
-					k.fold(&e)
-					pl := k.takeSlot(e.slot)
-					pl.hfn(pl.arg)
-				}
-				if k.stopped {
-					return event{}, false
-				}
-				continue // the callback may have refilled any tier
-			}
-		}
-		if reg == nil {
-			return event{}, false
-		}
-		if fromNowq {
-			e := *reg
-			k.nowqHead++
-			if k.nowqHead == len(k.nowq) {
-				k.nowq = k.nowq[:0]
-				k.nowqHead = 0
-			}
-			return e, true
-		}
-		if k.useHeap {
-			return k.hq.pop(), true
-		}
-		return k.lq.popFront(), true
 	}
+	if te := k.tq.peek(); te != nil && (e == nil || te.t < e.t || (te.t == e.t && te.seq < e.seq)) {
+		t := k.tq.popFront()
+		return event{t: t.t, seq: t.seq, slot: t.pay}
+	}
+	if !fromNowq {
+		return k.lq.popFront()
+	}
+	h := *e
+	k.nowqHead++
+	if k.nowqHead == len(k.nowq) {
+		k.nowq = k.nowq[:0]
+		k.nowqHead = 0
+	}
+	return h
 }
 
 // slot stores a callback payload and returns its table index.
@@ -329,22 +239,6 @@ func (k *Kernel) At(t Time, fn func()) {
 func (k *Kernel) AtCall(t Time, fn func(interface{}), arg interface{}) {
 	k.checkPast(t)
 	k.sched(event{t: t, seq: k.allocSeq(), slot: k.slot(payload{hfn: fn, arg: arg})})
-}
-
-// AtLazyCall schedules fn(arg) on the lazy event tier. The callback runs
-// in event context at the exact (t, schedule-order) position a regular
-// AtCall event would occupy — same Now(), same interleaving with every
-// other event, same sequence numbers allocated by everything it schedules
-// — but it is executed inline inside the loop's event selection instead
-// of costing a regular queue pop, and it can never be the event that
-// resumes a process. Whole-run behavior is therefore bit-identical to
-// AtCall; the point is price: the network's fused delivery runs the
-// per-hop arrive stage here, halving the regular event traffic of every
-// message. The callback must not block; scheduling further events (lazy
-// or regular) from it is fine.
-func (k *Kernel) AtLazyCall(t Time, fn func(interface{}), arg interface{}) {
-	k.checkPast(t)
-	k.lazyq.push(event{t: t, seq: k.allocSeq(), slot: k.slot(payload{hfn: fn, arg: arg})})
 }
 
 // atProc schedules p to resume at absolute time t, with no allocation.
@@ -428,29 +322,26 @@ func (k *Kernel) foldSwitches() {
 // The kernel stays usable; scheduling again adopts storage afresh.
 func (k *Kernel) releaseStore() {
 	k.lq.reset()
-	k.lazyq.reset()
 	k.st.put(k.nowq)
 	k.nowq = nil
 	k.st.release()
 }
 
 // loop executes events on the calling goroutine: the driver (self nil, the
-// caller of Run) or a parked process. It
-// returns when it pops the wakeup of self, so park returns without a switch.
-// On another process's wakeup the driver resumes it and goes on; a process
-// names it in k.to and yields to the driver, to return from park when it is
-// resumed in turn. When nothing is left to run here the driver returns and a
-// process yields, to be unwound by a kill.
-// doc.go, "Process switches", has the state table.
+// caller of Run) or a parked process. It is the one place that advances the
+// clock, counts, folds the fingerprint, polls cancellation and dispatches,
+// whichever tier an event came from. It returns when it pops the wakeup of
+// self, so park returns without a switch. On another process's wakeup the
+// driver resumes it and goes on; a process names it in k.to and yields to
+// the driver, to return from park when it is resumed in turn. When nothing
+// is left to run here the driver returns and a process yields, to be
+// unwound by a kill. doc.go, "Process switches", has the state table.
 func (k *Kernel) loop(self *Proc) {
 	for k.Pending() > 0 && !k.stopped {
 		if k.cancel != nil && k.checkCancel() {
 			break // cancellation checkpoint hit; Run returns CanceledError
 		}
-		e, ok := k.next()
-		if !ok {
-			continue // only lazy events were due; re-evaluate
-		}
+		e := k.next()
 		k.now = e.t
 		k.Stat.Events++
 		k.fold(&e)

@@ -5,15 +5,15 @@ import (
 	"math/bits"
 )
 
-// ladderQueue is the kernel's default event queue: a ladder/calendar queue
-// with an O(1) sorted-epoch front, rung buckets partitioned by timestamp,
-// and an unsorted overflow tail. Amortized it does O(1) work per event —
-// every event is appended to a bucket or the tail a bounded number of
-// times and participates in exactly one sort whose cost is shared by its
-// whole epoch — where a heap pays O(log n) sift traffic on every push and
-// pop. Pop order is provably identical to the heap's strict (t, seq)
-// order; the retained heapQueue (heapq.go) is the differential-test
-// oracle pinning that claim (ladder_test.go).
+// ladderQueue is the kernel's event queue for events after the current
+// timestamp: a ladder/calendar queue with an O(1) sorted-epoch front, rung
+// buckets partitioned by timestamp, and an unsorted overflow tail.
+// Amortized it does O(1) work per event — every event is appended to a
+// bucket or the tail a bounded number of times and participates in exactly
+// one sort whose cost is shared by its whole epoch — where a heap pays
+// O(log n) sift traffic on every push and pop. Pop order is provably the
+// strict (t, seq) order; the test-only 4-ary heap (heapq_test.go) is the
+// differential reference pinning that claim (ladder_test.go).
 //
 // Structure, nearest times first:
 //
@@ -52,7 +52,7 @@ import (
 // rung so the insertion cost stays bounded.
 //
 // Storage: front, tail and every bucket are slabs of the kernel's evStore
-// (store.go), shared by the kernel's two ladder queues. A tier holds a slab
+// (store.go), which the same-timestamp FIFO draws from too. A tier holds a slab
 // only while it holds events: the consumed front, a bucket spread into a
 // child rung and a converted tail go back to the store at once, and an
 // empty bucket is nil.
@@ -297,19 +297,13 @@ func (q *ladderQueue) peek() *event {
 	return &q.front[q.fh]
 }
 
-// pop removes and returns the minimum event. Consumed entries are left
-// in place until their slab is reused: an event holds no payload — only a
-// *Proc (alive via Kernel.procs regardless) or a payload-table slot index
-// — so stale copies retain nothing the GC could free while the kernel
-// lives, and the store scrubs them before it outlives the kernel.
-func (q *ladderQueue) pop() event {
-	q.ensureFront()
-	return q.popFront()
-}
-
 // popFront removes the front head; the caller has already peeked it (so
 // the front is known nonempty). Small enough to inline into the kernel's
-// event selection.
+// event selection. Consumed entries are left in place until their slab is
+// reused: an event holds no payload — only a *Proc (alive via
+// Kernel.procs regardless) or a payload-table slot index — so stale copies
+// retain nothing the GC could free while the kernel lives, and the store
+// scrubs them before it outlives the kernel.
 func (q *ladderQueue) popFront() event {
 	e := q.front[q.fh]
 	q.fh++

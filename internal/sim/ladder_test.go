@@ -21,6 +21,14 @@ type evQueue interface {
 	len() int
 }
 
+// ladderPops adapts the kernel's peek/popFront use of the ladder to evQueue.
+type ladderPops struct{ *ladderQueue }
+
+func (q ladderPops) pop() event {
+	q.peek()
+	return q.popFront()
+}
+
 func runQueue(q evQueue, ops qops) []event {
 	var out []event
 	seq := uint64(0)
@@ -52,15 +60,15 @@ func runQueue(q evQueue, ops qops) []event {
 }
 
 // checkIdentical is the differential property: the ladder queue must pop
-// the byte-identical event order the retained heap oracle pops — on fresh
+// the byte-identical event order the heap reference pops — on fresh
 // storage and on storage recycled from a previous, differently shaped run.
 func checkIdentical(t *testing.T, ops qops) {
 	t.Helper()
 	want := runQueue(&heapQueue{}, ops)
 	lq := &ladderQueue{}
 	lq.init(&evStore{own: true})
-	checkPops(t, "fresh storage", runQueue(lq, ops), want)
-	checkPops(t, "recycled storage", runQueue(recycledLadder(ops), ops), want)
+	checkPops(t, "fresh storage", runQueue(ladderPops{lq}, ops), want)
+	checkPops(t, "recycled storage", runQueue(ladderPops{recycledLadder(ops)}, ops), want)
 }
 
 // recycledLadder returns a ladder queue whose store went through the whole
@@ -75,7 +83,7 @@ func recycledLadder(ops qops) *ladderQueue {
 	st := &evStore{own: true}
 	prev := &ladderQueue{}
 	prev.init(st)
-	runQueue(prev, shape)
+	runQueue(ladderPops{prev}, shape)
 	prev.reset()
 	st.release()
 	lq := &ladderQueue{}

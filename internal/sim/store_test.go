@@ -21,18 +21,9 @@ func emptyStock() {
 
 func stockSetCount() int { return StoreStats().Sets }
 
-// newLadderKernel returns an unpinned kernel on the ladder queue whatever
-// the build tag's default: these tests are about the ladder's storage.
-func newLadderKernel() *Kernel {
-	k := New()
-	k.SetHeapQueue(false)
-	k.SetPinned(false)
-	return k
-}
-
 // storeWorkload loads k with a run that touches every holder of storage:
 // processes on timed waits (events carrying *Proc), closures, typed
-// callbacks with pointer arguments, lazy-tier callbacks, same-timestamp
+// callbacks with pointer arguments, timers, same-timestamp
 // bursts through the FIFO bypass, and enough spread to build rungs and a
 // tail. shape varies the population and the time scale.
 func storeWorkload(k *Kernel, shape int) {
@@ -55,7 +46,7 @@ func storeWorkload(k *Kernel, shape int) {
 		b := x.(*box)
 		if b.left--; b.left > 0 {
 			k.AtCall(k.Now()+Time(3+b.left%11)*Time(shape+1), tick, b)
-			k.AtLazyCall(k.Now()+Time(b.left%7), func(interface{}) {}, b)
+			k.TimerAt(k.Now()+Time(b.left%7), func(interface{}) {}, b)
 		}
 	}
 	for i := 0; i < 10*n; i++ {
@@ -79,7 +70,7 @@ func mustRun(t *testing.T, k *Kernel) {
 func TestStoreKeptWhilePending(t *testing.T) {
 	t.Run("stop", func(t *testing.T) {
 		emptyStock()
-		k := newLadderKernel()
+		k := New()
 		for i := 1; i <= 100; i++ {
 			k.At(Time(i), func() {})
 		}
@@ -94,7 +85,7 @@ func TestStoreKeptWhilePending(t *testing.T) {
 	})
 	t.Run("cancel", func(t *testing.T) {
 		emptyStock()
-		k := newLadderKernel()
+		k := New()
 		var flag atomic.Bool
 		k.SetCancel(&flag)
 		var again func()
@@ -114,7 +105,7 @@ func TestStoreKeptWhilePending(t *testing.T) {
 	})
 	t.Run("deadlock", func(t *testing.T) {
 		emptyStock()
-		k := newLadderKernel()
+		k := New()
 		k.Spawn("stuck", func(p *Proc) {
 			p.Wait(5)
 			NewFuture().Await(p)
@@ -136,7 +127,7 @@ func TestStoreKeptWhilePending(t *testing.T) {
 func TestStoreRerunAdoptsLazily(t *testing.T) {
 	// Reference: every phase starts on an empty stock.
 	emptyStock()
-	ref := newLadderKernel()
+	ref := New()
 	storeWorkload(ref, 1)
 	mustRun(t, ref)
 	emptyStock()
@@ -145,13 +136,13 @@ func TestStoreRerunAdoptsLazily(t *testing.T) {
 
 	// Recycled: the stock holds a differently shaped run's set throughout.
 	emptyStock()
-	shaper := newLadderKernel()
+	shaper := New()
 	storeWorkload(shaper, 3)
 	mustRun(t, shaper)
 	if stockSetCount() != 1 {
 		t.Fatalf("finished kernel left %d sets in the stock, want 1", stockSetCount())
 	}
-	k := newLadderKernel()
+	k := New()
 	adoptions := StoreStats().Adoptions
 	storeWorkload(k, 1)
 	if got := StoreStats().Adoptions; got != adoptions+1 {
@@ -180,12 +171,12 @@ func TestStoreRerunAdoptsLazily(t *testing.T) {
 // bucket — a finished machine must be collectable while its slabs live on.
 func TestReleasedStoreIsCleared(t *testing.T) {
 	emptyStock()
-	k := newLadderKernel()
+	k := New()
 	storeWorkload(k, 2)
 	mustRun(t, k)
 	// A second, smaller run on the adopted set: it dirties only part of
 	// it, and the low-water marks must still get everything it touched.
-	k2 := newLadderKernel()
+	k2 := New()
 	storeWorkload(k2, 0)
 	mustRun(t, k2)
 
@@ -256,11 +247,12 @@ func TestStoreTrimDropsLargestFirst(t *testing.T) {
 	}
 }
 
-// holdKernel builds a kernel with `size` standing events on one tier, each
-// rescheduling itself a pseudo-random increment ahead (the hold model),
-// and returns a function that executes n of them.
-func holdKernel(size int, lazy bool) (run func(n int)) {
-	k := newLadderKernel()
+// holdKernel builds a kernel with `size` standing events on one tier — the
+// ladder, or the timer heap — each rescheduling itself a pseudo-random
+// increment ahead (the hold model), and returns a function that executes n
+// of them.
+func holdKernel(size int, timers bool) (run func(n int)) {
+	k := New()
 	left := 0
 	rng := uint64(size)*2654435761 + 1
 	var fn func(interface{})
@@ -269,8 +261,8 @@ func holdKernel(size int, lazy bool) (run func(n int)) {
 		rng ^= rng >> 7
 		rng ^= rng << 17
 		at := k.Now() + Time(rng%uint64(2*size)) + 0.5
-		if lazy {
-			k.AtLazyCall(at, fn, nil)
+		if timers {
+			k.TimerAt(at, fn, nil)
 		} else {
 			k.AtCall(at, fn, nil)
 		}
@@ -279,8 +271,8 @@ func holdKernel(size int, lazy bool) (run func(n int)) {
 		}
 	}
 	for i := 0; i < size; i++ {
-		if lazy {
-			k.AtLazyCall(Time(i+1), fn, nil)
+		if timers {
+			k.TimerAt(Time(i+1), fn, nil)
 		} else {
 			k.AtCall(Time(i+1), fn, nil)
 		}
@@ -296,15 +288,16 @@ func holdKernel(size int, lazy bool) (run func(n int)) {
 
 // TestLadderSteadyStateZeroAlloc: once a kernel has cycled its population
 // a few times, every slab a tier asks for is on a free list — push, pop,
-// epoch sorts, rung spawns and tail conversions allocate nothing.
+// epoch sorts, rung spawns and tail conversions allocate nothing, and
+// neither does the timer heap.
 func TestLadderSteadyStateZeroAlloc(t *testing.T) {
 	for _, size := range []int{256, 65536} {
-		for _, lazy := range []bool{false, true} {
-			run := holdKernel(size, lazy)
+		for _, timers := range []bool{false, true} {
+			run := holdKernel(size, timers)
 			run(12 * size)
 			if allocs := testing.AllocsPerRun(4, func() { run(3 * size) }); allocs != 0 {
-				t.Errorf("%d standing events, lazy=%v: %.0f allocations per %d events, want 0",
-					size, lazy, allocs, 3*size)
+				t.Errorf("%d standing events, timers=%v: %.0f allocations per %d events, want 0",
+					size, timers, allocs, 3*size)
 			}
 		}
 	}
@@ -318,7 +311,7 @@ func TestKernelStoreConcurrent(t *testing.T) {
 	var want [shapes]uint64
 	for s := range want {
 		emptyStock()
-		k := newLadderKernel()
+		k := New()
 		storeWorkload(k, s)
 		mustRun(t, k)
 		want[s] = k.Fingerprint()
@@ -330,7 +323,7 @@ func TestKernelStoreConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 12; i++ {
 				s := (g + i) % shapes
-				k := newLadderKernel()
+				k := New()
 				storeWorkload(k, s)
 				if err := k.Run(); err != nil {
 					t.Error(err)

@@ -3,17 +3,15 @@ package sim
 // This file is the kernel's timer tier: cancelable timeout events for the
 // reactive transport and strategy-level failure detection. A timer is an
 // ordinary event in every observable respect — it is allocated a sequence
-// number when scheduled, executes at its exact (t, seq) position in the
-// global order, advances the clock, counts in Stat.Events and folds into
-// the fingerprint — but it lives in its own indexed heap so cancellation
+// number and a payload slot when scheduled, and the loop selects it at its
+// exact (t, seq) position in the global order and dispatches it like any
+// other callback — but it lives in its own indexed heap so cancellation
 // is a true removal: a canceled timer leaves no tombstone behind, consumes
 // no pop, and never perturbs the (t, seq) trajectory of the surviving
 // events. That is what keeps runs with many canceled retransmission timers
 // (the common case: almost every ack cancels one) fingerprint-identical
-// across fork/restore.
-//
-// Like the lazy tier, timers execute inline at the loop's pop boundary and
-// can never be the event that resumes a process; callbacks must not block.
+// across fork/restore. A timer can never resume a process; callbacks must
+// not block.
 
 // TimerID identifies a pending timer for cancellation. The zero TimerID is
 // never issued. Slots are recycled under a generation counter, so a stale
@@ -24,12 +22,12 @@ type TimerID struct {
 	gen  uint32
 }
 
-// timerEvent is one pending timer in the indexed heap.
+// timerEvent is one pending timer in the indexed heap: its place in the
+// order, the kernel payload slot of its callback, and its TimerID slot.
 type timerEvent struct {
 	t    Time
 	seq  uint64
-	fn   func(interface{})
-	arg  interface{}
+	pay  int32
 	slot int32
 }
 
@@ -79,7 +77,6 @@ func (q *timerQueue) popFront() timerEvent {
 		q.h[0] = q.h[last]
 		q.pos[q.h[0].slot] = 0
 	}
-	q.h[last] = timerEvent{} // drop fn/arg references
 	q.h = q.h[:last]
 	if last > 0 {
 		q.siftDown(0)
@@ -87,28 +84,29 @@ func (q *timerQueue) popFront() timerEvent {
 	return e
 }
 
-// remove cancels the timer identified by id; false when the id is stale.
-func (q *timerQueue) remove(id TimerID) bool {
+// remove cancels the timer identified by id and returns its payload slot;
+// false when the id is stale.
+func (q *timerQueue) remove(id TimerID) (int32, bool) {
 	if id.slot < 0 || int(id.slot) >= len(q.pos) || q.gen[id.slot] != id.gen {
-		return false
+		return 0, false
 	}
 	i := int(q.pos[id.slot])
 	if i < 0 {
-		return false
+		return 0, false
 	}
+	pay := q.h[i].pay
 	q.release(id.slot)
 	last := len(q.h) - 1
 	if i < last {
 		q.h[i] = q.h[last]
 		q.pos[q.h[i].slot] = int32(i)
 	}
-	q.h[last] = timerEvent{}
 	q.h = q.h[:last]
 	if i < last {
 		q.siftDown(i)
 		q.siftUp(i)
 	}
-	return true
+	return pay, true
 }
 
 // release retires a slot: bump the generation, mark inactive, recycle.
@@ -167,17 +165,21 @@ func (q *timerQueue) siftDown(i int) {
 // not block, and it can never be the event that resumes a process. Unlike
 // every other scheduling call, a pending timer can be revoked — CancelTimer
 // removes it outright, as if it had never been scheduled (only its sequence
-// number stays consumed, which both execution modes agree on).
+// number stays consumed).
 func (k *Kernel) TimerAt(t Time, fn func(interface{}), arg interface{}) TimerID {
 	k.checkPast(t)
-	return k.tq.push(timerEvent{t: t, seq: k.allocSeq(), fn: fn, arg: arg})
+	return k.tq.push(timerEvent{t: t, seq: k.allocSeq(), pay: k.slot(payload{hfn: fn, arg: arg})})
 }
 
 // CancelTimer revokes a pending timer. It returns false when the timer
 // already fired or was already canceled (the ID is stale); the caller can
 // treat that as "the timeout won the race".
 func (k *Kernel) CancelTimer(id TimerID) bool {
-	return k.tq.remove(id)
+	pay, ok := k.tq.remove(id)
+	if ok {
+		k.takeSlot(pay)
+	}
+	return ok
 }
 
 // PendingTimers returns the number of scheduled timers that have neither
