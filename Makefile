@@ -28,13 +28,13 @@ check-imports:
 	@echo "check-imports: examples/ and cmd/ are clean"
 
 # bench runs every figure benchmark (plus the message-hop micro-benchmark,
-# internal/sim's kernel-queue, cold-run, process-switch and spawn benchmarks,
-# and internal/core's fork and machine-build benchmarks) once and records
+# internal/sim's kernel-queue, cold-run, timer, process-switch and spawn
+# benchmarks, and internal/core's fork and machine-build benchmarks) once and records
 # the host, ns/op, allocs/op and all reported simulated-result metrics as
 # BENCH_<date>.json, keeping the perf trajectory machine-readable across PRs
 # (see PERF.md). At one iteration BenchmarkBuild is the cold build:
 # topology, plan and machine.
-BENCH_PATTERN = 'BenchmarkFig|BenchmarkKernelQueue|BenchmarkKernelColdRun|BenchmarkProcSwitch|BenchmarkSpawnRun|BenchmarkMessageHop|BenchmarkGraphRoute|BenchmarkReactiveTransport|BenchmarkFork|BenchmarkBuild'
+BENCH_PATTERN = 'BenchmarkFig|BenchmarkKernelQueue|BenchmarkKernelColdRun|BenchmarkTimerArmCancel|BenchmarkProcSwitch|BenchmarkSpawnRun|BenchmarkMessageHop|BenchmarkGraphRoute|BenchmarkReactiveTransport|BenchmarkFork|BenchmarkBuild'
 BENCH_PKGS = . ./internal/sim ./internal/core
 bench:
 	$(GO) test -run '^$$' -bench $(BENCH_PATTERN) -benchmem -benchtime 1x $(BENCH_PKGS) \

@@ -289,8 +289,8 @@ func TestReactiveDeterminismAfterCancel(t *testing.T) {
 	if ce.Events == 0 {
 		t.Fatalf("canceled at %d events, want > 0", ce.Events)
 	}
-	if n := m.K.PendingTimers(); n == 0 {
-		t.Fatal("no retransmission timers pending at cancellation — the test lost its point")
+	if n := m.K.Pending(); n == 0 {
+		t.Fatal("no events pending at cancellation — the test lost its point")
 	}
 	if _, err := m.Snapshot(); err == nil {
 		t.Fatal("canceled (non-quiescent) machine produced a snapshot")

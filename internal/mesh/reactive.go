@@ -15,9 +15,9 @@ import (
 // dropped (fault.go) — and delivery is recovered end to end: every
 // cross-node message carries a per-channel sequence number, the receiver
 // acknowledges it with a fire-and-forget ack, and the sender runs a
-// retransmission timer (kernel timer tier, sim/timer.go) with exponential
-// backoff and deterministic jitter drawn from per-node seed-derived RNG
-// streams. After MaxRetries consecutive timeouts the sender declares the
+// retransmission timer (a cancelable kernel event, sim/timer.go) with
+// exponential backoff and deterministic jitter drawn from per-node
+// seed-derived RNG streams. After MaxRetries consecutive timeouts the sender declares the
 // destination suspect — timeout-based failure detection — and consults the
 // message kind's give-up handler, which is where the strategies hook their
 // recovery (fixedhome home failover, accesstree re-issue).

@@ -24,6 +24,16 @@ func reactiveNet(t *testing.T, tp Topology, sched FaultSchedule, p ReactParams) 
 	return k, nw
 }
 
+// outstanding counts the transport's unacknowledged transmissions; each
+// holds one pending retransmission timer.
+func outstanding(nw *Network) int {
+	n := 0
+	for i := range nw.react.nodes {
+		n += len(nw.react.nodes[i].out)
+	}
+	return n
+}
+
 // fastReact is a transport tuning with round numbers for tests.
 func fastReact() ReactParams {
 	return ReactParams{AckTimeoutUS: 1000, MaxRetries: 10, Backoff: 2}
@@ -103,8 +113,8 @@ func TestReactiveAckRoundTrip(t *testing.T) {
 		t.Fatalf("healthy run has retransmits=%d dropped=%d detected=%d, want all 0",
 			s.Retransmits, s.Dropped, s.Detected)
 	}
-	if n := k.PendingTimers(); n != 0 {
-		t.Fatalf("PendingTimers = %d after quiescence, want 0", n)
+	if n := outstanding(nw); n != 0 {
+		t.Fatalf("%d transmissions outstanding after quiescence, want 0", n)
 	}
 }
 
@@ -137,8 +147,8 @@ func TestReactiveRetransmitAcrossOutage(t *testing.T) {
 	if s.AckMsgs != 1 {
 		t.Fatalf("acks = %d, want 1 (only the surviving copy reaches the receiver)", s.AckMsgs)
 	}
-	if n := k.PendingTimers(); n != 0 {
-		t.Fatalf("PendingTimers = %d after quiescence, want 0", n)
+	if n := outstanding(nw); n != 0 {
+		t.Fatalf("%d transmissions outstanding after quiescence, want 0", n)
 	}
 }
 
@@ -185,8 +195,8 @@ func TestReactiveGiveUpDrop(t *testing.T) {
 	if s.Detected != 1 {
 		t.Fatalf("Detected = %d, want 1", s.Detected)
 	}
-	if n := k.PendingTimers(); n != 0 {
-		t.Fatalf("PendingTimers = %d after drop, want 0", n)
+	if n := outstanding(nw); n != 0 {
+		t.Fatalf("%d transmissions outstanding after drop, want 0", n)
 	}
 }
 
@@ -247,8 +257,8 @@ func TestReactiveGiveUpReissue(t *testing.T) {
 	if s.Recovered != 1 {
 		t.Fatalf("Recovered = %d, want 1 (the suspect destination acked)", s.Recovered)
 	}
-	if n := k.PendingTimers(); n != 0 {
-		t.Fatalf("PendingTimers = %d after quiescence, want 0", n)
+	if n := outstanding(nw); n != 0 {
+		t.Fatalf("%d transmissions outstanding after quiescence, want 0", n)
 	}
 }
 
@@ -278,8 +288,8 @@ func TestReactiveFalseTimeouts(t *testing.T) {
 	if s.Detected != 0 {
 		t.Fatalf("Detected = %d on a healthy network, want 0", s.Detected)
 	}
-	if n := k.PendingTimers(); n != 0 {
-		t.Fatalf("PendingTimers = %d after quiescence, want 0", n)
+	if n := outstanding(nw); n != 0 {
+		t.Fatalf("%d transmissions outstanding after quiescence, want 0", n)
 	}
 }
 

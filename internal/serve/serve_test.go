@@ -258,6 +258,20 @@ func TestValidationErrors(t *testing.T) {
 		t.Errorf("field breakdown missing topology/strategy: %+v", er.Fields)
 	}
 
+	// A machine beyond the processor cap is refused before anything is
+	// built: the request is tiny, the machine it names is not.
+	resp, body = post(t, ts, `{"workload":{"name":"stencil"},"rows":50000,"cols":50000}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("oversized machine: status %d: %s", resp.StatusCode, body)
+	}
+	er.Fields = nil
+	if err := json.Unmarshal(body, &er); err != nil {
+		t.Fatal(err)
+	}
+	if len(er.Fields) != 1 || er.Fields[0].Field != "rows" {
+		t.Errorf("oversized machine: fields %+v, want one rows error", er.Fields)
+	}
+
 	if resp, body = post(t, ts, `not json`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed body: status %d: %s", resp.StatusCode, body)
 	}

@@ -29,7 +29,8 @@
 // paths (proc wakeups, message deliveries) schedule with zero
 // allocations.
 //
-// It is a ladder/calendar queue (ladder.go) with three
+// It is one ladder/calendar queue (ladder.go) for every event — process
+// wake-ups, callbacks and timers, at the current time or later — with three
 // nested tiers: a sorted "front" (the current epoch, popped by index
 // increment — O(1)), a stack of rungs whose equal-width buckets partition
 // successive time intervals (each deeper rung refines one bucket of its
@@ -55,35 +56,37 @@
 //   - ties are broken by the globally monotone sequence number
 //     everywhere, so pop order is the strict (t, seq) order.
 //
-// Events scheduled at the current timestamp — future completions, yields,
-// spawn kick-offs: the bulk of the protocol layer's churn — bypass the
-// ladder through a FIFO, which is exact: such an event is younger than
-// every queued event of the same timestamp, so FIFO order is (time,
-// sequence) order. Timers (TimerAt,
-// timer.go) live in an indexed binary heap of their own, the only tier
-// that can remove an event before it runs (CancelTimer). The loop selects
-// the next event across these three tiers by (t, seq) and is the one place
-// that advances the clock, counts, folds the fingerprint, polls
-// cancellation and dispatches.
+// An event at the current time is younger than every queued event of its
+// timestamp, so it lands just behind them in the front. Timers (TimerAt,
+// timer.go) are callback events; CancelTimer revokes one by clearing its
+// payload slot, and the entry stays queued, dead. The dead-entry rule: the
+// queue drops a dead entry and recycles its slot when it materializes the
+// entry's bucket or tail into an epoch, or when it pops it, so the loop
+// only ever receives live events — a canceled timer advances no clock,
+// counts nothing, folds nothing into the fingerprint and ticks no
+// cancellation counter — and Pending counts live events only. The loop is
+// the one place that advances the clock, counts, folds the fingerprint,
+// polls cancellation and dispatches.
 //
 // A 4-ary min-heap (heapq_test.go) is the test-only reference: randomized
 // and fuzzed (t, seq) workloads must pop byte-identically from it and the
-// ladder (ladder_test.go), and random mixes of all three tiers — events at
-// now and later, process wake-ups, timers canceled from callbacks — must
-// execute in its order with the same event count and fingerprint
+// ladder (ladder_test.go), and random kernel workloads — events at now and
+// later, process wake-ups, timers canceled from callbacks — must execute in
+// its order with the same event count, fingerprint and Pending count
 // (order_test.go).
 //
 // # Storage
 //
 // The kernel has one storage layer for events, evStore (store.go). Every
 // []event it queues on — front, tail and rung buckets of the ladder, the
-// same-timestamp FIFO, the epoch-sort scratch —
-// is a slab: capacity a power of two from 8 events (256 bytes) up to 2^20,
-// one free list per size class. A request beyond the largest class is
-// allocated exactly and not kept. The callback payload table and its free
-// stack, the scratch of a rung spawn and retired rung structs belong to
-// the same store. The timer heap keeps its own arrays; a timer's callback
-// takes a payload slot like any other.
+// epoch-sort scratch — is a slab: capacity a power of two from 8 events
+// (256 bytes) up to 2^20, one free list per size class. A request beyond
+// the largest class is allocated exactly and not kept. The callback payload
+// table and its free stack, the scratch of a rung spawn and retired rung
+// structs belong to the same store. Timers live there like any event: a
+// ladder entry and a payload slot, which a canceled timer holds until its
+// entry pops. The kernel keeps only a generation per slot a timer was ever
+// armed on, for TimerID; a kernel that never arms one keeps none.
 //
 // A slab has one owner at a time. A tier takes one with get (or grow, which
 // moves its events to the next class and puts the old slab back) when it
@@ -99,8 +102,8 @@
 // does the slab grow. In steady state a run allocates nothing
 // (TestLadderSteadyStateZeroAlloc).
 //
-// When Run returns with no event pending on any tier, the store outlives
-// its use: the queues give up their last slabs and the whole set — free
+// When Run returns with no event pending, the store outlives its use: the
+// queue gives up its last slabs, dead entries and all, and the whole set — free
 // lists, payload table, scratch, rungs — is handed to a process-wide stock,
 // from which the next kernel takes it at its first slab request, so a fork
 // or a fresh figure cell starts on warm storage. Payload slots an event

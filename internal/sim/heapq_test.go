@@ -1,8 +1,8 @@
 package sim
 
 // heapQueue is a 4-ary min-heap event queue: the reference the ladder
-// queue (ladder.go) and the kernel's three-tier event selection are
-// differentially tested against. It pops in strict (t, seq) order by
+// queue (ladder.go) and the kernel's execution order are differentially
+// tested against. It pops in strict (t, seq) order by
 // construction; see the fuzz and property tests in ladder_test.go and
 // order_test.go.
 //

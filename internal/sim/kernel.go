@@ -44,8 +44,13 @@ func (e *event) before(o *event) bool {
 	return e.seq < o.seq
 }
 
+// dead reports whether the slot belongs to a canceled timer (CancelTimer
+// clears it); the queue drops its entry (ladderQueue.dropDead).
+func (p *payload) dead() bool { return p.hfn == nil && p.fn == nil }
+
 // Stats are cumulative counters of kernel activity. Events counts every
-// executed event, timers and skipped wakeups of killed processes included.
+// executed event, timers and skipped wakeups of killed processes included;
+// a canceled timer never executes and is never counted.
 // The delivery counters are maintained by the network layer:
 // FusedDeliveries counts delivered message hops, FusedBusyRecv the arrivals
 // among them that found the receiver's CPU busy, so the receive startup
@@ -61,10 +66,13 @@ type Stats struct {
 type Kernel struct {
 	now Time
 	seq uint64
-	lq  ladderQueue // the event queue (ladder.go)
-	// tq is the timer tier (TimerAt/CancelTimer, timer.go): cancelable
-	// timeout events in an indexed heap, removable without tombstones.
-	tq    timerQueue
+	// lq is the kernel's one event queue (ladder.go): process wake-ups,
+	// callbacks and timers, at the current time or later. A canceled timer
+	// stays in it as a dead entry until the queue drops it.
+	lq ladderQueue
+	// tgen is the generation of every payload slot a timer was ever armed
+	// on (timer.go); nil on a kernel that never arms one.
+	tgen  []uint32
 	procs []*Proc
 
 	// Stat is written by the kernel and — for the delivery counters — by
@@ -88,18 +96,10 @@ type Kernel struct {
 	cancelCtr uint32
 	canceled  bool
 
-	// nowq is a FIFO bypass for events scheduled at the current time —
-	// future completions, yields, spawn kick-offs. Such an event is always
-	// younger (higher seq) than every queued event of the same timestamp,
-	// so FIFO order is (t, seq) order and the same-timestamp churn of the
-	// protocol layer never pays the ladder's sorted insertion.
-	nowq     []event
-	nowqHead int
-
-	// st is the kernel's event storage (store.go): the slabs lq and nowq
-	// queue on and the callback payload table. It is handed to the
-	// process-wide stock when Run returns with nothing pending and adopted
-	// from there on first need.
+	// st is the kernel's event storage (store.go): the slabs lq queues on
+	// and the callback payload table. It is handed to the process-wide
+	// stock when Run returns with nothing pending and adopted from there on
+	// first need.
 	st evStore
 }
 
@@ -114,12 +114,10 @@ func New() *Kernel {
 func (k *Kernel) Now() Time { return k.now }
 
 // Pending returns the number of scheduled events that have not executed
-// yet, timers included. It is exact at every point, so event callbacks can
-// use it as a quiescence check: Pending() == 0 means nothing else is in
-// flight besides the running callback.
-func (k *Kernel) Pending() int {
-	return k.lq.len() + k.tq.len() + len(k.nowq) - k.nowqHead
-}
+// yet, timers included and canceled timers not. It is exact at every point,
+// so event callbacks can use it as a quiescence check: Pending() == 0 means
+// nothing else is in flight besides the running callback.
+func (k *Kernel) Pending() int { return k.lq.len() }
 
 // SetPinned does nothing.
 //
@@ -133,8 +131,8 @@ func (k *Kernel) SetPinned(pinned bool) {}
 func (k *Kernel) Fingerprint() uint64 { return k.fp }
 
 // fold records an executed event's (time, sequence) pair in the
-// fingerprint hash chain. loop is its only caller: every event, whichever
-// tier it came from, folds there.
+// fingerprint hash chain. loop is its only caller: every executed event
+// folds there.
 func (k *Kernel) fold(e *event) {
 	k.fp = k.fp*fpGolden + (math.Float64bits(e.t) ^ e.seq)
 }
@@ -157,10 +155,15 @@ func (k *Kernel) SkipSeq() { k.allocSeq() }
 // takeSlot fetches and recycles a callback event's payload. The slot is
 // recycled without clearing: it is fully overwritten on reuse, and until
 // then it retains only a bounded number of already-executed callback
-// references, which the store scrubs before it outlives the kernel.
+// references, which the store scrubs before it outlives the kernel. A slot
+// that ever held a timer moves to its next generation, so the ID of a timer
+// that fired goes stale (timer.go).
 func (k *Kernel) takeSlot(slot int32) payload {
 	pl := k.st.pay[slot]
 	k.st.payFree = append(k.st.payFree, slot)
+	if int(slot) < len(k.tgen) {
+		k.tgen[slot]++
+	}
 	return pl
 }
 
@@ -169,48 +172,6 @@ func (k *Kernel) checkPast(t Time) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
 	}
-}
-
-// sched enqueues e: same-timestamp events take the FIFO bypass, future
-// events the ladder. Both orders compose to the global (t, seq) order — see
-// the nowq field comment.
-func (k *Kernel) sched(e event) {
-	if e.t == k.now {
-		k.nowq = k.st.add(k.nowq, e)
-		return
-	}
-	k.lq.push(e)
-}
-
-// next removes and returns the globally next event by strict (t, seq)
-// order across the three tiers: the ladder, the same-timestamp FIFO and the
-// timer heap. A timer comes back as the event of its callback's payload
-// slot. The caller has checked that an event is pending.
-func (k *Kernel) next() event {
-	e := k.lq.peek()
-	fromNowq := false
-	if k.nowqHead < len(k.nowq) {
-		// A bypass entry is younger than every queued event of its
-		// timestamp, so the (t, seq) comparison reproduces the "queue
-		// first at equal time" rule exactly.
-		if h := &k.nowq[k.nowqHead]; e == nil || h.before(e) {
-			e, fromNowq = h, true
-		}
-	}
-	if te := k.tq.peek(); te != nil && (e == nil || te.t < e.t || (te.t == e.t && te.seq < e.seq)) {
-		t := k.tq.popFront()
-		return event{t: t.t, seq: t.seq, slot: t.pay}
-	}
-	if !fromNowq {
-		return k.lq.popFront()
-	}
-	h := *e
-	k.nowqHead++
-	if k.nowqHead == len(k.nowq) {
-		k.nowq = k.nowq[:0]
-		k.nowqHead = 0
-	}
-	return h
 }
 
 // slot stores a callback payload and returns its table index.
@@ -230,7 +191,7 @@ func (k *Kernel) slot(p payload) int32 {
 // the past panics: it would make time run backwards.
 func (k *Kernel) At(t Time, fn func()) {
 	k.checkPast(t)
-	k.sched(event{t: t, seq: k.allocSeq(), slot: k.slot(payload{fn: fn})})
+	k.lq.push(event{t: t, seq: k.allocSeq(), slot: k.slot(payload{fn: fn})})
 }
 
 // AtCall schedules fn(arg) to run in event context at absolute time t.
@@ -238,7 +199,7 @@ func (k *Kernel) At(t Time, fn func()) {
 // per-event state through arg (a pointer, so no boxing allocation either).
 func (k *Kernel) AtCall(t Time, fn func(interface{}), arg interface{}) {
 	k.checkPast(t)
-	k.sched(event{t: t, seq: k.allocSeq(), slot: k.slot(payload{hfn: fn, arg: arg})})
+	k.lq.push(event{t: t, seq: k.allocSeq(), slot: k.slot(payload{hfn: fn, arg: arg})})
 }
 
 // atProc schedules p to resume at absolute time t, with no allocation.
@@ -247,7 +208,7 @@ func (k *Kernel) atProc(t Time, p *Proc) {
 		panic("sim: scheduling a wakeup for a process of another kernel")
 	}
 	k.checkPast(t)
-	k.sched(event{t: t, seq: k.allocSeq(), proc: p})
+	k.lq.push(event{t: t, seq: k.allocSeq(), proc: p})
 }
 
 // After schedules fn to run in event context after delay d (d >= 0).
@@ -317,31 +278,31 @@ func (k *Kernel) foldSwitches() {
 }
 
 // releaseStore hands the kernel's event storage to the process-wide stock
-// once a run has drained every tier. A run that ended with events pending
-// — Stop, cancellation, deadlock — keeps its store: the events are in it.
-// The kernel stays usable; scheduling again adopts storage afresh.
+// once a run has drained the queue; dead entries left in it go with the
+// slabs. A run that ended with events pending — Stop, cancellation,
+// deadlock — keeps its store: the events are in it. The kernel stays usable;
+// scheduling again adopts storage afresh.
 func (k *Kernel) releaseStore() {
 	k.lq.reset()
-	k.st.put(k.nowq)
-	k.nowq = nil
 	k.st.release()
 }
 
 // loop executes events on the calling goroutine: the driver (self nil, the
 // caller of Run) or a parked process. It is the one place that advances the
-// clock, counts, folds the fingerprint, polls cancellation and dispatches,
-// whichever tier an event came from. It returns when it pops the wakeup of
-// self, so park returns without a switch. On another process's wakeup the
-// driver resumes it and goes on; a process names it in k.to and yields to
-// the driver, to return from park when it is resumed in turn. When nothing
-// is left to run here the driver returns and a process yields, to be
-// unwound by a kill. doc.go, "Process switches", has the state table.
+// clock, counts, folds the fingerprint, polls cancellation and dispatches;
+// a canceled timer reaches none of them (the queue drops it). It returns
+// when it pops the wakeup of self, so park returns without a switch. On
+// another process's wakeup the driver resumes it and goes on; a process
+// names it in k.to and yields to the driver, to return from park when it is
+// resumed in turn. When nothing is left to run here the driver returns and
+// a process yields, to be unwound by a kill. doc.go, "Process switches",
+// has the state table.
 func (k *Kernel) loop(self *Proc) {
 	for k.Pending() > 0 && !k.stopped {
 		if k.cancel != nil && k.checkCancel() {
 			break // cancellation checkpoint hit; Run returns CanceledError
 		}
-		e := k.next()
+		e := k.lq.pop()
 		k.now = e.t
 		k.Stat.Events++
 		k.fold(&e)

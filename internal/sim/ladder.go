@@ -5,9 +5,9 @@ import (
 	"math/bits"
 )
 
-// ladderQueue is the kernel's event queue for events after the current
-// timestamp: a ladder/calendar queue with an O(1) sorted-epoch front, rung
-// buckets partitioned by timestamp, and an unsorted overflow tail.
+// ladderQueue is the kernel's one event queue: a ladder/calendar queue with
+// an O(1) sorted-epoch front, rung buckets partitioned by timestamp, and an
+// unsorted overflow tail.
 // Amortized it does O(1) work per event — every event is appended to a
 // bucket or the tail a bounded number of times and participates in exactly
 // one sort whose cost is shared by its whole epoch — where a heap pays
@@ -51,13 +51,18 @@ import (
 // memmove); a front grown past lqFrontCap spills into a fresh deepest
 // rung so the insertion cost stays bounded.
 //
+// Dead entries: a timer the kernel canceled stays queued with its payload
+// slot cleared. The queue drops it when it materializes the entry's bucket
+// or tail and when it pops it, so pop returns live events only, and len
+// counts them only.
+//
 // Storage: front, tail and every bucket are slabs of the kernel's evStore
-// (store.go), which the same-timestamp FIFO draws from too. A tier holds a slab
-// only while it holds events: the consumed front, a bucket spread into a
-// child rung and a converted tail go back to the store at once, and an
-// empty bucket is nil.
+// (store.go). A tier holds a slab only while it holds events: the consumed
+// front, a bucket spread into a child rung and a converted tail go back to
+// the store at once, and an empty bucket is nil.
 type ladderQueue struct {
-	n int // total events across front, rungs and tail
+	n    int // total entries across front, rungs and tail
+	dead int // entries among n whose payload slot is dead (dropDead)
 
 	front    []event // sorted ascending by (t, seq), consumed from fh
 	fh       int     // head index into front
@@ -158,18 +163,20 @@ func (q *ladderQueue) init(st *evStore) {
 	q.frontEnd = math.Inf(1)
 }
 
-// reset returns an empty queue to its initial state, its slabs and rungs
-// to the store. Where the partition bounds stood does not matter to an
-// empty queue: pop order depends on (t, seq) alone.
+// reset empties the queue, its slabs and rungs back to the store, dropping
+// whatever dead entries are left. Where the partition bounds stood does not
+// matter to an empty queue: pop order depends on (t, seq) alone.
 func (q *ladderQueue) reset() {
-	if q.n != 0 {
-		panic("sim: ladder queue reset with events queued")
-	}
 	st := q.st
 	st.put(q.front)
 	st.put(q.tail)
-	q.front, q.fh, q.tail = nil, 0, nil
+	q.front, q.fh, q.tail, q.n, q.dead = nil, 0, nil, 0, 0
 	for i, r := range q.rungs {
+		for ; r.occ != 0; r.occ &= r.occ - 1 {
+			b := bits.TrailingZeros32(r.occ)
+			st.put(r.bkts[b])
+			r.bkts[b] = nil
+		}
 		st.spare = append(st.spare, r)
 		q.rungs[i] = nil
 	}
@@ -177,7 +184,29 @@ func (q *ladderQueue) reset() {
 	q.frontEnd = math.Inf(1)
 }
 
-func (q *ladderQueue) len() int { return q.n }
+// len is the number of live events queued.
+func (q *ladderQueue) len() int { return q.n - q.dead }
+
+// dropDead removes the dead entries from evs in place, recycles their
+// payload slots and returns the live rest. It runs on every bucket and tail
+// about to become an epoch or a rung, so a dead entry costs its push, its
+// stay in one bucket and one check.
+func (q *ladderQueue) dropDead(evs []event) []event {
+	if q.dead == 0 {
+		return evs
+	}
+	live := evs[:0]
+	for _, e := range evs {
+		if e.proc == nil && q.st.pay[e.slot].dead() {
+			q.st.payFree = append(q.st.payFree, e.slot)
+			q.n--
+			q.dead--
+			continue
+		}
+		live = append(live, e)
+	}
+	return live
+}
 
 // push inserts e, deciding its tier by the nested range invariant.
 func (q *ladderQueue) push(e event) {
@@ -288,45 +317,41 @@ func (q *ladderQueue) newRung(start, end Time) *lrung {
 	return r
 }
 
-// peek returns a pointer to the minimum event; nil when empty. It may
-// materialize the next epoch into the front (amortized against pops).
-func (q *ladderQueue) peek() *event {
-	if q.fh == len(q.front) && !q.ensureFront() {
-		return nil
+// pop removes and returns the minimum live event, dropping the dead entries
+// before it; the queue holds a live event. It may materialize the next
+// epoch into the front (amortized against pops). Consumed entries are left
+// in place until their slab is reused: an event holds no payload — only a
+// *Proc (alive via Kernel.procs regardless) or a payload-table slot index —
+// so stale copies retain nothing the GC could free while the kernel lives,
+// and the store scrubs them before it outlives the kernel.
+func (q *ladderQueue) pop() event {
+	for {
+		if q.fh == len(q.front) {
+			q.ensureFront()
+		}
+		e := q.front[q.fh]
+		q.fh++
+		q.n--
+		if q.dead == 0 || e.proc != nil || !q.st.pay[e.slot].dead() {
+			return e
+		}
+		q.st.payFree = append(q.st.payFree, e.slot)
+		q.dead--
 	}
-	return &q.front[q.fh]
-}
-
-// popFront removes the front head; the caller has already peeked it (so
-// the front is known nonempty). Small enough to inline into the kernel's
-// event selection. Consumed entries are left in place until their slab is
-// reused: an event holds no payload — only a *Proc (alive via
-// Kernel.procs regardless) or a payload-table slot index — so stale copies
-// retain nothing the GC could free while the kernel lives, and the store
-// scrubs them before it outlives the kernel.
-func (q *ladderQueue) popFront() event {
-	e := q.front[q.fh]
-	q.fh++
-	q.n--
-	return e
 }
 
 // ensureFront refills the sorted front from the deeper tiers until it is
-// nonempty; reports false when the whole queue is empty. The work is in
-// nextEpoch and convertTail: this loop runs at every peek of an empty
-// queue and keeps no temporaries.
-func (q *ladderQueue) ensureFront() bool {
+// nonempty; the queue holds a live event. The work is in nextEpoch and
+// convertTail: this loop runs at every pop of an exhausted front and keeps
+// no temporaries.
+func (q *ladderQueue) ensureFront() {
 	for q.fh == len(q.front) {
 		if len(q.rungs) > 0 {
 			q.nextEpoch()
-			continue
+		} else {
+			q.convertTail()
 		}
-		if len(q.tail) == 0 {
-			return false
-		}
-		q.convertTail()
 	}
-	return true
 }
 
 // nextEpoch takes one step on the deepest rung: retires it when empty,
@@ -346,6 +371,7 @@ func (q *ladderQueue) nextEpoch() {
 	b := r.bkts[c]
 	r.bkts[c] = nil
 	r.n -= len(b)
+	b = q.dropDead(b)
 	bEnd := r.edge(c + 1)
 	if c == lqBuckets-1 {
 		bEnd = r.end
@@ -370,6 +396,7 @@ func (q *ladderQueue) nextEpoch() {
 // convertTail turns the unsorted tail into a fresh rung 0 — or, when it
 // is small or spans no time range, directly into the sorted front.
 func (q *ladderQueue) convertTail() {
+	q.tail = q.dropDead(q.tail) // keeps the live event the queue holds
 	min, max := q.tail[0].t, q.tail[0].t
 	for _, e := range q.tail[1:] {
 		if e.t < min {

@@ -21,14 +21,6 @@ type evQueue interface {
 	len() int
 }
 
-// ladderPops adapts the kernel's peek/popFront use of the ladder to evQueue.
-type ladderPops struct{ *ladderQueue }
-
-func (q ladderPops) pop() event {
-	q.peek()
-	return q.popFront()
-}
-
 func runQueue(q evQueue, ops qops) []event {
 	var out []event
 	seq := uint64(0)
@@ -67,8 +59,8 @@ func checkIdentical(t *testing.T, ops qops) {
 	want := runQueue(&heapQueue{}, ops)
 	lq := &ladderQueue{}
 	lq.init(&evStore{own: true})
-	checkPops(t, "fresh storage", runQueue(ladderPops{lq}, ops), want)
-	checkPops(t, "recycled storage", runQueue(ladderPops{recycledLadder(ops)}, ops), want)
+	checkPops(t, "fresh storage", runQueue(lq, ops), want)
+	checkPops(t, "recycled storage", runQueue(recycledLadder(ops), ops), want)
 }
 
 // recycledLadder returns a ladder queue whose store went through the whole
@@ -83,7 +75,7 @@ func recycledLadder(ops qops) *ladderQueue {
 	st := &evStore{own: true}
 	prev := &ladderQueue{}
 	prev.init(st)
-	runQueue(ladderPops{prev}, shape)
+	runQueue(prev, shape)
 	prev.reset()
 	st.release()
 	lq := &ladderQueue{}

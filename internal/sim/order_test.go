@@ -17,9 +17,10 @@ import (
 type orderRun struct {
 	k   *Kernel
 	ref heapQueue
-	// canceled holds the seqs of timers CancelTimer removed; the reference
-	// skips them when they surface.
+	// canceled holds the seqs of timers CancelTimer revoked; the reference
+	// skips them when they surface. deadRef counts those still in ref.
 	canceled map[uint64]bool
+	deadRef  int
 	timers   []TimerID
 	tseqs    []uint64
 
@@ -70,11 +71,10 @@ func (r *orderRun) expect(t Time) uint64 {
 	return seq
 }
 
-// executed checks that (now, seq) is the reference's next live event.
+// executed checks that (now, seq) is the reference's next live event and
+// that the kernel's Pending counts exactly the reference's live events left.
 func (r *orderRun) executed(seq uint64) {
-	for r.ref.len() > 0 && r.canceled[r.ref.h[0].seq] {
-		r.ref.pop()
-	}
+	r.dropCanceled()
 	now := r.k.Now()
 	if r.ref.len() == 0 {
 		r.fail(fmt.Errorf("event (t=%v seq=%d) executed, the reference holds none", now, seq))
@@ -88,6 +88,18 @@ func (r *orderRun) executed(seq uint64) {
 	}
 	r.events++
 	r.fp = r.fp*fpGolden + (math.Float64bits(want.t) ^ want.seq)
+	if live := r.ref.len() - r.deadRef; r.k.Pending() != live {
+		r.fail(fmt.Errorf("event %d: kernel Pending() = %d, reference holds %d live events",
+			r.events, r.k.Pending(), live))
+	}
+}
+
+// dropCanceled pops the canceled timers at the head of the reference.
+func (r *orderRun) dropCanceled() {
+	for r.ref.len() > 0 && r.canceled[r.ref.h[0].seq] {
+		r.ref.pop()
+		r.deadRef--
+	}
 }
 
 func (r *orderRun) fail(err error) {
@@ -120,6 +132,7 @@ func (r *orderRun) step(b byte) {
 			i := int(b>>3) % n
 			if k.CancelTimer(r.timers[i]) {
 				r.canceled[r.tseqs[i]] = true
+				r.deadRef++
 			}
 		}
 	case 6:
@@ -178,9 +191,7 @@ func checkKernelOrder(t *testing.T, data []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for r.ref.len() > 0 && r.canceled[r.ref.h[0].seq] {
-		r.ref.pop()
-	}
+	r.dropCanceled()
 	if r.ref.len() != 0 {
 		t.Fatalf("run ended with %d reference events never executed", r.ref.len())
 	}
@@ -190,9 +201,10 @@ func checkKernelOrder(t *testing.T, data []byte) {
 	}
 }
 
-// FuzzKernelOrder is the cross-tier differential: whatever mix of ladder,
-// same-timestamp FIFO, timer and process events a workload produces, the
-// kernel's event selection must match the heap reference. The seed corpus
+// FuzzKernelOrder is the kernel-level differential: whatever mix of
+// callbacks, process wake-ups and timers, at the current time or later and
+// canceled or not, a workload produces, the kernel's execution order and
+// Pending count must match the heap reference. The seed corpus
 // runs on every plain `go test`.
 func FuzzKernelOrder(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})

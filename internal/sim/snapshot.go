@@ -5,12 +5,12 @@ import "fmt"
 // This file implements kernel state capture for machine
 // snapshot/fork (core.Machine.Snapshot). A kernel's processes run on
 // coroutines, whose stacks cannot be copied, so capture is only legal at
-// quiescence: no pending events on any tier and no live processes. At that
-// point the kernel's entire observable state is the clock, the sequence
-// counter, the fingerprint chain and the stat counters — the queues are
-// empty and the payload slot table holds only recycled slots (slot indices
-// never influence event order, so a fork starting with a fresh table is
-// indistinguishable).
+// quiescence: no pending events and no live processes. At that point the
+// kernel's entire observable state is the clock, the sequence counter, the
+// fingerprint chain and the stat counters — the queue holds at most dead
+// entries of canceled timers, which never execute, and the payload slot
+// table holds only recycled slots and theirs (slot indices never influence
+// event order, so a fork starting with a fresh table is indistinguishable).
 
 // KernelState is a quiescent kernel's captured state.
 type KernelState struct {

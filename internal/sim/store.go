@@ -8,8 +8,7 @@ import (
 
 // evStore is a kernel's one storage layer for events (doc.go, "Storage").
 // Every []event the kernel queues on — the front, tail and rung buckets of
-// the ladder, the same-timestamp FIFO, the epoch-sort scratch — is a
-// power-of-two slab drawn from the size-classed free lists here and put
+// the ladder, the epoch-sort scratch — is a power-of-two slab drawn from the size-classed free lists here and put
 // back the moment it is consumed; the callback payload table, its free
 // stack, the spread scratch and retired rung structs live here too. A slab
 // is owned by exactly one holder at a time: whoever got it from get (or

@@ -24,8 +24,7 @@ func stockSetCount() int { return StoreStats().Sets }
 // storeWorkload loads k with a run that touches every holder of storage:
 // processes on timed waits (events carrying *Proc), closures, typed
 // callbacks with pointer arguments, timers, same-timestamp
-// bursts through the FIFO bypass, and enough spread to build rungs and a
-// tail. shape varies the population and the time scale.
+// bursts, and enough spread to build rungs and a tail. shape varies the population and the time scale.
 func storeWorkload(k *Kernel, shape int) {
 	n := 40 + 25*shape
 	base := k.Now() // a warm kernel's second workload starts where the first ended
@@ -247,11 +246,18 @@ func TestStoreTrimDropsLargestFirst(t *testing.T) {
 	}
 }
 
-// holdKernel builds a kernel with `size` standing events on one tier — the
-// ladder, or the timer heap — each rescheduling itself a pseudo-random
-// increment ahead (the hold model), and returns a function that executes n
-// of them.
-func holdKernel(size int, timers bool) (run func(n int)) {
+// The hold-model workloads of holdKernel.
+const (
+	holdCalls  = iota // every event an AtCall
+	holdTimers        // every event a timer
+	holdCancel        // AtCalls, each arming a timer and canceling it at once
+)
+
+// holdKernel builds a kernel with `size` standing events, each
+// rescheduling itself a pseudo-random increment ahead (the hold model) as
+// mode says, and returns a function that executes n of them. Under
+// holdCancel about as many dead entries as live ones stand in the queue.
+func holdKernel(size, mode int) (run func(n int)) {
 	k := New()
 	left := 0
 	rng := uint64(size)*2654435761 + 1
@@ -261,9 +267,13 @@ func holdKernel(size int, timers bool) (run func(n int)) {
 		rng ^= rng >> 7
 		rng ^= rng << 17
 		at := k.Now() + Time(rng%uint64(2*size)) + 0.5
-		if timers {
+		switch mode {
+		case holdTimers:
 			k.TimerAt(at, fn, nil)
-		} else {
+		case holdCancel:
+			k.CancelTimer(k.TimerAt(at, fn, nil))
+			k.AtCall(at, fn, nil)
+		default:
 			k.AtCall(at, fn, nil)
 		}
 		if left--; left == 0 {
@@ -271,7 +281,7 @@ func holdKernel(size int, timers bool) (run func(n int)) {
 		}
 	}
 	for i := 0; i < size; i++ {
-		if timers {
+		if mode == holdTimers {
 			k.TimerAt(Time(i+1), fn, nil)
 		} else {
 			k.AtCall(Time(i+1), fn, nil)
@@ -287,17 +297,17 @@ func holdKernel(size int, timers bool) (run func(n int)) {
 }
 
 // TestLadderSteadyStateZeroAlloc: once a kernel has cycled its population
-// a few times, every slab a tier asks for is on a free list — push, pop,
-// epoch sorts, rung spawns and tail conversions allocate nothing, and
-// neither does the timer heap.
+// a few times, every slab the queue asks for is on a free list — push, pop,
+// epoch sorts, rung spawns and tail conversions allocate nothing, timers
+// included, and neither do canceled timers standing in the queue.
 func TestLadderSteadyStateZeroAlloc(t *testing.T) {
 	for _, size := range []int{256, 65536} {
-		for _, timers := range []bool{false, true} {
-			run := holdKernel(size, timers)
+		for mode, name := range []string{"calls", "timers", "arm-then-cancel"} {
+			run := holdKernel(size, mode)
 			run(12 * size)
 			if allocs := testing.AllocsPerRun(4, func() { run(3 * size) }); allocs != 0 {
-				t.Errorf("%d standing events, timers=%v: %.0f allocations per %d events, want 0",
-					size, timers, allocs, 3*size)
+				t.Errorf("%d standing events, %s: %.0f allocations per %d events, want 0",
+					size, name, allocs, 3*size)
 			}
 		}
 	}

@@ -49,14 +49,15 @@ func TestTimerAdvancesClockAndCounts(t *testing.T) {
 	}
 }
 
-// TestTimerCancel: CancelTimer removes a pending timer (it never fires),
-// returns true once, and false for every later use of the stale ID.
+// TestTimerCancel: CancelTimer revokes a pending timer (it never fires and
+// leaves Pending), returns true once, and false for every later use of the
+// stale ID.
 func TestTimerCancel(t *testing.T) {
 	k := New()
 	fired := false
 	id := k.TimerAt(100, func(interface{}) { fired = true }, nil)
-	if n := k.PendingTimers(); n != 1 {
-		t.Fatalf("PendingTimers = %d, want 1", n)
+	if n := k.Pending(); n != 1 {
+		t.Fatalf("Pending = %d, want 1", n)
 	}
 	if !k.CancelTimer(id) {
 		t.Fatal("first cancel returned false")
@@ -64,8 +65,8 @@ func TestTimerCancel(t *testing.T) {
 	if k.CancelTimer(id) {
 		t.Fatal("second cancel of the same ID returned true")
 	}
-	if n := k.PendingTimers(); n != 0 {
-		t.Fatalf("PendingTimers after cancel = %d, want 0", n)
+	if n := k.Pending(); n != 0 {
+		t.Fatalf("Pending after cancel = %d, want 0", n)
 	}
 	k.At(200, func() {})
 	if err := k.Run(); err != nil {
@@ -89,9 +90,8 @@ func TestTimerCancelAfterFire(t *testing.T) {
 	}
 }
 
-// TestTimerGenerationOnSlotReuse: canceling a timer and scheduling another
-// recycles the heap slot under a bumped generation, so the old ID can never
-// alias the new timer.
+// TestTimerGenerationOnSlotReuse: a canceled timer's ID never cancels a
+// timer scheduled after it, whichever payload slot that one takes.
 func TestTimerGenerationOnSlotReuse(t *testing.T) {
 	k := New()
 	var fired []string
@@ -100,12 +100,11 @@ func TestTimerGenerationOnSlotReuse(t *testing.T) {
 		t.Fatal("cancel a failed")
 	}
 	b := k.TimerAt(20, func(interface{}) { fired = append(fired, "b") }, nil)
-	// a's slot was recycled for b; a's stale ID must not cancel b.
 	if k.CancelTimer(a) {
-		t.Fatal("stale ID canceled the recycled slot's new timer")
+		t.Fatal("stale ID canceled a later timer")
 	}
-	if n := k.PendingTimers(); n != 1 {
-		t.Fatalf("PendingTimers = %d, want 1", n)
+	if n := k.Pending(); n != 1 {
+		t.Fatalf("Pending = %d, want 1", n)
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -116,11 +115,10 @@ func TestTimerGenerationOnSlotReuse(t *testing.T) {
 	_ = b
 }
 
-// TestTimerCancelIsTrueRemoval: cancellation is a removal, not a tombstone —
-// a canceled timer consumes no event pop (Stat.Events counts only the events
-// that actually executed), and the same schedule-and-cancel pattern is
-// fingerprint-reproducible run to run.
-func TestTimerCancelIsTrueRemoval(t *testing.T) {
+// TestTimerCancelIsNeverObserved: a canceled timer is invisible to the run
+// — Stat.Events counts only the events that actually executed — and the
+// same schedule-and-cancel pattern is fingerprint-reproducible run to run.
+func TestTimerCancelIsNeverObserved(t *testing.T) {
 	run := func() (uint64, uint64) {
 		k := New()
 		for i := 0; i < 8; i++ {
@@ -140,16 +138,16 @@ func TestTimerCancelIsTrueRemoval(t *testing.T) {
 	fp1, ev1 := run()
 	fp2, ev2 := run()
 	if ev1 != 3 {
-		t.Fatalf("Stat.Events = %d, want 3 (canceled timers must not cost pops)", ev1)
+		t.Fatalf("Stat.Events = %d, want 3 (canceled timers must not count)", ev1)
 	}
 	if fp1 != fp2 || ev1 != ev2 {
 		t.Fatalf("identical runs diverged: fp %#x/%#x, events %d/%d", fp1, fp2, ev1, ev2)
 	}
 }
 
-// TestTimerHeapStress: many timers at colliding pseudo-random times, with a
+// TestTimerStress: many timers at colliding pseudo-random times, with a
 // deterministic subset canceled, fire in exact (t, schedule-order) sequence.
-func TestTimerHeapStress(t *testing.T) {
+func TestTimerStress(t *testing.T) {
 	k := New()
 	const n = 400
 	type stamp struct {
@@ -183,8 +181,8 @@ func TestTimerHeapStress(t *testing.T) {
 			canceled++
 		}
 	}
-	if n := k.PendingTimers(); n != len(want) {
-		t.Fatalf("PendingTimers = %d, want %d", n, len(want))
+	if n := k.Pending(); n != len(want) {
+		t.Fatalf("Pending = %d, want %d", n, len(want))
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -199,7 +197,69 @@ func TestTimerHeapStress(t *testing.T) {
 			t.Fatalf("firing %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
-	if k.PendingTimers() != 0 {
-		t.Fatalf("PendingTimers after run = %d, want 0", k.PendingTimers())
+	if k.Pending() != 0 {
+		t.Fatalf("Pending after run = %d, want 0", k.Pending())
+	}
+}
+
+// TestTimerSlotReusedByAtCall: a timer that fired gives its payload slot up,
+// a plain AtCall takes it, and the timer's ID stays stale — canceling with
+// it neither succeeds nor touches the AtCall.
+func TestTimerSlotReusedByAtCall(t *testing.T) {
+	k := New()
+	ran := false
+	var id TimerID
+	id = k.TimerAt(1, func(interface{}) {
+		k.AtCall(2, func(interface{}) { ran = true }, "atcall")
+		if k.st.pay[id.slot].arg != "atcall" {
+			t.Fatal("the AtCall did not take the fired timer's slot; the test needs it to")
+		}
+		if k.CancelTimer(id) {
+			t.Fatal("the fired timer's ID canceled the AtCall in its slot")
+		}
+	}, nil)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !ran || k.Stat.Events != 2 {
+		t.Fatalf("AtCall ran %v, %d events; want it run, 2 events", ran, k.Stat.Events)
+	}
+}
+
+// TestOnlyCanceledTimersLeft: a kernel whose queue holds nothing but
+// canceled timers is quiescent. Run stops at the last live event, counts
+// only live events, hands its store to the stock with the dead entries, and
+// the state can be captured.
+func TestOnlyCanceledTimersLeft(t *testing.T) {
+	emptyStock()
+	k := New()
+	k.At(1, func() {})
+	k.At(2, func() {})
+	for i := 0; i < 100; i++ { // enough to spread over rungs and a tail
+		k.CancelTimer(k.TimerAt(Time(10+i%37), func(interface{}) { t.Error("canceled timer fired") }, nil))
+	}
+	if n := k.Pending(); n != 2 {
+		t.Fatalf("Pending = %d, want 2", n)
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if k.Stat.Events != 2 || k.Now() != 2 || k.Pending() != 0 {
+		t.Fatalf("%d events, clock %v, %d pending; want 2, 2, 0", k.Stat.Events, k.Now(), k.Pending())
+	}
+	if k.st.own || stockSetCount() != 1 {
+		t.Fatalf("store kept (own=%v), stock holds %d sets; want it handed over", k.st.own, stockSetCount())
+	}
+	stock.mu.Lock()
+	for _, r := range stock.sets[0].spare {
+		for b := range r.bkts {
+			if r.bkts[b] != nil {
+				t.Fatal("a retired rung keeps a bucket of dead entries")
+			}
+		}
+	}
+	stock.mu.Unlock()
+	if _, err := k.SnapshotState(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -359,6 +359,11 @@ func (s Spec) ValidateMachine() error {
 	return nil
 }
 
+// maxProcessors caps rows×cols: every machine is built in memory before a
+// run's deadline applies, so an unbounded one could exhaust the process.
+// It is the graph topologies' cap and admits every figure machine.
+const maxProcessors = 4096
+
 // machineErrors validates the machine fields of a normalized spec.
 func (s Spec) machineErrors() []FieldError {
 	var errs []FieldError
@@ -371,6 +376,9 @@ func (s Spec) machineErrors() []FieldError {
 	}
 	if s.Cols <= 0 {
 		errs = append(errs, FieldError{"cols", fmt.Sprintf("must be positive, got %d", s.Cols)})
+	}
+	if s.Rows > 0 && s.Cols > 0 && s.Rows > maxProcessors/s.Cols {
+		errs = append(errs, FieldError{"rows", fmt.Sprintf("rows×cols must be at most %d processors, got %d×%d", maxProcessors, s.Rows, s.Cols)})
 	}
 	if s.Strategy != "" && !knownName(strategy.Names(), s.Strategy) {
 		errs = append(errs, FieldError{"strategy",

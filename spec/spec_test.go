@@ -110,6 +110,38 @@ func TestValidateShards(t *testing.T) {
 	}
 }
 
+// TestValidateMachineSize pins the processor cap: rows×cols up to 4 096
+// is valid, beyond it a rows field error — including products that
+// overflow an int, which must not wrap into range.
+func TestValidateMachineSize(t *testing.T) {
+	for _, tc := range []struct {
+		rows, cols int
+		ok         bool
+	}{
+		{32, 32, true},
+		{64, 64, true},
+		{1, 4096, true},
+		{2, 2049, false},
+		{65, 64, false},
+		{50000, 50000, false},
+		{1 << 32, 1 << 32, false}, // the product wraps to 0
+		{1<<62 + 1, 4, false},     // the product wraps to 4
+	} {
+		s := Spec{Rows: tc.rows, Cols: tc.cols, Workload: Workload{Name: "stencil"}}
+		err := s.ValidateMachine()
+		if tc.ok {
+			if err != nil {
+				t.Errorf("%d×%d: %v", tc.rows, tc.cols, err)
+			}
+			continue
+		}
+		ve, ok := err.(*ValidationError)
+		if !ok || len(ve.Fields) != 1 || ve.Fields[0].Field != "rows" || !strings.Contains(ve.Fields[0].Msg, "4096") {
+			t.Errorf("%d×%d: got %v, want one rows field error naming the cap", tc.rows, tc.cols, err)
+		}
+	}
+}
+
 // TestStrategyWorkloadCrossRules pins the handopt/DSM pairing rules.
 func TestStrategyWorkloadCrossRules(t *testing.T) {
 	cases := []struct {
