@@ -19,8 +19,8 @@
 package main
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
@@ -99,92 +99,83 @@ func serveMain(args []string) {
 	fmt.Fprintln(os.Stderr, "divasim: drained, bye")
 }
 
+// runFlags are the single-run mode's flags that are not part of the run
+// description.
+type runFlags struct {
+	specFile               string
+	list, verbose, heatmap bool
+}
+
+// specFromFlags parses the single-run mode's flags. The run-description
+// flags bind straight into a diva.Spec, with the spec's own defaults:
+// diva.Spec{}.Normalized() for the machine and workload knobs, and the
+// reactive form for the transport defaults the help text names.
+func specFromFlags(args []string) (diva.Spec, runFlags, error) {
+	d := diva.Spec{}.Normalized()
+	react := diva.Spec{Recovery: spec.RecoveryReactive}.Normalized()
+	var s diva.Spec
+	var rf runFlags
+	var meshFlag string
+	w := &s.Workload
+	fs := flag.NewFlagSet("divasim", flag.ExitOnError)
+	fs.StringVar(&w.Name, "app", "matmul", "application: matmul, bitonic, barneshut, stencil")
+	fs.StringVar(&s.Strategy, "strategy", "at4", "data management strategy (see -list), or handopt")
+	fs.StringVar(&meshFlag, "mesh", fmt.Sprintf("%dx%d", d.Rows, d.Cols), "mesh dimensions ROWSxCOLS")
+	fs.StringVar(&s.Topology, "topology", d.Topology, "network topology (see -list; size from -mesh)")
+	fs.StringVar(&s.Tree, "tree", "", "decomposition tree override: "+strings.Join(spec.TreeNames(), ", "))
+	fs.IntVar(&w.Block, "block", d.Workload.Block, "matmul: block size in integers (perfect square)")
+	fs.IntVar(&w.Keys, "keys", d.Workload.Keys, "bitonic: keys per processor")
+	fs.IntVar(&w.Bodies, "bodies", d.Workload.Bodies, "barneshut: number of bodies")
+	fs.IntVar(&w.Steps, "steps", d.Workload.Steps, "barneshut: time steps (last steps after -measure are measured)")
+	fs.IntVar(&w.MeasureFrom, "measure", d.Workload.MeasureFrom, "barneshut: first measured step")
+	fs.IntVar(&w.Iters, "iters", d.Workload.Iters, "stencil: iterations")
+	fs.IntVar(&w.Halo, "halo", d.Workload.Halo, "stencil: halo size in integers")
+	fs.BoolVar(&w.Compute, "compute", false, "charge local computation costs (matmul/bitonic/stencil)")
+	fs.BoolVar(&w.Check, "check", false, "verify the output against a sequential reference (matmul/bitonic/stencil)")
+	fs.Uint64Var(&s.Seed, "seed", 1999, "random seed")
+	fs.StringVar(&s.Recovery, "recovery", spec.RecoveryOracle, "fault-tolerance mode: "+strings.Join(spec.RecoveryModes(), ", "))
+	fs.Float64Var(&s.AckTimeoutUS, "ack-timeout", 0, fmt.Sprintf("reactive: initial retransmission timeout in simulated us (0 = default %g)", react.AckTimeoutUS))
+	fs.IntVar(&s.MaxRetries, "retries", 0, fmt.Sprintf("reactive: retransmissions before the strategy recovers (0 = default %d)", react.MaxRetries))
+	fs.Float64Var(&s.Backoff, "backoff", 0, fmt.Sprintf("reactive: exponential backoff multiplier (0 = default %g)", react.Backoff))
+	fs.IntVar(&s.CacheCapacity, "capacity", 0, "cache capacity per node in bytes (0 = unbounded)")
+	fs.StringVar(&rf.specFile, "spec", "", "run the spec JSON document from this file instead of the flags")
+	fs.BoolVar(&rf.list, "list", false, "list the registered strategies, topologies and workloads, then exit")
+	fs.BoolVar(&rf.verbose, "v", false, "print per-message-kind statistics")
+	fs.BoolVar(&rf.heatmap, "heatmap", false, "print a per-link load heatmap (deciles of the busiest link)")
+	fs.Parse(args)
+
+	var err error
+	s.Rows, s.Cols, err = parseMesh(meshFlag)
+	// "handopt" selects the hand-optimized message passing variant of the
+	// application instead of a data management strategy.
+	if s.Strategy == "handopt" || w.Name == "stencil" {
+		s.Strategy = ""
+		if w.Name == "matmul" || w.Name == "bitonic" {
+			w.Name += "-handopt"
+		}
+	}
+	return s, rf, err
+}
+
 // runMain is the single-run mode: flags (or a -spec document) build one
 // diva.Spec and run it.
 func runMain(args []string) {
-	fs := flag.NewFlagSet("divasim", flag.ExitOnError)
-	app := fs.String("app", "matmul", "application: matmul, bitonic, barneshut, stencil")
-	strat := fs.String("strategy", "at4", "data management strategy (see -list), or handopt")
-	meshFlag := fs.String("mesh", "8x8", "mesh dimensions ROWSxCOLS")
-	topoFlag := fs.String("topology", "mesh", "network topology (see -list; size from -mesh)")
-	tree := fs.String("tree", "", "decomposition tree override: "+strings.Join(spec.TreeNames(), ", "))
-	block := fs.Int("block", 1024, "matmul: block size in integers (perfect square)")
-	keys := fs.Int("keys", 4096, "bitonic: keys per processor")
-	bodies := fs.Int("bodies", 4000, "barneshut: number of bodies")
-	steps := fs.Int("steps", 7, "barneshut: time steps (last steps after -measure are measured)")
-	measure := fs.Int("measure", 2, "barneshut: first measured step")
-	iters := fs.Int("iters", 4, "stencil: iterations")
-	halo := fs.Int("halo", 64, "stencil: halo size in integers")
-	compute := fs.Bool("compute", false, "charge local computation costs (matmul/bitonic/stencil)")
-	check := fs.Bool("check", false, "verify the output against a sequential reference (matmul/bitonic/stencil)")
-	seed := fs.Uint64("seed", 1999, "random seed")
-	recovery := fs.String("recovery", "oracle", "fault-tolerance mode: "+strings.Join(spec.RecoveryModes(), ", "))
-	ackTimeout := fs.Float64("ack-timeout", 0, "reactive: initial retransmission timeout in simulated us (0 = default 2000)")
-	retries := fs.Int("retries", 0, "reactive: retransmissions before the strategy recovers (0 = default 5)")
-	backoff := fs.Float64("backoff", 0, "reactive: exponential backoff multiplier (0 = default 2)")
-	capacity := fs.Int("capacity", 0, "cache capacity per node in bytes (0 = unbounded)")
-	specFile := fs.String("spec", "", "run the spec JSON document from this file instead of the flags")
-	list := fs.Bool("list", false, "list the registered strategies, topologies and workloads, then exit")
-	verbose := fs.Bool("v", false, "print per-message-kind statistics")
-	heatmap := fs.Bool("heatmap", false, "print a per-link load heatmap (deciles of the busiest link)")
-	fs.Parse(args)
-
-	if *list {
+	s, rf, err := specFromFlags(args)
+	if rf.list {
 		printRegistries()
 		return
 	}
-
-	var s diva.Spec
-	if *specFile != "" {
-		raw, err := os.ReadFile(*specFile)
-		if err != nil {
-			fail(err)
+	if rf.specFile != "" {
+		raw, rerr := os.ReadFile(rf.specFile)
+		if rerr != nil {
+			fail(rerr)
 		}
-		dec := json.NewDecoder(strings.NewReader(string(raw)))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&s); err != nil {
-			fail(fmt.Errorf("%s: %w", *specFile, err))
+		if s, err = spec.Decode(bytes.NewReader(raw)); err != nil {
+			err = fmt.Errorf("%s: %w", rf.specFile, err)
 		}
-	} else {
-		rows, cols, err := parseMesh(*meshFlag)
-		if err != nil {
-			fail(err)
-		}
-		// "handopt" selects the hand-optimized message passing variant of
-		// the application instead of a data management strategy.
-		workload := *app
-		strategy := *strat
-		if strategy == "handopt" || *app == "stencil" {
-			strategy = ""
-			if *app == "matmul" || *app == "bitonic" {
-				workload = *app + "-handopt"
-			}
-		}
-		s = diva.Spec{
-			Topology:      *topoFlag,
-			Rows:          rows,
-			Cols:          cols,
-			Strategy:      strategy,
-			Tree:          *tree,
-			Seed:          *seed,
-			CacheCapacity: *capacity,
-			Recovery:      *recovery,
-			AckTimeoutUS:  *ackTimeout,
-			MaxRetries:    *retries,
-			Backoff:       *backoff,
-			Workload: diva.WorkloadSpec{
-				Name:        workload,
-				Block:       *block,
-				Keys:        *keys,
-				Bodies:      *bodies,
-				Steps:       *steps,
-				MeasureFrom: *measure,
-				Iters:       *iters,
-				Halo:        *halo,
-				Compute:     *compute,
-				Check:       *check,
-			},
-		}
+	}
+	if err != nil {
+		fail(err)
 	}
 
 	m, w, err := diva.FromSpec(s)
@@ -222,12 +213,8 @@ func runMain(args []string) {
 	}
 	if m.Net.Reactive() {
 		st := m.Net.FaultStats()
-		meanDetect := 0.0
-		if st.Detected > 0 {
-			meanDetect = st.DetectUS / float64(st.Detected)
-		}
 		fmt.Printf("recovery:     reactive; %d dropped, %d retransmits, %d acks, %d detected (mean %.0f us), %d failovers, %d reissues\n",
-			st.Dropped, st.Retransmits, st.AckMsgs, st.Detected, meanDetect, st.Failovers, st.Reissues)
+			st.Dropped, st.Retransmits, st.AckMsgs, st.Detected, st.DetectLatencyUS(), st.Failovers, st.Reissues)
 	}
 	if res.Verified {
 		fmt.Printf("verified:     output matches the sequential reference\n")
@@ -245,7 +232,7 @@ func runMain(args []string) {
 	if ev := diva.TotalEvictions(m); ev > 0 {
 		fmt.Printf("replacements: %d copies evicted (capacity %d bytes/node)\n", ev, s.CacheCapacity)
 	}
-	if *verbose {
+	if rf.verbose {
 		msgs, bytes := m.Net.SendStats()
 		fmt.Println("\nmessages by kind:")
 		for k := 0; k < 256; k++ {
@@ -254,7 +241,7 @@ func runMain(args []string) {
 			}
 		}
 	}
-	if *heatmap {
+	if rf.heatmap {
 		hm, isMesh := diva.LinkHeatmap(m)
 		if !isMesh {
 			fail(fmt.Errorf("-heatmap is mesh-specific, topology is %s", m.Topo))

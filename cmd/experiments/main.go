@@ -28,11 +28,9 @@ func main() {
 	quick := flag.Bool("quick", false, "scaled-down inputs (seconds instead of tens of minutes)")
 	seed := flag.Uint64("seed", 1999, "random seed (1999: the year of the paper)")
 	workers := flag.Int("workers", 1, "number of figures to run concurrently (0: one per CPU)")
-	recovery := flag.String("recovery", "oracle", "fault-tolerance mode of the faults sweep: oracle or reactive (the recovery figure always compares both)")
 	flag.Parse()
 
 	r := experiments.New(os.Stdout, *quick, *seed)
-	r.Recovery = *recovery
 	if *workers == 0 {
 		*workers = runtime.NumCPU()
 	}

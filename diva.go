@@ -208,10 +208,10 @@ func WithRecovery(mode string) Option {
 }
 
 // WithAckTransport tunes the reactive transport's retransmission policy:
-// the initial ack timeout in simulated microseconds (default 2000), the
-// retransmission attempts before the strategy is told to recover
-// (default 5), and the exponential backoff multiplier between attempts
-// (default 2, at least 1). Zero fields keep their defaults. It requires
+// the initial ack timeout in simulated microseconds, the retransmission
+// attempts before the strategy is told to recover, and the exponential
+// backoff multiplier between attempts (at least 1). Zero fields keep the
+// defaults spec.RecoveryFields lists. It requires
 // WithRecovery(RecoveryReactive); New rejects the combination with the
 // oracle mode, where no transport exists to tune.
 func WithAckTransport(ackTimeoutUS float64, maxRetries int, backoff float64) Option {

@@ -142,15 +142,11 @@ func TestFaultForkAB(t *testing.T) {
 }
 
 // TestFaultKindNamesLockstep: every kind name the spec layer admits builds
-// a machine whose installed schedule round-trips to the same name — the
-// spec name table and the library's kind constants stay in lockstep.
+// a machine whose installed schedule round-trips to the same name.
 func TestFaultKindNamesLockstep(t *testing.T) {
 	kinds := spec.FaultKinds()
-	if len(kinds) != 4 {
-		t.Fatalf("spec.FaultKinds() = %v, want 4 kinds", kinds)
-	}
-	for _, down := range []string{"link-down", "node-down"} {
-		up := map[string]string{"link-down": "link-up", "node-down": "node-up"}[down]
+	for i := 0; i+1 < len(kinds); i += 2 {
+		down, up := kinds[i], kinds[i+1]
 		s := diva.Spec{
 			Rows: 2, Cols: 2, Seed: 1,
 			Workload: diva.WorkloadSpec{Name: "bitonic", Keys: 4},

@@ -4,16 +4,17 @@ import (
 	"fmt"
 
 	"diva/fault"
+	"diva/internal/decomp"
 	"diva/spec"
 	"diva/strategy"
 	"diva/topology"
 )
 
-// The serializable run description, re-exported by alias: diva/spec is
-// pure data plus validation, this file turns a Spec into a machine and a
-// workload. The divasim command line, the HTTP service and embedders all
-// funnel through FromSpec, so one JSON document describes the same run
-// everywhere.
+// The serializable run description, re-exported by alias: diva/spec
+// decodes, defaults and validates it, this file turns a Spec into a
+// machine and a workload. The divasim command line, the HTTP service and
+// embedders all funnel through FromSpec, so one JSON document describes
+// the same run everywhere.
 type (
 	// Spec describes one simulation run (see diva/spec).
 	Spec = spec.Spec
@@ -24,26 +25,6 @@ type (
 	// FaultSpec is the serializable fault-injection section of a Spec.
 	FaultSpec = spec.Fault
 )
-
-// faultKindByName maps spec fault kind names to the fault.Kind constants;
-// a guard test pins it against spec.FaultKinds().
-var faultKindByName = map[string]fault.Kind{
-	"link-down": fault.LinkDown,
-	"link-up":   fault.LinkUp,
-	"node-down": fault.NodeDown,
-	"node-up":   fault.NodeUp,
-}
-
-// treeByName maps spec tree names to the decomposition-tree variants; a
-// guard test pins it against spec.TreeNames().
-var treeByName = map[string]Tree{
-	Ary2.Name():    Ary2,
-	Ary4.Name():    Ary4,
-	Ary16.Name():   Ary16,
-	Ary2K4.Name():  Ary2K4,
-	Ary4K8.Name():  Ary4K8,
-	Ary4K16.Name(): Ary4K16,
-}
 
 // MachineFromSpec validates the machine half of s and builds the machine.
 // extra options are applied after the spec-derived ones. The workload half
@@ -64,29 +45,25 @@ func MachineFromSpec(s Spec, extra ...Option) (*Machine, error) {
 		opts = append(opts, WithStrategyName(n.Strategy))
 	}
 	if n.Tree != "" {
-		opts = append(opts, WithTree(treeByName[n.Tree]))
+		tree, _ := decomp.ByName(n.Tree) // known: the spec validated
+		opts = append(opts, WithTree(tree))
 	}
 	if p := n.Net; p != nil {
-		opts = append(opts, WithNetParams(NetParams{
-			BytesPerUS:      p.BytesPerUS,
-			HopLatencyUS:    p.HopLatencyUS,
-			StartupSendUS:   p.StartupSendUS,
-			StartupRecvUS:   p.StartupRecvUS,
-			LocalDeliveryUS: p.LocalDeliveryUS,
-			NoBackpressure:  p.NoBackpressure,
-		}))
+		opts = append(opts, WithNetParams(NetParams(*p)))
 	}
-	if n.Recovery != "" {
-		opts = append(opts, WithRecovery(n.Recovery))
-		if n.Recovery == spec.RecoveryReactive {
-			opts = append(opts, WithAckTransport(n.AckTimeoutUS, n.MaxRetries, n.Backoff))
-		}
+	if n.Recovery != "" { // reactive: a normalized spec spells oracle ""
+		opts = append(opts, WithRecovery(n.Recovery), WithAckTransport(n.AckTimeoutUS, n.MaxRetries, n.Backoff))
 	}
 	if f := n.Fault; f != nil {
 		if len(f.Events) > 0 {
 			sched := make(fault.Schedule, len(f.Events))
 			for i, ev := range f.Events {
-				sched[i] = fault.Event{AtUS: ev.AtUS, Kind: faultKindByName[ev.Kind], A: ev.A, B: ev.B}
+				sched[i] = fault.Event{AtUS: ev.AtUS, A: ev.A, B: ev.B}
+				for k := fault.LinkDown; k <= fault.NodeUp; k++ {
+					if k.String() == ev.Kind {
+						sched[i].Kind = k
+					}
+				}
 			}
 			opts = append(opts, WithFaults(sched))
 		}

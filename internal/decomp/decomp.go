@@ -47,6 +47,21 @@ var (
 	Ary4K16 = Spec{Base: 4, TermK: 16}
 )
 
+// Variants lists the paper's six variants in the paper's order. It is the
+// one table of named trees: the strategy registry, the spec layer and the
+// figures all read it.
+var Variants = []Spec{Ary2, Ary4, Ary16, Ary2K4, Ary4K8, Ary4K16}
+
+// ByName returns the paper variant whose Name is name.
+func ByName(name string) (Spec, bool) {
+	for _, s := range Variants {
+		if s.Name() == name {
+			return s, true
+		}
+	}
+	return Spec{}, false
+}
+
 // Valid reports whether the spec is one the library supports.
 func (s Spec) Valid() bool {
 	switch s.Base {

@@ -33,30 +33,26 @@ func faultRates(quick bool) []faultRate {
 	return []faultRate{{0, 0}, {2, 0}, {4, 1}, {8, 2}}
 }
 
-// faultCell is one (topology, rate, strategy) measurement.
+// faultCell is one measurement of the fault figures.
 type faultCell struct {
 	timeUS  float64
 	congMax uint64
 	stats   mesh.FaultStats
 }
 
-// runFaultCell runs the DSM matrix square for one degradation cell. The
-// runner's Recovery field selects the fault-tolerance mode (default
-// oracle; "reactive" repeats the sweep with timeout-based detection).
-func (r *Runner) runFaultCell(topo string, side int, rate faultRate, strat string) (faultCell, error) {
-	opts := []diva.Option{
+// runFaultCell runs the DSM matrix square for one cell of the fault
+// figures: strat on a side×side topo under a schedule drawn at rate, with
+// extra machine options (the recovery mode) applied last.
+func (r *Runner) runFaultCell(topo string, side int, rate faultRate, strat string, extra ...diva.Option) (faultCell, error) {
+	m, err := diva.New(append([]diva.Option{
 		diva.WithTopologyName(topo, side, side),
 		diva.WithSeed(r.Seed),
 		diva.WithStrategyName(strat),
 		diva.WithFaultGen(fault.Gen{
 			LinkFailures: rate.links, NodeChurn: rate.churn,
-			MeanDownUS: 20000, HorizonUS: 100000,
+			MeanDownUS: mesh.DefaultMeanDownUS, HorizonUS: mesh.DefaultHorizonUS,
 		}),
-	}
-	if r.Recovery != "" && r.Recovery != diva.RecoveryOracle {
-		opts = append(opts, diva.WithRecovery(r.Recovery))
-	}
-	m, err := diva.New(opts...)
+	}, extra...)...)
 	if err != nil {
 		return faultCell{}, err
 	}
@@ -89,8 +85,8 @@ func (r *Runner) FigFaults() error {
 		side = 4
 	}
 	r.header(fmt.Sprintf("Faults: strategy degradation under link failure and churn (%dx%d)", side, side))
-	fmt.Fprintf(r.W, "matmul under a seeded fault schedule: outages last 20000 us on average,\n")
-	fmt.Fprintf(r.W, "starting inside the first 100000 us; churn takes a node's interface down.\n")
+	fmt.Fprintf(r.W, "matmul under a seeded fault schedule: outages last %d us on average,\n", mesh.DefaultMeanDownUS)
+	fmt.Fprintf(r.W, "starting inside the first %d us; churn takes a node's interface down.\n", mesh.DefaultHorizonUS)
 
 	nCells := len(topos) * len(rates) * len(strategies)
 	cells, err := runCells(r, nCells, func(i int) (faultCell, error) {
@@ -146,7 +142,7 @@ func (r *Runner) FigFaults() error {
 	}
 	table(r.W, rows)
 	fmt.Fprintln(r.W, "\nFaults are applied in the network's deterministic routing order, so")
-	fmt.Fprintln(r.W, "every cell is bit-reproducible at any kernel shard count. Re-routes ride")
+	fmt.Fprintln(r.W, "every cell is bit-reproducible from its seed alone. Re-routes ride")
 	fmt.Fprintln(r.W, "the live spanning forest (stretch > 1); messages into a partition are")
 	fmt.Fprintln(r.W, "held until the schedule heals it and retransmitted (retry bytes). Both")
 	fmt.Fprintln(r.W, "strategies slow down by similar factors — the schedule hits links, not")

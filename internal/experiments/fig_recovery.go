@@ -4,9 +4,6 @@ import (
 	"fmt"
 
 	"diva"
-	"diva/fault"
-	"diva/internal/apps/matmul"
-	"diva/internal/mesh"
 )
 
 // This file implements the recovery sweep ("recovery"): the matrix
@@ -19,50 +16,15 @@ import (
 // shapes, asking how much each strategy pays when nobody tells it the
 // network broke.
 
-// recoveryCell is one (topology, mode, strategy) measurement.
-type recoveryCell struct {
-	timeUS  float64
-	congMax uint64
-	stats   mesh.FaultStats
-}
-
-// runRecoveryCell runs the DSM matrix square for one recovery-sweep cell.
-// The reactive transport is tuned fast (0.5 ms initial timeout, 3 retries)
-// so detection beats the ~20 ms outages and the strategies actually fail
-// over, instead of the transport quietly retrying across the heal.
-func (r *Runner) runRecoveryCell(topo string, side int, reactive bool, strat string) (recoveryCell, error) {
-	opts := []diva.Option{
-		diva.WithTopologyName(topo, side, side),
-		diva.WithSeed(r.Seed),
-		diva.WithStrategyName(strat),
-		diva.WithFaultGen(fault.Gen{
-			LinkFailures: 2, NodeChurn: 1,
-			MeanDownUS: 20000, HorizonUS: 100000,
-		}),
+// recoveryOptions selects the reactive mode for a recovery-sweep cell. The
+// transport is tuned fast (0.5 ms initial timeout, 3 retries) so detection
+// beats the ~20 ms outages and the strategies actually fail over, instead
+// of the transport quietly retrying across the heal.
+func recoveryOptions(reactive bool) []diva.Option {
+	if !reactive {
+		return nil
 	}
-	if reactive {
-		opts = append(opts,
-			diva.WithRecovery(diva.RecoveryReactive),
-			diva.WithAckTransport(500, 3, 2),
-		)
-	}
-	m, err := diva.New(opts...)
-	if err != nil {
-		return recoveryCell{}, err
-	}
-	block := 256
-	if r.Quick {
-		block = 64
-	}
-	res, err := matmul.RunDSM(m, matmul.Config{BlockInts: block, Seed: r.Seed})
-	if err != nil {
-		return recoveryCell{}, err
-	}
-	return recoveryCell{
-		timeUS:  res.ElapsedUS,
-		congMax: m.Net.Congestion(nil).MaxMsgs,
-		stats:   m.Net.FaultStats(),
-	}, nil
+	return []diva.Option{diva.WithRecovery(diva.RecoveryReactive), diva.WithAckTransport(500, 3, 2)}
 }
 
 // FigRecovery produces the "recovery" figure: oracle vs reactive fault
@@ -86,16 +48,16 @@ func (r *Runner) FigRecovery() error {
 	fmt.Fprintf(r.W, "re-issues over the re-embedded spanning forest.\n")
 
 	nCells := len(topos) * len(modes) * len(strategies)
-	cells, err := runCells(r, nCells, func(i int) (recoveryCell, error) {
+	cells, err := runCells(r, nCells, func(i int) (faultCell, error) {
 		ti := i / (len(modes) * len(strategies))
 		mi := i / len(strategies) % len(modes)
 		si := i % len(strategies)
-		return r.runRecoveryCell(topos[ti], side, mi == 1, strategies[si])
+		return r.runFaultCell(topos[ti], side, faultRate{2, 1}, strategies[si], recoveryOptions(mi == 1)...)
 	})
 	if err != nil {
 		return err
 	}
-	at := func(ti, mi, si int) recoveryCell {
+	at := func(ti, mi, si int) faultCell {
 		return cells[(ti*len(modes)+mi)*len(strategies)+si]
 	}
 
@@ -136,6 +98,6 @@ func (r *Runner) FigRecovery() error {
 	fmt.Fprintln(r.W, "where the network is healthy — that is the standing cost of detection —")
 	fmt.Fprintln(r.W, "and pay detection latency where it is not. Both modes are deterministic:")
 	fmt.Fprintln(r.W, "timeouts and backoff jitter are drawn from dedicated seed-derived RNG")
-	fmt.Fprintln(r.W, "streams, so every cell is bit-reproducible at any kernel shard count.")
+	fmt.Fprintln(r.W, "streams, so every cell is bit-reproducible from its seed alone.")
 	return nil
 }

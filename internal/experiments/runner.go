@@ -42,11 +42,6 @@ type Runner struct {
 	// buffered per figure and emitted in figure order, so the bytes written
 	// to W are identical to a sequential run's.
 	Workers int
-	// Recovery selects the fault-tolerance mode of the degradation sweep's
-	// machines ("" or "oracle": the default oracle mode; "reactive": the
-	// timeout-based mode with its default transport tuning). The dedicated
-	// "recovery" figure always compares both modes and ignores this.
-	Recovery string
 
 	// pool is the shared slot pool (created on first parallel use and
 	// inherited by worker clones); holding marks a clone whose figure
@@ -204,8 +199,7 @@ func (r *Runner) runParallel(names []string) error {
 			// rows.
 			sub := &Runner{
 				W: &results[i].buf, Quick: r.Quick, Seed: r.Seed,
-				Workers: r.Workers, Recovery: r.Recovery,
-				pool: r.pool, holding: true, bhCache: r.bhCache,
+				Workers: r.Workers, pool: r.pool, holding: true, bhCache: r.bhCache,
 			}
 			results[i].err = sub.Run(f)
 		}(i, f)
@@ -241,21 +235,10 @@ type strategyUnderTest struct {
 	fact core.Factory
 }
 
-// atNames maps the paper's tree variants to their strategy registry names:
-// the public registry is the single source of truth for the factory/tree
-// pairs the figures run.
-var atNames = map[decomp.Spec]string{
-	decomp.Ary2:    "at2",
-	decomp.Ary4:    "at4",
-	decomp.Ary16:   "at16",
-	decomp.Ary2K4:  "at2k4",
-	decomp.Ary4K8:  "at4k8",
-	decomp.Ary4K16: "at4k16",
-}
-
+// atStrategy is the access tree on one of the paper's tree variants
+// (decomp.Variants): the registry's access tree factory on that tree.
 func atStrategy(spec decomp.Spec) strategyUnderTest {
-	s := strategy.MustGet(atNames[spec])
-	return strategyUnderTest{name: s.Tree.Name() + " AT", spec: s.Tree, fact: s.Factory}
+	return strategyUnderTest{name: spec.Name() + " AT", spec: spec, fact: atFactory()}
 }
 
 func fhStrategy() strategyUnderTest {

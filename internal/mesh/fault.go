@@ -77,6 +77,14 @@ type FaultGen struct {
 	HorizonUS    float64
 }
 
+// The default outage length and start window of a drawn schedule: what a
+// run description that draws faults without naming them gets, and what
+// the fault figures draw with.
+const (
+	DefaultMeanDownUS = 20000
+	DefaultHorizonUS  = 100000
+)
+
 // Generate draws the schedule over topology t. Link outages pick distinct
 // undirected node pairs among t's links; churn picks distinct processor
 // nodes (switch elements of indirect topologies stay up — fence a switch

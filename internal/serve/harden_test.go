@@ -45,6 +45,27 @@ func TestOversizedBody413(t *testing.T) {
 	}
 }
 
+// TestTrailingData400 pins that a request body is one spec document: data
+// after a valid spec is a 400, not a run of the first document, while a
+// valid spec padded past the size bound is still a 413.
+func TestTrailingData400(t *testing.T) {
+	ts := httptest.NewServer(mustServer(t, Options{}).Handler())
+	defer ts.Close()
+	doc := `{"rows":4,"cols":4,"strategy":"at4","workload":{"name":"bitonic","keys":8}}`
+	resp, body := post(t, ts, doc+` {"rows":"garbage"} trailing junk`)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "trailing data") {
+		t.Errorf("trailing document: status %d: %s", resp.StatusCode, body)
+	}
+	resp, body = post(t, ts, doc+strings.Repeat(" ", maxSpecBytes))
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized padding: status %d: %.200s", resp.StatusCode, body)
+	}
+	resp, body = post(t, ts, doc+"\n")
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("trailing newline: status %d: %s", resp.StatusCode, body)
+	}
+}
+
 // TestDeadline504 pins the deadline surface: a run whose timeout_ms
 // expires is canceled at a kernel checkpoint and answered with 504 plus
 // progress diagnostics. The gate outlasts the 10ms deadline while holding

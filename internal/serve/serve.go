@@ -253,10 +253,8 @@ type errorResponse struct {
 
 // decodeSpec reads one bounded spec document from the request.
 func (s *Server) decodeSpec(w http.ResponseWriter, r *http.Request) (spec.Spec, bool) {
-	var sp spec.Spec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sp); err != nil {
+	sp, err := spec.Decode(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			s.writeError(w, http.StatusRequestEntityTooLarge,
@@ -267,6 +265,16 @@ func (s *Server) decodeSpec(w http.ResponseWriter, r *http.Request) (spec.Spec, 
 		return sp, false
 	}
 	return sp, true
+}
+
+// validSpec validates sp, answering 400 with the per-field breakdown when
+// it is invalid.
+func (s *Server) validSpec(w http.ResponseWriter, sp spec.Spec) bool {
+	err := sp.Validate()
+	if ve, ok := err.(*spec.ValidationError); ok {
+		s.writeError(w, http.StatusBadRequest, err.Error(), ve.Fields)
+	}
+	return err == nil
 }
 
 // admit applies admission control and registers the request with the
@@ -365,12 +373,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if handle == "" {
 		// Snapshot runs validate after merging with the stored machine
 		// spec; plain runs validate the document as-is, up front.
-		if err := sp.Validate(); err != nil {
-			var fields []spec.FieldError
-			if ve, ok := err.(*spec.ValidationError); ok {
-				fields = ve.Fields
-			}
-			s.writeError(w, http.StatusBadRequest, err.Error(), fields)
+		if !s.validSpec(w, sp) {
 			return
 		}
 	} else if s.store == nil {
@@ -513,12 +516,7 @@ func (s *Server) handleSnapshotCreate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if err := sp.Validate(); err != nil {
-		var fields []spec.FieldError
-		if ve, ok := err.(*spec.ValidationError); ok {
-			fields = ve.Fields
-		}
-		s.writeError(w, http.StatusBadRequest, err.Error(), fields)
+	if !s.validSpec(w, sp) {
 		return
 	}
 
@@ -588,10 +586,6 @@ func recoverySummary(m *diva.Machine) *RecoverySummary {
 		return nil
 	}
 	st := m.Net.FaultStats()
-	mean := 0.0
-	if st.Detected > 0 {
-		mean = st.DetectUS / float64(st.Detected)
-	}
 	return &RecoverySummary{
 		Dropped:       st.Dropped,
 		AckMsgs:       st.AckMsgs,
@@ -600,7 +594,7 @@ func recoverySummary(m *diva.Machine) *RecoverySummary {
 		DupDrops:      st.DupDrops,
 		FalseTimeouts: st.FalseTimeouts,
 		Detected:      st.Detected,
-		MeanDetectUS:  mean,
+		MeanDetectUS:  st.DetectLatencyUS(),
 		Recovered:     st.Recovered,
 		Failovers:     st.Failovers,
 		Reissues:      st.Reissues,

@@ -241,6 +241,36 @@ func TestHandleStability(t *testing.T) {
 	}
 }
 
+// TestHandlePinned pins the handles of specs that leave every defaulted
+// field zero. A handle hashes the normalized spec, so this pins each
+// default Normalized fills in: a default that moves changes the identity
+// of every stored snapshot written with it.
+func TestHandlePinned(t *testing.T) {
+	matmul := spec.Workload{Name: "matmul"}
+	cases := []struct {
+		name string
+		sp   spec.Spec
+		want string
+	}{
+		{"bare", spec.Spec{Strategy: "at4", Workload: matmul}, "7657df664eae5d88"},
+		{"handopt", spec.Spec{Strategy: "handopt", Workload: spec.Workload{Name: "stencil"}}, "f64654915391abfa"},
+		{"oracle", spec.Spec{Strategy: "at4", Recovery: "oracle", Workload: matmul}, "7657df664eae5d88"},
+		{"reactive", spec.Spec{Strategy: "at4", Recovery: "reactive", Workload: matmul}, "581d6179df213aca"},
+		{"drawn-fault", spec.Spec{Strategy: "fixedhome", Fault: &spec.Fault{LinkFailures: 2, NodeChurn: 1}, Workload: matmul}, "7e0c13612bac1dc0"},
+		{"tree-2-ary", spec.Spec{Strategy: "at4", Tree: "2-ary", Workload: matmul}, "78bc389f23a01a25"},
+		{"tree-4-ary", spec.Spec{Strategy: "at4", Tree: "4-ary", Workload: matmul}, "cf37f7ad65a25e67"},
+		{"tree-16-ary", spec.Spec{Strategy: "at4", Tree: "16-ary", Workload: matmul}, "c596092048a38d16"},
+		{"tree-2-4-ary", spec.Spec{Strategy: "at4", Tree: "2-4-ary", Workload: matmul}, "3091dc2ec65b9a5a"},
+		{"tree-4-8-ary", spec.Spec{Strategy: "at4", Tree: "4-8-ary", Workload: matmul}, "bfa00dfc36045ae8"},
+		{"tree-4-16-ary", spec.Spec{Strategy: "at4", Tree: "4-16-ary", Workload: matmul}, "0d8a32496f5baf93"},
+	}
+	for _, c := range cases {
+		if got := snapstore.Handle(c.sp); got != c.want {
+			t.Errorf("%s: Handle = %q, want %q", c.name, got, c.want)
+		}
+	}
+}
+
 // fileSections returns the offsets framing a DIVASNP3 file, as the package
 // comment lays it out: header, the four sections, checksum, end of file.
 func fileSections(t testing.TB, data []byte) [7]int {

@@ -6,15 +6,22 @@
 // applications, and the HTTP service all build the same Spec and hand it
 // to diva.FromSpec.
 //
-// The package is pure data plus validation: it imports only the public
-// registries (diva/strategy, diva/topology), so it can be vendored into
-// clients that never link the simulator itself.
+// The package links the simulator and reads its tables instead of keeping
+// copies: tree names, fault kind names, and the transport and fault-draw
+// defaults all come from the packages that implement them.
 package spec
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"slices"
 	"strings"
 
+	"diva/internal/core"
+	"diva/internal/decomp"
+	"diva/internal/mesh"
 	"diva/strategy"
 	"diva/topology"
 )
@@ -61,17 +68,14 @@ type Spec struct {
 	// with strategy-level recovery). Empty means "oracle".
 	Recovery string `json:"recovery,omitempty"`
 	// AckTimeoutUS is the reactive transport's initial retransmission
-	// timeout in simulated microseconds (default 2000). Setting it
-	// requires recovery "reactive".
+	// timeout in simulated microseconds. MaxRetries is how many times it
+	// retransmits an unacknowledged message before giving up and handing
+	// it to the strategy. Backoff is its exponential backoff multiplier
+	// between attempts, at least 1. Zero keeps the default RecoveryFields
+	// lists; setting any of them requires recovery "reactive".
 	AckTimeoutUS float64 `json:"ack_timeout_us,omitempty"`
-	// MaxRetries is how many times the reactive transport retransmits an
-	// unacknowledged message before giving up and handing it to the
-	// strategy (default 5). Setting it requires recovery "reactive".
-	MaxRetries int `json:"max_retries,omitempty"`
-	// Backoff is the reactive transport's exponential backoff multiplier
-	// between retransmission attempts, at least 1 (default 2). Setting it
-	// requires recovery "reactive".
-	Backoff float64 `json:"backoff,omitempty"`
+	MaxRetries   int     `json:"max_retries,omitempty"`
+	Backoff      float64 `json:"backoff,omitempty"`
 	// TimeoutMS bounds the run's wall-clock time in milliseconds: when it
 	// expires the simulation is canceled cooperatively at the kernel's
 	// next checkpoint (diva.ErrCanceled; the service answers 504). 0 means
@@ -108,10 +112,10 @@ type Fault struct {
 	LinkFailures int `json:"link_failures,omitempty"`
 	NodeChurn    int `json:"node_churn,omitempty"`
 	// MeanDownUS is the mean outage duration of drawn faults (actual
-	// durations are uniform in [0.5, 1.5)×mean; default 20000).
+	// durations are uniform in [0.5, 1.5)×mean), HorizonUS the window they
+	// start in. Zero keeps the default FaultFields lists.
 	MeanDownUS float64 `json:"mean_down_us,omitempty"`
-	// HorizonUS is the window drawn outages start in (default 100000).
-	HorizonUS float64 `json:"horizon_us,omitempty"`
+	HorizonUS  float64 `json:"horizon_us,omitempty"`
 }
 
 // FaultEvent is one explicit timed fault. Kind is one of FaultKinds():
@@ -125,9 +129,14 @@ type FaultEvent struct {
 	B    int     `json:"b,omitempty"`
 }
 
-// FaultKinds lists the event kind names a FaultEvent accepts.
+// FaultKinds lists the event kind names a FaultEvent accepts: the names of
+// the network's fault kinds, in kind order.
 func FaultKinds() []string {
-	return []string{"link-down", "link-up", "node-down", "node-up"}
+	names := make([]string, 0, mesh.FaultNodeUp+1)
+	for k := mesh.FaultLinkDown; k <= mesh.FaultNodeUp; k++ {
+		names = append(names, k.String())
+	}
+	return names
 }
 
 // FaultFields documents the fault-schedule spec fields for listings
@@ -137,15 +146,15 @@ func FaultFields() []Registered {
 		{Name: "fault.events", Summary: "explicit timed faults: {at_us, kind: " + strings.Join(FaultKinds(), "|") + ", a, b}"},
 		{Name: "fault.link_failures", Summary: "randomized link outages drawn from the machine seed"},
 		{Name: "fault.node_churn", Summary: "randomized node churns drawn from the machine seed"},
-		{Name: "fault.mean_down_us", Summary: "mean outage duration of drawn faults (default 20000)"},
-		{Name: "fault.horizon_us", Summary: "start window of drawn faults (default 100000)"},
+		{Name: "fault.mean_down_us", Summary: fmt.Sprintf("mean outage duration of drawn faults (default %d)", mesh.DefaultMeanDownUS)},
+		{Name: "fault.horizon_us", Summary: fmt.Sprintf("start window of drawn faults (default %d)", mesh.DefaultHorizonUS)},
 	}
 }
 
 // The fault-tolerance mode names Spec.Recovery accepts.
 const (
-	RecoveryOracle   = "oracle"
-	RecoveryReactive = "reactive"
+	RecoveryOracle   = core.RecoveryOracle
+	RecoveryReactive = core.RecoveryReactive
 )
 
 // RecoveryModes lists the fault-tolerance modes Spec.Recovery accepts.
@@ -156,11 +165,12 @@ func RecoveryModes() []string {
 // RecoveryFields documents the recovery spec fields for listings
 // (-list, the service's /v1/registries).
 func RecoveryFields() []Registered {
+	d := mesh.DefaultReactParams()
 	return []Registered{
 		{Name: "recovery", Summary: "fault-tolerance mode: " + strings.Join(RecoveryModes(), "|") + " (default oracle)"},
-		{Name: "ack_timeout_us", Summary: "reactive transport's initial retransmission timeout (default 2000)"},
-		{Name: "max_retries", Summary: "reactive transport's retransmissions before giving up (default 5)"},
-		{Name: "backoff", Summary: "reactive transport's exponential backoff multiplier (default 2)"},
+		{Name: "ack_timeout_us", Summary: fmt.Sprintf("reactive transport's initial retransmission timeout (default %g)", d.AckTimeoutUS)},
+		{Name: "max_retries", Summary: fmt.Sprintf("reactive transport's retransmissions before giving up (default %d)", d.MaxRetries)},
+		{Name: "backoff", Summary: fmt.Sprintf("reactive transport's exponential backoff multiplier (default %g)", d.Backoff)},
 	}
 }
 
@@ -235,7 +245,11 @@ func WorkloadNames() []string {
 // TreeNames lists the decomposition-tree variant names Spec.Tree accepts,
 // in the paper's order.
 func TreeNames() []string {
-	return []string{"2-ary", "4-ary", "16-ary", "2-4-ary", "4-8-ary", "4-16-ary"}
+	names := make([]string, len(decomp.Variants))
+	for i, t := range decomp.Variants {
+		names[i] = t.Name()
+	}
+	return names
 }
 
 // HandOptimized reports whether the named workload runs without a data
@@ -265,6 +279,27 @@ func (e *ValidationError) Error() string {
 	return "invalid spec: " + strings.Join(msgs, "; ")
 }
 
+// Decode reads one spec document from r: unknown fields are rejected, and
+// nothing but whitespace may follow the document. It is the one decode path
+// of the divasim -spec file and the service's request bodies. Errors of r
+// itself are returned as they are.
+func Decode(r io.Reader) (Spec, error) {
+	var s Spec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
+		return Spec{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		var syntax *json.SyntaxError
+		if err == nil || errors.As(err, &syntax) {
+			err = errors.New("trailing data after the spec document")
+		}
+		return Spec{}, err
+	}
+	return s, nil
+}
+
 // Normalized returns a copy with every defaultable zero field filled in:
 // the canonical form of the run description. Validate, the CLI, the
 // service and diva.FromSpec all operate on the normalized form, so two
@@ -280,18 +315,19 @@ func (s Spec) Normalized() Spec {
 	if n.Strategy == "handopt" {
 		n.Strategy = ""
 	}
-	if n.Recovery == "oracle" {
+	if n.Recovery == RecoveryOracle {
 		n.Recovery = "" // the default mode, like strategy "handopt"
 	}
-	if n.Recovery == "reactive" {
+	if n.Recovery == RecoveryReactive {
+		d := mesh.DefaultReactParams()
 		if n.AckTimeoutUS == 0 {
-			n.AckTimeoutUS = 2000
+			n.AckTimeoutUS = d.AckTimeoutUS
 		}
 		if n.MaxRetries == 0 {
-			n.MaxRetries = 5
+			n.MaxRetries = d.MaxRetries
 		}
 		if n.Backoff == 0 {
-			n.Backoff = 2
+			n.Backoff = d.Backoff
 		}
 	}
 	w := &n.Workload
@@ -324,10 +360,10 @@ func (s Spec) Normalized() Spec {
 		f.Events = append([]FaultEvent(nil), f.Events...)
 		if f.LinkFailures > 0 || f.NodeChurn > 0 {
 			if f.MeanDownUS == 0 {
-				f.MeanDownUS = 20000
+				f.MeanDownUS = mesh.DefaultMeanDownUS
 			}
 			if f.HorizonUS == 0 {
-				f.HorizonUS = 100000
+				f.HorizonUS = mesh.DefaultHorizonUS
 			}
 		}
 		n.Fault = &f
@@ -367,7 +403,7 @@ const maxProcessors = 4096
 // machineErrors validates the machine fields of a normalized spec.
 func (s Spec) machineErrors() []FieldError {
 	var errs []FieldError
-	if !knownName(topology.Names(), s.Topology) {
+	if !slices.Contains(topology.Names(), s.Topology) {
 		errs = append(errs, FieldError{"topology",
 			fmt.Sprintf("unknown topology %q (have %s)", s.Topology, strings.Join(topology.Names(), ", "))})
 	}
@@ -380,13 +416,15 @@ func (s Spec) machineErrors() []FieldError {
 	if s.Rows > 0 && s.Cols > 0 && s.Rows > maxProcessors/s.Cols {
 		errs = append(errs, FieldError{"rows", fmt.Sprintf("rows×cols must be at most %d processors, got %d×%d", maxProcessors, s.Rows, s.Cols)})
 	}
-	if s.Strategy != "" && !knownName(strategy.Names(), s.Strategy) {
+	if s.Strategy != "" && !slices.Contains(strategy.Names(), s.Strategy) {
 		errs = append(errs, FieldError{"strategy",
 			fmt.Sprintf("unknown strategy %q (have %s, or \"handopt\")", s.Strategy, strings.Join(strategy.Names(), ", "))})
 	}
-	if s.Tree != "" && !knownName(TreeNames(), s.Tree) {
-		errs = append(errs, FieldError{"tree",
-			fmt.Sprintf("unknown tree %q (have %s)", s.Tree, strings.Join(TreeNames(), ", "))})
+	if s.Tree != "" {
+		if _, ok := decomp.ByName(s.Tree); !ok {
+			errs = append(errs, FieldError{"tree",
+				fmt.Sprintf("unknown tree %q (have %s)", s.Tree, strings.Join(TreeNames(), ", "))})
+		}
 	}
 	if s.Shards < 0 {
 		errs = append(errs, FieldError{"shards", fmt.Sprintf("must be non-negative, got %d", s.Shards)})
@@ -400,12 +438,12 @@ func (s Spec) machineErrors() []FieldError {
 		errs = append(errs, FieldError{"timeout_ms", fmt.Sprintf("must be non-negative, got %d", s.TimeoutMS)})
 	}
 	switch s.Recovery {
-	case "", "oracle", "reactive":
+	case "", RecoveryOracle, RecoveryReactive:
 	default:
 		errs = append(errs, FieldError{"recovery",
 			fmt.Sprintf("unknown mode %q (have %s)", s.Recovery, strings.Join(RecoveryModes(), ", "))})
 	}
-	if s.Recovery == "reactive" {
+	if s.Recovery == RecoveryReactive {
 		if s.AckTimeoutUS <= 0 {
 			errs = append(errs, FieldError{"ack_timeout_us", "must be positive"})
 		}
@@ -448,7 +486,7 @@ func (s Spec) machineErrors() []FieldError {
 			}
 		}
 		for i, ev := range f.Events {
-			if !knownName(FaultKinds(), ev.Kind) {
+			if !slices.Contains(FaultKinds(), ev.Kind) {
 				errs = append(errs, FieldError{fmt.Sprintf("fault.events[%d].kind", i),
 					fmt.Sprintf("unknown kind %q (have %s)", ev.Kind, strings.Join(FaultKinds(), ", "))})
 			}
@@ -489,7 +527,7 @@ func (s Spec) workloadErrors() []FieldError {
 	if w.Name == "" {
 		return append(errs, FieldError{"workload.name", "required (have " + strings.Join(WorkloadNames(), ", ") + ")"})
 	}
-	if !knownName(WorkloadNames(), w.Name) {
+	if !slices.Contains(WorkloadNames(), w.Name) {
 		return append(errs, FieldError{"workload.name",
 			fmt.Sprintf("unknown workload %q (have %s)", w.Name, strings.Join(WorkloadNames(), ", "))})
 	}
@@ -522,13 +560,4 @@ func (s Spec) workloadErrors() []FieldError {
 			fmt.Sprintf("must be in [0, steps), got %d with %d steps", w.MeasureFrom, w.Steps)})
 	}
 	return errs
-}
-
-func knownName(names []string, name string) bool {
-	for _, n := range names {
-		if n == name {
-			return true
-		}
-	}
-	return false
 }

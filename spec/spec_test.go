@@ -24,6 +24,33 @@ func TestMinimalSpecValid(t *testing.T) {
 	}
 }
 
+// TestDecodeOneDocument pins that Decode reads exactly one document:
+// whitespace may follow it, anything else is an error, and so is an
+// unknown field.
+func TestDecodeOneDocument(t *testing.T) {
+	const doc = `{"strategy":"at4","workload":{"name":"matmul"}}`
+	for _, tail := range []string{"", "\n", " \t\r\n  "} {
+		s, err := Decode(strings.NewReader(doc + tail))
+		if err != nil {
+			t.Errorf("tail %q: %v", tail, err)
+		} else if s.Strategy != "at4" || s.Workload.Name != "matmul" {
+			t.Errorf("tail %q: decoded %+v", tail, s)
+		}
+	}
+	for _, bad := range []string{
+		doc + ` {"rows":"garbage"} trailing junk`,
+		doc + doc,
+		doc + " x",
+		doc + "]",
+		`{"strategy":"at4","shard":2,"workload":{"name":"matmul"}}`,
+		``,
+	} {
+		if _, err := Decode(strings.NewReader(bad)); err == nil {
+			t.Errorf("%q decoded without error", bad)
+		}
+	}
+}
+
 // TestNormalizedDefaults pins the canonical defaults.
 func TestNormalizedDefaults(t *testing.T) {
 	n := Spec{Workload: Workload{Name: "matmul"}, Strategy: "at4", Seed: 7}.Normalized()

@@ -102,21 +102,17 @@ func init() {
 		Tree:    decomp.Ary4,
 		Factory: fixedhome.Factory(),
 	})
-	for _, v := range []struct {
-		name string
-		tree decomp.Spec
-	}{
-		{"at2", decomp.Ary2},
-		{"at4", decomp.Ary4},
-		{"at16", decomp.Ary16},
-		{"at2k4", decomp.Ary2K4},
-		{"at4k8", decomp.Ary4K8},
-		{"at4k16", decomp.Ary4K16},
-	} {
+	// One access tree per paper variant: "at<base>", plus "k<k>" for the
+	// terminating ℓ-k-ary trees (at2, at4, at16, at2k4, at4k8, at4k16).
+	for _, tree := range decomp.Variants {
+		name := fmt.Sprintf("at%d", tree.Base)
+		if tree.TermK > 0 {
+			name += fmt.Sprintf("k%d", tree.TermK)
+		}
 		Register(Spec{
-			Name:    v.name,
-			Summary: fmt.Sprintf("%s access tree with the paper's modular embedding", v.tree.Name()),
-			Tree:    v.tree,
+			Name:    name,
+			Summary: fmt.Sprintf("%s access tree with the paper's modular embedding", tree.Name()),
+			Tree:    tree,
 			Factory: accesstree.Factory(),
 		})
 	}
