@@ -156,7 +156,8 @@
 // events (proc wakeup / typed callback / closure fallback), message
 // delivery recycles Msg objects through a free list and schedules typed
 // events instead of closures, and the access tree keeps its per-variable
-// protocol state in dense slice-indexed node tables. Determinism is
+// protocol state in node tables that hold only the tree nodes the
+// variable's protocol has touched. Determinism is
 // load-bearing — identical seeds must give identical event orders and
 // metrics — and is pinned by golden regression tests (determinism_test.go,
 // publicapi_test.go) via the kernel's event-order fingerprint, driven

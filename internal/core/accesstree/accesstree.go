@@ -27,7 +27,10 @@
 // Copies are located with directional pointers ("data tracking"): every
 // tree node knows the direction (parent or a child) of the copy component.
 // Pointers are only materialized once they deviate from the initial
-// configuration, in which all pointers lead to the creator's leaf.
+// configuration, in which all pointers lead to the creator's leaf: a
+// variable's node table (nodetable.go) holds the root-to-creator path and
+// the nodes its protocol has touched since, and every other node reads as
+// the one state at rest, both pointers leading up.
 package accesstree
 
 import (
@@ -108,12 +111,10 @@ type strategy struct {
 	// future) in slabs. The simulation is single-threaded, so plain slices
 	// suffice.
 	txns core.TxnArena[reqMsg]
-	// states carves and recycles the per-variable records; nodeFree recycles
-	// the dense node tables of freed variables, and nodeChunk is the unused
-	// tail of the block of nodeChunkTables that fresh ones are carved from.
-	states    core.TxnArena[varState]
-	nodeFree  [][]nodeState
-	nodeChunk []nodeState
+	// states carves and recycles the per-variable records, tables their
+	// node tables.
+	states core.TxnArena[varState]
+	tables nodeTables
 	// lockers holds, per processor, the lock wait of the process running
 	// there (see lock.go).
 	lockers []locker
@@ -133,7 +134,8 @@ func newStrategy(m *core.Machine, o Options) *strategy {
 				i, n, maxChildren))
 		}
 	}
-	s := &strategy{m: m, t: m.Tree, rng: m.RNG.Split(), opts: o, lockers: make([]locker, m.P())}
+	s := &strategy{m: m, t: m.Tree, rng: m.RNG.Split(), opts: o, lockers: make([]locker, m.P()),
+		tables: newNodeTables(len(m.Tree.Nodes))}
 	for i := range s.lockers {
 		s.lockers[i].next = -1
 	}
@@ -191,40 +193,17 @@ type varState struct {
 	// one table (core.Plan.PosTable) and posOf is a slice lookup instead of
 	// an O(depth) arithmetic walk. nil for the random embedding.
 	posTab []int32
-	// nodes holds the state of every tree node, indexed by tree node id.
-	// The dense table replaces the old map of deviations: a protocol hop
-	// touches it once per message, and the slice index beats the map hash
-	// by a wide margin on that path (~15% of total CPU went to
-	// mapaccess2_fast64 before).
-	nodes []nodeState
+	// nodes holds the tree nodes not at rest (nodetable.go): read them
+	// with nodes.get, write them through strategy.node.
+	nodes nodeTable
 	// write is the write transaction whose invalidation multicast is in
 	// flight: the exclusive transaction slot admits one write per variable,
 	// so its continuation needs no more than this pointer.
 	write *reqMsg
 	lock  lockState
-	// accesses counts the protocol messages handled at each node, driving
-	// the optional remapping; posOverride holds remapped node positions and
-	// remaps counts migrations. All three exist only under the random
-	// embedding with Options.RemapThreshold > 0.
-	accesses    []uint32
-	posOverride map[int]int
-	remaps      int
-}
-
-// nodeState is one tree node's protocol state, packed into 8 bytes: the
-// node tables are the bulk of a variable's footprint, and InitVar, Fork
-// and the disk restore all copy them whole.
-type nodeState struct {
-	edges uint32 // bit 0: parent is a member; bit i+1: child i is a member
-	// toward is the data pointer: the direction of the copy component.
-	// While an invalidation multicast is in flight it doubles as the
-	// acknowledgment route — onInval points it at the neighbor the
-	// invalidation came from, and the multicast root is the one node still
-	// pointing at itself.
-	toward int8
-	member bool
-	acks   uint8 // invalidation acknowledgments still outstanding here
-	arrow  int8  // lock arrow (lock.go), same encoding as toward
+	// remap is the state of the optional remapping (remap.go): nil unless
+	// Options.RemapThreshold > 0.
+	remap *remapState
 }
 
 const parentBit = uint32(1)
@@ -234,34 +213,29 @@ func childBit(i int) uint32 { return 1 << uint(i+1) }
 // state returns the variable's strategy state.
 func vstate(v *core.Variable) *varState { return v.State.(*varState) }
 
-// initNodes fills the dense node table with the initial configuration:
-// every data pointer and every lock arrow leads toward the creator's leaf,
-// which holds the only copy and the lock token. One linear fill plus one
-// root-to-leaf walk — no per-node lazy materialization needed afterwards.
+// initNodes builds the node table of the initial configuration: every data
+// pointer and every lock arrow leads toward the creator's leaf, which holds
+// the only copy and the lock token. Off the root-to-leaf path that is the
+// state at rest, so only the path is stored.
 func (s *strategy) initNodes(vs *varState) {
-	for i := range vs.nodes {
-		vs.nodes[i] = nodeState{toward: towardUp, arrow: towardUp}
+	leaf := s.t.LeafOfProc[vs.creator]
+	depth := 0
+	for id := leaf; id != s.t.Root(); id = s.t.Nodes[id].Parent {
+		depth++
 	}
-	cur := s.t.Root()
-	for {
-		n := &s.t.Nodes[cur]
-		if n.Leaf() {
-			vs.nodes[cur] = nodeState{member: true, toward: towardSelf, arrow: towardSelf}
-			return
-		}
-		next := -1
-		for i, c := range n.Children {
-			if s.t.Nodes[c].Region.ContainsProc(vs.creator) {
-				vs.nodes[cur].toward, vs.nodes[cur].arrow = int8(i), int8(i)
-				next = c
-				break
-			}
-		}
-		if next == -1 {
-			panic("accesstree: no child contains the creator position")
-		}
-		cur = next
+	vs.nodes = s.tables.newTable(depth + 1)
+	*s.node(vs, leaf) = nodeState{member: true, toward: towardSelf, arrow: towardSelf}
+	for id := leaf; id != s.t.Root(); {
+		n := &s.t.Nodes[id]
+		id = n.Parent
+		st := s.node(vs, id)
+		st.toward, st.arrow = int8(n.ChildIndex), int8(n.ChildIndex)
 	}
+}
+
+// node returns node id of the variable for writing (nodeTables.ref).
+func (s *strategy) node(vs *varState, id int) *nodeState {
+	return s.tables.ref(&vs.nodes, id)
 }
 
 // posOf computes the processor simulating a tree node under the
@@ -272,8 +246,8 @@ func (s *strategy) initNodes(vs *varState) {
 // embedding is globally known given the variable's root placement.
 func (s *strategy) posOf(vs *varState, id int) int {
 	if s.opts.RandomEmbedding {
-		if vs.posOverride != nil {
-			if pos, ok := vs.posOverride[id]; ok {
+		if vs.remap != nil {
+			if pos, ok := vs.remap.overrides[id]; ok {
 				return pos
 			}
 		}
@@ -298,10 +272,9 @@ func (s *strategy) InitVar(v *Variable) {
 	if !s.opts.RandomEmbedding {
 		vs.posTab = s.m.Plan.PosTable(vs.rootPos)
 	}
-	vs.nodes = s.newNodes()
 	s.initNodes(vs)
 	if s.opts.RemapThreshold > 0 {
-		vs.accesses = make([]uint32, len(s.t.Nodes))
+		vs.remap = &remapState{accesses: make([]uint32, len(s.t.Nodes))}
 	}
 	v.State = vs
 	v.SetLocal(v.Creator)
@@ -314,36 +287,17 @@ type Variable = core.Variable
 func (s *strategy) FreeVar(v *Variable) {
 	vs := vstate(v)
 	if s.m.CachesBounded() {
-		// Unbounded caches track nothing, so the member scan (O(tree) per
-		// freed variable — Barnes-Hut frees one per tree cell per step)
-		// only runs when there are cache entries to drop.
-		for id := range vs.nodes {
-			if vs.nodes[id].member {
+		// Unbounded caches track nothing, so the member scan (Barnes-Hut
+		// frees one variable per tree cell per step) only runs when there
+		// are cache entries to drop.
+		vs.nodes.each(func(id int, st nodeState) {
+			if st.member {
 				s.m.Cache(s.procOf(vs, id)).Remove(v.ID, id)
 			}
-		}
+		})
 	}
-	s.nodeFree = append(s.nodeFree, vs.nodes)
+	s.tables.put(&vs.nodes)
 	*vs = varState{}
 	s.states.Release(vs)
 	v.State = nil
-}
-
-const nodeChunkTables = 16
-
-// newNodes returns a node table for a fresh variable, contents undefined:
-// a freed variable's, or the next one of the current block.
-func (s *strategy) newNodes() []nodeState {
-	if n := len(s.nodeFree); n > 0 {
-		tab := s.nodeFree[n-1]
-		s.nodeFree = s.nodeFree[:n-1]
-		return tab
-	}
-	n := len(s.t.Nodes)
-	if len(s.nodeChunk) < n {
-		s.nodeChunk = make([]nodeState, n*nodeChunkTables)
-	}
-	tab := s.nodeChunk[:n:n]
-	s.nodeChunk = s.nodeChunk[n:]
-	return tab
 }

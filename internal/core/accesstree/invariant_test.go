@@ -35,7 +35,7 @@ func members(s *strategy, v *core.Variable) map[int]bool {
 	vs := vstate(v)
 	set := make(map[int]bool)
 	for id := range s.t.Nodes {
-		if vs.nodes[id].member {
+		if vs.nodes.get(id).member {
 			set[id] = true
 		}
 	}
@@ -86,7 +86,7 @@ func checkInvariants(t *testing.T, m *core.Machine, v *core.Variable, want inter
 			if steps > len(s.t.Nodes) {
 				t.Fatalf("pointer chain from node %d does not terminate", id)
 			}
-			st := vs.nodes[cur]
+			st := vs.nodes.get(cur)
 			if st.member {
 				break
 			}
@@ -106,7 +106,7 @@ func checkInvariants(t *testing.T, m *core.Machine, v *core.Variable, want inter
 
 	// 3. Edge bits: symmetric, only between members, spanning the component.
 	for id := range set {
-		st := vs.nodes[id]
+		st := vs.nodes.get(id)
 		n := &s.t.Nodes[id]
 		if st.edges&parentBit != 0 {
 			if n.Parent == -1 {
@@ -115,7 +115,7 @@ func checkInvariants(t *testing.T, m *core.Machine, v *core.Variable, want inter
 			if !set[n.Parent] {
 				t.Fatalf("edge bit from %d to non-member parent", id)
 			}
-			pst := vs.nodes[n.Parent]
+			pst := vs.nodes.get(n.Parent)
 			if pst.edges&childBit(n.ChildIndex) == 0 {
 				t.Fatalf("asymmetric edge bits between %d and parent %d", id, n.Parent)
 			}
@@ -125,7 +125,7 @@ func checkInvariants(t *testing.T, m *core.Machine, v *core.Variable, want inter
 				if !set[c] {
 					t.Fatalf("edge bit from %d to non-member child %d", id, c)
 				}
-				cst := vs.nodes[c]
+				cst := vs.nodes.get(c)
 				if cst.edges&parentBit == 0 {
 					t.Fatalf("asymmetric edge bits between %d and child %d", id, c)
 				}
@@ -138,7 +138,7 @@ func checkInvariants(t *testing.T, m *core.Machine, v *core.Variable, want inter
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		st := vs.nodes[cur]
+		st := vs.nodes.get(cur)
 		n := &s.t.Nodes[cur]
 		if st.edges&parentBit != 0 && !visited[n.Parent] {
 			visited[n.Parent] = true
@@ -161,8 +161,8 @@ func checkInvariants(t *testing.T, m *core.Machine, v *core.Variable, want inter
 	}
 
 	// 5. Quiescence: no transaction state outlives its transaction.
-	for id := range vs.nodes {
-		if n := vs.nodes[id].acks; n != 0 {
+	for id := range s.t.Nodes {
+		if n := vs.nodes.get(id).acks; n != 0 {
 			t.Fatalf("node %d still waits for %d invalidation acks", id, n)
 		}
 	}
@@ -181,11 +181,11 @@ func checkInvariants(t *testing.T, m *core.Machine, v *core.Variable, want inter
 	// 6. Arrow chains terminate at the token.
 	for id := range s.t.Nodes {
 		cur := id
-		for steps := 0; vs.nodes[cur].arrow != towardSelf; steps++ {
+		for steps := 0; vs.nodes.get(cur).arrow != towardSelf; steps++ {
 			if steps > len(s.t.Nodes) {
 				t.Fatalf("arrow chain from node %d does not terminate", id)
 			}
-			if cur = s.neighbor(cur, vs.nodes[cur].arrow); cur == -1 {
+			if cur = s.neighbor(cur, vs.nodes.get(cur).arrow); cur == -1 {
 				t.Fatalf("arrow chain from %d ran past the root", id)
 			}
 		}
@@ -196,8 +196,8 @@ func checkInvariants(t *testing.T, m *core.Machine, v *core.Variable, want inter
 
 	// 7. The local-copy bitmap mirrors leaf membership.
 	for p, leaf := range s.t.LeafOfProc {
-		if v.LocalBit(p) != vs.nodes[leaf].member {
-			t.Fatalf("processor %d: local bit %v, leaf member %v", p, v.LocalBit(p), vs.nodes[leaf].member)
+		if v.LocalBit(p) != vs.nodes.get(leaf).member {
+			t.Fatalf("processor %d: local bit %v, leaf member %v", p, v.LocalBit(p), vs.nodes.get(leaf).member)
 		}
 	}
 }

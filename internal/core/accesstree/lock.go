@@ -15,7 +15,7 @@ import (
 // message. This is one of the "elegant algorithms that use access trees,
 // too" (§2 of the paper).
 //
-// The arrows live in the dense node table next to the data pointers
+// The arrows live in the node table next to the data pointers
 // (nodeState.arrow); initially every arrow points toward the creator's
 // leaf, where the token rests.
 
@@ -71,7 +71,7 @@ func (s *strategy) Lock(p *core.Proc, v *Variable) {
 	if ls.holder == leaf {
 		panic("accesstree: recursive lock")
 	}
-	a := vs.nodes[leaf].arrow
+	a := vs.nodes.get(leaf).arrow
 	if a == towardSelf {
 		// This leaf is the sink. Either the free token rests here, or the
 		// process would queue behind itself (a double acquire).
@@ -85,7 +85,7 @@ func (s *strategy) Lock(p *core.Proc, v *Variable) {
 	f := p.Park()
 	w := &s.lockers[p.ID]
 	w.v, w.fut = v, f
-	vs.nodes[leaf].arrow = towardSelf
+	s.node(vs, leaf).arrow = towardSelf
 	s.sendLockHop(vs, v, leaf, a, leaf)
 	f.Await(p.Proc)
 	ls.holder = leaf
@@ -103,7 +103,7 @@ func (s *strategy) onLockReq(m *mesh.Msg) {
 	v := m.Payload.(*Variable)
 	cur, from, origin := unpackTag3(m.Tag)
 	vs := vstate(v)
-	st := &vs.nodes[cur]
+	st := s.node(vs, cur)
 	old := st.arrow
 	st.arrow = s.dirTo(cur, from)
 	if old != towardSelf {

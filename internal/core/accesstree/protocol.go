@@ -65,7 +65,8 @@ func unpackTag3(t int) (a, b, c int) {
 func (s *strategy) Read(p *core.Proc, v *Variable) interface{} {
 	vs := vstate(v)
 	leaf := s.t.LeafOfProc[p.ID]
-	if vs.nodes[leaf].member {
+	st := vs.nodes.get(leaf)
+	if st.member {
 		// Touching the LRU only matters for bounded caches; skipping the
 		// call (and the interface boxing of the key) keeps the 99%-hit
 		// local read path to a few loads.
@@ -75,7 +76,7 @@ func (s *strategy) Read(p *core.Proc, v *Variable) interface{} {
 		return v.Data
 	}
 	req := s.acquireReq(v, leaf)
-	s.forward(req)
+	s.forward(req, st.toward)
 	val := req.fut.Await(p.Proc)
 	s.releaseReq(req)
 	return val
@@ -122,7 +123,7 @@ func (s *strategy) Write(p *core.Proc, v *Variable, val interface{}) {
 	vs := vstate(v)
 	s.maybeRemap(vs, v)
 	leaf := s.t.LeafOfProc[p.ID]
-	st := vs.nodes[leaf]
+	st := vs.nodes.get(leaf)
 	if st.member && st.edges == 0 {
 		// Sole copy: a purely local write.
 		v.Data = val
@@ -140,18 +141,18 @@ func (s *strategy) Write(p *core.Proc, v *Variable, val interface{}) {
 		// nearest member; invalidate everyone else directly.
 		s.serveWrite(req)
 	} else {
-		s.forward(req)
+		s.forward(req, st.toward)
 	}
 	req.fut.Await(p.Proc)
 	s.releaseReq(req)
 }
 
 // forward sends req one hop further along the pointer chain. Called at the
-// node that is the current end of req.path, which is not a member.
-func (s *strategy) forward(req *reqMsg) {
+// node that is the current end of req.path, which is not a member; toward
+// is its data pointer.
+func (s *strategy) forward(req *reqMsg, toward int8) {
 	vs := vstate(req.v)
 	cur := req.path[len(req.path)-1]
-	toward := vs.nodes[cur].toward
 	if toward == towardSelf {
 		panic("accesstree: forwarding at a member node")
 	}
@@ -174,8 +175,8 @@ func (s *strategy) onReq(m *mesh.Msg) {
 	vs := vstate(req.v)
 	cur := req.path[len(req.path)-1]
 	s.countAccess(vs, cur)
-	if !vs.nodes[cur].member {
-		s.forward(req)
+	if st := vs.nodes.get(cur); !st.member {
+		s.forward(req, st.toward)
 		return
 	}
 	if req.write {
@@ -183,7 +184,7 @@ func (s *strategy) onReq(m *mesh.Msg) {
 		return
 	}
 	// Member u serves the read: the copy travels back along the path.
-	s.sendData(req, len(req.path)-1)
+	s.sendData(req, len(req.path)-1, s.node(vs, cur))
 }
 
 // serveWrite runs at the nearest member u (the last node of req.path): it
@@ -192,7 +193,7 @@ func (s *strategy) onReq(m *mesh.Msg) {
 func (s *strategy) serveWrite(req *reqMsg) {
 	vs := vstate(req.v)
 	u := req.path[len(req.path)-1]
-	st := &vs.nodes[u]
+	st := s.node(vs, u)
 	edges := st.edges
 	st.edges = 0
 	if edges == 0 {
@@ -210,14 +211,14 @@ func (s *strategy) serveWrite(req *reqMsg) {
 // the value is committed and the modified copy travels back to the writer.
 func (s *strategy) commitWrite(vs *varState, req *reqMsg) {
 	req.v.Data = req.val
-	if len(req.path) > 1 {
-		s.sendData(req, len(req.path)-1)
+	if u := len(req.path) - 1; u > 0 {
+		s.sendData(req, u, s.node(vs, req.path[u]))
 		return
 	}
 	// u is the writer's leaf itself.
 	u := req.path[0]
 	proc := s.procOf(vs, u)
-	st := &vs.nodes[u]
+	st := s.node(vs, u)
 	st.member = true
 	st.toward = towardSelf
 	req.v.SetLocal(proc)
@@ -250,7 +251,7 @@ func (s *strategy) onInval(m *mesh.Msg) {
 	v := m.Payload.(*Variable)
 	node, from := unpackTag(m.Tag)
 	vs := vstate(v)
-	st := &vs.nodes[node]
+	st := s.node(vs, node)
 	if !st.member {
 		panic("accesstree: invalidation reached a non-member")
 	}
@@ -282,7 +283,7 @@ func (s *strategy) onAck(m *mesh.Msg) {
 	v := m.Payload.(*Variable)
 	node := m.Tag
 	vs := vstate(v)
-	st := &vs.nodes[node]
+	st := s.node(vs, node)
 	if st.acks == 0 {
 		panic("accesstree: stray invalidation ack")
 	}
@@ -301,12 +302,12 @@ func (s *strategy) onAck(m *mesh.Msg) {
 }
 
 // sendData sends the copy one hop back along the request path, from
-// path[idx] to path[idx-1].
-func (s *strategy) sendData(req *reqMsg, idx int) {
+// path[idx], whose state st is, to path[idx-1].
+func (s *strategy) sendData(req *reqMsg, idx int, st *nodeState) {
 	vs := vstate(req.v)
 	from, to := req.path[idx], req.path[idx-1]
 	// The sender records that its neighbor is about to become a member.
-	vs.nodes[from].edges |= s.edgeBit(from, to)
+	st.edges |= s.edgeBit(from, to)
 	kind := kindReadData
 	if req.write {
 		kind = kindWriteData
@@ -323,10 +324,12 @@ func (s *strategy) onData(m *mesh.Msg) {
 	vs := vstate(req.v)
 	cur := req.path[idx]
 	s.countAccess(vs, cur)
-	st := &vs.nodes[cur]
+	st := s.node(vs, cur)
 	st.member = true
 	st.toward = towardSelf
 	st.edges |= s.edgeBit(cur, req.path[idx+1])
+	// The insertion may evict copies, but none of this variable, which is
+	// not idle: no other node is materialized, and st stays valid.
 	s.m.Cache(m.Dst).Insert(req.v, cur)
 	if idx == 0 {
 		// path[0] is the requester's leaf — the only leaf a request path
@@ -339,14 +342,14 @@ func (s *strategy) onData(m *mesh.Msg) {
 		}
 		return
 	}
-	s.sendData(req, idx)
+	s.sendData(req, idx, st)
 }
 
 // countAccess bumps the remapping counter of a node (the side table only
 // exists when remapping is enabled).
 func (s *strategy) countAccess(vs *varState, node int) {
-	if vs.accesses != nil {
-		vs.accesses[node]++
+	if vs.remap != nil {
+		vs.remap.accesses[node]++
 	}
 }
 
@@ -391,7 +394,7 @@ func (s *strategy) TryEvict(v *Variable, node, proc int) bool {
 		return false
 	}
 	vs := vstate(v)
-	st := &vs.nodes[node]
+	st := s.node(vs, node)
 	if !st.member {
 		return false
 	}
@@ -410,7 +413,7 @@ func (s *strategy) TryEvict(v *Variable, node, proc int) bool {
 	// other as "remaining" and both evict, losing the last copy (a real
 	// implementation prevents this with an eviction handshake; we model
 	// the handshake's effect and charge its message below).
-	vs.nodes[nb].edges &^= s.edgeBit(nb, node)
+	s.node(vs, nb).edges &^= s.edgeBit(nb, node)
 	s.m.Cache(proc).Remove(v.ID, node)
 	s.m.Net.SendPooledTag(proc, s.procOf(vs, nb), core.AckBytes, kindEvict,
 		packTag(nb, node), v)
@@ -434,5 +437,5 @@ func (s *strategy) onEvict(m *mesh.Msg) {
 	}
 	node, gone := unpackTag(m.Tag)
 	vs := vstate(v)
-	vs.nodes[node].edges &^= s.edgeBit(node, gone)
+	s.node(vs, node).edges &^= s.edgeBit(node, gone)
 }

@@ -28,15 +28,24 @@ type remapMsg struct {
 	node int
 }
 
+// remapState is one variable's remapping state: accesses counts the
+// protocol messages handled at each node, overrides holds the remapped
+// node positions and remaps counts migrations.
+type remapState struct {
+	accesses  []uint32
+	overrides map[int]int
+	remaps    int
+}
+
 // maybeRemap migrates every over-accessed node of v. Called with the
 // exclusive transaction slot held.
 func (s *strategy) maybeRemap(vs *varState, v *Variable) {
 	if s.opts.RemapThreshold <= 0 {
 		return
 	}
-	// The dense node table iterates in id order, which keeps the RNG
+	// The dense counter table iterates in id order, which keeps the RNG
 	// stream deterministic without sorting.
-	for id, n := range vs.accesses {
+	for id, n := range vs.remap.accesses {
 		if int(n) >= s.opts.RemapThreshold {
 			s.remapNode(vs, v, id)
 		}
@@ -45,25 +54,26 @@ func (s *strategy) maybeRemap(vs *varState, v *Variable) {
 
 // remapNode moves one tree node to a fresh random position.
 func (s *strategy) remapNode(vs *varState, v *Variable, id int) {
-	st := &vs.nodes[id]
-	vs.accesses[id] = 0
+	member := vs.nodes.get(id).member
+	r := vs.remap
+	r.accesses[id] = 0
 	oldProc := s.posOf(vs, id)
 	region := s.t.Nodes[id].Region
 	if region.Single() {
 		return // a leaf is pinned to its processor
 	}
 	newProc := region.Draw(s.rng)
-	if vs.posOverride == nil {
-		vs.posOverride = make(map[int]int)
+	if r.overrides == nil {
+		r.overrides = make(map[int]int)
 	}
-	vs.posOverride[id] = newProc
-	vs.remaps++
+	r.overrides[id] = newProc
+	r.remaps++
 	s.remaps++
 
 	// The node's state travels: a full copy if it is a member, pointer
 	// state otherwise.
 	size := core.ReadReqBytes
-	if st.member {
+	if member {
 		size = core.DataBytes(v.Size)
 		s.m.Cache(oldProc).Remove(v.ID, id)
 		s.m.Cache(newProc).Insert(v, id)
@@ -91,8 +101,8 @@ func (s *strategy) remapNode(vs *varState, v *Variable, id int) {
 
 // Remaps reports how many node migrations v's access tree performed.
 func Remaps(v *Variable) int {
-	if vs, ok := v.State.(*varState); ok {
-		return vs.remaps
+	if vs, ok := v.State.(*varState); ok && vs.remap != nil {
+		return vs.remap.remaps
 	}
 	return 0
 }

@@ -92,11 +92,11 @@ func TestRemapMovesHotNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	vs := vstate(m.Var(v))
-	if len(vs.posOverride) == 0 {
+	if len(vs.remap.overrides) == 0 {
 		t.Fatal("no position overrides recorded")
 	}
 	s := m.Strat.(*strategy)
-	for id, pos := range vs.posOverride {
+	for id, pos := range vs.remap.overrides {
 		if !s.t.Nodes[id].Region.ContainsProc(pos) {
 			t.Fatalf("remapped node %d at processor %d outside its region %+v",
 				id, pos, s.t.Nodes[id].Region)
@@ -150,7 +150,7 @@ func TestRemapLeavesPinned(t *testing.T) {
 	}
 	vs := vstate(m.Var(v))
 	s := m.Strat.(*strategy)
-	for id := range vs.posOverride {
+	for id := range vs.remap.overrides {
 		if s.t.Nodes[id].Leaf() {
 			t.Fatalf("leaf node %d was remapped", id)
 		}
@@ -181,7 +181,7 @@ func TestRemapSnapshotSerialization(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range vars {
-		if n := len(vstate(m.Var(v)).posOverride); n < 2 {
+		if n := len(vstate(m.Var(v)).remap.overrides); n < 2 {
 			t.Fatalf("variable %d has %d position overrides; the test needs a map with an order to lose", v, n)
 		}
 	}

@@ -113,12 +113,15 @@ func TestLateEvictNoteFindsFreedVariableDead(t *testing.T) {
 		}
 		// Give the new variable the very edge the stale note names.
 		vs := vstate(fresh)
-		vs.nodes[parent].edges |= s.edgeBit(parent, leaf)
-		want := append([]nodeState(nil), vs.nodes...)
+		s.node(vs, parent).edges |= s.edgeBit(parent, leaf)
+		want := make([]nodeState, len(s.t.Nodes))
+		for i := range want {
+			want[i] = vs.nodes.get(i)
+		}
 		p.Wait(1e6)
 		for i := range want {
-			if vs.nodes[i] != want[i] {
-				t.Errorf("node %d of the new variable changed: %+v, was %+v", i, vs.nodes[i], want[i])
+			if vs.nodes.get(i) != want[i] {
+				t.Errorf("node %d of the new variable changed: %+v, was %+v", i, vs.nodes.get(i), want[i])
 			}
 		}
 		if old.State != nil {

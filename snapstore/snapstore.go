@@ -15,7 +15,13 @@
 //	40+S    T     tables: the strategy's bulk protocol tables — every
 //	              access-tree node table in variable order, 8 bytes a node
 //	              (edges uint32, toward int8, member 0/1, acks 0, arrow
-//	              int8); empty for the other strategies
+//	              int8); empty for the other strategies. This is the dense
+//	              form whatever a table holds in memory: a sparse table
+//	              writes every node it does not hold as the state at rest
+//	              (both pointers up), and Load keeps only the nodes that
+//	              differ from it, refusing a word that does not fit its
+//	              tree node (a pointer past the root or to a missing
+//	              child, an edge to a missing neighbor)
 //	..      L     bitmaps: the local-copy bitmap of every live variable in
 //	              variable order, ceil(P/64) uint64 words each
 //	..      G     state: one gob stream holding the irregular remainder —

@@ -468,11 +468,116 @@ func TestLoadEarlierFiles(t *testing.T) {
 			fp, ev, res.ElapsedUS, res.Verified)
 	}
 
+	// Saving the loaded snapshot writes the stored spec, node tables and
+	// bitmaps back byte for byte: the tables were decoded into sparse
+	// tables and written densely again. (The state section is re-encoded
+	// by today's gob types, which differ from its writer's.)
+	stored, err := os.ReadFile(filepath.Join(dir, seqHandle+".snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resaveDir := t.TempDir()
+	st2, err := snapstore.Open(resaveDir)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if err := st2.Save(seqHandle, sp, snap); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	resaved, err := os.ReadFile(filepath.Join(resaveDir, seqHandle+".snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := fileSections(t, stored), fileSections(t, resaved)
+	for i, part := range []string{"spec", "tables", "bitmaps"} {
+		if !bytes.Equal(stored[a[i+1]:a[i+2]], resaved[b[i+1]:b[i+2]]) {
+			t.Errorf("re-saving the stored file changed its %s section", part)
+		}
+	}
+
 	_, got, err := st.Load(shardedHandle)
 	var ve *spec.ValidationError
 	if got != nil || !errors.As(err, &ve) || len(ve.Fields) != 1 || ve.Fields[0].Field != "shards" ||
 		!strings.Contains(ve.Fields[0].Msg, "sharded execution was removed") {
 		t.Errorf("sharded file: snapshot %v, err = %v; want the shards field error", got, err)
+	}
+}
+
+// TestLoadRejectsMisfitNodeWords: every word of the node table section
+// must fit its tree node — a pointer names the node itself, its parent (the
+// root has none) or a child the node has, and an edge bit a neighbor it
+// has. Each case rewrites the committed 4×4 at4 file and re-seals it under
+// a matching checksum, so the table decoder is the only thing left to
+// refuse it.
+func TestLoadRejectsMisfitNodeWords(t *testing.T) {
+	const handle = "a1a790fc5a44a7bf"
+	data, err := os.ReadFile(filepath.Join("testdata", handle+".snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, handle+".snap")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := snapstore.Open(dir)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	_, snap, err := st.Load(handle)
+	if err != nil {
+		t.Fatalf("Load pristine file: %v", err)
+	}
+	m, err := diva.Fork(snap)
+	if err != nil {
+		t.Fatalf("Fork: %v", err)
+	}
+	nodes := m.Tree.Nodes
+	off := fileSections(t, data)
+	const toward, member, arrow = 32, 40, 56
+	for _, tc := range []struct {
+		name    string
+		rewrite func(id int, w uint64) (uint64, bool)
+	}{
+		{"leaf points at child 3", func(id int, w uint64) (uint64, bool) {
+			if !nodes[id].Leaf() || w>>member&1 == 1 {
+				return w, false
+			}
+			return w&^(0xff<<toward) | 3<<toward, true
+		}},
+		{"root arrow leads up", func(id int, w uint64) (uint64, bool) {
+			if nodes[id].Parent != -1 {
+				return w, false
+			}
+			return w | 0xff<<arrow, true
+		}},
+		{"leaf has a child edge", func(id int, w uint64) (uint64, bool) {
+			if !nodes[id].Leaf() {
+				return w, false
+			}
+			return w | 1<<1, true
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := append([]byte(nil), data[:len(data)-8]...)
+			tables := bad[off[2]:off[3]]
+			rewritten := 0
+			for i := 0; i < len(tables); i += 8 {
+				if w, ok := tc.rewrite(i/8%len(nodes), binary.LittleEndian.Uint64(tables[i:])); ok {
+					binary.LittleEndian.PutUint64(tables[i:], w)
+					rewritten++
+				}
+			}
+			if rewritten == 0 {
+				t.Fatal("no word rewritten")
+			}
+			if err := os.WriteFile(path, stamp(bad), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, got, err := st.Load(handle); err == nil || got != nil || !strings.Contains(err.Error(), "malformed") {
+				t.Errorf("%d words rewritten: loaded %v, err = %v; want a malformed node table entry", rewritten, got != nil, err)
+			}
+		})
 	}
 }
 
