@@ -160,7 +160,7 @@ func newStrategy(m *core.Machine, o Options) *strategy {
 		// re-issued hop rides the re-routed path; the transport keeps the
 		// channel sequence, so a late duplicate of the original delivery
 		// is still deduplicated. Every protocol kind recovers this way.
-		reissue := func(g *mesh.GiveUp) (int, mesh.GiveUpAction) {
+		reissue := func(g mesh.GiveUp) (int, mesh.GiveUpAction) {
 			return g.Dst, mesh.GiveUpReissue
 		}
 		for _, k := range []uint8{

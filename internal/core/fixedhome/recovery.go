@@ -92,7 +92,7 @@ func (s *strategy) dropCopy(v *core.Variable, proc int) {
 
 // homeGiveUp redirects an undeliverable home-addressed request to the
 // variable's current home, failing over first when the home is down.
-func (s *strategy) homeGiveUp(g *mesh.GiveUp, v *core.Variable) (int, mesh.GiveUpAction) {
+func (s *strategy) homeGiveUp(g mesh.GiveUp, v *core.Variable) (int, mesh.GiveUpAction) {
 	vs := vstate(v)
 	if g.Dst != vs.home {
 		// The home moved while this message was in flight: chase it.
@@ -109,17 +109,17 @@ func (s *strategy) homeGiveUp(g *mesh.GiveUp, v *core.Variable) (int, mesh.GiveU
 	return g.Dst, mesh.GiveUpRetry
 }
 
-func (s *strategy) homeGiveUpReq(g *mesh.GiveUp) (int, mesh.GiveUpAction) {
+func (s *strategy) homeGiveUpReq(g mesh.GiveUp) (int, mesh.GiveUpAction) {
 	return s.homeGiveUp(g, g.Payload.(*req).v)
 }
 
-func (s *strategy) homeGiveUpLock(g *mesh.GiveUp) (int, mesh.GiveUpAction) {
+func (s *strategy) homeGiveUpLock(g mesh.GiveUp) (int, mesh.GiveUpAction) {
 	return s.homeGiveUp(g, g.Payload.(*core.Variable))
 }
 
 // invalGiveUp handles an invalidation the transport could not deliver: a
 // dead copy holder's copy died with it, so the home emulates the ack.
-func (s *strategy) invalGiveUp(g *mesh.GiveUp) (int, mesh.GiveUpAction) {
+func (s *strategy) invalGiveUp(g mesh.GiveUp) (int, mesh.GiveUpAction) {
 	if !s.m.Net.NodeDownNow(g.Dst) {
 		return g.Dst, mesh.GiveUpRetry
 	}
@@ -131,7 +131,7 @@ func (s *strategy) invalGiveUp(g *mesh.GiveUp) (int, mesh.GiveUpAction) {
 
 // fetchGiveUp handles a FETCH the transport could not deliver: the owner is
 // dead, so the home reclaims ownership and serves the read itself.
-func (s *strategy) fetchGiveUp(g *mesh.GiveUp) (int, mesh.GiveUpAction) {
+func (s *strategy) fetchGiveUp(g mesh.GiveUp) (int, mesh.GiveUpAction) {
 	if !s.m.Net.NodeDownNow(g.Dst) {
 		return g.Dst, mesh.GiveUpRetry
 	}

@@ -1,8 +1,10 @@
 package mesh
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"diva/internal/sim"
@@ -312,9 +314,8 @@ type faultState struct {
 	cursor int           // next schedule entry to apply
 
 	nNodes    int
-	adjOut    [][]graphHalf      // node -> outgoing (to, link), sorted by (to, link)
-	dirLinks  map[[2]int][]int32 // (from, to) -> directed link ids, ascending
-	nodeLinks [][]int32          // node -> incident directed links, both directions
+	adjOut    [][]graphHalf // node -> outgoing (to, link), sorted by (to, link)
+	nodeLinks [][]int32     // node -> incident directed links, both directions
 
 	// downCount counts, per directed link, how many active faults cover
 	// it (a link outage on its pair, a churn on either endpoint). A link
@@ -364,28 +365,37 @@ func (nw *Network) InstallFaults(s FaultSchedule) error {
 	if nw.faults != nil {
 		return fmt.Errorf("mesh: fault schedule already installed")
 	}
-	fs := &faultState{nNodes: nw.T.Nodes(), treeDirty: true}
-	fs.adjOut = make([][]graphHalf, fs.nNodes)
-	fs.dirLinks = make(map[[2]int][]int32)
-	fs.nodeLinks = make([][]int32, fs.nNodes)
+	n := nw.T.Nodes()
+	fs := &faultState{nNodes: n, treeDirty: true}
 	fs.downCount = make([]int32, nw.T.NumLinks())
+	// Count each node's links, then fill flat slices carved per node with
+	// exactly that capacity: no per-node slice grows.
+	outDeg := make([]int32, n)
+	incDeg := make([]int32, n)
+	total := 0
+	nw.T.ForEachLink(func(_, from, to int) {
+		outDeg[from]++
+		incDeg[from]++
+		incDeg[to]++
+		total++
+	})
+	halves := make([]graphHalf, total)
+	incident := make([]int32, 2*total)
+	fs.adjOut = make([][]graphHalf, n)
+	fs.nodeLinks = make([][]int32, n)
+	for u := range n {
+		fs.adjOut[u], halves = halves[:0:outDeg[u]], halves[outDeg[u]:]
+		fs.nodeLinks[u], incident = incident[:0:incDeg[u]], incident[incDeg[u]:]
+	}
 	nw.T.ForEachLink(func(link, from, to int) {
 		fs.adjOut[from] = append(fs.adjOut[from], graphHalf{to: int32(to), link: int32(link)})
-		fs.dirLinks[[2]int{from, to}] = append(fs.dirLinks[[2]int{from, to}], int32(link))
 		fs.nodeLinks[from] = append(fs.nodeLinks[from], int32(link))
 		fs.nodeLinks[to] = append(fs.nodeLinks[to], int32(link))
 	})
-	for u := range fs.adjOut {
-		a := fs.adjOut[u]
-		sort.Slice(a, func(i, j int) bool {
-			if a[i].to != a[j].to {
-				return a[i].to < a[j].to
-			}
-			return a[i].link < a[j].link
+	for _, a := range fs.adjOut {
+		slices.SortFunc(a, func(x, y graphHalf) int {
+			return cmp.Or(cmp.Compare(x.to, y.to), cmp.Compare(x.link, y.link))
 		})
-	}
-	for _, ls := range fs.dirLinks {
-		sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
 	}
 	fs.nodeDown = make([]bool, fs.nNodes)
 	fs.parent = make([]int32, fs.nNodes)
@@ -495,7 +505,7 @@ func (fs *faultState) validate() error {
 			if a < 0 || b >= fs.nNodes || a == b {
 				return fmt.Errorf("mesh: fault event %d: no such node pair (%d,%d)", i, ev.A, ev.B)
 			}
-			if len(fs.dirLinks[[2]int{a, b}])+len(fs.dirLinks[[2]int{b, a}]) == 0 {
+			if len(fs.pairLinks(a, b))+len(fs.pairLinks(b, a)) == 0 {
 				return fmt.Errorf("mesh: fault event %d: nodes %d and %d share no link", i, ev.A, ev.B)
 			}
 			p := [2]int{a, b}
@@ -556,20 +566,40 @@ func (fs *faultState) apply(ev FaultEvent) {
 	fs.treeDirty = true
 }
 
+// pairLinks returns the directed links from a to b, ascending: a run of
+// a's sorted adjacency.
+func (fs *faultState) pairLinks(a, b int) []graphHalf {
+	adj := fs.adjOut[a]
+	i, _ := slices.BinarySearchFunc(adj, int32(b), func(h graphHalf, to int32) int { return cmp.Compare(h.to, to) })
+	j := i
+	for j < len(adj) && adj[j].to == int32(b) {
+		j++
+	}
+	return adj[i:j]
+}
+
 func (fs *faultState) bumpPair(a, b int, d int32) {
-	fs.bumpLinks(fs.dirLinks[[2]int{a, b}], d)
-	fs.bumpLinks(fs.dirLinks[[2]int{b, a}], d)
+	for _, h := range fs.pairLinks(a, b) {
+		fs.bump(h.link, d)
+	}
+	for _, h := range fs.pairLinks(b, a) {
+		fs.bump(h.link, d)
+	}
 }
 
 func (fs *faultState) bumpLinks(links []int32, d int32) {
 	for _, li := range links {
-		was := fs.downCount[li]
-		fs.downCount[li] = was + d
-		if was == 0 && d > 0 {
-			fs.nDown++
-		} else if was+d == 0 && d < 0 {
-			fs.nDown--
-		}
+		fs.bump(li, d)
+	}
+}
+
+func (fs *faultState) bump(li, d int32) {
+	was := fs.downCount[li]
+	fs.downCount[li] = was + d
+	if was == 0 && d > 0 {
+		fs.nDown++
+	} else if was+d == 0 && d < 0 {
+		fs.nDown--
 	}
 }
 
@@ -654,9 +684,9 @@ func (fs *faultState) rebuildTree() {
 // lowestLive returns the lowest live directed link from a to b (-1 when
 // none; unreachable for tree edges, which were discovered over live links).
 func (fs *faultState) lowestLive(a, b int) int32 {
-	for _, li := range fs.dirLinks[[2]int{a, b}] {
-		if fs.downCount[li] == 0 {
-			return li
+	for _, h := range fs.pairLinks(a, b) {
+		if fs.downCount[h.link] == 0 {
+			return h.link
 		}
 	}
 	return -1
@@ -713,11 +743,11 @@ func (fs *faultState) healTime(src, dst int) sim.Time {
 			if ev.Kind == FaultLinkUp {
 				d = -1
 			}
-			for _, li := range fs.dirLinks[[2]int{ev.A, ev.B}] {
-				down[li] += d
+			for _, h := range fs.pairLinks(ev.A, ev.B) {
+				down[h.link] += d
 			}
-			for _, li := range fs.dirLinks[[2]int{ev.B, ev.A}] {
-				down[li] += d
+			for _, h := range fs.pairLinks(ev.B, ev.A) {
+				down[h.link] += d
 			}
 		case FaultNodeDown, FaultNodeUp:
 			if ev.Kind == FaultNodeUp {

@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"fmt"
+	"slices"
 
 	"diva/internal/sim"
 	"diva/internal/xrand"
@@ -99,9 +100,10 @@ const (
 )
 
 // GiveUp describes an undeliverable message to its kind's give-up handler:
-// MaxRetries+1 transmissions went unacknowledged. The handler may mutate
-// protocol state and send messages; it returns the action to take and, for
-// GiveUpRedirect, the new destination.
+// MaxRetries+1 transmissions went unacknowledged. It is passed by value, so
+// a give-up allocates nothing; a handler that keeps it keeps its own copy.
+// The handler may mutate protocol state and send messages; it returns the
+// action to take and, for GiveUpRedirect, the new destination.
 type GiveUp struct {
 	Src, Dst    int
 	Size        int
@@ -114,84 +116,210 @@ type GiveUp struct {
 
 // GiveUpHandler decides what to do with an undeliverable message.
 // newDst is only consulted for GiveUpRedirect.
-type GiveUpHandler func(g *GiveUp) (newDst int, action GiveUpAction)
+type GiveUpHandler func(g GiveUp) (newDst int, action GiveUpAction)
 
 // xmit is one outstanding (unacknowledged) transmission at its sender.
 // A live record always has exactly one pending retransmission timer, so
-// at kernel quiescence no records exist — snapshots capture none.
+// at kernel quiescence no records exist — snapshots capture none. Records
+// are carved from fixed-size blocks and never move: the timer holds the
+// pointer.
 type xmit struct {
 	src, dst    int
 	size        int
 	kind        uint8
+	gaveUp      bool // this detection cycle already counted in Detected
 	tag         int
 	payload     interface{}
 	xseq        uint32
-	attempt     int  // transmissions so far
-	gaveUp      bool // this detection cycle already counted in Detected
+	ch          int32 // the channel (src, dst): an index into reactState.chans
+	id          int32 // this record's index in the blocks
+	next        int32 // next record of the channel's outstanding list or of the free list; -1 ends both
+	attempt     int   // transmissions so far
 	delayUS     float64
 	firstDepart sim.Time
 	timer       sim.TimerID
 }
 
-// recvChan is one directed channel's receiver-side dedup state: every
+// xmitBlock is the number of transmission records carved at a time.
+const xmitBlock = 64
+
+// Which sides of a channel a snapshot records (channel.has).
+const (
+	chanSend uint8 = 1 << iota // the sender issued a sequence
+	chanRecv                   // the receiver accepted a transmission
+	chanSusp                   // the sender suspects the destination
+)
+
+// channel is one directed channel's transport state, both ends of it: the
+// last sequence the sender issued, the receiver's dedup state (every
 // sequence at or below floor was delivered; seen holds the delivered
-// sequences above it (out-of-order arrivals, bounded by the outstanding
-// window).
-type recvChan struct {
-	floor uint32
-	seen  map[uint32]struct{}
+// sequences above it, ascending — out-of-order arrivals, bounded by the
+// outstanding window), the time the sender declared the destination
+// suspect, and the sender's outstanding transmissions, newest first.
+type channel struct {
+	src, dst int32
+	sendSeq  uint32
+	floor    uint32
+	seen     []uint32
+	suspAt   sim.Time
+	head     int32 // newest outstanding record; -1 when there is none
+	has      uint8 // chanSend|chanRecv|chanSusp
 }
 
 // accept reports whether xseq is fresh, recording it.
-func (c *recvChan) accept(xseq uint32) bool {
+func (c *channel) accept(xseq uint32) bool {
+	c.has |= chanRecv
 	if xseq <= c.floor {
 		return false
 	}
-	if _, ok := c.seen[xseq]; ok {
+	i, dup := slices.BinarySearch(c.seen, xseq)
+	if dup {
 		return false
 	}
-	if xseq == c.floor+1 {
-		c.floor++
-		for {
-			if _, ok := c.seen[c.floor+1]; !ok {
-				break
-			}
-			delete(c.seen, c.floor+1)
-			c.floor++
-		}
+	if xseq != c.floor+1 {
+		c.seen = slices.Insert(c.seen, i, xseq)
 		return true
 	}
-	if c.seen == nil {
-		c.seen = make(map[uint32]struct{})
+	c.floor++
+	n := 0
+	for n < len(c.seen) && c.seen[n] == c.floor+1 {
+		c.floor++
+		n++
 	}
-	c.seen[xseq] = struct{}{}
+	c.seen = append(c.seen[:0], c.seen[n:]...)
 	return true
 }
 
-// reactNode is one node's transport state. Every field is touched only in
-// the node's own event context.
+// suspect records that the sender declared the destination suspect at t,
+// unless it already had.
+func (c *channel) suspect(t sim.Time) {
+	if c.has&chanSusp == 0 {
+		c.has |= chanSusp
+		c.suspAt = t
+	}
+}
+
+// unsuspect clears the suspicion, reporting when it was raised.
+func (c *channel) unsuspect() (since sim.Time, was bool) {
+	if c.has&chanSusp == 0 {
+		return 0, false
+	}
+	c.has &^= chanSusp
+	since, c.suspAt = c.suspAt, 0
+	return since, true
+}
+
+// reactNode is one node's jitter stream and transport counters. The
+// counters stay per node so FaultStats folds the float sums in node order.
 type reactNode struct {
-	rng      *xrand.RNG
-	nextSend map[int]uint32    // dst -> last channel sequence issued
-	out      map[uint64]*xmit  // (dst, xseq) -> outstanding transmission
-	recv     map[int]*recvChan // src -> receiver dedup state
-	suspect  map[int]sim.Time  // dst -> time the sender declared it suspect
-	stats    FaultStats        // event-context counters (summed by FaultStats)
-	free     []*xmit           // recycled transmission records of this sender
+	rng   xrand.RNG
+	stats FaultStats
 }
 
 // reactState is the network's reactive-mode state; nil in oracle mode.
+// Channel state is one table for the whole network, holding the channels
+// that carried traffic, and every transmission record comes from its blocks.
 type reactState struct {
 	p      ReactParams
 	seed   uint64 // the derived transport seed (for RNG re-derivation)
 	nodes  []reactNode
 	giveUp [256]GiveUpHandler
 	base   FaultStats // restored-snapshot baseline of the folded node stats
+
+	chanIdx map[uint64]int32 // (src, dst) -> index in chans
+	chans   []channel
+	blocks  []*[xmitBlock]xmit
+	carved  int32 // records carved from blocks so far
+	free    int32 // head of the free record list, -1 when empty
+	live    int   // outstanding records
 }
 
-// xkey packs a channel identity (destination, channel sequence).
-func xkey(dst int, xseq uint32) uint64 {
-	return uint64(uint32(dst))<<32 | uint64(xseq)
+func newReactState(p ReactParams, seed uint64, nodes int) *reactState {
+	r := &reactState{p: p, seed: seed, nodes: make([]reactNode, nodes), chanIdx: make(map[uint64]int32), free: -1}
+	for i := range r.nodes {
+		r.nodes[i].rng.Seed(reactNodeSeed(seed, i))
+	}
+	return r
+}
+
+// channel returns the index of channel (src, dst), adding it on first use.
+// Adding may move the table: re-take pointers into chans after a call.
+func (r *reactState) channel(src, dst int) int32 {
+	key := uint64(src)<<32 | uint64(uint32(dst))
+	if ci, ok := r.chanIdx[key]; ok {
+		return ci
+	}
+	ci := int32(len(r.chans))
+	r.chans = append(r.chans, channel{src: int32(src), dst: int32(dst), head: -1})
+	r.chanIdx[key] = ci
+	return ci
+}
+
+// at returns channel (src, dst), adding it on first use.
+func (r *reactState) at(src, dst int) *channel {
+	ci := r.channel(src, dst)
+	return &r.chans[ci]
+}
+
+// issue stamps the next sequence of channel (src, dst).
+func (r *reactState) issue(src, dst int) (ci int32, xseq uint32) {
+	ci = r.channel(src, dst)
+	c := &r.chans[ci]
+	c.sendSeq++
+	c.has |= chanSend
+	return ci, c.sendSeq
+}
+
+func (r *reactState) rec(id int32) *xmit { return &r.blocks[id/xmitBlock][id%xmitBlock] }
+
+// track stores x, whose ch is set, as the newest outstanding transmission
+// of its channel and returns the stored record.
+func (r *reactState) track(x xmit) *xmit {
+	id := r.free
+	if id >= 0 {
+		r.free = r.rec(id).next
+	} else {
+		if r.carved%xmitBlock == 0 {
+			r.blocks = append(r.blocks, new([xmitBlock]xmit))
+		}
+		id = r.carved
+		r.carved++
+	}
+	c := &r.chans[x.ch]
+	p := r.rec(id)
+	*p = x
+	p.id, p.next, c.head = id, c.head, id
+	r.live++
+	return p
+}
+
+// outstanding returns channel ci's outstanding transmission xseq, or nil.
+func (r *reactState) outstanding(ci int32, xseq uint32) *xmit {
+	for id := r.chans[ci].head; id >= 0; {
+		x := r.rec(id)
+		if x.xseq == xseq {
+			return x
+		}
+		id = x.next
+	}
+	return nil
+}
+
+// retire unlinks x from its channel and frees its record.
+func (r *reactState) retire(x *xmit) {
+	c := &r.chans[x.ch]
+	prev := int32(-1)
+	for id := c.head; id != x.id; id = r.rec(id).next {
+		prev = id
+	}
+	if prev < 0 {
+		c.head = x.next
+	} else {
+		r.rec(prev).next = x.next
+	}
+	*x = xmit{id: x.id, next: r.free}
+	r.free = x.id
+	r.live--
 }
 
 // reactNodeSeed derives node's private RNG stream from the transport seed.
@@ -214,15 +342,7 @@ func (nw *Network) EnableReactive(p ReactParams, seed uint64) error {
 	if nw.handlers[KindTransportAck] != nil {
 		return fmt.Errorf("mesh: message kind %d is reserved for transport acks in reactive mode", KindTransportAck)
 	}
-	r := &reactState{p: p, seed: seed, nodes: make([]reactNode, nw.T.N())}
-	for i := range r.nodes {
-		n := &r.nodes[i]
-		n.rng = xrand.New(reactNodeSeed(seed, i))
-		n.nextSend = make(map[int]uint32)
-		n.out = make(map[uint64]*xmit)
-		n.recv = make(map[int]*recvChan)
-		n.suspect = make(map[int]sim.Time)
-	}
+	r := newReactState(p, seed, nw.T.N())
 	nw.react = r
 	nw.reactTimeoutFn = nw.reactTimeout
 	return nil
@@ -276,22 +396,8 @@ func (nw *Network) ReactReseed(seed uint64) {
 	}
 	nw.react.seed = seed
 	for i := range nw.react.nodes {
-		nw.react.nodes[i].rng = xrand.New(reactNodeSeed(seed, i))
+		nw.react.nodes[i].rng.Seed(reactNodeSeed(seed, i))
 	}
-}
-
-func (sn *reactNode) acquireXmit() *xmit {
-	if n := len(sn.free); n > 0 {
-		x := sn.free[n-1]
-		sn.free = sn.free[:n-1]
-		return x
-	}
-	return &xmit{}
-}
-
-func (sn *reactNode) releaseXmit(x *xmit) {
-	*x = xmit{}
-	sn.free = append(sn.free, x)
 }
 
 // jitter draws the deterministic timeout jitter, uniform in [1, 1.25),
@@ -300,9 +406,8 @@ func (sn *reactNode) jitter() float64 { return 1 + sn.rng.Float64()/4 }
 
 // reactOnSend intercepts a first transmission at the top of
 // deliverAfterRoute: it stamps the channel sequence, registers the
-// outstanding record and schedules the retransmission timer — before the
-// delivery (or its in-window deferral) allocates the arrival sequence, so
-// both execution modes allocate (timer, arrival) in the same order.
+// outstanding record and schedules the retransmission timer, so the timer
+// takes its event sequence before the delivery takes the arrival's.
 // Node-local messages, acks and retransmissions (xseq already stamped)
 // pass through untouched.
 func (nw *Network) reactOnSend(m *Msg, depart sim.Time) {
@@ -310,18 +415,15 @@ func (nw *Network) reactOnSend(m *Msg, depart sim.Time) {
 		return
 	}
 	r := nw.react
-	sn := &r.nodes[m.Src]
-	sn.nextSend[m.Dst]++
-	m.xseq = sn.nextSend[m.Dst]
+	ci, xseq := r.issue(m.Src, m.Dst)
+	m.xseq = xseq
 	m.xatt = 1
-	x := sn.acquireXmit()
-	*x = xmit{
+	x := r.track(xmit{
 		src: m.Src, dst: m.Dst, size: m.Size, kind: m.Kind, tag: m.Tag,
-		payload: m.Payload, xseq: m.xseq, attempt: 1,
+		payload: m.Payload, xseq: xseq, ch: ci, attempt: 1,
 		delayUS: r.p.AckTimeoutUS, firstDepart: depart,
-	}
-	sn.out[xkey(m.Dst, m.xseq)] = x
-	x.timer = nw.K.TimerAt(depart+x.delayUS*sn.jitter(), nw.reactTimeoutFn, x)
+	})
+	x.timer = nw.K.TimerAt(depart+x.delayUS*r.nodes[m.Src].jitter(), nw.reactTimeoutFn, x)
 }
 
 // reactTimeout fires when a transmission's ack timeout expires, in the
@@ -339,28 +441,23 @@ func (nw *Network) reactTimeout(xi interface{}) {
 			x.gaveUp = true
 			sn.stats.Detected++
 			sn.stats.DetectUS += k.Now() - x.firstDepart
-			if _, ok := sn.suspect[x.dst]; !ok {
-				sn.suspect[x.dst] = k.Now()
-			}
-		}
-		g := GiveUp{
-			Src: x.src, Dst: x.dst, Size: x.size, Kind: x.kind, Tag: x.tag,
-			Payload: x.payload, Attempts: x.attempt, FirstDepart: x.firstDepart,
+			r.chans[x.ch].suspect(k.Now())
 		}
 		newDst, action := x.dst, GiveUpRetry
 		if h := r.giveUp[x.kind]; h != nil {
-			newDst, action = h(&g)
+			newDst, action = h(GiveUp{
+				Src: x.src, Dst: x.dst, Size: x.size, Kind: x.kind, Tag: x.tag,
+				Payload: x.payload, Attempts: x.attempt, FirstDepart: x.firstDepart,
+			})
 		}
 		switch action {
 		case GiveUpDrop:
-			delete(sn.out, xkey(x.dst, x.xseq))
-			sn.releaseXmit(x)
+			r.retire(x)
 			return
 		case GiveUpRedirect:
 			sn.stats.Failovers++
 			src, size, kind, tag, payload := x.src, x.size, x.kind, x.tag, x.payload
-			delete(sn.out, xkey(x.dst, x.xseq))
-			sn.releaseXmit(x)
+			r.retire(x)
 			m := nw.pool.get()
 			m.Src, m.Dst, m.Size, m.Kind, m.Tag, m.Payload = src, newDst, size, kind, tag, payload
 			nw.Send(m) // a fresh first transmission on the new channel
@@ -400,12 +497,7 @@ func (nw *Network) reactTimeout(xi interface{}) {
 func (nw *Network) reactAccept(m *Msg) bool {
 	r := nw.react
 	dn := &r.nodes[m.Dst]
-	ch := dn.recv[m.Src]
-	if ch == nil {
-		ch = &recvChan{}
-		dn.recv[m.Src] = ch
-	}
-	fresh := ch.accept(m.xseq)
+	fresh := r.at(m.Src, m.Dst).accept(m.xseq)
 	if !fresh {
 		dn.stats.DupDrops++
 	}
@@ -422,23 +514,22 @@ func (nw *Network) reactAccept(m *Msg) bool {
 // reactOnAck runs in the original sender's event context when an ack
 // arrives: cancel the retransmission timer, retire the record, account
 // false timeouts (retransmissions of attempts the receiver had already
-// seen) and clear the destination's suspect entry.
+// seen) and clear the destination's suspicion.
 func (nw *Network) reactOnAck(m *Msg) {
 	r := nw.react
-	sn := &r.nodes[m.Dst]
-	x := sn.out[xkey(m.Src, m.xseq)]
+	ci := r.channel(m.Dst, m.Src)
+	x := r.outstanding(ci, m.xseq)
 	if x == nil {
 		return // duplicate ack for an already-retired record
 	}
+	sn := &r.nodes[m.Dst]
 	nw.K.CancelTimer(x.timer)
 	if a := int(m.xatt); a < x.attempt {
 		sn.stats.FalseTimeouts += uint64(x.attempt - a)
 	}
-	if t, ok := sn.suspect[m.Src]; ok {
+	if since, ok := r.chans[ci].unsuspect(); ok {
 		sn.stats.Recovered++
-		sn.stats.RecoverUS += nw.K.Now() - t
-		delete(sn.suspect, m.Src)
+		sn.stats.RecoverUS += nw.K.Now() - since
 	}
-	delete(sn.out, xkey(m.Src, m.xseq))
-	sn.releaseXmit(x)
+	r.retire(x)
 }

@@ -26,13 +26,7 @@ func reactiveNet(t *testing.T, tp Topology, sched FaultSchedule, p ReactParams) 
 
 // outstanding counts the transport's unacknowledged transmissions; each
 // holds one pending retransmission timer.
-func outstanding(nw *Network) int {
-	n := 0
-	for i := range nw.react.nodes {
-		n += len(nw.react.nodes[i].out)
-	}
-	return n
-}
+func outstanding(nw *Network) int { return nw.react.live }
 
 // fastReact is a transport tuning with round numbers for tests.
 func fastReact() ReactParams {
@@ -165,10 +159,9 @@ func TestReactiveGiveUpDrop(t *testing.T) {
 	delivered := 0
 	nw.Handle(42, func(m *Msg) { delivered++ })
 	var gu *GiveUp
-	nw.OnGiveUp(42, func(g *GiveUp) (int, GiveUpAction) {
+	nw.OnGiveUp(42, func(g GiveUp) (int, GiveUpAction) {
 		if gu == nil {
-			cp := *g
-			gu = &cp
+			gu = &g
 		}
 		if !nw.NodeDownNow(3) {
 			t.Error("NodeDownNow(3) = false inside the give-up window")
@@ -212,7 +205,7 @@ func TestReactiveGiveUpRedirect(t *testing.T) {
 	k, nw := reactiveNet(t, New(2, 2), sched, p)
 	var deliveredAt []int
 	nw.Handle(42, func(m *Msg) { deliveredAt = append(deliveredAt, m.Dst) })
-	nw.OnGiveUp(42, func(g *GiveUp) (int, GiveUpAction) {
+	nw.OnGiveUp(42, func(g GiveUp) (int, GiveUpAction) {
 		return 2, GiveUpRedirect
 	})
 	k.At(0, func() { nw.Send(&Msg{Src: 0, Dst: 3, Size: 100, Kind: 42}) })
@@ -240,7 +233,7 @@ func TestReactiveGiveUpReissue(t *testing.T) {
 	k, nw := reactiveNet(t, New(2, 2), sched, p)
 	got := 0
 	nw.Handle(42, func(m *Msg) { got++ })
-	nw.OnGiveUp(42, func(g *GiveUp) (int, GiveUpAction) {
+	nw.OnGiveUp(42, func(g GiveUp) (int, GiveUpAction) {
 		return g.Dst, GiveUpReissue
 	})
 	k.At(0, func() { nw.Send(&Msg{Src: 0, Dst: 3, Size: 100, Kind: 42}) })
@@ -311,16 +304,16 @@ func TestReactiveRegistrationPanics(t *testing.T) {
 
 	oracle := NewNetwork(sim.New(), New(2, 2), testParams())
 	mustPanic("OnGiveUp on oracle", "oracle-mode", func() {
-		oracle.OnGiveUp(42, func(*GiveUp) (int, GiveUpAction) { return 0, GiveUpDrop })
+		oracle.OnGiveUp(42, func(GiveUp) (int, GiveUpAction) { return 0, GiveUpDrop })
 	})
 
 	_, nw := reactiveNet(t, New(2, 2), nil, fastReact())
 	mustPanic("OnGiveUp for ack kind", "no give-up handler", func() {
-		nw.OnGiveUp(KindTransportAck, func(*GiveUp) (int, GiveUpAction) { return 0, GiveUpDrop })
+		nw.OnGiveUp(KindTransportAck, func(GiveUp) (int, GiveUpAction) { return 0, GiveUpDrop })
 	})
-	nw.OnGiveUp(42, func(*GiveUp) (int, GiveUpAction) { return 0, GiveUpDrop })
+	nw.OnGiveUp(42, func(GiveUp) (int, GiveUpAction) { return 0, GiveUpDrop })
 	mustPanic("OnGiveUp twice", "registered twice", func() {
-		nw.OnGiveUp(42, func(*GiveUp) (int, GiveUpAction) { return 0, GiveUpDrop })
+		nw.OnGiveUp(42, func(GiveUp) (int, GiveUpAction) { return 0, GiveUpDrop })
 	})
 	mustPanic("Handle for ack kind", "reserved for transport acks", func() {
 		nw.Handle(KindTransportAck, func(*Msg) {})

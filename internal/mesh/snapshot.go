@@ -1,7 +1,10 @@
 package mesh
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"diva/internal/sim"
@@ -108,52 +111,12 @@ func (nw *Network) SnapshotState() (*NetworkState, error) {
 		st.FaultStats = nw.faults.stats
 	}
 	if r := nw.react; r != nil {
-		rc := &ReactState{Stats: r.base, Nodes: make([]ReactNodeState, len(r.nodes))}
-		for i := range r.nodes {
-			n := &r.nodes[i]
-			if len(n.out) > 0 {
-				// Unreachable at quiescence: every record holds a pending
-				// timer, which keeps the kernel busy. Defensive.
-				return nil, fmt.Errorf("mesh: node %d has %d outstanding transmissions", i, len(n.out))
-			}
-			rc.Stats = rc.Stats.add(n.stats)
-			nc := &rc.Nodes[i]
-			nc.RNG = n.rng.State()
-			nc.SendDst = make([]int, 0, len(n.nextSend))
-			for d := range n.nextSend {
-				nc.SendDst = append(nc.SendDst, d)
-			}
-			sort.Ints(nc.SendDst)
-			nc.SendSeq = make([]uint32, len(nc.SendDst))
-			for j, d := range nc.SendDst {
-				nc.SendSeq[j] = n.nextSend[d]
-			}
-			nc.RecvSrc = make([]int, 0, len(n.recv))
-			for s := range n.recv {
-				nc.RecvSrc = append(nc.RecvSrc, s)
-			}
-			sort.Ints(nc.RecvSrc)
-			nc.RecvFloor = make([]uint32, len(nc.RecvSrc))
-			nc.RecvSeen = make([][]uint32, len(nc.RecvSrc))
-			for j, s := range nc.RecvSrc {
-				ch := n.recv[s]
-				nc.RecvFloor[j] = ch.floor
-				for sq := range ch.seen {
-					nc.RecvSeen[j] = append(nc.RecvSeen[j], sq)
-				}
-				sort.Slice(nc.RecvSeen[j], func(a, b int) bool { return nc.RecvSeen[j][a] < nc.RecvSeen[j][b] })
-			}
-			nc.SuspDst = make([]int, 0, len(n.suspect))
-			for d := range n.suspect {
-				nc.SuspDst = append(nc.SuspDst, d)
-			}
-			sort.Ints(nc.SuspDst)
-			nc.SuspAt = make([]sim.Time, len(nc.SuspDst))
-			for j, d := range nc.SuspDst {
-				nc.SuspAt[j] = n.suspect[d]
-			}
+		if r.live > 0 {
+			// Unreachable at quiescence: every record holds a pending
+			// timer, which keeps the kernel busy. Defensive.
+			return nil, fmt.Errorf("mesh: %d transmissions outstanding", r.live)
 		}
-		st.React = rc
+		st.React = r.capture()
 	}
 	for n := range nw.inboxes {
 		ib := &nw.inboxes[n]
@@ -215,11 +178,8 @@ func (nw *Network) CheckState(st *NetworkState) error {
 			return fmt.Errorf("mesh: snapshot has reactive state for %d nodes, network has %d", len(rc.Nodes), len(nw.react.nodes))
 		}
 		for i := range rc.Nodes {
-			nc := &rc.Nodes[i]
-			if len(nc.SendDst) != len(nc.SendSeq) ||
-				len(nc.RecvSrc) != len(nc.RecvFloor) || len(nc.RecvSrc) != len(nc.RecvSeen) ||
-				len(nc.SuspDst) != len(nc.SuspAt) {
-				return fmt.Errorf("mesh: snapshot reactive node %d has mismatched key/value slices", i)
+			if err := rc.Nodes[i].check(i, len(rc.Nodes)); err != nil {
+				return fmt.Errorf("mesh: snapshot reactive node %d: %w", i, err)
 			}
 		}
 	}
@@ -237,34 +197,7 @@ func (nw *Network) RestoreState(st *NetworkState) error {
 		nw.faults.stats = st.FaultStats
 	}
 	if rc := st.React; rc != nil {
-		r := nw.react
-		r.base = rc.Stats
-		for i := range rc.Nodes {
-			nc := &rc.Nodes[i]
-			n := &r.nodes[i]
-			n.rng.SetState(nc.RNG)
-			n.stats = FaultStats{} // folded into base at capture
-			n.nextSend = make(map[int]uint32, len(nc.SendDst))
-			for j, d := range nc.SendDst {
-				n.nextSend[d] = nc.SendSeq[j]
-			}
-			n.out = make(map[uint64]*xmit)
-			n.recv = make(map[int]*recvChan, len(nc.RecvSrc))
-			for j, s := range nc.RecvSrc {
-				ch := &recvChan{floor: nc.RecvFloor[j]}
-				for _, sq := range nc.RecvSeen[j] {
-					if ch.seen == nil {
-						ch.seen = make(map[uint32]struct{}, len(nc.RecvSeen[j]))
-					}
-					ch.seen[sq] = struct{}{}
-				}
-				n.recv[s] = ch
-			}
-			n.suspect = make(map[int]sim.Time, len(nc.SuspDst))
-			for j, d := range nc.SuspDst {
-				n.suspect[d] = nc.SuspAt[j]
-			}
-		}
+		nw.react.restore(rc)
 	}
 	for i := range nw.links {
 		nw.links[i] = link{busyUntil: st.LinkBusy[i], load: LinkLoad{Msgs: st.LinkMsgs[i], Bytes: st.LinkBytes[i]}}
@@ -287,6 +220,112 @@ func (nw *Network) RestoreState(st *NetworkState) error {
 				q[j] = &m
 			}
 			ib.queues[tag] = q
+		}
+	}
+	return nil
+}
+
+// capture returns the transport's channel table and node streams in the
+// canonical form of ReactState: channels in (src, dst) order, so each
+// node's keys come out ascending. Outstanding records are not captured.
+func (r *reactState) capture() *ReactState {
+	rc := &ReactState{Stats: r.base, Nodes: make([]ReactNodeState, len(r.nodes))}
+	for i := range r.nodes {
+		rc.Stats = rc.Stats.add(r.nodes[i].stats)
+		rc.Nodes[i].RNG = r.nodes[i].rng.State()
+	}
+	order := make([]int32, len(r.chans))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		ca, cb := &r.chans[a], &r.chans[b]
+		return cmp.Or(cmp.Compare(ca.src, cb.src), cmp.Compare(ca.dst, cb.dst))
+	})
+	for _, ci := range order {
+		c := &r.chans[ci]
+		s, d := &rc.Nodes[c.src], &rc.Nodes[c.dst]
+		if c.has&chanSend != 0 {
+			s.SendDst = append(s.SendDst, int(c.dst))
+			s.SendSeq = append(s.SendSeq, c.sendSeq)
+		}
+		if c.has&chanRecv != 0 {
+			var seen []uint32
+			if len(c.seen) > 0 {
+				seen = slices.Clone(c.seen)
+			}
+			d.RecvSrc = append(d.RecvSrc, int(c.src))
+			d.RecvFloor = append(d.RecvFloor, c.floor)
+			d.RecvSeen = append(d.RecvSeen, seen)
+		}
+		if c.has&chanSusp != 0 {
+			s.SuspDst = append(s.SuspDst, int(c.dst))
+			s.SuspAt = append(s.SuspAt, c.suspAt)
+		}
+	}
+	return rc
+}
+
+// restore replaces the channel table and node streams with a checked
+// captured state; nothing may be outstanding.
+func (r *reactState) restore(rc *ReactState) {
+	r.base = rc.Stats
+	clear(r.chanIdx)
+	r.chans = r.chans[:0]
+	for i := range rc.Nodes {
+		nc := &rc.Nodes[i]
+		r.nodes[i].rng.SetState(nc.RNG)
+		r.nodes[i].stats = FaultStats{} // folded into base at capture
+		for j, d := range nc.SendDst {
+			c := r.at(i, d)
+			c.sendSeq = nc.SendSeq[j]
+			c.has |= chanSend
+		}
+		for j, s := range nc.RecvSrc {
+			c := r.at(s, i)
+			c.floor = nc.RecvFloor[j]
+			c.seen = append(c.seen[:0], nc.RecvSeen[j]...)
+			c.has |= chanRecv
+		}
+		for j, d := range nc.SuspDst {
+			r.at(i, d).suspect(nc.SuspAt[j])
+		}
+	}
+}
+
+// check validates one node's captured transport state on an n-node
+// network: parallel slices of equal length, keys that name another node
+// in strictly ascending order, dedup sets strictly ascending above their
+// floor, and suspect times that are finite and not negative.
+func (nc *ReactNodeState) check(node, n int) error {
+	if len(nc.SendDst) != len(nc.SendSeq) ||
+		len(nc.RecvSrc) != len(nc.RecvFloor) || len(nc.RecvSrc) != len(nc.RecvSeen) ||
+		len(nc.SuspDst) != len(nc.SuspAt) {
+		return fmt.Errorf("mismatched key/value slices")
+	}
+	for _, keys := range []struct {
+		name string
+		ks   []int
+	}{{"send", nc.SendDst}, {"receive", nc.RecvSrc}, {"suspect", nc.SuspDst}} {
+		for j, k := range keys.ks {
+			if k < 0 || k >= n || k == node {
+				return fmt.Errorf("%s channel names node %d", keys.name, k)
+			}
+			if j > 0 && k <= keys.ks[j-1] {
+				return fmt.Errorf("%s channels not strictly ascending at node %d", keys.name, k)
+			}
+		}
+	}
+	for j, seen := range nc.RecvSeen {
+		for q, sq := range seen {
+			if sq <= nc.RecvFloor[j] || (q > 0 && sq <= seen[q-1]) {
+				return fmt.Errorf("receive channel from %d: sequence %d seen out of order or at or below floor %d", nc.RecvSrc[j], sq, nc.RecvFloor[j])
+			}
+		}
+	}
+	for j, at := range nc.SuspAt {
+		if !(at >= 0) || math.IsInf(at, 1) {
+			return fmt.Errorf("suspect channel to %d: time %g", nc.SuspDst[j], at)
 		}
 	}
 	return nil

@@ -27,6 +27,12 @@ func splitmix64(x *uint64) uint64 {
 // independent-looking streams; the same seed always gives the same stream.
 func New(seed uint64) *RNG {
 	r := &RNG{}
+	r.Seed(seed)
+	return r
+}
+
+// Seed restarts r, in place, on the stream New(seed) returns.
+func (r *RNG) Seed(seed uint64) {
 	x := seed
 	for i := range r.s {
 		r.s[i] = splitmix64(&x)
@@ -35,7 +41,6 @@ func New(seed uint64) *RNG {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
-	return r
 }
 
 // Split derives a new independent generator from r. The derived stream is a

@@ -23,8 +23,14 @@ func FuzzLoad(f *testing.F) {
 	matmul := spec.Workload{Name: "matmul", Block: 64, Seed: 1}
 	bare := spec.Spec{Topology: "mesh", Rows: 4, Cols: 4, Tree: "2-ary", Seed: 1999,
 		Workload: spec.Workload{Name: "stencil", Iters: 2, Halo: 32, Compute: true, Seed: 7}}
+	// A reactive machine with a drawn fault schedule: its file carries the
+	// transport's channel table.
+	reactive := machineSpec("mesh", "fixedhome", 4, 4)
+	reactive.Fault = &spec.Fault{LinkFailures: 3, NodeChurn: 1, MeanDownUS: 20000, HorizonUS: 100000}
+	reactive.Recovery = spec.RecoveryReactive
+	reactive.AckTimeoutUS, reactive.MaxRetries = 500, 3
 	seedDir := f.TempDir()
-	for _, sp := range []spec.Spec{machineSpec("mesh", "at4", 4, 4), machineSpec("torus", "fixedhome", 4, 4), bare} {
+	for _, sp := range []spec.Spec{machineSpec("mesh", "at4", 4, 4), machineSpec("torus", "fixedhome", 4, 4), bare, reactive} {
 		if sp.Workload.Name == "" {
 			sp.Workload = matmul
 		}
