@@ -408,3 +408,34 @@ func TestTableFormatting(t *testing.T) {
 	}
 	table(&buf, nil) // must not panic
 }
+
+// TestQuickSuitePinned: the whole quick suite at the canonical seed must
+// emit byte-identical output sequentially and on four workers, and that
+// output is pinned by a golden fingerprint, so every figure — the shape-only
+// ones included — is covered: a change here means some figure's simulated
+// results or formatting changed.
+func TestQuickSuitePinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("whole quick suite in short mode")
+	}
+	var seq bytes.Buffer
+	if err := New(&seq, true, 1999).RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	var par bytes.Buffer
+	rp := New(&par, true, 1999)
+	rp.Workers = 4
+	if err := rp.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
+		t.Fatalf("quick suite on 4 workers differs from sequential:\n--- sequential\n%s\n--- parallel\n%s",
+			seq.String(), par.String())
+	}
+	// Golden fingerprint of `experiments -quick` at seed 1999 (FNV-1a):
+	// 314 lines, sha256 8bb52ecd59db2341....
+	const golden = uint64(0x44b1b182bdd51f4c)
+	if got := fnv1a(seq.Bytes()); got != golden {
+		t.Errorf("quick suite fingerprint = %#x, want %#x (simulated results changed)", got, golden)
+	}
+}
