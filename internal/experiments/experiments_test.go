@@ -2,20 +2,21 @@ package experiments
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
-	"diva/internal/core"
-	"diva/internal/core/accesstree"
-	"diva/internal/core/fixedhome"
-	"diva/internal/decomp"
+	"diva/spec"
 )
 
-// coreMachine builds a side×side machine for shape tests.
-func coreMachine(side int, f core.Factory) *core.Machine {
-	return core.MustNewMachine(core.Config{
-		Rows: side, Cols: side, Seed: 8, Tree: decomp.Ary4, Strategy: f,
-	})
+// mustRun runs one cell and fails the test on error.
+func mustRun(t *testing.T, c cell) result {
+	t.Helper()
+	res, err := c.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // TestIllustrativeFigures: Figures 1, 2 and 5 must render and contain the
@@ -45,26 +46,17 @@ func TestIllustrativeFigures(t *testing.T) {
 // more bytes on its busiest link than the access tree's multicast.
 func TestFig2StarVsTree(t *testing.T) {
 	var buf bytes.Buffer
-	r := New(&buf, true, 7)
-	if err := r.Fig2(); err != nil {
+	if err := New(&buf, true, 7).Run("2"); err != nil {
 		t.Fatal(err)
 	}
-	// Shape assertion via the underlying machines.
-	congestion := func(s strategyUnderTest) uint64 {
-		m := r.machine(8, 8, s.fact, s.spec)
-		owner := 8*4 + 4
-		v := m.AllocAt(owner, 4096, "x")
-		if err := m.Run(func(p *core.Proc) {
-			if p.ID/8 == 4 {
-				p.Read(v)
-			}
-		}); err != nil {
+	congestion := func(strat string) uint64 {
+		m, err := rowRead(7, 8, strat)
+		if err != nil {
 			t.Fatal(err)
 		}
 		return m.Net.Congestion(nil).MaxBytes
 	}
-	fh := congestion(fhStrategy())
-	at := congestion(atStrategy(decomp.Ary4))
+	fh, at := congestion("fixedhome"), congestion("at4")
 	if at >= fh {
 		t.Fatalf("access tree multicast congestion %d not below fixed home star %d", at, fh)
 	}
@@ -73,72 +65,42 @@ func TestFig2StarVsTree(t *testing.T) {
 // TestFig3QuickShapes runs the scaled-down Figure 3 measurements directly
 // and asserts the orderings the paper reports.
 func TestFig3QuickShapes(t *testing.T) {
-	r := New(&bytes.Buffer{}, true, 3)
-	hand, err := r.runMatmul(8, 256, nil, decomp.Ary2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fh, err := r.runMatmul(8, 256, fixedhome.Factory(), decomp.Ary4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	at, err := r.runMatmul(8, 256, accesstree.Factory(), decomp.Ary4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(hand.congBytes < at.congBytes && at.congBytes < fh.congBytes) {
+	c := fig3.ratioCells(3, 8, 256)
+	hand, fh, at := mustRun(t, c[0]), mustRun(t, c[1]), mustRun(t, c[2])
+	if !(hand.cong.MaxBytes < at.cong.MaxBytes && at.cong.MaxBytes < fh.cong.MaxBytes) {
 		t.Fatalf("congestion ordering violated: hand=%d at=%d fh=%d",
-			hand.congBytes, at.congBytes, fh.congBytes)
+			hand.cong.MaxBytes, at.cong.MaxBytes, fh.cong.MaxBytes)
 	}
-	if !(hand.timeUS < at.timeUS && at.timeUS < fh.timeUS) {
+	if !(hand.elapsedUS < at.elapsedUS && at.elapsedUS < fh.elapsedUS) {
 		t.Fatalf("time ordering violated: hand=%.0f at=%.0f fh=%.0f",
-			hand.timeUS, at.timeUS, fh.timeUS)
+			hand.elapsedUS, at.elapsedUS, fh.elapsedUS)
 	}
 }
 
 // TestFig4ScalingShape: the access tree's advantage must grow with the
 // network size (the paper's headline claim).
 func TestFig4ScalingShape(t *testing.T) {
-	r := New(&bytes.Buffer{}, true, 4)
 	ratio := func(side int) float64 {
-		fh, err := r.runMatmul(side, 256, fixedhome.Factory(), decomp.Ary4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		at, err := r.runMatmul(side, 256, accesstree.Factory(), decomp.Ary4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return float64(at.congBytes) / float64(fh.congBytes)
+		c := fig4.ratioCells(4, side, 256)
+		fh, at := mustRun(t, c[1]), mustRun(t, c[2])
+		return float64(at.cong.MaxBytes) / float64(fh.cong.MaxBytes)
 	}
 	small, large := ratio(4), ratio(16)
 	if large >= small {
-		t.Fatalf("AT/FH congestion ratio did not improve with size: %4x4=%.2f 16x16=%.2f",
-			'=', small, large)
+		t.Fatalf("AT/FH congestion ratio did not improve with size: 4x4=%.2f 16x16=%.2f", small, large)
 	}
 }
 
 // TestFig6BitonicShapes: bitonic orderings.
 func TestFig6BitonicShapes(t *testing.T) {
-	r := New(&bytes.Buffer{}, true, 5)
-	hand, err := r.runBitonic(8, 512, nil, decomp.Ary2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	at, err := r.runBitonic(8, 512, accesstree.Factory(), decomp.Ary2K4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fh, err := r.runBitonic(8, 512, fixedhome.Factory(), decomp.Ary2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(hand.congBytes < at.congBytes && at.congBytes < fh.congBytes) {
+	c := fig6.ratioCells(5, 8, 512)
+	hand, fh, at := mustRun(t, c[0]), mustRun(t, c[1]), mustRun(t, c[2])
+	if !(hand.cong.MaxBytes < at.cong.MaxBytes && at.cong.MaxBytes < fh.cong.MaxBytes) {
 		t.Fatalf("congestion ordering violated: hand=%d at=%d fh=%d",
-			hand.congBytes, at.congBytes, fh.congBytes)
+			hand.cong.MaxBytes, at.cong.MaxBytes, fh.cong.MaxBytes)
 	}
-	if !(at.timeUS < fh.timeUS) {
-		t.Fatalf("access tree (%.0f) not faster than fixed home (%.0f)", at.timeUS, fh.timeUS)
+	if !(at.elapsedUS < fh.elapsedUS) {
+		t.Fatalf("access tree (%.0f) not faster than fixed home (%.0f)", at.elapsedUS, fh.elapsedUS)
 	}
 }
 
@@ -149,19 +111,12 @@ func TestFig8OrderingQuick(t *testing.T) {
 		t.Skip("barnes-hut sweep in short mode")
 	}
 	r := New(&bytes.Buffer{}, true, 6)
+	steps, from := r.bhSteps()
 	cong := make(map[string]uint64)
-	for _, s := range []strategyUnderTest{
-		fhStrategy(), atStrategy(decomp.Ary16), atStrategy(decomp.Ary4), atStrategy(decomp.Ary2),
-	} {
-		row, err := r.runBarnesHut(4, 4, 600, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cong[s.name] = row.total.Cong.MaxMsgs
+	for _, strat := range []string{"fixedhome", "at16", "at4", "at2"} {
+		cong[strat] = mustRun(t, r.barnesHut(4, 4, strat, 600, steps, from)).total.Cong.MaxMsgs
 	}
-	if !(cong["2-ary AT"] <= cong["4-ary AT"] &&
-		cong["4-ary AT"] <= cong["16-ary AT"] &&
-		cong["16-ary AT"] < cong["fixed home"]) {
+	if !(cong["at2"] <= cong["at4"] && cong["at4"] <= cong["at16"] && cong["at16"] < cong["fixedhome"]) {
 		t.Fatalf("congestion ordering violated: %v", cong)
 	}
 }
@@ -383,18 +338,13 @@ func fnv1a(b []byte) uint64 {
 // TestAblationEmbeddingShape: the modular embedding must not be slower
 // than the fully random one (it shortens expected tree-edge routes).
 func TestAblationEmbeddingShape(t *testing.T) {
-	times := make(map[bool]float64)
-	for _, random := range []bool{false, true} {
-		m := coreMachine(8, accesstree.FactoryOpts(accesstree.Options{RandomEmbedding: random}))
-		el, err := runMatmulOn(m, 256, 11)
-		if err != nil {
-			t.Fatal(err)
-		}
-		times[random] = el
+	times := make(map[string]float64)
+	for _, strat := range []string{"at4", "atrandom"} {
+		times[strat] = mustRun(t, cell{spec: spec.Spec{Rows: 8, Cols: 8, Strategy: strat, Seed: 8,
+			Workload: spec.Workload{Name: "matmul", Block: 256, Seed: 11}}}).elapsedUS
 	}
-	if times[false] > times[true]*1.15 {
-		t.Fatalf("modular embedding (%.0f) much slower than random (%.0f)",
-			times[false], times[true])
+	if times["at4"] > times["atrandom"]*1.15 {
+		t.Fatalf("modular embedding (%.0f) much slower than random (%.0f)", times["at4"], times["atrandom"])
 	}
 }
 
@@ -437,5 +387,47 @@ func TestQuickSuitePinned(t *testing.T) {
 	const golden = uint64(0x44b1b182bdd51f4c)
 	if got := fnv1a(seq.Bytes()); got != golden {
 		t.Errorf("quick suite fingerprint = %#x, want %#x (simulated results changed)", got, golden)
+	}
+}
+
+// TestZeroValueRunner: a Runner written as a struct literal, without New,
+// runs every figure — the Barnes-Hut ones included — and prints what New's
+// runner prints.
+func TestZeroValueRunner(t *testing.T) {
+	var lit, made bytes.Buffer
+	if err := (&Runner{W: &lit, Quick: true, Seed: 1999}).Run("11"); err != nil {
+		t.Fatal(err)
+	}
+	if err := New(&made, true, 1999).Run("11"); err != nil {
+		t.Fatal(err)
+	}
+	if lit.Len() == 0 || !bytes.Equal(lit.Bytes(), made.Bytes()) {
+		t.Fatalf("struct-literal runner printed\n%s\nNew's runner printed\n%s", lit.String(), made.String())
+	}
+}
+
+// TestFailingCellStopsTheRun: a cell whose description does not build
+// fails its figure with the figure's name, figures before it still print,
+// and none after it does.
+func TestFailingCellStopsTheRun(t *testing.T) {
+	plans["broken"] = func(*Runner) figure {
+		bad := cell{spec: spec.Spec{Rows: 4, Cols: 4, Strategy: "nope", Workload: spec.Workload{Name: "matmul"}}}
+		return figure{cells: []cell{bad}, print: func(w io.Writer, _ []result) error {
+			t.Error("printed a figure whose cell failed")
+			return nil
+		}}
+	}
+	defer delete(plans, "broken")
+	var buf bytes.Buffer
+	r := &Runner{W: &buf, Quick: true, Seed: 1, Workers: 2}
+	err := r.RunFigures([]string{"1", "broken", "5"})
+	if err == nil || !strings.Contains(err.Error(), "figure broken:") || !strings.Contains(err.Error(), "strategy") {
+		t.Fatalf("error = %v, want the broken figure's strategy error", err)
+	}
+	if out := buf.String(); !strings.Contains(out, "Figure 1") || strings.Contains(out, "Figure 5") {
+		t.Fatalf("output of the failed run:\n%s", out)
+	}
+	if err := r.Run("nope"); err == nil || !strings.Contains(err.Error(), "unknown figure") {
+		t.Fatalf("unknown figure: error = %v", err)
 	}
 }

@@ -2,11 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 
-	"diva"
-	"diva/fault"
-	"diva/internal/apps/matmul"
 	"diva/internal/mesh"
+	"diva/spec"
 )
 
 // This file implements the degradation sweep ("faults"): the matrix
@@ -33,121 +32,98 @@ func faultRates(quick bool) []faultRate {
 	return []faultRate{{0, 0}, {2, 0}, {4, 1}, {8, 2}}
 }
 
-// faultCell is one measurement of the fault figures.
-type faultCell struct {
-	timeUS  float64
-	congMax uint64
-	stats   mesh.FaultStats
-}
-
-// runFaultCell runs the DSM matrix square for one cell of the fault
-// figures: strat on a side×side topo under a schedule drawn at rate, with
-// extra machine options (the recovery mode) applied last.
-func (r *Runner) runFaultCell(topo string, side int, rate faultRate, strat string, extra ...diva.Option) (faultCell, error) {
-	m, err := diva.New(append([]diva.Option{
-		diva.WithTopologyName(topo, side, side),
-		diva.WithSeed(r.Seed),
-		diva.WithStrategyName(strat),
-		diva.WithFaultGen(fault.Gen{
-			LinkFailures: rate.links, NodeChurn: rate.churn,
-			MeanDownUS: mesh.DefaultMeanDownUS, HorizonUS: mesh.DefaultHorizonUS,
-		}),
-	}, extra...)...)
-	if err != nil {
-		return faultCell{}, err
-	}
+// faultCell returns the cell of the fault figures that runs the DSM
+// matrix square with strat on a side×side topo under a schedule drawn at
+// rate (mean outage and start window at their defaults).
+func (r *Runner) faultCell(topo string, side int, rate faultRate, strat string) cell {
 	block := 256
 	if r.Quick {
 		block = 64
 	}
-	res, err := matmul.RunDSM(m, matmul.Config{BlockInts: block, Seed: r.Seed})
-	if err != nil {
-		return faultCell{}, err
+	s := spec.Spec{Topology: topo, Rows: side, Cols: side, Strategy: strat, Seed: r.Seed,
+		Workload: spec.Workload{Name: "matmul", Block: block}}
+	if rate != (faultRate{}) {
+		s.Fault = &spec.Fault{LinkFailures: rate.links, NodeChurn: rate.churn}
 	}
-	return faultCell{
-		timeUS:  res.ElapsedUS,
-		congMax: m.Net.Congestion(nil).MaxMsgs,
-		stats:   m.Net.FaultStats(),
-	}, nil
+	return cell{spec: s}
 }
 
-// FigFaults produces the "faults" figure: strategy degradation under link
-// failure and churn. The (topology, rate, strategy) cells are independent
-// simulations and fan out across the runner's worker pool; every cell's
-// schedule is drawn from the machine seed, so the assembled output is
-// byte-identical to a sequential run.
-func (r *Runner) FigFaults() error {
+// faultSide is the machine side of the fault figures.
+func (r *Runner) faultSide() int {
+	if r.Quick {
+		return 4
+	}
+	return 8
+}
+
+// figFaults produces the "faults" figure: strategy degradation under link
+// failure and churn. Every cell's schedule is drawn from the machine seed.
+func (r *Runner) figFaults() figure {
 	topos := []string{"mesh", "graph:degraded"}
 	strategies := []string{"fixedhome", "at4"}
 	rates := faultRates(r.Quick)
-	side := 8
-	if r.Quick {
-		side = 4
+	side := r.faultSide()
+	var cells []cell
+	for _, topo := range topos {
+		for _, rate := range rates {
+			for _, strat := range strategies {
+				cells = append(cells, r.faultCell(topo, side, rate, strat))
+			}
+		}
 	}
-	r.header(fmt.Sprintf("Faults: strategy degradation under link failure and churn (%dx%d)", side, side))
-	fmt.Fprintf(r.W, "matmul under a seeded fault schedule: outages last %d us on average,\n", mesh.DefaultMeanDownUS)
-	fmt.Fprintf(r.W, "starting inside the first %d us; churn takes a node's interface down.\n", mesh.DefaultHorizonUS)
+	return figure{cells: cells, print: func(w io.Writer, res []result) error {
+		at := func(ti, ri, si int) result {
+			return res[(ti*len(rates)+ri)*len(strategies)+si]
+		}
+		header(w, fmt.Sprintf("Faults: strategy degradation under link failure and churn (%dx%d)", side, side))
+		fmt.Fprintf(w, "matmul under a seeded fault schedule: outages last %d us on average,\n", mesh.DefaultMeanDownUS)
+		fmt.Fprintf(w, "starting inside the first %d us; churn takes a node's interface down.\n", mesh.DefaultHorizonUS)
 
-	nCells := len(topos) * len(rates) * len(strategies)
-	cells, err := runCells(r, nCells, func(i int) (faultCell, error) {
-		ti := i / (len(rates) * len(strategies))
-		ri := i / len(strategies) % len(rates)
-		si := i % len(strategies)
-		return r.runFaultCell(topos[ti], side, rates[ri], strategies[si])
-	})
-	if err != nil {
-		return err
-	}
-	at := func(ti, ri, si int) faultCell {
-		return cells[(ti*len(rates)+ri)*len(strategies)+si]
-	}
+		rows := [][]string{{"topology", "strategy", "link faults", "churn", "time (s)",
+			"congestion", "availability", "stretch", "retry bytes"}}
+		for ti, topo := range topos {
+			for si, strat := range strategies {
+				for ri, rate := range rates {
+					c := at(ti, ri, si)
+					rows = append(rows, []string{
+						topo, strat, fmt.Sprint(rate.links), fmt.Sprint(rate.churn),
+						f2(c.elapsedUS / 1e6), fmt.Sprint(c.cong.MaxMsgs),
+						pct(c.faults.Availability()), f2(c.faults.Stretch()),
+						fmt.Sprint(c.faults.RetryBytes),
+					})
+				}
+			}
+		}
+		table(w, rows)
 
-	rows := [][]string{{"topology", "strategy", "link faults", "churn", "time (s)",
-		"congestion", "availability", "stretch", "retry bytes"}}
-	for ti, topo := range topos {
-		for si, strat := range strategies {
+		// Degradation relative to each cell's own fault-free run: how much of
+		// the access tree's advantage survives a damaged network.
+		fmt.Fprintln(w, "\nslowdown vs fault-free (same topology and strategy):")
+		rows = [][]string{{"topology", "link faults"}}
+		rows[0] = append(rows[0], strategies...)
+		rows[0] = append(rows[0], "at4/fixedhome time")
+		for ti, topo := range topos {
 			for ri, rate := range rates {
-				c := at(ti, ri, si)
-				rows = append(rows, []string{
-					topo, strat, fmt.Sprint(rate.links), fmt.Sprint(rate.churn),
-					f2(c.timeUS / 1e6), fmt.Sprint(c.congMax),
-					pct(c.stats.Availability()), f2(c.stats.Stretch()),
-					fmt.Sprint(c.stats.RetryBytes),
-				})
+				if rate == (faultRate{}) {
+					continue
+				}
+				row := []string{topo, fmt.Sprint(rate.links)}
+				for si := range strategies {
+					row = append(row, pct(at(ti, ri, si).elapsedUS/at(ti, 0, si).elapsedUS))
+				}
+				row = append(row, pct(at(ti, ri, 1).elapsedUS/at(ti, ri, 0).elapsedUS))
+				rows = append(rows, row)
 			}
 		}
-	}
-	table(r.W, rows)
-
-	// Degradation relative to each cell's own fault-free run: how much of
-	// the access tree's advantage survives a damaged network.
-	fmt.Fprintln(r.W, "\nslowdown vs fault-free (same topology and strategy):")
-	rows = [][]string{{"topology", "link faults"}}
-	for _, strat := range strategies {
-		rows[0] = append(rows[0], strat)
-	}
-	rows[0] = append(rows[0], "at4/fixedhome time")
-	for ti, topo := range topos {
-		for ri, rate := range rates {
-			if rate.links == 0 && rate.churn == 0 {
-				continue
-			}
-			row := []string{topo, fmt.Sprint(rate.links)}
-			for si := range strategies {
-				row = append(row, pct(at(ti, ri, si).timeUS/at(ti, 0, si).timeUS))
-			}
-			row = append(row, pct(at(ti, ri, 1).timeUS/at(ti, ri, 0).timeUS))
-			rows = append(rows, row)
-		}
-	}
-	table(r.W, rows)
-	fmt.Fprintln(r.W, "\nFaults are applied in the network's deterministic routing order, so")
-	fmt.Fprintln(r.W, "every cell is bit-reproducible from its seed alone. Re-routes ride")
-	fmt.Fprintln(r.W, "the live spanning forest (stretch > 1); messages into a partition are")
-	fmt.Fprintln(r.W, "held until the schedule heals it and retransmitted (retry bytes). Both")
-	fmt.Fprintln(r.W, "strategies slow down by similar factors — the schedule hits links, not")
-	fmt.Fprintln(r.W, "strategy structures — but the access tree's shorter, more local routes")
-	fmt.Fprintln(r.W, "stretch further when forced onto the spanning forest: locality is a")
-	fmt.Fprintln(r.W, "mixed blessing on a damaged machine.")
-	return nil
+		table(w, rows)
+		fmt.Fprintln(w, "\nFaults are applied in the network's deterministic routing order, so")
+		fmt.Fprintln(w, "every cell is bit-reproducible from its seed alone. Re-routes ride")
+		fmt.Fprintln(w, "the live spanning forest (stretch > 1); messages into a partition are")
+		fmt.Fprintln(w, "held until the schedule heals it and retransmitted (retry bytes). Both")
+		fmt.Fprintln(w, "strategies slow down by similar factors — the schedule hits links, not")
+		fmt.Fprintln(w, "strategy structures — but the access tree's shorter, more local routes")
+		fmt.Fprintln(w, "stretch further when forced onto the spanning forest: locality is a")
+		fmt.Fprintln(w, "mixed blessing on a damaged machine.")
+		return nil
+	}}
 }

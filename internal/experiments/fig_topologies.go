@@ -2,11 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 
 	"diva"
-	"diva/internal/apps/barneshut"
-	"diva/internal/mesh"
-	"diva/internal/metrics"
+	"diva/topology"
 )
 
 // This file implements the cross-topology strategy sweep ("topologies"):
@@ -17,141 +16,88 @@ import (
 // decomposition, and this sweep asks how the strategy ranking transfers
 // to richer interconnects (torus, hypercube, fat-tree).
 
-// topoSweepSet returns the topologies of the sweep at matched processor
-// counts (quick: 16, full: 64).
-func topoSweepSet(quick bool) []mesh.Topology {
-	if quick {
-		return []mesh.Topology{
-			mesh.New(4, 4),
-			mesh.NewTorus(4, 4),
-			mesh.NewHypercube(4),
-			mesh.NewFatTree(4),
-		}
-	}
-	return []mesh.Topology{
-		mesh.New(8, 8),
-		mesh.NewTorus(8, 8),
-		mesh.NewHypercube(6),
-		mesh.NewFatTree(6),
-	}
-}
-
-// topoCell is one (topology, strategy) measurement of the sweep.
-type topoCell struct {
-	cong  uint64  // max messages over any link, measured steps
-	time  float64 // simulated time of the measured steps, us
-	total uint64  // total messages over all links
-}
-
-// runTopoCell runs the Barnes-Hut workload for one sweep cell.
-func (r *Runner) runTopoCell(topo mesh.Topology, s strategyUnderTest, n, steps int) (topoCell, error) {
-	m, err := diva.New(
-		diva.WithTopology(topo),
-		diva.WithSeed(r.Seed),
-		diva.WithTree(s.spec),
-		diva.WithStrategy(s.fact),
-	)
-	if err != nil {
-		return topoCell{}, err
-	}
-	col := metrics.New(m.Net)
-	_, err = barneshut.Run(m, barneshut.Config{
-		N: n, Steps: steps, MeasureFrom: 2, Seed: r.Seed, WithCompute: true,
-	}, col)
-	if err != nil {
-		return topoCell{}, err
-	}
-	tot := col.Total()
-	return topoCell{cong: tot.Cong.MaxMsgs, time: tot.TimeUS, total: tot.Cong.TotalMsgs}, nil
-}
-
-// FigTopologies produces the "topologies" figure. The (topology, strategy)
-// cells are independent simulations, so they fan out across the runner's
-// worker pool like whole figures do; the assembled output is byte-identical
-// to a sequential run.
-func (r *Runner) FigTopologies() error {
-	topos := topoSweepSet(r.Quick)
-	strategies := bhStrategies()
-	n, steps := 4000, 7
+// figTopologies produces the "topologies" figure: the topologies at
+// matched processor counts (quick: 16, full: 64; the hypercube and the
+// fat-tree take their size from rows×cols).
+func (r *Runner) figTopologies() figure {
+	names := []string{"mesh", "torus", "hypercube", "fattree"}
+	side, n, steps := 8, 4000, 7
 	if r.Quick {
-		n, steps = 600, 4
+		side, n, steps = 4, 600, 4
 	}
-	r.header(fmt.Sprintf("Topologies: Barnes-Hut strategy sweep across networks (P=%d, N=%d)", topos[0].N(), n))
-
-	// The network structures under comparison.
-	rows := [][]string{{"topology", "procs", "nodes", "links", "diameter", "bisection"}}
-	for _, tp := range topos {
-		links := 0
-		tp.ForEachLink(func(_, _, _ int) { links++ })
-		rows = append(rows, []string{
-			tp.String(), fmt.Sprint(tp.N()), fmt.Sprint(tp.Nodes()),
-			fmt.Sprint(links), fmt.Sprint(tp.Diameter()), fmt.Sprint(tp.Bisection()),
-		})
-	}
-	table(r.W, rows)
-
-	// Run the sweep: cells are independent, so they fan out across the
-	// runner's shared worker pool.
-	cells, err := runCells(r, len(topos)*len(strategies), func(i int) (topoCell, error) {
-		return r.runTopoCell(topos[i/len(strategies)], strategies[i%len(strategies)], n, steps)
-	})
-	if err != nil {
-		return err
-	}
-
-	for _, metric := range []struct {
-		name string
-		get  func(topoCell) string
-	}{
-		{"congestion (messages on the busiest link)", func(c topoCell) string { return fmt.Sprint(c.cong) }},
-		{"execution time (seconds)", func(c topoCell) string { return f1(c.time / 1e6) }},
-		{"total load (1000 messages)", func(c topoCell) string { return f1(float64(c.total) / 1000) }},
-	} {
-		fmt.Fprintf(r.W, "\n%s:\n", metric.name)
-		rows = [][]string{{"topology"}}
-		for _, s := range strategies {
-			rows[0] = append(rows[0], s.name)
+	var cells []cell
+	for _, name := range names {
+		for _, s := range bhStrategies {
+			c := r.barnesHut(side, side, s.name, n, steps, 2)
+			c.spec.Topology = name
+			cells = append(cells, c)
 		}
-		for ti, tp := range topos {
-			row := []string{tp.String()}
-			for si := range strategies {
-				row = append(row, metric.get(cells[ti*len(strategies)+si]))
+	}
+	return figure{cells: cells, print: func(w io.Writer, res []result) error {
+		topos := make([]topology.Topology, len(names))
+		for i, name := range names {
+			t, err := topology.Build(name, side, side)
+			if err != nil {
+				return err
 			}
-			rows = append(rows, row)
+			topos[i] = t
 		}
-		table(r.W, rows)
-	}
+		total := func(ti, si int) diva.Metrics { return res[ti*len(bhStrategies)+si].total }
+		header(w, fmt.Sprintf("Topologies: Barnes-Hut strategy sweep across networks (P=%d, N=%d)", topos[0].N(), n))
 
-	// How much the access tree buys over the fixed home on each network.
-	fmt.Fprintln(r.W, "\naccess tree advantage (4-ary AT / fixed home):")
-	rows = [][]string{{"topology", "congestion", "time"}}
-	fhIdx, atIdx := -1, -1
-	for i, s := range strategies {
-		switch s.name {
-		case "fixed home":
-			fhIdx = i
-		case "4-ary AT":
-			atIdx = i
+		// The network structures under comparison.
+		rows := [][]string{{"topology", "procs", "nodes", "links", "diameter", "bisection"}}
+		for _, tp := range topos {
+			links := 0
+			tp.ForEachLink(func(_, _, _ int) { links++ })
+			rows = append(rows, []string{
+				tp.String(), fmt.Sprint(tp.N()), fmt.Sprint(tp.Nodes()),
+				fmt.Sprint(links), fmt.Sprint(tp.Diameter()), fmt.Sprint(tp.Bisection()),
+			})
 		}
-	}
-	if fhIdx < 0 || atIdx < 0 {
-		return fmt.Errorf("topologies: strategy set lost %q or %q", "fixed home", "4-ary AT")
-	}
-	for ti, tp := range topos {
-		fh := cells[ti*len(strategies)+fhIdx]
-		at := cells[ti*len(strategies)+atIdx]
-		rows = append(rows, []string{
-			tp.String(),
-			pct(float64(at.cong) / float64(fh.cong)),
-			pct(at.time / fh.time),
-		})
-	}
-	table(r.W, rows)
-	fmt.Fprintln(r.W, "\nThe strategy is defined for arbitrary networks via hierarchical")
-	fmt.Fprintln(r.W, "decomposition (§2); the paper evaluates it on the mesh only. Across")
-	fmt.Fprintln(r.W, "topologies the access trees cut the total communication load well below")
-	fmt.Fprintln(r.W, "the fixed home everywhere; the congestion gain is largest where routes")
-	fmt.Fprintln(r.W, "are long and cuts narrow (mesh), and flattens on networks whose extra")
-	fmt.Fprintln(r.W, "capacity already absorbs the fixed home's hotspot (torus, fat-tree).")
-	return nil
+		table(w, rows)
+
+		for _, metric := range []struct {
+			name string
+			get  func(diva.Metrics) string
+		}{
+			{"congestion (messages on the busiest link)", func(m diva.Metrics) string { return fmt.Sprint(m.Cong.MaxMsgs) }},
+			{"execution time (seconds)", func(m diva.Metrics) string { return f1(m.TimeUS / 1e6) }},
+			{"total load (1000 messages)", func(m diva.Metrics) string { return f1(float64(m.Cong.TotalMsgs) / 1000) }},
+		} {
+			fmt.Fprintf(w, "\n%s:\n", metric.name)
+			rows = [][]string{{"topology"}}
+			for _, s := range bhStrategies {
+				rows[0] = append(rows[0], s.label)
+			}
+			for ti, tp := range topos {
+				row := []string{tp.String()}
+				for si := range bhStrategies {
+					row = append(row, metric.get(total(ti, si)))
+				}
+				rows = append(rows, row)
+			}
+			table(w, rows)
+		}
+
+		// How much the access tree buys over the fixed home on each network.
+		fmt.Fprintln(w, "\naccess tree advantage (4-ary AT / fixed home):")
+		rows = [][]string{{"topology", "congestion", "time"}}
+		for ti, tp := range topos {
+			fh, at := total(ti, bhFH), total(ti, bhAT4)
+			rows = append(rows, []string{
+				tp.String(),
+				pct(float64(at.Cong.MaxMsgs) / float64(fh.Cong.MaxMsgs)),
+				pct(at.TimeUS / fh.TimeUS),
+			})
+		}
+		table(w, rows)
+		fmt.Fprintln(w, "\nThe strategy is defined for arbitrary networks via hierarchical")
+		fmt.Fprintln(w, "decomposition (§2); the paper evaluates it on the mesh only. Across")
+		fmt.Fprintln(w, "topologies the access trees cut the total communication load well below")
+		fmt.Fprintln(w, "the fixed home everywhere; the congestion gain is largest where routes")
+		fmt.Fprintln(w, "are long and cuts narrow (mesh), and flattens on networks whose extra")
+		fmt.Fprintln(w, "capacity already absorbs the fixed home's hotspot (torus, fat-tree).")
+		return nil
+	}}
 }

@@ -9,105 +9,46 @@
 // "faults" sweep measures strategy degradation under seeded link-failure
 // and churn schedules on the mesh and an irregular degraded-mesh graph.
 //
-// Absolute times depend on the simulated machine's constants; the paper's
-// qualitative shape — who wins, by what factor, how ratios scale with
-// network size — is what these experiments reproduce (see EXPERIMENTS.md).
+// Every simulation of a figure is a cell: a spec.Spec run description,
+// built and run through diva.FromSpec exactly as divasim and the service
+// run it. Absolute times depend on the simulated machine's constants; the
+// paper's qualitative shape — who wins, by what factor, how ratios scale
+// with network size — is what these experiments reproduce.
 package experiments
 
 import (
-	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"diva"
-	"diva/internal/core"
-	"diva/internal/decomp"
+	"diva/internal/core/accesstree"
+	"diva/internal/mesh"
+	"diva/spec"
 	"diva/strategy"
 )
 
 // Runner executes figures. Quick mode shrinks meshes and inputs so the full
-// suite completes in seconds-to-minutes instead of tens of minutes.
+// suite completes in seconds-to-minutes instead of tens of minutes. The
+// zero value with W set is ready to use.
 type Runner struct {
 	W     io.Writer
 	Quick bool
 	Seed  uint64
-	// Workers sets the runner's degree of parallelism: when > 1, whole
-	// figures and the cells of in-figure fan-outs (the Barnes-Hut sweep,
-	// the topologies sweep, the matmul/bitonic ratio figures) all draw
-	// from one shared pool of this many slots — a figure goroutine lends
-	// its slot to its own fan-out, so the pool bounds the number of
-	// concurrently running simulations across the whole run. Output is
-	// buffered per figure and emitted in figure order, so the bytes written
-	// to W are identical to a sequential run's.
+	// Workers bounds the number of simulations running at once: the cells
+	// of every requested figure are gathered in figure order, each distinct
+	// run description once, and run on one pool of this many goroutines
+	// (one when ≤ 1). A figure prints as soon as its cells are done, in
+	// figure order, so the bytes written to W do not depend on Workers.
 	Workers int
-
-	// pool is the shared slot pool (created on first parallel use and
-	// inherited by worker clones); holding marks a clone whose figure
-	// goroutine currently occupies a slot, so runCells can lend it out.
-	pool    chan struct{}
-	holding bool
-
-	bhCache *bhCache
-}
-
-// ensurePool creates the shared slot pool. Callers invoke it before any
-// fan-out goroutines exist (runParallel setup, or a direct in-figure
-// fan-out on a sequentially-driven runner), so creation is single-threaded.
-func (r *Runner) ensurePool() {
-	if r.pool == nil {
-		r.pool = make(chan struct{}, r.Workers)
-	}
-}
-
-// runCells evaluates n independent simulation cells through compute,
-// fanning them across the runner's global worker pool when it has one, and
-// returns the results in index order — so the caller's output is
-// independent of completion order and byte-identical to a sequential run.
-// A figure goroutine that itself holds a pool slot lends it to the fan-out
-// for the duration: whole figures and cells share one pool without nested
-// acquisitions, which keeps the pool deadlock-free.
-func runCells[T any](r *Runner, n int, compute func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	if r.Workers <= 1 || n <= 1 {
-		for i := range out {
-			v, err := compute(i)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
-	r.ensurePool()
-	if r.holding {
-		<-r.pool
-		defer func() { r.pool <- struct{}{} }()
-	}
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := range out {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r.pool <- struct{}{}
-			defer func() { <-r.pool }()
-			out[i], errs[i] = compute(i)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // New returns a runner writing to w.
 func New(w io.Writer, quick bool, seed uint64) *Runner {
-	return &Runner{W: w, Quick: quick, Seed: seed, bhCache: newBHCache()}
+	return &Runner{W: w, Quick: quick, Seed: seed}
 }
 
 // Figures lists the available experiment names in order.
@@ -115,147 +56,187 @@ var Figures = []string{"1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11",
 	"topologies", "faults", "recovery",
 	"ablation-embed", "ablation-arity", "ablation-remap", "ablation-replacement"}
 
-// Run executes one figure by name.
-func (r *Runner) Run(name string) error {
-	switch name {
-	case "1":
-		return r.Fig1()
-	case "2":
-		return r.Fig2()
-	case "3":
-		return r.Fig3()
-	case "4":
-		return r.Fig4()
-	case "5":
-		return r.Fig5()
-	case "6":
-		return r.Fig6()
-	case "7":
-		return r.Fig7()
-	case "8":
-		return r.Fig8()
-	case "9":
-		return r.Fig9()
-	case "10":
-		return r.Fig10()
-	case "11":
-		return r.Fig11()
-	case "topologies":
-		return r.FigTopologies()
-	case "faults":
-		return r.FigFaults()
-	case "recovery":
-		return r.FigRecovery()
-	case "ablation-embed":
-		return r.AblationEmbedding()
-	case "ablation-arity":
-		return r.AblationArity()
-	case "ablation-remap":
-		return r.AblationRemap()
-	case "ablation-replacement":
-		return r.AblationReplacement()
-	}
-	return fmt.Errorf("experiments: unknown figure %q (have %v)", name, Figures)
+// plans maps each figure name to the function describing it.
+var plans = map[string]func(*Runner) figure{
+	"1": (*Runner).fig1, "2": (*Runner).fig2, "5": (*Runner).fig5,
+	"3": ratioFigure(fig3), "4": ratioFigure(fig4), "6": ratioFigure(fig6), "7": ratioFigure(fig7),
+	"8": (*Runner).fig8, "9": (*Runner).fig9, "10": (*Runner).fig10, "11": (*Runner).fig11,
+	"topologies": (*Runner).figTopologies,
+	"faults":     (*Runner).figFaults,
+	"recovery":   (*Runner).figRecovery,
+
+	"ablation-embed":       (*Runner).ablationEmbedding,
+	"ablation-arity":       (*Runner).ablationArity,
+	"ablation-remap":       (*Runner).ablationRemap,
+	"ablation-replacement": (*Runner).ablationReplacement,
 }
 
-// RunAll executes every figure, fanning them across a worker pool when
-// Workers > 1. Figures are independent (each builds its machines from the
-// runner's seed alone), so the parallel run produces byte-identical output.
+// A figure is the cells it measures and the printer that reads their
+// results, given in cell order.
+type figure struct {
+	cells []cell
+	print func(w io.Writer, res []result) error
+}
+
+// A cell is one simulation: a run description, plus the access tree remap
+// threshold of the remap ablation, the one machine no registered strategy
+// name spells.
+type cell struct {
+	spec  spec.Spec
+	remap int
+}
+
+// result is what a finished cell reports: everything a figure prints.
+type result struct {
+	elapsedUS float64         // the workload's simulated execution time
+	cong      diva.Congestion // whole-run link traffic
+	// total and phases are the collector's measured steps (Barnes-Hut
+	// only; the other workloads record no measured interval).
+	total     diva.Metrics
+	phases    map[string]diva.Metrics
+	faults    mesh.FaultStats
+	evictions uint64
+	remaps    int
+}
+
+// key identifies the cell's run: equal keys describe the same simulation.
+func (c cell) key() string {
+	b, err := json.Marshal(c.spec.Normalized())
+	if err != nil {
+		panic(err) // a Spec always encodes
+	}
+	return fmt.Sprintf("%d %s", c.remap, b)
+}
+
+// run builds the cell's machine and workload through diva.FromSpec and
+// runs the workload to completion.
+func (c cell) run() (result, error) {
+	var extra []diva.Option
+	if c.remap > 0 {
+		extra = append(extra, diva.WithStrategy(strategy.AccessTree(strategy.AccessTreeOptions{
+			RandomEmbedding: true, RemapThreshold: c.remap,
+		})))
+	}
+	m, w, err := diva.FromSpec(c.spec, extra...)
+	if err != nil {
+		return result{}, err
+	}
+	col := diva.NewCollector(m)
+	res, err := w.Run(m, col)
+	if err != nil {
+		return result{}, err
+	}
+	out := result{
+		elapsedUS: res.ElapsedUS,
+		cong:      m.Net.Congestion(nil),
+		faults:    m.Net.FaultStats(),
+		evictions: diva.TotalEvictions(m),
+		remaps:    accesstree.TotalRemaps(m.Strat),
+	}
+	if col.Enabled() {
+		out.total = col.Total()
+		out.phases = make(map[string]diva.Metrics)
+		for _, name := range col.PhaseNames() {
+			out.phases[name], _ = col.Phase(name)
+		}
+	}
+	return out, nil
+}
+
+// Run executes one figure by name.
+func (r *Runner) Run(name string) error { return r.run([]string{name}, false) }
+
+// RunAll executes every figure.
 func (r *Runner) RunAll() error { return r.RunFigures(Figures) }
 
-// RunFigures executes the named figures in order, in parallel when
-// Workers > 1 (output order and bytes are the same either way).
-func (r *Runner) RunFigures(names []string) error {
-	if r.Workers > 1 {
-		return r.runParallel(names)
-	}
-	for _, f := range names {
-		if err := r.Run(f); err != nil {
-			return fmt.Errorf("figure %s: %w", f, err)
-		}
-		fmt.Fprintln(r.W)
-	}
-	return nil
+// RunFigures executes the named figures, each followed by a blank line.
+func (r *Runner) RunFigures(names []string) error { return r.run(names, true) }
+
+// job is one distinct cell of a run and, once done is closed, its outcome.
+type job struct {
+	cell cell
+	res  result
+	err  error
+	done chan struct{}
 }
 
-func (r *Runner) runParallel(names []string) error {
-	type result struct {
-		buf bytes.Buffer
-		err error
+// run gathers the cells of the named figures in figure order, runs each
+// distinct one once on a pool of r.Workers goroutines, and prints every
+// figure as soon as its cells are done, in figure order.
+func (r *Runner) run(names []string, blankAfter bool) error {
+	figs := make([]figure, len(names))
+	for i, name := range names {
+		plan, ok := plans[name]
+		if !ok {
+			return fmt.Errorf("experiments: unknown figure %q (have %v)", name, Figures)
+		}
+		figs[i] = plan(r)
 	}
-	r.ensurePool()
-	results := make([]result, len(names))
-	var wg sync.WaitGroup
-	for i, f := range names {
-		wg.Add(1)
-		go func(i int, f string) {
-			defer wg.Done()
-			r.pool <- struct{}{}
-			defer func() { <-r.pool }()
-			// Workers share the parent's slot pool (figures and their
-			// in-figure fan-outs bounded together) and the parent's
-			// Barnes-Hut cache: Figures 8-10 view the same deterministic
-			// sweep, so one worker computes it and the others reuse the
-			// rows.
-			sub := &Runner{
-				W: &results[i].buf, Quick: r.Quick, Seed: r.Seed,
-				Workers: r.Workers, pool: r.pool, holding: true, bhCache: r.bhCache,
+	var jobs []*job
+	byKey := make(map[string]*job)
+	uses := make([][]*job, len(figs))
+	for i, f := range figs {
+		for _, c := range f.cells {
+			k := c.key()
+			j := byKey[k]
+			if j == nil {
+				j = &job{cell: c, done: make(chan struct{})}
+				byKey[k] = j
+				jobs = append(jobs, j)
 			}
-			results[i].err = sub.Run(f)
-		}(i, f)
+			uses[i] = append(uses[i], j)
+		}
 	}
-	wg.Wait()
-	for i, f := range names {
-		if results[i].err != nil {
-			return fmt.Errorf("figure %s: %w", f, results[i].err)
+
+	var (
+		next atomic.Int64
+		stop atomic.Bool
+		wg   sync.WaitGroup
+	)
+	for range min(max(r.Workers, 1), len(jobs)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= len(jobs) {
+					return
+				}
+				j := jobs[i]
+				j.res, j.err = j.cell.run()
+				close(j.done)
+			}
+		}()
+	}
+	// On an error, workers finish the cells they hold and start no more.
+	defer func() {
+		stop.Store(true)
+		wg.Wait()
+	}()
+
+	for i, f := range figs {
+		res := make([]result, len(uses[i]))
+		for k, j := range uses[i] {
+			<-j.done
+			if j.err != nil {
+				return fmt.Errorf("figure %s: %w", names[i], j.err)
+			}
+			res[k] = j.res
 		}
-		if _, err := io.Copy(r.W, &results[i].buf); err != nil {
-			return err
+		if err := f.print(r.W, res); err != nil {
+			return fmt.Errorf("figure %s: %w", names[i], err)
 		}
-		fmt.Fprintln(r.W)
+		if blankAfter {
+			fmt.Fprintln(r.W)
+		}
 	}
 	return nil
 }
-
-// machine builds a machine for one experiment run through the public
-// diva API (the machines here are exactly the ones embedders get).
-func (r *Runner) machine(rows, cols int, f core.Factory, spec decomp.Spec) *core.Machine {
-	return diva.MustNew(
-		diva.WithMesh(rows, cols),
-		diva.WithSeed(r.Seed),
-		diva.WithTree(spec),
-		diva.WithStrategy(f),
-	)
-}
-
-// strategyUnderTest pairs a display name with its configuration.
-type strategyUnderTest struct {
-	name string
-	spec decomp.Spec
-	fact core.Factory
-}
-
-// atStrategy is the access tree on one of the paper's tree variants
-// (decomp.Variants): the registry's access tree factory on that tree.
-func atStrategy(spec decomp.Spec) strategyUnderTest {
-	return strategyUnderTest{name: spec.Name() + " AT", spec: spec, fact: atFactory()}
-}
-
-func fhStrategy() strategyUnderTest {
-	s := strategy.MustGet("fixedhome")
-	return strategyUnderTest{name: "fixed home", spec: s.Tree, fact: s.Factory}
-}
-
-// atFactory and fhFactory resolve the registry factories for figures that
-// pair a strategy with a non-default decomposition tree (e.g. the fixed
-// home on the 2-ary tree of the sorting studies).
-func atFactory() core.Factory { return strategy.MustGet("at4").Factory }
-func fhFactory() core.Factory { return strategy.MustGet("fixedhome").Factory }
 
 // --- formatting helpers ---
 
-func (r *Runner) header(title string) {
-	fmt.Fprintf(r.W, "%s\n%s\n", title, strings.Repeat("=", len(title)))
+func header(w io.Writer, title string) {
+	fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("=", len(title)))
 }
 
 // table prints aligned columns.
