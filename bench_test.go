@@ -1,7 +1,8 @@
 // Benchmarks: one per figure of the paper's evaluation (plus the ablations
-// of DESIGN.md and a few protocol micro-benchmarks). Each benchmark runs a
-// representative — scaled-down — configuration of the corresponding
-// experiment; cmd/experiments regenerates the figures at full scale.
+// of the implementation's design decisions and a few protocol
+// micro-benchmarks). Each benchmark runs a representative — scaled-down —
+// configuration of the corresponding experiment; cmd/experiments
+// regenerates the figures at full scale.
 //
 // The metric being benchmarked is the simulator's wall-clock throughput;
 // the simulated results (congestion, simulated time) of every figure are
@@ -335,9 +336,10 @@ func BenchmarkFig11BarnesHutScale8x16FixedHome(b *testing.B) {
 	benchBarnesHut(b, 8, 16, 200*8*16/4, fixedhome.Factory(), decomp.Ary4)
 }
 
-// --- Ablations (DESIGN.md) ---
+// --- Ablations of the implementation's design decisions ---
 
-// D1: modular vs fully random access tree embedding.
+// D1: the paper's modular access tree embedding instead of the fully
+// random embedding of the theoretical analysis.
 func BenchmarkAblationEmbeddingModular(b *testing.B) {
 	benchMatmul(b, 8, 256, accesstree.Factory(), decomp.Ary4)
 }
@@ -357,7 +359,7 @@ func BenchmarkAblationArity16(b *testing.B) {
 	benchMatmul(b, 8, 256, accesstree.Factory(), decomp.Ary16)
 }
 
-// D7: wormhole backpressure on/off.
+// D7: wormhole backpressure, on (the default) and off.
 func benchBackpressure(b *testing.B, off bool) {
 	params := mesh.GCelParams()
 	params.NoBackpressure = off

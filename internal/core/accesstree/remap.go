@@ -8,8 +8,8 @@ import (
 // This file implements the remapping step of the theoretical access tree
 // strategy, which the paper's implementation deliberately omits ("we omit
 // this remapping as we believe that the constant overhead induced by this
-// procedure will not be retained in practice", §2 — design decision D3 in
-// DESIGN.md). With Options.RemapThreshold > 0, a tree node that has
+// procedure will not be retained in practice", §2). Omitting it is design
+// decision D3: remapping is off unless an ablation asks for it. With Options.RemapThreshold > 0, a tree node that has
 // handled that many protocol messages is moved to a fresh random position
 // in its submesh, restoring the granularity of the random experiments in
 // the competitive analysis.

@@ -16,7 +16,8 @@
 //
 // Reads and writes of the same variable are serialized by a per-variable
 // reader/writer queue (readers share, writers are exclusive, FIFO), which
-// models the request queueing of a real implementation; see DESIGN.md, D4.
+// models the request queueing of a real implementation. That is design
+// decision D4: the queueing delays requests but sends no messages of its own.
 package core
 
 import (

@@ -75,7 +75,7 @@ func (v *Variable) NextLocal(from int) int {
 // admitted together, writers are exclusive, and admission is FIFO (a queued
 // writer blocks later readers, preventing starvation). This models the
 // request queueing that a real DSM implementation performs at copy holders
-// (DESIGN.md, D4) without charging extra messages.
+// without charging extra messages for it (design decision D4).
 type rwQueue struct {
 	readers int
 	writer  bool

@@ -57,11 +57,11 @@ func (r *Runner) bhMeshSide() int {
 	return 16
 }
 
-// bhSweep is the strategy × body-count sweep Figures 8, 9 and 10 view:
+// bhFigure is the strategy × body-count sweep Figures 8, 9 and 10 view:
 // the cells in strategy-major order and a printer of one metric per cell
 // around a figure's own header and notes. The three figures describe the
 // same cells, so a run of all three simulates them once.
-func (r *Runner) bhSweep(title string, get func(result) diva.Metrics, notes func(io.Writer, []result)) figure {
+func (r *Runner) bhFigure(title string, get func(result) diva.Metrics, notes func(io.Writer, []result)) figure {
 	side, sizes := r.bhMeshSide(), r.bhSizes()
 	steps, from := r.bhSteps()
 	var cells []cell
@@ -104,7 +104,7 @@ func (r *Runner) bhSweep(title string, get func(result) diva.Metrics, notes func
 // and the 16-, 4-16-, 4- and 2-ary access trees on a 16×16 mesh
 // (7 simulated steps, the last 5 measured).
 func (r *Runner) fig8() figure {
-	return r.bhSweep("Figure 8: Barnes-Hut on a %[1]dx%[1]d mesh — totals over the measured steps",
+	return r.bhFigure("Figure 8: Barnes-Hut on a %[1]dx%[1]d mesh — totals over the measured steps",
 		func(c result) diva.Metrics { return c.total },
 		func(w io.Writer, _ []result) {
 			fmt.Fprintln(w, "\nPaper shape: congestion FH > 16-ary > 4-16-ary > 4-ary > 2-ary;")
@@ -114,7 +114,7 @@ func (r *Runner) fig8() figure {
 
 // fig9 reproduces Figure 9: the tree-building phase.
 func (r *Runner) fig9() figure {
-	return r.bhSweep("Figure 9: Barnes-Hut tree building phase (%[1]dx%[1]d mesh)",
+	return r.bhFigure("Figure 9: Barnes-Hut tree building phase (%[1]dx%[1]d mesh)",
 		func(c result) diva.Metrics { return c.phases[phaseBuild] },
 		func(w io.Writer, _ []result) {
 			fmt.Fprintln(w, "\nPaper shape: the access trees distribute the copy of the (hot) root via a")
@@ -127,7 +127,7 @@ func (r *Runner) fig9() figure {
 // local computation time.
 func (r *Runner) fig10() figure {
 	sizes := r.bhSizes()
-	return r.bhSweep("Figure 10: Barnes-Hut force computation phase (%[1]dx%[1]d mesh)",
+	return r.bhFigure("Figure 10: Barnes-Hut force computation phase (%[1]dx%[1]d mesh)",
 		func(c result) diva.Metrics { return c.phases[phaseForce] },
 		func(w io.Writer, res []result) {
 			// Local computation is strategy-independent; report it from the

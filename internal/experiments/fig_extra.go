@@ -81,10 +81,10 @@ func (r *Runner) ablationArity() figure {
 // tree nodes that handle too many accesses (§2: "we omit this remapping as
 // we believe that the constant overhead induced by this procedure will not
 // be retained in practice"). The ablation asks whether remapping pays off
-// in practice. The workload is the Barnes-Hut tree build,
-// whose repeatedly rewritten top cells are exactly the "too many accesses
-// to the same node" case. Remapping runs on the random embedding of the
-// analysis it belongs to.
+// in practice. The workload is the Barnes-Hut tree build, whose repeatedly
+// rewritten top cells are exactly the "too many accesses to the same node"
+// case. Remapping runs on the random embedding of the analysis it belongs
+// to.
 func (r *Runner) ablationRemap() figure {
 	side, n := 4, 600
 	if !r.Quick {

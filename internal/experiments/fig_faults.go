@@ -32,10 +32,10 @@ func faultRates(quick bool) []faultRate {
 	return []faultRate{{0, 0}, {2, 0}, {4, 1}, {8, 2}}
 }
 
-// faultCell returns the cell of the fault figures that runs the DSM
+// faultMatmul returns the cell of the fault figures that runs the DSM
 // matrix square with strat on a side×side topo under a schedule drawn at
 // rate (mean outage and start window at their defaults).
-func (r *Runner) faultCell(topo string, side int, rate faultRate, strat string) cell {
+func (r *Runner) faultMatmul(topo string, side int, rate faultRate, strat string) cell {
 	block := 256
 	if r.Quick {
 		block = 64
@@ -67,7 +67,7 @@ func (r *Runner) figFaults() figure {
 	for _, topo := range topos {
 		for _, rate := range rates {
 			for _, strat := range strategies {
-				cells = append(cells, r.faultCell(topo, side, rate, strat))
+				cells = append(cells, r.faultMatmul(topo, side, rate, strat))
 			}
 		}
 	}

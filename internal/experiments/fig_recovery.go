@@ -32,7 +32,7 @@ func (r *Runner) figRecovery() figure {
 	for _, topo := range topos {
 		for _, mode := range modes {
 			for _, strat := range strategies {
-				c := r.faultCell(topo, side, faultRate{2, 1}, strat)
+				c := r.faultMatmul(topo, side, faultRate{2, 1}, strat)
 				if mode == spec.RecoveryReactive {
 					s := &c.spec
 					s.Recovery, s.AckTimeoutUS, s.MaxRetries, s.Backoff = mode, 500, 3, 2
