@@ -172,11 +172,17 @@ func (r *Runner) run(names []string, blankAfter bool) error {
 		}
 		figs[i] = plan(r)
 	}
+	// Figures list their cells from the smallest run up, and a figure
+	// prints only once all its cells are done: queueing each figure's
+	// cells last-first starts the long runs early, so the pool does not
+	// end on one long cell while the other workers idle.
 	var jobs []*job
 	byKey := make(map[string]*job)
 	uses := make([][]*job, len(figs))
 	for i, f := range figs {
-		for _, c := range f.cells {
+		uses[i] = make([]*job, len(f.cells))
+		for n := len(f.cells) - 1; n >= 0; n-- {
+			c := f.cells[n]
 			k := c.key()
 			j := byKey[k]
 			if j == nil {
@@ -184,7 +190,7 @@ func (r *Runner) run(names []string, blankAfter bool) error {
 				byKey[k] = j
 				jobs = append(jobs, j)
 			}
-			uses[i] = append(uses[i], j)
+			uses[i][n] = j
 		}
 	}
 
