@@ -142,6 +142,7 @@ func combineMax(a, b interface{}) interface{} {
 
 // procState is the per-processor application state.
 type procState struct {
+	vals         *values
 	myBodies     []core.VarID
 	cellsByLevel [][]core.VarID
 	allCells     []core.VarID
@@ -150,9 +151,16 @@ type procState struct {
 	stack        []Ref
 }
 
+// addCell records a cell this processor created at level. Levels past the
+// current length reuse the lists an earlier step left behind the length.
 func (st *procState) addCell(v core.VarID, level int) {
-	for len(st.cellsByLevel) <= level {
-		st.cellsByLevel = append(st.cellsByLevel, nil)
+	for n := len(st.cellsByLevel); n <= level; n++ {
+		if n < cap(st.cellsByLevel) {
+			st.cellsByLevel = st.cellsByLevel[:n+1]
+			st.cellsByLevel[n] = st.cellsByLevel[n][:0]
+		} else {
+			st.cellsByLevel = append(st.cellsByLevel, nil)
+		}
 	}
 	st.cellsByLevel[level] = append(st.cellsByLevel[level], v)
 	st.allCells = append(st.allCells, v)
@@ -188,17 +196,17 @@ func Run(m *core.Machine, cfg Config, col *metrics.Collector) (Result, error) {
 		lo, hi := w*cfg.N/P, (w+1)*cfg.N/P
 		owner := m.Tree.ProcOfLeaf[w]
 		for i := lo; i < hi; i++ {
-			// Bodies live in the DSM as immutable *Body values; copy out
-			// of the model slice so nothing aliases it.
-			b := bodies[i]
-			bodyVars[i] = m.AllocAt(owner, BodyBytes, &b)
+			// The model's fresh slice is this run's alone: its records
+			// are the bodies' first values.
+			bodyVars[i] = m.AllocAt(owner, BodyBytes, &bodies[i])
 		}
 	}
 	rootVar := m.AllocAt(0, 16, rootInfo{})
 
+	vals := new(values)
 	states := make([]*procState, P)
 	for i := range states {
-		states[i] = &procState{}
+		states[i] = &procState{vals: vals}
 	}
 	wireOf := make([]int, P)
 	for w, pr := range m.Tree.ProcOfLeaf {
@@ -242,7 +250,7 @@ func Run(m *core.Machine, cfg Config, col *metrics.Collector) (Result, error) {
 			open()
 			var root core.VarID
 			if p.ID == 0 {
-				root = p.Alloc(CellBytes, &Cell{Center: space.Center, Half: space.Half})
+				root = p.Alloc(CellBytes, vals.cells.new(Cell{Center: space.Center, Half: space.Half}))
 				st.addCell(root, 0)
 				p.Write(rootVar, rootInfo{Root: root})
 			}
@@ -264,7 +272,7 @@ func Run(m *core.Machine, cfg Config, col *metrics.Collector) (Result, error) {
 			for lvl := maxLevel; lvl >= 0; lvl-- {
 				if lvl >= 0 && lvl < len(st.cellsByLevel) {
 					for _, cv := range st.cellsByLevel[lvl] {
-						computeCOM(p, cfg, cv)
+						computeCOM(p, cfg, st, cv)
 					}
 				}
 				p.Barrier()

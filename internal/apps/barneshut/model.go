@@ -8,7 +8,8 @@ import (
 )
 
 // Body is the value of a body's global variable. Values are immutable:
-// every update writes a fresh Body.
+// every update writes a fresh Body, carved from the run's blocks (values)
+// and never rewritten once written.
 type Body struct {
 	Pos, Vel Vec3
 	Mass     float64
@@ -43,7 +44,9 @@ func (r Ref) VarID() core.VarID {
 }
 
 // Cell is the value of a cell's global variable: one node of the adaptive
-// Barnes-Hut octree. Center/Half give the cube of space the cell covers.
+// Barnes-Hut octree. Like a Body it is immutable: every update writes a
+// fresh Cell, carved from the run's blocks and never rewritten once
+// written. Center/Half give the cube of space the cell covers.
 // COM, Mass and Cost are filled in by the center-of-mass phase; ChildCost
 // lets the costzones traversal prune subtrees without reading them.
 type Cell struct {

@@ -3,6 +3,7 @@ package barneshut
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"diva/internal/core"
 )
@@ -29,7 +30,7 @@ func insertBody(p *core.Proc, cfg Config, st *procState, root core.VarID, bv cor
 			if c.Child[oct].Empty() {
 				nc := *c
 				nc.Child[oct] = MkBodyRef(bv)
-				p.Write(cur, &nc)
+				p.Write(cur, st.vals.cells.new(nc))
 				p.Unlock(cur)
 				return depth
 			}
@@ -48,15 +49,15 @@ func insertBody(p *core.Proc, cfg Config, st *procState, root core.VarID, bv cor
 				continue
 			}
 			sc := subCenter(c.Center, c.Half, oct)
-			newCell := &Cell{Center: sc, Half: c.Half / 2, Level: c.Level + 1}
+			newCell := Cell{Center: sc, Half: c.Half / 2, Level: c.Level + 1}
 			old := p.Read(child.VarID()).(*Body)
 			oct2, _ := octant(sc, newCell.Half, old.Pos)
 			newCell.Child[oct2] = child
-			ncv := p.Alloc(CellBytes, newCell)
+			ncv := p.Alloc(CellBytes, st.vals.cells.new(newCell))
 			st.addCell(ncv, int(newCell.Level))
 			nc := *c
 			nc.Child[oct] = MkCellRef(ncv)
-			p.Write(cur, &nc)
+			p.Write(cur, st.vals.cells.new(nc))
 			p.Unlock(cur)
 			cur = ncv
 		}
@@ -66,7 +67,7 @@ func insertBody(p *core.Proc, cfg Config, st *procState, root core.VarID, bv cor
 // computeCOM fills in one cell's center of mass, total mass and subtree
 // cost (phase 2). The cell's children at deeper levels were completed in
 // earlier sweep iterations.
-func computeCOM(p *core.Proc, cfg Config, cv core.VarID) {
+func computeCOM(p *core.Proc, cfg Config, st *procState, cv core.VarID) {
 	c := p.Read(cv).(*Cell)
 	nc := *c
 	var com Vec3
@@ -98,7 +99,7 @@ func computeCOM(p *core.Proc, cfg Config, cv core.VarID) {
 	}
 	nc.Mass = mass
 	nc.Cost = cost
-	p.Write(cv, &nc)
+	p.Write(cv, st.vals.cells.new(nc))
 	if cfg.WithCompute {
 		p.Compute(8 * cfg.OpenTestUS)
 	}
@@ -143,8 +144,8 @@ func costzones(p *core.Proc, cfg Config, st *procState, root core.VarID, w, proc
 // Barnes-Hut traversal and records the per-body work count (the cost for
 // the next costzones). Returns the processor's interaction count.
 func forces(p *core.Proc, cfg Config, st *procState, root core.VarID) int64 {
-	st.accs = st.accs[:0]
-	st.costs = st.costs[:0]
+	st.accs = slices.Grow(st.accs[:0], len(st.myBodies))
+	st.costs = slices.Grow(st.costs[:0], len(st.myBodies))
 	var totalInter int64
 	for _, bv := range st.myBodies {
 		b := p.Read(bv).(*Body)
@@ -201,7 +202,7 @@ func advance(p *core.Proc, cfg Config, st *procState) {
 		nb.Vel = b.Vel.Add(st.accs[i].Scale(cfg.Dt))
 		nb.Pos = b.Pos.Add(nb.Vel.Scale(cfg.Dt))
 		nb.Cost = st.costs[i]
-		p.Write(bv, &nb)
+		p.Write(bv, st.vals.bodies.new(nb))
 		if cfg.WithCompute {
 			p.Compute(6 * cfg.OpenTestUS)
 		}

@@ -16,7 +16,9 @@ type Variable struct {
 	Size    int // payload size in bytes (fixed at Alloc)
 	Creator int
 	// Data is the current committed value. Values are immutable by
-	// convention; Write installs a fresh value.
+	// convention; Write installs a fresh value. A fresh value may be
+	// carved from a block the application allocated, but is never
+	// rewritten once written: snapshots and forks share it by reference.
 	Data interface{}
 	// State is owned by the data management strategy.
 	State interface{}
