@@ -22,7 +22,6 @@ import (
 	"sort"
 
 	"diva/internal/core"
-	"diva/internal/mesh"
 	"diva/internal/xrand"
 )
 
@@ -299,12 +298,7 @@ func RunHandOpt(m *core.Machine, cfg Config) (Result, error) {
 		for si := range steps {
 			cmp := cmpOf[si][w]
 			partner := cmp.Lo + cmp.Hi - w
-			m.Net.SendFrom(pr.Proc, &mesh.Msg{
-				Src: pr.ID, Dst: procOf[partner],
-				Size: core.HeaderBytes + keyBytes,
-				Kind: mesh.KindInbox, Tag: si,
-				Payload: keys,
-			})
+			m.Net.SendInbox(pr.Proc, pr.ID, procOf[partner], core.HeaderBytes+keyBytes, si, keys)
 			got := m.Net.Recv(pr.Proc, pr.ID, si)
 			if cfg.Check {
 				keys = mergeSplit(keys, got.Payload.([]int32), keepsLower(cmp, w))

@@ -25,7 +25,6 @@ import (
 
 	"diva/internal/core"
 	"diva/internal/mesh"
-	"diva/internal/sim"
 	"diva/internal/xrand"
 )
 
@@ -213,6 +212,7 @@ func RunHandOpt(m *core.Machine, cfg Config) (Result, error) {
 	nw := m.Net
 
 	verified := true
+	launched := make([]handMsg, 4*m.P()) // each processor's block, one per direction
 	runErr := m.Run(func(p *core.Proc) {
 		i, j := p.ID/s, p.ID%s
 		var own block
@@ -220,46 +220,43 @@ func RunHandOpt(m *core.Machine, cfg Config) (Result, error) {
 			own = genBlock(cfg.Seed, i, j, b)
 		}
 		// Launch the block in all four directions.
-		for _, d := range []mesh.Dir{mesh.East, mesh.West, mesh.South, mesh.North} {
+		for k, d := range []mesh.Dir{mesh.East, mesh.West, mesh.South, mesh.North} {
 			if mm.HasLink(p.ID, d) {
-				nw.SendFrom(p.Proc, &mesh.Msg{
-					Src: p.ID, Dst: mm.Neighbor(p.ID, d),
-					Size: core.HeaderBytes + blockBytes,
-					Kind: mesh.KindInbox, Tag: anyTag,
-					Payload: &handMsg{origin: p.ID, dir: d, data: own},
-				})
+				hm := &launched[4*p.ID+k]
+				*hm = handMsg{origin: p.ID, dir: d, data: own}
+				nw.SendInbox(p.Proc, p.ID, mm.Neighbor(p.ID, d), core.HeaderBytes+blockBytes, anyTag, hm)
 			}
 		}
 		// Receive 2(s-1) blocks: s-1 from the row, s-1 from the column.
-		// Forward each one onward in its direction of travel.
-		rowBlocks := make(map[int]block)
-		colBlocks := make(map[int]block)
+		// Forward each one onward in its direction of travel. With Check,
+		// keep the row's blocks by origin column and the column's by origin
+		// row.
+		var rowBlocks, colBlocks []block
+		if cfg.Check {
+			rowBlocks, colBlocks = make([]block, s), make([]block, s)
+		}
 		for got := 0; got < 2*(s-1); got++ {
-			msg := recvAny(nw, p.Proc, p.ID)
-			hm := msg.Payload.(*handMsg)
-			if hm.dir == mesh.East || hm.dir == mesh.West {
-				rowBlocks[hm.origin] = hm.data
-			} else {
-				colBlocks[hm.origin] = hm.data
+			hm := nw.Recv(p.Proc, p.ID, anyTag).Payload.(*handMsg)
+			if cfg.Check {
+				if hm.dir == mesh.East || hm.dir == mesh.West {
+					rowBlocks[hm.origin%s] = hm.data
+				} else {
+					colBlocks[hm.origin/s] = hm.data
+				}
 			}
 			if mm.HasLink(p.ID, hm.dir) {
-				nw.SendFrom(p.Proc, &mesh.Msg{
-					Src: p.ID, Dst: mm.Neighbor(p.ID, hm.dir),
-					Size: core.HeaderBytes + blockBytes,
-					Kind: mesh.KindInbox, Tag: anyTag,
-					Payload: hm,
-				})
+				nw.SendInbox(p.Proc, p.ID, mm.Neighbor(p.ID, hm.dir), core.HeaderBytes+blockBytes, anyTag, hm)
 			}
 		}
 		if cfg.WithCompute {
 			p.Compute(float64(s*b*b*b) * cfg.OpUS)
 		}
 		if cfg.Check {
-			rowBlocks[p.ID] = own
-			colBlocks[p.ID] = own
+			rowBlocks[j] = own
+			colBlocks[i] = own
 			h := make(block, cfg.BlockInts)
 			for k := 0; k < s; k++ {
-				mulAdd(h, rowBlocks[i*s+k], colBlocks[k*s+j], b)
+				mulAdd(h, rowBlocks[k], colBlocks[k], b)
 			}
 			want := make(block, cfg.BlockInts)
 			for k := 0; k < s; k++ {
@@ -283,12 +280,6 @@ func RunHandOpt(m *core.Machine, cfg Config) (Result, error) {
 		res.Verified = true
 	}
 	return res, nil
-}
-
-// recvAny receives the next inbox message on the program's single stream;
-// the direction of travel rides in the payload.
-func recvAny(nw *mesh.Network, p *sim.Proc, node int) *mesh.Msg {
-	return nw.Recv(p, node, anyTag)
 }
 
 // anyTag is the single inbox stream used by the hand-optimized program.

@@ -44,29 +44,34 @@ type Result struct {
 
 // neighbors returns each processor's halo partners: the up/down/left/right
 // grid neighbors on a grid topology, the two id-ring neighbors otherwise.
+// All lists share one backing array.
 func neighbors(t mesh.Topology) [][]int {
 	n := t.N()
 	nb := make([][]int, n)
 	if rows, cols, ok := t.Grid(); ok {
+		flat := make([]int, 0, 4*n)
 		for p := 0; p < n; p++ {
-			r, c := p/cols, p%cols
+			r, c, start := p/cols, p%cols, len(flat)
 			if r > 0 {
-				nb[p] = append(nb[p], p-cols)
+				flat = append(flat, p-cols)
 			}
 			if r < rows-1 {
-				nb[p] = append(nb[p], p+cols)
+				flat = append(flat, p+cols)
 			}
 			if c > 0 {
-				nb[p] = append(nb[p], p-1)
+				flat = append(flat, p-1)
 			}
 			if c < cols-1 {
-				nb[p] = append(nb[p], p+1)
+				flat = append(flat, p+1)
 			}
+			nb[p] = flat[start:len(flat):len(flat)]
 		}
 		return nb
 	}
+	flat := make([]int, 2*n)
 	for p := 0; p < n; p++ {
-		nb[p] = append(nb[p], (p+n-1)%n, (p+1)%n)
+		flat[2*p], flat[2*p+1] = (p+n-1)%n, (p+1)%n
+		nb[p] = flat[2*p : 2*p+2 : 2*p+2]
 	}
 	return nb
 }
@@ -97,12 +102,7 @@ func Run(m *core.Machine, cfg Config) (Result, error) {
 				val = haloVal(cfg.Seed, pr.ID, it)
 			}
 			for _, d := range nb[pr.ID] {
-				m.Net.SendFrom(pr.Proc, &mesh.Msg{
-					Src: pr.ID, Dst: d,
-					Size: core.HeaderBytes + haloBytes,
-					Kind: mesh.KindInbox, Tag: it,
-					Payload: val,
-				})
+				m.Net.SendInbox(pr.Proc, pr.ID, d, core.HeaderBytes+haloBytes, it, val)
 			}
 			for range nb[pr.ID] {
 				got := m.Net.Recv(pr.Proc, pr.ID, it)

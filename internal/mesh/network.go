@@ -56,6 +56,8 @@ func GCelParams() Params {
 // as soon as their destination handler returns; handlers must not retain
 // such a message (retaining the Payload is fine). Messages constructed
 // directly with &Msg{...} are never recycled and may be kept forever.
+// KindInbox messages are no exception: the inbox copies a delivered
+// message by value, and Recv returns that copy, which the receiver owns.
 type Msg struct {
 	Src, Dst int
 	Size     int
@@ -107,7 +109,7 @@ type Network struct {
 	sendMsgs  [256]uint64
 	sendBytes [256]uint64
 
-	inboxes []nodeInbox
+	inbox inboxStore // per-node inbox queues and blocked receivers (inbox.go)
 
 	// arriveFn/readyFn are the two delivery stages, bound once so every
 	// message schedules through the kernel's typed-callback events
@@ -265,7 +267,7 @@ func NewNetworkOn(k *sim.Kernel, r *Routes, p Params) *Network {
 		links:     make([]link, t.NumLinks()),
 		cpuFree:   make([]sim.Time, t.N()),
 		computeUS: make([]float64, t.N()),
-		inboxes:   make([]nodeInbox, t.N()),
+		inbox:     inboxStore{nodes: make([]nodeInbox, t.N())},
 		routeBuf:  make([]int, 0, t.Diameter()+1),
 		startBuf:  make([]sim.Time, 0, t.Diameter()+1),
 		routes:    r,
@@ -368,6 +370,14 @@ func (nw *Network) SendFrom(p *sim.Proc, m *Msg) {
 	depart := nw.chargeSend(m.Src)
 	nw.deliverAfterRoute(m, depart)
 	p.WaitUntil(depart)
+}
+
+// SendInbox is SendFrom of a pooled KindInbox message: the send of the
+// hand-optimized message passing programs, received with Recv.
+func (nw *Network) SendInbox(p *sim.Proc, src, dst, size, tag int, payload interface{}) {
+	m := nw.pool.get()
+	m.Src, m.Dst, m.Size, m.Kind, m.Tag, m.Payload = src, dst, size, KindInbox, tag, payload
+	nw.SendFrom(p, m)
 }
 
 // SendStats reports how many messages (and payload bytes) of each kind

@@ -235,10 +235,10 @@ func TestInboxTagsSeparate(t *testing.T) {
 	if got != 200 {
 		t.Fatalf("received tag-8 message on tag 9: %d", got)
 	}
-	if nw.TryRecv(3, 8) == nil {
+	if _, ok := nw.TryRecv(3, 8); !ok {
 		t.Fatal("tag-8 message lost")
 	}
-	if nw.TryRecv(3, 8) != nil {
+	if _, ok := nw.TryRecv(3, 8); ok {
 		t.Fatal("TryRecv returned a message twice")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"diva/internal/sim"
 	"diva/internal/xrand"
@@ -100,7 +99,7 @@ func (nw *Network) SnapshotState() (*NetworkState, error) {
 		ComputeUS: append([]float64(nil), nw.computeUS...),
 		SendMsgs:  nw.sendMsgs,
 		SendBytes: nw.sendBytes,
-		Inboxes:   make([]InboxState, len(nw.inboxes)),
+		Inboxes:   make([]InboxState, len(nw.inbox.nodes)),
 	}
 	for i := range nw.links {
 		l := &nw.links[i]
@@ -118,28 +117,28 @@ func (nw *Network) SnapshotState() (*NetworkState, error) {
 		}
 		st.React = r.capture()
 	}
-	for n := range nw.inboxes {
-		ib := &nw.inboxes[n]
-		for tag, ws := range ib.waiters {
-			if len(ws) > 0 {
-				return nil, fmt.Errorf("mesh: node %d has a process blocked in Recv(tag=%d)", n, tag)
-			}
+	for n := range nw.inbox.nodes {
+		ib := &nw.inbox.nodes[n]
+		if ib.rx != nil {
+			return nil, fmt.Errorf("mesh: node %d has a process blocked in Recv(tag=%d)", n, ib.rx.tag)
 		}
 		is := &st.Inboxes[n]
-		for tag, q := range ib.queues {
-			if len(q) > 0 {
-				is.Tags = append(is.Tags, tag)
-			}
+		var msgs []Msg
+		if ib.q != nil {
+			msgs = ib.q.msgs
 		}
-		sort.Ints(is.Tags)
+		for i := range msgs {
+			is.Tags = append(is.Tags, msgs[i].Tag)
+		}
+		slices.Sort(is.Tags)
+		is.Tags = slices.Compact(is.Tags)
 		is.Queues = make([][]Msg, len(is.Tags))
 		for i, tag := range is.Tags {
-			q := make([]Msg, len(ib.queues[tag]))
-			for j, m := range ib.queues[tag] {
-				q[j] = *m
-				q[j].pooled = false // inbox messages are never recycled
+			for j := range msgs {
+				if msgs[j].Tag == tag {
+					is.Queues[i] = append(is.Queues[i], msgs[j])
+				}
 			}
-			is.Queues[i] = q
 		}
 	}
 	return st, nil
@@ -159,8 +158,8 @@ func (nw *Network) CheckState(st *NetworkState) error {
 			len(st.CPUFree), len(st.ComputeUS), len(st.Inboxes), n)
 	}
 	for n := range st.Inboxes {
-		if is := &st.Inboxes[n]; len(is.Tags) != len(is.Queues) {
-			return fmt.Errorf("mesh: snapshot inbox %d has %d tags but %d queues", n, len(is.Tags), len(is.Queues))
+		if err := st.Inboxes[n].check(n, len(st.Inboxes)); err != nil {
+			return fmt.Errorf("mesh: snapshot inbox %d: %w", n, err)
 		}
 	}
 	if nw.faults == nil {
@@ -207,19 +206,41 @@ func (nw *Network) RestoreState(st *NetworkState) error {
 	nw.sendMsgs = st.SendMsgs
 	nw.sendBytes = st.SendBytes
 	for n := range st.Inboxes {
-		is := &st.Inboxes[n]
-		if len(is.Tags) == 0 {
-			continue
+		for _, q := range st.Inboxes[n].Queues {
+			iq := nw.inbox.queue(n)
+			iq.msgs = append(iq.msgs, q...)
 		}
-		ib := &nw.inboxes[n]
-		ib.init()
-		for i, tag := range is.Tags {
-			q := make([]*Msg, len(is.Queues[i]))
-			for j := range is.Queues[i] {
-				m := is.Queues[i][j] // copy, so forks never share a Msg
-				q[j] = &m
+	}
+	return nil
+}
+
+// check validates one node's captured inbox on an n-node network: one
+// queue per tag, tags strictly ascending, no empty queue, and every queued
+// message a KindInbox message to this node, under its queue's tag, from a
+// node of the network.
+func (is *InboxState) check(node, n int) error {
+	if len(is.Tags) != len(is.Queues) {
+		return fmt.Errorf("%d tags but %d queues", len(is.Tags), len(is.Queues))
+	}
+	for i, tag := range is.Tags {
+		if i > 0 && tag <= is.Tags[i-1] {
+			return fmt.Errorf("tags not strictly ascending at tag %d", tag)
+		}
+		if len(is.Queues[i]) == 0 {
+			return fmt.Errorf("empty queue for tag %d", tag)
+		}
+		for j := range is.Queues[i] {
+			m := &is.Queues[i][j]
+			switch {
+			case m.Kind != KindInbox:
+				return fmt.Errorf("tag %d message %d has kind %d", tag, j, m.Kind)
+			case m.Dst != node:
+				return fmt.Errorf("tag %d message %d is addressed to node %d", tag, j, m.Dst)
+			case m.Src < 0 || m.Src >= n:
+				return fmt.Errorf("tag %d message %d comes from node %d", tag, j, m.Src)
+			case m.Tag != tag:
+				return fmt.Errorf("tag %d message %d carries tag %d", tag, j, m.Tag)
 			}
-			ib.queues[tag] = q
 		}
 	}
 	return nil

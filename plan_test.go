@@ -134,7 +134,7 @@ func TestRunAllocBudget(t *testing.T) {
 		{"32x32 handopt stencil(1)",
 			diva.MustNew(diva.WithMesh(32, 32), diva.WithTree(diva.Ary2), diva.WithSeed(1)),
 			func() diva.Workload { return diva.Stencil(diva.StencilConfig{Iters: 1, HaloInts: 64, Seed: 1}) },
-			2240 << 10, 20000}, // measured 1.9 MB, 18 248 objects; 2.1 MB, 25 213
+			1600 << 10, 1000}, // measured 1.4 MB, 220 objects; 1.9 MB, 18 248 while each message and blocking receive allocated
 	} {
 		snap, err := tc.m.Snapshot()
 		if err != nil {
