@@ -222,11 +222,13 @@ func WithAckTransport(ackTimeoutUS float64, maxRetries int, backoff float64) Opt
 	}
 }
 
-// WithFaultGen draws a randomized fault schedule (see fault.Gen) from the
-// machine RNG at construction: the same seed always yields the same
-// faults, across re-runs and forks. Composes with WithFaults; the drawn
-// schedule can be read back with m.Net.FaultSchedule() and re-declared
-// explicitly to reproduce the run elsewhere.
+// WithFaultGen draws a randomized fault schedule (see fault.Gen) at
+// construction, from a stream of its own seeded with the run seed under a
+// private salt — the machine RNG is not touched: the same seed always
+// yields the same faults, across re-runs and forks. Composes with
+// WithFaults; the drawn schedule can be read back with
+// m.Net.FaultSchedule() and re-declared explicitly to reproduce the run
+// elsewhere.
 func WithFaultGen(g fault.Gen) Option {
 	return func(o *options) { o.cfg.FaultGen = &g }
 }

@@ -21,7 +21,7 @@ import (
 var faultGen = fault.Gen{LinkFailures: 6, NodeChurn: 2, MeanDownUS: 3000, HorizonUS: 15000}
 
 // TestFaultSpecVsSeedFingerprint is the serialization fuzz: for several
-// seeds, a run whose schedule is drawn from the machine RNG must
+// seeds, a run whose schedule is drawn from the run seed must
 // fingerprint-match the same run with that schedule declared event-by-event
 // in the spec — FaultSchedule() is a complete description of the faulty run.
 func TestFaultSpecVsSeedFingerprint(t *testing.T) {

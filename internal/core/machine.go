@@ -223,7 +223,7 @@ func newMachine(cfg Config, plan *Plan) (*Machine, error) {
 	// never touches the network.
 	sched := append(mesh.FaultSchedule(nil), cfg.Faults...)
 	if g := cfg.FaultGen; g != nil {
-		drawn, err := g.Generate(m.Topo, xrand.New(cfg.Seed^faultSalt))
+		drawn, err := g.Generate(plan.Routes, xrand.New(cfg.Seed^faultSalt))
 		if err != nil {
 			return nil, err
 		}

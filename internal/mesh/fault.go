@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"diva/internal/sim"
 	"diva/internal/xrand"
@@ -56,22 +55,14 @@ type FaultEvent struct {
 // is a complete, serializable description of a faulty run.
 type FaultSchedule []FaultEvent
 
-// normalized returns a sorted copy: ascending AtUS, declaration order
-// preserved among equal times.
-func (s FaultSchedule) normalized() FaultSchedule {
-	out := make(FaultSchedule, len(s))
-	copy(out, s)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].AtUS < out[j].AtUS })
-	return out
-}
-
-// FaultGen describes a randomized fault schedule to be drawn from the
-// machine RNG at construction: LinkFailures distinct link-pair outages and
-// NodeChurn distinct node churns, each starting uniformly in
-// [0, HorizonUS) and lasting MeanDownUS·[0.5, 1.5) (uniform — the machine
-// RNG's primitives keep the draw portable and replayable). Because the
-// draw happens at a fixed point of machine construction, forks and
-// re-runs of the same seed regenerate the identical schedule.
+// FaultGen describes a randomized fault schedule drawn at machine
+// construction from a stream of its own, seeded with the run seed under a
+// private salt (never the machine RNG, whose draws it leaves untouched):
+// LinkFailures distinct link-pair outages and NodeChurn distinct node
+// churns, each starting uniformly in [0, HorizonUS) and lasting
+// MeanDownUS·[0.5, 1.5) (uniform — the xrand primitives keep the draw
+// portable and replayable). Forks and re-runs of the same seed therefore
+// regenerate the identical schedule.
 type FaultGen struct {
 	LinkFailures int
 	NodeChurn    int
@@ -87,11 +78,12 @@ const (
 	DefaultHorizonUS  = 100000
 )
 
-// Generate draws the schedule over topology t. Link outages pick distinct
-// undirected node pairs among t's links; churn picks distinct processor
-// nodes (switch elements of indirect topologies stay up — fence a switch
-// with link faults instead). The result is unsorted; InstallFaults sorts.
-func (g FaultGen) Generate(t Topology, rng *xrand.RNG) (FaultSchedule, error) {
+// Generate draws the schedule over the topology of r. Link outages pick
+// distinct undirected node pairs among its links; churn picks distinct
+// processor nodes (switch elements of indirect topologies stay up — fence a
+// switch with link faults instead). The result is unsorted; InstallFaults
+// sorts.
+func (g FaultGen) Generate(r *Routes, rng *xrand.RNG) (FaultSchedule, error) {
 	if g.LinkFailures < 0 || g.NodeChurn < 0 {
 		return nil, fmt.Errorf("mesh: fault generator counts must be non-negative, have %d link failures, %d node churns", g.LinkFailures, g.NodeChurn)
 	}
@@ -101,29 +93,12 @@ func (g FaultGen) Generate(t Topology, rng *xrand.RNG) (FaultSchedule, error) {
 	if !(g.MeanDownUS > 0) || !(g.HorizonUS > 0) {
 		return nil, fmt.Errorf("mesh: fault generator needs positive mean_down_us and horizon_us, have %g and %g", g.MeanDownUS, g.HorizonUS)
 	}
-	pairSet := make(map[[2]int]bool)
-	t.ForEachLink(func(_, from, to int) {
-		a, b := from, to
-		if a > b {
-			a, b = b, a
-		}
-		pairSet[[2]int{a, b}] = true
-	})
-	pairs := make([][2]int, 0, len(pairSet))
-	for p := range pairSet {
-		pairs = append(pairs, p)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i][0] != pairs[j][0] {
-			return pairs[i][0] < pairs[j][0]
-		}
-		return pairs[i][1] < pairs[j][1]
-	})
+	pairs := r.links().pairs
 	if g.LinkFailures > len(pairs) {
 		return nil, fmt.Errorf("mesh: %d link failures requested but the topology has only %d link pairs", g.LinkFailures, len(pairs))
 	}
-	if g.NodeChurn > t.N() {
-		return nil, fmt.Errorf("mesh: %d node churns requested but the machine has only %d processors", g.NodeChurn, t.N())
+	if g.NodeChurn > r.n {
+		return nil, fmt.Errorf("mesh: %d node churns requested but the machine has only %d processors", g.NodeChurn, r.n)
 	}
 	var out FaultSchedule
 	outage := func() (start, dur float64) {
@@ -135,10 +110,10 @@ func (g FaultGen) Generate(t Topology, rng *xrand.RNG) (FaultSchedule, error) {
 		p := pairs[pi]
 		start, dur := outage()
 		out = append(out,
-			FaultEvent{AtUS: start, Kind: FaultLinkDown, A: p[0], B: p[1]},
-			FaultEvent{AtUS: start + dur, Kind: FaultLinkUp, A: p[0], B: p[1]})
+			FaultEvent{AtUS: start, Kind: FaultLinkDown, A: int(p[0]), B: int(p[1])},
+			FaultEvent{AtUS: start + dur, Kind: FaultLinkUp, A: int(p[0]), B: int(p[1])})
 	}
-	for _, node := range rng.Perm(t.N())[:g.NodeChurn] {
+	for _, node := range rng.Perm(r.n)[:g.NodeChurn] {
 		start, dur := outage()
 		out = append(out,
 			FaultEvent{AtUS: start, Kind: FaultNodeDown, A: node},
@@ -232,36 +207,6 @@ func (s FaultStats) Sub(b FaultStats) FaultStats {
 	}
 }
 
-// add returns s + b, counter-wise (FaultStats aggregates the per-node
-// transport counters of reactive mode).
-func (s FaultStats) add(b FaultStats) FaultStats {
-	return FaultStats{
-		Routed:          s.Routed + b.Routed,
-		Rerouted:        s.Rerouted + b.Rerouted,
-		ReroutedHops:    s.ReroutedHops + b.ReroutedHops,
-		BaseHops:        s.BaseHops + b.BaseHops,
-		Held:            s.Held + b.Held,
-		HeldBytes:       s.HeldBytes + b.HeldBytes,
-		RetryMsgs:       s.RetryMsgs + b.RetryMsgs,
-		RetryBytes:      s.RetryBytes + b.RetryBytes,
-		HeldUS:          s.HeldUS + b.HeldUS,
-		Dropped:         s.Dropped + b.Dropped,
-		DroppedBytes:    s.DroppedBytes + b.DroppedBytes,
-		AckMsgs:         s.AckMsgs + b.AckMsgs,
-		AckBytes:        s.AckBytes + b.AckBytes,
-		Retransmits:     s.Retransmits + b.Retransmits,
-		RetransmitBytes: s.RetransmitBytes + b.RetransmitBytes,
-		DupDrops:        s.DupDrops + b.DupDrops,
-		FalseTimeouts:   s.FalseTimeouts + b.FalseTimeouts,
-		Detected:        s.Detected + b.Detected,
-		DetectUS:        s.DetectUS + b.DetectUS,
-		Recovered:       s.Recovered + b.Recovered,
-		RecoverUS:       s.RecoverUS + b.RecoverUS,
-		Failovers:       s.Failovers + b.Failovers,
-		Reissues:        s.Reissues + b.Reissues,
-	}
-}
-
 // DetectLatencyUS is the mean failure-detection latency: time from a
 // message's first transmission to its sender declaring the destination
 // suspect (0 when nothing was detected).
@@ -310,21 +255,12 @@ func (s FaultStats) Stretch() float64 {
 // what keeps faulty runs fingerprint-stable across fork/restore and lets
 // quiescent machines snapshot mid-schedule with nothing in flight.
 type faultState struct {
-	sched  FaultSchedule // normalized + validated
+	sched  FaultSchedule // normalized
 	cursor int           // next schedule entry to apply
+	links  *adjacency    // the topology's, shared
 
-	nNodes    int
-	adjOut    [][]graphHalf // node -> outgoing (to, link), sorted by (to, link)
-	nodeLinks [][]int32     // node -> incident directed links, both directions
-
-	// downCount counts, per directed link, how many active faults cover
-	// it (a link outage on its pair, a churn on either endpoint). A link
-	// is live iff its count is zero, so overlapping node and link faults
-	// compose without special cases.
-	downCount []int32
-	nodeDown  []bool
-	nDown     int // directed links with downCount > 0
-	nodesDown int
+	linkState           // at the cursor
+	replay    linkState // healTime's scratch
 
 	// Live spanning forest, rebuilt lazily after any state change: per
 	// component (root = lowest live node id) a BFS tree with Yggdrasil-
@@ -340,24 +276,70 @@ type faultState struct {
 	dnLink    []int32 // node -> live link from parent
 	liveDeg   []int32
 
-	stats FaultStats
-
-	// Scratch buffers (persistent, grown on demand).
-	queue       []int32
-	upBuf       []int32
-	dnBuf       []int32
-	seen        []bool
-	scratchDown []int32
-	scratchNode []bool
+	// Scratch (persistent, grown on demand).
+	walker
+	upBuf []int32
+	dnBuf []int32
 }
 
-// InstallFaults installs a fault schedule on the network: a sorted copy is
-// kept and applied lazily as routing reaches each event's time. The
-// schedule must be well-formed — valid endpoints, down/up alternation per
-// link pair and per node, and every outage healed by a matching up event —
-// so that any held message has a heal time to wait for. Installing an
-// empty schedule is a no-op: the network stays on the exact fault-free
-// routing path, bit-identical to a network that never saw this call.
+// linkState is the link state a prefix of a fault schedule leaves. down
+// counts, per directed link, how many active faults cover it (a link
+// outage on its pair, a churn on either endpoint): a link is live iff its
+// count is zero, so overlapping node and link faults compose without
+// special cases.
+type linkState struct {
+	down      []int32
+	nodeDown  []bool
+	nDown     int // directed links with down > 0
+	nodesDown int
+}
+
+func newLinkState(links, nodes int) linkState {
+	return linkState{down: make([]int32, links), nodeDown: make([]bool, nodes)}
+}
+
+// apply transitions the link state for one event.
+func (s *linkState) apply(a *adjacency, ev FaultEvent) {
+	d := int32(1)
+	if ev.Kind == FaultLinkUp || ev.Kind == FaultNodeUp {
+		d = -1
+	}
+	switch ev.Kind {
+	case FaultLinkDown, FaultLinkUp:
+		for _, h := range a.pairLinks(ev.A, ev.B) {
+			s.bump(h.link, d)
+		}
+		for _, h := range a.pairLinks(ev.B, ev.A) {
+			s.bump(h.link, d)
+		}
+	case FaultNodeDown, FaultNodeUp:
+		s.nodeDown[ev.A] = d > 0
+		s.nodesDown += int(d)
+		for _, li := range a.incident(ev.A) {
+			s.bump(li, d)
+		}
+	}
+}
+
+func (s *linkState) bump(li, d int32) {
+	was := s.down[li]
+	s.down[li] = was + d
+	if was == 0 && d > 0 {
+		s.nDown++
+	} else if was+d == 0 && d < 0 {
+		s.nDown--
+	}
+}
+
+func (s *linkState) anyDown() bool { return s.nDown > 0 || s.nodesDown > 0 }
+
+// InstallFaults installs a fault schedule on the network: a normalized copy
+// is kept and applied lazily as routing reaches each event's time. The
+// schedule must be well-formed — valid endpoints, every up healing an
+// active outage, and every outage healed by a matching up event — so that
+// any held message has a heal time to wait for. Installing an empty
+// schedule is a no-op: the network stays on the exact fault-free routing
+// path, bit-identical to a network that never saw this call.
 func (nw *Network) InstallFaults(s FaultSchedule) error {
 	if len(s) == 0 {
 		return nil
@@ -365,96 +347,104 @@ func (nw *Network) InstallFaults(s FaultSchedule) error {
 	if nw.faults != nil {
 		return fmt.Errorf("mesh: fault schedule already installed")
 	}
-	n := nw.T.Nodes()
-	fs := &faultState{nNodes: n, treeDirty: true}
-	fs.downCount = make([]int32, nw.T.NumLinks())
-	// Count each node's links, then fill flat slices carved per node with
-	// exactly that capacity: no per-node slice grows.
-	outDeg := make([]int32, n)
-	incDeg := make([]int32, n)
-	total := 0
-	nw.T.ForEachLink(func(_, from, to int) {
-		outDeg[from]++
-		incDeg[from]++
-		incDeg[to]++
-		total++
-	})
-	halves := make([]graphHalf, total)
-	incident := make([]int32, 2*total)
-	fs.adjOut = make([][]graphHalf, n)
-	fs.nodeLinks = make([][]int32, n)
-	for u := range n {
-		fs.adjOut[u], halves = halves[:0:outDeg[u]], halves[outDeg[u]:]
-		fs.nodeLinks[u], incident = incident[:0:incDeg[u]], incident[incDeg[u]:]
-	}
-	nw.T.ForEachLink(func(link, from, to int) {
-		fs.adjOut[from] = append(fs.adjOut[from], graphHalf{to: int32(to), link: int32(link)})
-		fs.nodeLinks[from] = append(fs.nodeLinks[from], int32(link))
-		fs.nodeLinks[to] = append(fs.nodeLinks[to], int32(link))
-	})
-	for _, a := range fs.adjOut {
-		slices.SortFunc(a, func(x, y graphHalf) int {
-			return cmp.Or(cmp.Compare(x.to, y.to), cmp.Compare(x.link, y.link))
-		})
-	}
-	fs.nodeDown = make([]bool, fs.nNodes)
-	fs.parent = make([]int32, fs.nNodes)
-	fs.depth = make([]int32, fs.nNodes)
-	fs.comp = make([]int32, fs.nNodes)
-	fs.upLink = make([]int32, fs.nNodes)
-	fs.dnLink = make([]int32, fs.nNodes)
-	fs.liveDeg = make([]int32, fs.nNodes)
-	fs.sched = mergeOverlaps(s.normalized())
-	if err := fs.validate(); err != nil {
+	a := nw.routes.links()
+	sched, err := s.normalize(a)
+	if err != nil {
 		return err
 	}
-	nw.faults = fs
+	n := a.nodes()
+	nw.faults = &faultState{
+		sched:     sched,
+		links:     a,
+		linkState: newLinkState(nw.T.NumLinks(), n),
+		replay:    newLinkState(nw.T.NumLinks(), n),
+		treeDirty: true,
+		parent:    make([]int32, n),
+		depth:     make([]int32, n),
+		comp:      make([]int32, n),
+		upLink:    make([]int32, n),
+		dnLink:    make([]int32, n),
+		liveDeg:   make([]int32, n),
+		walker:    walker{seen: make([]bool, n)},
+	}
+	nw.countFaults()
 	return nil
 }
 
-// mergeOverlaps coalesces overlapping outage windows on the same link pair
-// or node into their union: a depth counter per target keeps only the
-// 0→1 down and the 1→0 up transitions. Composed schedules — explicit
-// events plus a drawn fault.Gen schedule, or a generator whose windows
-// happen to overlap — would otherwise fail validation with a spurious
-// "already in that state" error. The transform is the identity for any
-// schedule that already alternates correctly, so every existing run is
-// bit-identical; genuinely malformed schedules (an up with no active down,
-// a down never healed) still reach validate untouched and error there.
-func mergeOverlaps(s FaultSchedule) FaultSchedule {
-	pairDepth := make(map[[2]int]int)
-	nodeDepth := make(map[int]int)
-	out := make(FaultSchedule, 0, len(s))
-	for _, ev := range s {
-		keep := true
-		switch ev.Kind {
-		case FaultLinkDown, FaultLinkUp:
-			a, b := ev.A, ev.B
-			if a > b {
-				a, b = b, a
-			}
-			p := [2]int{a, b}
-			if ev.Kind == FaultLinkDown {
-				keep = pairDepth[p] == 0
-				pairDepth[p]++
-			} else if pairDepth[p] > 0 {
-				pairDepth[p]--
-				keep = pairDepth[p] == 0
-			}
-		case FaultNodeDown, FaultNodeUp:
-			if ev.Kind == FaultNodeDown {
-				keep = nodeDepth[ev.A] == 0
-				nodeDepth[ev.A]++
-			} else if nodeDepth[ev.A] > 0 {
-				nodeDepth[ev.A]--
-				keep = nodeDepth[ev.A] == 0
-			}
-		}
-		if keep {
-			out = append(out, ev)
+// normalize returns the schedule to install: sorted by AtUS (declaration
+// order among equal times), with overlapping outage windows on the same
+// link pair or node merged into their union — a depth count per target
+// keeps only its 0→1 down and 1→0 up — so composed schedules (explicit
+// events plus a drawn one, or a draw whose windows overlap) install. It
+// fails on an event at a time that is not finite and non-negative, on
+// endpoints that do not exist or share no link, on an up with no outage to
+// heal, and on an outage the schedule never heals.
+func (s FaultSchedule) normalize(a *adjacency) (FaultSchedule, error) {
+	for i, ev := range s {
+		if !(ev.AtUS >= 0) || math.IsInf(ev.AtUS, 0) {
+			return nil, fmt.Errorf("mesh: fault event %d: at_us must be finite and non-negative, have %g", i, ev.AtUS)
 		}
 	}
-	return out
+	out := slices.Clone(s)
+	slices.SortStableFunc(out, func(x, y FaultEvent) int { return cmp.Compare(x.AtUS, y.AtUS) })
+	n := a.nodes()
+	pairDepth := make([]int32, len(a.pairs))
+	nodeDepth := make([]int32, n)
+	kept := out[:0]
+	for i, ev := range out {
+		var depth *int32
+		switch ev.Kind {
+		case FaultLinkDown, FaultLinkUp:
+			lo, hi := min(ev.A, ev.B), max(ev.A, ev.B)
+			if lo < 0 || hi >= n || lo == hi {
+				return nil, fmt.Errorf("mesh: fault event %d: no such node pair (%d,%d)", i, ev.A, ev.B)
+			}
+			p, ok := a.pair(lo, hi)
+			if !ok {
+				return nil, fmt.Errorf("mesh: fault event %d: nodes %d and %d share no link", i, ev.A, ev.B)
+			}
+			depth = &pairDepth[p]
+		case FaultNodeDown, FaultNodeUp:
+			if ev.A < 0 || ev.A >= n {
+				return nil, fmt.Errorf("mesh: fault event %d: no such node %d", i, ev.A)
+			}
+			depth = &nodeDepth[ev.A]
+		default:
+			return nil, fmt.Errorf("mesh: fault event %d: unknown kind %d", i, ev.Kind)
+		}
+		if ev.Kind == FaultLinkDown || ev.Kind == FaultNodeDown {
+			if *depth++; *depth > 1 {
+				continue
+			}
+		} else {
+			if *depth == 0 {
+				return nil, fmt.Errorf("mesh: fault event %d: %v on %v while already in that state", i, ev.Kind, ev.target())
+			}
+			if *depth--; *depth > 0 {
+				continue
+			}
+		}
+		kept = append(kept, ev)
+	}
+	for p, d := range pairDepth {
+		if d > 0 {
+			return nil, fmt.Errorf("mesh: link pair (%d,%d) is never healed — every outage needs a matching up event", a.pairs[p][0], a.pairs[p][1])
+		}
+	}
+	for u, d := range nodeDepth {
+		if d > 0 {
+			return nil, fmt.Errorf("mesh: node %d is never healed — every churn needs a matching up event", u)
+		}
+	}
+	return kept, nil
+}
+
+// target names what ev takes down or heals.
+func (ev FaultEvent) target() string {
+	if ev.Kind == FaultNodeDown || ev.Kind == FaultNodeUp {
+		return fmt.Sprintf("node %d", ev.A)
+	}
+	return fmt.Sprintf("pair (%d,%d)", min(ev.A, ev.B), max(ev.A, ev.B))
 }
 
 // FaultSchedule returns a copy of the installed schedule in applied
@@ -464,153 +454,43 @@ func (nw *Network) FaultSchedule() FaultSchedule {
 	if nw.faults == nil {
 		return nil
 	}
-	out := make(FaultSchedule, len(nw.faults.sched))
-	copy(out, nw.faults.sched)
-	return out
+	return slices.Clone(nw.faults.sched)
 }
 
-// FaultStats returns the accumulated fault counters: the routing-order
-// engine counters plus, in reactive mode, the per-node transport counters
-// and a restored snapshot's baseline. Zero when neither a schedule nor
-// reactive mode is installed.
+// countFaults gives the network its fault counters, once: a fault schedule
+// and reactive mode count into the same set.
+func (nw *Network) countFaults() {
+	if nw.stats == nil {
+		nw.stats = new(FaultStats)
+	}
+}
+
+// FaultStats returns the accumulated fault counters: routing outcomes
+// under a fault schedule and, in reactive mode, the transport's. Zero when
+// neither a schedule nor reactive mode is installed.
 func (nw *Network) FaultStats() FaultStats {
-	var st FaultStats
-	if nw.faults != nil {
-		st = nw.faults.stats
+	if nw.stats == nil {
+		return FaultStats{}
 	}
-	if r := nw.react; r != nil {
-		st = st.add(r.base)
-		for i := range r.nodes {
-			st = st.add(r.nodes[i].stats)
-		}
-	}
-	return st
-}
-
-// validate checks the normalized schedule: endpoints exist, downs and ups
-// alternate per pair and per node, and everything is healed at the end.
-func (fs *faultState) validate() error {
-	pairDown := make(map[[2]int]bool)
-	nodeDown := make(map[int]bool)
-	for i, ev := range fs.sched {
-		if !(ev.AtUS >= 0) || math.IsInf(ev.AtUS, 0) {
-			return fmt.Errorf("mesh: fault event %d: at_us must be finite and non-negative, have %g", i, ev.AtUS)
-		}
-		switch ev.Kind {
-		case FaultLinkDown, FaultLinkUp:
-			a, b := ev.A, ev.B
-			if a > b {
-				a, b = b, a
-			}
-			if a < 0 || b >= fs.nNodes || a == b {
-				return fmt.Errorf("mesh: fault event %d: no such node pair (%d,%d)", i, ev.A, ev.B)
-			}
-			if len(fs.pairLinks(a, b))+len(fs.pairLinks(b, a)) == 0 {
-				return fmt.Errorf("mesh: fault event %d: nodes %d and %d share no link", i, ev.A, ev.B)
-			}
-			p := [2]int{a, b}
-			if down := ev.Kind == FaultLinkDown; down == pairDown[p] {
-				return fmt.Errorf("mesh: fault event %d: %v on pair (%d,%d) while already in that state", i, ev.Kind, a, b)
-			}
-			pairDown[p] = ev.Kind == FaultLinkDown
-		case FaultNodeDown, FaultNodeUp:
-			if ev.A < 0 || ev.A >= fs.nNodes {
-				return fmt.Errorf("mesh: fault event %d: no such node %d", i, ev.A)
-			}
-			if down := ev.Kind == FaultNodeDown; down == nodeDown[ev.A] {
-				return fmt.Errorf("mesh: fault event %d: %v on node %d while already in that state", i, ev.Kind, ev.A)
-			}
-			nodeDown[ev.A] = ev.Kind == FaultNodeDown
-		default:
-			return fmt.Errorf("mesh: fault event %d: unknown kind %d", i, ev.Kind)
-		}
-	}
-	for p, down := range pairDown {
-		if down {
-			return fmt.Errorf("mesh: link pair (%d,%d) is never healed — every outage needs a matching up event", p[0], p[1])
-		}
-	}
-	for n, down := range nodeDown {
-		if down {
-			return fmt.Errorf("mesh: node %d is never healed — every churn needs a matching up event", n)
-		}
-	}
-	return nil
+	return *nw.stats
 }
 
 // sync applies every schedule event at or before t. Cursor movement is
 // monotonic; the routing order makes it deterministic.
 func (fs *faultState) sync(t sim.Time) {
 	for fs.cursor < len(fs.sched) && fs.sched[fs.cursor].AtUS <= t {
-		fs.apply(fs.sched[fs.cursor])
+		fs.apply(fs.links, fs.sched[fs.cursor])
 		fs.cursor++
+		fs.treeDirty = true
 	}
 }
-
-// apply transitions the link state for one event.
-func (fs *faultState) apply(ev FaultEvent) {
-	switch ev.Kind {
-	case FaultLinkDown:
-		fs.bumpPair(ev.A, ev.B, 1)
-	case FaultLinkUp:
-		fs.bumpPair(ev.A, ev.B, -1)
-	case FaultNodeDown:
-		fs.nodeDown[ev.A] = true
-		fs.nodesDown++
-		fs.bumpLinks(fs.nodeLinks[ev.A], 1)
-	case FaultNodeUp:
-		fs.nodeDown[ev.A] = false
-		fs.nodesDown--
-		fs.bumpLinks(fs.nodeLinks[ev.A], -1)
-	}
-	fs.treeDirty = true
-}
-
-// pairLinks returns the directed links from a to b, ascending: a run of
-// a's sorted adjacency.
-func (fs *faultState) pairLinks(a, b int) []graphHalf {
-	adj := fs.adjOut[a]
-	i, _ := slices.BinarySearchFunc(adj, int32(b), func(h graphHalf, to int32) int { return cmp.Compare(h.to, to) })
-	j := i
-	for j < len(adj) && adj[j].to == int32(b) {
-		j++
-	}
-	return adj[i:j]
-}
-
-func (fs *faultState) bumpPair(a, b int, d int32) {
-	for _, h := range fs.pairLinks(a, b) {
-		fs.bump(h.link, d)
-	}
-	for _, h := range fs.pairLinks(b, a) {
-		fs.bump(h.link, d)
-	}
-}
-
-func (fs *faultState) bumpLinks(links []int32, d int32) {
-	for _, li := range links {
-		fs.bump(li, d)
-	}
-}
-
-func (fs *faultState) bump(li, d int32) {
-	was := fs.downCount[li]
-	fs.downCount[li] = was + d
-	if was == 0 && d > 0 {
-		fs.nDown++
-	} else if was+d == 0 && d < 0 {
-		fs.nDown--
-	}
-}
-
-func (fs *faultState) anyDown() bool { return fs.nDown > 0 || fs.nodesDown > 0 }
 
 // liveAll reports whether every link of the path is up. Links incident to
 // a churned node carry its down count, so dead intermediate hops (e.g. a
 // fenced switch) fail this check without a separate node walk.
 func (fs *faultState) liveAll(path []int32) bool {
 	for _, li := range path {
-		if fs.downCount[li] != 0 {
+		if fs.down[li] != 0 {
 			return false
 		}
 	}
@@ -619,7 +499,7 @@ func (fs *faultState) liveAll(path []int32) bool {
 
 // rebuildTree recomputes the live spanning forest.
 func (fs *faultState) rebuildTree() {
-	n := fs.nNodes
+	n := fs.links.nodes()
 	for u := 0; u < n; u++ {
 		fs.liveDeg[u] = 0
 		fs.comp[u] = -1
@@ -630,8 +510,8 @@ func (fs *faultState) rebuildTree() {
 		if fs.nodeDown[u] {
 			continue
 		}
-		for _, h := range fs.adjOut[u] {
-			if fs.downCount[h.link] == 0 {
+		for _, h := range fs.links.row(u) {
+			if fs.down[h.link] == 0 {
 				fs.liveDeg[u]++
 			}
 		}
@@ -646,8 +526,8 @@ func (fs *faultState) rebuildTree() {
 		fs.queue = append(fs.queue[:0], int32(root))
 		for qi := 0; qi < len(fs.queue); qi++ {
 			u := int(fs.queue[qi])
-			for _, h := range fs.adjOut[u] {
-				if fs.downCount[h.link] != 0 {
+			for _, h := range fs.links.row(u) {
+				if fs.down[h.link] != 0 {
 					continue
 				}
 				v := int(h.to)
@@ -684,8 +564,8 @@ func (fs *faultState) rebuildTree() {
 // lowestLive returns the lowest live directed link from a to b (-1 when
 // none; unreachable for tree edges, which were discovered over live links).
 func (fs *faultState) lowestLive(a, b int) int32 {
-	for _, h := range fs.pairLinks(a, b) {
-		if fs.downCount[h.link] == 0 {
+	for _, h := range fs.links.pairLinks(a, b) {
+		if fs.down[h.link] == 0 {
 			return h.link
 		}
 	}
@@ -724,78 +604,25 @@ func (fs *faultState) treePath(src, dst int) []int32 {
 
 // healTime returns the schedule time after which src and dst are
 // connected with both interfaces up, by replaying the remaining events on
-// scratch state. Validation guarantees the schedule ends fully healed and
-// every topology is connected, so the walk terminates.
+// a copy of the link state. Normalization guarantees the schedule ends
+// fully healed and every topology is connected, so the walk terminates.
 func (fs *faultState) healTime(src, dst int) sim.Time {
-	if cap(fs.scratchDown) < len(fs.downCount) {
-		fs.scratchDown = make([]int32, len(fs.downCount))
-		fs.scratchNode = make([]bool, fs.nNodes)
-	}
-	down := fs.scratchDown[:len(fs.downCount)]
-	node := fs.scratchNode[:fs.nNodes]
-	copy(down, fs.downCount)
-	copy(node, fs.nodeDown)
-	for k := fs.cursor; k < len(fs.sched); k++ {
-		ev := fs.sched[k]
-		d := int32(1)
-		switch ev.Kind {
-		case FaultLinkDown, FaultLinkUp:
-			if ev.Kind == FaultLinkUp {
-				d = -1
-			}
-			for _, h := range fs.pairLinks(ev.A, ev.B) {
-				down[h.link] += d
-			}
-			for _, h := range fs.pairLinks(ev.B, ev.A) {
-				down[h.link] += d
-			}
-		case FaultNodeDown, FaultNodeUp:
-			if ev.Kind == FaultNodeUp {
-				d = -1
-			}
-			node[ev.A] = ev.Kind == FaultNodeDown
-			for _, li := range fs.nodeLinks[ev.A] {
-				down[li] += d
-			}
+	s := &fs.replay
+	copy(s.down, fs.down)
+	copy(s.nodeDown, fs.nodeDown)
+	s.nDown, s.nodesDown = fs.nDown, fs.nodesDown
+	for _, ev := range fs.sched[fs.cursor:] {
+		s.apply(fs.links, ev)
+		if s.nodeDown[src] || s.nodeDown[dst] {
+			continue
 		}
-		if fs.connectedOn(down, node, src, dst) {
+		clear(fs.seen)
+		if fs.reach(fs.links, s.down, src, dst); fs.seen[dst] {
 			return ev.AtUS
 		}
 	}
 	// Unreachable: the schedule ends healed and the topology is connected.
 	panic(fmt.Sprintf("mesh: nodes %d and %d never reconnect under the installed schedule", src, dst))
-}
-
-// connectedOn reports src–dst connectivity under the scratch link state.
-func (fs *faultState) connectedOn(down []int32, nodeDown []bool, src, dst int) bool {
-	if nodeDown[src] || nodeDown[dst] {
-		return false
-	}
-	if src == dst {
-		return true
-	}
-	if fs.seen == nil {
-		fs.seen = make([]bool, fs.nNodes)
-	}
-	for i := range fs.seen {
-		fs.seen[i] = false
-	}
-	fs.seen[src] = true
-	fs.queue = append(fs.queue[:0], int32(src))
-	for qi := 0; qi < len(fs.queue); qi++ {
-		u := int(fs.queue[qi])
-		for _, h := range fs.adjOut[u] {
-			if down[h.link] != 0 || fs.seen[h.to] {
-				continue
-			}
-			if int(h.to) == dst {
-				return true
-			}
-			fs.seen[h.to] = true
-			fs.queue = append(fs.queue, h.to)
-		}
-	}
-	return false
 }
 
 // route is routeRaw under an installed fault schedule: advance the
@@ -810,7 +637,8 @@ func (fs *faultState) connectedOn(down []int32, nodeDown []bool, src, dst int) b
 // transmission anyway).
 func (fs *faultState) route(nw *Network, src, dst, size int, depart sim.Time) (sim.Time, bool) {
 	fs.sync(depart)
-	fs.stats.Routed++
+	st := nw.stats
+	st.Routed++
 	if !fs.anyDown() {
 		return nw.chargePath(nw.healthyPath(src, dst), size, depart), true
 	}
@@ -825,9 +653,9 @@ func (fs *faultState) route(nw *Network, src, dst, size int, depart sim.Time) (s
 		if fs.comp[src] == fs.comp[dst] {
 			base := uint64(len(path))
 			p := fs.treePath(src, dst)
-			fs.stats.Rerouted++
-			fs.stats.ReroutedHops += uint64(len(p))
-			fs.stats.BaseHops += base
+			st.Rerouted++
+			st.ReroutedHops += uint64(len(p))
+			st.BaseHops += base
 			return nw.chargePath(p, size, depart), true
 		}
 	}
@@ -835,22 +663,22 @@ func (fs *faultState) route(nw *Network, src, dst, size int, depart sim.Time) (s
 		// Reactive mode: the message vanishes at the failure point —
 		// no event, no link charges, no oracle knowledge. The sender's
 		// retransmission timer is the only recovery.
-		fs.stats.Dropped++
-		fs.stats.DroppedBytes += uint64(size)
+		st.Dropped++
+		st.DroppedBytes += uint64(size)
 		return 0, false
 	}
 	healT := fs.healTime(src, dst)
-	fs.stats.Held++
-	fs.stats.HeldBytes += uint64(size)
+	st.Held++
+	st.HeldBytes += uint64(size)
 	// The retransmission departs one send startup after the heal: the held
 	// message sits in the source's network interface and the retry startup
 	// is interface work, not CPU work, so it is independent of nw.cpuFree.
 	// healT > depart (sync already applied every event at or before
 	// depart), so the charge is a pure function of the departure time.
 	depart2 := healT + nw.P.StartupSendUS
-	fs.stats.RetryMsgs++
-	fs.stats.RetryBytes += uint64(size)
-	fs.stats.HeldUS += depart2 - depart
+	st.RetryMsgs++
+	st.RetryBytes += uint64(size)
+	st.HeldUS += depart2 - depart
 	// Recurse: sync(depart2) applies at least the healing event, so the
 	// cursor strictly advances and the retransmission terminates.
 	return fs.route(nw, src, dst, size, depart2)
@@ -859,18 +687,11 @@ func (fs *faultState) route(nw *Network, src, dst, size int, depart sim.Time) (s
 // resetTo rewinds the engine to schedule position cursor by replaying the
 // prefix from scratch (snapshot restore, inline-replay abort).
 func (fs *faultState) resetTo(cursor int) {
-	for i := range fs.downCount {
-		fs.downCount[i] = 0
-	}
-	for i := range fs.nodeDown {
-		fs.nodeDown[i] = false
-	}
-	fs.nDown = 0
-	fs.nodesDown = 0
-	fs.cursor = 0
-	for fs.cursor < cursor {
-		fs.apply(fs.sched[fs.cursor])
-		fs.cursor++
+	clear(fs.down)
+	clear(fs.nodeDown)
+	fs.nDown, fs.nodesDown = 0, 0
+	for fs.cursor = 0; fs.cursor < cursor; fs.cursor++ {
+		fs.apply(fs.links, fs.sched[fs.cursor])
 	}
 	fs.treeDirty = true
 }

@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -31,6 +32,13 @@ func TestFaultScheduleValidation(t *testing.T) {
 		{"negative time", FaultSchedule{
 			{AtUS: -1, Kind: FaultLinkDown, A: 0, B: 1},
 			{AtUS: 1, Kind: FaultLinkUp, A: 0, B: 1},
+		}, "finite and non-negative"},
+		{"NaN time inside a merged outage", FaultSchedule{
+			// Merging drops the inner down, but its time is still checked.
+			{AtUS: 0, Kind: FaultLinkDown, A: 0, B: 1},
+			{AtUS: math.NaN(), Kind: FaultLinkDown, A: 0, B: 1},
+			{AtUS: 10, Kind: FaultLinkUp, A: 0, B: 1},
+			{AtUS: 20, Kind: FaultLinkUp, A: 0, B: 1},
 		}, "finite and non-negative"},
 		{"no such pair", FaultSchedule{
 			{AtUS: 0, Kind: FaultLinkDown, A: 0, B: 3},
@@ -260,11 +268,12 @@ func TestFaultCursorResetTo(t *testing.T) {
 func TestFaultGenDeterministicAndComplete(t *testing.T) {
 	g := FaultGen{LinkFailures: 3, NodeChurn: 2, MeanDownUS: 1000, HorizonUS: 8000}
 	tp := New(4, 4)
-	s1, err := g.Generate(tp, xrand.New(7))
+	r := NewRoutes(tp, RouteBytesMax)
+	s1, err := g.Generate(r, xrand.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := g.Generate(tp, xrand.New(7))
+	s2, err := g.Generate(r, xrand.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +293,7 @@ func TestFaultGenDeterministicAndComplete(t *testing.T) {
 
 // TestFaultGenErrors: impossible requests are errors, not panics.
 func TestFaultGenErrors(t *testing.T) {
-	tp := New(2, 2)
+	r := NewRoutes(New(2, 2), RouteBytesMax)
 	rng := xrand.New(1)
 	cases := []struct {
 		name string
@@ -298,13 +307,13 @@ func TestFaultGenErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := tc.g.Generate(tp, rng)
+			_, err := tc.g.Generate(r, rng)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want mention of %q", err, tc.want)
 			}
 		})
 	}
-	if s, err := (FaultGen{}).Generate(tp, rng); err != nil || s != nil {
+	if s, err := (FaultGen{}).Generate(r, rng); err != nil || s != nil {
 		t.Fatalf("zero generator = %v, %v, want nil, nil", s, err)
 	}
 }

@@ -24,18 +24,11 @@ type Graph struct {
 	n     int
 	edges [][2]int // canonical undirected edge list, a < b, sorted
 
-	adj      [][]graphHalf // per node, sorted by (to, link)
-	linkTo   []int32       // directed link id -> destination node
-	nextLink []int32       // (src*n + dst) -> first link of the route; -1 when src == dst
-	dist     []int32       // (src*n + dst) -> route length
+	adj      *adjacency
+	nextLink []int32 // (src*n + dst) -> first link of the route; -1 when src == dst
+	dist     []int32 // (src*n + dst) -> route length
 	diameter int
 	bisect   int
-}
-
-// graphHalf is one directed adjacency entry.
-type graphHalf struct {
-	to   int32
-	link int32
 }
 
 // graphMaxNodes bounds the processor count: the route tables are O(n²).
@@ -80,25 +73,7 @@ func NewGraph(name string, n int, edges [][2]int) (*Graph, error) {
 			return nil, fmt.Errorf("mesh: graph has duplicate edge (%d,%d)", es[i][0], es[i][1])
 		}
 	}
-	g := &Graph{name: name, n: n, edges: es}
-	g.adj = make([][]graphHalf, n)
-	g.linkTo = make([]int32, 2*len(es))
-	for e, ed := range es {
-		a, b := ed[0], ed[1]
-		g.adj[a] = append(g.adj[a], graphHalf{to: int32(b), link: int32(2 * e)})
-		g.adj[b] = append(g.adj[b], graphHalf{to: int32(a), link: int32(2*e + 1)})
-		g.linkTo[2*e] = int32(b)
-		g.linkTo[2*e+1] = int32(a)
-	}
-	for i := range g.adj {
-		a := g.adj[i]
-		sort.Slice(a, func(x, y int) bool {
-			if a[x].to != a[y].to {
-				return a[x].to < a[y].to
-			}
-			return a[x].link < a[y].link
-		})
-	}
+	g := &Graph{name: name, n: n, edges: es, adj: newAdjacency(n, edgeLinks(es))}
 	if err := g.buildRoutes(); err != nil {
 		return nil, err
 	}
@@ -132,7 +107,7 @@ func (g *Graph) buildRoutes() error {
 		queue = append(queue[:0], int32(dst))
 		for qi := 0; qi < len(queue); qi++ {
 			u := queue[qi]
-			for _, h := range g.adj[u] {
+			for _, h := range g.adj.row(int(u)) {
 				if depth[h.to] == -1 {
 					depth[h.to] = depth[u] + 1
 					queue = append(queue, h.to)
@@ -152,7 +127,7 @@ func (g *Graph) buildRoutes() error {
 				continue
 			}
 			next := int32(-1)
-			for _, h := range g.adj[u] { // sorted by (to, link): first match is canonical
+			for _, h := range g.adj.row(u) { // sorted by (to, link): first match is canonical
 				if depth[h.to] == depth[u]-1 {
 					next = h.link
 					break
@@ -190,25 +165,20 @@ func (g *Graph) AppendRoute(buf []int, a, b int) []int {
 	for u != b {
 		li := g.nextLink[u*g.n+b]
 		buf = append(buf, int(li))
-		u = int(g.linkTo[li])
+		u = g.edges[li/2][1-li%2] // the head of link li
 	}
 	return buf
 }
 
 // ForEachLink enumerates both directions of every edge.
-func (g *Graph) ForEachLink(f func(link, from, to int)) {
-	for e, ed := range g.edges {
-		f(2*e, ed[0], ed[1])
-		f(2*e+1, ed[1], ed[0])
-	}
-}
+func (g *Graph) ForEachLink(f func(link, from, to int)) { edgeLinks(g.edges)(f) }
 
 // Grid reports no canonical 2D layout: graphs are decomposed over their
 // processor id space.
 func (g *Graph) Grid() (rows, cols int, ok bool) { return 0, 0, false }
 
 // Degree returns node u's number of incident undirected edges.
-func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
+func (g *Graph) Degree(u int) int { return len(g.adj.row(u)) }
 
 func (g *Graph) String() string { return g.name }
 
@@ -294,35 +264,18 @@ func NewErdosRenyi(n int, avgDegree float64, seed uint64) (*Graph, error) {
 // bridgeComponents adds one edge between consecutive components (by lowest
 // member id) until the graph is connected.
 func bridgeComponents(n int, edges [][2]int) [][2]int {
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
+	a := newAdjacency(n, edgeLinks(edges))
+	w := walker{seen: make([]bool, n)}
+	prev := -1
+	for u := range n {
+		if w.seen[u] {
+			continue
 		}
-		return x
-	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
-	for _, e := range edges {
-		union(e[0], e[1])
-	}
-	// Lowest member per root, in id order.
-	var heads []int
-	seen := make(map[int]bool)
-	for i := 0; i < n; i++ {
-		r := find(i)
-		if !seen[r] {
-			seen[r] = true
-			heads = append(heads, i)
+		w.reach(a, nil, u, -1)
+		if prev >= 0 {
+			edges = append(edges, [2]int{prev, u})
 		}
-	}
-	for i := 1; i < len(heads); i++ {
-		edges = append(edges, [2]int{heads[i-1], heads[i]})
-		union(heads[i-1], heads[i])
+		prev = u
 	}
 	return edges
 }
@@ -352,91 +305,27 @@ func NewDegradedMesh(rows, cols, drop int, seed uint64) (*Graph, error) {
 			}
 		}
 	}
-	rng := xrand.New(seed)
-	order := rng.Perm(len(edges))
-	conn := newConnectivity(n, edges)
+	a := newAdjacency(n, edgeLinks(edges))
+	removed := make([]int32, 2*len(edges)) // per directed link: 1 once its edge is gone
+	w := walker{seen: make([]bool, n)}
 	dropped := 0
-	for _, ei := range order {
+	for _, ei := range xrand.New(seed).Perm(len(edges)) {
 		if dropped >= drop {
 			break
 		}
-		conn.removed[ei] = true
-		if conn.connected() {
+		removed[2*ei], removed[2*ei+1] = 1, 1
+		clear(w.seen)
+		if w.reach(a, removed, 0, -1) == n {
 			dropped++
 		} else {
-			conn.removed[ei] = false
+			removed[2*ei], removed[2*ei+1] = 0, 0
 		}
 	}
 	kept := make([][2]int, 0, len(edges)-dropped)
 	for ei, e := range edges {
-		if !conn.removed[ei] {
+		if removed[2*ei] == 0 {
 			kept = append(kept, e)
 		}
 	}
 	return NewGraph(fmt.Sprintf("%dx%d mesh, %d links dropped", rows, cols, dropped), n, kept)
-}
-
-// connectivity answers "is the graph still connected without the removed
-// edges" for one candidate removal after another: the adjacency is laid
-// out once (CSR: node u's half-edges are adj[start[u]:start[u+1]]) and the
-// traversal scratch is reused, so a query allocates nothing.
-type connectivity struct {
-	removed []bool  // by edge index; set by the caller between queries
-	start   []int32 // n+1 offsets into adj
-	adj     []connHalf
-	seen    []bool
-	stack   []int32
-}
-
-// connHalf is one direction of an undirected edge.
-type connHalf struct {
-	to   int32
-	edge int32
-}
-
-func newConnectivity(n int, edges [][2]int) *connectivity {
-	c := &connectivity{
-		removed: make([]bool, len(edges)),
-		start:   make([]int32, n+1),
-		adj:     make([]connHalf, 2*len(edges)),
-		seen:    make([]bool, n),
-		stack:   make([]int32, 0, n),
-	}
-	for _, e := range edges {
-		c.start[e[0]+1]++
-		c.start[e[1]+1]++
-	}
-	for u := 0; u < n; u++ {
-		c.start[u+1] += c.start[u]
-	}
-	// Each node's half-edges in edge order, as appending them would give.
-	next := append([]int32(nil), c.start[:n]...)
-	for ei, e := range edges {
-		c.adj[next[e[0]]] = connHalf{int32(e[1]), int32(ei)}
-		next[e[0]]++
-		c.adj[next[e[1]]] = connHalf{int32(e[0]), int32(ei)}
-		next[e[1]]++
-	}
-	return c
-}
-
-// connected reports whether every node is reachable from node 0 over the
-// edges not marked removed.
-func (c *connectivity) connected() bool {
-	clear(c.seen)
-	c.seen[0] = true
-	c.stack = append(c.stack[:0], 0)
-	count := 1
-	for len(c.stack) > 0 {
-		u := c.stack[len(c.stack)-1]
-		c.stack = c.stack[:len(c.stack)-1]
-		for _, h := range c.adj[c.start[u]:c.start[u+1]] {
-			if !c.removed[h.edge] && !c.seen[h.to] {
-				c.seen[h.to] = true
-				count++
-				c.stack = append(c.stack, h.to)
-			}
-		}
-	}
-	return count == len(c.seen)
 }

@@ -142,6 +142,9 @@ type Network struct {
 	// on a fault-free network, which then routes on the exact pre-fault
 	// code path.
 	faults *faultState
+	// stats holds the fault counters of a network with a fault schedule or
+	// reactive mode, nil on any other: the one set both count into.
+	stats *FaultStats
 
 	// react is the reactive-mode transport state (reactive.go); nil in
 	// oracle mode, which stays on the exact pre-reactive code path.
@@ -198,7 +201,7 @@ func (nw *Network) InlineBegin() {
 	if nw.faults != nil {
 		nw.ilj.faultSaved = true
 		nw.ilj.faultCursor = nw.faults.cursor
-		nw.ilj.faultStats = nw.faults.stats
+		nw.ilj.faultStats = *nw.stats
 	}
 }
 
@@ -232,7 +235,7 @@ func (nw *Network) InlineAbort() {
 		nw.sendBytes[s.kind] -= uint64(s.size)
 	}
 	if j.faultSaved {
-		nw.faults.stats = j.faultStats
+		*nw.stats = j.faultStats
 		if nw.faults.cursor != j.faultCursor {
 			nw.faults.resetTo(j.faultCursor)
 		}

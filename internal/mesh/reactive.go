@@ -209,22 +209,13 @@ func (c *channel) unsuspect() (since sim.Time, was bool) {
 	return since, true
 }
 
-// reactNode is one node's jitter stream and transport counters. The
-// counters stay per node so FaultStats folds the float sums in node order.
-type reactNode struct {
-	rng   xrand.RNG
-	stats FaultStats
-}
-
 // reactState is the network's reactive-mode state; nil in oracle mode.
 // Channel state is one table for the whole network, holding the channels
 // that carried traffic, and every transmission record comes from its blocks.
 type reactState struct {
 	p      ReactParams
-	seed   uint64 // the derived transport seed (for RNG re-derivation)
-	nodes  []reactNode
+	rngs   []xrand.RNG // per node: the jitter stream
 	giveUp [256]GiveUpHandler
-	base   FaultStats // restored-snapshot baseline of the folded node stats
 
 	chanIdx map[uint64]int32 // (src, dst) -> index in chans
 	chans   []channel
@@ -235,9 +226,9 @@ type reactState struct {
 }
 
 func newReactState(p ReactParams, seed uint64, nodes int) *reactState {
-	r := &reactState{p: p, seed: seed, nodes: make([]reactNode, nodes), chanIdx: make(map[uint64]int32), free: -1}
-	for i := range r.nodes {
-		r.nodes[i].rng.Seed(reactNodeSeed(seed, i))
+	r := &reactState{p: p, rngs: make([]xrand.RNG, nodes), chanIdx: make(map[uint64]int32), free: -1}
+	for i := range r.rngs {
+		r.rngs[i].Seed(reactNodeSeed(seed, i))
 	}
 	return r
 }
@@ -342,9 +333,9 @@ func (nw *Network) EnableReactive(p ReactParams, seed uint64) error {
 	if nw.handlers[KindTransportAck] != nil {
 		return fmt.Errorf("mesh: message kind %d is reserved for transport acks in reactive mode", KindTransportAck)
 	}
-	r := newReactState(p, seed, nw.T.N())
-	nw.react = r
+	nw.react = newReactState(p, seed, nw.T.N())
 	nw.reactTimeoutFn = nw.reactTimeout
+	nw.countFaults()
 	return nil
 }
 
@@ -394,15 +385,14 @@ func (nw *Network) ReactReseed(seed uint64) {
 	if nw.react == nil {
 		return
 	}
-	nw.react.seed = seed
-	for i := range nw.react.nodes {
-		nw.react.nodes[i].rng.Seed(reactNodeSeed(seed, i))
+	for i := range nw.react.rngs {
+		nw.react.rngs[i].Seed(reactNodeSeed(seed, i))
 	}
 }
 
 // jitter draws the deterministic timeout jitter, uniform in [1, 1.25),
-// from the node's private stream.
-func (sn *reactNode) jitter() float64 { return 1 + sn.rng.Float64()/4 }
+// from node's private stream.
+func (r *reactState) jitter(node int) float64 { return 1 + r.rngs[node].Float64()/4 }
 
 // reactOnSend intercepts a first transmission at the top of
 // deliverAfterRoute: it stamps the channel sequence, registers the
@@ -423,7 +413,7 @@ func (nw *Network) reactOnSend(m *Msg, depart sim.Time) {
 		payload: m.Payload, xseq: xseq, ch: ci, attempt: 1,
 		delayUS: r.p.AckTimeoutUS, firstDepart: depart,
 	})
-	x.timer = nw.K.TimerAt(depart+x.delayUS*r.nodes[m.Src].jitter(), nw.reactTimeoutFn, x)
+	x.timer = nw.K.TimerAt(depart+x.delayUS*r.jitter(m.Src), nw.reactTimeoutFn, x)
 }
 
 // reactTimeout fires when a transmission's ack timeout expires, in the
@@ -432,15 +422,13 @@ func (nw *Network) reactOnSend(m *Msg, depart sim.Time) {
 // suspect and consult the kind's give-up handler.
 func (nw *Network) reactTimeout(xi interface{}) {
 	x := xi.(*xmit)
-	r := nw.react
-	sn := &r.nodes[x.src]
-	k := nw.K
+	r, st, k := nw.react, nw.stats, nw.K
 	if x.attempt > r.p.MaxRetries {
 		if !x.gaveUp {
 			// Detection: the first give-up of this cycle.
 			x.gaveUp = true
-			sn.stats.Detected++
-			sn.stats.DetectUS += k.Now() - x.firstDepart
+			st.Detected++
+			st.DetectUS += k.Now() - x.firstDepart
 			r.chans[x.ch].suspect(k.Now())
 		}
 		newDst, action := x.dst, GiveUpRetry
@@ -455,7 +443,7 @@ func (nw *Network) reactTimeout(xi interface{}) {
 			r.retire(x)
 			return
 		case GiveUpRedirect:
-			sn.stats.Failovers++
+			st.Failovers++
 			src, size, kind, tag, payload := x.src, x.size, x.kind, x.tag, x.payload
 			r.retire(x)
 			m := nw.pool.get()
@@ -465,7 +453,7 @@ func (nw *Network) reactTimeout(xi interface{}) {
 		case GiveUpReissue:
 			// Fresh detection cycle on the same channel: reset the attempt
 			// counter and backoff; the retransmission below is attempt 1.
-			sn.stats.Reissues++
+			st.Reissues++
 			x.attempt = 0
 			x.gaveUp = false
 			x.delayUS = r.p.AckTimeoutUS / r.p.Backoff // restored by the bump below
@@ -476,8 +464,8 @@ func (nw *Network) reactTimeout(xi interface{}) {
 	}
 	// Retransmit: fresh copy, fresh send startup, backed-off timer.
 	x.attempt++
-	sn.stats.Retransmits++
-	sn.stats.RetransmitBytes += uint64(x.size)
+	st.Retransmits++
+	st.RetransmitBytes += uint64(x.size)
 	if x.delayUS *= r.p.Backoff; x.delayUS > r.p.AckTimeoutUS*reactMaxBackoff {
 		x.delayUS = r.p.AckTimeoutUS * reactMaxBackoff
 	}
@@ -485,7 +473,7 @@ func (nw *Network) reactTimeout(xi interface{}) {
 	m.Src, m.Dst, m.Size, m.Kind, m.Tag, m.Payload = x.src, x.dst, x.size, x.kind, x.tag, x.payload
 	m.xseq, m.xatt = x.xseq, uint16(x.attempt)
 	depart := nw.chargeSend(x.src)
-	x.timer = nw.K.TimerAt(depart+x.delayUS*sn.jitter(), nw.reactTimeoutFn, x)
+	x.timer = nw.K.TimerAt(depart+x.delayUS*r.jitter(x.src), nw.reactTimeoutFn, x)
 	nw.deliverAfterRoute(m, depart)
 }
 
@@ -495,14 +483,13 @@ func (nw *Network) reactTimeout(xi interface{}) {
 // Duplicates are dropped without handler dispatch, which is what makes
 // strategy-level redirects protocol-safe.
 func (nw *Network) reactAccept(m *Msg) bool {
-	r := nw.react
-	dn := &r.nodes[m.Dst]
-	fresh := r.at(m.Src, m.Dst).accept(m.xseq)
+	st := nw.stats
+	fresh := nw.react.at(m.Src, m.Dst).accept(m.xseq)
 	if !fresh {
-		dn.stats.DupDrops++
+		st.DupDrops++
 	}
-	dn.stats.AckMsgs++
-	dn.stats.AckBytes += TransportAckBytes
+	st.AckMsgs++
+	st.AckBytes += TransportAckBytes
 	ack := nw.pool.get()
 	ack.Src, ack.Dst, ack.Size, ack.Kind = m.Dst, m.Src, TransportAckBytes, KindTransportAck
 	ack.xseq, ack.xatt = m.xseq, m.xatt
@@ -522,14 +509,14 @@ func (nw *Network) reactOnAck(m *Msg) {
 	if x == nil {
 		return // duplicate ack for an already-retired record
 	}
-	sn := &r.nodes[m.Dst]
+	st := nw.stats
 	nw.K.CancelTimer(x.timer)
 	if a := int(m.xatt); a < x.attempt {
-		sn.stats.FalseTimeouts += uint64(x.attempt - a)
+		st.FalseTimeouts += uint64(x.attempt - a)
 	}
 	if since, ok := r.chans[ci].unsuspect(); ok {
-		sn.stats.Recovered++
-		sn.stats.RecoverUS += nw.K.Now() - since
+		st.Recovered++
+		st.RecoverUS += nw.K.Now() - since
 	}
 	r.retire(x)
 }

@@ -34,6 +34,9 @@ type Routes struct {
 	linkBytes atomic.Int64         // size of the chunks allocated so far
 	maxBytes  int64                // its limit
 	full      atomic.Bool          // the limit was reached: nothing more is stored
+
+	adjOnce sync.Once
+	adj     *adjacency // the topology's link graph, see links
 }
 
 const (
@@ -111,4 +114,17 @@ func (r *Routes) publish(src, dst int, path []int) []int32 {
 	r.tab[src*r.n+dst].Store(uint32(r.cur)<<24 | uint32(r.used)<<8 | uint32(len(path)))
 	r.used += len(path)
 	return p
+}
+
+// links returns the topology's link graph, built on first use: only
+// networks with faults and fault draws need it. A Graph's own is shared.
+func (r *Routes) links() *adjacency {
+	r.adjOnce.Do(func() {
+		if g, ok := r.t.(*Graph); ok {
+			r.adj = g.adj
+		} else {
+			r.adj = newAdjacency(r.t.Nodes(), r.t.ForEachLink)
+		}
+	})
+	return r.adj
 }

@@ -40,24 +40,24 @@ type NetworkState struct {
 	SendBytes [256]uint64
 	Inboxes   []InboxState
 
-	// Fault engine position: the schedule cursor plus counters. The
-	// schedule itself is part of the machine configuration (replayed at
-	// fork construction), so the position fully determines link state —
-	// restore re-applies the schedule prefix.
+	// Fault engine position: the schedule cursor. The schedule itself is
+	// part of the machine configuration (replayed at fork construction),
+	// so the position fully determines link state — restore re-applies
+	// the schedule prefix.
 	FaultCursor int
-	FaultStats  FaultStats
+	// The fault counters of the schedule and the reactive transport.
+	FaultStats FaultStats
 
 	// Reactive transport state (nil for oracle-mode captures): per-node
 	// jitter-RNG positions, channel sequence counters, receiver dedup
-	// state and suspect sets, plus the folded transport counters. No
-	// outstanding transmissions or timers exist at quiescence (a live
-	// record always holds a pending timer, which blocks the capture).
+	// state and suspect sets. No outstanding transmissions or timers exist
+	// at quiescence (a live record always holds a pending timer, which
+	// blocks the capture).
 	React *ReactState
 }
 
 // ReactState is the reactive transport's captured state.
 type ReactState struct {
-	Stats FaultStats // folded per-node counters plus any restored baseline
 	Nodes []ReactNodeState
 }
 
@@ -107,7 +107,9 @@ func (nw *Network) SnapshotState() (*NetworkState, error) {
 	}
 	if nw.faults != nil {
 		st.FaultCursor = nw.faults.cursor
-		st.FaultStats = nw.faults.stats
+	}
+	if nw.stats != nil {
+		st.FaultStats = *nw.stats
 	}
 	if r := nw.react; r != nil {
 		if r.live > 0 {
@@ -162,19 +164,20 @@ func (nw *Network) CheckState(st *NetworkState) error {
 			return fmt.Errorf("mesh: snapshot inbox %d: %w", n, err)
 		}
 	}
-	if nw.faults == nil {
-		if st.FaultCursor != 0 || st.FaultStats != (FaultStats{}) {
-			return fmt.Errorf("mesh: snapshot is mid fault schedule but the network has none installed")
-		}
-	} else if st.FaultCursor < 0 || st.FaultCursor > len(nw.faults.sched) {
+	switch {
+	case nw.faults == nil && st.FaultCursor != 0:
+		return fmt.Errorf("mesh: snapshot is mid fault schedule but the network has none installed")
+	case nw.faults != nil && (st.FaultCursor < 0 || st.FaultCursor > len(nw.faults.sched)):
 		return fmt.Errorf("mesh: snapshot is at entry %d of a %d-entry fault schedule", st.FaultCursor, len(nw.faults.sched))
+	case nw.stats == nil && st.FaultStats != (FaultStats{}):
+		return fmt.Errorf("mesh: snapshot has fault counters but the network has neither a fault schedule nor reactive mode")
 	}
 	if (st.React != nil) != (nw.react != nil) {
 		return fmt.Errorf("mesh: snapshot and network disagree on reactive mode")
 	}
 	if rc := st.React; rc != nil {
-		if len(rc.Nodes) != len(nw.react.nodes) {
-			return fmt.Errorf("mesh: snapshot has reactive state for %d nodes, network has %d", len(rc.Nodes), len(nw.react.nodes))
+		if len(rc.Nodes) != len(nw.react.rngs) {
+			return fmt.Errorf("mesh: snapshot has reactive state for %d nodes, network has %d", len(rc.Nodes), len(nw.react.rngs))
 		}
 		for i := range rc.Nodes {
 			if err := rc.Nodes[i].check(i, len(rc.Nodes)); err != nil {
@@ -193,7 +196,9 @@ func (nw *Network) RestoreState(st *NetworkState) error {
 	}
 	if nw.faults != nil {
 		nw.faults.resetTo(st.FaultCursor)
-		nw.faults.stats = st.FaultStats
+	}
+	if nw.stats != nil {
+		*nw.stats = st.FaultStats
 	}
 	if rc := st.React; rc != nil {
 		nw.react.restore(rc)
@@ -250,10 +255,9 @@ func (is *InboxState) check(node, n int) error {
 // canonical form of ReactState: channels in (src, dst) order, so each
 // node's keys come out ascending. Outstanding records are not captured.
 func (r *reactState) capture() *ReactState {
-	rc := &ReactState{Stats: r.base, Nodes: make([]ReactNodeState, len(r.nodes))}
-	for i := range r.nodes {
-		rc.Stats = rc.Stats.add(r.nodes[i].stats)
-		rc.Nodes[i].RNG = r.nodes[i].rng.State()
+	rc := &ReactState{Nodes: make([]ReactNodeState, len(r.rngs))}
+	for i := range r.rngs {
+		rc.Nodes[i].RNG = r.rngs[i].State()
 	}
 	order := make([]int32, len(r.chans))
 	for i := range order {
@@ -290,13 +294,11 @@ func (r *reactState) capture() *ReactState {
 // restore replaces the channel table and node streams with a checked
 // captured state; nothing may be outstanding.
 func (r *reactState) restore(rc *ReactState) {
-	r.base = rc.Stats
 	clear(r.chanIdx)
 	r.chans = r.chans[:0]
 	for i := range rc.Nodes {
 		nc := &rc.Nodes[i]
-		r.nodes[i].rng.SetState(nc.RNG)
-		r.nodes[i].stats = FaultStats{} // folded into base at capture
+		r.rngs[i].SetState(nc.RNG)
 		for j, d := range nc.SendDst {
 			c := r.at(i, d)
 			c.sendSeq = nc.SendSeq[j]

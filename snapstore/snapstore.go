@@ -1,11 +1,11 @@
 // Package snapstore persists machine snapshots to disk, crash-consistently.
 //
-// A stored snapshot is one file in the DIVASNP3 layout, laid out so that
+// A stored snapshot is one file in the DIVASNP4 layout, laid out so that
 // restoring it is a checksum pass, one small gob decode and two linear
 // copies. All integers are little-endian:
 //
 //	offset  size  content
-//	0       8     magic "DIVASNP3"
+//	0       8     magic "DIVASNP4"
 //	8       8     S: length of the spec section
 //	16      8     T: length of the table section
 //	24      8     L: length of the bitmap section
@@ -39,7 +39,9 @@
 // fsync — so a crash mid-save leaves either the previous version or
 // nothing, never a torn file; a torn or tampered file fails the checksum at
 // load time instead of resurrecting corrupt state. Files of an older layout
-// (DIVASNP1, DIVASNP2) are refused by their magic.
+// are refused by their magic: DIVASNP1 and DIVASNP2, and DIVASNP3, whose
+// state section keeps a reactive network's fault counters where today's
+// gob types have no field for them, so they would be dropped silently.
 //
 // Load rebuilds a machine from the stored spec and decodes the sections
 // straight into the state a fork restores from — the same representation a
@@ -79,7 +81,7 @@ import (
 // magic is the file format version header. Bump the trailing digit on any
 // incompatible layout change; old files then fail with a clear error
 // instead of a decode failure.
-const magic = "DIVASNP3"
+const magic = "DIVASNP4"
 
 // headerLen is the magic plus the four section lengths; sumLen the
 // trailing checksum.
