@@ -294,10 +294,6 @@ type linkState struct {
 	nodesDown int
 }
 
-func newLinkState(links, nodes int) linkState {
-	return linkState{down: make([]int32, links), nodeDown: make([]bool, nodes)}
-}
-
 // apply transitions the link state for one event.
 func (s *linkState) apply(a *adjacency, ev FaultEvent) {
 	d := int32(1)
@@ -356,8 +352,8 @@ func (nw *Network) InstallFaults(s FaultSchedule) error {
 	nw.faults = &faultState{
 		sched:     sched,
 		links:     a,
-		linkState: newLinkState(nw.T.NumLinks(), n),
-		replay:    newLinkState(nw.T.NumLinks(), n),
+		linkState: linkState{down: make([]int32, nw.T.NumLinks()), nodeDown: make([]bool, n)},
+		replay:    linkState{down: make([]int32, nw.T.NumLinks()), nodeDown: make([]bool, n)},
 		treeDirty: true,
 		parent:    make([]int32, n),
 		depth:     make([]int32, n),

@@ -167,7 +167,6 @@ type inlineJournal struct {
 
 	// Fault-engine save: the schedule cursor and counters at InlineBegin,
 	// so an aborted replay rewinds lazily-applied fault events too.
-	faultSaved  bool
 	faultCursor int
 	faultStats  FaultStats
 }
@@ -199,7 +198,6 @@ func (nw *Network) InlineBegin() {
 	}
 	nw.ilj.active = true
 	if nw.faults != nil {
-		nw.ilj.faultSaved = true
 		nw.ilj.faultCursor = nw.faults.cursor
 		nw.ilj.faultStats = *nw.stats
 	}
@@ -213,7 +211,6 @@ func (nw *Network) InlineCommit() {
 	j.busys = j.busys[:0]
 	j.loads = j.loads[:0]
 	j.stats = j.stats[:0]
-	j.faultSaved = false
 }
 
 // InlineAbort reverts every charge since InlineBegin, leaving the network
@@ -234,7 +231,7 @@ func (nw *Network) InlineAbort() {
 		nw.sendMsgs[s.kind]--
 		nw.sendBytes[s.kind] -= uint64(s.size)
 	}
-	if j.faultSaved {
+	if nw.faults != nil {
 		*nw.stats = j.faultStats
 		if nw.faults.cursor != j.faultCursor {
 			nw.faults.resetTo(j.faultCursor)
