@@ -242,7 +242,7 @@ func TestRecoverySweepDeterministic(t *testing.T) {
 		}
 	}
 	// Golden fingerprint of the quick-mode sweep at seed 1999 (FNV-1a).
-	const golden = uint64(0x5a247a650af57b2d)
+	const golden = uint64(0x4a734d3d3508d224)
 	if got := fnv1a(seq.Bytes()); got != golden {
 		t.Errorf("sweep output fingerprint = %#x, want %#x (simulated results changed)", got, golden)
 	}
@@ -383,8 +383,8 @@ func TestQuickSuitePinned(t *testing.T) {
 			seq.String(), par.String())
 	}
 	// Golden fingerprint of `experiments -quick` at seed 1999 (FNV-1a):
-	// 314 lines, sha256 8bb52ecd59db2341....
-	const golden = uint64(0x44b1b182bdd51f4c)
+	// 314 lines, sha256 c848676c0f26e4a0....
+	const golden = uint64(0x629cfd600c9f6a21)
 	if got := fnv1a(seq.Bytes()); got != golden {
 		t.Errorf("quick suite fingerprint = %#x, want %#x (simulated results changed)", got, golden)
 	}

@@ -85,11 +85,11 @@ const (
 	// backoff (the default for kinds without a handler: delivery is
 	// eventually guaranteed because every fault schedule ends healed).
 	GiveUpRetry GiveUpAction = iota
-	// GiveUpReissue restarts the attempt counter and backoff on the same
-	// channel: the strategy has refreshed its own state (e.g. the spanning
-	// forest re-embedded) and wants a fresh detection cycle. The transport
-	// sequence number is kept, so a late duplicate of the original is
-	// still deduplicated.
+	// GiveUpReissue restarts the attempt counter, keeping the backoff, on
+	// the same channel: the strategy has refreshed its own state (e.g. the
+	// spanning forest re-embedded) and wants a fresh detection cycle. The
+	// transport sequence number is kept, so a late duplicate of the
+	// original is still deduplicated.
 	GiveUpReissue
 	// GiveUpRedirect retires the channel and re-targets the message at the
 	// new destination the handler returned (fixedhome home failover).
@@ -451,12 +451,13 @@ func (nw *Network) reactTimeout(xi interface{}) {
 			nw.Send(m) // a fresh first transmission on the new channel
 			return
 		case GiveUpReissue:
-			// Fresh detection cycle on the same channel: reset the attempt
-			// counter and backoff; the retransmission below is attempt 1.
+			// Fresh detection cycle: the retransmission below is attempt 1.
+			// The backoff stays: from the base timeout, a round trip that
+			// outgrew it under load would outgrow it again, forever.
 			st.Reissues++
 			x.attempt = 0
 			x.gaveUp = false
-			x.delayUS = r.p.AckTimeoutUS / r.p.Backoff // restored by the bump below
+			x.delayUS /= r.p.Backoff // restored by the bump below
 			x.firstDepart = k.Now()
 		case GiveUpRetry:
 			// Keep probing at the capped backoff.

@@ -255,6 +255,40 @@ func TestReactiveGiveUpReissue(t *testing.T) {
 	}
 }
 
+// TestReactiveReissueKeepsBackoff: a re-issue restarts the attempt count
+// but keeps the backoff, so the detection cycles of a message to a node
+// that stays down grow — each about twice the last — instead of repeating
+// from the base timeout.
+func TestReactiveReissueKeepsBackoff(t *testing.T) {
+	sched := FaultSchedule{
+		{AtUS: 0, Kind: FaultNodeDown, A: 3},
+		{AtUS: 20000, Kind: FaultNodeUp, A: 3},
+	}
+	p := ReactParams{AckTimeoutUS: 300, MaxRetries: 1, Backoff: 2}
+	k, nw := reactiveNet(t, New(2, 2), sched, p)
+	got := 0
+	var giveUps []sim.Time
+	nw.Handle(42, func(m *Msg) { got++ })
+	nw.OnGiveUp(42, func(g GiveUp) (int, GiveUpAction) {
+		giveUps = append(giveUps, k.Now())
+		return g.Dst, GiveUpReissue
+	})
+	k.At(0, func() { nw.Send(&Msg{Src: 0, Dst: 3, Size: 100, Kind: 42}) })
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got != 1 || len(giveUps) < 3 {
+		t.Fatalf("delivered %d times after %d give-ups, want once after at least 3", got, len(giveUps))
+	}
+	for i := 2; i < len(giveUps); i++ {
+		// Jitter scales a timeout by [1, 1.25): a cycle at twice the last
+		// backoff is at least 1.6 times as long.
+		if last, gap := giveUps[i-1]-giveUps[i-2], giveUps[i]-giveUps[i-1]; gap < 1.5*last {
+			t.Fatalf("give-ups at %v: cycle %d lasted %v after one of %v, want the backoff kept", giveUps, i, gap, last)
+		}
+	}
+}
+
 // TestReactiveFalseTimeouts: an ack timeout shorter than the healthy round
 // trip makes the sender retransmit messages the receiver already has — the
 // receiver dedups the copies (handler runs once), re-acks each, and the

@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 )
 
 // ErrCanceled is the sentinel a canceled run unwraps to. A run is canceled
@@ -39,10 +38,13 @@ func (e *CanceledError) Unwrap() error { return ErrCanceled }
 const cancelCheckEvery = 1024
 
 // SetCancel installs flag as the kernel's cooperative cancellation
-// checkpoint; a nil flag uninstalls it. Once flag is true the run stops at
-// the next checkpoint and Run returns a *CanceledError. Install before Run or between runs; the flag itself may
-// be set from any goroutine at any time.
-func (k *Kernel) SetCancel(flag *atomic.Bool) { k.cancel = flag }
+// checkpoint; a nil flag uninstalls it. Once flag.Load() reports true the
+// run stops at the next checkpoint and Run returns a *CanceledError.
+// Install before Run or between runs. An *atomic.Bool may be set from any
+// goroutine at any time; any other flag is polled on the goroutine that
+// runs the events, so it may read the kernel — a test's event budget
+// compares Stat.Events.
+func (k *Kernel) SetCancel(flag interface{ Load() bool }) { k.cancel = flag }
 
 // cancelRequested reports whether a cancellation flag is installed and set.
 func (k *Kernel) cancelRequested() bool {

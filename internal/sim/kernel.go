@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 )
 
 // fpGolden is the multiplier of the fingerprint hash chain (see fold).
@@ -92,7 +91,7 @@ type Kernel struct {
 	// only ever touched by whoever executes the loop, one goroutine at a
 	// time, so it needs no synchronization); canceled
 	// marks a run stopped by the flag rather than by Stop.
-	cancel    *atomic.Bool
+	cancel    interface{ Load() bool }
 	cancelCtr uint32
 	canceled  bool
 
