@@ -8,15 +8,13 @@ import (
 // adjacency is a topology's link graph, immutable once built: per node its
 // outgoing links sorted by (to, link) and the links incident to it in
 // either direction, plus the distinct undirected node pairs that share a
-// link. The per-node lists are CSR — node u's are out[outAt[u]:outAt[u+1]]
-// and inc[incAt[u]:incAt[u+1]] — so a graph of any size is a few slices.
-// One serves every network over the topology (Routes.links), and a Graph
-// routes on its own.
+// link. The per-node lists are windows of two flat arrays, laid out as in
+// CSR, so a graph of any size is a few allocations. One serves every
+// network over the topology (Routes.links), and a Graph routes on its own.
 type adjacency struct {
-	outAt, incAt []int32
-	out          []graphHalf
-	inc          []int32
-	pairs        [][2]int32 // (a, b), a < b, ascending
+	out   [][]graphHalf
+	inc   [][]int32
+	pairs [][2]int32 // (a, b), a < b, ascending
 }
 
 // graphHalf is one directed adjacency entry.
@@ -40,31 +38,28 @@ func edgeLinks(edges [][2]int) func(func(link, from, to int)) {
 // function enumerates, as Topology.ForEachLink does. Incident lists keep
 // the enumeration order.
 func newAdjacency(n int, links func(func(link, from, to int))) *adjacency {
-	a := &adjacency{outAt: make([]int32, n+1), incAt: make([]int32, n+1)}
+	outDeg, incDeg := make([]int, n), make([]int, n)
+	total := 0
 	links(func(_, from, to int) {
-		a.outAt[from+1]++
-		a.incAt[from+1]++
-		a.incAt[to+1]++
+		outDeg[from]++
+		incDeg[from]++
+		incDeg[to]++
+		total++
 	})
+	halves, incident := make([]graphHalf, total), make([]int32, 2*total)
+	a := &adjacency{out: make([][]graphHalf, n), inc: make([][]int32, n), pairs: make([][2]int32, 0, total)}
 	for u := range n {
-		a.outAt[u+1] += a.outAt[u]
-		a.incAt[u+1] += a.incAt[u]
+		a.out[u], halves = halves[:0:outDeg[u]], halves[outDeg[u]:]
+		a.inc[u], incident = incident[:0:incDeg[u]], incident[incDeg[u]:]
 	}
-	a.out = make([]graphHalf, a.outAt[n])
-	a.inc = make([]int32, a.incAt[n])
-	a.pairs = make([][2]int32, 0, a.outAt[n])
-	outNext, incNext := slices.Clone(a.outAt[:n]), slices.Clone(a.incAt[:n])
 	links(func(link, from, to int) {
-		a.out[outNext[from]] = graphHalf{to: int32(to), link: int32(link)}
-		outNext[from]++
-		a.inc[incNext[from]] = int32(link)
-		incNext[from]++
-		a.inc[incNext[to]] = int32(link)
-		incNext[to]++
+		a.out[from] = append(a.out[from], graphHalf{to: int32(to), link: int32(link)})
+		a.inc[from] = append(a.inc[from], int32(link))
+		a.inc[to] = append(a.inc[to], int32(link))
 		a.pairs = append(a.pairs, [2]int32{int32(min(from, to)), int32(max(from, to))})
 	})
-	for u := range n {
-		slices.SortFunc(a.row(u), func(x, y graphHalf) int {
+	for _, r := range a.out {
+		slices.SortFunc(r, func(x, y graphHalf) int {
 			return cmp.Or(cmp.Compare(x.to, y.to), cmp.Compare(x.link, y.link))
 		})
 	}
@@ -78,13 +73,13 @@ func comparePairs(x, y [2]int32) int {
 }
 
 // nodes returns the node count.
-func (a *adjacency) nodes() int { return len(a.outAt) - 1 }
+func (a *adjacency) nodes() int { return len(a.out) }
 
 // row returns u's outgoing links, sorted by (to, link).
-func (a *adjacency) row(u int) []graphHalf { return a.out[a.outAt[u]:a.outAt[u+1]] }
+func (a *adjacency) row(u int) []graphHalf { return a.out[u] }
 
 // incident returns the links leaving or entering u.
-func (a *adjacency) incident(u int) []int32 { return a.inc[a.incAt[u]:a.incAt[u+1]] }
+func (a *adjacency) incident(u int) []int32 { return a.inc[u] }
 
 // pairLinks returns the directed links from u to v, ascending: a run of u's
 // row.
