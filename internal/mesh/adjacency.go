@@ -12,9 +12,9 @@ import (
 // CSR, so a graph of any size is a few allocations. One serves every
 // network over the topology (Routes.links), and a Graph routes on its own.
 type adjacency struct {
-	out   [][]graphHalf
-	inc   [][]int32
-	pairs [][2]int32 // (a, b), a < b, ascending
+	rows     [][]graphHalf // per node: its outgoing links, by (to, link)
+	incident [][]int32     // per node: the links leaving or entering it
+	pairs    [][2]int32    // (a, b), a < b, ascending
 }
 
 // graphHalf is one directed adjacency entry.
@@ -46,19 +46,19 @@ func newAdjacency(n int, links func(func(link, from, to int))) *adjacency {
 		incDeg[to]++
 		total++
 	})
-	halves, incident := make([]graphHalf, total), make([]int32, 2*total)
-	a := &adjacency{out: make([][]graphHalf, n), inc: make([][]int32, n), pairs: make([][2]int32, 0, total)}
+	halves, inc := make([]graphHalf, total), make([]int32, 2*total)
+	a := &adjacency{rows: make([][]graphHalf, n), incident: make([][]int32, n), pairs: make([][2]int32, 0, total)}
 	for u := range n {
-		a.out[u], halves = halves[:0:outDeg[u]], halves[outDeg[u]:]
-		a.inc[u], incident = incident[:0:incDeg[u]], incident[incDeg[u]:]
+		a.rows[u], halves = halves[:0:outDeg[u]], halves[outDeg[u]:]
+		a.incident[u], inc = inc[:0:incDeg[u]], inc[incDeg[u]:]
 	}
 	links(func(link, from, to int) {
-		a.out[from] = append(a.out[from], graphHalf{to: int32(to), link: int32(link)})
-		a.inc[from] = append(a.inc[from], int32(link))
-		a.inc[to] = append(a.inc[to], int32(link))
+		a.rows[from] = append(a.rows[from], graphHalf{to: int32(to), link: int32(link)})
+		a.incident[from] = append(a.incident[from], int32(link))
+		a.incident[to] = append(a.incident[to], int32(link))
 		a.pairs = append(a.pairs, [2]int32{int32(min(from, to)), int32(max(from, to))})
 	})
-	for _, r := range a.out {
+	for _, r := range a.rows {
 		slices.SortFunc(r, func(x, y graphHalf) int {
 			return cmp.Or(cmp.Compare(x.to, y.to), cmp.Compare(x.link, y.link))
 		})
@@ -73,18 +73,12 @@ func comparePairs(x, y [2]int32) int {
 }
 
 // nodes returns the node count.
-func (a *adjacency) nodes() int { return len(a.out) }
-
-// row returns u's outgoing links, sorted by (to, link).
-func (a *adjacency) row(u int) []graphHalf { return a.out[u] }
-
-// incident returns the links leaving or entering u.
-func (a *adjacency) incident(u int) []int32 { return a.inc[u] }
+func (a *adjacency) nodes() int { return len(a.rows) }
 
 // pairLinks returns the directed links from u to v, ascending: a run of u's
 // row.
 func (a *adjacency) pairLinks(u, v int) []graphHalf {
-	r := a.row(u)
+	r := a.rows[u]
 	i, _ := slices.BinarySearchFunc(r, int32(v), func(h graphHalf, to int32) int { return cmp.Compare(h.to, to) })
 	j := i
 	for j < len(r) && r[j].to == int32(v) {
@@ -113,7 +107,7 @@ func (w *walker) reach(a *adjacency, down []int32, src, stop int) int {
 	w.seen[src] = true
 	w.queue = append(w.queue[:0], int32(src))
 	for qi := 0; qi < len(w.queue); qi++ {
-		for _, h := range a.row(int(w.queue[qi])) {
+		for _, h := range a.rows[w.queue[qi]] {
 			if (down != nil && down[h.link] != 0) || w.seen[h.to] {
 				continue
 			}

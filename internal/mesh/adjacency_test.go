@@ -73,11 +73,11 @@ func TestLinkGraphMatchesReference(t *testing.T) {
 			t.Fatalf("%v: link graph has %d nodes, topology %d", tp, a.nodes(), tp.Nodes())
 		}
 		for u := range tp.Nodes() {
-			if !slices.Equal(a.row(u), adjOut[u]) {
-				t.Errorf("%v: node %d row %v, reference %v", tp, u, a.row(u), adjOut[u])
+			if !slices.Equal(a.rows[u], adjOut[u]) {
+				t.Errorf("%v: node %d row %v, reference %v", tp, u, a.rows[u], adjOut[u])
 			}
-			if !slices.Equal(a.incident(u), nodeLinks[u]) {
-				t.Errorf("%v: node %d incident links %v, reference %v", tp, u, a.incident(u), nodeLinks[u])
+			if !slices.Equal(a.incident[u], nodeLinks[u]) {
+				t.Errorf("%v: node %d incident links %v, reference %v", tp, u, a.incident[u], nodeLinks[u])
 			}
 		}
 		want := pairsReference(tp)

@@ -311,7 +311,7 @@ func (s *linkState) apply(a *adjacency, ev FaultEvent) {
 	case FaultNodeDown, FaultNodeUp:
 		s.nodeDown[ev.A] = d > 0
 		s.nodesDown += int(d)
-		for _, li := range a.incident(ev.A) {
+		for _, li := range a.incident[ev.A] {
 			s.bump(li, d)
 		}
 	}
@@ -506,7 +506,7 @@ func (fs *faultState) rebuildTree() {
 		if fs.nodeDown[u] {
 			continue
 		}
-		for _, h := range fs.links.row(u) {
+		for _, h := range fs.links.rows[u] {
 			if fs.down[h.link] == 0 {
 				fs.liveDeg[u]++
 			}
@@ -522,7 +522,7 @@ func (fs *faultState) rebuildTree() {
 		fs.queue = append(fs.queue[:0], int32(root))
 		for qi := 0; qi < len(fs.queue); qi++ {
 			u := int(fs.queue[qi])
-			for _, h := range fs.links.row(u) {
+			for _, h := range fs.links.rows[u] {
 				if fs.down[h.link] != 0 {
 					continue
 				}

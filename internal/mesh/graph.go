@@ -107,7 +107,7 @@ func (g *Graph) buildRoutes() error {
 		queue = append(queue[:0], int32(dst))
 		for qi := 0; qi < len(queue); qi++ {
 			u := queue[qi]
-			for _, h := range g.adj.row(int(u)) {
+			for _, h := range g.adj.rows[u] {
 				if depth[h.to] == -1 {
 					depth[h.to] = depth[u] + 1
 					queue = append(queue, h.to)
@@ -127,7 +127,7 @@ func (g *Graph) buildRoutes() error {
 				continue
 			}
 			next := int32(-1)
-			for _, h := range g.adj.row(u) { // sorted by (to, link): first match is canonical
+			for _, h := range g.adj.rows[u] { // sorted by (to, link): first match is canonical
 				if depth[h.to] == depth[u]-1 {
 					next = h.link
 					break
@@ -178,7 +178,7 @@ func (g *Graph) ForEachLink(f func(link, from, to int)) { edgeLinks(g.edges)(f) 
 func (g *Graph) Grid() (rows, cols int, ok bool) { return 0, 0, false }
 
 // Degree returns node u's number of incident undirected edges.
-func (g *Graph) Degree(u int) int { return len(g.adj.row(u)) }
+func (g *Graph) Degree(u int) int { return len(g.adj.rows[u]) }
 
 func (g *Graph) String() string { return g.name }
 
