@@ -246,10 +246,8 @@ func (s *strategy) node(vs *varState, id int) *nodeState {
 // embedding is globally known given the variable's root placement.
 func (s *strategy) posOf(vs *varState, id int) int {
 	if s.opts.RandomEmbedding {
-		if vs.remap != nil {
-			if pos, ok := vs.remap.overrides[id]; ok {
-				return pos
-			}
+		if vs.remap != nil && vs.remap.moved[id] != 0 {
+			return int(vs.remap.moved[id]) - 1
 		}
 		return s.t.RandomPos(vs.seed, id)
 	}
@@ -274,7 +272,7 @@ func (s *strategy) InitVar(v *Variable) {
 	}
 	s.initNodes(vs)
 	if s.opts.RemapThreshold > 0 {
-		vs.remap = &remapState{accesses: make([]uint32, len(s.t.Nodes))}
+		vs.remap = &remapState{accesses: make([]uint32, len(s.t.Nodes)), moved: make([]int32, len(s.t.Nodes))}
 	}
 	v.State = vs
 	v.SetLocal(v.Creator)

@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"slices"
-	"sort"
 
 	"diva/internal/core"
 	"diva/internal/xrand"
@@ -15,10 +14,10 @@ import (
 // tree strategy's state for machine snapshot/fork. Captured per variable:
 // the embedding (root position / ablation seed), the node table
 // (membership, directional pointers, edge bits, lock arrows), the leaf the
-// lock token rests at, and the remap counters and overrides. A sparse node
-// table is captured as images of its pages, a full one as its slice, so
-// capture and restore copy the nodes a table holds and nothing else, and
-// no index is rebuilt. The tables of one capture share one block of page
+// lock token rests at, and the remap counters and moved positions. A
+// sparse node table is captured as images of its pages, a full one as its
+// slice, so capture and restore copy the nodes a table holds and nothing
+// else, and no index is rebuilt. The tables of one capture share one block of page
 // images and one of full tables, and a restore carves from one block of
 // each kind, however many variables it holds. The transaction arena, the
 // recycled tables and the embedding tables are deliberately not captured —
@@ -53,11 +52,8 @@ type VarState struct {
 	Creator  int
 	TokenAt  int // leaf the free lock token rests at
 	Accesses []uint32
-	// Overrides lists the remapped nodes as (node, processor) pairs,
-	// ascending by node: a map would reach a snapshot file in iteration
-	// order, and the same state must always encode to the same bytes.
-	Overrides []int
-	Remaps    int
+	Moved    []int32 // remapState.moved
+	Remaps   int
 	// pages is how many of State.pages are the variable's sparse table,
 	// which holds count nodes; 0 if its table is full. The table section
 	// carries the tables, not gob.
@@ -66,33 +62,6 @@ type VarState struct {
 
 func init() {
 	gob.RegisterName("diva/accesstree.State", &State{})
-}
-
-func overridePairs(m map[int]int) []int {
-	if len(m) == 0 {
-		return nil
-	}
-	nodes := make([]int, 0, len(m))
-	for node := range m {
-		nodes = append(nodes, node)
-	}
-	sort.Ints(nodes)
-	pairs := make([]int, 0, 2*len(m))
-	for _, node := range nodes {
-		pairs = append(pairs, node, m[node])
-	}
-	return pairs
-}
-
-func overrideMap(pairs []int) map[int]int {
-	if len(pairs) == 0 {
-		return nil
-	}
-	m := make(map[int]int, len(pairs)/2)
-	for i := 0; i < len(pairs); i += 2 {
-		m[pairs[i]] = pairs[i+1]
-	}
-	return m
 }
 
 // SnapshotState implements core.Forker.
@@ -145,7 +114,7 @@ func (s *strategy) SnapshotState(vars []*core.Variable) (core.StratState, error)
 		}
 		if r := vs.remap; r != nil {
 			vsn.Accesses = append([]uint32(nil), r.accesses...)
-			vsn.Overrides = overridePairs(r.overrides)
+			vsn.Moved = append([]int32(nil), r.moved...)
 			vsn.Remaps = r.remaps
 		}
 	}
@@ -168,7 +137,7 @@ func (s *strategy) check(st *State, vars int, live func(i int) bool) error {
 	if st.treeNodes != n {
 		return fmt.Errorf("accesstree: snapshot has %d tree nodes per variable, machine has %d", st.treeNodes, n)
 	}
-	counters := 0 // the access side table exists only when remapping
+	counters := 0 // the remap side tables exist only when remapping
 	if s.opts.RemapThreshold > 0 {
 		counters = n
 	}
@@ -180,21 +149,18 @@ func (s *strategy) check(st *State, vars int, live func(i int) bool) error {
 		if !vsn.Present {
 			continue
 		}
-		if len(vsn.Accesses) != counters {
-			return fmt.Errorf("accesstree: snapshot variable %d has %d access counters, machine needs %d", i, len(vsn.Accesses), counters)
+		if len(vsn.Accesses) != counters || len(vsn.Moved) != counters {
+			return fmt.Errorf("accesstree: snapshot variable %d has %d access counters and %d positions, machine needs %d", i, len(vsn.Accesses), len(vsn.Moved), counters)
 		}
-		if counters == 0 && (len(vsn.Overrides) != 0 || vsn.Remaps != 0) {
+		if counters == 0 && vsn.Remaps != 0 {
 			return fmt.Errorf("accesstree: snapshot variable %d was remapped, machine does not remap", i)
 		}
 		if vsn.RootPos < 0 || vsn.RootPos >= p || vsn.TokenAt < 0 || vsn.TokenAt >= n {
 			return fmt.Errorf("accesstree: snapshot variable %d has root position %d, token leaf %d on a %d-processor, %d-node tree", i, vsn.RootPos, vsn.TokenAt, p, n)
 		}
-		if len(vsn.Overrides)&1 != 0 {
-			return fmt.Errorf("accesstree: snapshot variable %d has a torn position override", i)
-		}
-		for j := 0; j < len(vsn.Overrides); j += 2 {
-			if node, pos := vsn.Overrides[j], vsn.Overrides[j+1]; node < 0 || node >= n || pos < 0 || pos >= p {
-				return fmt.Errorf("accesstree: snapshot variable %d overrides node %d to processor %d on a %d-processor, %d-node tree", i, node, pos, p, n)
+		for node, pos := range vsn.Moved {
+			if pos < 0 || int(pos) > p {
+				return fmt.Errorf("accesstree: snapshot variable %d moves node %d to processor %d on a %d-processor tree", i, node, pos-1, p)
 			}
 		}
 	}
@@ -243,9 +209,9 @@ func (s *strategy) RestoreState(state core.StratState, vars []*core.Variable) er
 		}
 		if s.opts.RemapThreshold > 0 {
 			vs.remap = &remapState{
-				accesses:  append([]uint32(nil), vsn.Accesses...),
-				overrides: overrideMap(vsn.Overrides),
-				remaps:    vsn.Remaps,
+				accesses: append([]uint32(nil), vsn.Accesses...),
+				moved:    append([]int32(nil), vsn.Moved...),
+				remaps:   vsn.Remaps,
 			}
 		}
 		if !s.opts.RandomEmbedding {

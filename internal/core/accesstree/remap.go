@@ -28,13 +28,14 @@ type remapMsg struct {
 	node int
 }
 
-// remapState is one variable's remapping state: accesses counts the
-// protocol messages handled at each node, overrides holds the remapped
-// node positions and remaps counts migrations.
+// remapState is one variable's remapping state, dense by tree node:
+// accesses counts the protocol messages handled at each node and moved
+// holds 1 + the processor a remapped node moved to (0: not moved); remaps
+// counts migrations.
 type remapState struct {
-	accesses  []uint32
-	overrides map[int]int
-	remaps    int
+	accesses []uint32
+	moved    []int32
+	remaps   int
 }
 
 // maybeRemap migrates every over-accessed node of v. Called with the
@@ -63,10 +64,7 @@ func (s *strategy) remapNode(vs *varState, v *Variable, id int) {
 		return // a leaf is pinned to its processor
 	}
 	newProc := region.Draw(s.rng)
-	if r.overrides == nil {
-		r.overrides = make(map[int]int)
-	}
-	r.overrides[id] = newProc
+	r.moved[id] = int32(newProc) + 1
 	r.remaps++
 	s.remaps++
 
@@ -122,6 +120,6 @@ func (s *strategy) onRemapMove(m *mesh.Msg) {
 }
 
 func (s *strategy) onRemapNote(m *mesh.Msg) {
-	// Address update at a neighbor; positions are recomputed from the
-	// override table, so nothing to do beyond the accounted delivery.
+	// Address update at a neighbor; positions are read from the moved
+	// table, so nothing to do beyond the accounted delivery.
 }

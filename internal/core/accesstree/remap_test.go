@@ -2,6 +2,7 @@ package accesstree
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"diva/internal/core"
@@ -13,6 +14,17 @@ func remapMachine(threshold int) *core.Machine {
 		Rows: 4, Cols: 4, Seed: 77, Tree: decomp.Ary2,
 		Strategy: FactoryOpts(Options{RandomEmbedding: true, RemapThreshold: threshold}),
 	})
+}
+
+// movedNodes counts the variable's remapped tree nodes.
+func movedNodes(vs *varState) int {
+	n := 0
+	for _, moved := range vs.remap.moved {
+		if moved != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 func TestRemapRequiresRandomEmbedding(t *testing.T) {
@@ -75,7 +87,7 @@ func TestRemapOffByDefault(t *testing.T) {
 }
 
 // TestRemapMovesHotNode: after remapping, positions actually change (the
-// override table is consulted).
+// moved table is consulted).
 func TestRemapMovesHotNode(t *testing.T) {
 	m := remapMachine(4)
 	v := m.AllocAt(0, 64, 0)
@@ -92,12 +104,12 @@ func TestRemapMovesHotNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	vs := vstate(m.Var(v))
-	if len(vs.remap.overrides) == 0 {
-		t.Fatal("no position overrides recorded")
+	if movedNodes(vs) == 0 {
+		t.Fatal("no moved positions recorded")
 	}
 	s := m.Strat.(*strategy)
-	for id, pos := range vs.remap.overrides {
-		if !s.t.Nodes[id].Region.ContainsProc(pos) {
+	for id, moved := range vs.remap.moved {
+		if pos := int(moved) - 1; moved != 0 && (!s.t.Nodes[id].Region.ContainsProc(pos) || s.posOf(vs, id) != pos) {
 			t.Fatalf("remapped node %d at processor %d outside its region %+v",
 				id, pos, s.t.Nodes[id].Region)
 		}
@@ -150,18 +162,18 @@ func TestRemapLeavesPinned(t *testing.T) {
 	}
 	vs := vstate(m.Var(v))
 	s := m.Strat.(*strategy)
-	for id := range vs.remap.overrides {
-		if s.t.Nodes[id].Leaf() {
+	for id, moved := range vs.remap.moved {
+		if moved != 0 && s.t.Nodes[id].Leaf() {
 			t.Fatalf("leaf node %d was remapped", id)
 		}
 	}
 }
 
-// TestRemapSnapshotSerialization: position overrides live in a map, and the
-// serialized snapshot must not inherit its iteration order — the same
-// capture always encodes to the same bytes, a snapshot decoded from them
-// encodes to those bytes again, and a fork of the decoded snapshot continues
-// exactly like a fork of the live one.
+// TestRemapSnapshotSerialization: the moved positions of several nodes
+// reach a snapshot file — the same capture always encodes to the same
+// bytes, a snapshot decoded from them encodes to those bytes again, and a
+// fork of the decoded snapshot continues exactly like a fork of the live
+// one.
 func TestRemapSnapshotSerialization(t *testing.T) {
 	m := remapMachine(2)
 	vars := []core.VarID{m.AllocAt(0, 64, 0), m.AllocAt(5, 64, 0), m.AllocAt(10, 64, 0)}
@@ -181,8 +193,8 @@ func TestRemapSnapshotSerialization(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range vars {
-		if n := len(vstate(m.Var(v)).remap.overrides); n < 2 {
-			t.Fatalf("variable %d has %d position overrides; the test needs a map with an order to lose", v, n)
+		if n := movedNodes(vstate(m.Var(v))); n < 2 {
+			t.Fatalf("variable %d has %d moved nodes; the test needs several", v, n)
 		}
 	}
 	snap, err := m.Snapshot()
@@ -227,5 +239,48 @@ func TestRemapSnapshotSerialization(t *testing.T) {
 	}
 	if prints[0] != prints[1] {
 		t.Errorf("fork of the decoded snapshot diverged: fingerprint %#x, live %#x", prints[1], prints[0])
+	}
+}
+
+// TestRemapCheckRefusesMisfitMoved: a stored moved table must have a slot
+// per tree node, each 0 or 1 + a processor of the machine.
+func TestRemapCheckRefusesMisfitMoved(t *testing.T) {
+	m := remapMachine(2)
+	v := m.AllocAt(0, 64, 0)
+	if err := m.Run(func(p *core.Proc) {
+		for r := 0; r < 6; r++ {
+			p.Read(v)
+			p.Barrier()
+			if p.ID == 3 {
+				p.Write(v, r)
+			}
+			p.Barrier()
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	s := m.Strat.(*strategy)
+	vars := []*core.Variable{m.Var(v)}
+	live := func(int) bool { return true }
+	for _, tc := range []struct {
+		name string
+		bend func(moved []int32) []int32
+		want string
+	}{
+		{"as captured", func(moved []int32) []int32 { return moved }, ""},
+		{"a slot short", func(moved []int32) []int32 { return moved[1:] }, "positions"},
+		{"past the last processor", func(moved []int32) []int32 { moved[1] = int32(m.P()) + 1; return moved }, "to processor 16"},
+		{"negative", func(moved []int32) []int32 { moved[1] = -1; return moved }, "to processor -2"},
+	} {
+		state, err := s.SnapshotState(vars)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := state.(*State)
+		st.Vars[0].Moved = tc.bend(st.Vars[0].Moved)
+		err = s.check(st, len(vars), live)
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%s: check = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }

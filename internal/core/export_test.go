@@ -8,3 +8,7 @@ import "diva/internal/mesh"
 func NewMachineWithLimits(cfg Config, routeBytes, posBytes int) (*Machine, error) {
 	return newMachine(cfg, newPlan(cfg.Topology, cfg.Tree, mesh.NewRoutes(cfg.Topology, routeBytes), posBytes))
 }
+
+// SetVarSize overwrites the size a snapshot records for variable id, for
+// the tests of what a stored snapshot may hold.
+func SetVarSize(s *Snapshot, id VarID, size int) { s.st.Vars[id].Size = size }

@@ -16,7 +16,10 @@ import (
 // persists the machine's spec document alongside them and rebuilds an
 // identically configured machine before reading them back
 // (SnapshotFromWire). There is no second representation: the sections are
-// encoded from, and decoded into, the very values Fork restores from.
+// encoded from, and decoded into, the very values Fork restores from, and
+// those keep the shapes the machine holds — the network's inbox queues back
+// to back, its reactive channel table as one list, a remapped variable's
+// positions one slot a tree node.
 
 // Sections is the bulk numeric state of a snapshot as the raw
 // little-endian words a snapshot file holds; everything irregular follows
@@ -210,9 +213,13 @@ func SnapshotFromWire(m *Machine, tables, locals, state []byte) (*Snapshot, erro
 	// the last processor would address a node that does not exist.
 	words, live := m.localWords(), 0
 	for i := range st.Vars {
-		if st.Vars[i].Present {
-			live++
+		if !st.Vars[i].Present {
+			continue
 		}
+		if st.Vars[i].Size < 0 {
+			return nil, fmt.Errorf("diva: stored variable %d has size %d", i, st.Vars[i].Size)
+		}
+		live++
 	}
 	if len(locals) != 8*words*live {
 		return nil, fmt.Errorf("diva: stored bitmap section has %d bytes, %d variables of %d words need %d", len(locals), live, words, 8*words*live)

@@ -272,9 +272,3 @@ func (t *Tree) TreePath(a, b int) []int {
 	}
 	return path
 }
-
-// LeafDist returns the tree distance (number of edges) between the leaves
-// of processors p and q.
-func (t *Tree) LeafDist(p, q int) int {
-	return len(t.TreePath(t.LeafOfProc[p], t.LeafOfProc[q])) - 1
-}

@@ -386,15 +386,3 @@ func TestTreeInvariantsNonGrid(t *testing.T) {
 		}
 	}
 }
-
-func TestLeafDist(t *testing.T) {
-	tr := Build(mesh.New(4, 4), Ary2)
-	p := tr.ProcOfLeaf[0]
-	if tr.LeafDist(p, p) != 0 {
-		t.Fatal("self leaf distance not zero")
-	}
-	q := tr.ProcOfLeaf[1]
-	if d := tr.LeafDist(p, q); d != 2 {
-		t.Fatalf("adjacent leaf distance %d, want 2 (via shared parent)", d)
-	}
-}

@@ -26,18 +26,6 @@ func (t *Tree) EmbedChild(parentProc int, childID int) int {
 	return c.Region.Embed(t.Nodes[c.Parent].Region, parentProc)
 }
 
-// EmbedPathDown returns the processors of the nodes on the root-down path
-// `path` (as produced by PathDown) under the modular embedding with the
-// given root processor.
-func (t *Tree) EmbedPathDown(rootProc int, path []int) []int {
-	out := make([]int, len(path))
-	out[0] = rootProc
-	for i := 1; i < len(path); i++ {
-		out[i] = t.EmbedChild(out[i-1], path[i])
-	}
-	return out
-}
-
 // EmbedAll returns the processor of every tree node under the modular
 // embedding with the given root processor, indexed by node id. The tables
 // are the bulk of what machines share per tree, hence the narrow element.

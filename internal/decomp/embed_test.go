@@ -2,7 +2,6 @@ package decomp
 
 import (
 	"testing"
-	"testing/quick"
 
 	"diva/internal/mesh"
 	"diva/internal/xrand"
@@ -65,29 +64,6 @@ func TestEmbedDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("embedding not deterministic")
 		}
-	}
-}
-
-// TestEmbedPathDownMatchesEmbedAll: incremental path embedding agrees with
-// the full embedding.
-func TestEmbedPathDownMatchesEmbedAll(t *testing.T) {
-	m := mesh.New(16, 16)
-	tr := Build(m, Ary2)
-	root := m.ID(mesh.Coord{Row: 2, Col: 13})
-	all := tr.EmbedAll(root)
-	check := func(x uint16) bool {
-		leaf := tr.Leaves[int(x)%len(tr.Leaves)]
-		path := tr.PathDown(leaf)
-		pos := tr.EmbedPathDown(root, path)
-		for i, nid := range path {
-			if pos[i] != int(all[nid]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -131,20 +131,3 @@ func TestSendStats(t *testing.T) {
 		t.Fatalf("kind 43: %d msgs %d bytes", msgs[43], bytes[43])
 	}
 }
-
-// TestChargeCPUDelaysHandlers: protocol bookkeeping time on a node pushes
-// later receive processing.
-func TestChargeCPUDelaysHandlers(t *testing.T) {
-	k, nw := newNet(1, 2, false)
-	var at sim.Time
-	nw.Handle(42, func(m *Msg) { at = k.Now() })
-	nw.ChargeCPU(1, 5000) // node 1 CPU busy until 5000
-	k.At(0, func() { nw.Send(&Msg{Src: 0, Dst: 1, Size: 10, Kind: 42}) })
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// Arrival ~220; CPU busy until 5000; +100 recv = 5100.
-	if at != 5100 {
-		t.Fatalf("handler ran at %v, want 5100", at)
-	}
-}

@@ -152,31 +152,28 @@ func queueInbox(t *testing.T, tags ...int) *Network {
 }
 
 // TestInboxSnapshotRestore: messages queued on several tags are captured
-// tags ascending, each tag's queue in arrival order, and a fresh network
-// restored from the capture hands them out per tag in that order.
+// in arrival order, and a fresh network restored from the capture hands
+// them out per tag in that order.
 func TestInboxSnapshotRestore(t *testing.T) {
 	st, err := queueInbox(t, 9, 2, 9, 5, 2).SnapshotState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	is := st.Inboxes[3]
-	if !reflect.DeepEqual(is.Tags, []int{2, 5, 9}) {
-		t.Fatalf("captured tags %v, want [2 5 9]", is.Tags)
+	var tags, payloads []int
+	for _, m := range st.Inbox {
+		if m.Dst != 3 {
+			t.Fatalf("captured message %+v queued at node %d, want 3", m, m.Dst)
+		}
+		tags, payloads = append(tags, m.Tag), append(payloads, m.Payload.(int))
 	}
-	want := map[int][]int{2: {1, 4}, 5: {3}, 9: {0, 2}}
-	for i, tag := range is.Tags {
-		var got []int
-		for _, m := range is.Queues[i] {
-			got = append(got, m.Payload.(int))
-		}
-		if !reflect.DeepEqual(got, want[tag]) {
-			t.Errorf("captured tag %d queue %v, want %v", tag, got, want[tag])
-		}
+	if !reflect.DeepEqual(tags, []int{9, 2, 9, 5, 2}) || !reflect.DeepEqual(payloads, []int{0, 1, 2, 3, 4}) {
+		t.Fatalf("captured tags %v, payloads %v; want arrival order", tags, payloads)
 	}
 	_, fresh := newTestNet(2, 2)
 	if err := fresh.RestoreState(st); err != nil {
 		t.Fatal(err)
 	}
+	want := map[int][]int{2: {1, 4}, 5: {3}, 9: {0, 2}}
 	for _, tag := range []int{9, 2, 5} {
 		for _, w := range want[tag] {
 			if m, ok := fresh.TryRecv(3, tag); !ok || m.Payload != w || m.Tag != tag {
@@ -185,6 +182,42 @@ func TestInboxSnapshotRestore(t *testing.T) {
 		}
 		if m, ok := fresh.TryRecv(3, tag); ok {
 			t.Fatalf("restored tag %d: extra message %+v", tag, m)
+		}
+	}
+}
+
+// TestInboxSnapshotKeepsArrivalOrder: each node's restored queue equals
+// its source's element by element, across tags — the order a receiver
+// taking several tags observes.
+func TestInboxSnapshotKeepsArrivalOrder(t *testing.T) {
+	k, nw := newTestNet(2, 2)
+	k.At(0, func() {
+		for i, tag := range []int{9, 2, 9, 5, 2, 7, 2} {
+			dst := 1 + 2*(i%2) // nodes 1 and 3, interleaved
+			nw.Send(&Msg{Src: 0, Dst: dst, Size: 10, Kind: KindInbox, Tag: tag, Payload: i})
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := nw.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, fresh := newTestNet(2, 2)
+	if err := fresh.RestoreState(st); err != nil {
+		t.Fatal(err)
+	}
+	for n := range nw.inbox.nodes {
+		var src, got []Msg
+		if q := nw.inbox.nodes[n].q; q != nil {
+			src = q.msgs
+		}
+		if q := fresh.inbox.nodes[n].q; q != nil {
+			got = q.msgs
+		}
+		if !reflect.DeepEqual(got, src) {
+			t.Errorf("node %d restored queue\n%+v\nwant\n%+v", n, got, src)
 		}
 	}
 }
@@ -205,30 +238,19 @@ func TestCheckStateRejectsMisfitInbox(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		bend func(is *InboxState)
+		bend func(in []Msg)
 		want string
 	}{
-		{"tags and queues differ in number", func(is *InboxState) { is.Queues = is.Queues[:1] }, "2 tags but 1 queues"},
-		{"duplicate tag", func(is *InboxState) {
-			is.Tags[1] = is.Tags[0]
-			for i := range is.Queues[1] {
-				is.Queues[1][i].Tag = is.Tags[0]
-			}
-		}, "not strictly ascending"},
-		{"tags descending", func(is *InboxState) {
-			is.Tags[0], is.Tags[1] = is.Tags[1], is.Tags[0]
-			is.Queues[0], is.Queues[1] = is.Queues[1], is.Queues[0]
-		}, "not strictly ascending"},
-		{"empty queue", func(is *InboxState) { is.Queues[0] = nil }, "empty queue"},
-		{"wrong kind", func(is *InboxState) { is.Queues[1][1].Kind = 42 }, "kind 42"},
-		{"wrong destination", func(is *InboxState) { is.Queues[1][0].Dst = 2 }, "addressed to node 2"},
-		{"source out of range", func(is *InboxState) { is.Queues[0][0].Src = 4 }, "from node 4"},
-		{"source negative", func(is *InboxState) { is.Queues[0][0].Src = -1 }, "from node -1"},
-		{"message under another tag", func(is *InboxState) { is.Queues[0][0].Tag = 3 }, "carries tag 3"},
+		{"wrong kind", func(in []Msg) { in[1].Kind = 42 }, "kind 42"},
+		{"wrong destination", func(in []Msg) { in[2].Dst = 2 }, "queued at node 2"},
+		{"destination out of range", func(in []Msg) { in[0].Dst = 4 }, "queued at node 4"},
+		{"destination negative", func(in []Msg) { in[0].Dst = -1 }, "queued at node -1"},
+		{"source out of range", func(in []Msg) { in[0].Src = 4 }, "from node 4"},
+		{"source negative", func(in []Msg) { in[0].Src = -1 }, "from node -1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			nw, st := capture()
-			tc.bend(&st.Inboxes[3])
+			tc.bend(st.Inbox)
 			err := nw.CheckState(st)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("CheckState = %v, want an error mentioning %q", err, tc.want)

@@ -649,16 +649,6 @@ func (nw *Network) Compute(p *sim.Proc, node int, d float64) {
 	p.WaitUntil(end)
 }
 
-// ChargeCPU charges d microseconds of protocol bookkeeping on node without
-// blocking anyone and without counting it as application compute.
-func (nw *Network) ChargeCPU(node int, d float64) {
-	t := nw.K.Now()
-	if nw.cpuFree[node] > t {
-		t = nw.cpuFree[node]
-	}
-	nw.cpuFree[node] = t + d
-}
-
 // ComputeTime returns the accumulated application compute time per node.
 func (nw *Network) ComputeTime() []float64 {
 	out := make([]float64, len(nw.computeUS))

@@ -141,27 +141,38 @@ func sortedKeys[V any](m map[[2]int]V) [][2]int {
 	return ks
 }
 
-// capture builds the canonical ReactState shape from the reference maps.
-func (ref *refReact) capture(nodes int) []ReactNodeState {
-	ns := make([]ReactNodeState, nodes)
-	for _, k := range sortedKeys(ref.sent) {
-		n := &ns[k[0]]
-		n.SendDst, n.SendSeq = append(n.SendDst, k[1]), append(n.SendSeq, ref.sent[k])
-	}
-	for _, k := range sortedKeys(ref.recv) {
-		n, c := &ns[k[1]], ref.recv[k]
-		var seen []uint32
-		for sq := range c.seen {
-			seen = append(seen, sq)
+// capture builds the captured channel list from the reference maps: one
+// channel per key of any map, in (src, dst) order.
+func (ref *refReact) capture() []ReactChannel {
+	chans := map[[2]int]*ReactChannel{}
+	at := func(k [2]int, side uint8) *ReactChannel {
+		c := chans[k]
+		if c == nil {
+			c = &ReactChannel{Src: int32(k[0]), Dst: int32(k[1])}
+			chans[k] = c
 		}
-		sort.Slice(seen, func(i, j int) bool { return seen[i] < seen[j] })
-		n.RecvSrc, n.RecvFloor, n.RecvSeen = append(n.RecvSrc, k[0]), append(n.RecvFloor, c.floor), append(n.RecvSeen, seen)
+		c.Has |= side
+		return c
 	}
-	for _, k := range sortedKeys(ref.suspect) {
-		n := &ns[k[0]]
-		n.SuspDst, n.SuspAt = append(n.SuspDst, k[1]), append(n.SuspAt, ref.suspect[k])
+	for k, seq := range ref.sent {
+		at(k, chanSend).SendSeq = seq
 	}
-	return ns
+	for k, rc := range ref.recv {
+		c := at(k, chanRecv)
+		c.Floor = rc.floor
+		for sq := range rc.seen {
+			c.Seen = append(c.Seen, sq)
+		}
+		slices.Sort(c.Seen)
+	}
+	for k, t := range ref.suspect {
+		at(k, chanSusp).SuspAt = t
+	}
+	var out []ReactChannel
+	for _, k := range sortedKeys(chans) {
+		out = append(out, *chans[k])
+	}
+	return out
 }
 
 // FuzzReactChannels runs random first-send, retransmit, duplicate,
@@ -284,14 +295,11 @@ func FuzzReactChannels(f *testing.F) {
 					t.Fatalf("step %d: outstanding %v not found", step, o)
 				}
 			}
-			got, want := r.capture().Nodes, ref.capture(nodes)
-			for i := range got {
-				if err := got[i].check(i, nodes); err != nil {
-					t.Fatalf("step %d: capture of node %d fails its check: %v", step, i, err)
-				}
-				got[i].RNG = want[i].RNG
+			rc, want := r.capture(), ref.capture()
+			if err := rc.check(nodes); err != nil {
+				t.Fatalf("step %d: capture fails its check: %v", step, err)
 			}
-			if !reflect.DeepEqual(got, want) {
+			if got := rc.Chans; (len(got) != 0 || len(want) != 0) && !reflect.DeepEqual(got, want) {
 				t.Fatalf("step %d: capture\n%+v\nwant\n%+v", step, got, want)
 			}
 		}
@@ -299,9 +307,11 @@ func FuzzReactChannels(f *testing.F) {
 }
 
 // TestCheckStateRejectsMisfitReactive: the reactive section of a network
-// state must name channels that exist, once each, in canonical order, with
-// dedup sets above their floor and finite suspect times — a file that does
-// not loads as an error, never as a run that forks.
+// state must hold a stream position per node and name channels between
+// two nodes that exist, once each, in (src, dst) order, recording a side
+// and no value of a side they do not record, with dedup sets above their
+// floor and finite suspect times — a file that does not loads as an error,
+// never as a run that forks.
 func TestCheckStateRejectsMisfitReactive(t *testing.T) {
 	// Node 3 is down while its channels give up: they are dropped, and the
 	// suspicions stay.
@@ -330,31 +340,42 @@ func TestCheckStateRejectsMisfitReactive(t *testing.T) {
 	if err := nw.CheckState(st); err != nil {
 		t.Fatalf("live capture refused: %v", err)
 	}
-	n0 := &st.React.Nodes[0]
-	if len(n0.SendDst) != 3 || len(n0.RecvSrc) != 2 || len(n0.SuspDst) != 1 {
-		t.Fatalf("node 0 captured %d send, %d receive and %d suspect channels; want 3, 2, 1",
-			len(n0.SendDst), len(n0.RecvSrc), len(n0.SuspDst))
+	// Channels 0→1, 0→2, 1→0 and 2→0 delivered their message; 0→3 and 3→0
+	// sent into the outage and gave up, and 2→0 gave up under the short
+	// timeout before its ack came back.
+	const sr, ss, all = int(chanSend | chanRecv), int(chanSend | chanSusp), int(chanSend | chanRecv | chanSusp)
+	var got [][3]int
+	for _, c := range st.React.Chans {
+		got = append(got, [3]int{int(c.Src), int(c.Dst), int(c.Has)})
+	}
+	if want := [][3]int{{0, 1, sr}, {0, 2, sr}, {0, 3, ss}, {1, 0, sr}, {2, 0, all}, {3, 0, ss}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("captured channels (src, dst, sides) %v, want %v", got, want)
 	}
 	for _, tc := range []struct {
 		name string
-		bend func(n *ReactNodeState)
+		bend func(rc *ReactState)
 		want string
 	}{
-		{"send key out of range", func(n *ReactNodeState) { n.SendDst[2] = 9999 }, "names node 9999"},
-		{"receive key negative", func(n *ReactNodeState) { n.RecvSrc[0] = -1 }, "names node -1"},
-		{"suspect key is the node itself", func(n *ReactNodeState) { n.SuspDst[0] = 0 }, "names node 0"},
-		{"send key repeated", func(n *ReactNodeState) { n.SendDst[1] = n.SendDst[0] }, "not strictly ascending"},
-		{"receive keys descending", func(n *ReactNodeState) { n.RecvSrc[0], n.RecvSrc[1] = n.RecvSrc[1], n.RecvSrc[0] }, "not strictly ascending"},
-		{"seen at the floor", func(n *ReactNodeState) { n.RecvSeen[0] = []uint32{n.RecvFloor[0]} }, "at or below floor"},
-		{"seen not ascending", func(n *ReactNodeState) { n.RecvSeen[0] = []uint32{n.RecvFloor[0] + 3, n.RecvFloor[0] + 2} }, "out of order"},
-		{"suspect time negative", func(n *ReactNodeState) { n.SuspAt[0] = -1 }, "time -1"},
-		{"suspect time NaN", func(n *ReactNodeState) { n.SuspAt[0] = math.NaN() }, "time NaN"},
-		{"suspect time infinite", func(n *ReactNodeState) { n.SuspAt[0] = math.Inf(1) }, "time +Inf"},
-		{"mismatched slices", func(n *ReactNodeState) { n.SendSeq = n.SendSeq[:1] }, "mismatched"},
+		{"node stream missing", func(rc *ReactState) { rc.RNGs = rc.RNGs[:3] }, "3 node streams"},
+		{"send key out of range", func(rc *ReactState) { rc.Chans[2].Dst = 9999 }, "channel 0→9999 does not join"},
+		{"receive key negative", func(rc *ReactState) { rc.Chans[3].Src = -1 }, "channel -1→0 does not join"},
+		{"suspect key is the node itself", func(rc *ReactState) { rc.Chans[2].Dst = 0 }, "channel 0→0 does not join"},
+		{"send key repeated", func(rc *ReactState) { rc.Chans[1].Dst = rc.Chans[0].Dst }, "not strictly ascending at 0→1"},
+		{"receive keys descending", func(rc *ReactState) { rc.Chans[3], rc.Chans[4] = rc.Chans[4], rc.Chans[3] }, "not strictly ascending at 1→0"},
+		{"no side recorded", func(rc *ReactState) { rc.Chans[0].Has = 0 }, "records sides 0x0"},
+		{"unknown side", func(rc *ReactState) { rc.Chans[0].Has |= 8 }, "records sides 0xb"},
+		{"send sequence of a channel that never sent", func(rc *ReactState) { rc.Chans[1].Has &^= chanSend }, "side it does not record"},
+		{"floor of a channel that never received", func(rc *ReactState) { rc.Chans[2].Floor = 1 }, "side it does not record"},
+		{"suspect time of a channel not suspected", func(rc *ReactState) { rc.Chans[2].Has &^= chanSusp }, "side it does not record"},
+		{"seen at the floor", func(rc *ReactState) { rc.Chans[0].Seen = []uint32{rc.Chans[0].Floor} }, "at or below floor"},
+		{"seen not ascending", func(rc *ReactState) { f := rc.Chans[0].Floor; rc.Chans[0].Seen = []uint32{f + 3, f + 2} }, "out of order"},
+		{"suspect time negative", func(rc *ReactState) { rc.Chans[2].SuspAt = -1 }, "time -1"},
+		{"suspect time NaN", func(rc *ReactState) { rc.Chans[2].SuspAt = math.NaN() }, "time NaN"},
+		{"suspect time infinite", func(rc *ReactState) { rc.Chans[2].SuspAt = math.Inf(1) }, "time +Inf"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			nw, st := capture()
-			tc.bend(&st.React.Nodes[0])
+			tc.bend(st.React)
 			err := nw.CheckState(st)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("CheckState = %v, want an error mentioning %q", err, tc.want)

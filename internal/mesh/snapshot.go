@@ -38,7 +38,12 @@ type NetworkState struct {
 	ComputeUS []float64
 	SendMsgs  [256]uint64
 	SendBytes [256]uint64
-	Inboxes   []InboxState
+	// Inbox holds the queued, not yet received messages node by node (a
+	// queued message's Dst is its node), each node's in arrival order:
+	// the node queues as the network holds them, back to back. Msg values
+	// are copied; of a Msg only the exported fields reach a snapshot file,
+	// which is all a delivered message still needs.
+	Inbox []Msg
 
 	// Fault engine position: the schedule cursor. The schedule itself is
 	// part of the machine configuration (replayed at fork construction),
@@ -48,41 +53,37 @@ type NetworkState struct {
 	// The fault counters of the schedule and the reactive transport.
 	FaultStats FaultStats
 
-	// Reactive transport state (nil for oracle-mode captures): per-node
-	// jitter-RNG positions, channel sequence counters, receiver dedup
-	// state and suspect sets. No outstanding transmissions or timers exist
-	// at quiescence (a live record always holds a pending timer, which
-	// blocks the capture).
+	// Reactive transport state (nil for oracle-mode captures). No
+	// outstanding transmissions or timers exist at quiescence (a live
+	// record always holds a pending timer, which blocks the capture).
 	React *ReactState
 }
 
-// ReactState is the reactive transport's captured state.
+// ReactState is the reactive transport's captured state: each node's
+// jitter-stream position and the network's one channel table, every
+// channel that records a side, ascending by (Src, Dst) — so captures of
+// identical runs are identical.
 type ReactState struct {
-	Nodes []ReactNodeState
+	RNGs  []xrand.State
+	Chans []ReactChannel
 }
 
-// ReactNodeState is one node's transport state in canonical form —
-// parallel key/value slices, keys ascending — so captures of identical
-// runs are identical.
-type ReactNodeState struct {
-	RNG       xrand.State
-	SendDst   []int
-	SendSeq   []uint32
-	RecvSrc   []int
-	RecvFloor []uint32
-	RecvSeen  [][]uint32
-	SuspDst   []int
-	SuspAt    []sim.Time
+// ReactChannel is one directed channel's captured state: the sides it
+// records (Has: send 1, receive 2, suspect 4), the last sequence the
+// sender issued, the receiver's floor and the delivered sequences above
+// it, ascending, and the time the sender declared the destination
+// suspect. The values of a side it does not record are zero.
+type ReactChannel struct {
+	Src, Dst int32
+	Has      uint8
+	SendSeq  uint32
+	Floor    uint32
+	Seen     []uint32
+	SuspAt   sim.Time
 }
 
-// InboxState is one node's queued inbox messages, per tag in ascending tag
-// order, each tag's queue in FIFO order. Msg values are copied; of a Msg
-// only the exported fields reach a snapshot file, which is all a delivered
-// message still needs.
-type InboxState struct {
-	Tags   []int
-	Queues [][]Msg
-}
+// key orders channels by (Src, Dst), for nodes of the network.
+func (c *ReactChannel) key() uint64 { return uint64(c.Src)<<32 | uint64(c.Dst) }
 
 // SnapshotState captures the network's state. It fails when state that
 // cannot be captured is live: processes blocked in Recv or an open inline
@@ -99,7 +100,6 @@ func (nw *Network) SnapshotState() (*NetworkState, error) {
 		ComputeUS: append([]float64(nil), nw.computeUS...),
 		SendMsgs:  nw.sendMsgs,
 		SendBytes: nw.sendBytes,
-		Inboxes:   make([]InboxState, len(nw.inbox.nodes)),
 	}
 	for i := range nw.links {
 		l := &nw.links[i]
@@ -124,23 +124,8 @@ func (nw *Network) SnapshotState() (*NetworkState, error) {
 		if ib.rx != nil {
 			return nil, fmt.Errorf("mesh: node %d has a process blocked in Recv(tag=%d)", n, ib.rx.tag)
 		}
-		is := &st.Inboxes[n]
-		var msgs []Msg
 		if ib.q != nil {
-			msgs = ib.q.msgs
-		}
-		for i := range msgs {
-			is.Tags = append(is.Tags, msgs[i].Tag)
-		}
-		slices.Sort(is.Tags)
-		is.Tags = slices.Compact(is.Tags)
-		is.Queues = make([][]Msg, len(is.Tags))
-		for i, tag := range is.Tags {
-			for j := range msgs {
-				if msgs[j].Tag == tag {
-					is.Queues[i] = append(is.Queues[i], msgs[j])
-				}
-			}
+			st.Inbox = append(st.Inbox, ib.q.msgs...)
 		}
 	}
 	return st, nil
@@ -155,13 +140,20 @@ func (nw *Network) CheckState(st *NetworkState) error {
 		return fmt.Errorf("mesh: snapshot has %d/%d/%d link clocks/message counts/byte counts, network has %d links",
 			len(st.LinkBusy), len(st.LinkMsgs), len(st.LinkBytes), len(nw.links))
 	}
-	if n := len(nw.cpuFree); len(st.CPUFree) != n || len(st.ComputeUS) != n || len(st.Inboxes) != n {
-		return fmt.Errorf("mesh: snapshot has %d/%d/%d node clocks/compute totals/inboxes, network has %d nodes",
-			len(st.CPUFree), len(st.ComputeUS), len(st.Inboxes), n)
+	n := len(nw.cpuFree)
+	if len(st.CPUFree) != n || len(st.ComputeUS) != n {
+		return fmt.Errorf("mesh: snapshot has %d/%d node clocks/compute totals, network has %d nodes",
+			len(st.CPUFree), len(st.ComputeUS), n)
 	}
-	for n := range st.Inboxes {
-		if err := st.Inboxes[n].check(n, len(st.Inboxes)); err != nil {
-			return fmt.Errorf("mesh: snapshot inbox %d: %w", n, err)
+	for i := range st.Inbox {
+		m := &st.Inbox[i]
+		switch {
+		case m.Kind != KindInbox:
+			return fmt.Errorf("mesh: snapshot inbox message %d has kind %d", i, m.Kind)
+		case m.Dst < 0 || m.Dst >= n || i > 0 && m.Dst < st.Inbox[i-1].Dst:
+			return fmt.Errorf("mesh: snapshot inbox message %d is queued at node %d, out of node order or range", i, m.Dst)
+		case m.Src < 0 || m.Src >= n:
+			return fmt.Errorf("mesh: snapshot inbox message %d comes from node %d", i, m.Src)
 		}
 	}
 	switch {
@@ -175,14 +167,9 @@ func (nw *Network) CheckState(st *NetworkState) error {
 	if (st.React != nil) != (nw.react != nil) {
 		return fmt.Errorf("mesh: snapshot and network disagree on reactive mode")
 	}
-	if rc := st.React; rc != nil {
-		if len(rc.Nodes) != len(nw.react.rngs) {
-			return fmt.Errorf("mesh: snapshot has reactive state for %d nodes, network has %d", len(rc.Nodes), len(nw.react.rngs))
-		}
-		for i := range rc.Nodes {
-			if err := rc.Nodes[i].check(i, len(rc.Nodes)); err != nil {
-				return fmt.Errorf("mesh: snapshot reactive node %d: %w", i, err)
-			}
+	if st.React != nil {
+		if err := st.React.check(n); err != nil {
+			return fmt.Errorf("mesh: snapshot reactive state: %w", err)
 		}
 	}
 	return nil
@@ -210,145 +197,81 @@ func (nw *Network) RestoreState(st *NetworkState) error {
 	copy(nw.computeUS, st.ComputeUS)
 	nw.sendMsgs = st.SendMsgs
 	nw.sendBytes = st.SendBytes
-	for n := range st.Inboxes {
-		for _, q := range st.Inboxes[n].Queues {
-			iq := nw.inbox.queue(n)
-			iq.msgs = append(iq.msgs, q...)
-		}
+	for i := range st.Inbox {
+		q := nw.inbox.queue(st.Inbox[i].Dst)
+		q.msgs = append(q.msgs, st.Inbox[i])
 	}
 	return nil
 }
 
-// check validates one node's captured inbox on an n-node network: one
-// queue per tag, tags strictly ascending, no empty queue, and every queued
-// message a KindInbox message to this node, under its queue's tag, from a
-// node of the network.
-func (is *InboxState) check(node, n int) error {
-	if len(is.Tags) != len(is.Queues) {
-		return fmt.Errorf("%d tags but %d queues", len(is.Tags), len(is.Queues))
-	}
-	for i, tag := range is.Tags {
-		if i > 0 && tag <= is.Tags[i-1] {
-			return fmt.Errorf("tags not strictly ascending at tag %d", tag)
-		}
-		if len(is.Queues[i]) == 0 {
-			return fmt.Errorf("empty queue for tag %d", tag)
-		}
-		for j := range is.Queues[i] {
-			m := &is.Queues[i][j]
-			switch {
-			case m.Kind != KindInbox:
-				return fmt.Errorf("tag %d message %d has kind %d", tag, j, m.Kind)
-			case m.Dst != node:
-				return fmt.Errorf("tag %d message %d is addressed to node %d", tag, j, m.Dst)
-			case m.Src < 0 || m.Src >= n:
-				return fmt.Errorf("tag %d message %d comes from node %d", tag, j, m.Src)
-			case m.Tag != tag:
-				return fmt.Errorf("tag %d message %d carries tag %d", tag, j, m.Tag)
-			}
-		}
-	}
-	return nil
-}
-
-// capture returns the transport's channel table and node streams in the
-// canonical form of ReactState: channels in (src, dst) order, so each
-// node's keys come out ascending. Outstanding records are not captured.
+// capture copies the transport's node streams and the channels that
+// record a side, sorted by (src, dst). Outstanding records are not
+// captured.
 func (r *reactState) capture() *ReactState {
-	rc := &ReactState{Nodes: make([]ReactNodeState, len(r.rngs))}
+	rc := &ReactState{RNGs: make([]xrand.State, len(r.rngs)), Chans: make([]ReactChannel, 0, len(r.chans))}
 	for i := range r.rngs {
-		rc.Nodes[i].RNG = r.rngs[i].State()
+		rc.RNGs[i] = r.rngs[i].State()
 	}
-	order := make([]int32, len(r.chans))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortFunc(order, func(a, b int32) int {
-		ca, cb := &r.chans[a], &r.chans[b]
-		return cmp.Or(cmp.Compare(ca.src, cb.src), cmp.Compare(ca.dst, cb.dst))
-	})
-	for _, ci := range order {
-		c := &r.chans[ci]
-		s, d := &rc.Nodes[c.src], &rc.Nodes[c.dst]
-		if c.has&chanSend != 0 {
-			s.SendDst = append(s.SendDst, int(c.dst))
-			s.SendSeq = append(s.SendSeq, c.sendSeq)
+	for i := range r.chans {
+		c := &r.chans[i]
+		if c.has == 0 {
+			continue
 		}
-		if c.has&chanRecv != 0 {
-			var seen []uint32
-			if len(c.seen) > 0 {
-				seen = slices.Clone(c.seen)
-			}
-			d.RecvSrc = append(d.RecvSrc, int(c.src))
-			d.RecvFloor = append(d.RecvFloor, c.floor)
-			d.RecvSeen = append(d.RecvSeen, seen)
-		}
-		if c.has&chanSusp != 0 {
-			s.SuspDst = append(s.SuspDst, int(c.dst))
-			s.SuspAt = append(s.SuspAt, c.suspAt)
+		rc.Chans = append(rc.Chans, ReactChannel{Src: c.src, Dst: c.dst, Has: c.has, SendSeq: c.sendSeq, Floor: c.floor, SuspAt: c.suspAt})
+		if len(c.seen) > 0 {
+			rc.Chans[len(rc.Chans)-1].Seen = slices.Clone(c.seen)
 		}
 	}
+	slices.SortFunc(rc.Chans, func(a, b ReactChannel) int { return cmp.Compare(a.key(), b.key()) })
 	return rc
 }
 
 // restore replaces the channel table and node streams with a checked
 // captured state; nothing may be outstanding.
 func (r *reactState) restore(rc *ReactState) {
+	for i := range rc.RNGs {
+		r.rngs[i].SetState(rc.RNGs[i])
+	}
 	clear(r.chanIdx)
 	r.chans = r.chans[:0]
-	for i := range rc.Nodes {
-		nc := &rc.Nodes[i]
-		r.rngs[i].SetState(nc.RNG)
-		for j, d := range nc.SendDst {
-			c := r.at(i, d)
-			c.sendSeq = nc.SendSeq[j]
-			c.has |= chanSend
-		}
-		for j, s := range nc.RecvSrc {
-			c := r.at(s, i)
-			c.floor = nc.RecvFloor[j]
-			c.seen = append(c.seen[:0], nc.RecvSeen[j]...)
-			c.has |= chanRecv
-		}
-		for j, d := range nc.SuspDst {
-			r.at(i, d).suspect(nc.SuspAt[j])
-		}
+	for i := range rc.Chans {
+		cs := &rc.Chans[i]
+		c := r.at(int(cs.Src), int(cs.Dst))
+		c.has, c.sendSeq, c.floor, c.suspAt = cs.Has, cs.SendSeq, cs.Floor, cs.SuspAt
+		c.seen = append(c.seen[:0], cs.Seen...)
 	}
 }
 
-// check validates one node's captured transport state on an n-node
-// network: parallel slices of equal length, keys that name another node
-// in strictly ascending order, dedup sets strictly ascending above their
-// floor, and suspect times that are finite and not negative.
-func (nc *ReactNodeState) check(node, n int) error {
-	if len(nc.SendDst) != len(nc.SendSeq) ||
-		len(nc.RecvSrc) != len(nc.RecvFloor) || len(nc.RecvSrc) != len(nc.RecvSeen) ||
-		len(nc.SuspDst) != len(nc.SuspAt) {
-		return fmt.Errorf("mismatched key/value slices")
+// check validates a captured transport state on an n-node network: one
+// stream position a node, and channels between two distinct nodes of the
+// network in strictly ascending (src, dst) order — so each at most once —
+// that record a side and hold no value of a side they do not, with dedup
+// sets strictly ascending above their floor and suspect times that are
+// finite and not negative.
+func (rc *ReactState) check(n int) error {
+	if len(rc.RNGs) != n {
+		return fmt.Errorf("%d node streams, network has %d nodes", len(rc.RNGs), n)
 	}
-	for _, keys := range []struct {
-		name string
-		ks   []int
-	}{{"send", nc.SendDst}, {"receive", nc.RecvSrc}, {"suspect", nc.SuspDst}} {
-		for j, k := range keys.ks {
-			if k < 0 || k >= n || k == node {
-				return fmt.Errorf("%s channel names node %d", keys.name, k)
-			}
-			if j > 0 && k <= keys.ks[j-1] {
-				return fmt.Errorf("%s channels not strictly ascending at node %d", keys.name, k)
-			}
+	for i := range rc.Chans {
+		c := &rc.Chans[i]
+		switch {
+		case c.Src < 0 || int(c.Src) >= n || c.Dst < 0 || int(c.Dst) >= n || c.Src == c.Dst:
+			return fmt.Errorf("channel %d→%d does not join two nodes of the network", c.Src, c.Dst)
+		case i > 0 && rc.Chans[i-1].key() >= c.key():
+			return fmt.Errorf("channels not strictly ascending at %d→%d", c.Src, c.Dst)
+		case c.Has == 0 || c.Has&^(chanSend|chanRecv|chanSusp) != 0:
+			return fmt.Errorf("channel %d→%d records sides %#x", c.Src, c.Dst, c.Has)
+		case c.Has&chanSend == 0 && c.SendSeq != 0,
+			c.Has&chanRecv == 0 && (c.Floor != 0 || len(c.Seen) != 0),
+			c.Has&chanSusp == 0 && c.SuspAt != 0:
+			return fmt.Errorf("channel %d→%d holds state of a side it does not record", c.Src, c.Dst)
+		case !(c.SuspAt >= 0) || math.IsInf(c.SuspAt, 1):
+			return fmt.Errorf("channel %d→%d: suspect time %g", c.Src, c.Dst, c.SuspAt)
 		}
-	}
-	for j, seen := range nc.RecvSeen {
-		for q, sq := range seen {
-			if sq <= nc.RecvFloor[j] || (q > 0 && sq <= seen[q-1]) {
-				return fmt.Errorf("receive channel from %d: sequence %d seen out of order or at or below floor %d", nc.RecvSrc[j], sq, nc.RecvFloor[j])
+		for q, sq := range c.Seen {
+			if sq <= c.Floor || (q > 0 && sq <= c.Seen[q-1]) {
+				return fmt.Errorf("channel %d→%d: sequence %d seen out of order or at or below floor %d", c.Src, c.Dst, sq, c.Floor)
 			}
-		}
-	}
-	for j, at := range nc.SuspAt {
-		if !(at >= 0) || math.IsInf(at, 1) {
-			return fmt.Errorf("suspect channel to %d: time %g", nc.SuspDst[j], at)
 		}
 	}
 	return nil

@@ -67,67 +67,3 @@ func (f *Future) Await(p *Proc) interface{} {
 	p.park()
 	return f.val
 }
-
-// WaitGroup counts outstanding operations; processes can block until the
-// count reaches zero. Unlike sync.WaitGroup this is simulation-time aware
-// and single-threaded.
-type WaitGroup struct {
-	n      int
-	waiter *Future
-}
-
-// Add increments the counter by delta.
-func (w *WaitGroup) Add(delta int) { w.n += delta }
-
-// DoneOne decrements the counter; at zero, wakes the waiter (if any).
-func (w *WaitGroup) DoneOne(k *Kernel) {
-	w.n--
-	if w.n < 0 {
-		panic("sim: WaitGroup counter below zero")
-	}
-	if w.n == 0 && w.waiter != nil {
-		f := w.waiter
-		w.waiter = nil
-		f.Complete(k, nil)
-	}
-}
-
-// Wait blocks the process until the counter is zero. Only a single process
-// may wait on a WaitGroup at a time.
-func (w *WaitGroup) Wait(p *Proc) {
-	if w.n == 0 {
-		return
-	}
-	if w.waiter != nil {
-		panic("sim: WaitGroup already has a waiter")
-	}
-	w.waiter = NewFuture()
-	w.waiter.Await(p)
-}
-
-// Queue is a FIFO of processes blocked waiting for a resource. It underpins
-// the per-variable transaction serialization and home-based locks.
-type Queue struct {
-	futs []*Future
-}
-
-// Enqueue appends a new future to the queue and returns it.
-func (q *Queue) Enqueue() *Future {
-	f := NewFuture()
-	q.futs = append(q.futs, f)
-	return f
-}
-
-// Len returns the number of queued waiters.
-func (q *Queue) Len() int { return len(q.futs) }
-
-// WakeFront completes the first queued future, if any.
-func (q *Queue) WakeFront(k *Kernel) bool {
-	if len(q.futs) == 0 {
-		return false
-	}
-	f := q.futs[0]
-	q.futs = q.futs[1:]
-	f.Complete(k, nil)
-	return true
-}

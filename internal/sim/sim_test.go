@@ -191,55 +191,6 @@ func TestShutdownAfterStop(t *testing.T) {
 	k.Shutdown() // must not hang or panic
 }
 
-func TestWaitGroup(t *testing.T) {
-	k := New()
-	var wg WaitGroup
-	wg.Add(3)
-	done := false
-	k.Spawn("waiter", func(p *Proc) {
-		wg.Wait(p)
-		done = true
-		if p.Now() != 30 {
-			t.Errorf("waiter woke at %v, want 30", p.Now())
-		}
-	})
-	for i := 1; i <= 3; i++ {
-		d := Time(i * 10)
-		k.At(d, func() { wg.DoneOne(k) })
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !done {
-		t.Fatal("WaitGroup never released the waiter")
-	}
-}
-
-func TestQueueFIFO(t *testing.T) {
-	k := New()
-	var q Queue
-	var order []int
-	for i := 0; i < 3; i++ {
-		i := i
-		f := q.Enqueue()
-		k.Spawn("q", func(p *Proc) {
-			f.Await(p)
-			order = append(order, i)
-		})
-	}
-	k.At(1, func() { q.WakeFront(k) })
-	k.At(2, func() { q.WakeFront(k) })
-	k.At(3, func() { q.WakeFront(k) })
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("queue not FIFO: %v", order)
-		}
-	}
-}
-
 func TestYield(t *testing.T) {
 	k := New()
 	var trace []string

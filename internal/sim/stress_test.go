@@ -368,17 +368,6 @@ func TestNegativeAfterPanics(t *testing.T) {
 	k.After(-5, func() {})
 }
 
-func TestWaitGroupUnderflowPanics(t *testing.T) {
-	k := New()
-	var wg WaitGroup
-	defer func() {
-		if recover() == nil {
-			t.Fatal("WaitGroup underflow did not panic")
-		}
-	}()
-	wg.DoneOne(k)
-}
-
 func TestProcString(t *testing.T) {
 	k := New()
 	p := k.Spawn("zed", func(p *Proc) {})

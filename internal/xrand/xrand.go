@@ -60,9 +60,6 @@ func (r *RNG) State() State { return r.s }
 // obtained from State resumes the stream at exactly the same point.
 func (r *RNG) SetState(s State) { r.s = s }
 
-// FromState constructs a generator resuming from a captured state.
-func FromState(s State) *RNG { return &RNG{s: s} }
-
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 random bits.
@@ -115,18 +112,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// NormFloat64 returns a standard normal variate (Marsaglia polar method).
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * sqrt(-2*ln(s)/s)
-		}
-	}
-}
-
 // Perm returns a random permutation of [0, n) (Fisher-Yates).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
@@ -147,8 +132,3 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 		swap(i, j)
 	}
 }
-
-// sqrt and ln are tiny wrappers so the package depends only on math at one
-// point; kept here to make the dependency explicit.
-func sqrt(x float64) float64 { return mathSqrt(x) }
-func ln(x float64) float64   { return mathLog(x) }

@@ -81,25 +81,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(31)
-	const n = 200000
-	var sum, sumsq float64
-	for i := 0; i < n; i++ {
-		x := r.NormFloat64()
-		sum += x
-		sumsq += x * x
-	}
-	mean := sum / n
-	variance := sumsq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Errorf("normal mean %v too far from 0", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Errorf("normal variance %v too far from 1", variance)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	check := func(seed uint64, n int) bool {
 		if n < 0 {

@@ -1,11 +1,11 @@
 // Package snapstore persists machine snapshots to disk, crash-consistently.
 //
-// A stored snapshot is one file in the DIVASNP4 layout, laid out so that
+// A stored snapshot is one file in the DIVASNP5 layout, laid out so that
 // restoring it is a checksum pass, one small gob decode and two linear
 // copies. All integers are little-endian:
 //
 //	offset  size  content
-//	0       8     magic "DIVASNP4"
+//	0       8     magic "DIVASNP5"
 //	8       8     S: length of the spec section
 //	16      8     T: length of the table section
 //	24      8     L: length of the bitmap section
@@ -27,7 +27,11 @@
 //	..      G     state: one gob stream holding the irregular remainder —
 //	              kernel, network, barrier, cache and strategy state and the
 //	              per-variable scalars as one value, then the variable
-//	              values grouped by concrete type, one typed slice per type
+//	              values grouped by concrete type, one typed slice per type.
+//	              The network's queued inbox messages are one list, node by
+//	              node in arrival order, its reactive channels one list in
+//	              (src, dst) order; a remapped variable's moved positions
+//	              are one slot a tree node
 //	40+S+T+L+G 8  checksum of every byte before it: CRC-32C in the high
 //	              half, CRC-32 (IEEE) in the low half — both computed by
 //	              hardware instructions, and two independent polynomials
@@ -39,9 +43,12 @@
 // fsync — so a crash mid-save leaves either the previous version or
 // nothing, never a torn file; a torn or tampered file fails the checksum at
 // load time instead of resurrecting corrupt state. Files of an older layout
-// are refused by their magic: DIVASNP1 and DIVASNP2, and DIVASNP3, whose
-// state section keeps a reactive network's fault counters where today's
-// gob types have no field for them, so they would be dropped silently.
+// are refused by their magic, because gob skips a field today's types no
+// longer have and such a file would load with state silently dropped:
+// DIVASNP1 and DIVASNP2; DIVASNP3, which keeps a reactive network's fault
+// counters per node; and DIVASNP4, which keeps queued inbox messages
+// grouped by tag, reactive channels per node and remapped positions as
+// pairs.
 //
 // Load rebuilds a machine from the stored spec and decodes the sections
 // straight into the state a fork restores from — the same representation a
@@ -81,7 +88,7 @@ import (
 // magic is the file format version header. Bump the trailing digit on any
 // incompatible layout change; old files then fail with a clear error
 // instead of a decode failure.
-const magic = "DIVASNP4"
+const magic = "DIVASNP5"
 
 // headerLen is the magic plus the four section lengths; sumLen the
 // trailing checksum.

@@ -271,12 +271,12 @@ func TestHandlePinned(t *testing.T) {
 	}
 }
 
-// fileSections returns the offsets framing a DIVASNP4 file, as the package
+// fileSections returns the offsets framing a DIVASNP5 file, as the package
 // comment lays it out: header, the four sections, checksum, end of file.
 func fileSections(t testing.TB, data []byte) [7]int {
 	t.Helper()
-	if len(data) < 48 || string(data[:8]) != "DIVASNP4" {
-		t.Fatalf("not a DIVASNP4 file: %d bytes, starts %q", len(data), data[:min(8, len(data))])
+	if len(data) < 48 || string(data[:8]) != "DIVASNP5" {
+		t.Fatalf("not a DIVASNP5 file: %d bytes, starts %q", len(data), data[:min(8, len(data))])
 	}
 	off := [7]int{0, 40}
 	for i := 0; i < 4; i++ {
@@ -399,10 +399,10 @@ func TestLoadRejectsOldFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(data, []byte("DIVASNP4")) {
-		t.Fatalf("file starts with %q, want DIVASNP4", data[:8])
+	if !bytes.HasPrefix(data, []byte("DIVASNP5")) {
+		t.Fatalf("file starts with %q, want DIVASNP5", data[:8])
 	}
-	for _, magic := range []string{"DIVASNP1", "DIVASNP2", "DIVASNP3"} {
+	for _, magic := range []string{"DIVASNP1", "DIVASNP2", "DIVASNP3", "DIVASNP4"} {
 		// Re-stamp the file as the old version under a checksum that
 		// matches, so the magic is the only thing left to refuse it.
 		old := stamp(append([]byte(magic), data[8:len(data)-8]...))
@@ -431,9 +431,11 @@ func TestLoadRejectsOldFormat(t *testing.T) {
 
 // TestLoadEarlierFiles loads two files written before sharded execution was
 // removed, committed under testdata/. They were written as DIVASNP3 and
-// re-stamped DIVASNP4 (magic and checksum only): they are oracle-mode
-// snapshots, whose state sections hold no fault counters the version
-// change is about. The sequential one
+// re-stamped DIVASNP4, then DIVASNP5 (magic and checksum only): they are
+// oracle-mode snapshots with no queued inbox messages and no remapping,
+// whose state sections hold none of the state the version changes are
+// about (fault counters, the inbox, reactive and remap layouts). The
+// sequential one
 // (its spec pins "shards":1, a 4×4 at4 machine warmed by matmul(16)) loads
 // and forks a bitonic query to the trajectory its writer recorded; the
 // sharded one (spec "shards":4) is refused by spec validation.
@@ -587,8 +589,8 @@ func TestLoadRejectsMisfitNodeWords(t *testing.T) {
 // TestSaveDeterministic: the same snapshot always produces the same bytes,
 // and a snapshot read back from a file saves to that very file again —
 // across strategies, with bounded caches, pointer-heavy payloads and a
-// reactive capture. (Position overrides, the one map in the state, are not
-// reachable from a spec; internal/core/accesstree pins them.)
+// reactive capture. (Remapped positions are not reachable from a spec;
+// internal/core/accesstree pins them.)
 func TestSaveDeterministic(t *testing.T) {
 	matmul := spec.Workload{Name: "matmul", Block: 64, Seed: 1}
 	bounded := machineSpec("mesh", "at4", 4, 4)
