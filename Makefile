@@ -17,15 +17,13 @@ vet:
 fmt:
 	gofmt -l -w .
 
-# check-imports fails if any example or command imports diva/internal/...:
-# the public façade (diva, diva/strategy, diva/topology, diva/experiments)
-# is their only supported dependency.
+# check-imports fails if any example or command, tests included, imports
+# diva/internal/...: the public façade (diva, diva/strategy, diva/topology,
+# diva/experiments) is their only supported dependency. TestNoTestOnlyCode
+# holds the rule; under -short it checks the import lists only and skips
+# its type-checking pass.
 check-imports:
-	@if grep -RnE '"diva/internal/[^"]*"' examples cmd; then \
-		echo "error: examples/ and cmd/ must use the public diva API, not diva/internal/..." >&2; \
-		exit 1; \
-	fi
-	@echo "check-imports: examples/ and cmd/ are clean"
+	$(GO) test -short -run '^TestNoTestOnlyCode$$' .
 
 # bench runs every figure benchmark (plus the message-hop micro-benchmark,
 # internal/sim's kernel-queue, cold-run, timer, process-switch and spawn

@@ -13,6 +13,19 @@ import (
 	"testing"
 )
 
+// publicPackages are the packages whose exported declarations make up the
+// public API.
+var publicPackages = []struct{ name, dir string }{
+	{"diva", "."},
+	{"diva/experiments", "experiments"},
+	{"diva/fault", "fault"},
+	{"diva/serve", "serve"},
+	{"diva/snapstore", "snapstore"},
+	{"diva/spec", "spec"},
+	{"diva/strategy", "strategy"},
+	{"diva/topology", "topology"},
+}
+
 // TestPublicAPILock pins the exported surface of the public packages —
 // diva, diva/experiments, diva/fault, diva/serve, diva/snapstore,
 // diva/spec, diva/strategy and diva/topology — against testdata/api.txt. The
@@ -24,18 +37,8 @@ import (
 //
 // and review the diff like any other API change.
 func TestPublicAPILock(t *testing.T) {
-	pkgs := []struct{ name, dir string }{
-		{"diva", "."},
-		{"diva/experiments", "experiments"},
-		{"diva/fault", "fault"},
-		{"diva/serve", "serve"},
-		{"diva/snapstore", "snapstore"},
-		{"diva/spec", "spec"},
-		{"diva/strategy", "strategy"},
-		{"diva/topology", "topology"},
-	}
 	var got []string
-	for _, p := range pkgs {
+	for _, p := range publicPackages {
 		got = append(got, exportedSurface(t, p.name, p.dir)...)
 	}
 	sort.Strings(got)

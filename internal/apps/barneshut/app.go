@@ -88,9 +88,6 @@ const (
 	PhaseBounds    = "bounds"
 )
 
-// PhaseNames lists the per-step phases in execution order.
-var PhaseNames = []string{PhaseBuild, PhaseCOM, PhasePartition, PhaseForce, PhaseAdvance, PhaseBounds}
-
 // Result reports a finished run.
 type Result struct {
 	ElapsedUS float64

@@ -6,22 +6,8 @@ import (
 	"diva/internal/core"
 )
 
-// This file provides reference computations used by tests and the
-// experiment harness to validate the simulation physics.
-
-// DirectForces computes the exact O(N²) accelerations for a snapshot.
-func DirectForces(bodies []Body, eps float64) []Vec3 {
-	acc := make([]Vec3, len(bodies))
-	for i := range bodies {
-		for j := range bodies {
-			if i == j {
-				continue
-			}
-			acc[i] = acc[i].Add(accel(bodies[i].Pos, bodies[j].Pos, bodies[j].Mass, eps))
-		}
-	}
-	return acc
-}
+// This file provides the computations an embedding application uses to
+// check the simulated physics.
 
 // Energy returns the total energy (kinetic + softened potential) of a
 // snapshot. Approximately conserved by the integrator for small Dt.
@@ -46,29 +32,4 @@ func FinalBodies(m *core.Machine, res Result) []Body {
 		out[i] = *m.Var(v).Data.(*Body)
 	}
 	return out
-}
-
-// WalkTree applies fn to every (ref, depth) reachable from the final tree
-// root, reading variables directly (outside the simulation). Used by tests
-// to validate the octree structure.
-func WalkTree(m *core.Machine, root core.VarID, fn func(ref Ref, depth int, cell *Cell)) {
-	var rec func(ref Ref, depth int)
-	rec = func(ref Ref, depth int) {
-		if ref.Empty() {
-			return
-		}
-		if ref.IsBody() {
-			fn(ref, depth, nil)
-			return
-		}
-		// Hand the callback a copy: the stored *Cell is live simulator
-		// state under the immutable-payload contract, and WalkTree's
-		// callers must not be able to mutate it in place.
-		c := *m.Var(ref.VarID()).Data.(*Cell)
-		fn(ref, depth, &c)
-		for _, ch := range c.Child {
-			rec(ch, depth+1)
-		}
-	}
-	rec(MkCellRef(root), 0)
 }

@@ -53,7 +53,6 @@ type VarState struct {
 	TokenAt  int // leaf the free lock token rests at
 	Accesses []uint32
 	Moved    []int32 // remapState.moved
-	Remaps   int
 	// pages is how many of State.pages are the variable's sparse table,
 	// which holds count nodes; 0 if its table is full. The table section
 	// carries the tables, not gob.
@@ -115,7 +114,6 @@ func (s *strategy) SnapshotState(vars []*core.Variable) (core.StratState, error)
 		if r := vs.remap; r != nil {
 			vsn.Accesses = append([]uint32(nil), r.accesses...)
 			vsn.Moved = append([]int32(nil), r.moved...)
-			vsn.Remaps = r.remaps
 		}
 	}
 	for p := range s.lockers {
@@ -151,9 +149,6 @@ func (s *strategy) check(st *State, vars int, live func(i int) bool) error {
 		}
 		if len(vsn.Accesses) != counters || len(vsn.Moved) != counters {
 			return fmt.Errorf("accesstree: snapshot variable %d has %d access counters and %d positions, machine needs %d", i, len(vsn.Accesses), len(vsn.Moved), counters)
-		}
-		if counters == 0 && vsn.Remaps != 0 {
-			return fmt.Errorf("accesstree: snapshot variable %d was remapped, machine does not remap", i)
 		}
 		if vsn.RootPos < 0 || vsn.RootPos >= p || vsn.TokenAt < 0 || vsn.TokenAt >= n {
 			return fmt.Errorf("accesstree: snapshot variable %d has root position %d, token leaf %d on a %d-processor, %d-node tree", i, vsn.RootPos, vsn.TokenAt, p, n)
@@ -211,7 +206,6 @@ func (s *strategy) RestoreState(state core.StratState, vars []*core.Variable) er
 			vs.remap = &remapState{
 				accesses: append([]uint32(nil), vsn.Accesses...),
 				moved:    append([]int32(nil), vsn.Moved...),
-				remaps:   vsn.Remaps,
 			}
 		}
 		if !s.opts.RandomEmbedding {

@@ -262,7 +262,7 @@ func TestWriteByNonHolderLeavesPathCopies(t *testing.T) {
 	set := members(s, m.Var(v))
 	// Component = tree path from the creator's leaf (nearest member) to
 	// the writer's leaf.
-	path := s.t.TreePath(s.t.LeafOfProc[0], s.t.LeafOfProc[12])
+	path := treePath(s.t, s.t.LeafOfProc[0], s.t.LeafOfProc[12])
 	if len(set) != len(path) {
 		t.Fatalf("component size %d, want path length %d", len(set), len(path))
 	}
@@ -271,6 +271,23 @@ func TestWriteByNonHolderLeavesPathCopies(t *testing.T) {
 			t.Fatalf("path node %d missing from component", n)
 		}
 	}
+}
+
+// treePath is the tree path between nodes a and b, both included.
+func treePath(t *decomp.Tree, a, b int) []int {
+	var up, down []int // a ... lca and b ... below lca
+	for da, db := t.Nodes[a].Depth, t.Nodes[b].Depth; a != b; {
+		if da >= db {
+			up, a, da = append(up, a), t.Nodes[a].Parent, da-1
+		} else {
+			down, b, db = append(down, b), t.Nodes[b].Parent, db-1
+		}
+	}
+	up = append(up, a)
+	for i := len(down) - 1; i >= 0; i-- {
+		up = append(up, down[i])
+	}
+	return up
 }
 
 // TestRandomTrafficInvariantsRandomEmbedding repeats the random-traffic

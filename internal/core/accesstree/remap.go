@@ -30,12 +30,10 @@ type remapMsg struct {
 
 // remapState is one variable's remapping state, dense by tree node:
 // accesses counts the protocol messages handled at each node and moved
-// holds 1 + the processor a remapped node moved to (0: not moved); remaps
-// counts migrations.
+// holds 1 + the processor a remapped node moved to (0: not moved).
 type remapState struct {
 	accesses []uint32
 	moved    []int32
-	remaps   int
 }
 
 // maybeRemap migrates every over-accessed node of v. Called with the
@@ -65,7 +63,6 @@ func (s *strategy) remapNode(vs *varState, v *Variable, id int) {
 	}
 	newProc := region.Draw(s.rng)
 	r.moved[id] = int32(newProc) + 1
-	r.remaps++
 	s.remaps++
 
 	// The node's state travels: a full copy if it is a member, pointer
@@ -95,14 +92,6 @@ func (s *strategy) remapNode(vs *varState, v *Variable, id int) {
 			Payload: &remapMsg{v: v, node: nb},
 		})
 	}
-}
-
-// Remaps reports how many node migrations v's access tree performed.
-func Remaps(v *Variable) int {
-	if vs, ok := v.State.(*varState); ok && vs.remap != nil {
-		return vs.remap.remaps
-	}
-	return 0
 }
 
 // TotalRemaps reports the machine-wide number of node migrations, if the

@@ -56,7 +56,7 @@ func TestRemapTriggersAndStaysCorrect(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if got := Remaps(m.Var(v)); got == 0 {
+	if got := TotalRemaps(m.Strat); got == 0 {
 		t.Fatal("no remapping happened despite heavy traffic")
 	}
 	checkInvariants(t, m, m.Var(v), rounds)
@@ -81,7 +81,7 @@ func TestRemapOffByDefault(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if got := Remaps(m.Var(v)); got != 0 {
+	if got := TotalRemaps(m.Strat); got != 0 {
 		t.Fatalf("%d remaps with remapping disabled", got)
 	}
 }

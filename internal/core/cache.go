@@ -54,9 +54,6 @@ type cacheEntry struct {
 // Bounded reports whether the cache enforces a capacity.
 func (c *Cache) Bounded() bool { return c.capacity > 0 }
 
-// Bytes returns the tracked copy bytes (0 for unbounded caches).
-func (c *Cache) Bytes() int { return c.bytes }
-
 // Len returns the number of tracked entries.
 func (c *Cache) Len() int { return len(c.index) }
 

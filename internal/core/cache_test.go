@@ -47,7 +47,7 @@ func TestCacheUnboundedIsNoop(t *testing.T) {
 	c.Insert(v[0], 0)
 	c.Touch(v[0].ID, 0)
 	c.Remove(v[0].ID, 0)
-	if c.Bounded() || c.Len() != 0 || c.Bytes() != 0 || len(f.evicted) != 0 {
+	if c.Bounded() || c.Len() != 0 || c.bytes != 0 || len(f.evicted) != 0 {
 		t.Fatal("unbounded cache tracked state")
 	}
 }
@@ -61,8 +61,8 @@ func TestCacheLRUEvictionOrder(t *testing.T) {
 	if len(f.evicted) != 1 || f.evicted[0] != v[1].ID {
 		t.Fatalf("evicted %v, want [b]", f.evicted)
 	}
-	if c.Bytes() != 200 || c.Len() != 2 {
-		t.Fatalf("bytes=%d len=%d after eviction", c.Bytes(), c.Len())
+	if c.bytes != 200 || c.Len() != 2 {
+		t.Fatalf("bytes=%d len=%d after eviction", c.bytes, c.Len())
 	}
 	if c.Evictions() != 1 {
 		t.Fatalf("evictions=%d", c.Evictions())
@@ -80,8 +80,8 @@ func TestCacheRefusedEvictionSkipped(t *testing.T) {
 		t.Fatalf("evicted %v, want [free]", f.evicted)
 	}
 	// The cache can stay over capacity when nothing is evictable.
-	if c.Bytes() != 200 {
-		t.Fatalf("bytes=%d", c.Bytes())
+	if c.bytes != 200 {
+		t.Fatalf("bytes=%d", c.bytes)
 	}
 }
 
@@ -89,13 +89,13 @@ func TestCacheDuplicateInsertRefreshes(t *testing.T) {
 	c, _, v := boundedCache(300)
 	c.Insert(v[0], 0)
 	c.Insert(v[0], 0)
-	if c.Bytes() != 100 || c.Len() != 1 {
-		t.Fatalf("duplicate insert double-counted: bytes=%d len=%d", c.Bytes(), c.Len())
+	if c.bytes != 100 || c.Len() != 1 {
+		t.Fatalf("duplicate insert double-counted: bytes=%d len=%d", c.bytes, c.Len())
 	}
 	// The same variable under another node is another copy.
 	c.Insert(v[0], 1)
-	if c.Bytes() != 200 || c.Len() != 2 {
-		t.Fatalf("second copy not tracked: bytes=%d len=%d", c.Bytes(), c.Len())
+	if c.bytes != 200 || c.Len() != 2 {
+		t.Fatalf("second copy not tracked: bytes=%d len=%d", c.bytes, c.Len())
 	}
 }
 
@@ -115,8 +115,8 @@ func TestCacheEvictorForgotRemoveGuard(t *testing.T) {
 	c.Insert(v[0], 0)
 	c.Insert(v[1], 0)
 	// enforce must have cleaned v[0] up itself.
-	if c.Bytes() != 100 || c.Len() != 1 {
-		t.Fatalf("guard failed: bytes=%d len=%d", c.Bytes(), c.Len())
+	if c.bytes != 100 || c.Len() != 1 {
+		t.Fatalf("guard failed: bytes=%d len=%d", c.bytes, c.Len())
 	}
 }
 

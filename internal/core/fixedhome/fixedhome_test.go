@@ -262,8 +262,8 @@ func TestEvictionNotifiesDirectory(t *testing.T) {
 	if ev := m.Cache(3).Evictions(); ev == 0 {
 		t.Fatal("bounded cache performed no replacements")
 	}
-	if b := m.Cache(3).Bytes(); b > 200 {
-		t.Fatalf("cache holds %d bytes over the 200-byte capacity", b)
+	if n := m.Cache(3).Len(); 64*n > 200 {
+		t.Fatalf("cache holds %d copies of 64 bytes, over the 200-byte capacity", n)
 	}
 	// All variables must still be readable with correct values.
 	held := 0

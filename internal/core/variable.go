@@ -10,7 +10,7 @@ import (
 type VarID int32
 
 // Variable is the machine-wide record of a global variable. Strategies hang
-// their per-variable protocol state off State and LockState.
+// their per-variable protocol state off State.
 type Variable struct {
 	ID      VarID
 	Size    int // payload size in bytes (fixed at Alloc)
@@ -22,8 +22,6 @@ type Variable struct {
 	Data interface{}
 	// State is owned by the data management strategy.
 	State interface{}
-	// LockState is owned by the strategy's lock implementation.
-	LockState interface{}
 
 	rw rwQueue
 

@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 )
 
@@ -182,6 +183,9 @@ func SnapshotFromWire(m *Machine, tables, locals, state []byte) (*Snapshot, erro
 	dec := gob.NewDecoder(bytes.NewReader(state))
 	if err := dec.Decode(st); err != nil {
 		return nil, fmt.Errorf("diva: decode snapshot: %w", err)
+	}
+	if now := st.Kern.Now; !(now >= 0 && now <= math.MaxFloat64) {
+		return nil, fmt.Errorf("diva: stored kernel clock reads %v", now)
 	}
 	if st.Net == nil {
 		return nil, fmt.Errorf("diva: stored snapshot has no network state")

@@ -235,40 +235,3 @@ func (b *builder[R]) descend(region R, levels int) {
 
 // Root returns the root node id (always 0).
 func (t *Tree) Root() int { return 0 }
-
-// PathToRoot returns the node ids from `node` up to and including the root.
-func (t *Tree) PathToRoot(node int) []int {
-	var path []int
-	for node != -1 {
-		path = append(path, node)
-		node = t.Nodes[node].Parent
-	}
-	return path
-}
-
-// PathDown returns the node ids from the root down to `node`, inclusive.
-func (t *Tree) PathDown(node int) []int {
-	up := t.PathToRoot(node)
-	for i, j := 0, len(up)-1; i < j; i, j = i+1, j-1 {
-		up[i], up[j] = up[j], up[i]
-	}
-	return up
-}
-
-// TreePath returns the unique tree path between nodes a and b, inclusive of
-// both endpoints.
-func (t *Tree) TreePath(a, b int) []int {
-	pa := t.PathToRoot(a) // a ... root
-	pb := t.PathToRoot(b) // b ... root
-	// Trim the common suffix down to the lowest common ancestor.
-	i, j := len(pa)-1, len(pb)-1
-	for i > 0 && j > 0 && pa[i-1] == pb[j-1] {
-		i--
-		j--
-	}
-	path := append([]int{}, pa[:i+1]...) // a ... lca
-	for k := j - 1; k >= 0; k-- {        // lca-1 ... b
-		path = append(path, pb[k])
-	}
-	return path
-}

@@ -261,59 +261,6 @@ func TestLeafOrderLocality(t *testing.T) {
 	}
 }
 
-func TestPathToRootAndTreePath(t *testing.T) {
-	tr := Build(mesh.New(4, 4), Ary2)
-	leaf := tr.Leaves[0]
-	up := tr.PathToRoot(leaf)
-	if up[0] != leaf || up[len(up)-1] != tr.Root() {
-		t.Fatalf("PathToRoot endpoints wrong: %v", up)
-	}
-	down := tr.PathDown(leaf)
-	if down[0] != tr.Root() || down[len(down)-1] != leaf {
-		t.Fatalf("PathDown endpoints wrong: %v", down)
-	}
-	// TreePath between two leaves passes through their LCA exactly once.
-	a, b := tr.Leaves[0], tr.Leaves[len(tr.Leaves)-1]
-	path := tr.TreePath(a, b)
-	if path[0] != a || path[len(path)-1] != b {
-		t.Fatalf("TreePath endpoints wrong: %v", path)
-	}
-	if path[len(path)/2] != tr.Root() {
-		// First and last leaves are in different halves: LCA is the root.
-		found := false
-		for _, n := range path {
-			if n == tr.Root() {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("TreePath of extreme leaves misses the root: %v", path)
-		}
-	}
-	for i := 1; i < len(path); i++ {
-		pa, pb := path[i-1], path[i]
-		if tr.Nodes[pa].Parent != pb && tr.Nodes[pb].Parent != pa {
-			t.Fatalf("TreePath has non-adjacent step %d->%d", pa, pb)
-		}
-	}
-	// Self path.
-	if p := tr.TreePath(a, a); len(p) != 1 || p[0] != a {
-		t.Fatalf("self TreePath = %v", p)
-	}
-}
-
-func TestTreePathSymmetricLength(t *testing.T) {
-	tr := Build(mesh.New(6, 7), Ary2)
-	check := func(x, y uint16) bool {
-		a := tr.Leaves[int(x)%len(tr.Leaves)]
-		b := tr.Leaves[int(y)%len(tr.Leaves)]
-		return len(tr.TreePath(a, b)) == len(tr.TreePath(b, a))
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestTreeInvariantsRandomSizes property-checks arbitrary mesh shapes.
 func TestTreeInvariantsRandomSizes(t *testing.T) {
 	specs := []Spec{Ary2, Ary4, Ary16, Ary2K4, Ary4K16}

@@ -217,16 +217,6 @@ func (s FaultStats) DetectLatencyUS() float64 {
 	return s.DetectUS / float64(s.Detected)
 }
 
-// RecoveryUS is the mean time-to-recovery: how long a suspect destination
-// stayed suspect before an ack from it arrived again (0 when nothing
-// recovered).
-func (s FaultStats) RecoveryUS() float64 {
-	if s.Recovered == 0 {
-		return 0
-	}
-	return s.RecoverUS / float64(s.Recovered)
-}
-
 // Availability is the fraction of routed messages that were deliverable at
 // departure: 1 − (Held+Dropped)/Routed (1 when nothing was routed). Held
 // counts oracle-mode holds, Dropped reactive-mode losses; at most one of

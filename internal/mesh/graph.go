@@ -177,9 +177,6 @@ func (g *Graph) ForEachLink(f func(link, from, to int)) { edgeLinks(g.edges)(f) 
 // processor id space.
 func (g *Graph) Grid() (rows, cols int, ok bool) { return 0, 0, false }
 
-// Degree returns node u's number of incident undirected edges.
-func (g *Graph) Degree(u int) int { return len(g.adj.rows[u]) }
-
 func (g *Graph) String() string { return g.name }
 
 // NewRandomRegular builds a connected random d-regular graph over n nodes

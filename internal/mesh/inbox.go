@@ -135,9 +135,3 @@ func (nw *Network) Recv(p *sim.Proc, node, tag int) Msg {
 	s.free = r
 	return m
 }
-
-// TryRecv removes and returns a queued message with the given tag, if any.
-// It never blocks.
-func (nw *Network) TryRecv(node, tag int) (Msg, bool) {
-	return nw.inbox.take(node, tag)
-}

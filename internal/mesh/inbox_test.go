@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -98,7 +99,7 @@ func TestInboxOtherTagQueuedWhileWaiting(t *testing.T) {
 	if woke < 5000 || got.Tag != 9 || got.Payload != 200 || got.Src != 1 {
 		t.Fatalf("receiver woke at %v with %+v, want the tag-9 message after 5000", woke, got)
 	}
-	m, ok := nw.TryRecv(3, 8)
+	m, ok := nw.inbox.take(3, 8)
 	if !ok || m.Payload != 100 {
 		t.Fatalf("queued tag-8 message: %+v, %v", m, ok)
 	}
@@ -176,11 +177,11 @@ func TestInboxSnapshotRestore(t *testing.T) {
 	want := map[int][]int{2: {1, 4}, 5: {3}, 9: {0, 2}}
 	for _, tag := range []int{9, 2, 5} {
 		for _, w := range want[tag] {
-			if m, ok := fresh.TryRecv(3, tag); !ok || m.Payload != w || m.Tag != tag {
+			if m, ok := fresh.inbox.take(3, tag); !ok || m.Payload != w || m.Tag != tag {
 				t.Fatalf("restored tag %d: %+v, %v; want payload %d", tag, m, ok, w)
 			}
 		}
-		if m, ok := fresh.TryRecv(3, tag); ok {
+		if m, ok := fresh.inbox.take(3, tag); ok {
 			t.Fatalf("restored tag %d: extra message %+v", tag, m)
 		}
 	}
@@ -257,6 +258,37 @@ func TestCheckStateRejectsMisfitInbox(t *testing.T) {
 			}
 			if err := nw.RestoreState(st); err == nil {
 				t.Fatal("RestoreState accepted the state")
+			}
+		})
+	}
+}
+
+// TestCheckStateRejectsBadClocks: a link clock, node clock or compute total
+// that is negative, NaN or infinite is refused before a restore would carry
+// it into the simulated time.
+func TestCheckStateRejectsBadClocks(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		bend func(st *NetworkState)
+		want string
+	}{
+		{"link clock NaN", func(st *NetworkState) { st.LinkBusy[3] = math.NaN() }, "link clock 3 reads NaN"},
+		{"link clock infinite", func(st *NetworkState) { st.LinkBusy[0] = math.Inf(1) }, "link clock 0 reads +Inf"},
+		{"link clock negative", func(st *NetworkState) { st.LinkBusy[1] = -1 }, "link clock 1 reads -1"},
+		{"node clock NaN", func(st *NetworkState) { st.CPUFree[2] = math.NaN() }, "node clock 2 reads NaN"},
+		{"node clock infinite", func(st *NetworkState) { st.CPUFree[0] = math.Inf(1) }, "node clock 0 reads +Inf"},
+		{"compute total NaN", func(st *NetworkState) { st.ComputeUS[1] = math.NaN() }, "compute total 1 reads NaN"},
+		{"compute total negative infinite", func(st *NetworkState) { st.ComputeUS[3] = math.Inf(-1) }, "compute total 3 reads -Inf"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nw := queueInbox(t, 4, 1)
+			st, err := nw.SnapshotState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.bend(st)
+			if err := nw.CheckState(st); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("CheckState = %v, want an error mentioning %q", err, tc.want)
 			}
 		})
 	}

@@ -144,16 +144,10 @@ func (m Mesh) Neighbor(node int, d Dir) int {
 	return m.ID(c)
 }
 
-// PathLinks returns the directed links of the dimension-order path from a
-// to b: first all edges of dimension 1 (columns / X), then all edges of
-// dimension 2 (rows / Y) — the unique shortest path the GCel wormhole
-// router uses. a == b yields an empty path.
-func (m Mesh) PathLinks(a, b int) []int {
-	return m.AppendRoute(make([]int, 0, m.Dist(a, b)), a, b)
-}
-
-// AppendRoute implements Topology: the dimension-order path, columns
-// before rows.
+// AppendRoute implements Topology: the dimension-order path, first all
+// edges of dimension 1 (columns / X), then all edges of dimension 2 (rows /
+// Y) — the unique shortest path the GCel wormhole router uses. a == b
+// yields an empty path.
 func (m Mesh) AppendRoute(buf []int, a, b int) []int {
 	cur, dst := m.CoordOf(a), m.CoordOf(b)
 	for cur.Col != dst.Col {
@@ -208,17 +202,6 @@ func (m Mesh) ForEachLink(f func(link, from, to int)) {
 
 // Grid implements Topology: the mesh is its own grid layout.
 func (m Mesh) Grid() (rows, cols int, ok bool) { return m.Rows, m.Cols, true }
-
-// PathNodes returns the node sequence of the dimension-order path from a to
-// b, inclusive of both endpoints.
-func (m Mesh) PathNodes(a, b int) []int {
-	nodes := []int{a}
-	for _, l := range m.PathLinks(a, b) {
-		n, d := m.LinkOf(l)
-		nodes = append(nodes, m.Neighbor(n, d))
-	}
-	return nodes
-}
 
 // String implements fmt.Stringer.
 func (m Mesh) String() string { return fmt.Sprintf("%dx%d mesh", m.Rows, m.Cols) }

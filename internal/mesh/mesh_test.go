@@ -71,13 +71,24 @@ func TestLinkIDRoundTrip(t *testing.T) {
 	}
 }
 
+// pathNodes is the node sequence of the dimension-order path from a to b,
+// inclusive of both endpoints.
+func pathNodes(m Mesh, a, b int) []int {
+	nodes := []int{a}
+	for _, l := range m.AppendRoute(nil, a, b) {
+		n, d := m.LinkOf(l)
+		nodes = append(nodes, m.Neighbor(n, d))
+	}
+	return nodes
+}
+
 // TestDimensionOrderPath checks the "first dimension 1, then dimension 2"
 // rule: the path changes columns before rows.
 func TestDimensionOrderPath(t *testing.T) {
 	m := New(4, 4)
 	a := m.ID(Coord{Row: 3, Col: 0})
 	b := m.ID(Coord{Row: 0, Col: 3})
-	nodes := m.PathNodes(a, b)
+	nodes := pathNodes(m, a, b)
 	// Expect: (3,0) (3,1) (3,2) (3,3) (2,3) (1,3) (0,3)
 	want := []Coord{{3, 0}, {3, 1}, {3, 2}, {3, 3}, {2, 3}, {1, 3}, {0, 3}}
 	if len(nodes) != len(want) {
@@ -94,7 +105,7 @@ func TestPathLengthEqualsManhattan(t *testing.T) {
 	m := New(8, 6)
 	check := func(a, b uint16) bool {
 		x, y := int(a)%m.N(), int(b)%m.N()
-		return len(m.PathLinks(x, y)) == m.Dist(x, y)
+		return len(m.AppendRoute(nil, x, y)) == m.Dist(x, y)
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Fatal(err)
@@ -105,7 +116,7 @@ func TestPathConsecutiveAdjacency(t *testing.T) {
 	m := New(7, 9)
 	check := func(a, b uint16) bool {
 		x, y := int(a)%m.N(), int(b)%m.N()
-		nodes := m.PathNodes(x, y)
+		nodes := pathNodes(m, x, y)
 		if nodes[0] != x || nodes[len(nodes)-1] != y {
 			return false
 		}
@@ -123,27 +134,27 @@ func TestPathConsecutiveAdjacency(t *testing.T) {
 
 func TestSelfPathEmpty(t *testing.T) {
 	m := New(3, 3)
-	if len(m.PathLinks(4, 4)) != 0 {
+	if len(m.AppendRoute(nil, 4, 4)) != 0 {
 		t.Fatal("self path not empty")
 	}
-	n := m.PathNodes(4, 4)
+	n := pathNodes(m, 4, 4)
 	if len(n) != 1 || n[0] != 4 {
-		t.Fatalf("self PathNodes = %v", n)
+		t.Fatalf("self path nodes = %v", n)
 	}
 }
 
 func TestDegenerateMeshes(t *testing.T) {
 	// 1xN and Nx1 meshes must route correctly (they appear as submeshes).
 	m := New(1, 8)
-	if got := len(m.PathLinks(0, 7)); got != 7 {
+	if got := len(m.AppendRoute(nil, 0, 7)); got != 7 {
 		t.Fatalf("1x8 path length %d, want 7", got)
 	}
 	m = New(8, 1)
-	if got := len(m.PathLinks(0, 7)); got != 7 {
+	if got := len(m.AppendRoute(nil, 0, 7)); got != 7 {
 		t.Fatalf("8x1 path length %d, want 7", got)
 	}
 	m = New(1, 1)
-	if m.N() != 1 || len(m.PathLinks(0, 0)) != 0 {
+	if m.N() != 1 || len(m.AppendRoute(nil, 0, 0)) != 0 {
 		t.Fatal("1x1 mesh broken")
 	}
 }

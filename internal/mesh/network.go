@@ -52,10 +52,10 @@ func GCelParams() Params {
 // headers; Kind selects the registered handler at the destination; Tag and
 // Payload are opaque to the network.
 //
-// Messages obtained from Network.AcquireMsg are recycled onto a free list
-// as soon as their destination handler returns; handlers must not retain
-// such a message (retaining the Payload is fine). Messages constructed
-// directly with &Msg{...} are never recycled and may be kept forever.
+// Messages sent by SendPooled(Tag) are recycled onto a free list as soon
+// as their destination handler returns; handlers must not retain such a
+// message (retaining the Payload is fine). Messages constructed directly
+// with &Msg{...} are never recycled and may be kept forever.
 // KindInbox messages are no exception: the inbox copies a delivered
 // message by value, and Recv returns that copy, which the receiver owns.
 type Msg struct {
@@ -277,12 +277,6 @@ func NewNetworkOn(k *sim.Kernel, r *Routes, p Params) *Network {
 	nw.readyFn = nw.msgReady
 	return nw
 }
-
-// AcquireMsg returns a zeroed message from the network's free list (or a
-// fresh one). It is recycled automatically after its destination handler
-// returns; see Msg for the retention contract. SendPooled wraps the common
-// acquire-fill-send sequence.
-func (nw *Network) AcquireMsg() *Msg { return nw.pool.get() }
 
 // msgPool is a free list of pooled messages. A miss carves the message
 // from a chunk instead of allocating it alone; chunks double from

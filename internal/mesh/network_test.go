@@ -235,11 +235,11 @@ func TestInboxTagsSeparate(t *testing.T) {
 	if got != 200 {
 		t.Fatalf("received tag-8 message on tag 9: %d", got)
 	}
-	if _, ok := nw.TryRecv(3, 8); !ok {
+	if _, ok := nw.inbox.take(3, 8); !ok {
 		t.Fatal("tag-8 message lost")
 	}
-	if _, ok := nw.TryRecv(3, 8); ok {
-		t.Fatal("TryRecv returned a message twice")
+	if _, ok := nw.inbox.take(3, 8); ok {
+		t.Fatal("tag-8 message taken twice")
 	}
 }
 

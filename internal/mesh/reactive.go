@@ -342,14 +342,6 @@ func (nw *Network) EnableReactive(p ReactParams, seed uint64) error {
 // Reactive reports whether the network runs in reactive mode.
 func (nw *Network) Reactive() bool { return nw.react != nil }
 
-// ReactParams returns the transport parameters (zero value in oracle mode).
-func (nw *Network) ReactParams() ReactParams {
-	if nw.react == nil {
-		return ReactParams{}
-	}
-	return nw.react.p
-}
-
 // OnGiveUp registers kind's give-up handler: called when MaxRetries+1
 // transmissions of a message went unacknowledged. Strategies register
 // their recovery here. Panics on kind 255 (the ack kind never gives up —

@@ -382,7 +382,7 @@ func TestEnableReactiveValidation(t *testing.T) {
 	if !nw.Reactive() {
 		t.Fatal("Reactive() = false after enable")
 	}
-	if nw.ReactParams() != DefaultReactParams() {
-		t.Fatalf("ReactParams() = %+v", nw.ReactParams())
+	if nw.react.p != DefaultReactParams() {
+		t.Fatalf("transport parameters %+v", nw.react.p)
 	}
 }

@@ -145,6 +145,18 @@ func (nw *Network) CheckState(st *NetworkState) error {
 		return fmt.Errorf("mesh: snapshot has %d/%d node clocks/compute totals, network has %d nodes",
 			len(st.CPUFree), len(st.ComputeUS), n)
 	}
+	// A time must be finite and not negative: a NaN or infinite one would
+	// carry into the clock of every event scheduled from it.
+	for _, clocks := range [...]struct {
+		name string
+		ts   []float64
+	}{{"link clock", st.LinkBusy}, {"node clock", st.CPUFree}, {"compute total", st.ComputeUS}} {
+		for i, t := range clocks.ts {
+			if !(t >= 0 && t <= math.MaxFloat64) {
+				return fmt.Errorf("mesh: snapshot %s %d reads %v", clocks.name, i, t)
+			}
+		}
+	}
 	for i := range st.Inbox {
 		m := &st.Inbox[i]
 		switch {

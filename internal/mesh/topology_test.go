@@ -231,9 +231,6 @@ func TestMeshRouteUnchanged(t *testing.T) {
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("AppendRoute(0, 13) = %v, want %v", got, want)
 	}
-	if pl := m.PathLinks(0, 13); fmt.Sprint(pl) != fmt.Sprint(want) {
-		t.Fatalf("PathLinks(0, 13) = %v, want %v", pl, want)
-	}
 }
 
 // TestTorusWrapRouting: the torus goes the shorter way around, taking the

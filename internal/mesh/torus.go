@@ -40,11 +40,6 @@ func (t Torus) NumLinks() int { return t.N() * int(numDirs) }
 // direction d.
 func (t Torus) LinkID(node int, d Dir) int { return node*int(numDirs) + int(d) }
 
-// LinkOf inverts LinkID.
-func (t Torus) LinkOf(link int) (node int, d Dir) {
-	return link / int(numDirs), Dir(link % int(numDirs))
-}
-
 // HasLink reports whether node has an outgoing link in direction d: all
 // four exist unless the dimension is a single line.
 func (t Torus) HasLink(node int, d Dir) bool {

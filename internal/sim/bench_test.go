@@ -15,7 +15,7 @@ func BenchmarkKernelEventChurn(b *testing.B) {
 	fn = func() {
 		n++
 		if n < b.N {
-			k.After(1, fn)
+			k.At(k.Now()+1, fn)
 		}
 	}
 	k.At(0, fn)

@@ -53,8 +53,7 @@ func (k *Kernel) cancelRequested() bool {
 
 // checkCancel is the per-event checkpoint: called once per executed event
 // from the loop, it polls the flag every cancelCheckEvery events and marks
-// the kernel canceled+stopped when it is set. Returns true when the loop
-// must stop.
+// the kernel canceled when it is set. Returns true when the loop must stop.
 func (k *Kernel) checkCancel() bool {
 	k.cancelCtr++
 	if k.cancelCtr&(cancelCheckEvery-1) != 0 {
@@ -64,6 +63,5 @@ func (k *Kernel) checkCancel() bool {
 		return false
 	}
 	k.canceled = true
-	k.stopped = true
 	return true
 }

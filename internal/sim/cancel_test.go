@@ -20,7 +20,7 @@ func TestCancelMidRun(t *testing.T) {
 		k.At(Time(i+1), func() { ran++ })
 	}
 	k.At(0.5, func() { flag.Store(true) })
-	k.Spawn("parked", func(p *Proc) { NewFuture().Await(p) }) // would deadlock if not canceled
+	k.Spawn("parked", func(p *Proc) { new(Future).Await(p) }) // would deadlock if not canceled
 	err := k.Run()
 	var ce *CanceledError
 	if !errors.As(err, &ce) {

@@ -9,7 +9,7 @@
 //
 // Two execution contexts exist:
 //
-//   - Event context: callbacks scheduled with At/After/AtCall run inline in
+//   - Event context: callbacks scheduled with At/AtCall run inline in
 //     the kernel loop. They must not block. Protocol handlers (message
 //     deliveries) run in this context.
 //   - Process context: bodies started with Spawn, each on a coroutine of its
@@ -108,7 +108,7 @@
 // from which the next kernel takes it at its first slab request, so a fork
 // or a fresh figure cell starts on warm storage. Payload slots an event
 // took before that first request move into the adopted table. A run that
-// ended with events pending (Stop, cancellation, deadlock) keeps its store,
+// ended with events pending (cancellation, deadlock) keeps its store,
 // and a kernel that runs again after a hand-over adopts afresh. Storage
 // never decides
 // order — bucket membership and sorts read (t, seq) only — so a run is
@@ -150,7 +150,7 @@
 // callbacks between two wake-ups run on a stack that is already hot.
 //
 //	SPAWNED --(driver pops first wakeup: binds a worker, resumes)--> RUNNING
-//	RUNNING --(park: Wait/WaitUntil/Yield/Await)-------------------> DRIVING
+//	RUNNING --(park: Wait/WaitUntil/Await)-------------------------> DRIVING
 //	DRIVING --(pops own wakeup)------------------------------------> RUNNING  (no switch)
 //	DRIVING --(pops another's wakeup: names it, yields)------------> PARKED
 //	DRIVING --(nothing left to run: yields)------------------------> PARKED

@@ -15,14 +15,8 @@ type Future struct {
 	waiters []*Proc // further waiters (rare)
 }
 
-// NewFuture returns an incomplete future.
-func NewFuture() *Future { return &Future{} }
-
 // Done reports whether the future has completed.
 func (f *Future) Done() bool { return f.done }
-
-// Value returns the completed value (nil if not complete).
-func (f *Future) Value() interface{} { return f.val }
 
 // Complete resolves the future and wakes all waiters (in arrival order, at
 // the current simulation time). Completing twice panics: it always

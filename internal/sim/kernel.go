@@ -76,9 +76,8 @@ type Kernel struct {
 
 	// Stat is written by the kernel and — for the delivery counters — by
 	// the network layer; read it after Run.
-	Stat    Stats
-	stopped bool
-	fp      uint64 // running hash of the executed event order
+	Stat Stats
+	fp   uint64 // running hash of the executed event order
 
 	// Process switching (doc.go): cur is the process whose worker executes
 	// (nil while the driver does), to the process a parked one asks the
@@ -89,8 +88,8 @@ type Kernel struct {
 	// Cooperative cancellation (cancel.go): when cancel is non-nil the
 	// loop polls it every cancelCheckEvery executed events (cancelCtr is
 	// only ever touched by whoever executes the loop, one goroutine at a
-	// time, so it needs no synchronization); canceled
-	// marks a run stopped by the flag rather than by Stop.
+	// time, so it needs no synchronization); canceled marks a run the
+	// flag stopped, which executes nothing more.
 	cancel    interface{ Load() bool }
 	cancelCtr uint32
 	canceled  bool
@@ -167,8 +166,9 @@ func (k *Kernel) takeSlot(slot int32) payload {
 }
 
 // checkPast panics when t lies before now: it would make time run backwards.
+// The negated test also refuses a NaN t, which compares false either way.
 func (k *Kernel) checkPast(t Time) {
-	if t < k.now {
+	if !(t >= k.now) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
 	}
 }
@@ -210,19 +210,11 @@ func (k *Kernel) atProc(t Time, p *Proc) {
 	k.lq.push(event{t: t, seq: k.allocSeq(), proc: p})
 }
 
-// After schedules fn to run in event context after delay d (d >= 0).
-func (k *Kernel) After(d Time, fn func()) {
-	if d < 0 {
-		panic("sim: negative delay")
-	}
-	k.At(k.now+d, fn)
-}
-
-// Run executes events until the queue is empty or Stop is called. It
-// returns an error if, at the end, some processes are still blocked — that
-// indicates a deadlock (or a forgotten wake-up) in the simulated system. A
-// panic in a process body leaves Run with its value, the parked processes
-// unwound.
+// Run executes events until the queue is empty or SetCancel's flag stops
+// it. It returns an error if, at the end, some processes are still blocked
+// — that indicates a deadlock (or a forgotten wake-up) in the simulated
+// system. A panic in a process body leaves Run with its value, the parked
+// processes unwound.
 //
 // The simulation is strictly sequential: the caller's goroutine or one
 // process's worker runs at any time; see doc.go for the coroutine switches
@@ -232,7 +224,6 @@ func (k *Kernel) Run() error {
 		// Canceled before the first event (e.g. an already-expired
 		// deadline): stop deterministically without executing anything.
 		k.canceled = true
-		k.stopped = true
 	}
 	returned := false
 	defer func() {
@@ -278,8 +269,8 @@ func (k *Kernel) foldSwitches() {
 
 // releaseStore hands the kernel's event storage to the process-wide stock
 // once a run has drained the queue; dead entries left in it go with the
-// slabs. A run that ended with events pending — Stop, cancellation,
-// deadlock — keeps its store: the events are in it. The kernel stays usable;
+// slabs. A run that ended with events pending — cancellation, deadlock —
+// keeps its store: the events are in it. The kernel stays usable;
 // scheduling again adopts storage afresh.
 func (k *Kernel) releaseStore() {
 	k.lq.reset()
@@ -297,7 +288,7 @@ func (k *Kernel) releaseStore() {
 // a process yields, to be unwound by a kill. doc.go, "Process switches",
 // has the state table.
 func (k *Kernel) loop(self *Proc) {
-	for k.Pending() > 0 && !k.stopped {
+	for k.Pending() > 0 && !k.canceled {
 		if k.cancel != nil && k.checkCancel() {
 			break // cancellation checkpoint hit; Run returns CanceledError
 		}
@@ -354,10 +345,6 @@ func (k *Kernel) resume(p *Proc) {
 		}
 	}
 }
-
-// Stop makes Run return after the current event completes. Remaining
-// processes are not killed; call Shutdown for that.
-func (k *Kernel) Stop() { k.stopped = true }
 
 // Shutdown force-terminates all live processes. It is safe to call after
 // Run has returned; used by tests to avoid goroutine leaks.

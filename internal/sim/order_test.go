@@ -9,7 +9,7 @@ import (
 // orderRun drives a kernel with a workload decoded from data and checks,
 // event by event, that the kernel executes exactly the (t, seq) order of the
 // heap reference: every scheduling call — At, AtCall, a process wake-up
-// (Spawn, Wait, Yield) or TimerAt, at the current time or later — is
+// (Spawn, Wait, Await) or TimerAt, at the current time or later — is
 // mirrored into a heapQueue, a canceled timer is marked there, and every
 // executed event must be the reference's minimum when it runs. Each
 // callback and each process step reads the next byte of data (cyclically,
@@ -35,7 +35,7 @@ type orderRun struct {
 
 // byte returns the next workload byte, or false once the budget is spent.
 func (r *orderRun) byte() (byte, bool) {
-	if r.budget == 0 || len(r.data) == 0 {
+	if r.err != nil || r.budget == 0 || len(r.data) == 0 {
 		return 0, false
 	}
 	r.budget--
@@ -102,11 +102,11 @@ func (r *orderRun) dropCanceled() {
 	}
 }
 
+// fail records the first mismatch; byte then ends the workload.
 func (r *orderRun) fail(err error) {
 	if r.err == nil {
 		r.err = err
 	}
-	r.k.Stop()
 }
 
 // step performs the scheduling action byte b selects.
@@ -155,8 +155,8 @@ func (r *orderRun) callback(seq uint64) {
 func (r *orderRun) typed(arg interface{}) { r.callback(arg.(uint64)) }
 
 // process checks its kick-off, then parks a few times — Wait into the
-// future or Yield at the current time — scheduling from process context
-// after every wake-up.
+// future, or behind the events queued at the current time — scheduling from
+// process context after every wake-up.
 func (r *orderRun) process(p *Proc, seq uint64) {
 	r.executed(seq)
 	for {
@@ -168,7 +168,15 @@ func (r *orderRun) process(p *Proc, seq uint64) {
 		d := delay(b >> 2)
 		seq = r.expect(p.Now() + d)
 		if d == 0 {
-			p.Yield()
+			// The At + Future pair that parks a process behind the
+			// events already queued at the current time: two events.
+			var f Future
+			r.k.At(p.Now(), func() {
+				r.executed(seq)
+				seq = r.expect(r.k.Now())
+				f.Complete(r.k, nil)
+			})
+			f.Await(p)
 		} else {
 			p.Wait(d)
 		}

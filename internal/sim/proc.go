@@ -29,9 +29,6 @@ func (p *Proc) Name() string {
 // Index returns the index given at SpawnAt (0 for a named process).
 func (p *Proc) Index() int { return p.idx }
 
-// Kernel returns the kernel this process runs on.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
 // Now returns the current simulated time.
 func (p *Proc) Now() Time { return p.k.now }
 
@@ -100,13 +97,6 @@ func (p *Proc) WaitUntil(t Time) {
 		return
 	}
 	p.k.atProc(t, p)
-	p.park()
-}
-
-// Yield reschedules the process at the current time behind already-queued
-// events. Useful to let pending deliveries run.
-func (p *Proc) Yield() {
-	p.k.atProc(p.k.now, p)
 	p.park()
 }
 

@@ -56,7 +56,7 @@ func TestUnrunKernelHoldsNoGoroutine(t *testing.T) {
 func TestProcNames(t *testing.T) {
 	k := New()
 	var rec Proc
-	k.SpawnAt(&rec, 37, func(p *Proc) { NewFuture().Await(p) })
+	k.SpawnAt(&rec, 37, func(p *Proc) { new(Future).Await(p) })
 	lit := k.Spawn("lit", func(p *Proc) {})
 	if rec.Name() != "p37" || rec.String() != "proc(p37)" || lit.Name() != "lit" {
 		t.Fatalf("names %q %q %q", rec.Name(), rec.String(), lit.Name())
@@ -124,7 +124,7 @@ func TestWorkerPoolReuse(t *testing.T) {
 // worker exits — only a body that returned hands its worker back.
 func TestKilledWorkerNotPooled(t *testing.T) {
 	DropIdleWorkers()
-	never := NewFuture()
+	never := new(Future)
 	waiters := func(k *Kernel, n int) {
 		for i := 0; i < n; i++ {
 			k.Spawn("waiter", func(p *Proc) { never.Await(p) })
@@ -216,7 +216,7 @@ func TestBodyPanicSurfacesFromRun(t *testing.T) {
 	DropIdleWorkers()
 	base := runtime.NumGoroutine()
 	k := New()
-	never := NewFuture()
+	never := new(Future)
 	unwound := 0
 	for i := 0; i < 3; i++ {
 		k.Spawn("parked", func(p *Proc) {
@@ -255,7 +255,7 @@ func TestProcPoolConcurrent(t *testing.T) {
 	shape := func(s int) *Kernel {
 		k := switchKernel(3+5*s, 4+s)
 		if s%2 == 1 {
-			k.Spawn("stuck", func(p *Proc) { NewFuture().Await(p) })
+			k.Spawn("stuck", func(p *Proc) { new(Future).Await(p) })
 		}
 		return k
 	}

@@ -1,6 +1,10 @@
 package sim
 
 import (
+	"errors"
+	"math"
+	"slices"
+	"sync/atomic"
 	"testing"
 )
 
@@ -38,20 +42,6 @@ func TestEventTieBreakFIFO(t *testing.T) {
 	}
 }
 
-func TestAfterSchedulesRelative(t *testing.T) {
-	k := New()
-	var at Time
-	k.At(10, func() {
-		k.After(5, func() { at = k.Now() })
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if at != 15 {
-		t.Fatalf("After fired at %v, want 15", at)
-	}
-}
-
 func TestSchedulingInPastPanics(t *testing.T) {
 	k := New()
 	k.At(10, func() {
@@ -64,6 +54,30 @@ func TestSchedulingInPastPanics(t *testing.T) {
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSchedulingAtNaNPanics: a NaN time is neither before nor after now,
+// and every way of scheduling refuses it rather than queue an event that
+// would set the clock to NaN.
+func TestSchedulingAtNaNPanics(t *testing.T) {
+	nan := Time(math.NaN())
+	for _, c := range []struct {
+		name     string
+		schedule func(k *Kernel)
+	}{
+		{"At", func(k *Kernel) { k.At(nan, func() {}) }},
+		{"AtCall", func(k *Kernel) { k.AtCall(nan, func(interface{}) {}, nil) }},
+		{"TimerAt", func(k *Kernel) { k.TimerAt(nan, func(interface{}) {}, nil) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s at NaN did not panic", c.name)
+				}
+			}()
+			c.schedule(New())
+		})
 	}
 }
 
@@ -119,7 +133,7 @@ func TestProcsInterleaveDeterministically(t *testing.T) {
 
 func TestFutureCompleteBeforeAwait(t *testing.T) {
 	k := New()
-	f := NewFuture()
+	f := new(Future)
 	var got interface{}
 	k.At(0, func() { f.Complete(k, 42) })
 	k.Spawn("r", func(p *Proc) {
@@ -136,7 +150,7 @@ func TestFutureCompleteBeforeAwait(t *testing.T) {
 
 func TestFutureWakesAllWaiters(t *testing.T) {
 	k := New()
-	f := NewFuture()
+	f := new(Future)
 	woke := 0
 	for i := 0; i < 4; i++ {
 		k.Spawn("w", func(p *Proc) {
@@ -157,7 +171,7 @@ func TestFutureWakesAllWaiters(t *testing.T) {
 
 func TestFutureDoubleCompletePanics(t *testing.T) {
 	k := New()
-	f := NewFuture()
+	f := new(Future)
 	f.Complete(k, 1)
 	defer func() {
 		if recover() == nil {
@@ -169,7 +183,7 @@ func TestFutureDoubleCompletePanics(t *testing.T) {
 
 func TestDeadlockDetection(t *testing.T) {
 	k := New()
-	f := NewFuture() // never completed
+	f := new(Future) // never completed
 	k.Spawn("stuck", func(p *Proc) { f.Await(p) })
 	err := k.Run()
 	de, ok := err.(*DeadlockError)
@@ -181,22 +195,42 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
+// TestShutdownAfterStop: a run stopped by its cancellation flag, with a
+// process parked, executes nothing past the checkpoint, and a Shutdown
+// after it neither hangs nor panics.
 func TestShutdownAfterStop(t *testing.T) {
 	k := New()
-	f := NewFuture()
+	flag := new(atomic.Bool)
+	k.SetCancel(flag)
+	f := new(Future)
 	k.Spawn("s", func(p *Proc) { f.Await(p) })
-	k.At(1, func() { k.Stop() })
-	k.At(2, func() { t.Error("event after Stop executed") })
-	_ = k.Run()
+	k.At(1, func() { flag.Store(true) })
+	for i := 1; i <= cancelCheckEvery; i++ {
+		k.At(Time(i), func() {})
+	}
+	k.At(cancelCheckEvery+1, func() { t.Error("event after the stop executed") })
+	if err := k.Run(); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("Run() = %v, want ErrCanceled", err)
+	}
 	k.Shutdown() // must not hang or panic
 }
 
+// yield parks p at the current time behind the events already queued: an
+// event at Now() completes the future p awaits.
+func yield(p *Proc) {
+	k, f := p.k, new(Future)
+	k.At(k.Now(), func() { f.Complete(k, nil) })
+	f.Await(p)
+}
+
+// TestYield: a process parked by yield resumes after the processes and
+// events already queued at the same time.
 func TestYield(t *testing.T) {
 	k := New()
 	var trace []string
 	k.Spawn("a", func(p *Proc) {
 		trace = append(trace, "a1")
-		p.Yield()
+		yield(p)
 		trace = append(trace, "a2")
 	})
 	k.Spawn("b", func(p *Proc) {
@@ -205,11 +239,8 @@ func TestYield(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"a1", "b1", "a2"}
-	for i := range want {
-		if trace[i] != want[i] {
-			t.Fatalf("trace %v, want %v", trace, want)
-		}
+	if want := []string{"a1", "b1", "a2"}; !slices.Equal(trace, want) {
+		t.Fatalf("trace %v, want %v", trace, want)
 	}
 }
 

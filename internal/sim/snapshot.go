@@ -46,8 +46,8 @@ func (k *Kernel) RestoreState(st KernelState) error {
 
 // checkQuiescent reports why the kernel cannot be captured, or nil.
 func (k *Kernel) checkQuiescent() error {
-	if k.stopped {
-		return fmt.Errorf("sim: kernel was stopped")
+	if k.canceled {
+		return fmt.Errorf("sim: kernel was canceled")
 	}
 	if n := k.Pending(); n > 0 {
 		return fmt.Errorf("sim: %d events still pending", n)

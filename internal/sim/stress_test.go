@@ -44,7 +44,7 @@ func TestEventsScheduledFromEvents(t *testing.T) {
 	recurse = func() {
 		depth++
 		if depth < 100 {
-			k.After(1, recurse)
+			k.At(k.Now()+1, recurse)
 		}
 	}
 	k.At(0, recurse)
@@ -85,8 +85,10 @@ func TestFutureChains(t *testing.T) {
 	const n = 64
 	futs := make([]*Future, n+1)
 	for i := range futs {
-		futs[i] = NewFuture()
+		futs[i] = new(Future)
 	}
+	var got interface{}
+	k.Spawn("end", func(p *Proc) { got = futs[n].Await(p) })
 	for i := 0; i < n; i++ {
 		i := i
 		k.Spawn("link", func(p *Proc) {
@@ -99,7 +101,7 @@ func TestFutureChains(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := futs[n].Value(); got != n {
+	if got != n {
 		t.Fatalf("chain value %v, want %d", got, n)
 	}
 	if k.Now() != 5+10*n {
@@ -147,7 +149,7 @@ func TestDeterministicUnderRandomLoad(t *testing.T) {
 // without resuming the body.
 func TestKillParkedProc(t *testing.T) {
 	k := New()
-	fut := NewFuture()
+	fut := new(Future)
 	resumed := false
 	p := k.Spawn("parked", func(p *Proc) {
 		fut.Await(p)
@@ -217,7 +219,7 @@ func TestKillStressMixed(t *testing.T) {
 		alive := make([]bool, n)
 		killed := make([]bool, n)
 		procs := make([]*Proc, n)
-		fut := NewFuture()
+		fut := new(Future)
 		for i := 0; i < n; i++ {
 			i := i
 			switch i % 3 {
@@ -246,7 +248,7 @@ func TestKillStressMixed(t *testing.T) {
 						if killed[i] {
 							panic("killed yielder still running")
 						}
-						p.Yield()
+						yield(p)
 					}
 					alive[i] = true
 				})
@@ -308,7 +310,7 @@ func TestKillStressMixed(t *testing.T) {
 // TestDeadlockReportsAllBlocked: every stuck process appears in the error.
 func TestDeadlockReportsAllBlocked(t *testing.T) {
 	k := New()
-	f := NewFuture()
+	f := new(Future)
 	for _, name := range []string{"a", "b", "c"} {
 		name := name
 		k.Spawn(name, func(p *Proc) { f.Await(p) })
@@ -358,24 +360,11 @@ func TestNegativeWaitPanics(t *testing.T) {
 	k.Shutdown()
 }
 
-func TestNegativeAfterPanics(t *testing.T) {
-	k := New()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative After did not panic")
-		}
-	}()
-	k.After(-5, func() {})
-}
-
 func TestProcString(t *testing.T) {
 	k := New()
 	p := k.Spawn("zed", func(p *Proc) {})
 	if p.String() != "proc(zed)" || p.Name() != "zed" {
 		t.Fatalf("String=%q Name=%q", p.String(), p.Name())
-	}
-	if p.Kernel() != k {
-		t.Fatal("Kernel() mismatch")
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
