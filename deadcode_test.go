@@ -25,8 +25,8 @@ import (
 // no non-test file uses. Exempt are the public packages' declarations and
 // the method sets of every type they declare or alias, methods that
 // implement an interface of the program or of a standard package it
-// imports (type-parameter constraints included), internal/core/coretest,
-// main and init.
+// imports (type-parameter constraints included), the methods errors.Is and
+// errors.As call (calledInStd), internal/core/coretest, main and init.
 //
 // It also holds examples/ and cmd/, their tests included, to the public
 // API: none of them may import diva/internal/....
@@ -66,8 +66,8 @@ func TestNoTestOnlyCode(t *testing.T) {
 // TestDeadDeclRules runs the check on a small module under testdata: of an
 // unused function, a method only a _test.go file calls, a method that
 // satisfies an interface, a method called through a type-parameter
-// constraint and a method of a publicly aliased type, it must flag exactly
-// the first two.
+// constraint, a method of a publicly aliased type and an error's Unwrap
+// that only errors.Is calls, it must flag exactly the first two.
 func TestDeadDeclRules(t *testing.T) {
 	prog, err := scanModule([]modRoot{{"testdata/deadcode", "fixture"}})
 	if err != nil {
@@ -293,7 +293,7 @@ func (prog *program) deadDecls(public, unchecked []string) ([]string, error) {
 			}
 			named := tn.Type().(*types.Named)
 			for i := 0; i < named.NumMethods(); i++ {
-				if m := named.Method(i); !used[m] && !implements(named, ifaces[m.Name()]) {
+				if m := named.Method(i); !used[m] && !implements(named, ifaces[m.Name()]) && !calledInStd[sigKey(m)] {
 					dead = append(dead, m)
 				}
 			}
@@ -317,6 +317,31 @@ func origin(obj types.Object) types.Object {
 		return f.Origin()
 	}
 	return obj
+}
+
+// calledInStd holds the methods the standard library calls through
+// interfaces it declares inside function bodies — errors.Is, errors.As and
+// errors.Unwrap, fmt's %w — which the source importer does not type-check,
+// so that no interface the check sees names them.
+var calledInStd = map[string]bool{
+	"Unwrap() error":   true,
+	"Unwrap() []error": true,
+	"Is(error) bool":   true,
+	"As(any) bool":     true,
+}
+
+// sigKey is a method's name and signature without parameter names, as in
+// "As(any) bool".
+func sigKey(m *types.Func) string {
+	sig := m.Type().(*types.Signature)
+	var in, out []string
+	for i := 0; i < sig.Params().Len(); i++ {
+		in = append(in, types.TypeString(sig.Params().At(i).Type(), nil))
+	}
+	for i := 0; i < sig.Results().Len(); i++ {
+		out = append(out, types.TypeString(sig.Results().At(i).Type(), nil))
+	}
+	return m.Name() + "(" + strings.Join(in, ", ") + ") " + strings.Join(out, ", ")
 }
 
 // implements reports whether t or *t implements one of ifaces.

@@ -9,11 +9,15 @@
 package diva_test
 
 import (
+	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 
 	"diva"
 	"diva/fault"
+	"diva/snapstore"
+	"diva/spec"
 )
 
 // forkTraj is one run's observable trajectory after the query workload.
@@ -325,5 +329,113 @@ func TestForkReseedDivergence(t *testing.T) {
 	cont := capture(t, m, mustRun(t, m, query))
 	if plain != cont {
 		t.Errorf("un-reseeded fork diverged from continued source: %+v vs %+v", plain, cont)
+	}
+}
+
+// TestForkWarmedConcurrent forks one Barnes-Hut-warmed 8×8 at4 snapshot in
+// eight goroutines at once, from the live capture and from the same
+// snapshot saved and loaded back. Every fork borrows the snapshot's node
+// tables and copies a table at its first write. Each one writes most body
+// variables, locks the final tree's root cell, frees it and the bodies it
+// left untouched, and then allocates and writes a variable a processor
+// that every processor reads, so that its table turns full; no table may
+// reuse the freed borrowed ones. The fingerprints must equal a fork's run
+// alone, and the snapshot's table section must read the same bytes before
+// and after. Run under -race: the forks share the captured tables.
+func TestForkWarmedConcurrent(t *testing.T) {
+	sp := spec.Spec{Topology: "mesh", Rows: 8, Cols: 8, Strategy: "at4", Seed: 1999,
+		Workload: spec.Workload{Name: "barneshut", Bodies: 256, Steps: 2, MeasureFrom: 1}}
+	m, warm, err := diva.FromSpec(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := mustRun(t, m, warm).Detail.(diva.BarnesHutResult)
+	live, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := snapstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Save(snapstore.Handle(sp), sp, live); err != nil {
+		t.Fatal(err)
+	}
+	_, loaded, err := st.Load(snapstore.Handle(sp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := func(snap *diva.Snapshot) (uint64, error) {
+		f, err := diva.Fork(snap)
+		if err != nil {
+			return 0, err
+		}
+		fresh := make([]diva.VarID, f.P())
+		// The first 16 bodies are freed untouched, while their tables are
+		// still borrowed; the others are written.
+		untouched, bodies := res.BodyVars[:16], res.BodyVars[16:]
+		err = f.Run(func(p *diva.Proc) {
+			for i := p.ID; i < len(bodies); i += f.P() {
+				p.Write(bodies[i], i)
+			}
+			p.Barrier()
+			_ = p.Read(bodies[(p.ID*7+3)%len(bodies)])
+			p.Lock(res.FinalRoot)
+			p.Unlock(res.FinalRoot)
+			p.Barrier()
+			if p.ID == 0 {
+				f.Free(res.FinalRoot)
+				for _, v := range untouched {
+					f.Free(v)
+				}
+			}
+			p.Barrier()
+			fresh[p.ID] = p.Alloc(64, p.ID)
+			p.Write(fresh[p.ID], -p.ID)
+			p.Barrier()
+			for _, v := range fresh {
+				_ = p.Read(v)
+			}
+		})
+		return f.K.Fingerprint(), err
+	}
+	tables := func(snap *diva.Snapshot) []byte {
+		w, err := snap.Wire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w.Tables
+	}
+	for _, src := range []struct {
+		name string
+		snap *diva.Snapshot
+	}{{"live", live}, {"loaded", loaded}} {
+		t.Run(src.name, func(t *testing.T) {
+			before := tables(src.snap)
+			want, err := query(src.snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const forks = 8
+			got := make([]uint64, forks)
+			errs := make([]error, forks)
+			var wg sync.WaitGroup
+			for i := range forks {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[i], errs[i] = query(src.snap)
+				}()
+			}
+			wg.Wait()
+			for i := range forks {
+				if errs[i] != nil || got[i] != want {
+					t.Errorf("fork %d: fingerprint %#x (%v), alone %#x", i, got[i], errs[i], want)
+				}
+			}
+			if !bytes.Equal(tables(src.snap), before) {
+				t.Error("the forks changed the snapshot's node tables")
+			}
+		})
 	}
 }

@@ -10,21 +10,23 @@ import (
 	"diva/internal/xrand"
 )
 
-// core.Forker implementation: deep-copy capture and restore of the access
-// tree strategy's state for machine snapshot/fork. Captured per variable:
-// the embedding (root position / ablation seed), the node table
-// (membership, directional pointers, edge bits, lock arrows), the leaf the
-// lock token rests at, and the remap counters and moved positions. A
-// sparse node table is captured as images of its pages, a full one as its
-// slice, so capture and restore copy the nodes a table holds and nothing
-// else, and no index is rebuilt. The tables of one capture share one block of page
-// images and one of full tables, and a restore carves from one block of
-// each kind, however many variables it holds. The transaction arena, the
-// recycled tables and the embedding tables are deliberately not captured —
-// arenas hold no live transactions at quiescence, and the embedding tables
-// are a pure function of the tree, shared through the machine's core.Plan
-// by the source, its forks and every other machine on the same topology
-// and tree.
+// core.Forker implementation: capture and restore of the access tree
+// strategy's state for machine snapshot/fork. Captured per variable: the
+// embedding (root position / ablation seed), the node table (membership,
+// directional pointers, edge bits, lock arrows), the leaf the lock token
+// rests at, and the remap counters and moved positions. A capture copies
+// the nodes a table holds, a sparse table as images of its pages, a full
+// one as its slice, and builds a page set over each table's images once.
+// A restore copies no table: each variable's table is lent the capture's
+// page set or full table, and a fork copies a table only when it first
+// writes it (nodeTables.ref), so a query that writes few variables copies
+// few tables, and no index is ever rebuilt. The captured tables are never
+// written, so forks of one snapshot may run at once. The transaction
+// arena, the recycled tables and the embedding tables are deliberately not
+// captured — arenas hold no live transactions at quiescence, and the
+// embedding tables are a pure function of the tree, shared through the
+// machine's core.Plan by the source, its forks and every other machine on
+// the same topology and tree.
 
 // State is the strategy's captured state (core.StratState): forks restore
 // from it, and a snapshot file carries it — the exported fields through
@@ -35,8 +37,10 @@ type State struct {
 	Vars   []VarState // indexed by VarID; the zero value marks a freed variable
 	// pages holds the page images of the sparse tables and full the full
 	// tables of the present variables, each back to back in variable
-	// order. treeNodes is the tree's size.
+	// order, and sets a lent page set over each sparse table's images.
+	// treeNodes is the tree's size.
 	pages     []page
+	sets      []pageSet
 	full      []nodeState
 	treeNodes int
 }
@@ -70,8 +74,8 @@ func (s *strategy) SnapshotState(vars []*core.Variable) (core.StratState, error)
 		if v == nil {
 			continue
 		}
-		if ps := vstate(v).nodes.pages; ps != nil {
-			pages += int(ps.npages)
+		if t := &vstate(v).nodes; t.full == nil {
+			pages += int(t.pages.npages)
 		} else {
 			full += n
 		}
@@ -103,14 +107,7 @@ func (s *strategy) SnapshotState(vars []*core.Variable) (core.StratState, error)
 			Creator: vs.creator,
 			TokenAt: vs.lock.tokenAt,
 		}
-		if ps := vs.nodes.pages; ps != nil {
-			for _, pg := range ps.pages[:ps.npages] {
-				st.pages = append(st.pages, *pg)
-			}
-			vsn.pages, vsn.count = int(ps.npages), int(ps.count)
-		} else {
-			st.full = append(st.full, vs.nodes.full...)
-		}
+		st.capture(&vs.nodes, vsn)
 		if r := vs.remap; r != nil {
 			vsn.Accesses = append([]uint32(nil), r.accesses...)
 			vsn.Moved = append([]int32(nil), r.moved...)
@@ -121,7 +118,44 @@ func (s *strategy) SnapshotState(vars []*core.Variable) (core.StratState, error)
 			return nil, fmt.Errorf("accesstree: processor %d is blocked in a lock", p)
 		}
 	}
+	st.lend()
 	return st, nil
+}
+
+// capture appends the nodes table t holds to the page images or the full
+// tables, and records the sparse table's shape in vsn.
+func (st *State) capture(t *nodeTable, vsn *VarState) {
+	if ps := t.pages; t.full == nil {
+		for _, pg := range ps.pages[:ps.npages] {
+			st.pages = append(st.pages, *pg)
+		}
+		vsn.pages, vsn.count = int(ps.npages), int(ps.count)
+	} else {
+		st.full = append(st.full, t.full...)
+	}
+}
+
+// lend builds the lent page set of every captured sparse table over its
+// page images.
+func (st *State) lend() {
+	sets := 0
+	for i := range st.Vars {
+		if st.Vars[i].pages > 0 {
+			sets++
+		}
+	}
+	st.sets = make([]pageSet, 0, sets)
+	imgs := st.pages
+	for i := range st.Vars {
+		if k := st.Vars[i].pages; k > 0 {
+			ps := pageSet{count: uint8(st.Vars[i].count), npages: uint8(k), lent: 1}
+			for j := range k {
+				ps.pages[j] = &imgs[j]
+			}
+			st.sets = append(st.sets, ps)
+			imgs = imgs[k:]
+		}
+	}
 }
 
 // check validates a state against this strategy's machine — everything
@@ -173,15 +207,8 @@ func (s *strategy) RestoreState(state core.StratState, vars []*core.Variable) er
 	}
 	s.rng.SetState(st.RNG)
 	s.remaps = st.Remaps
-	sets := 0
-	for i := range st.Vars {
-		if st.Vars[i].pages > 0 {
-			sets++
-		}
-	}
-	s.tables.reserve(len(st.pages), sets, len(st.full)/st.treeNodes)
 	states := make([]varState, core.LiveVars(vars))
-	pages, full := st.pages, st.full
+	n, sets, full := st.treeNodes, st.sets, st.full
 	for i := range st.Vars {
 		vsn := &st.Vars[i]
 		if !vsn.Present {
@@ -196,11 +223,9 @@ func (s *strategy) RestoreState(state core.StratState, vars []*core.Variable) er
 			lock:    restingLock(vsn.TokenAt),
 		}
 		if vsn.pages > 0 {
-			vs.nodes = s.tables.copySparse(pages[:vsn.pages], vsn.count)
-			pages = pages[vsn.pages:]
+			vs.nodes, sets = nodeTable{pages: &sets[0]}, sets[1:]
 		} else {
-			vs.nodes = nodeTable{full: s.tables.carveFull()}
-			full = full[copy(vs.nodes.full, full):]
+			vs.nodes, full = nodeTable{full: full[:n:n], pages: &lentFull}, full[n:]
 		}
 		if s.opts.RemapThreshold > 0 {
 			vs.remap = &remapState{
@@ -348,12 +373,11 @@ func (s *strategy) LoadState(state core.StratState, tables []byte, vars []core.V
 			pg.ids[e%pageNodes], pg.slots[e%pageNodes] = uint16(id), nodeFromWord(w)
 			e++
 		}
-		ps := pageSet{count: uint8(vsn.count), npages: uint8(vsn.pages)}
-		for j := range vsn.pages {
-			ps.pages[j] = &imgs[j]
-		}
-		ps.reindex()
 		imgs = imgs[vsn.pages:]
+	}
+	st.lend()
+	for i := range st.sets {
+		st.sets[i].reindex()
 	}
 	return s.check(st, len(vars), func(i int) bool { return vars[i].Present })
 }

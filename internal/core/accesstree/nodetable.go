@@ -40,9 +40,14 @@ var restNode = nodeState{toward: towardUp, arrow: towardUp}
 // a slice indexed by node id, so no variable costs more than a dense table.
 // No Go map: a protocol hop reads its node once per message, and a map
 // lookup there cost ~15 % of the CPU.
+//
+// A fork's table is lent: it reads a snapshot's page set and page images
+// or full table in place, and copies them into storage of its own only at
+// its first write (ref). Forks of one snapshot may run at once, so lent
+// storage is only ever read, and it never joins the free lists.
 type nodeTable struct {
 	full  []nodeState // the full table; nil while sparse
-	pages *pageSet    // the sparse table; nil once full
+	pages *pageSet    // the sparse table; nil once full, lentFull if lent full
 }
 
 // A page holds pageNodes entries — entry e of a sparse table is at
@@ -60,8 +65,12 @@ type pageSet struct {
 	pages  [maxPages]*page
 	count  uint8 // entries
 	npages uint8
+	lent   uint8    // 1 if a snapshot's: read only, never freed
 	next   *pageSet // the next free page set
 }
+
+// lentFull is the page set of a lent full table: it holds no entry.
+var lentFull = pageSet{lent: 1}
 
 const (
 	pageNodes  = 16
@@ -180,21 +189,6 @@ func (p *nodeTables) newTable(count int) nodeTable {
 	return nodeTable{pages: ps}
 }
 
-// reserve makes the blocks hold at least pages pages, sets page sets and
-// full full tables, allocating exactly what is missing: a restore knows
-// every table it is about to carve.
-func (p *nodeTables) reserve(pages, sets, full int) {
-	if len(p.pageBlock) < pages {
-		p.pageBlock = make([]page, pages)
-	}
-	if len(p.setBlock) < sets {
-		p.setBlock = make([]pageSet, sets)
-	}
-	if len(p.fullBlock) < full*p.n {
-		p.fullBlock = make([]nodeState, full*p.n)
-	}
-}
-
 func (p *nodeTables) newSet() *pageSet {
 	if ps := p.sets; ps != nil {
 		p.sets, ps.next = ps.next, nil
@@ -250,18 +244,6 @@ func (p *nodeTables) newPage() *page {
 	return pg
 }
 
-// copySparse returns a sparse table of copies of the page images imgs,
-// which hold count nodes.
-func (p *nodeTables) copySparse(imgs []page, count int) nodeTable {
-	ps := p.newSet()
-	for j := range imgs {
-		ps.pages[j] = p.newPage()
-		*ps.pages[j] = imgs[j]
-	}
-	ps.count, ps.npages = uint8(count), uint8(len(imgs))
-	return nodeTable{pages: ps}
-}
-
 // addPage gives a sparse table one more page and re-indexes its entries.
 func (p *nodeTables) addPage(ps *pageSet) {
 	ps.pages[ps.npages] = p.newPage()
@@ -280,11 +262,11 @@ func (ps *pageSet) reindex() {
 	}
 }
 
-// put returns the storage of a table to the free lists.
+// put returns the storage of a table to the free lists, unless it is lent.
 func (p *nodeTables) put(t *nodeTable) {
-	if t.full != nil {
+	if ps := t.pages; ps == nil {
 		p.full = append(p.full, t.full)
-	} else {
+	} else if ps.lent == 0 {
 		p.release(t)
 	}
 	*t = nodeTable{}
@@ -302,10 +284,14 @@ func (p *nodeTables) release(t *nodeTable) {
 // if t does not hold it. The pointer is valid until the next ref on t,
 // which may turn it into a full table.
 func (p *nodeTables) ref(t *nodeTable, id int) *nodeState {
-	if t.full != nil {
+	ps := t.pages
+	if ps == nil {
 		return &t.full[id]
 	}
-	ps := t.pages
+	if ps.lent != 0 {
+		p.own(t)
+		return p.ref(t, id)
+	}
 	e, h, ok := ps.find(id)
 	if !ok {
 		e = int(ps.count)
@@ -326,4 +312,21 @@ func (p *nodeTables) ref(t *nodeTable, id int) *nodeState {
 		ps.count++
 	}
 	return &ps.pages[e/pageNodes].slots[e%pageNodes]
+}
+
+// own replaces a lent table by a copy in carved storage of its own.
+func (p *nodeTables) own(t *nodeTable) {
+	if t.full != nil {
+		full := p.carveFull()
+		copy(full, t.full)
+		*t = nodeTable{full: full}
+		return
+	}
+	src, ps := t.pages, p.newSet()
+	for j, img := range src.pages[:src.npages] {
+		ps.pages[j] = p.newPage()
+		*ps.pages[j] = *img
+	}
+	ps.count, ps.npages = src.count, src.npages
+	t.pages = ps
 }

@@ -16,3 +16,6 @@ func SetClock(s *Snapshot, now float64) { s.st.Kern.Now = now }
 // SetVarSize overwrites the size a snapshot records for variable id, for
 // the tests of what a stored snapshot may hold.
 func SetVarSize(s *Snapshot, id VarID, size int) { s.st.Vars[id].Size = size }
+
+// LiveVarCount returns how many variables of m exist.
+func LiveVarCount(m *Machine) int { return LiveVars(m.vars) }

@@ -65,7 +65,9 @@ func TestPlanAtCeilingSameFingerprint(t *testing.T) {
 
 // TestForkAllocBudget pins what a fork costs now that the plan is shared:
 // the per-machine state only — links, clocks, inboxes, caches, kernel —
-// never the tree, the route table or the embedding tables.
+// never the tree, the route table or the embedding tables. A fork of a
+// warmed machine adds its variables' records, but no node table: it
+// borrows the snapshot's until it writes one.
 func TestForkAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		n      int
@@ -84,29 +86,49 @@ func TestForkAllocBudget(t *testing.T) {
 			{"handopt", decomp.Ary2, nil},
 		} {
 			m := core.MustNewMachine(core.Config{Rows: tc.n, Cols: tc.n, Seed: 1, Tree: strat.tree, Strategy: strat.f})
-			snap, err := m.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			fork := func() {
-				f, err := snap.Fork(core.ForkOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if f.Tree != m.Tree {
-					t.Fatal("fork rebuilt the tree")
-				}
-			}
-			allocs := testing.AllocsPerRun(5, fork)
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			fork()
-			runtime.ReadMemStats(&after)
-			bytes := after.TotalAlloc - before.TotalAlloc
+			bytes, allocs := forkCost(t, m)
 			if allocs > tc.allocs || bytes > tc.bytes {
 				t.Errorf("fork of a birth %dx%d %s snapshot: %d bytes in %.0f allocations, budget %d in %.0f",
 					tc.n, tc.n, strat.name, bytes, allocs, tc.bytes, tc.allocs)
 			}
 		}
 	}
+
+	// The warmed case: what a fork of a birth 8×8 machine costs, plus per
+	// live variable a Variable and a varState record (128 bytes each), its
+	// pointer and its local-copy word, 272 bytes in all, rounded up to 320.
+	// A node table would cost 272 to 680 bytes more.
+	birth, _ := forkCost(t, core.MustNewMachine(core.Config{Rows: 8, Cols: 8, Seed: 1, Tree: decomp.Ary4, Strategy: accesstree.Factory()}))
+	m := warmedMachine(t)
+	live := core.LiveVarCount(m)
+	bytes, allocs := forkCost(t, m)
+	if budget := birth + 320*uint64(live); bytes > budget || allocs > 1000 {
+		t.Errorf("fork of an 8x8 at4 snapshot warmed by Barnes-Hut (%d variables): %d bytes in %.0f allocations, budget %d in 1000",
+			live, bytes, allocs, budget)
+	}
+}
+
+// forkCost snapshots m and returns the bytes and the allocations of one
+// fork of the snapshot.
+func forkCost(t *testing.T, m *core.Machine) (bytes uint64, allocs float64) {
+	t.Helper()
+	snap, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fork := func() {
+		f, err := snap.Fork(core.ForkOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Tree != m.Tree {
+			t.Fatal("fork rebuilt the tree")
+		}
+	}
+	allocs = testing.AllocsPerRun(5, fork)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fork()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, allocs
 }

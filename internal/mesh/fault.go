@@ -159,9 +159,9 @@ type FaultStats struct {
 	// detection counters measure the failure detector: Detected counts
 	// give-up declarations (DetectUS the summed latency from first
 	// transmission to declaration), Recovered counts suspects later
-	// acknowledged again (RecoverUS the summed suspicion time), Failovers
-	// counts give-ups redirected to a new destination and Reissues
-	// give-ups restarted by a strategy after refreshing its own state.
+	// acknowledged again, Failovers counts give-ups redirected to a new
+	// destination and Reissues give-ups restarted by a strategy after
+	// refreshing its own state.
 	Dropped         uint64
 	DroppedBytes    uint64
 	AckMsgs         uint64
@@ -173,7 +173,6 @@ type FaultStats struct {
 	Detected        uint64
 	DetectUS        float64
 	Recovered       uint64
-	RecoverUS       float64
 	Failovers       uint64
 	Reissues        uint64
 }
@@ -201,7 +200,6 @@ func (s FaultStats) Sub(b FaultStats) FaultStats {
 		Detected:        s.Detected - b.Detected,
 		DetectUS:        s.DetectUS - b.DetectUS,
 		Recovered:       s.Recovered - b.Recovered,
-		RecoverUS:       s.RecoverUS - b.RecoverUS,
 		Failovers:       s.Failovers - b.Failovers,
 		Reissues:        s.Reissues - b.Reissues,
 	}

@@ -507,9 +507,8 @@ func (nw *Network) reactOnAck(m *Msg) {
 	if a := int(m.xatt); a < x.attempt {
 		st.FalseTimeouts += uint64(x.attempt - a)
 	}
-	if since, ok := r.chans[ci].unsuspect(); ok {
+	if _, ok := r.chans[ci].unsuspect(); ok {
 		st.Recovered++
-		st.RecoverUS += nw.K.Now() - since
 	}
 	r.retire(x)
 }

@@ -8,3 +8,6 @@ type Thing = lib.Thing
 
 // Run runs the library.
 func Run() int { return lib.Run() }
+
+// IsBase unwraps a library error.
+func IsBase() bool { return lib.IsBase() }
