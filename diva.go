@@ -281,7 +281,7 @@ func LinkHeatmap(m *Machine) (heatmap string, ok bool) {
 	if !isMesh {
 		return "", false
 	}
-	return metrics.HeatmapMsgs(mm, m.Net.Loads(), nil), true
+	return metrics.HeatmapMsgs(mm, m.Net.AppendLoads(nil), nil), true
 }
 
 // BusiestLinks describes the k busiest links of a mesh machine, busiest
@@ -291,7 +291,7 @@ func BusiestLinks(m *Machine, k int) (links []string, ok bool) {
 	if !isMesh {
 		return nil, false
 	}
-	return metrics.TopLinks(mm, m.Net.Loads(), k), true
+	return metrics.TopLinks(mm, m.Net.AppendLoads(nil), k), true
 }
 
 // TotalEvictions sums the copy evictions over all node caches (nonzero

@@ -12,10 +12,13 @@ import (
 // stencil allocates, with Check off as the service runs it: the halo
 // messages are pooled, the inbox copies them into queues and receiver
 // records carved from chunks, and the neighbor lists share one array, so
-// nothing is allocated per message, per receive or per node. What is left
-// is the fork, process start-up and the barrier, the same for any program:
-// about 0.6 objects per processor at 16×16 and 0.2 at 32×32 (17.8 when
-// every message and every blocking receive allocated).
+// nothing is allocated per message, per receive or per node; the pool,
+// the receiver records and the barrier's records come from the run before
+// (testing.AllocsPerRun runs once first), handed over when it drained. What
+// is left is the fork and process start-up, the same for any program: 69
+// objects at 16×16 (0.27 per processor) and 80 at 32×32 (0.08) — 157 and
+// 216 while each fork grew its own pool and records, 17.8 per processor
+// when every message and every blocking receive allocated.
 func TestForkRunAllocations(t *testing.T) {
 	cfg := Config{Iters: 1, HaloInts: 64, WithCompute: true, OpUS: 0.5, Seed: 7}
 	for _, side := range []int{16, 32} {
@@ -35,8 +38,8 @@ func TestForkRunAllocations(t *testing.T) {
 		})
 		p := float64(side * side)
 		t.Logf("%dx%d: %.0f objects per fork + run, %.2f per processor", side, side, allocs, allocs/p)
-		if allocs > 0.75*p {
-			t.Errorf("%dx%d: fork + run allocates %.0f objects, budget %.0f", side, side, allocs, 0.75*p)
+		if allocs > 0.5*p {
+			t.Errorf("%dx%d: fork + run allocates %.0f objects, budget %.0f", side, side, allocs, 0.5*p)
 		}
 	}
 }

@@ -108,8 +108,8 @@ type strategy struct {
 	// remaps counts node migrations across all variables (ablation D3).
 	remaps int
 	// txns arena-allocates transaction records (reqMsg + path buffer +
-	// future) in slabs. The simulation is single-threaded, so plain slices
-	// suffice.
+	// future) in slabs, handed to reqShelf when a run drains. The
+	// simulation is single-threaded, so plain slices suffice.
 	txns core.TxnArena[reqMsg]
 	// states carves and recycles the per-variable records, tables their
 	// node tables.
@@ -136,6 +136,9 @@ func newStrategy(m *core.Machine, o Options) *strategy {
 	}
 	s := &strategy{m: m, t: m.Tree, rng: m.RNG.Split(), opts: o, lockers: make([]locker, m.P()),
 		tables: newNodeTables(len(m.Tree.Nodes))}
+	pathCap := 2*m.Tree.MaxDepth + 1
+	s.txns = core.TxnArena[reqMsg]{Init: initReqs, Shelf: reqShelf, Key: pathCap,
+		RecBytes: reqMsgBytes + futureBytes + pathCap*8}
 	for i := range s.lockers {
 		s.lockers[i].next = -1
 	}

@@ -2,6 +2,7 @@ package accesstree
 
 import (
 	"math/bits"
+	"unsafe"
 
 	"diva/internal/core"
 	"diva/internal/mesh"
@@ -84,36 +85,49 @@ func (s *strategy) Read(p *core.Proc, v *Variable) interface{} {
 
 // acquireReq returns a transaction record with path = [leaf] from the
 // strategy's arena (a core.TxnArena slab: every record sits next to its
-// future and its path buffer, carved from per-slab companion blocks). The
-// path buffer has room for the longest possible pointer chain (a full
-// tree path: up to the root and down to a leaf) so the per-hop appends
-// never reallocate.
+// future and its path buffer, carved from per-slab companion blocks).
 func (s *strategy) acquireReq(v *Variable, leaf int) *reqMsg {
-	if s.txns.Init == nil {
-		pathCap := 2*s.t.MaxDepth + 1
-		s.txns.Init = func(recs []reqMsg) {
-			futs := make([]sim.Future, len(recs))
-			paths := make([]int, len(recs)*pathCap)
-			for i := range recs {
-				recs[i].fut = &futs[i]
-				recs[i].path = paths[i*pathCap : i*pathCap : (i+1)*pathCap]
-			}
-		}
-	}
 	req := s.txns.Acquire()
 	req.v = v
 	req.path = append(req.path[:0], leaf)
-	*req.fut = sim.Future{}
 	return req
 }
 
-// releaseReq recycles a completed transaction record. Safe only after the
+// reqShelf holds the transaction records of drained runs, keyed by path
+// capacity: a record reaches only a machine whose tree has the same depth.
+var reqShelf = core.NewTxnShelf[reqMsg]()
+
+const (
+	reqMsgBytes = int(unsafe.Sizeof(reqMsg{}))
+	futureBytes = int(unsafe.Sizeof(sim.Future{}))
+)
+
+// HandOver gives the strategy's transaction records to reqShelf; the
+// machine calls it when a run has drained.
+func (s *strategy) HandOver() { s.txns.HandOver() }
+
+// initReqs wires a fresh slab of transaction records to their futures and
+// path buffers. A path buffer has room for the longest possible pointer
+// chain (a full tree path: up to the root and down to a leaf, pathCap =
+// 2·MaxDepth+1) so the per-hop appends never reallocate.
+func initReqs(recs []reqMsg, pathCap int) {
+	futs := make([]sim.Future, len(recs))
+	paths := make([]int, len(recs)*pathCap)
+	for i := range recs {
+		recs[i].fut = &futs[i]
+		recs[i].path = paths[i*pathCap : i*pathCap : (i+1)*pathCap]
+	}
+}
+
+// releaseReq recycles a completed transaction record, cleared of every
+// reference: the arena may hand it to another machine. Safe only after the
 // requester's Await returned: at that point no message or event references
 // req anymore.
 func (s *strategy) releaseReq(req *reqMsg) {
 	req.v = nil
 	req.write = false
 	req.val = nil
+	*req.fut = sim.Future{}
 	s.txns.Release(req)
 }
 

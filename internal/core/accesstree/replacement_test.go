@@ -208,7 +208,7 @@ func TestArrowPathReversal(t *testing.T) {
 		p.Barrier()
 		if p.ID == 15 {
 			// Second acquisition by the same processor: token is local.
-			phase2 = m.Net.Loads()
+			phase2 = m.Net.AppendLoads(nil)
 			p.Lock(v)
 			p.Unlock(v)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"unsafe"
 
 	"diva/internal/mesh"
 	"diva/internal/sim"
@@ -79,10 +80,17 @@ type barrier struct {
 	noBatch bool
 
 	// msgs/sts recycle the cascade's payload and combining records through
-	// the package's slab arenas.
+	// the package's slab arenas, handed to barMsgShelf and barStateShelf
+	// when a run drains.
 	msgs TxnArena[barMsg]
 	sts  TxnArena[barState]
 }
+
+// The shelves of the barrier's records from drained runs.
+var (
+	barMsgShelf   = NewTxnShelf[barMsg]()
+	barStateShelf = NewTxnShelf[barState]()
+)
 
 type barKey struct {
 	node  int
@@ -110,6 +118,8 @@ func newBarrier(m *Machine) *barrier {
 		epoch:   make([]uint64, m.P()),
 		waiting: make([]*sim.Future, m.P()),
 		state:   make(map[barKey]*barState),
+		msgs:    TxnArena[barMsg]{Shelf: barMsgShelf, RecBytes: int(unsafe.Sizeof(barMsg{}))},
+		sts:     TxnArena[barState]{Shelf: barStateShelf, RecBytes: int(unsafe.Sizeof(barState{}))},
 	}
 	b.noBatch = m.Net.Reactive()
 	b.pos = m.Plan.PosTable(m.Tree.RandomRoot(m.RNG))

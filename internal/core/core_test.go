@@ -174,7 +174,7 @@ func TestLocalHitsProduceNoTraffic(t *testing.T) {
 				// Let all barrier release messages drain, then snapshot.
 				p.Wait(50000)
 				if p.ID == 0 {
-					snap = m.Net.Loads()
+					snap = m.Net.AppendLoads(nil)
 				}
 				p.Wait(1000) // everyone starts reading after the snapshot
 				for i := 0; i < 10; i++ {

@@ -23,6 +23,7 @@ package fixedhome
 
 import (
 	"fmt"
+	"unsafe"
 
 	"diva/internal/core"
 	"diva/internal/mesh"
@@ -59,7 +60,8 @@ type strategy struct {
 	// can produce (see recovery.go) instead of treating them as bugs.
 	react bool
 	// txns arena-allocates transaction records in slabs, each record next
-	// to its future (a core.TxnArena, shared machinery with accesstree).
+	// to its future (a core.TxnArena, shared machinery with accesstree),
+	// handed to reqShelf when a run drains.
 	txns core.TxnArena[req]
 	// states carves and recycles the per-variable records.
 	states core.TxnArena[varState]
@@ -70,27 +72,28 @@ type strategy struct {
 
 // acquireReq returns a transaction record from the arena.
 func (s *strategy) acquireReq(v *core.Variable, from int) *req {
-	if s.txns.Init == nil {
-		s.txns.Init = func(recs []req) {
-			futs := make([]sim.Future, len(recs))
-			for i := range recs {
-				recs[i].fut = &futs[i]
-			}
-		}
-	}
 	r := s.txns.Acquire()
 	r.v = v
 	r.from = from
-	*r.fut = sim.Future{}
 	return r
 }
 
-// releaseReq recycles a completed transaction record. Safe only after the
+// initReqs points a fresh slab of transaction records at their futures.
+func initReqs(recs []req, _ int) {
+	futs := make([]sim.Future, len(recs))
+	for i := range recs {
+		recs[i].fut = &futs[i]
+	}
+}
+
+// releaseReq recycles a completed transaction record, cleared of every
+// reference: the arena may hand it to another machine. Safe only after the
 // requester's Await returned: no message or event references it anymore.
 // In reactive mode that premise fails — a redirected request can still be
 // delivered (and dispatched to a handler) after the transaction completed
 // through the redirect — so records are never recycled there: leaking them
-// in the arena is what makes the late reference safe.
+// in the arena is what makes the late reference safe, and such an arena
+// has no shelf.
 func (s *strategy) releaseReq(r *req) {
 	if s.react {
 		return
@@ -98,11 +101,20 @@ func (s *strategy) releaseReq(r *req) {
 	r.v = nil
 	r.write = false
 	r.val = nil
+	*r.fut = sim.Future{}
 	s.txns.Release(r)
 }
 
+// reqShelf holds the transaction records of drained runs.
+var reqShelf = core.NewTxnShelf[req]()
+
+// HandOver gives the strategy's transaction records to reqShelf; the
+// machine calls it when a run has drained.
+func (s *strategy) HandOver() { s.txns.HandOver() }
+
 func newStrategy(m *core.Machine) *strategy {
 	s := &strategy{m: m, rng: m.RNG.Split(), lockWait: make([]lockWaiter, m.P())}
+	s.txns.Init = initReqs
 	net := m.Net
 	net.Handle(kindReadReq, s.onReadReq)
 	net.Handle(kindFetch, s.onFetch)
@@ -119,6 +131,9 @@ func newStrategy(m *core.Machine) *strategy {
 	if net.Reactive() {
 		s.react = true
 		s.enableRecovery()
+	} else {
+		s.txns.Shelf = reqShelf
+		s.txns.RecBytes = int(unsafe.Sizeof(req{}) + unsafe.Sizeof(sim.Future{}))
 	}
 	return s
 }

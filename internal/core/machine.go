@@ -315,9 +315,37 @@ func (p *Proc) Park() *sim.Future {
 // Run spawns one process per processor executing program and runs the
 // simulation to completion. It returns the kernel's error (deadlocks
 // surface here).
+//
+// A run that drains — returns with nothing pending, the moment the kernel
+// hands its event store over — hands over the network's, the barrier's
+// and the strategy's run-transient storage too (handOver); a canceled or
+// deadlocked run keeps it.
 func (m *Machine) Run(program func(p *Proc)) error {
 	m.SpawnAll(program)
-	return m.K.Run()
+	err := m.K.Run()
+	if err == nil && m.K.Pending() == 0 {
+		m.handOver()
+	}
+	return err
+}
+
+// handOverer is a strategy whose transaction records go to a shelf when a
+// run drains.
+type handOverer interface{ HandOver() }
+
+// handOver gives the storage that holds nothing once a run has drained —
+// the network's message pool, receiver records, replay journal and start
+// times, the barrier's records and the strategy's transaction records — to
+// the process-wide shelves, for the next machine to adopt at its first
+// need. Machine state that snapshots capture stays: variables and their
+// protocol state, node tables, inbox queues, reactive channels.
+func (m *Machine) handOver() {
+	m.Net.HandOver()
+	m.bar.msgs.HandOver()
+	m.bar.sts.HandOver()
+	if s, ok := m.Strat.(handOverer); ok {
+		s.HandOver()
+	}
 }
 
 // SpawnAll spawns the SPMD processes without running the kernel; use

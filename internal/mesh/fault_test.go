@@ -139,9 +139,9 @@ func TestFaultRerouteOverSpanningTree(t *testing.T) {
 }
 
 // TestFaultDetourGrowsRouteBuffers: a spanning-tree detour longer than the
-// healthy-net diameter must grow the persistent charge buffer (sized
-// Diameter()+1 at construction) instead of clobbering memory, and the
-// growth must stick for the next message. 2x3 mesh (diameter 3): with
+// healthy-net diameter must grow the persistent charge buffer (empty at
+// construction, Diameter()+1 at its first use) instead of clobbering
+// memory, and the growth must stick for the next message. 2x3 mesh (diameter 3): with
 // (0,1) and (1,4) down, node 1 hangs off node 2 and the 0->1 tree path is
 // 0-3, 3-4, 4-5, 5-2, 2-1 — five hops.
 func TestFaultDetourGrowsRouteBuffers(t *testing.T) {
@@ -153,8 +153,8 @@ func TestFaultDetourGrowsRouteBuffers(t *testing.T) {
 	}
 	tp := New(2, 3)
 	k, nw := faultNet(t, tp, sched)
-	if cap(nw.startBuf) != tp.Diameter()+1 {
-		t.Fatalf("initial startBuf cap %d, want Diameter()+1 = %d", cap(nw.startBuf), tp.Diameter()+1)
+	if cap(nw.startBuf) != 0 {
+		t.Fatalf("fresh network holds a startBuf of cap %d before its first message", cap(nw.startBuf))
 	}
 	var at sim.Time
 	deliveries := 0

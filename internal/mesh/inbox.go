@@ -108,6 +108,28 @@ func (nw *Network) deliverInbox(m *Msg) {
 	q.msgs[len(q.msgs)-1].pooled = false
 }
 
+// getReceiver returns a receiver record from the free list, or carved: from
+// the shelf's storage at the network's first need, else from the newest
+// chunk.
+func (nw *Network) getReceiver() *receiver {
+	s := &nw.inbox
+	if s.free == nil && len(s.receivers.chunk) == 0 {
+		if !nw.own {
+			nw.adopt()
+		}
+		if s.free == nil && len(s.receivers.chunk) == 0 {
+			nw.misses++
+		} else {
+			nw.hits++
+		}
+	}
+	if r := s.free; r != nil {
+		s.free = r.next
+		return r
+	}
+	return s.receivers.get()
+}
+
 // Recv blocks process p until a KindInbox message with the given tag
 // arrives at node, and returns a copy of it. Messages with equal tags are
 // received in arrival order; concurrent receivers on one tag are served
@@ -117,12 +139,7 @@ func (nw *Network) Recv(p *sim.Proc, node, tag int) Msg {
 	if m, ok := s.take(node, tag); ok {
 		return m
 	}
-	r := s.free
-	if r != nil {
-		s.free = r.next
-	} else {
-		r = s.receivers.get()
-	}
+	r := nw.getReceiver()
 	*r = receiver{tag: tag}
 	tail := &s.nodes[node].rx
 	for *tail != nil {

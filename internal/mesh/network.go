@@ -122,11 +122,19 @@ type Network struct {
 	pool msgPool
 
 	// routeBuf/startBuf are the reusable route buffers of the delivery hot
-	// path, sized once from the topology's diameter (no route is longer).
-	// route() fully consumes them within one call and the simulation is
-	// single-threaded per kernel, so reuse across messages is safe.
+	// path, grown on first use (startBuf to the topology's diameter: no
+	// healthy route is longer). A call fully consumes them and the
+	// simulation is single-threaded per kernel, so reuse across messages is
+	// safe.
 	routeBuf []int
 	startBuf []sim.Time
+
+	// own is set once the network has looked on the shelf for the storage
+	// of a drained run (spare.go); hits and misses count its refills of
+	// messages and receiver records, served from that storage or by
+	// allocation.
+	own          bool
+	hits, misses uint64
 
 	// routes is the topology's route memo, shared with every other network
 	// over the same Routes (routes.go); route32Buf is this network's scratch
@@ -195,6 +203,9 @@ type statSave struct {
 func (nw *Network) InlineBegin() {
 	if nw.ilj.active {
 		panic("mesh: nested InlineBegin")
+	}
+	if !nw.own {
+		nw.adopt()
 	}
 	nw.ilj.active = true
 	if nw.faults != nil {
@@ -268,8 +279,6 @@ func NewNetworkOn(k *sim.Kernel, r *Routes, p Params) *Network {
 		cpuFree:   make([]sim.Time, t.N()),
 		computeUS: make([]float64, t.N()),
 		inbox:     inboxStore{nodes: make([]nodeInbox, t.N())},
-		routeBuf:  make([]int, 0, t.Diameter()+1),
-		startBuf:  make([]sim.Time, 0, t.Diameter()+1),
 		routes:    r,
 	}
 	nw.handlers[KindInbox] = nw.deliverInbox
@@ -278,15 +287,15 @@ func NewNetworkOn(k *sim.Kernel, r *Routes, p Params) *Network {
 	return nw
 }
 
-// msgPool is a free list of pooled messages. A miss carves the message
-// from a chunk instead of allocating it alone; chunks double from
-// msgChunkMin to msgChunkMax messages, so a short run (a forked query)
-// allocates a few small chunks and a long one a chunk per msgChunkMax
-// messages in flight.
+// msgPool is a free list of pooled messages. When it runs dry it is
+// refilled with a chunk of messages instead of one allocated alone; chunks
+// double from msgChunkMin to msgChunkMax messages, so a short run (a
+// forked query) allocates a few small chunks and a long one a chunk per
+// msgChunkMax messages in flight. A drained run hands the pool to the next
+// network (spare.go).
 type msgPool struct {
-	free  []*Msg
-	chunk []Msg // unused tail of the newest chunk
-	grow  int   // length of the newest chunk
+	free []*Msg
+	grow int // length of the newest chunk
 }
 
 const (
@@ -294,20 +303,36 @@ const (
 	msgChunkMax = 256
 )
 
-func (p *msgPool) get() *Msg {
-	if n := len(p.free); n > 0 {
-		m := p.free[n-1]
-		p.free = p.free[:n-1]
-		return m
+// getMsg returns a pooled message. It stays small enough to inline: the
+// refill is a call only when the free list is empty.
+func (nw *Network) getMsg() *Msg {
+	p := &nw.pool
+	if len(p.free) == 0 {
+		nw.refill()
 	}
-	if len(p.chunk) == 0 {
-		p.grow = min(max(msgChunkMin, 2*p.grow), msgChunkMax)
-		p.chunk = make([]Msg, p.grow)
-	}
-	m := &p.chunk[0]
-	p.chunk = p.chunk[1:]
-	m.pooled = true
+	m := p.free[len(p.free)-1]
+	p.free = p.free[:len(p.free)-1]
 	return m
+}
+
+// refill fills the empty free list: with the shelf's messages at the
+// network's first need, else with a fresh chunk.
+func (nw *Network) refill() {
+	p := &nw.pool
+	if !nw.own {
+		nw.adopt()
+		if len(p.free) > 0 {
+			nw.hits++
+			return
+		}
+	}
+	nw.misses++
+	p.grow = min(max(msgChunkMin, 2*p.grow), msgChunkMax)
+	chunk := make([]Msg, p.grow)
+	for i := range chunk {
+		chunk[i].pooled = true
+		p.free = append(p.free, &chunk[i])
+	}
 }
 
 func (p *msgPool) put(m *Msg) {
@@ -318,7 +343,7 @@ func (p *msgPool) put(m *Msg) {
 // SendPooled sends a recycled message: protocol hot paths use it to make a
 // full send-route-deliver cycle allocation-free.
 func (nw *Network) SendPooled(src, dst, size int, kind uint8, payload interface{}) {
-	m := nw.pool.get()
+	m := nw.getMsg()
 	m.Src, m.Dst, m.Size, m.Kind, m.Payload = src, dst, size, kind, payload
 	nw.Send(m)
 }
@@ -326,7 +351,7 @@ func (nw *Network) SendPooled(src, dst, size int, kind uint8, payload interface{
 // SendPooledTag is SendPooled with a Tag, for protocols that pack their
 // per-hop state into the tag instead of allocating a payload.
 func (nw *Network) SendPooledTag(src, dst, size int, kind uint8, tag int, payload interface{}) {
-	m := nw.pool.get()
+	m := nw.getMsg()
 	m.Src, m.Dst, m.Size, m.Kind, m.Tag, m.Payload = src, dst, size, kind, tag, payload
 	nw.Send(m)
 }
@@ -369,7 +394,7 @@ func (nw *Network) SendFrom(p *sim.Proc, m *Msg) {
 // SendInbox is SendFrom of a pooled KindInbox message: the send of the
 // hand-optimized message passing programs, received with Recv.
 func (nw *Network) SendInbox(p *sim.Proc, src, dst, size, tag int, payload interface{}) {
-	m := nw.pool.get()
+	m := nw.getMsg()
 	m.Src, m.Dst, m.Size, m.Kind, m.Tag, m.Payload = src, dst, size, KindInbox, tag, payload
 	nw.SendFrom(p, m)
 }
@@ -577,6 +602,9 @@ func (nw *Network) healthyPath(src, dst int) []int32 {
 func (nw *Network) chargePath(path []int32, size int, depart sim.Time) sim.Time {
 	dur := float64(size) / nw.P.BytesPerUS
 	t := depart
+	if cap(nw.startBuf) < len(path) {
+		nw.growStarts(len(path))
+	}
 	starts := nw.startBuf[:0]
 	journal := nw.ilj.active
 	for _, li := range path {
@@ -620,10 +648,20 @@ func (nw *Network) chargePath(path []int32, size int, depart sim.Time) sim.Time 
 			}
 		}
 	}
-	// Keep any growth: spanning-tree detours exceed the healthy-net
-	// diameter the buffer was initially sized for.
-	nw.startBuf = starts[:0]
 	return arrive
+}
+
+// growStarts gives startBuf room for a path of n links: the shelf's at the
+// network's first need, else at least the diameter's worth
+// (spanning-tree detours can be longer).
+func (nw *Network) growStarts(n int) {
+	if !nw.own {
+		nw.adopt()
+		if cap(nw.startBuf) >= n {
+			return
+		}
+	}
+	nw.startBuf = make([]sim.Time, 0, max(n, nw.T.Diameter()+1))
 }
 
 // Compute charges d microseconds of application computation to the process
@@ -643,20 +681,19 @@ func (nw *Network) Compute(p *sim.Proc, node int, d float64) {
 	p.WaitUntil(end)
 }
 
-// ComputeTime returns the accumulated application compute time per node.
-func (nw *Network) ComputeTime() []float64 {
-	out := make([]float64, len(nw.computeUS))
-	copy(out, nw.computeUS)
-	return out
+// AppendComputeTime appends the accumulated application compute time of
+// every node to dst and returns the extended slice.
+func (nw *Network) AppendComputeTime(dst []float64) []float64 {
+	return append(dst, nw.computeUS...)
 }
 
-// Loads returns a copy of the per-link traffic counters, indexed by LinkID.
-func (nw *Network) Loads() []LinkLoad {
-	out := make([]LinkLoad, len(nw.links))
+// AppendLoads appends the per-link traffic counters, indexed by LinkID, to
+// dst and returns the extended slice.
+func (nw *Network) AppendLoads(dst []LinkLoad) []LinkLoad {
 	for i := range nw.links {
-		out[i] = nw.links[i].load
+		dst = append(dst, nw.links[i].load)
 	}
-	return out
+	return dst
 }
 
 // Congestion summarizes traffic accumulated since snapshot before (pass nil

@@ -100,7 +100,7 @@ func TestCongestionSnapshotDelta(t *testing.T) {
 	send := func() { nw.Send(&Msg{Src: 0, Dst: 1, Size: 8, Kind: 42}) }
 	var snap []LinkLoad
 	k.At(0, send)
-	k.At(1000, func() { snap = nw.Loads() })
+	k.At(1000, func() { snap = nw.AppendLoads(nil) })
 	k.At(2000, send)
 	k.At(2001, send)
 	if err := k.Run(); err != nil {
@@ -188,7 +188,7 @@ func TestComputeAccounting(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	ct := nw.ComputeTime()
+	ct := nw.AppendComputeTime(nil)
 	if ct[3] != 750 {
 		t.Fatalf("compute time %v, want 750", ct[3])
 	}

@@ -438,7 +438,7 @@ func (nw *Network) reactTimeout(xi interface{}) {
 			st.Failovers++
 			src, size, kind, tag, payload := x.src, x.size, x.kind, x.tag, x.payload
 			r.retire(x)
-			m := nw.pool.get()
+			m := nw.getMsg()
 			m.Src, m.Dst, m.Size, m.Kind, m.Tag, m.Payload = src, newDst, size, kind, tag, payload
 			nw.Send(m) // a fresh first transmission on the new channel
 			return
@@ -462,7 +462,7 @@ func (nw *Network) reactTimeout(xi interface{}) {
 	if x.delayUS *= r.p.Backoff; x.delayUS > r.p.AckTimeoutUS*reactMaxBackoff {
 		x.delayUS = r.p.AckTimeoutUS * reactMaxBackoff
 	}
-	m := nw.pool.get()
+	m := nw.getMsg()
 	m.Src, m.Dst, m.Size, m.Kind, m.Tag, m.Payload = x.src, x.dst, x.size, x.kind, x.tag, x.payload
 	m.xseq, m.xatt = x.xseq, uint16(x.attempt)
 	depart := nw.chargeSend(x.src)
@@ -483,7 +483,7 @@ func (nw *Network) reactAccept(m *Msg) bool {
 	}
 	st.AckMsgs++
 	st.AckBytes += TransportAckBytes
-	ack := nw.pool.get()
+	ack := nw.getMsg()
 	ack.Src, ack.Dst, ack.Size, ack.Kind = m.Dst, m.Src, TransportAckBytes, KindTransportAck
 	ack.xseq, ack.xatt = m.xseq, m.xatt
 	depart := nw.chargeSend(m.Dst)

@@ -50,6 +50,11 @@ type Collector struct {
 
 	phases map[string]*phaseAcc
 	order  []string
+
+	// nowLoads/nowCompute are EndPhase's and Total's reading of the
+	// counters, reused call after call.
+	nowLoads   []mesh.LinkLoad
+	nowCompute []float64
 }
 
 type phaseAcc struct {
@@ -70,9 +75,9 @@ func (c *Collector) Enabled() bool { return c.enabled }
 // excluded from Total and from phases.
 func (c *Collector) Baseline() {
 	c.enabled = true
-	c.baseLoads = c.nw.Loads()
+	c.baseLoads = c.nw.AppendLoads(c.baseLoads[:0])
 	c.baseTime = c.nw.K.Now()
-	c.baseCompute = c.nw.ComputeTime()
+	c.baseCompute = c.nw.AppendComputeTime(c.baseCompute[:0])
 	c.baseFaults = c.nw.FaultStats()
 }
 
@@ -86,9 +91,9 @@ func (c *Collector) StartPhase() {
 		panic("metrics: StartPhase while a phase is open")
 	}
 	c.phaseOpen = true
-	c.phaseLoads = c.nw.Loads()
+	c.phaseLoads = c.nw.AppendLoads(c.phaseLoads[:0])
 	c.phaseTime = c.nw.K.Now()
-	c.phaseCompute = c.nw.ComputeTime()
+	c.phaseCompute = c.nw.AppendComputeTime(c.phaseCompute[:0])
 }
 
 // EndPhase closes the open interval and accumulates it under name. Calling
@@ -112,13 +117,15 @@ func (c *Collector) EndPhase(name string) {
 		c.phases[name] = acc
 		c.order = append(c.order, name)
 	}
-	now := c.nw.Loads()
+	c.nowLoads = c.nw.AppendLoads(c.nowLoads[:0])
+	now := c.nowLoads
 	for i := range now {
 		acc.links[i].Msgs += now[i].Msgs - c.phaseLoads[i].Msgs
 		acc.links[i].Bytes += now[i].Bytes - c.phaseLoads[i].Bytes
 	}
 	acc.timeUS += c.nw.K.Now() - c.phaseTime
-	comp := c.nw.ComputeTime()
+	c.nowCompute = c.nw.AppendComputeTime(c.nowCompute[:0])
+	comp := c.nowCompute
 	for i := range comp {
 		acc.compute[i] += comp[i] - c.phaseCompute[i]
 	}
@@ -134,7 +141,8 @@ func (c *Collector) Total() Result {
 		TimeUS: c.nw.K.Now() - c.baseTime,
 		Faults: c.nw.FaultStats().Sub(c.baseFaults),
 	}
-	comp := c.nw.ComputeTime()
+	c.nowCompute = c.nw.AppendComputeTime(c.nowCompute[:0])
+	comp := c.nowCompute
 	for i := range comp {
 		d := comp[i] - c.baseCompute[i]
 		r.TotalComputeUS += d

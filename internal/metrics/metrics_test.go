@@ -127,7 +127,7 @@ func TestHeatmap(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	h := HeatmapMsgs(nw.T.(mesh.Mesh), nw.Loads(), nil)
+	h := HeatmapMsgs(nw.T.(mesh.Mesh), nw.AppendLoads(nil), nil)
 	if !strings.Contains(h, "999") {
 		t.Fatalf("heatmap of uniform path should be all-max: %q", h)
 	}
@@ -139,7 +139,7 @@ func TestTopLinks(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	top := TopLinks(nw.T.(mesh.Mesh), nw.Loads(), 10)
+	top := TopLinks(nw.T.(mesh.Mesh), nw.AppendLoads(nil), 10)
 	if len(top) != 2 {
 		t.Fatalf("TopLinks returned %d entries, want 2", len(top))
 	}

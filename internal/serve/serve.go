@@ -149,8 +149,9 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // runs get 503 with Retry-After; healthz keeps answering, reporting
 // "draining"), in-flight runs get until timeout to finish, and whatever is
 // still simulating at the deadline is canceled at its next kernel
-// checkpoint. Drain returns when no run remains and the idle process
-// workers the runs left behind have exited; it is idempotent, and
+// checkpoint. Drain returns when no run remains, the idle process
+// workers the runs left behind have exited and the storage they left on
+// the shelves is dropped; it is idempotent, and
 // concurrent calls all block until the first completes.
 func (s *Server) Drain(timeout time.Duration) {
 	s.drainOnce.Do(func() {
@@ -160,6 +161,7 @@ func (s *Server) Drain(timeout time.Duration) {
 		s.wg.Wait()
 		s.baseCancel()
 		sim.DropIdleWorkers()
+		sim.DropSpares()
 	})
 	s.wg.Wait()
 }
@@ -654,13 +656,23 @@ type healthzResponse struct {
 	PlanBuilds int64 `json:"plan_builds"`
 	// Kernel event storage (sim.StoreStats): sets of slabs and payload
 	// tables that finished kernels left for the next ones, the memory they
-	// keep resident (bounded by a constant), and how the slab requests of
-	// the kernels finished so far were served — from a free list or by
-	// allocation.
-	KernelStoreSets   int    `json:"kernel_store_sets"`
-	KernelStoreBytes  int64  `json:"kernel_store_bytes"`
-	KernelStoreHits   uint64 `json:"kernel_store_hits"`
-	KernelStoreMisses uint64 `json:"kernel_store_misses"`
+	// keep resident (bounded by a constant), kernels that started on one,
+	// and how the slab requests of the kernels finished so far were served
+	// — from a free list or by allocation.
+	KernelStoreSets      int    `json:"kernel_store_sets"`
+	KernelStoreBytes     int64  `json:"kernel_store_bytes"`
+	KernelStoreAdoptions uint64 `json:"kernel_store_adoptions"`
+	KernelStoreHits      uint64 `json:"kernel_store_hits"`
+	KernelStoreMisses    uint64 `json:"kernel_store_misses"`
+	// The same for the run-transient storage above the kernel
+	// (sim.RunStoreStats): message pools, receiver records, replay
+	// journals and start times of the networks, transaction and barrier
+	// records of the strategies, counted in messages and records.
+	RunStoreSets      int    `json:"run_store_sets"`
+	RunStoreBytes     int64  `json:"run_store_bytes"`
+	RunStoreAdoptions uint64 `json:"run_store_adoptions"`
+	RunStoreHits      uint64 `json:"run_store_hits"`
+	RunStoreMisses    uint64 `json:"run_store_misses"`
 	// Process runtime (sim.ProcStats): idle workers in the stock, first
 	// wake-ups served from it or by a new one, switches of finished runs.
 	ProcPoolIdle   int    `json:"proc_pool_idle"`
@@ -676,6 +688,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	plans := core.ReadPlanStats()
 	store := sim.StoreStats()
+	run := sim.RunStoreStats()
 	procs := sim.ProcStats()
 	s.writeJSON(w, http.StatusOK, healthzResponse{
 		Status:      status,
@@ -697,10 +710,17 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		PlanHits:   plans.Hits,
 		PlanBuilds: plans.Builds,
 
-		KernelStoreSets:   store.Sets,
-		KernelStoreBytes:  store.Bytes,
-		KernelStoreHits:   store.Hits,
-		KernelStoreMisses: store.Misses,
+		KernelStoreSets:      store.Sets,
+		KernelStoreBytes:     store.Bytes,
+		KernelStoreAdoptions: store.Adoptions,
+		KernelStoreHits:      store.Hits,
+		KernelStoreMisses:    store.Misses,
+
+		RunStoreSets:      run.Sets,
+		RunStoreBytes:     run.Bytes,
+		RunStoreAdoptions: run.Adoptions,
+		RunStoreHits:      run.Hits,
+		RunStoreMisses:    run.Misses,
 
 		ProcPoolIdle:   procs.Idle,
 		ProcPoolHits:   procs.Hits,

@@ -407,7 +407,9 @@ func TestHealthzPlanCounters(t *testing.T) {
 // and the resident bytes stay under the stock's constant ceiling however
 // large the largest run was. The process workers they leave behind are
 // reported the same way: idle ones within the stock's cap, later requests
-// served from it, switches counted.
+// served from it, switches counted. So is the run-transient storage of the
+// layers above the kernel: message pools and transaction records wait on
+// their shelves within the shelves' ceiling, and later runs adopt them.
 func TestHealthzKernelStoreBounded(t *testing.T) {
 	ts := httptest.NewServer(mustServer(t, Options{Workers: 2}).Handler())
 	defer ts.Close()
@@ -447,6 +449,17 @@ func TestHealthzKernelStoreBounded(t *testing.T) {
 	if after.KernelStoreHits <= before.KernelStoreHits || after.KernelStoreMisses < before.KernelStoreMisses {
 		t.Errorf("slab counters went from %d hits / %d misses to %d / %d over 16 runs",
 			before.KernelStoreHits, before.KernelStoreMisses, after.KernelStoreHits, after.KernelStoreMisses)
+	}
+	runCeiling := sim.RunStoreStats().Ceiling
+	if after.RunStoreSets < 1 || after.RunStoreBytes <= 0 || after.RunStoreBytes > runCeiling {
+		t.Errorf("healthz reports %d run store sets holding %d bytes; want at least one set and at most %d bytes",
+			after.RunStoreSets, after.RunStoreBytes, runCeiling)
+	}
+	if after.RunStoreAdoptions <= before.RunStoreAdoptions || after.RunStoreHits <= before.RunStoreHits ||
+		after.KernelStoreAdoptions <= before.KernelStoreAdoptions {
+		t.Errorf("run store went from %d adoptions / %d hits to %d / %d, kernel store adoptions from %d to %d, over 16 runs",
+			before.RunStoreAdoptions, before.RunStoreHits, after.RunStoreAdoptions, after.RunStoreHits,
+			before.KernelStoreAdoptions, after.KernelStoreAdoptions)
 	}
 	if after.ProcPoolIdle < 1 || after.ProcPoolIdle > sim.ProcStats().Cap ||
 		after.ProcPoolHits <= before.ProcPoolHits || after.ProcSwitches <= before.ProcSwitches {

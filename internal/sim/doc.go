@@ -117,17 +117,34 @@
 // Before a set enters the stock it is trimmed and scrubbed. Trimmed: at
 // most 8 MiB a set, largest slabs dropped first, and at most 4 sets wait,
 // so the stock keeps a constant 32 MiB at most; a set released while the
-// stock is full is dropped. Scrubbed: stale events in consumed slabs still
-// name their *Proc, and used payload slots their callback and argument, so
-// every slab handed out since the last scrub (a low-water mark per class
-// tells which) and every used payload slot is cleared — a finished machine
-// is collectable while its slabs live on (TestReleasedStoreIsCleared). The
-// stock is a mutex-guarded array, not a sync.Pool: a pool drops what two
-// collections found unused — a figure cell collects many times while it
-// runs, so the next would start cold — and cannot bound what it holds.
-// StoreStats reports
-// sets and bytes resident, adoptions, and the slab hits and misses of the
-// kernels that have handed over; /v1/healthz shows them as kernel_store_*.
+// stock is full pushes out the oldest. Scrubbed: stale events in consumed
+// slabs still name their *Proc, and used payload slots their callback and
+// argument, so every slab handed out since the last scrub (a low-water
+// mark per class tells which) and every used payload slot is cleared — a
+// finished machine is collectable while its slabs live on
+// (TestReleasedStoreIsCleared). StoreStats reports sets and bytes
+// resident, adoptions, and the slab hits and misses of the kernels that
+// have handed over; /v1/healthz shows them as kernel_store_*.
+//
+// The stock is one Shelf (shelf.go): a mutex-guarded, bounded array of
+// sets, not a sync.Pool — a pool drops what two collections found unused
+// (a figure cell collects many times while it runs, so the next would
+// start cold) and cannot bound what it holds. The layers above the kernel
+// hand their run-transient storage over through shelves of the same type,
+// at the same moment and under the same rule: core.Machine.Run, when the
+// kernel's Run returned with nothing pending, gives the network's message
+// pool, free receiver records, replay journal and start times
+// (mesh/spare.go), the barrier's message and combining records and the
+// strategy's transaction records (core.TxnArena); each is adopted by the
+// next network or arena at its first need, and a canceled or deadlocked
+// run keeps it. Storage shaped by the machine carries a shape key — an
+// access-tree record's path buffer holds 2·MaxDepth+1 nodes — and goes
+// only to a machine of the same key. What snapshots capture never leaves
+// its machine: variables, their protocol state and node tables, inbox
+// queues, reactive channels, Barnes-Hut values. A shelf's sets hold no
+// reference to the machine that used them: messages and records are
+// cleared when freed. RunStoreStats sums those shelves; /v1/healthz shows
+// them as run_store_*, and DropSpares empties every shelf.
 //
 // # Process switches
 //

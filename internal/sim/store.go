@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math/bits"
-	"sync"
 	"unsafe"
 )
 
@@ -14,7 +13,8 @@ import (
 // is owned by exactly one holder at a time: whoever got it from get (or
 // grow) until that holder hands it to put. When Run returns with nothing
 // pending the whole store is scrubbed of references and handed to the
-// process-wide stock, where the next kernel finds it on its first need.
+// process-wide stock, a Shelf, where the next kernel finds it on its first
+// need.
 type evStore struct {
 	pay     []payload // callback payload slots referenced by event.slot
 	payFree []int32   // recycled payload slots
@@ -111,8 +111,8 @@ func (s *evStore) grow(b []event) []event {
 	return nb
 }
 
-// bytes is the memory the set keeps alive.
-func (s *evStore) bytes() int {
+// Bytes is the memory the set keeps alive.
+func (s *evStore) Bytes() int {
 	n := cap(s.pay)*payloadBytes + cap(s.payFree)*4 + cap(s.idxBuf) + len(s.spare)*rungBytes
 	for c := range s.free {
 		n += len(s.free[c]) * (eventBytes << (c + slabMinShift))
@@ -120,10 +120,10 @@ func (s *evStore) bytes() int {
 	return n
 }
 
-// trim drops storage until the set is within stockSetBytes: slabs from
-// the largest class down, and the payload table only if it alone is over.
-func (s *evStore) trim() {
-	over := s.bytes() - stockSetBytes
+// Trim drops storage until the set is within max bytes: slabs from the
+// largest class down, and the payload table only if it alone is over.
+func (s *evStore) Trim(max int) {
+	over := s.Bytes() - max
 	for c := slabClasses - 1; c >= 0 && over > 0; c-- {
 		l := s.free[c]
 		for len(l) > 0 && over > 0 {
@@ -141,11 +141,11 @@ func (s *evStore) trim() {
 	}
 }
 
-// scrub clears every reference the set could keep alive — the *Proc of
+// Scrub clears every reference the set could keep alive — the *Proc of
 // stale events in slabs handed out since the last scrub, and hfn, arg and
 // fn of used payload slots — so the machine that ran on it is collectable
 // while the set waits in the stock.
-func (s *evStore) scrub() {
+func (s *evStore) Scrub() {
 	for c := range s.free {
 		l := s.free[c]
 		for _, b := range l[s.clean[c]:] {
@@ -157,16 +157,9 @@ func (s *evStore) scrub() {
 	s.pay, s.payFree = s.pay[:0], s.payFree[:0]
 }
 
-// stock is the process-wide shelf of released sets. sync.Pool does not
-// fit: it drops what two collections found unused, which is any set while
-// a long run is under way, and cannot bound what it holds.
-var stock struct {
-	mu   sync.Mutex
-	sets [stockSets]evStore
-	n    int
-
-	adoptions, hits, misses uint64
-}
+// stock is the process-wide shelf of released sets: at most stockSets of
+// at most stockSetBytes each.
+var stock = &Shelf[evStore, *evStore]{max: stockSets, setBytes: stockSetBytes}
 
 // adopt takes the most recently released set, if there is one. It runs at
 // the store's first slab request, so the store is empty but for the
@@ -175,16 +168,10 @@ var stock struct {
 // into the adopted table.
 func (s *evStore) adopt() {
 	s.own = true
-	stock.mu.Lock()
-	if stock.n == 0 {
-		stock.mu.Unlock()
+	set, ok := stock.Take(0)
+	if !ok {
 		return
 	}
-	stock.n--
-	set := stock.sets[stock.n]
-	stock.sets[stock.n] = evStore{}
-	stock.adoptions++
-	stock.mu.Unlock()
 	if len(s.pay) <= cap(set.pay) {
 		set.pay = append(set.pay[:0], s.pay...)
 		set.payFree = append(set.payFree[:0], s.payFree...)
@@ -203,41 +190,13 @@ func (s *evStore) release() {
 	}
 	s.put(s.sortBuf)
 	s.sortBuf = nil
-	s.trim()
-	s.scrub()
 	hits, misses := s.hits, s.misses
 	s.own, s.hits, s.misses = false, 0, 0
-	stock.mu.Lock()
-	stock.hits += hits
-	stock.misses += misses
-	if stock.n < stockSets {
-		stock.sets[stock.n] = *s
-		stock.n++
-	}
-	stock.mu.Unlock()
+	stock.Give(0, *s, hits, misses)
 	*s = evStore{}
 }
 
-// StockStats describes the process-wide stock of kernel event storage.
-// Hits and Misses count slab requests (free list vs. allocation) of the
-// kernels that have handed their store over so far.
-type StockStats struct {
-	Sets      int    // sets waiting for adoption
-	Bytes     int64  // memory they keep resident
-	Ceiling   int64  // the constant Bytes never exceeds
-	Adoptions uint64 // kernels that started on a released set
-	Hits      uint64
-	Misses    uint64
-}
-
-// StoreStats returns the stock's current state and counters.
-func StoreStats() StockStats {
-	stock.mu.Lock()
-	defer stock.mu.Unlock()
-	st := StockStats{Sets: stock.n, Ceiling: stockSets * stockSetBytes,
-		Adoptions: stock.adoptions, Hits: stock.hits, Misses: stock.misses}
-	for i := range stock.sets[:stock.n] {
-		st.Bytes += int64(stock.sets[i].bytes())
-	}
-	return st
-}
+// StoreStats returns the state and counters of the process-wide stock of
+// kernel event storage. Hits and Misses count slab requests (free list
+// vs. allocation) of the kernels that have handed their store over so far.
+func StoreStats() ShelfStats { return stock.Stats() }

@@ -10,14 +10,7 @@ import (
 
 // emptyStock drops every set waiting in the process-wide stock, so a test
 // starts from kernels that find nothing to adopt.
-func emptyStock() {
-	stock.mu.Lock()
-	for i := range stock.sets {
-		stock.sets[i] = evStore{}
-	}
-	stock.n = 0
-	stock.mu.Unlock()
-}
+func emptyStock() { stock.drop() }
 
 func stockSetCount() int { return StoreStats().Sets }
 
@@ -166,10 +159,10 @@ func TestReleasedStoreIsCleared(t *testing.T) {
 
 	stock.mu.Lock()
 	defer stock.mu.Unlock()
-	if stock.n != 1 {
-		t.Fatalf("stock holds %d sets, want 1", stock.n)
+	if len(stock.sets) != 1 {
+		t.Fatalf("stock holds %d sets, want 1", len(stock.sets))
 	}
-	s := &stock.sets[0]
+	s := &stock.sets[0].set
 	slabs := 0
 	for c, l := range s.free {
 		if int(s.clean[c]) != len(l) {
@@ -209,7 +202,7 @@ func TestReleasedStoreIsCleared(t *testing.T) {
 	if s.sortBuf != nil || s.own {
 		t.Error("set keeps its sort scratch outside the free lists, or is marked owned")
 	}
-	if got := s.bytes(); got > stockSetBytes {
+	if got := s.Bytes(); got > stockSetBytes {
 		t.Errorf("set holds %d bytes, ceiling %d", got, stockSetBytes)
 	}
 }
@@ -222,8 +215,8 @@ func TestStoreTrimDropsLargestFirst(t *testing.T) {
 	small := s.get(8)
 	s.put(big)
 	s.put(small)
-	s.trim()
-	if got := s.bytes(); got > stockSetBytes || got == 0 {
+	s.Trim(stockSetBytes)
+	if got := s.Bytes(); got > stockSetBytes || got == 0 {
 		t.Fatalf("trimmed set holds %d bytes, ceiling %d", got, stockSetBytes)
 	}
 	if len(s.free[0]) != 1 {

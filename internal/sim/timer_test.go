@@ -251,7 +251,7 @@ func TestOnlyCanceledTimersLeft(t *testing.T) {
 		t.Fatalf("store kept (own=%v), stock holds %d sets; want it handed over", k.st.own, stockSetCount())
 	}
 	stock.mu.Lock()
-	for _, r := range stock.sets[0].spare {
+	for _, r := range stock.sets[0].set.spare {
 		for b := range r.bkts {
 			if r.bkts[b] != nil {
 				t.Fatal("a retired rung keeps a bucket of dead entries")
