@@ -2,11 +2,11 @@ package accesstree
 
 import (
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"slices"
 
 	"diva/internal/core"
+	"diva/internal/wire"
 	"diva/internal/xrand"
 )
 
@@ -29,8 +29,9 @@ import (
 // the same topology and tree.
 
 // State is the strategy's captured state (core.StratState): forks restore
-// from it, and a snapshot file carries it — the exported fields through
-// encoding/gob, the node tables as a raw section (AppendTables).
+// from it, and a snapshot file carries it — the exported fields in the
+// state section (AppendState), the node tables as a raw section
+// (AppendTables).
 type State struct {
 	RNG    xrand.State
 	Remaps int
@@ -47,8 +48,8 @@ type State struct {
 
 // VarState is one quiescent variable. Of its lock only the arrows (in the
 // node table) and the token's resting leaf persist: queue, waiters and
-// holder must be empty/free at quiescence. Values, not pointers: gob
-// rejects nil elements in pointer slices, and freed variables leave holes.
+// holder must be empty/free at quiescence. Values, not pointers: freed
+// variables leave holes, zero values, in State.Vars.
 type VarState struct {
 	Present  bool
 	RootPos  int
@@ -59,12 +60,52 @@ type VarState struct {
 	Moved    []int32 // remapState.moved
 	// pages is how many of State.pages are the variable's sparse table,
 	// which holds count nodes; 0 if its table is full. The table section
-	// carries the tables, not gob.
+	// carries the tables, and LoadState derives both.
 	pages, count int
 }
 
-func init() {
-	gob.RegisterName("diva/accesstree.State", &State{})
+// AppendState implements core.StratState: the exported fields.
+func (st *State) AppendState(b []byte) []byte {
+	b = st.RNG.Append(b)
+	b = wire.AppendInt(b, st.Remaps)
+	return wire.AppendSlice(b, st.Vars, appendVarState)
+}
+
+// ReadState reads the exported fields of a State that AppendState wrote,
+// which must hold vars variables. A freed variable is one byte of the file
+// and a VarState a hundred in memory, so the count is checked before the
+// variables are allocated.
+func ReadState(r *wire.Reader, vars int) *State {
+	st := &State{RNG: xrand.ReadState(r), Remaps: r.Int()}
+	if peek := *r; peek.Len(1) != vars {
+		r.Fail("snapshot variable count is not the machine's %d", vars)
+		return st
+	}
+	st.Vars = wire.ReadSlice(r, 1, readVarState)
+	return st
+}
+
+// A freed variable is one zero byte.
+func appendVarState(b []byte, v VarState) []byte {
+	b = wire.AppendBool(b, v.Present)
+	if !v.Present {
+		return b
+	}
+	b = wire.AppendInt(b, v.RootPos)
+	b = wire.AppendUint64(b, v.Seed)
+	b = wire.AppendInt(b, v.Creator)
+	b = wire.AppendInt(b, v.TokenAt)
+	b = wire.AppendSlice(b, v.Accesses, wire.AppendUint32)
+	return wire.AppendSlice(b, v.Moved, wire.AppendInt32)
+}
+
+func readVarState(r *wire.Reader) VarState {
+	if !r.Bool() {
+		return VarState{}
+	}
+	return VarState{Present: true, RootPos: r.Int(), Seed: r.Uint64(), Creator: r.Int(), TokenAt: r.Int(),
+		Accesses: wire.ReadSlice(r, 1, (*wire.Reader).Uint32),
+		Moved:    wire.ReadSlice(r, 1, (*wire.Reader).Int32)}
 }
 
 // SnapshotState implements core.Forker.
@@ -297,10 +338,11 @@ func (st *State) AppendTables(b []byte) []byte {
 
 // LoadState implements core.Forker: a variable whose nodes not at rest fit
 // a sparse table gets one, as page images; the others keep full tables.
-func (s *strategy) LoadState(state core.StratState, tables []byte, vars []core.VarState) error {
-	st, ok := state.(*State)
-	if !ok {
-		return fmt.Errorf("accesstree: foreign snapshot state %T", state)
+func (s *strategy) LoadState(state, tables []byte, vars []core.VarState) (core.StratState, error) {
+	r := wire.NewReader(state)
+	st := ReadState(r, len(vars))
+	if err := r.Finish(); err != nil {
+		return nil, fmt.Errorf("accesstree: decode snapshot state: %w", err)
 	}
 	n, present := len(s.t.Nodes), 0
 	for i := range st.Vars {
@@ -309,7 +351,7 @@ func (s *strategy) LoadState(state core.StratState, tables []byte, vars []core.V
 		}
 	}
 	if len(tables) != 8*n*present {
-		return fmt.Errorf("accesstree: node table section of %d bytes, %d variables of %d tree nodes need %d", len(tables), present, n, 8*n*present)
+		return nil, fmt.Errorf("accesstree: node table section of %d bytes, %d variables of %d tree nodes need %d", len(tables), present, n, 8*n*present)
 	}
 	// Size both blocks first: count the nodes not at rest of every table.
 	pages, full := 0, 0
@@ -347,13 +389,13 @@ func (s *strategy) LoadState(state core.StratState, tables []byte, vars []core.V
 		}
 		// The root is never at rest: its data pointer leads down.
 		if binary.LittleEndian.Uint64(ws[8*root:]) == restWord {
-			return malformed(root)
+			return nil, malformed(root)
 		}
 		if vsn.pages == 0 {
 			for id := range n {
 				w := binary.LittleEndian.Uint64(ws[8*id:])
 				if w != restWord && !s.fits(id, w) {
-					return malformed(id)
+					return nil, malformed(id)
 				}
 				fulls[id] = nodeFromWord(w)
 			}
@@ -367,7 +409,7 @@ func (s *strategy) LoadState(state core.StratState, tables []byte, vars []core.V
 				continue
 			}
 			if !s.fits(id, w) {
-				return malformed(id)
+				return nil, malformed(id)
 			}
 			pg := &imgs[e/pageNodes]
 			pg.ids[e%pageNodes], pg.slots[e%pageNodes] = uint16(id), nodeFromWord(w)
@@ -379,7 +421,10 @@ func (s *strategy) LoadState(state core.StratState, tables []byte, vars []core.V
 	for i := range st.sets {
 		st.sets[i].reindex()
 	}
-	return s.check(st, len(vars), func(i int) bool { return vars[i].Present })
+	if err := s.check(st, len(vars), func(i int) bool { return vars[i].Present }); err != nil {
+		return nil, err
+	}
+	return st, nil
 }
 
 // fits reports whether w is a table word tree node id can hold: a member

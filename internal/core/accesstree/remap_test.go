@@ -207,11 +207,11 @@ func TestRemapSnapshotSerialization(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := w.WriteState(&buf); err != nil {
+		state, err = w.AppendState(nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return w.Tables, w.Locals, buf.Bytes()
+		return w.Tables, w.Locals, state
 	}
 	tables, locals, state := encode(snap)
 	for i := 0; i < 8; i++ {

@@ -1,6 +1,9 @@
 package core
 
-import "diva/internal/mesh"
+import (
+	"diva/internal/mesh"
+	"diva/internal/wire"
+)
 
 // NewMachineWithLimits builds a machine on a private plan whose route memo
 // and position tables stop growing at the given sizes, for the tests of
@@ -19,3 +22,18 @@ func SetVarSize(s *Snapshot, id VarID, size int) { s.st.Vars[id].Size = size }
 
 // LiveVarCount returns how many variables of m exist.
 func LiveVarCount(m *Machine) int { return LiveVars(m.vars) }
+
+// SnapState is the part of a snapshot the state section carries before the
+// variable values, for the codec tests.
+type SnapState = snapState
+
+// AppendSnapState appends st as a state section begins.
+func AppendSnapState(st *SnapState) ([]byte, error) { return st.append(nil) }
+
+// ReadSnapState reads what AppendSnapState wrote, all of it.
+func ReadSnapState(b []byte) (*SnapState, error) {
+	r := wire.NewReader(b)
+	st := new(snapState)
+	st.read(r)
+	return st, r.Finish()
+}

@@ -1,10 +1,10 @@
 package fixedhome
 
 import (
-	"encoding/gob"
 	"fmt"
 
 	"diva/internal/core"
+	"diva/internal/wire"
 	"diva/internal/xrand"
 )
 
@@ -16,26 +16,44 @@ import (
 // quiescence.
 
 // State is the strategy's captured state (core.StratState): forks restore
-// from it and a snapshot file carries it, whole, through encoding/gob.
+// from it and a snapshot file carries it, whole, in the state section
+// (AppendState).
 type State struct {
 	RNG  xrand.State
 	Vars []VarState // indexed by VarID; the zero value marks a freed variable
 }
 
-// VarState is one variable's directory record. Values, not pointers: gob
-// rejects nil elements in pointer slices, and freed variables leave holes.
+// VarState is one variable's directory record. Values, not pointers: freed
+// variables leave holes, zero values, in State.Vars.
 type VarState struct {
 	Present bool
 	Home    int
 	Owner   int
 }
 
-func init() {
-	gob.RegisterName("diva/fixedhome.State", &State{})
-}
-
 // AppendTables implements core.StratState: the strategy has no bulk table.
 func (st *State) AppendTables(b []byte) []byte { return b }
+
+// AppendState implements core.StratState.
+func (st *State) AppendState(b []byte) []byte {
+	return wire.AppendSlice(st.RNG.Append(b), st.Vars, func(b []byte, v VarState) []byte {
+		b = wire.AppendBool(b, v.Present)
+		if !v.Present {
+			return b // a freed variable is one zero byte
+		}
+		return wire.AppendInt(wire.AppendInt(b, v.Home), v.Owner)
+	})
+}
+
+// ReadState reads a State that AppendState wrote.
+func ReadState(r *wire.Reader) *State {
+	return &State{RNG: xrand.ReadState(r), Vars: wire.ReadSlice(r, 1, func(r *wire.Reader) VarState {
+		if !r.Bool() {
+			return VarState{}
+		}
+		return VarState{Present: true, Home: r.Int(), Owner: r.Int()}
+	})}
+}
 
 // SnapshotState implements core.Forker.
 func (s *strategy) SnapshotState(vars []*core.Variable) (core.StratState, error) {
@@ -83,12 +101,16 @@ func (s *strategy) check(state core.StratState, vars int, live func(i int) bool)
 }
 
 // LoadState implements core.Forker.
-func (s *strategy) LoadState(state core.StratState, tables []byte, vars []core.VarState) error {
+func (s *strategy) LoadState(state, tables []byte, vars []core.VarState) (core.StratState, error) {
 	if len(tables) != 0 {
-		return fmt.Errorf("fixedhome: snapshot has a %d-byte table section, the strategy has no tables", len(tables))
+		return nil, fmt.Errorf("fixedhome: snapshot has a %d-byte table section, the strategy has no tables", len(tables))
 	}
-	_, err := s.check(state, len(vars), func(i int) bool { return vars[i].Present })
-	return err
+	r := wire.NewReader(state)
+	st := ReadState(r)
+	if err := r.Finish(); err != nil {
+		return nil, fmt.Errorf("fixedhome: decode snapshot state: %w", err)
+	}
+	return s.check(st, len(vars), func(i int) bool { return vars[i].Present })
 }
 
 // RestoreState implements core.Forker.

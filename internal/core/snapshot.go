@@ -48,12 +48,12 @@ type Forker interface {
 	// per-variable protocol state on the fork's variable records. The state
 	// is never mutated, so many forks can restore from one.
 	RestoreState(state StratState, vars []*Variable) error
-	// LoadState completes a state that encoding/gob just decoded from a
-	// snapshot file: it decodes the raw table section (AppendTables'
-	// output) onto it and validates the whole against this strategy's
-	// machine, vars being the stored variable records. A state that
-	// passes restores without error.
-	LoadState(state StratState, tables []byte, vars []VarState) error
+	// LoadState decodes a state from a snapshot file — the strategy's own
+	// bytes of the state section (StratState.AppendState) and the raw
+	// table section (AppendTables) — and validates it against this
+	// strategy's machine, vars being the stored variable records. A state
+	// it returns restores without error.
+	LoadState(state, tables []byte, vars []VarState) (StratState, error)
 	// Reseed re-derives the strategy's private random stream from a fresh
 	// seed, so a fork diverges from its siblings in every future random
 	// draw (new variable placements). State inherited from the snapshot is
@@ -62,14 +62,17 @@ type Forker interface {
 }
 
 // StratState is a strategy's captured state: the value a fork restores
-// from and the value a snapshot file carries. It crosses the gob boundary
-// as an interface value (the defining package registers the concrete type
-// and exports the fields that persist), except for bulk numeric tables,
-// which travel beside the gob stream as raw little-endian words.
+// from and the value a snapshot file carries, in two parts — its bulk
+// numeric tables as raw little-endian words in the table section, the rest
+// as the strategy's own bytes at the end of the state section. Only the
+// strategy reads either back (Forker.LoadState), so no type names them.
 type StratState interface {
 	// AppendTables appends the state's bulk tables to b (nothing, for a
 	// strategy without any) and returns the extended slice.
 	AppendTables(b []byte) []byte
+	// AppendState appends everything but the tables to b and returns the
+	// extended slice.
+	AppendState(b []byte) []byte
 }
 
 // seedSalt decorrelates the machine RNG from the raw user seed; InitVar
@@ -112,8 +115,8 @@ type Snapshot struct {
 	data []interface{}
 }
 
-// snapState is the part of a snapshot that encoding/gob carries into a
-// snapshot file as one value (wire.go).
+// snapState is the part of a snapshot that a snapshot file carries in its
+// state section (wire.go).
 type snapState struct {
 	Kern    sim.KernelState
 	Net     *mesh.NetworkState

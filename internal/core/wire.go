@@ -1,13 +1,14 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
-	"io"
 	"math"
-	"reflect"
+
+	"diva/internal/mesh"
+	"diva/internal/sim"
+	"diva/internal/wire"
+	"diva/internal/xrand"
 )
 
 // The serialized form of a machine snapshot, for on-disk persistence
@@ -24,7 +25,7 @@ import (
 
 // Sections is the bulk numeric state of a snapshot as the raw
 // little-endian words a snapshot file holds; everything irregular follows
-// as one gob stream (WriteState).
+// as the state section (AppendState).
 type Sections struct {
 	// Tables is the strategy's bulk table section (StratState.AppendTables;
 	// every access-tree node table, in variable order).
@@ -37,8 +38,8 @@ type Sections struct {
 }
 
 // Wire converts the snapshot's bulk state to its serialized sections. The
-// conversion itself cannot fail; what can — an unregistered payload type —
-// surfaces from WriteState.
+// conversion itself cannot fail; what can — a value of a type without a
+// codec — surfaces from AppendState.
 func (s *Snapshot) Wire() (*Sections, error) {
 	w := &Sections{snap: s}
 	if s.st.Strat != nil {
@@ -51,144 +52,104 @@ func (s *Snapshot) Wire() (*Sections, error) {
 	return w, nil
 }
 
-// WriteState writes the state section, one gob stream: the snapshot's
-// remaining state as one value (kernel, network, barrier, caches,
-// per-variable scalars, strategy state), then the variable values
-// (encodeValues). It fails when a variable value or a queued message
-// payload has a type its package did not register with encoding/gob.
-func (w *Sections) WriteState(out io.Writer) error {
-	enc := gob.NewEncoder(out)
-	if err := enc.Encode(&w.snap.st); err != nil {
-		return fmt.Errorf("diva: encode snapshot: %w", err)
+// AppendState appends the state section to b: the snapshot's remaining
+// state (kernel, network, machine RNG, per-variable scalars, barrier,
+// caches), the variable values (wire.AppendValues), then, to the section's
+// end, the strategy's own bytes (StratState.AppendState; none on a machine
+// without a strategy). It fails when a variable value or a queued message
+// payload has a type no package registered a codec for.
+func (w *Sections) AppendState(b []byte) ([]byte, error) {
+	st := &w.snap.st
+	b, err := st.append(b)
+	if err != nil {
+		return b, fmt.Errorf("diva: encode snapshot: %w", err)
 	}
-	if err := encodeValues(enc, w.snap.data); err != nil {
-		return fmt.Errorf("diva: encode snapshot: variable values: %w", err)
+	if b, err = wire.AppendValues(b, w.snap.data); err != nil {
+		return b, fmt.Errorf("diva: encode snapshot: variable values: %w", err)
 	}
-	return nil
+	if st.Strat != nil {
+		b = st.Strat.AppendState(b)
+	}
+	return b, nil
 }
 
-// encodeValues writes the variable values grouped by concrete type: the
-// kind of every variable (0: no value; k: the k-th type in order of first
-// appearance), then per kind one value behind an interface — which names
-// the type through gob's own registry — and all values of the kind, in
-// variable order, as one typed slice. A thousand values of three types
-// cost three interface round trips instead of a thousand.
-func encodeValues(enc *gob.Encoder, data []interface{}) error {
-	kinds := make([]int, len(data))
-	kindOf := make(map[reflect.Type]int)
-	var groups []reflect.Value
-	for i, d := range data {
-		if d == nil {
-			continue
-		}
-		t := reflect.TypeOf(d)
-		k, ok := kindOf[t]
-		if !ok {
-			groups = append(groups, reflect.MakeSlice(reflect.SliceOf(t), 0, len(data)-i))
-			k = len(groups)
-			kindOf[t] = k
-		}
-		kinds[i] = k
-		groups[k-1] = reflect.Append(groups[k-1], reflect.ValueOf(d))
+// append appends every field but Strat, which AppendState writes last.
+func (st *snapState) append(b []byte) ([]byte, error) {
+	b = st.Kern.Append(b)
+	b, err := st.Net.Append(b)
+	if err != nil {
+		return b, err
 	}
-	if err := enc.Encode(kinds); err != nil {
-		return err
-	}
-	for _, g := range groups {
-		sample := g.Index(0).Interface()
-		if err := enc.Encode(&sample); err != nil {
-			return err
-		}
-		if err := enc.EncodeValue(g); err != nil {
-			return err
-		}
-	}
-	return nil
+	b = st.RNG.Append(b)
+	b = wire.AppendSlice(b, st.Vars, appendVarState)
+	b = wire.AppendSlice(b, st.Barrier.Epoch, wire.AppendUvarint)
+	b = wire.AppendUvarint(b, st.Barrier.Batched)
+	b = wire.AppendUvarint(b, st.Barrier.Cascaded)
+	b = wire.AppendUvarint(b, st.Barrier.Aborted)
+	return wire.AppendSlice(b, st.Caches, appendCacheState), nil
 }
 
-// decodeValues reads what encodeValues wrote, returning the values by
-// variable id.
-func decodeValues(dec *gob.Decoder, vars []VarState) ([]interface{}, error) {
-	var kinds []int
-	if err := dec.Decode(&kinds); err != nil {
-		return nil, err
+// read reads what append wrote.
+func (st *snapState) read(r *wire.Reader) {
+	st.Kern = sim.ReadKernelState(r)
+	st.Net = mesh.ReadNetworkState(r)
+	st.RNG = xrand.ReadState(r)
+	st.Vars = wire.ReadSlice(r, 1, readVarState)
+	st.Barrier = BarrierState{Epoch: wire.ReadSlice(r, 1, (*wire.Reader).Uvarint),
+		Batched: r.Uvarint(), Cascaded: r.Uvarint(), Aborted: r.Uvarint()}
+	st.Caches = wire.ReadSlice(r, 2, readCacheState)
+}
+
+// A freed variable is one zero byte.
+func appendVarState(b []byte, v VarState) []byte {
+	b = wire.AppendBool(b, v.Present)
+	if !v.Present {
+		return b
 	}
-	if len(kinds) != len(vars) {
-		return nil, fmt.Errorf("%d value kinds for %d variables", len(kinds), len(vars))
+	return wire.AppendInt(wire.AppendInt(b, v.Size), v.Creator)
+}
+
+func readVarState(r *wire.Reader) VarState {
+	if !r.Bool() {
+		return VarState{}
 	}
-	var count []int // values per kind
-	for i, k := range kinds {
-		if k < 0 || k > len(count)+1 || (k != 0 && !vars[i].Present) {
-			return nil, fmt.Errorf("variable %d has value kind %d", i, k)
-		}
-		if k > len(count) {
-			count = append(count, 0)
-		}
-		if k > 0 {
-			count[k-1]++
-		}
+	return VarState{Present: true, Size: r.Int(), Creator: r.Int()}
+}
+
+func appendCacheState(b []byte, c CacheState) []byte {
+	b = wire.AppendSlice(b, c.Keys, func(b []byte, k CacheKey) []byte {
+		return wire.AppendInt(wire.AppendInt32(b, k.Var), k.Node)
+	})
+	return wire.AppendUvarint(b, c.Evictions)
+}
+
+func readCacheState(r *wire.Reader) CacheState {
+	return CacheState{
+		Keys:      wire.ReadSlice(r, 2, func(r *wire.Reader) CacheKey { return CacheKey{Var: r.Int32(), Node: r.Int()} }),
+		Evictions: r.Uvarint(),
 	}
-	// Values of a pointer type are decoded as one block of pointees (gob
-	// flattens pointers, the stream is the same) and handed out by
-	// address: one allocation a kind instead of one a value.
-	groups := make([]reflect.Value, len(count))
-	byAddr := make([]bool, len(count))
-	for k := range groups {
-		var sample interface{}
-		if err := dec.Decode(&sample); err != nil {
-			return nil, err
-		}
-		if sample == nil {
-			return nil, fmt.Errorf("value kind %d has no type", k+1)
-		}
-		t := reflect.TypeOf(sample)
-		if byAddr[k] = t.Kind() == reflect.Pointer; byAddr[k] {
-			t = t.Elem()
-		}
-		g := reflect.New(reflect.SliceOf(t))
-		if err := dec.DecodeValue(g); err != nil {
-			return nil, err
-		}
-		if groups[k] = g.Elem(); groups[k].Len() != count[k] {
-			return nil, fmt.Errorf("value kind %d has %d values, %d variables use it", k+1, groups[k].Len(), count[k])
-		}
-	}
-	data := make([]interface{}, len(vars))
-	next := make([]int, len(groups))
-	for i, k := range kinds {
-		if k == 0 {
-			continue
-		}
-		v := groups[k-1].Index(next[k-1])
-		next[k-1]++
-		if byAddr[k-1] {
-			v = v.Addr()
-		}
-		data[i] = v.Interface()
-	}
-	return data, nil
 }
 
 // SnapshotFromWire reconstructs a Snapshot from its serialized form: the
-// two raw sections and the state section's gob stream. It pins the Config
-// and the Plan of m, a machine freshly built from the machine description the snapshot
-// was captured under (the store keeps that description alongside the
-// sections); m itself is not touched. Everything Fork relies on is
-// validated against m here — network and strategy shape,
-// barrier width, cache count and keys, bitmap words — so the snapshot
-// returned forks without error.
+// two raw sections and the state section (AppendState). It pins the Config
+// and the Plan of m, a machine freshly built from the machine description
+// the snapshot was captured under (the store keeps that description
+// alongside the sections); m itself is not touched. Everything Fork relies
+// on is validated against m here — network and strategy shape, barrier
+// width, cache count and keys, bitmap words — so the snapshot returned
+// forks without error.
 func SnapshotFromWire(m *Machine, tables, locals, state []byte) (*Snapshot, error) {
 	s := &Snapshot{cfg: m.Cfg, plan: m.Plan}
 	st := &s.st
-	dec := gob.NewDecoder(bytes.NewReader(state))
-	if err := dec.Decode(st); err != nil {
+	r := wire.NewReader(state)
+	st.read(r)
+	s.data = r.Values(len(st.Vars))
+	strat := r.Rest()
+	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("diva: decode snapshot: %w", err)
 	}
 	if now := st.Kern.Now; !(now >= 0 && now <= math.MaxFloat64) {
 		return nil, fmt.Errorf("diva: stored kernel clock reads %v", now)
-	}
-	if st.Net == nil {
-		return nil, fmt.Errorf("diva: stored snapshot has no network state")
 	}
 	if err := m.Net.CheckState(st.Net); err != nil {
 		return nil, err
@@ -199,12 +160,9 @@ func SnapshotFromWire(m *Machine, tables, locals, state []byte) (*Snapshot, erro
 	if len(st.Caches) != len(m.caches) {
 		return nil, fmt.Errorf("diva: stored snapshot has %d caches, machine has %d", len(st.Caches), len(m.caches))
 	}
-	if (st.Strat != nil) != (m.Strat != nil) {
-		return nil, fmt.Errorf("diva: stored snapshot and machine disagree on having a strategy")
-	}
 	for i := range st.Caches {
 		for _, key := range st.Caches[i].Keys {
-			if st.Strat == nil {
+			if m.Strat == nil {
 				return nil, fmt.Errorf("diva: stored snapshot has cache keys but no strategy state")
 			}
 			if int(key.Var) < 0 || int(key.Var) >= len(st.Vars) || !st.Vars[key.Var].Present {
@@ -218,6 +176,9 @@ func SnapshotFromWire(m *Machine, tables, locals, state []byte) (*Snapshot, erro
 	words, live := m.localWords(), 0
 	for i := range st.Vars {
 		if !st.Vars[i].Present {
+			if s.data[i] != nil {
+				return nil, fmt.Errorf("diva: stored snapshot has a value for freed variable %d", i)
+			}
 			continue
 		}
 		if st.Vars[i].Size < 0 {
@@ -239,20 +200,17 @@ func SnapshotFromWire(m *Machine, tables, locals, state []byte) (*Snapshot, erro
 			}
 		}
 	}
-	if st.Strat != nil {
+	if m.Strat != nil {
 		forker, ok := m.Strat.(Forker)
 		if !ok {
 			return nil, fmt.Errorf("diva: strategy %q does not support snapshot/fork", m.Strat.Name())
 		}
-		if err := forker.LoadState(st.Strat, tables, st.Vars); err != nil {
+		var err error
+		if st.Strat, err = forker.LoadState(strat, tables, st.Vars); err != nil {
 			return nil, err
 		}
-	} else if len(tables) != 0 {
-		return nil, fmt.Errorf("diva: stored snapshot has strategy tables but no strategy state")
-	}
-	var err error
-	if s.data, err = decodeValues(dec, st.Vars); err != nil {
-		return nil, fmt.Errorf("diva: decode snapshot: variable values: %w", err)
+	} else if len(tables) != 0 || len(strat) != 0 {
+		return nil, fmt.Errorf("diva: stored snapshot has strategy state but the machine has no strategy")
 	}
 	return s, nil
 }

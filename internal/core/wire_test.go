@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"strings"
@@ -57,10 +56,33 @@ func reload(t *testing.T, cfg core.Config, snap *core.Snapshot) error {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var state bytes.Buffer
-	if err := w.WriteState(&state); err != nil {
+	state, err := w.AppendState(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = core.SnapshotFromWire(core.MustNewMachine(cfg), w.Tables, w.Locals, state.Bytes())
+	_, err = core.SnapshotFromWire(core.MustNewMachine(cfg), w.Tables, w.Locals, state)
 	return err
+}
+
+// TestAppendStateRefusesUncodedValue: a variable value of a type no
+// package registered a codec for fails the state section's encoder with an
+// error that names the type, instead of writing a section no reader can
+// decode.
+func TestAppendStateRefusesUncodedValue(t *testing.T) {
+	type uncoded struct{ A, B int }
+	cfg := core.Config{Rows: 4, Cols: 4, Seed: 1, Tree: decomp.Ary4, Strategy: accesstree.Factory()}
+	m := core.MustNewMachine(cfg)
+	m.AllocAt(0, 64, 1)
+	m.AllocAt(1, 64, uncoded{1, 2})
+	snap, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := snap.Wire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.AppendState(nil); err == nil || !strings.Contains(err.Error(), "uncoded") {
+		t.Errorf("AppendState = %v, want an error naming the uncoded type", err)
+	}
 }

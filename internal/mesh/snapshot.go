@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"diva/internal/sim"
+	"diva/internal/wire"
 	"diva/internal/xrand"
 )
 
@@ -23,12 +24,12 @@ import (
 // of its source, publish-once and safe to share, see routes.go).
 
 // NetworkState is a deep copy of a Network's mutable simulated state: the
-// value a fork restores from and, its fields being exported, the value
-// encoding/gob writes into a snapshot file (diva/snapstore) — one
-// representation for both. It is immutable after capture; any number of
-// forks can restore from one. Message payloads are shared by reference
-// (immutable by the library-wide contract) and cross the gob boundary as
-// interface values of types their defining packages register.
+// value a fork restores from and the value a snapshot file carries
+// (Append, ReadNetworkState) — one representation for both. It is
+// immutable after capture; any number of forks can restore from one.
+// Message payloads are shared by reference (immutable by the library-wide
+// contract) and reach a file through the value codecs their defining
+// packages register (diva/internal/wire).
 type NetworkState struct {
 	// Per directed link: the busy-until clock and the accumulated load.
 	LinkBusy  []sim.Time
@@ -41,8 +42,7 @@ type NetworkState struct {
 	// Inbox holds the queued, not yet received messages node by node (a
 	// queued message's Dst is its node), each node's in arrival order:
 	// the node queues as the network holds them, back to back. Msg values
-	// are copied; of a Msg only the exported fields reach a snapshot file,
-	// which is all a delivered message still needs.
+	// are copied; a queued message is never pooled (inbox.go).
 	Inbox []Msg
 
 	// Fault engine position: the schedule cursor. The schedule itself is
@@ -84,6 +84,125 @@ type ReactChannel struct {
 
 // key orders channels by (Src, Dst), for nodes of the network.
 func (c *ReactChannel) key() uint64 { return uint64(c.Src)<<32 | uint64(c.Dst) }
+
+// Append appends the state to b. It fails when a queued message's payload
+// has a type no package registered a codec for.
+func (st *NetworkState) Append(b []byte) ([]byte, error) {
+	b = wire.AppendSlice(b, st.LinkBusy, wire.AppendFloat64)
+	b = wire.AppendSlice(b, st.LinkMsgs, wire.AppendUvarint)
+	b = wire.AppendSlice(b, st.LinkBytes, wire.AppendUvarint)
+	b = wire.AppendSlice(b, st.CPUFree, wire.AppendFloat64)
+	b = wire.AppendSlice(b, st.ComputeUS, wire.AppendFloat64)
+	for _, x := range st.SendMsgs {
+		b = wire.AppendUvarint(b, x)
+	}
+	for _, x := range st.SendBytes {
+		b = wire.AppendUvarint(b, x)
+	}
+	b = wire.AppendSlice(b, st.Inbox, appendMsg)
+	payloads := make([]any, len(st.Inbox))
+	for i := range st.Inbox {
+		payloads[i] = st.Inbox[i].Payload
+	}
+	b, err := wire.AppendValues(b, payloads)
+	if err != nil {
+		return b, fmt.Errorf("mesh: inbox payload: %w", err)
+	}
+	b = wire.AppendInt(b, st.FaultCursor)
+	b = st.FaultStats.append(b)
+	b = wire.AppendBool(b, st.React != nil)
+	if rc := st.React; rc != nil {
+		b = wire.AppendSlice(b, rc.RNGs, func(b []byte, s xrand.State) []byte { return s.Append(b) })
+		b = wire.AppendSlice(b, rc.Chans, appendChannel)
+	}
+	return b, nil
+}
+
+// ReadNetworkState reads a NetworkState that Append wrote.
+func ReadNetworkState(r *wire.Reader) *NetworkState {
+	st := &NetworkState{
+		LinkBusy:  wire.ReadSlice(r, 8, (*wire.Reader).Float64),
+		LinkMsgs:  wire.ReadSlice(r, 1, (*wire.Reader).Uvarint),
+		LinkBytes: wire.ReadSlice(r, 1, (*wire.Reader).Uvarint),
+		CPUFree:   wire.ReadSlice(r, 8, (*wire.Reader).Float64),
+		ComputeUS: wire.ReadSlice(r, 8, (*wire.Reader).Float64),
+	}
+	for i := range st.SendMsgs {
+		st.SendMsgs[i] = r.Uvarint()
+	}
+	for i := range st.SendBytes {
+		st.SendBytes[i] = r.Uvarint()
+	}
+	st.Inbox = wire.ReadSlice(r, queuedMsgBytes, readMsg)
+	for i, p := range r.Values(len(st.Inbox)) {
+		st.Inbox[i].Payload = p
+	}
+	st.FaultCursor = r.Int()
+	st.FaultStats = readFaultStats(r)
+	if r.Bool() {
+		st.React = &ReactState{
+			RNGs:  wire.ReadSlice(r, 32, xrand.ReadState),
+			Chans: wire.ReadSlice(r, chanBytes, readChannel),
+		}
+	}
+	return st
+}
+
+// queuedMsgBytes is the least number of bytes a queued message takes.
+const queuedMsgBytes = 7
+
+func appendMsg(b []byte, m Msg) []byte {
+	b = wire.AppendInt(b, m.Src)
+	b = wire.AppendInt(b, m.Dst)
+	b = wire.AppendInt(b, m.Size)
+	b = append(b, m.Kind)
+	b = wire.AppendInt(b, m.Tag)
+	b = wire.AppendUint32(b, m.xseq)
+	return wire.AppendUvarint(b, uint64(m.xatt))
+}
+
+func readMsg(r *wire.Reader) Msg {
+	return Msg{Src: r.Int(), Dst: r.Int(), Size: r.Int(), Kind: r.Byte(), Tag: r.Int(), xseq: r.Uint32(), xatt: r.Uint16()}
+}
+
+func (s *FaultStats) append(b []byte) []byte {
+	for _, x := range [...]uint64{s.Routed, s.Rerouted, s.ReroutedHops, s.BaseHops,
+		s.Held, s.HeldBytes, s.RetryMsgs, s.RetryBytes,
+		s.Dropped, s.DroppedBytes, s.AckMsgs, s.AckBytes, s.Retransmits, s.RetransmitBytes,
+		s.DupDrops, s.FalseTimeouts, s.Detected, s.Recovered, s.Failovers, s.Reissues} {
+		b = wire.AppendUvarint(b, x)
+	}
+	b = wire.AppendFloat64(b, s.HeldUS)
+	return wire.AppendFloat64(b, s.DetectUS)
+}
+
+func readFaultStats(r *wire.Reader) FaultStats {
+	return FaultStats{Routed: r.Uvarint(), Rerouted: r.Uvarint(), ReroutedHops: r.Uvarint(), BaseHops: r.Uvarint(),
+		Held: r.Uvarint(), HeldBytes: r.Uvarint(), RetryMsgs: r.Uvarint(), RetryBytes: r.Uvarint(),
+		Dropped: r.Uvarint(), DroppedBytes: r.Uvarint(), AckMsgs: r.Uvarint(), AckBytes: r.Uvarint(),
+		Retransmits: r.Uvarint(), RetransmitBytes: r.Uvarint(),
+		DupDrops: r.Uvarint(), FalseTimeouts: r.Uvarint(), Detected: r.Uvarint(), Recovered: r.Uvarint(),
+		Failovers: r.Uvarint(), Reissues: r.Uvarint(),
+		HeldUS: r.Float64(), DetectUS: r.Float64()}
+}
+
+// chanBytes is the least number of bytes a channel takes.
+const chanBytes = 14
+
+func appendChannel(b []byte, c ReactChannel) []byte {
+	b = wire.AppendInt32(b, c.Src)
+	b = wire.AppendInt32(b, c.Dst)
+	b = append(b, c.Has)
+	b = wire.AppendUint32(b, c.SendSeq)
+	b = wire.AppendUint32(b, c.Floor)
+	b = wire.AppendSlice(b, c.Seen, wire.AppendUint32)
+	return wire.AppendFloat64(b, c.SuspAt)
+}
+
+func readChannel(r *wire.Reader) ReactChannel {
+	return ReactChannel{Src: r.Int32(), Dst: r.Int32(), Has: r.Byte(), SendSeq: r.Uint32(), Floor: r.Uint32(),
+		Seen: wire.ReadSlice(r, 1, (*wire.Reader).Uint32), SuspAt: r.Float64()}
+}
 
 // SnapshotState captures the network's state. It fails when state that
 // cannot be captured is live: processes blocked in Recv or an open inline

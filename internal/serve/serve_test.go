@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -368,18 +369,25 @@ func TestSnapshotCacheDropIsByIdentity(t *testing.T) {
 	}
 }
 
+// planCounterRuns counts the runs of TestHealthzPlanCounters in this
+// process, so each run builds a machine shape no earlier run built.
+var planCounterRuns atomic.Int32
+
 // TestHealthzPlanCounters pins what /v1/healthz says about machine plans:
 // the first machine on a topology and tree builds the plan, a second
 // machine like it (another seed, so another base snapshot) finds it, and a
 // request that forks a cached snapshot does not look a plan up at all. The
-// table is process-wide, so the test reads differences; a 2×8 torus with a
-// 4-16-ary tree is a machine no other test of the package builds.
+// table is process-wide, so the test reads differences, and every run
+// (-count) takes a torus of its own, 2×8 for the first, 4×8 for the
+// second, 8×8 for the third and so on, with a 4-16-ary tree: machines no
+// other test of the package builds.
 func TestHealthzPlanCounters(t *testing.T) {
 	ts := httptest.NewServer(mustServer(t, Options{Workers: 1}).Handler())
 	defer ts.Close()
+	rows := 1 << planCounterRuns.Add(1)
 	doc := func(seed uint64) string {
-		return fmt.Sprintf(`{"topology":"torus","rows":2,"cols":8,"strategy":"at4","tree":"4-16-ary","seed":%d,
-			"workload":{"name":"bitonic","keys":8}}`, seed)
+		return fmt.Sprintf(`{"topology":"torus","rows":%d,"cols":8,"strategy":"at4","tree":"4-16-ary","seed":%d,
+			"workload":{"name":"bitonic","keys":8}}`, rows, seed)
 	}
 	step := func(name, body string, hits, builds int64) {
 		t.Helper()

@@ -1,6 +1,10 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+
+	"diva/internal/wire"
+)
 
 // This file implements kernel state capture for machine
 // snapshot/fork (core.Machine.Snapshot). A kernel's processes run on
@@ -18,6 +22,22 @@ type KernelState struct {
 	Seq  uint64
 	FP   uint64
 	Stat Stats
+}
+
+// Append appends the state to b.
+func (st KernelState) Append(b []byte) []byte {
+	b = wire.AppendFloat64(b, st.Now)
+	b = wire.AppendUvarint(b, st.Seq)
+	b = wire.AppendUint64(b, st.FP)
+	b = wire.AppendUvarint(b, st.Stat.Events)
+	b = wire.AppendUvarint(b, st.Stat.FusedDeliveries)
+	return wire.AppendUvarint(b, st.Stat.FusedBusyRecv)
+}
+
+// ReadKernelState reads a KernelState that Append wrote.
+func ReadKernelState(r *wire.Reader) KernelState {
+	return KernelState{Now: r.Float64(), Seq: r.Uvarint(), FP: r.Uint64(),
+		Stat: Stats{Events: r.Uvarint(), FusedDeliveries: r.Uvarint(), FusedBusyRecv: r.Uvarint()}}
 }
 
 // SnapshotState captures the kernel's state. It fails unless the kernel is

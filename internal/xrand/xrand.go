@@ -7,6 +7,8 @@
 // so independent components can own independent streams.
 package xrand
 
+import "diva/internal/wire"
+
 // RNG is a xoshiro256** pseudo random number generator. The zero value is
 // not usable; construct with New.
 type RNG struct {
@@ -55,6 +57,23 @@ type State [4]uint64
 
 // State returns the generator's current internal state.
 func (r *RNG) State() State { return r.s }
+
+// Append appends the state to b as four words.
+func (s State) Append(b []byte) []byte {
+	for _, w := range s {
+		b = wire.AppendUint64(b, w)
+	}
+	return b
+}
+
+// ReadState reads a State that Append wrote.
+func ReadState(r *wire.Reader) State {
+	var s State
+	for i := range s {
+		s[i] = r.Uint64()
+	}
+	return s
+}
 
 // SetState overwrites the generator's internal state. Restoring a state
 // obtained from State resumes the stream at exactly the same point.

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"diva"
@@ -14,7 +15,7 @@ import (
 // refSpec is the reference snapshot of this package's benchmarks: the
 // machine the repo benchmark's warm-state workload restores most, warmed
 // with pointer-heavy payloads (mesh 8×8 at4, Barnes-Hut 600 bodies × 2
-// steps: 910 live variables, a ~700 KB file).
+// steps: 910 live variables, a ~740 KB file).
 func refSpec() spec.Spec {
 	sp := machineSpec("mesh", "at4", 8, 8)
 	sp.Workload = spec.Workload{Name: "barneshut", Bodies: 600, Steps: 2, MeasureFrom: 1}
@@ -86,9 +87,13 @@ func BenchmarkLoad(b *testing.B) {
 }
 
 // TestLoadAllocBudget pins the restore path's memory cost: one Load of the
-// reference snapshot may allocate at most 2.5× the file size and 3 000
-// objects. The file buffer and the decoded bulk tables are the floor; a
+// reference snapshot may allocate at most 1.15× the file size and 100
+// objects (measured: 0.92× and 82). The file buffer is recycled, and the
+// decoded bulk tables, values and the rebuilt machine are the floor; a
 // per-variable or per-node allocation creeping back in breaks the budget.
+// Each Load is measured alone and the median of five is judged: a garbage
+// collection between two Loads may drop the recycled buffer, and the Load
+// after it allocates the file once more.
 func TestLoadAllocBudget(t *testing.T) {
 	st, handle, _, size := savedRef(t)
 	load := func() {
@@ -96,22 +101,25 @@ func TestLoadAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	load() // lazily built tables (gob engines, registries) are not the restore's cost
+	load() // the first Load allocates the file buffer the others recycle
 	const runs = 5
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
+	var bytes, objs [runs]float64
+	for i := range runs {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		load()
+		runtime.ReadMemStats(&after)
+		bytes[i] = float64(after.TotalAlloc - before.TotalAlloc)
+		objs[i] = float64(after.Mallocs - before.Mallocs)
 	}
-	runtime.ReadMemStats(&after)
-	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
-	objs := float64(after.Mallocs-before.Mallocs) / runs
-	t.Logf("file %d bytes; one Load allocates %.0f bytes (%.2f× the file) in %.0f objects", size, bytes, bytes/float64(size), objs)
-	if bytes > 2.5*float64(size) {
-		t.Errorf("Load allocates %.0f bytes, more than 2.5× the %d-byte file", bytes, size)
+	slices.Sort(bytes[:])
+	slices.Sort(objs[:])
+	b, n := bytes[runs/2], objs[runs/2]
+	t.Logf("file %d bytes; one Load allocates %.0f bytes (%.2f× the file) in %.0f objects", size, b, b/float64(size), n)
+	if b > 1.15*float64(size) {
+		t.Errorf("Load allocates %.0f bytes, more than 1.15× the %d-byte file", b, size)
 	}
-	if objs > 3000 {
-		t.Errorf("Load allocates %.0f objects, budget 3000", objs)
+	if n > 100 {
+		t.Errorf("Load allocates %.0f objects, budget 100", n)
 	}
 }

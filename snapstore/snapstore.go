@@ -1,11 +1,12 @@
 // Package snapstore persists machine snapshots to disk, crash-consistently.
 //
-// A stored snapshot is one file in the DIVASNP5 layout, laid out so that
-// restoring it is a checksum pass, one small gob decode and two linear
-// copies. All integers are little-endian:
+// A stored snapshot is one file in the DIVASNP6 layout, laid out so that
+// restoring it is a checksum pass, one linear decode of the state section
+// straight from the file buffer, and two linear copies. All fixed-width
+// integers are little-endian:
 //
 //	offset  size  content
-//	0       8     magic "DIVASNP5"
+//	0       8     magic "DIVASNP6"
 //	8       8     S: length of the spec section
 //	16      8     T: length of the table section
 //	24      8     L: length of the bitmap section
@@ -24,14 +25,21 @@
 //	              child, an edge to a missing neighbor)
 //	..      L     bitmaps: the local-copy bitmap of every live variable in
 //	              variable order, ceil(P/64) uint64 words each
-//	..      G     state: one gob stream holding the irregular remainder —
-//	              kernel, network, barrier, cache and strategy state and the
-//	              per-variable scalars as one value, then the variable
-//	              values grouped by concrete type, one typed slice per type.
-//	              The network's queued inbox messages are one list, node by
-//	              node in arrival order, its reactive channels one list in
-//	              (src, dst) order; a remapped variable's moved positions
-//	              are one slot a tree node
+//	..      G     state: the irregular remainder in the binary encoding of
+//	              diva/internal/wire (varints; floats, seeds and stream
+//	              positions as words), in this order: kernel clock,
+//	              counters and fingerprint; the network — link and node
+//	              clocks and loads, the queued inbox messages node by node
+//	              in arrival order with their payloads, the fault cursor
+//	              and counters, the reactive transport's node streams and
+//	              its channel table in (src, dst) order; the machine's
+//	              random stream; the per-variable scalars (a freed variable
+//	              is one zero byte); barrier epochs and counters; each
+//	              cache's keys in LRU order; the variable values, one kind
+//	              byte a variable, then the values of each kind, ascending
+//	              by kind; then, to the section's end, the strategy's own
+//	              state (an access tree's embedding, lock token leaf and
+//	              remap counters a variable)
 //	40+S+T+L+G 8  checksum of every byte before it: CRC-32C in the high
 //	              half, CRC-32 (IEEE) in the low half — both computed by
 //	              hardware instructions, and two independent polynomials
@@ -42,13 +50,19 @@
 // is decoded. Writes are atomic — temp file, fsync, rename, directory
 // fsync — so a crash mid-save leaves either the previous version or
 // nothing, never a torn file; a torn or tampered file fails the checksum at
-// load time instead of resurrecting corrupt state. Files of an older layout
-// are refused by their magic, because gob skips a field today's types no
-// longer have and such a file would load with state silently dropped:
+// load time instead of resurrecting corrupt state. The state section is
+// read by one bounds-checked reader: every length is checked against the
+// bytes left before anything is allocated for it, so a hostile file cannot
+// force a large allocation, and every shape is then validated against the
+// rebuilt machine.
+//
+// Files of an older layout are refused by their magic, with no second
+// reader: DIVASNP1 to DIVASNP5 hold the state section as an encoding/gob
+// stream, which this package no longer reads. (Earlier bumps refused
 // DIVASNP1 and DIVASNP2; DIVASNP3, which keeps a reactive network's fault
 // counters per node; and DIVASNP4, which keeps queued inbox messages
 // grouped by tag, reactive channels per node and remapped positions as
-// pairs.
+// pairs — layouts gob would have loaded with state silently dropped.)
 //
 // Load rebuilds a machine from the stored spec and decodes the sections
 // straight into the state a fork restores from — the same representation a
@@ -59,15 +73,14 @@
 // crash or deploy. Saving is deterministic: the same snapshot always
 // produces the same bytes, and Save → Load → Save reproduces the file.
 //
-// The store holds the machine's simulated state only. Variable payloads
-// and strategy state cross the gob boundary through concrete types
-// registered by their defining packages; a workload that allocates an
-// unregistered payload type surfaces as a descriptive Save error, not a
-// torn file.
+// The store holds the machine's simulated state only. Variable values and
+// queued message payloads cross through the value codecs their defining
+// packages register by kind byte (diva/internal/wire); a workload that
+// stores a value of a type without a codec surfaces as a descriptive Save
+// error, not a torn file.
 package snapstore
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -88,7 +101,7 @@ import (
 // magic is the file format version header. Bump the trailing digit on any
 // incompatible layout change; old files then fail with a clear error
 // instead of a decode failure.
-const magic = "DIVASNP5"
+const magic = "DIVASNP6"
 
 // headerLen is the magic plus the four section lengths; sumLen the
 // trailing checksum.
@@ -173,23 +186,26 @@ func (s *Store) Save(handle string, sp spec.Spec, snap *diva.Snapshot) error {
 	if err != nil {
 		return fmt.Errorf("snapstore: marshal spec: %w", err)
 	}
-	var state bytes.Buffer
-	if err := w.WriteState(&state); err != nil {
-		return err
-	}
-	sections := [4][]byte{specJSON, w.Tables, w.Locals, state.Bytes()}
-	size := headerLen + sumLen
-	for _, sec := range sections {
-		size += len(sec)
-	}
-	file := append(make([]byte, 0, size), magic...)
+	buf := getBuf()
+	defer fileBufs.Put(buf)
+	// The state section is encoded in place, after the other three: its
+	// length is written once it is known.
+	sections := [3][]byte{specJSON, w.Tables, w.Locals}
+	file := append((*buf)[:0], magic...)
 	for _, sec := range sections {
 		file = binary.LittleEndian.AppendUint64(file, uint64(len(sec)))
 	}
+	file = append(file, make([]byte, 8)...)
 	for _, sec := range sections {
 		file = append(file, sec...)
 	}
-	return s.writeAtomic(handle, binary.LittleEndian.AppendUint64(file, checksum(file)))
+	stateAt := len(file)
+	if file, err = w.AppendState(file); err != nil {
+		return err
+	}
+	binary.LittleEndian.PutUint64(file[len(magic)+8*len(sections):], uint64(len(file)-stateAt))
+	*buf = binary.LittleEndian.AppendUint64(file, checksum(file))
+	return s.writeAtomic(handle, *buf)
 }
 
 func (s *Store) writeAtomic(handle string, data []byte) error {
@@ -266,11 +282,18 @@ func (s *Store) Load(handle string, extra ...diva.Option) (spec.Spec, *diva.Snap
 	return sp, snap, nil
 }
 
-// fileBufs recycles Load's file buffers. Every section is decoded by copy,
-// so once Load returns nothing refers to the file's bytes — and allocating
-// and zeroing a fresh buffer per restore would cost more than the checksum
-// pass over it.
+// fileBufs recycles the file buffers of Save and Load. Every section is
+// decoded by copy, so once Load returns nothing refers to the file's bytes
+// — and allocating and zeroing a fresh buffer per restore would cost more
+// than the checksum pass over it.
 var fileBufs sync.Pool
+
+func getBuf() *[]byte {
+	if buf, _ := fileBufs.Get().(*[]byte); buf != nil {
+		return buf
+	}
+	return new([]byte)
+}
 
 func readFile(path string) (*[]byte, error) {
 	f, err := os.Open(path)
@@ -282,10 +305,7 @@ func readFile(path string) (*[]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf, _ := fileBufs.Get().(*[]byte)
-	if buf == nil {
-		buf = new([]byte)
-	}
+	buf := getBuf()
 	if n := int(fi.Size()); cap(*buf) < n {
 		*buf = make([]byte, n)
 	} else {

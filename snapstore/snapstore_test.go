@@ -184,7 +184,7 @@ func TestDiskABBoundedCache(t *testing.T) {
 }
 
 // TestDiskABBarnesHut exercises pointer-heavy variable payloads (bodies,
-// tree cells, the root record) through the gob boundary.
+// tree cells, the root record) through the value codecs.
 func TestDiskABBarnesHut(t *testing.T) {
 	sp := machineSpec("mesh", "at4", 4, 4)
 	sp.Workload = spec.Workload{Name: "barneshut", Bodies: 32, Steps: 2, MeasureFrom: 1}
@@ -271,12 +271,12 @@ func TestHandlePinned(t *testing.T) {
 	}
 }
 
-// fileSections returns the offsets framing a DIVASNP5 file, as the package
+// fileSections returns the offsets framing a DIVASNP6 file, as the package
 // comment lays it out: header, the four sections, checksum, end of file.
 func fileSections(t testing.TB, data []byte) [7]int {
 	t.Helper()
-	if len(data) < 48 || string(data[:8]) != "DIVASNP5" {
-		t.Fatalf("not a DIVASNP5 file: %d bytes, starts %q", len(data), data[:min(8, len(data))])
+	if len(data) < 48 || string(data[:8]) != "DIVASNP6" {
+		t.Fatalf("not a DIVASNP6 file: %d bytes, starts %q", len(data), data[:min(8, len(data))])
 	}
 	off := [7]int{0, 40}
 	for i := 0; i < 4; i++ {
@@ -318,7 +318,7 @@ func TestLoadRejectsCorruption(t *testing.T) {
 	}
 
 	// Flip one byte in the middle of each part of the file — the section
-	// lengths, the spec, the node tables, the bitmaps, the gob stream, the
+	// lengths, the spec, the node tables, the bitmaps, the state section, the
 	// checksum itself: checksum mismatch every time (a damaged length may
 	// be caught by the framing check first).
 	off := fileSections(t, data)
@@ -399,10 +399,10 @@ func TestLoadRejectsOldFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(data, []byte("DIVASNP5")) {
-		t.Fatalf("file starts with %q, want DIVASNP5", data[:8])
+	if !bytes.HasPrefix(data, []byte("DIVASNP6")) {
+		t.Fatalf("file starts with %q, want DIVASNP6", data[:8])
 	}
-	for _, magic := range []string{"DIVASNP1", "DIVASNP2", "DIVASNP3", "DIVASNP4"} {
+	for _, magic := range []string{"DIVASNP1", "DIVASNP2", "DIVASNP3", "DIVASNP4", "DIVASNP5"} {
 		// Re-stamp the file as the old version under a checksum that
 		// matches, so the magic is the only thing left to refuse it.
 		old := stamp(append([]byte(magic), data[8:len(data)-8]...))
@@ -431,11 +431,10 @@ func TestLoadRejectsOldFormat(t *testing.T) {
 
 // TestLoadEarlierFiles loads two files written before sharded execution was
 // removed, committed under testdata/. They were written as DIVASNP3 and
-// re-stamped DIVASNP4, then DIVASNP5 (magic and checksum only): they are
-// oracle-mode snapshots with no queued inbox messages and no remapping,
-// whose state sections hold none of the state the version changes are
-// about (fault counters, the inbox, reactive and remap layouts). The
-// sequential one
+// re-stamped DIVASNP4, then DIVASNP5 (magic and checksum only), and their
+// gob state sections were re-encoded once into the DIVASNP6 state section,
+// every other section kept byte for byte: they are oracle-mode snapshots
+// with no queued inbox messages and no remapping. The sequential one
 // (its spec pins "shards":1, a 4×4 at4 machine warmed by matmul(16)) loads
 // and forks a bitonic query to the trajectory its writer recorded; the
 // sharded one (spec "shards":4) is refused by spec validation.
@@ -473,10 +472,9 @@ func TestLoadEarlierFiles(t *testing.T) {
 			fp, ev, res.ElapsedUS, res.Verified)
 	}
 
-	// Saving the loaded snapshot writes the stored spec, node tables and
-	// bitmaps back byte for byte: the tables were decoded into sparse
-	// tables and written densely again. (The state section is re-encoded
-	// by today's gob types, which differ from its writer's.)
+	// Saving the loaded snapshot writes the stored file back byte for
+	// byte: the tables were decoded into sparse tables and written densely
+	// again.
 	stored, err := os.ReadFile(filepath.Join(dir, seqHandle+".snap"))
 	if err != nil {
 		t.Fatal(err)
@@ -494,7 +492,7 @@ func TestLoadEarlierFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := fileSections(t, stored), fileSections(t, resaved)
-	for i, part := range []string{"spec", "tables", "bitmaps"} {
+	for i, part := range []string{"spec", "tables", "bitmaps", "state"} {
 		if !bytes.Equal(stored[a[i+1]:a[i+2]], resaved[b[i+1]:b[i+2]]) {
 			t.Errorf("re-saving the stored file changed its %s section", part)
 		}
