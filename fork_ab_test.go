@@ -439,3 +439,192 @@ func TestForkWarmedConcurrent(t *testing.T) {
 		})
 	}
 }
+
+// warmedBarnesHut returns the spec of an 8×8 at4 machine, the machine
+// after the spec's Barnes-Hut warm-up, and the warm-up's result.
+func warmedBarnesHut(t *testing.T) (spec.Spec, *diva.Machine, diva.BarnesHutResult) {
+	t.Helper()
+	sp := spec.Spec{Topology: "mesh", Rows: 8, Cols: 8, Strategy: "at4", Seed: 1999,
+		Workload: spec.Workload{Name: "barneshut", Bodies: 256, Steps: 2, MeasureFrom: 1}}
+	m, warm, err := diva.FromSpec(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sp, m, mustRun(t, m, warm).Detail.(diva.BarnesHutResult)
+}
+
+// TestForkLentResnapshot touches a subset of a warmed machine's variables
+// on a fork, snapshots the fork — which makes the variables it still
+// borrows — saves and loads that snapshot, and runs a second query, which
+// reaches the variables the first left untouched, on a fork of it. The
+// fingerprint and the clock must equal the source machine's after both
+// queries.
+func TestForkLentResnapshot(t *testing.T) {
+	sp, src, res := warmedBarnesHut(t)
+	bodies := res.BodyVars
+	half := len(bodies) / 2
+	first := func(m *diva.Machine) {
+		err := m.Run(func(p *diva.Proc) {
+			for i := p.ID; i < half; i += 2 * m.P() {
+				p.Write(bodies[i], i)
+			}
+			p.Barrier()
+			_ = p.Read(bodies[(p.ID*5+1)%half])
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	second := func(m *diva.Machine) {
+		err := m.Run(func(p *diva.Proc) {
+			for i := p.ID; i < len(bodies); i += m.P() {
+				_ = p.Read(bodies[(i*7)%len(bodies)])
+			}
+			p.Barrier()
+			if p.ID%9 == 0 {
+				p.Write(bodies[half+p.ID], -p.ID)
+			}
+			p.Lock(res.FinalRoot)
+			p.Unlock(res.FinalRoot)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := src.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := diva.Fork(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first(f)
+	mid, err := f.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := snapstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Save(snapstore.Handle(sp), sp, mid); err != nil {
+		t.Fatal(err)
+	}
+	_, loaded, err := st.Load(snapstore.Handle(sp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := diva.Fork(loaded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second(g)
+	first(src)
+	second(src)
+	if got, want := g.K.Fingerprint(), src.K.Fingerprint(); got != want || g.Elapsed() != src.Elapsed() {
+		t.Errorf("fork of the reloaded fork: fingerprint %#x at %v us, source %#x at %v us", got, g.Elapsed(), want, src.Elapsed())
+	}
+}
+
+// TestForkLentBoundedCache forks a machine whose bounded caches are full
+// of its warm-up's copies and runs a query on variables of its own: the
+// copies it pushes out belong to variables the query never touches. The
+// fork must evict exactly as the source machine running the same query.
+func TestForkLentBoundedCache(t *testing.T) {
+	opts := []diva.Option{diva.WithMesh(4, 4), diva.WithStrategyName("at4"), diva.WithSeed(1999),
+		diva.WithCacheCapacity(2048), diva.WithConcurrent(true)}
+	query := func(m *diva.Machine) (fingerprint, evictions uint64) {
+		before := diva.TotalEvictions(m)
+		fresh := make([]diva.VarID, m.P())
+		for i := range fresh {
+			fresh[i] = m.AllocAt(i, 512, i)
+		}
+		err := m.Run(func(p *diva.Proc) {
+			for r := 1; r <= 3; r++ {
+				_ = p.Read(fresh[(p.ID+r*5)%len(fresh)])
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.K.Fingerprint(), diva.TotalEvictions(m) - before
+	}
+	src := diva.MustNew(opts...)
+	mustRun(t, src, diva.Matmul(diva.MatmulConfig{BlockInts: 64, Seed: 1}))
+	snap, err := src.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := diva.Fork(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, gotEv := query(f)
+	want, wantEv := query(src)
+	if got != want || gotEv != wantEv {
+		t.Errorf("fork: fingerprint %#x after %d evictions, source %#x after %d", got, gotEv, want, wantEv)
+	}
+	t.Logf("the query evicted %d copies", wantEv)
+	if wantEv == 0 {
+		t.Error("the query evicted nothing; shrink the cache capacity")
+	}
+}
+
+// TestForkLentConcurrent forks one Barnes-Hut-warmed snapshot in eight
+// goroutines at once; fork g reads and writes a window of the bodies that
+// overlaps fork g+1's, so several forks make their own records of one
+// borrowed variable at the same time. Each fingerprint must equal the same
+// query's on a lone fork. Run under -race: the forks read the snapshot's
+// variable records, bitmaps and tables together.
+func TestForkLentConcurrent(t *testing.T) {
+	_, src, res := warmedBarnesHut(t)
+	snap, err := src.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies := res.BodyVars
+	const forks = 8
+	width := len(bodies) / forks
+	query := func(g int) (uint64, error) {
+		f, err := diva.Fork(snap)
+		if err != nil {
+			return 0, err
+		}
+		window := bodies[g*width : min(len(bodies), (g+2)*width)]
+		err = f.Run(func(p *diva.Proc) {
+			for i := p.ID; i < len(window); i += f.P() {
+				if i%3 == g%3 {
+					p.Write(window[i], g)
+				} else {
+					_ = p.Read(window[i])
+				}
+			}
+			p.Barrier()
+			_ = p.Read(window[(p.ID*7+g)%len(window)])
+		})
+		return f.K.Fingerprint(), err
+	}
+	want := make([]uint64, forks)
+	for g := range forks {
+		if want[g], err = query(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([]uint64, forks)
+	errs := make([]error, forks)
+	var wg sync.WaitGroup
+	for g := range forks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g], errs[g] = query(g)
+		}()
+	}
+	wg.Wait()
+	for g := range forks {
+		if errs[g] != nil || got[g] != want[g] {
+			t.Errorf("fork %d: fingerprint %#x (%v), alone %#x", g, got[g], errs[g], want[g])
+		}
+	}
+}

@@ -118,6 +118,9 @@ type strategy struct {
 	// lockers holds, per processor, the lock wait of the process running
 	// there (see lock.go).
 	lockers []locker
+	// lent is the snapshot state a fork restored from, which RestoreVar
+	// builds the records of the variables the fork reaches from.
+	lent *State
 }
 
 func newStrategy(m *core.Machine, o Options) *strategy {

@@ -17,16 +17,19 @@ import (
 // rests at, and the remap counters and moved positions. A capture copies
 // the nodes a table holds, a sparse table as images of its pages, a full
 // one as its slice, and builds a page set over each table's images once.
-// A restore copies no table: each variable's table is lent the capture's
-// page set or full table, and a fork copies a table only when it first
-// writes it (nodeTables.ref), so a query that writes few variables copies
-// few tables, and no index is ever rebuilt. The captured tables are never
-// written, so forks of one snapshot may run at once. The transaction
-// arena, the recycled tables and the embedding tables are deliberately not
-// captured — arenas hold no live transactions at quiescence, and the
-// embedding tables are a pure function of the tree, shared through the
-// machine's core.Plan by the source, its forks and every other machine on
-// the same topology and tree.
+// A fork lends all of it: RestoreState copies only the random stream and
+// the remap count and keeps the state, and RestoreVar builds a variable's
+// record when the fork first reaches the variable — its scalars, its remap
+// counters and the capture's page set or full table, lent in turn. The
+// fork copies a table only when it first writes it (nodeTables.ref), so a
+// query that writes few variables copies few tables, a query that never
+// reaches a variable builds no record for it, and no index is ever
+// rebuilt. The captured state is never written, so forks of one snapshot
+// may run at once. The transaction arena, the recycled tables and the
+// embedding tables are deliberately not captured — arenas hold no live
+// transactions at quiescence, and the embedding tables are a pure function
+// of the tree, shared through the machine's core.Plan by the source, its
+// forks and every other machine on the same topology and tree.
 
 // State is the strategy's captured state (core.StratState): forks restore
 // from it, and a snapshot file carries it — the exported fields in the
@@ -49,19 +52,24 @@ type State struct {
 // VarState is one quiescent variable. Of its lock only the arrows (in the
 // node table) and the token's resting leaf persist: queue, waiters and
 // holder must be empty/free at quiescence. Values, not pointers: freed
-// variables leave holes, zero values, in State.Vars.
+// variables leave holes, zero values, in State.Vars. A snapshot holds one
+// a variable id, so the fields are as narrow as their ranges: processors
+// and leaves are below the tree's at most 1<<tagShift nodes, and a sparse
+// table holds at most maxPages pages.
 type VarState struct {
 	Present  bool
-	RootPos  int
+	RootPos  int32
 	Seed     uint64
-	Creator  int
-	TokenAt  int // leaf the free lock token rests at
+	Creator  int32
+	TokenAt  int32 // leaf the free lock token rests at
 	Accesses []uint32
 	Moved    []int32 // remapState.moved
-	// pages is how many of State.pages are the variable's sparse table,
-	// which holds count nodes; 0 if its table is full. The table section
+	// pages is how many of State.pages are the variable's sparse table, 0
+	// if its table is full, and at is where the table is: its page set in
+	// State.sets, or its place among the full tables. The table section
 	// carries the tables, and LoadState derives both.
-	pages, count int
+	pages uint8
+	at    int32
 }
 
 // AppendState implements core.StratState: the exported fields.
@@ -91,10 +99,10 @@ func appendVarState(b []byte, v VarState) []byte {
 	if !v.Present {
 		return b
 	}
-	b = wire.AppendInt(b, v.RootPos)
+	b = wire.AppendInt32(b, v.RootPos)
 	b = wire.AppendUint64(b, v.Seed)
-	b = wire.AppendInt(b, v.Creator)
-	b = wire.AppendInt(b, v.TokenAt)
+	b = wire.AppendInt32(b, v.Creator)
+	b = wire.AppendInt32(b, v.TokenAt)
 	b = wire.AppendSlice(b, v.Accesses, wire.AppendUint32)
 	return wire.AppendSlice(b, v.Moved, wire.AppendInt32)
 }
@@ -103,20 +111,21 @@ func readVarState(r *wire.Reader) VarState {
 	if !r.Bool() {
 		return VarState{}
 	}
-	return VarState{Present: true, RootPos: r.Int(), Seed: r.Uint64(), Creator: r.Int(), TokenAt: r.Int(),
+	return VarState{Present: true, RootPos: r.Int32(), Seed: r.Uint64(), Creator: r.Int32(), TokenAt: r.Int32(),
 		Accesses: wire.ReadSlice(r, 1, (*wire.Reader).Uint32),
 		Moved:    wire.ReadSlice(r, 1, (*wire.Reader).Int32)}
 }
 
 // SnapshotState implements core.Forker.
 func (s *strategy) SnapshotState(vars []*core.Variable) (core.StratState, error) {
-	n, pages, full := len(s.t.Nodes), 0, 0
+	n, pages, sets, full := len(s.t.Nodes), 0, 0, 0
 	for _, v := range vars {
 		if v == nil {
 			continue
 		}
 		if t := &vstate(v).nodes; t.full == nil {
 			pages += int(t.pages.npages)
+			sets++
 		} else {
 			full += n
 		}
@@ -126,6 +135,7 @@ func (s *strategy) SnapshotState(vars []*core.Variable) (core.StratState, error)
 		Remaps:    s.remaps,
 		Vars:      make([]VarState, len(vars)),
 		pages:     make([]page, 0, pages),
+		sets:      make([]pageSet, 0, sets),
 		full:      make([]nodeState, 0, full),
 		treeNodes: n,
 	}
@@ -143,10 +153,10 @@ func (s *strategy) SnapshotState(vars []*core.Variable) (core.StratState, error)
 		vsn := &st.Vars[i]
 		*vsn = VarState{
 			Present: true,
-			RootPos: vs.rootPos,
+			RootPos: int32(vs.rootPos),
 			Seed:    vs.seed,
-			Creator: vs.creator,
-			TokenAt: vs.lock.tokenAt,
+			Creator: int32(vs.creator),
+			TokenAt: int32(vs.lock.tokenAt),
 		}
 		st.capture(&vs.nodes, vsn)
 		if r := vs.remap; r != nil {
@@ -163,48 +173,49 @@ func (s *strategy) SnapshotState(vars []*core.Variable) (core.StratState, error)
 	return st, nil
 }
 
-// capture appends the nodes table t holds to the page images or the full
-// tables, and records the sparse table's shape in vsn.
+// capture appends the nodes table t holds to the page images and its page
+// set, or to the full tables, and records in vsn where they are.
 func (st *State) capture(t *nodeTable, vsn *VarState) {
 	if ps := t.pages; t.full == nil {
 		for _, pg := range ps.pages[:ps.npages] {
 			st.pages = append(st.pages, *pg)
 		}
-		vsn.pages, vsn.count = int(ps.npages), int(ps.count)
+		vsn.pages, vsn.at = ps.npages, int32(len(st.sets))
+		st.sets = append(st.sets, pageSet{count: ps.count, npages: ps.npages, lent: 1})
 	} else {
+		vsn.at = int32(len(st.full) / st.treeNodes)
 		st.full = append(st.full, t.full...)
 	}
 }
 
-// lend builds the lent page set of every captured sparse table over its
-// page images.
+// lend points every captured page set at its page images: both are in
+// variable order.
 func (st *State) lend() {
-	sets := 0
-	for i := range st.Vars {
-		if st.Vars[i].pages > 0 {
-			sets++
-		}
-	}
-	st.sets = make([]pageSet, 0, sets)
 	imgs := st.pages
-	for i := range st.Vars {
-		if k := st.Vars[i].pages; k > 0 {
-			ps := pageSet{count: uint8(st.Vars[i].count), npages: uint8(k), lent: 1}
-			for j := range k {
-				ps.pages[j] = &imgs[j]
-			}
-			st.sets = append(st.sets, ps)
-			imgs = imgs[k:]
+	for i := range st.sets {
+		ps := &st.sets[i]
+		for j := range ps.npages {
+			ps.pages[j] = &imgs[j]
 		}
+		imgs = imgs[ps.npages:]
 	}
 }
 
-// check validates a state against this strategy's machine — everything
-// RestoreState indexes with; live reports whether the machine's variable i
-// exists.
-func (s *strategy) check(st *State, vars int, live func(i int) bool) error {
-	if len(st.Vars) != vars {
-		return fmt.Errorf("accesstree: snapshot has %d variables, machine has %d", len(st.Vars), vars)
+// lentTable returns variable vsn's captured table, lent: its page set, or
+// its full table marked by lentFull.
+func (st *State) lentTable(vsn *VarState) nodeTable {
+	if vsn.pages > 0 {
+		return nodeTable{pages: &st.sets[vsn.at]}
+	}
+	n := st.treeNodes
+	return nodeTable{full: st.full[int(vsn.at)*n:][:n:n], pages: &lentFull}
+}
+
+// check validates a state against this strategy's machine and the
+// snapshot's variable records vars — everything RestoreVar indexes with.
+func (s *strategy) check(st *State, vars []core.VarState) error {
+	if len(st.Vars) != len(vars) {
+		return fmt.Errorf("accesstree: snapshot has %d variables, machine has %d", len(st.Vars), len(vars))
 	}
 	n, p := len(s.t.Nodes), s.m.P()
 	if st.treeNodes != n {
@@ -216,7 +227,7 @@ func (s *strategy) check(st *State, vars int, live func(i int) bool) error {
 	}
 	for i := range st.Vars {
 		vsn := &st.Vars[i]
-		if vsn.Present != live(i) {
+		if vsn.Present != vars[i].Present {
 			return fmt.Errorf("accesstree: snapshot and machine disagree on whether variable %d exists", i)
 		}
 		if !vsn.Present {
@@ -225,7 +236,7 @@ func (s *strategy) check(st *State, vars int, live func(i int) bool) error {
 		if len(vsn.Accesses) != counters || len(vsn.Moved) != counters {
 			return fmt.Errorf("accesstree: snapshot variable %d has %d access counters and %d positions, machine needs %d", i, len(vsn.Accesses), len(vsn.Moved), counters)
 		}
-		if vsn.RootPos < 0 || vsn.RootPos >= p || vsn.TokenAt < 0 || vsn.TokenAt >= n {
+		if vsn.RootPos < 0 || int(vsn.RootPos) >= p || vsn.TokenAt < 0 || int(vsn.TokenAt) >= n {
 			return fmt.Errorf("accesstree: snapshot variable %d has root position %d, token leaf %d on a %d-processor, %d-node tree", i, vsn.RootPos, vsn.TokenAt, p, n)
 		}
 		for node, pos := range vsn.Moved {
@@ -237,49 +248,44 @@ func (s *strategy) check(st *State, vars int, live func(i int) bool) error {
 	return nil
 }
 
-// RestoreState implements core.Forker.
-func (s *strategy) RestoreState(state core.StratState, vars []*core.Variable) error {
+// RestoreState implements core.Forker: the variables' state stays with st
+// until RestoreVar builds it.
+func (s *strategy) RestoreState(state core.StratState, vars []core.VarState) error {
 	st, ok := state.(*State)
 	if !ok {
 		return fmt.Errorf("accesstree: foreign snapshot state %T", state)
 	}
-	if err := s.check(st, len(vars), func(i int) bool { return vars[i] != nil }); err != nil {
+	if err := s.check(st, vars); err != nil {
 		return err
 	}
 	s.rng.SetState(st.RNG)
 	s.remaps = st.Remaps
-	states := make([]varState, core.LiveVars(vars))
-	n, sets, full := st.treeNodes, st.sets, st.full
-	for i := range st.Vars {
-		vsn := &st.Vars[i]
-		if !vsn.Present {
-			continue
-		}
-		vs := &states[0]
-		states = states[1:]
-		*vs = varState{
-			rootPos: vsn.RootPos,
-			seed:    vsn.Seed,
-			creator: vsn.Creator,
-			lock:    restingLock(vsn.TokenAt),
-		}
-		if vsn.pages > 0 {
-			vs.nodes, sets = nodeTable{pages: &sets[0]}, sets[1:]
-		} else {
-			vs.nodes, full = nodeTable{full: full[:n:n], pages: &lentFull}, full[n:]
-		}
-		if s.opts.RemapThreshold > 0 {
-			vs.remap = &remapState{
-				accesses: append([]uint32(nil), vsn.Accesses...),
-				moved:    append([]int32(nil), vsn.Moved...),
-			}
-		}
-		if !s.opts.RandomEmbedding {
-			vs.posTab = s.m.Plan.PosTable(vs.rootPos)
-		}
-		vars[i].State = vs
-	}
+	s.lent = st
 	return nil
+}
+
+// RestoreVar implements core.Forker: the record comes from the arena
+// InitVar's do, the node table is the capture's, lent.
+func (s *strategy) RestoreVar(v *core.Variable) {
+	vsn := &s.lent.Vars[v.ID]
+	vs := s.states.Acquire()
+	*vs = varState{
+		rootPos: int(vsn.RootPos),
+		seed:    vsn.Seed,
+		creator: int(vsn.Creator),
+		lock:    restingLock(int(vsn.TokenAt)),
+		nodes:   s.lent.lentTable(vsn),
+	}
+	if s.opts.RemapThreshold > 0 {
+		vs.remap = &remapState{
+			accesses: append([]uint32(nil), vsn.Accesses...),
+			moved:    append([]int32(nil), vsn.Moved...),
+		}
+	}
+	if !s.opts.RandomEmbedding {
+		vs.posTab = s.m.Plan.PosTable(vs.rootPos)
+	}
+	v.State = vs
 }
 
 // The table section of a snapshot file keeps the dense layout: every node
@@ -327,7 +333,7 @@ func (st *State) AppendTables(b []byte) []byte {
 		for range n {
 			b = binary.LittleEndian.AppendUint64(b, restWord)
 		}
-		for e := range vsn.count {
+		for e := range st.sets[vsn.at].count {
 			pg := &pages[e/pageNodes]
 			binary.LittleEndian.PutUint64(b[off+8*int(pg.ids[e%pageNodes]):], nodeWord(pg.slots[e%pageNodes]))
 		}
@@ -353,8 +359,8 @@ func (s *strategy) LoadState(state, tables []byte, vars []core.VarState) (core.S
 	if len(tables) != 8*n*present {
 		return nil, fmt.Errorf("accesstree: node table section of %d bytes, %d variables of %d tree nodes need %d", len(tables), present, n, 8*n*present)
 	}
-	// Size both blocks first: count the nodes not at rest of every table.
-	pages, full := 0, 0
+	// Size the blocks first: count the nodes not at rest of every table.
+	pages, sets, full := 0, 0, 0
 	for i, off := 0, 0; i < len(st.Vars); i++ {
 		vsn := &st.Vars[i]
 		if !vsn.Present {
@@ -366,15 +372,17 @@ func (s *strategy) LoadState(state, tables []byte, vars []core.VarState) (core.S
 			count += int((d | -d) >> 63) // 1 unless w is the word at rest
 		}
 		off += 8 * n
-		vsn.count, vsn.pages = count, s.tables.pagesFor(count)
-		if vsn.pages > 0 {
-			pages += vsn.pages
+		if k := s.tables.pagesFor(count); k > 0 {
+			vsn.pages = uint8(k)
+			pages += k
+			sets++
 		} else {
 			full += n
 		}
 	}
 	st.treeNodes = n
 	st.pages = make([]page, pages)
+	st.sets = make([]pageSet, 0, sets)
 	st.full = make([]nodeState, full)
 	imgs, fulls, root := st.pages, st.full, s.t.Root()
 	for i := range st.Vars {
@@ -399,7 +407,8 @@ func (s *strategy) LoadState(state, tables []byte, vars []core.VarState) (core.S
 				}
 				fulls[id] = nodeFromWord(w)
 			}
-			fulls, vsn.count = fulls[n:], 0
+			vsn.at = int32((len(st.full) - len(fulls)) / n)
+			fulls = fulls[n:]
 			continue
 		}
 		e := 0
@@ -416,12 +425,14 @@ func (s *strategy) LoadState(state, tables []byte, vars []core.VarState) (core.S
 			e++
 		}
 		imgs = imgs[vsn.pages:]
+		vsn.at = int32(len(st.sets))
+		st.sets = append(st.sets, pageSet{count: uint8(e), npages: vsn.pages, lent: 1})
 	}
 	st.lend()
 	for i := range st.sets {
 		st.sets[i].reindex()
 	}
-	if err := s.check(st, len(vars), func(i int) bool { return vars[i].Present }); err != nil {
+	if err := s.check(st, vars); err != nil {
 		return nil, err
 	}
 	return st, nil

@@ -127,13 +127,8 @@ func lend(t *nodeTable, n int) lentCapture {
 	return c
 }
 
-// table returns a lent table over the capture, as RestoreState makes one.
-func (c lentCapture) table() nodeTable {
-	if len(c.st.sets) > 0 {
-		return nodeTable{pages: &c.st.sets[0]}
-	}
-	return nodeTable{full: c.st.full[:c.st.treeNodes:c.st.treeNodes], pages: &lentFull}
-}
+// table returns a lent table over the capture, as RestoreVar makes one.
+func (c lentCapture) table() nodeTable { return c.st.lentTable(&c.st.Vars[0]) }
 
 // checkLent fails unless every capture is as it was taken, lentFull holds
 // no entry, and neither a table that is not lent nor a free list of p holds

@@ -261,7 +261,6 @@ func TestRemapCheckRefusesMisfitMoved(t *testing.T) {
 	}
 	s := m.Strat.(*strategy)
 	vars := []*core.Variable{m.Var(v)}
-	live := func(int) bool { return true }
 	for _, tc := range []struct {
 		name string
 		bend func(moved []int32) []int32
@@ -278,7 +277,7 @@ func TestRemapCheckRefusesMisfitMoved(t *testing.T) {
 		}
 		st := state.(*State)
 		st.Vars[0].Moved = tc.bend(st.Vars[0].Moved)
-		err = s.check(st, len(vars), live)
+		err = s.check(st, []core.VarState{{Present: true}})
 		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
 			t.Errorf("%s: check = %v, want %q", tc.name, err, tc.want)
 		}

@@ -27,7 +27,7 @@ var notCarried = map[string]string{
 	"accesstree.State.full":      "the table section carries the node tables",
 	"accesstree.State.treeNodes": "the machine's tree size, checked against the table section",
 	"accesstree.VarState.pages":  "derived from the table section",
-	"accesstree.VarState.count":  "derived from the table section",
+	"accesstree.VarState.at":     "derived from the table section",
 }
 
 // fill sets every field v holds, exported or not and through slices,
@@ -142,7 +142,7 @@ func TestCodecsCarryEveryField(t *testing.T) {
 // Whatever the bytes, SnapshotFromWire returns without panicking and
 // allocates at most a constant multiple of their length (plus the fixed
 // table and bitmap sections it decodes beside them); a snapshot it accepts
-// forks.
+// forks, and the fork makes every variable it holds.
 func FuzzStateSection(f *testing.F) {
 	type target struct {
 		cfg            core.Config
@@ -196,8 +196,11 @@ func FuzzStateSection(f *testing.F) {
 			t.Errorf("%d bytes allocated for a %d-byte state section (limit %d)", got, len(state), limit)
 		}
 		if err == nil {
-			if _, err := snap.Fork(core.ForkOptions{}); err != nil {
+			fork, err := snap.Fork(core.ForkOptions{})
+			if err != nil {
 				t.Errorf("SnapshotFromWire accepted a state section that does not fork: %v", err)
+			} else {
+				core.BorrowAll(fork) // a fork makes a variable's record at its first access
 			}
 		}
 	})

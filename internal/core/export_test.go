@@ -20,8 +20,17 @@ func SetClock(s *Snapshot, now float64) { s.st.Kern.Now = now }
 // the tests of what a stored snapshot may hold.
 func SetVarSize(s *Snapshot, id VarID, size int) { s.st.Vars[id].Size = size }
 
-// LiveVarCount returns how many variables of m exist.
-func LiveVarCount(m *Machine) int { return LiveVars(m.vars) }
+// LiveVarCount returns how many variables of m exist, those a fork still
+// borrows included.
+func LiveVarCount(m *Machine) int {
+	n := 0
+	for i, v := range m.vars {
+		if v != nil || m.borrowed(VarID(i)) {
+			n++
+		}
+	}
+	return n
+}
 
 // SnapState is the part of a snapshot the state section carries before the
 // variable values, for the codec tests.
@@ -37,3 +46,7 @@ func ReadSnapState(b []byte) (*SnapState, error) {
 	st.read(r)
 	return st, r.Finish()
 }
+
+// BorrowAll makes every variable the fork m still borrows from its
+// snapshot, as a query that touches them all would.
+func BorrowAll(m *Machine) { m.borrowAll() }

@@ -68,6 +68,9 @@ type strategy struct {
 	// lockWait holds, per processor, the lock wait of the process running
 	// there (see lock.go).
 	lockWait []lockWaiter
+	// lent is the snapshot state a fork restored from, which RestoreVar
+	// builds the records of the variables the fork reaches from.
+	lent *State
 }
 
 // acquireReq returns a transaction record from the arena.

@@ -13,7 +13,9 @@ import (
 // local-copy bitmap, which the machine layer captures. A quiescent lock has
 // no persistent state (free, empty queue), so locks only need the
 // quiescence check; the transaction arena holds no live records at
-// quiescence.
+// quiescence. A fork lends the variables: RestoreState copies the random
+// stream and keeps the state, and RestoreVar builds a variable's record
+// from it when the fork first reaches the variable.
 
 // State is the strategy's captured state (core.StratState): forks restore
 // from it and a snapshot file carries it, whole, in the state section
@@ -79,18 +81,18 @@ func (s *strategy) SnapshotState(vars []*core.Variable) (core.StratState, error)
 	return st, nil
 }
 
-// check validates a state against this strategy's machine; live reports
-// whether the machine's variable i exists.
-func (s *strategy) check(state core.StratState, vars int, live func(i int) bool) (*State, error) {
+// check validates a state against this strategy's machine and the
+// snapshot's variable records vars.
+func (s *strategy) check(state core.StratState, vars []core.VarState) (*State, error) {
 	st, ok := state.(*State)
 	if !ok {
 		return nil, fmt.Errorf("fixedhome: foreign snapshot state %T", state)
 	}
-	if len(st.Vars) != vars {
-		return nil, fmt.Errorf("fixedhome: snapshot has %d variables, machine has %d", len(st.Vars), vars)
+	if len(st.Vars) != len(vars) {
+		return nil, fmt.Errorf("fixedhome: snapshot has %d variables, machine has %d", len(st.Vars), len(vars))
 	}
 	for i, vsn := range st.Vars {
-		if vsn.Present != live(i) {
+		if vsn.Present != vars[i].Present {
 			return nil, fmt.Errorf("fixedhome: snapshot and machine disagree on whether variable %d exists", i)
 		}
 		if p := s.m.P(); vsn.Present && (vsn.Home < 0 || vsn.Home >= p || vsn.Owner < 0 || vsn.Owner >= p) {
@@ -110,25 +112,27 @@ func (s *strategy) LoadState(state, tables []byte, vars []core.VarState) (core.S
 	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("fixedhome: decode snapshot state: %w", err)
 	}
-	return s.check(st, len(vars), func(i int) bool { return vars[i].Present })
+	return s.check(st, vars)
 }
 
 // RestoreState implements core.Forker.
-func (s *strategy) RestoreState(state core.StratState, vars []*core.Variable) error {
-	st, err := s.check(state, len(vars), func(i int) bool { return vars[i] != nil })
+func (s *strategy) RestoreState(state core.StratState, vars []core.VarState) error {
+	st, err := s.check(state, vars)
 	if err != nil {
 		return err
 	}
 	s.rng.SetState(st.RNG)
-	states := make([]varState, core.LiveVars(vars))
-	for i, vsn := range st.Vars {
-		if !vsn.Present {
-			continue
-		}
-		states[0] = varState{home: vsn.Home, owner: vsn.Owner, lock: freeLock}
-		vars[i].State, states = &states[0], states[1:]
-	}
+	s.lent = st
 	return nil
+}
+
+// RestoreVar implements core.Forker, with a record from the arena
+// InitVar's come from.
+func (s *strategy) RestoreVar(v *core.Variable) {
+	vsn := &s.lent.Vars[v.ID]
+	vs := s.states.Acquire()
+	*vs = varState{home: vsn.Home, owner: vsn.Owner, lock: freeLock}
+	v.State = vs
 }
 
 // Reseed implements core.Forker.

@@ -138,6 +138,11 @@ type Machine struct {
 	// out again: a protocol message still in flight may point at it, and
 	// must find it dead.
 	varSlab []Variable
+	// lender is the snapshot a fork was made from, and lent has a bit set
+	// for each of its variables the fork still borrows: that variable's slot
+	// in vars is nil until Var makes the fork's own record (borrow).
+	lender *Snapshot
+	lent   []uint64
 
 	bar *barrier
 
@@ -278,12 +283,15 @@ func (m *Machine) MeshTopo() (mesh.Mesh, bool) {
 	return mm, ok
 }
 
-// Var returns the variable record for id. Freed or unknown ids panic.
+// Var returns the variable record for id, made first if the machine is a
+// fork that still borrows it from its snapshot. Freed or unknown ids panic.
+// Every access to a variable — the strategies', the processes' and the
+// applications' — comes through here.
 func (m *Machine) Var(id VarID) *Variable {
-	if int(id) < 0 || int(id) >= len(m.vars) || m.vars[id] == nil {
-		panic(fmt.Sprintf("core: access to invalid variable %d", id))
+	if uint(id) < uint(len(m.vars)) && m.vars[id] != nil {
+		return m.vars[id]
 	}
-	return m.vars[id]
+	return m.borrow(id)
 }
 
 // Cache returns node's copy cache (used by strategies).
@@ -392,11 +400,7 @@ func (m *Machine) alloc(creator, size int, val interface{}) VarID {
 	if size <= 0 {
 		panic("core: variable size must be positive")
 	}
-	if len(m.varSlab) == 0 {
-		m.varSlab = make([]Variable, varSlabLen)
-	}
-	v := &m.varSlab[0]
-	m.varSlab = m.varSlab[1:]
+	v := m.newVar()
 	*v = Variable{
 		ID:      VarID(len(m.vars)),
 		Size:    size,
@@ -410,7 +414,9 @@ func (m *Machine) alloc(creator, size int, val interface{}) VarID {
 }
 
 // Free releases a variable's protocol state on all nodes. Local operation;
-// the id must not be used afterwards.
+// the id must not be used afterwards. A fork makes a variable it still
+// borrows before freeing it, which ends the loan: the id is never borrowed
+// again.
 func (m *Machine) Free(id VarID) {
 	v := m.Var(id)
 	if v.busy() {
@@ -429,6 +435,16 @@ const (
 	localSlabMax = 1024
 	varSlabLen   = 16
 )
+
+// newVar carves a variable record.
+func (m *Machine) newVar() *Variable {
+	if len(m.varSlab) == 0 {
+		m.varSlab = make([]Variable, varSlabLen)
+	}
+	v := &m.varSlab[0]
+	m.varSlab = m.varSlab[1:]
+	return v
+}
 
 // localWords is the length of one local-copy bitmap in words.
 func (m *Machine) localWords() int { return (m.P() + 63) / 64 }

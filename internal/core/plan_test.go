@@ -66,8 +66,9 @@ func TestPlanAtCeilingSameFingerprint(t *testing.T) {
 // TestForkAllocBudget pins what a fork costs now that the plan is shared:
 // the per-machine state only — links, clocks, inboxes, caches, kernel —
 // never the tree, the route table or the embedding tables. A fork of a
-// warmed machine adds its variables' records, but no node table: it
-// borrows the snapshot's until it writes one.
+// warmed machine lends its variables: it makes the records of one —
+// Variable, varState, local-copy word — only when the query reaches it,
+// and borrows the snapshot's node table even then, until it writes it.
 func TestForkAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		n      int
@@ -86,7 +87,7 @@ func TestForkAllocBudget(t *testing.T) {
 			{"handopt", decomp.Ary2, nil},
 		} {
 			m := core.MustNewMachine(core.Config{Rows: tc.n, Cols: tc.n, Seed: 1, Tree: strat.tree, Strategy: strat.f})
-			bytes, allocs := forkCost(t, m)
+			bytes, allocs := forkCost(t, m, nil)
 			if allocs > tc.allocs || bytes > tc.bytes {
 				t.Errorf("fork of a birth %dx%d %s snapshot: %d bytes in %.0f allocations, budget %d in %.0f",
 					tc.n, tc.n, strat.name, bytes, allocs, tc.bytes, tc.allocs)
@@ -94,23 +95,38 @@ func TestForkAllocBudget(t *testing.T) {
 		}
 	}
 
-	// The warmed case: what a fork of a birth 8×8 machine costs, plus per
-	// live variable a Variable and a varState record (128 bytes each), its
-	// pointer and its local-copy word, 272 bytes in all, rounded up to 320.
-	// A node table would cost 272 to 680 bytes more.
-	birth, _ := forkCost(t, core.MustNewMachine(core.Config{Rows: 8, Cols: 8, Seed: 1, Tree: decomp.Ary4, Strategy: accesstree.Factory()}))
+	// The warmed cases, against what a fork of a birth 8×8 machine costs.
+	// While the query touches no variable, a fork pays per live variable
+	// its nil slot among the fork's variables and its lent bit — 8 bytes
+	// and a bit, plus the slots of the freed variables (a third as many
+	// again after Barnes-Hut) — within 16 bytes. A query that touches every
+	// variable makes, per variable, a Variable and a varState record (128
+	// bytes each), a local-copy word and the arenas' slack, and stays
+	// within the 320 bytes a variable cost when a fork copied them all up
+	// front. A node table would cost 272 to 680 bytes more.
+	birth, _ := forkCost(t, core.MustNewMachine(core.Config{Rows: 8, Cols: 8, Seed: 1, Tree: decomp.Ary4, Strategy: accesstree.Factory()}), nil)
 	m := warmedMachine(t)
-	live := core.LiveVarCount(m)
-	bytes, allocs := forkCost(t, m)
-	if budget := birth + 320*uint64(live); bytes > budget || allocs > 1000 {
-		t.Errorf("fork of an 8x8 at4 snapshot warmed by Barnes-Hut (%d variables): %d bytes in %.0f allocations, budget %d in 1000",
-			live, bytes, allocs, budget)
+	live := uint64(core.LiveVarCount(m))
+	for _, tc := range []struct {
+		name  string
+		query func(*core.Machine)
+		per   uint64
+	}{
+		{"untouched", nil, 16},
+		{"all touched", core.BorrowAll, 320},
+	} {
+		bytes, allocs := forkCost(t, m, tc.query)
+		t.Logf("%s: %d bytes (birth %d + %.1f a variable) in %.0f allocations", tc.name, bytes, birth, float64(bytes-birth)/float64(live), allocs)
+		if budget := birth + tc.per*live; bytes > budget || allocs > 1000 {
+			t.Errorf("fork of an 8x8 at4 snapshot warmed by Barnes-Hut (%d variables), %s: %d bytes in %.0f allocations, budget %d in 1000",
+				live, tc.name, bytes, allocs, budget)
+		}
 	}
 }
 
 // forkCost snapshots m and returns the bytes and the allocations of one
-// fork of the snapshot.
-func forkCost(t *testing.T, m *core.Machine) (bytes uint64, allocs float64) {
+// fork of the snapshot, and of query on the fork if it is not nil.
+func forkCost(t *testing.T, m *core.Machine, query func(*core.Machine)) (bytes uint64, allocs float64) {
 	t.Helper()
 	snap, err := m.Snapshot()
 	if err != nil {
@@ -123,6 +139,9 @@ func forkCost(t *testing.T, m *core.Machine) (bytes uint64, allocs float64) {
 		}
 		if f.Tree != m.Tree {
 			t.Fatal("fork rebuilt the tree")
+		}
+		if query != nil {
+			query(f)
 		}
 	}
 	allocs = testing.AllocsPerRun(5, fork)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"diva/internal/mesh"
 	"diva/internal/sim"
@@ -28,9 +29,16 @@ import (
 // and embedding tables are shared by reference, never rebuilt, and no
 // table is consulted to find them (construction is deterministic: the same
 // seed replays the same barrier root draw and strategy stream split) — and
-// then overwriting every piece of mutable state with deep copies from the
-// snapshot. The snapshot itself is immutable after capture, so concurrent
-// forks from one snapshot are safe — the serve layer relies on this.
+// then overwriting the machine-wide mutable state — kernel, network, RNG,
+// barrier, caches, the strategy's counters — with copies from the snapshot.
+// The variables are lent, not copied: a fork starts with every variable
+// the snapshot holds marked as still borrowed, and makes its own record of
+// one — the Variable, its local-copy bitmap and the strategy's state,
+// whose node table stays lent in turn — the first time the query reaches it
+// (Machine.Var). A query that touches a few of a warmed machine's
+// variables pays for those few. The snapshot itself is immutable after
+// capture, so concurrent forks from one snapshot are safe — the serve layer
+// relies on this.
 
 // Forker is the optional interface a Strategy implements to support
 // Machine.Snapshot and fork. Both built-in strategies (accesstree,
@@ -43,11 +51,15 @@ type Forker interface {
 	// fails when protocol state that cannot be captured is live (pending
 	// invalidations, queued lock requests, a held lock).
 	SnapshotState(vars []*Variable) (StratState, error)
-	// RestoreState deep-copies a SnapshotState result onto this strategy
-	// (bound to an identically configured machine), installing the
-	// per-variable protocol state on the fork's variable records. The state
-	// is never mutated, so many forks can restore from one.
-	RestoreState(state StratState, vars []*Variable) error
+	// RestoreState copies the machine-wide part of a SnapshotState result
+	// onto this strategy (bound to an identically configured machine) and
+	// keeps the state for RestoreVar; vars are the snapshot's variable
+	// records, which the state must fit. The state is never mutated, so many
+	// forks can restore from one.
+	RestoreState(state StratState, vars []VarState) error
+	// RestoreVar installs on v, a fork's fresh record of a variable the
+	// restored state holds, the protocol state it captured for v.ID.
+	RestoreVar(v *Variable)
 	// LoadState decodes a state from a snapshot file — the strategy's own
 	// bytes of the state section (StratState.AppendState) and the raw
 	// table section (AppendTables) — and validates it against this
@@ -86,18 +98,6 @@ const (
 	reactSalt = 0xc2b2ae3d27d4eb4f
 )
 
-// LiveVars counts the variables that exist: vars is indexed by id, and
-// freed variables leave nil holes.
-func LiveVars(vars []*Variable) int {
-	n := 0
-	for _, v := range vars {
-		if v != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // Snapshot is a deep copy of a quiescent machine's simulated state.
 // Immutable after capture; Fork any number of times, concurrently. A
 // snapshot read back from a file (SnapshotFromWire) has the very same
@@ -107,13 +107,16 @@ type Snapshot struct {
 	// plan is the source machine's: every fork runs on it.
 	plan *Plan
 	st   snapState
-	// locals holds the local-copy bitmaps of the live variables back to
-	// back, in variable order.
+	// locals holds the local-copy bitmaps by id, back to back; a freed
+	// variable's words are zero.
 	locals []uint64
 	// data holds the variables' values by id, shared by reference — values
 	// are immutable by the library-wide Write contract.
 	data []interface{}
 }
+
+// localWords is the length of one local-copy bitmap in words.
+func (s *Snapshot) localWords() int { return (s.plan.Topo.N() + 63) / 64 }
 
 // snapState is the part of a snapshot that a snapshot file carries in its
 // state section (wire.go).
@@ -167,7 +170,8 @@ type ForkOptions struct {
 
 // Snapshot captures the machine's state. The machine must be quiescent:
 // every spawned process finished, no event pending, no transaction active.
-// Machines with a strategy require it to implement Forker.
+// Machines with a strategy require it to implement Forker. A fork first
+// makes every variable it still borrows: a capture is O(variables) anyway.
 func (m *Machine) Snapshot() (*Snapshot, error) {
 	if n := m.K.Pending(); n > 0 {
 		return nil, fmt.Errorf("diva: snapshot of a non-quiescent machine: %d events pending", n)
@@ -197,6 +201,7 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 			return nil, fmt.Errorf("diva: strategy %q does not support snapshot/fork", m.Strat.Name())
 		}
 	}
+	m.borrowAll()
 	s := &Snapshot{plan: m.Plan}
 	s.st.RNG = m.RNG.State()
 	s.cfg = m.Cfg
@@ -210,14 +215,15 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 		return nil, fmt.Errorf("diva: snapshot: %w", err)
 	}
 	s.st.Net = ns
+	w := m.localWords()
 	s.st.Vars = make([]VarState, len(m.vars))
 	s.data = make([]interface{}, len(m.vars))
-	s.locals = make([]uint64, 0, m.localWords()*LiveVars(m.vars))
+	s.locals = make([]uint64, w*len(m.vars))
 	for i, v := range m.vars {
 		if v == nil {
 			continue
 		}
-		s.locals = append(s.locals, v.local...)
+		copy(s.locals[i*w:], v.local)
 		s.st.Vars[i] = VarState{Present: true, Size: v.Size, Creator: v.Creator}
 		s.data[i] = v.Data
 	}
@@ -251,7 +257,10 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 
 // Fork builds an independent machine resuming from the snapshot: running a
 // workload on the fork is bit-identical to running it on the source
-// machine. Any number of forks can be taken, concurrently.
+// machine. Any number of forks can be taken, concurrently. The fork
+// borrows every variable: it makes its own record of one at the variable's
+// first access (Machine.Var), or at once if a bounded cache holds a copy of
+// it, since the cache links the record.
 func (s *Snapshot) Fork(o ForkOptions) (*Machine, error) {
 	cfg := s.cfg
 	m, err := newMachine(cfg, s.plan)
@@ -267,36 +276,24 @@ func (s *Snapshot) Fork(o ForkOptions) (*Machine, error) {
 	}
 	m.RNG.SetState(st.RNG)
 	m.vars = make([]*Variable, len(st.Vars))
-	w := m.localWords()
-	locals := append([]uint64(nil), s.locals...)
-	recs := make([]Variable, len(locals)/w) // one record per live variable
+	m.lender, m.lent = s, make([]uint64, (len(st.Vars)+63)/64)
 	for i := range st.Vars {
-		vs := &st.Vars[i]
-		if !vs.Present {
-			continue
+		if st.Vars[i].Present {
+			m.lent[i/64] |= 1 << (i % 64)
 		}
-		m.vars[i], recs = &recs[0], recs[1:]
-		*m.vars[i] = Variable{
-			ID:      VarID(i),
-			Size:    vs.Size,
-			Creator: vs.Creator,
-			Data:    s.data[i],
-			local:   locals[:w:w],
-		}
-		locals = locals[w:]
 	}
 	copy(m.bar.epoch, st.Barrier.Epoch)
 	m.bar.batched, m.bar.cascaded, m.bar.aborted = st.Barrier.Batched, st.Barrier.Cascaded, st.Barrier.Aborted
 	if st.Strat != nil {
 		f := m.Strat.(Forker) // same config built the same strategy type
-		if err := f.RestoreState(st.Strat, m.vars); err != nil {
+		if err := f.RestoreState(st.Strat, st.Vars); err != nil {
 			return nil, fmt.Errorf("diva: fork: %w", err)
 		}
 		// Cache entries replay in the source caches' LRU order, without
 		// triggering replacement.
 		for node := range st.Caches {
 			for _, key := range st.Caches[node].Keys {
-				m.caches[node].InsertRestored(m.vars[key.Var], key.Node)
+				m.caches[node].InsertRestored(m.Var(VarID(key.Var)), key.Node)
 			}
 		}
 	}
@@ -311,4 +308,38 @@ func (s *Snapshot) Fork(o ForkOptions) (*Machine, error) {
 		}
 	}
 	return m, nil
+}
+
+// borrowed reports whether the fork still borrows variable id from its
+// snapshot.
+func (m *Machine) borrowed(id VarID) bool {
+	return uint(id>>6) < uint(len(m.lent)) && m.lent[id>>6]>>(id&63)&1 == 1
+}
+
+// borrow makes the fork's own record of variable id, which it borrows from
+// its snapshot, from the arenas a fresh variable's come from: the Variable,
+// a copy of the captured local-copy bitmap, and the strategy's state.
+// Freed or unknown ids panic.
+func (m *Machine) borrow(id VarID) *Variable {
+	if !m.borrowed(id) {
+		panic(fmt.Sprintf("core: access to invalid variable %d", id))
+	}
+	m.lent[id>>6] &^= 1 << (id & 63)
+	s, w := m.lender, m.localWords()
+	vs := &s.st.Vars[id]
+	v := m.newVar()
+	*v = Variable{ID: id, Size: vs.Size, Creator: vs.Creator, Data: s.data[id], local: m.newLocal()}
+	copy(v.local, s.locals[int(id)*w:])
+	m.Strat.(Forker).RestoreVar(v)
+	m.vars[id] = v
+	return v
+}
+
+// borrowAll makes every variable the fork still borrows.
+func (m *Machine) borrowAll() {
+	for i, word := range m.lent {
+		for ; word != 0; word &= word - 1 {
+			m.borrow(VarID(i*64 + bits.TrailingZeros64(word)))
+		}
+	}
 }

@@ -77,7 +77,11 @@ func (v *Variable) NextLocal(from int) int {
 // request queueing that a real DSM implementation performs at copy holders
 // without charging extra messages for it (design decision D4).
 type rwQueue struct {
-	readers int
+	// readers and writer share a word: a Variable is then 120 bytes, and a
+	// block of 16 (Machine.newVar), with the 8-byte header the allocator
+	// puts before a block that holds pointers, fits the 2 KiB size class
+	// instead of taking the next one, of 2 304 bytes.
+	readers int32
 	writer  bool
 	waiters FIFO[rwWaiter]
 }

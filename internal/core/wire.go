@@ -31,7 +31,8 @@ type Sections struct {
 	// every access-tree node table, in variable order).
 	Tables []byte
 	// Locals holds the local-copy bitmaps of the live variables, one
-	// uint64 per word, in variable order.
+	// uint64 per word, in variable order (a snapshot holds them by id,
+	// freed variables' included).
 	Locals []byte
 
 	snap *Snapshot
@@ -45,9 +46,14 @@ func (s *Snapshot) Wire() (*Sections, error) {
 	if s.st.Strat != nil {
 		w.Tables = s.st.Strat.AppendTables(nil)
 	}
-	w.Locals = make([]byte, 8*len(s.locals))
-	for i, x := range s.locals {
-		binary.LittleEndian.PutUint64(w.Locals[8*i:], x)
+	words := s.localWords()
+	w.Locals = make([]byte, 0, 8*len(s.locals))
+	for i := range s.st.Vars {
+		if s.st.Vars[i].Present {
+			for _, x := range s.locals[i*words : (i+1)*words] {
+				w.Locals = binary.LittleEndian.AppendUint64(w.Locals, x)
+			}
+		}
 	}
 	return w, nil
 }
@@ -189,14 +195,19 @@ func SnapshotFromWire(m *Machine, tables, locals, state []byte) (*Snapshot, erro
 	if len(locals) != 8*words*live {
 		return nil, fmt.Errorf("diva: stored bitmap section has %d bytes, %d variables of %d words need %d", len(locals), live, words, 8*words*live)
 	}
-	s.locals = make([]uint64, words*live)
-	for i := range s.locals {
-		s.locals[i] = binary.LittleEndian.Uint64(locals[8*i:])
-	}
 	if tail := uint(m.P()) & 63; tail != 0 {
-		for i := words - 1; i < len(s.locals); i += words {
-			if s.locals[i]>>tail != 0 {
+		for i := 8 * (words - 1); i < len(locals); i += 8 * words {
+			if binary.LittleEndian.Uint64(locals[i:])>>tail != 0 {
 				return nil, fmt.Errorf("diva: stored snapshot marks a copy beyond processor %d", m.P()-1)
+			}
+		}
+	}
+	s.locals = make([]uint64, words*len(st.Vars))
+	for i := range st.Vars {
+		if st.Vars[i].Present {
+			for j := i * words; j < (i+1)*words; j++ {
+				s.locals[j] = binary.LittleEndian.Uint64(locals)
+				locals = locals[8:]
 			}
 		}
 	}
@@ -209,8 +220,8 @@ func SnapshotFromWire(m *Machine, tables, locals, state []byte) (*Snapshot, erro
 		if st.Strat, err = forker.LoadState(strat, tables, st.Vars); err != nil {
 			return nil, err
 		}
-	} else if len(tables) != 0 || len(strat) != 0 {
-		return nil, fmt.Errorf("diva: stored snapshot has strategy state but the machine has no strategy")
+	} else if len(tables) != 0 || len(strat) != 0 || live != 0 {
+		return nil, fmt.Errorf("diva: stored snapshot has variables or strategy state but the machine has no strategy")
 	}
 	return s, nil
 }

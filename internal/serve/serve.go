@@ -667,7 +667,8 @@ type healthzResponse struct {
 	// The same for the run-transient storage above the kernel
 	// (sim.RunStoreStats): message pools, receiver records, replay
 	// journals and start times of the networks, transaction and barrier
-	// records of the strategies, counted in messages and records.
+	// records of the strategies, counted in messages and records, and the
+	// snapshot store's file buffers.
 	RunStoreSets      int    `json:"run_store_sets"`
 	RunStoreBytes     int64  `json:"run_store_bytes"`
 	RunStoreAdoptions uint64 `json:"run_store_adoptions"`

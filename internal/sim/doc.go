@@ -143,7 +143,8 @@
 // its machine: variables, their protocol state and node tables, inbox
 // queues, reactive channels, Barnes-Hut values. A shelf's sets hold no
 // reference to the machine that used them: messages and records are
-// cleared when freed. RunStoreStats sums those shelves; /v1/healthz shows
+// cleared when freed. The snapshot store keeps its file buffers on a shelf
+// of the same type. RunStoreStats sums those shelves; /v1/healthz shows
 // them as run_store_*, and DropSpares empties every shelf.
 //
 // # Process switches

@@ -142,8 +142,8 @@ func (sh *Shelf[S, P]) Stats() ShelfStats {
 }
 
 // RunStoreStats sums the shelves of the layers above the kernel — the
-// network's and the strategies' run-transient storage (the kernel's own
-// stock is StoreStats).
+// network's and the strategies' run-transient storage and the snapshot
+// store's file buffers (the kernel's own stock is StoreStats).
 func RunStoreStats() ShelfStats {
 	shelves.mu.Lock()
 	defer shelves.mu.Unlock()

@@ -13,8 +13,8 @@ import (
 )
 
 // FuzzLoad feeds arbitrary bytes to the store as a snapshot file. Whatever
-// they are, List and Load return — an error, or a snapshot that forks —
-// without panicking and without allocating more than a constant multiple
+// they are, List and Load return — an error, or a snapshot that forks, and
+// whose fork makes every variable and snapshots again — without panicking and without allocating more than a constant multiple
 // of the input, plus a constant for the machine the spec rebuilds (≈ 2 MB
 // for the largest one tooLarge lets through) and its fork. The state
 // section's reader checks every length against the bytes left before it
@@ -94,14 +94,22 @@ func FuzzLoad(f *testing.F) {
 				continue
 			}
 			_, snap, err := st.Load(handle, diva.WithConcurrent(true))
+			var fork *diva.Machine
 			if err == nil {
-				if _, err := diva.Fork(snap); err != nil {
+				if fork, err = diva.Fork(snap); err != nil {
 					t.Errorf("Load accepted a snapshot that does not fork: %v", err)
 				}
 			}
 			runtime.ReadMemStats(&after)
 			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(file)+16<<20); got > limit {
 				t.Errorf("%d bytes allocated for a %d-byte file (limit %d)", got, len(file), limit)
+			}
+			// A fork makes its record of a variable when it first reaches
+			// it; a snapshot of the fork reaches every one.
+			if fork != nil {
+				if _, err := fork.Snapshot(); err != nil {
+					t.Errorf("a fork of an accepted snapshot does not snapshot: %v", err)
+				}
 			}
 		}
 	})

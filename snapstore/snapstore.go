@@ -91,10 +91,10 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 
 	"diva"
 	"diva/internal/core"
+	"diva/internal/sim"
 	"diva/spec"
 )
 
@@ -187,11 +187,10 @@ func (s *Store) Save(handle string, sp spec.Spec, snap *diva.Snapshot) error {
 		return fmt.Errorf("snapstore: marshal spec: %w", err)
 	}
 	buf := getBuf()
-	defer fileBufs.Put(buf)
 	// The state section is encoded in place, after the other three: its
 	// length is written once it is known.
 	sections := [3][]byte{specJSON, w.Tables, w.Locals}
-	file := append((*buf)[:0], magic...)
+	file := append(buf[:0], magic...)
 	for _, sec := range sections {
 		file = binary.LittleEndian.AppendUint64(file, uint64(len(sec)))
 	}
@@ -200,12 +199,13 @@ func (s *Store) Save(handle string, sp spec.Spec, snap *diva.Snapshot) error {
 		file = append(file, sec...)
 	}
 	stateAt := len(file)
-	if file, err = w.AppendState(file); err != nil {
-		return err
+	if file, err = w.AppendState(file); err == nil {
+		binary.LittleEndian.PutUint64(file[len(magic)+8*len(sections):], uint64(len(file)-stateAt))
+		file = binary.LittleEndian.AppendUint64(file, checksum(file))
+		err = s.writeAtomic(handle, file)
 	}
-	binary.LittleEndian.PutUint64(file[len(magic)+8*len(sections):], uint64(len(file)-stateAt))
-	*buf = binary.LittleEndian.AppendUint64(file, checksum(file))
-	return s.writeAtomic(handle, *buf)
+	putBuf(file)
+	return err
 }
 
 func (s *Store) writeAtomic(handle string, data []byte) error {
@@ -263,8 +263,8 @@ func (s *Store) Load(handle string, extra ...diva.Option) (spec.Spec, *diva.Snap
 	if err != nil {
 		return sp, nil, fmt.Errorf("snapstore: %w", err)
 	}
-	defer fileBufs.Put(data)
-	sections, err := parseFile(*data)
+	defer putBuf(data)
+	sections, err := parseFile(data)
 	if err != nil {
 		return sp, nil, fmt.Errorf("snapstore: %s%s: %w", handle, fileExt, err)
 	}
@@ -282,20 +282,43 @@ func (s *Store) Load(handle string, extra ...diva.Option) (spec.Spec, *diva.Snap
 	return sp, snap, nil
 }
 
-// fileBufs recycles the file buffers of Save and Load. Every section is
-// decoded by copy, so once Load returns nothing refers to the file's bytes
-// — and allocating and zeroing a fresh buffer per restore would cost more
-// than the checksum pass over it.
-var fileBufs sync.Pool
+// fileBufs holds the file buffers of finished Saves and Loads for the next
+// ones. Every section is decoded by copy, so once Load returns nothing
+// refers to the file's bytes — and allocating and zeroing a fresh buffer
+// per restore would cost more than the checksum pass over it. A shelf, not
+// a sync.Pool: a collection empties a pool, and the Load after it would
+// allocate the whole file again. At most 4 buffers of at most 4 MiB wait;
+// a larger file's buffer is dropped after use. A reused buffer counts as an
+// adoption of the shelf; the shelf's hits and misses count runs' storage,
+// not files.
+var fileBufs = sim.NewShelf[fileBuf](4, 4<<20)
 
-func getBuf() *[]byte {
-	if buf, _ := fileBufs.Get().(*[]byte); buf != nil {
-		return buf
+// fileBuf is a file buffer waiting on fileBufs (a sim.Spare).
+type fileBuf struct{ b []byte }
+
+func (f *fileBuf) Bytes() int { return cap(f.b) }
+
+func (f *fileBuf) Trim(max int) {
+	if cap(f.b) > max {
+		f.b = nil
 	}
-	return new([]byte)
 }
 
-func readFile(path string) (*[]byte, error) {
+// Scrub does nothing: file bytes refer to no machine.
+func (f *fileBuf) Scrub() {}
+
+// getBuf returns an empty file buffer.
+func getBuf() []byte {
+	f, _ := fileBufs.Take(0)
+	return f.b[:0]
+}
+
+// putBuf shelves a buffer getBuf or readFile returned, which nothing may
+// use any more.
+func putBuf(b []byte) { fileBufs.Give(0, fileBuf{b}, 0, 0) }
+
+// readFile reads the file at path into a buffer from getBuf.
+func readFile(path string) ([]byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -306,13 +329,13 @@ func readFile(path string) (*[]byte, error) {
 		return nil, err
 	}
 	buf := getBuf()
-	if n := int(fi.Size()); cap(*buf) < n {
-		*buf = make([]byte, n)
+	if n := int(fi.Size()); cap(buf) < n {
+		buf = make([]byte, n)
 	} else {
-		*buf = (*buf)[:n]
+		buf = buf[:n]
 	}
-	if _, err := io.ReadFull(f, *buf); err != nil {
-		fileBufs.Put(buf)
+	if _, err := io.ReadFull(f, buf); err != nil {
+		putBuf(buf)
 		return nil, err
 	}
 	return buf, nil
