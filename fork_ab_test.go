@@ -572,21 +572,34 @@ func TestForkLentBoundedCache(t *testing.T) {
 }
 
 // TestForkLentConcurrent forks one Barnes-Hut-warmed snapshot in eight
-// goroutines at once; fork g reads and writes a window of the bodies that
+// goroutines at once, the live capture and the same snapshot saved and
+// restored from disk; fork g reads and writes a window of the bodies that
 // overlaps fork g+1's, so several forks make their own records of one
-// borrowed variable at the same time. Each fingerprint must equal the same
-// query's on a lone fork. Run under -race: the forks read the snapshot's
-// variable records, bitmaps and tables together.
+// borrowed variable, and read or build their own table from one lent
+// table, at the same time. Each fingerprint must equal the same query's on
+// a lone fork of the live capture. Run under -race: the forks read the
+// snapshot's variable records, bitmaps and tables together.
 func TestForkLentConcurrent(t *testing.T) {
-	_, src, res := warmedBarnesHut(t)
-	snap, err := src.Snapshot()
+	sp, src, res := warmedBarnesHut(t)
+	live, err := src.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := snapstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Save(snapstore.Handle(sp), sp, live); err != nil {
+		t.Fatal(err)
+	}
+	_, loaded, err := st.Load(snapstore.Handle(sp))
 	if err != nil {
 		t.Fatal(err)
 	}
 	bodies := res.BodyVars
 	const forks = 8
 	width := len(bodies) / forks
-	query := func(g int) (uint64, error) {
+	query := func(snap *diva.Snapshot, g int) (uint64, error) {
 		f, err := diva.Fork(snap)
 		if err != nil {
 			return 0, err
@@ -607,24 +620,31 @@ func TestForkLentConcurrent(t *testing.T) {
 	}
 	want := make([]uint64, forks)
 	for g := range forks {
-		if want[g], err = query(g); err != nil {
+		if want[g], err = query(live, g); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got := make([]uint64, forks)
-	errs := make([]error, forks)
-	var wg sync.WaitGroup
-	for g := range forks {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got[g], errs[g] = query(g)
-		}()
-	}
-	wg.Wait()
-	for g := range forks {
-		if errs[g] != nil || got[g] != want[g] {
-			t.Errorf("fork %d: fingerprint %#x (%v), alone %#x", g, got[g], errs[g], want[g])
-		}
+	for _, src := range []struct {
+		name string
+		snap *diva.Snapshot
+	}{{"live", live}, {"loaded", loaded}} {
+		t.Run(src.name, func(t *testing.T) {
+			got := make([]uint64, forks)
+			errs := make([]error, forks)
+			var wg sync.WaitGroup
+			for g := range forks {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[g], errs[g] = query(src.snap, g)
+				}()
+			}
+			wg.Wait()
+			for g := range forks {
+				if errs[g] != nil || got[g] != want[g] {
+					t.Errorf("fork %d: fingerprint %#x (%v), alone %#x", g, got[g], errs[g], want[g])
+				}
+			}
+		})
 	}
 }

@@ -192,7 +192,6 @@ func (s *strategy) Name() string {
 type varState struct {
 	rootPos int    // processor the tree root is embedded at
 	seed    uint64 // for the random-embedding ablation
-	creator int    // processor that created the variable
 	// posTab maps tree node id to simulating processor under the modular
 	// embedding: the positions are a pure function of the root's processor,
 	// so every variable rooted there — on any machine of the plan — shares
@@ -223,8 +222,8 @@ func vstate(v *core.Variable) *varState { return v.State.(*varState) }
 // pointer and every lock arrow leads toward the creator's leaf, which holds
 // the only copy and the lock token. Off the root-to-leaf path that is the
 // state at rest, so only the path is stored.
-func (s *strategy) initNodes(vs *varState) {
-	leaf := s.t.LeafOfProc[vs.creator]
+func (s *strategy) initNodes(vs *varState, creator int) {
+	leaf := s.t.LeafOfProc[creator]
 	depth := 0
 	for id := leaf; id != s.t.Root(); id = s.t.Nodes[id].Parent {
 		depth++
@@ -270,13 +269,12 @@ func (s *strategy) InitVar(v *Variable) {
 	*vs = varState{
 		rootPos: s.t.RandomRoot(s.rng),
 		seed:    s.rng.Uint64(),
-		creator: v.Creator,
 		lock:    restingLock(s.t.LeafOfProc[v.Creator]),
 	}
 	if !s.opts.RandomEmbedding {
 		vs.posTab = s.m.Plan.PosTable(vs.rootPos)
 	}
-	s.initNodes(vs)
+	s.initNodes(vs, v.Creator)
 	if s.opts.RemapThreshold > 0 {
 		vs.remap = &remapState{accesses: make([]uint32, len(s.t.Nodes)), moved: make([]int32, len(s.t.Nodes))}
 	}

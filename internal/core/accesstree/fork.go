@@ -12,77 +12,70 @@ import (
 
 // core.Forker implementation: capture and restore of the access tree
 // strategy's state for machine snapshot/fork. Captured per variable: the
-// embedding (root position / ablation seed), the node table (membership,
-// directional pointers, edge bits, lock arrows), the leaf the lock token
-// rests at, and the remap counters and moved positions. A capture copies
-// the nodes a table holds, a sparse table as images of its pages, a full
-// one as its slice, and builds a page set over each table's images once.
-// A fork lends all of it: RestoreState copies only the random stream and
-// the remap count and keeps the state, and RestoreVar builds a variable's
-// record when the fork first reaches the variable — its scalars, its remap
-// counters and the capture's page set or full table, lent in turn. The
-// fork copies a table only when it first writes it (nodeTables.ref), so a
-// query that writes few variables copies few tables, a query that never
-// reaches a variable builds no record for it, and no index is ever
-// rebuilt. The captured state is never written, so forks of one snapshot
-// may run at once. The transaction arena, the recycled tables and the
-// embedding tables are deliberately not captured — arenas hold no live
-// transactions at quiescence, and the embedding tables are a pure function
-// of the tree, shared through the machine's core.Plan by the source, its
-// forks and every other machine on the same topology and tree.
+// embedding (root position / ablation seed), the node table, the leaf the
+// lock token rests at, and the remap counters and moved positions. A table
+// is kept as its nodes not at rest, ids ascending, if a sparse table could
+// hold them, else as a full table — alike whether captured live or read
+// from a file, so either saves to the same bytes. A fork lends all of it:
+// RestoreVar builds a variable's record when the fork first reaches it,
+// reading the captured table in place until the fork first writes it
+// (nodeTables.ref). The captured state is never written, so forks of one
+// snapshot may run at once. Arenas (no live transactions at quiescence),
+// recycled tables and the embedding tables (a pure function of the tree,
+// shared through core.Plan) are not captured.
 
 // State is the strategy's captured state (core.StratState): forks restore
-// from it, and a snapshot file carries it — the exported fields in the
-// state section (AppendState), the node tables as a raw section
-// (AppendTables).
+// from it, and a snapshot file carries it — the exported fields and the
+// table sizes in the state section (AppendState), the node tables as a raw
+// section (AppendTables).
 type State struct {
 	RNG    xrand.State
 	Remaps int
 	Vars   []VarState // indexed by VarID; the zero value marks a freed variable
-	// pages holds the page images of the sparse tables and full the full
-	// tables of the present variables, each back to back in variable
-	// order, and sets a lent page set over each sparse table's images.
-	// treeNodes is the tree's size.
-	pages     []page
-	sets      []pageSet
-	full      []nodeState
-	treeNodes int
+	// Accesses and Moved hold each variable's remapState by id, a word a
+	// tree node; nil unless the strategy remaps.
+	Accesses []uint32
+	Moved    []int32
+	// tabs holds the tables kept as entries, backed by ids and nodes, and
+	// full the full tables. treeNodes is the tree's size and maxEntries
+	// the most nodes a table kept as entries holds (nodeTables).
+	tabs       []entries
+	ids        []uint16
+	nodes      []nodeState
+	full       []nodeState
+	treeNodes  int
+	maxEntries int
 }
 
 // VarState is one quiescent variable. Of its lock only the arrows (in the
 // node table) and the token's resting leaf persist: queue, waiters and
-// holder must be empty/free at quiescence. Values, not pointers: freed
-// variables leave holes, zero values, in State.Vars. A snapshot holds one
-// a variable id, so the fields are as narrow as their ranges: processors
-// and leaves are below the tree's at most 1<<tagShift nodes, and a sparse
-// table holds at most maxPages pages.
+// holder must be empty/free at quiescence. Freed variables leave zero
+// values in State.Vars. The fields are as narrow as their ranges (the tree
+// has at most 1<<tagShift nodes); the creator is core.VarState's.
 type VarState struct {
-	Present  bool
-	RootPos  int32
-	Seed     uint64
-	Creator  int32
-	TokenAt  int32 // leaf the free lock token rests at
-	Accesses []uint32
-	Moved    []int32 // remapState.moved
-	// pages is how many of State.pages are the variable's sparse table, 0
-	// if its table is full, and at is where the table is: its page set in
-	// State.sets, or its place among the full tables. The table section
-	// carries the tables, and LoadState derives both.
-	pages uint8
+	Seed    uint64
+	RootPos int32
+	TokenAt int32 // leaf the free lock token rests at
+	// count is how many nodes of the table are not at rest, 0 for a freed
+	// variable (a live table holds the root, whose data pointer leads
+	// down), and at where the table is: in State.tabs if count is at most
+	// State.maxEntries, else among the full tables.
+	count uint32
 	at    int32
 }
 
-// AppendState implements core.StratState: the exported fields.
+// AppendState implements core.StratState: the exported fields and each
+// variable's table size.
 func (st *State) AppendState(b []byte) []byte {
 	b = st.RNG.Append(b)
 	b = wire.AppendInt(b, st.Remaps)
-	return wire.AppendSlice(b, st.Vars, appendVarState)
+	b = wire.AppendSlice(b, st.Vars, appendVarState)
+	b = wire.AppendSlice(b, st.Accesses, wire.AppendUint32)
+	return wire.AppendSlice(b, st.Moved, wire.AppendInt32)
 }
 
-// ReadState reads the exported fields of a State that AppendState wrote,
-// which must hold vars variables. A freed variable is one byte of the file
-// and a VarState a hundred in memory, so the count is checked before the
-// variables are allocated.
+// ReadState reads what AppendState wrote, which must hold vars variables:
+// checked before they are allocated, a freed one being a byte of the file.
 func ReadState(r *wire.Reader, vars int) *State {
 	st := &State{RNG: xrand.ReadState(r), Remaps: r.Int()}
 	if peek := *r; peek.Len(1) != vars {
@@ -90,54 +83,36 @@ func ReadState(r *wire.Reader, vars int) *State {
 		return st
 	}
 	st.Vars = wire.ReadSlice(r, 1, readVarState)
+	st.Accesses = wire.ReadSlice(r, 1, (*wire.Reader).Uint32)
+	st.Moved = wire.ReadSlice(r, 1, (*wire.Reader).Int32)
 	return st
 }
 
-// A freed variable is one zero byte.
+// A freed variable is one zero byte: its table size.
 func appendVarState(b []byte, v VarState) []byte {
-	b = wire.AppendBool(b, v.Present)
-	if !v.Present {
+	if b = wire.AppendUint32(b, v.count); v.count == 0 {
 		return b
 	}
-	b = wire.AppendInt32(b, v.RootPos)
-	b = wire.AppendUint64(b, v.Seed)
-	b = wire.AppendInt32(b, v.Creator)
-	b = wire.AppendInt32(b, v.TokenAt)
-	b = wire.AppendSlice(b, v.Accesses, wire.AppendUint32)
-	return wire.AppendSlice(b, v.Moved, wire.AppendInt32)
+	return wire.AppendInt32(wire.AppendUint64(wire.AppendInt32(b, v.RootPos), v.Seed), v.TokenAt)
 }
 
 func readVarState(r *wire.Reader) VarState {
-	if !r.Bool() {
-		return VarState{}
+	v := VarState{count: r.Uint32()}
+	if v.count != 0 {
+		v.RootPos, v.Seed, v.TokenAt = r.Int32(), r.Uint64(), r.Int32()
 	}
-	return VarState{Present: true, RootPos: r.Int32(), Seed: r.Uint64(), Creator: r.Int32(), TokenAt: r.Int32(),
-		Accesses: wire.ReadSlice(r, 1, (*wire.Reader).Uint32),
-		Moved:    wire.ReadSlice(r, 1, (*wire.Reader).Int32)}
+	return v
 }
 
 // SnapshotState implements core.Forker.
 func (s *strategy) SnapshotState(vars []*core.Variable) (core.StratState, error) {
-	n, pages, sets, full := len(s.t.Nodes), 0, 0, 0
-	for _, v := range vars {
-		if v == nil {
-			continue
-		}
-		if t := &vstate(v).nodes; t.full == nil {
-			pages += int(t.pages.npages)
-			sets++
-		} else {
-			full += n
-		}
-	}
+	n := len(s.t.Nodes)
 	st := &State{
-		RNG:       s.rng.State(),
-		Remaps:    s.remaps,
-		Vars:      make([]VarState, len(vars)),
-		pages:     make([]page, 0, pages),
-		sets:      make([]pageSet, 0, sets),
-		full:      make([]nodeState, 0, full),
-		treeNodes: n,
+		RNG:        s.rng.State(),
+		Remaps:     s.remaps,
+		Vars:       make([]VarState, len(vars)),
+		treeNodes:  n,
+		maxEntries: pageNodes * s.tables.maxPages,
 	}
 	for i, v := range vars {
 		if v == nil {
@@ -150,65 +125,103 @@ func (s *strategy) SnapshotState(vars []*core.Variable) (core.StratState, error)
 		if ls := &vs.lock; ls.inFlight || ls.holder != -1 || ls.succ != -1 || !ls.tokenFree {
 			return nil, fmt.Errorf("accesstree: variable %d has lock activity in flight", v.ID)
 		}
-		vsn := &st.Vars[i]
-		*vsn = VarState{
-			Present: true,
-			RootPos: int32(vs.rootPos),
-			Seed:    vs.seed,
-			Creator: int32(vs.creator),
-			TokenAt: int32(vs.lock.tokenAt),
-		}
-		st.capture(&vs.nodes, vsn)
-		if r := vs.remap; r != nil {
-			vsn.Accesses = append([]uint32(nil), r.accesses...)
-			vsn.Moved = append([]int32(nil), r.moved...)
-		}
+		st.Vars[i] = VarState{Seed: vs.seed, RootPos: int32(vs.rootPos), TokenAt: int32(vs.lock.tokenAt), count: uint32(vs.nodes.unrested())}
 	}
 	for p := range s.lockers {
 		if s.lockers[p].v != nil {
 			return nil, fmt.Errorf("accesstree: processor %d is blocked in a lock", p)
 		}
 	}
-	st.lend()
+	st.makeBlocks(0)
+	if s.opts.RemapThreshold > 0 {
+		st.Accesses, st.Moved = make([]uint32, n*len(vars)), make([]int32, n*len(vars))
+	}
+	for i, v := range vars {
+		if v == nil {
+			continue
+		}
+		vs := vstate(v)
+		st.capture(&vs.nodes, &st.Vars[i])
+		if r := vs.remap; r != nil {
+			copy(st.Accesses[i*n:], r.accesses)
+			copy(st.Moved[i*n:], r.moved)
+		}
+	}
 	return st, nil
 }
 
-// capture appends the nodes table t holds to the page images and its page
-// set, or to the full tables, and records in vsn where they are.
-func (st *State) capture(t *nodeTable, vsn *VarState) {
-	if ps := t.pages; t.full == nil {
-		for _, pg := range ps.pages[:ps.npages] {
-			st.pages = append(st.pages, *pg)
+// makeBlocks makes the blocks of the tables the counts in st.Vars size,
+// with room for spare more entries.
+func (st *State) makeBlocks(spare int) {
+	held, tabs, full := 0, 0, 0
+	for i := range st.Vars {
+		if count := int(st.Vars[i].count); count > st.maxEntries {
+			full += st.treeNodes
+		} else if count > 0 {
+			held += count
+			tabs++
 		}
-		vsn.pages, vsn.at = ps.npages, int32(len(st.sets))
-		st.sets = append(st.sets, pageSet{count: ps.count, npages: ps.npages, lent: 1})
-	} else {
+	}
+	st.tabs = make([]entries, 0, tabs)
+	st.ids, st.nodes = make([]uint16, 0, held+spare), make([]nodeState, 0, held+spare)
+	st.full = make([]nodeState, 0, full)
+}
+
+// capture appends table t, which holds vsn.count nodes not at rest, to the
+// full tables or as entries to tabs, and records in vsn where it is. Only a
+// full table holds more than maxEntries nodes.
+func (st *State) capture(t *nodeTable, vsn *VarState) {
+	if int(vsn.count) > st.maxEntries {
 		vsn.at = int32(len(st.full) / st.treeNodes)
 		st.full = append(st.full, t.full...)
+		return
 	}
-}
-
-// lend points every captured page set at its page images: both are in
-// variable order.
-func (st *State) lend() {
-	imgs := st.pages
-	for i := range st.sets {
-		ps := &st.sets[i]
-		for j := range ps.npages {
-			ps.pages[j] = &imgs[j]
+	from := len(st.ids)
+	t.each(func(id int, nd nodeState) {
+		if nd != restNode {
+			st.ids = append(st.ids, uint16(id))
+			st.nodes = append(st.nodes, nd)
 		}
-		imgs = imgs[ps.npages:]
-	}
+	})
+	st.keep(vsn, from)
 }
 
-// lentTable returns variable vsn's captured table, lent: its page set, or
-// its full table marked by lentFull.
+// keep makes the entries appended since from variable vsn's table: sorted
+// by id — a sparse table holds its nodes in insertion order — if a sparse
+// table could hold them, else spread into a full table in the room
+// makeBlocks made.
+func (st *State) keep(vsn *VarState, from int) {
+	ids, nodes := st.ids[from:len(st.ids):len(st.ids)], st.nodes[from:len(st.nodes):len(st.nodes)]
+	if len(ids) > st.maxEntries {
+		at := len(st.full)
+		vsn.at, st.full = int32(at/st.treeNodes), st.full[:at+st.treeNodes]
+		for id := range st.treeNodes {
+			st.full[at+id] = restNode
+		}
+		for i, id := range ids {
+			st.full[at+int(id)] = nodes[i]
+		}
+		st.ids, st.nodes = st.ids[:from], st.nodes[:from]
+		return
+	}
+	for i := 1; i < len(ids); i++ {
+		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
+			ids[j], ids[j-1] = ids[j-1], ids[j]
+			nodes[j], nodes[j-1] = nodes[j-1], nodes[j]
+		}
+	}
+	vsn.at = int32(len(st.tabs))
+	st.tabs = append(st.tabs, entries{ids: ids, nodes: nodes})
+}
+
+// lentTable returns variable vsn's captured table, lent: its entries, or
+// its full table.
 func (st *State) lentTable(vsn *VarState) nodeTable {
-	if vsn.pages > 0 {
-		return nodeTable{pages: &st.sets[vsn.at]}
+	if int(vsn.count) <= st.maxEntries {
+		return nodeTable{pages: &lentSet, lent: &st.tabs[vsn.at]}
 	}
 	n := st.treeNodes
-	return nodeTable{full: st.full[int(vsn.at)*n:][:n:n], pages: &lentFull}
+	return nodeTable{full: st.full[int(vsn.at)*n:][:n:n], pages: &lentSet}
 }
 
 // check validates a state against this strategy's machine and the
@@ -221,28 +234,28 @@ func (s *strategy) check(st *State, vars []core.VarState) error {
 	if st.treeNodes != n {
 		return fmt.Errorf("accesstree: snapshot has %d tree nodes per variable, machine has %d", st.treeNodes, n)
 	}
-	counters := 0 // the remap side tables exist only when remapping
+	words := 0 // the remap blocks exist only when remapping
 	if s.opts.RemapThreshold > 0 {
-		counters = n
+		words = n * len(vars)
+	}
+	if len(st.Accesses) != words || len(st.Moved) != words {
+		return fmt.Errorf("accesstree: snapshot has %d access counters and %d positions, machine needs %d", len(st.Accesses), len(st.Moved), words)
+	}
+	for i, pos := range st.Moved {
+		if pos < 0 || int(pos) > p {
+			return fmt.Errorf("accesstree: snapshot variable %d moves node %d to processor %d on a %d-processor tree", i/n, i%n, pos-1, p)
+		}
 	}
 	for i := range st.Vars {
 		vsn := &st.Vars[i]
-		if vsn.Present != vars[i].Present {
+		if (vsn.count != 0) != vars[i].Present {
 			return fmt.Errorf("accesstree: snapshot and machine disagree on whether variable %d exists", i)
 		}
-		if !vsn.Present {
+		if vsn.count == 0 {
 			continue
-		}
-		if len(vsn.Accesses) != counters || len(vsn.Moved) != counters {
-			return fmt.Errorf("accesstree: snapshot variable %d has %d access counters and %d positions, machine needs %d", i, len(vsn.Accesses), len(vsn.Moved), counters)
 		}
 		if vsn.RootPos < 0 || int(vsn.RootPos) >= p || vsn.TokenAt < 0 || int(vsn.TokenAt) >= n {
 			return fmt.Errorf("accesstree: snapshot variable %d has root position %d, token leaf %d on a %d-processor, %d-node tree", i, vsn.RootPos, vsn.TokenAt, p, n)
-		}
-		for node, pos := range vsn.Moved {
-			if pos < 0 || int(pos) > p {
-				return fmt.Errorf("accesstree: snapshot variable %d moves node %d to processor %d on a %d-processor tree", i, node, pos-1, p)
-			}
 		}
 	}
 	return nil
@@ -267,19 +280,20 @@ func (s *strategy) RestoreState(state core.StratState, vars []core.VarState) err
 // RestoreVar implements core.Forker: the record comes from the arena
 // InitVar's do, the node table is the capture's, lent.
 func (s *strategy) RestoreVar(v *core.Variable) {
-	vsn := &s.lent.Vars[v.ID]
+	st := s.lent
+	vsn := &st.Vars[v.ID]
 	vs := s.states.Acquire()
 	*vs = varState{
 		rootPos: int(vsn.RootPos),
 		seed:    vsn.Seed,
-		creator: int(vsn.Creator),
 		lock:    restingLock(int(vsn.TokenAt)),
-		nodes:   s.lent.lentTable(vsn),
+		nodes:   st.lentTable(vsn),
 	}
 	if s.opts.RemapThreshold > 0 {
+		at, n := int(v.ID)*st.treeNodes, st.treeNodes
 		vs.remap = &remapState{
-			accesses: append([]uint32(nil), vsn.Accesses...),
-			moved:    append([]int32(nil), vsn.Moved...),
+			accesses: append([]uint32(nil), st.Accesses[at:at+n]...),
+			moved:    append([]int32(nil), st.Moved[at:at+n]...),
 		}
 	}
 	if !s.opts.RandomEmbedding {
@@ -288,9 +302,12 @@ func (s *strategy) RestoreVar(v *core.Variable) {
 	v.State = vs
 }
 
-// The table section of a snapshot file keeps the dense layout: every node
-// of every present variable's tree, one little-endian word a node — edges
-// in the low half, then a byte each for toward, member, acks and arrow.
+// The table section holds each live variable's nodes not at rest, ids
+// ascending, entryBytes an entry: the id as a little-endian uint16, then
+// the node's word — edges in the low half, then a byte each for toward,
+// member, acks and arrow. The state section gives each entry count.
+const entryBytes = 10
+
 func nodeWord(n nodeState) uint64 {
 	w := uint64(n.edges) | uint64(uint8(n.toward))<<32 | uint64(n.acks)<<48 | uint64(uint8(n.arrow))<<56
 	if n.member {
@@ -306,131 +323,78 @@ func nodeFromWord(w uint64) nodeState {
 
 var restWord = nodeWord(restNode)
 
-// AppendTables implements core.StratState: the dense node tables, every
-// node a sparse table does not hold written at rest.
+// AppendTables implements core.StratState: every live variable's entries.
 func (st *State) AppendTables(b []byte) []byte {
-	n, pages, full := st.treeNodes, st.pages, st.full
-	present := 0
+	total := 0
 	for i := range st.Vars {
-		if st.Vars[i].Present {
-			present++
-		}
+		total += int(st.Vars[i].count)
 	}
-	b = slices.Grow(b, 8*n*present)
+	b = slices.Grow(b, entryBytes*total)
 	for i := range st.Vars {
 		vsn := &st.Vars[i]
-		if !vsn.Present {
+		if vsn.count == 0 {
 			continue
 		}
-		if vsn.pages == 0 {
-			for _, nd := range full[:n] {
+		t := st.lentTable(vsn)
+		t.each(func(id int, nd nodeState) {
+			if nd != restNode {
+				b = binary.LittleEndian.AppendUint16(b, uint16(id))
 				b = binary.LittleEndian.AppendUint64(b, nodeWord(nd))
 			}
-			full = full[n:]
-			continue
-		}
-		off := len(b)
-		for range n {
-			b = binary.LittleEndian.AppendUint64(b, restWord)
-		}
-		for e := range st.sets[vsn.at].count {
-			pg := &pages[e/pageNodes]
-			binary.LittleEndian.PutUint64(b[off+8*int(pg.ids[e%pageNodes]):], nodeWord(pg.slots[e%pageNodes]))
-		}
-		pages = pages[vsn.pages:]
+		})
 	}
 	return b
 }
 
-// LoadState implements core.Forker: a variable whose nodes not at rest fit
-// a sparse table gets one, as page images; the others keep full tables.
+// LoadState implements core.Forker: a variable whose entries a sparse table
+// could hold keeps them as they are, the others become full tables.
 func (s *strategy) LoadState(state, tables []byte, vars []core.VarState) (core.StratState, error) {
 	r := wire.NewReader(state)
 	st := ReadState(r, len(vars))
 	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("accesstree: decode snapshot state: %w", err)
 	}
-	n, present := len(s.t.Nodes), 0
+	n := len(s.t.Nodes)
+	st.treeNodes, st.maxEntries = n, pageNodes*s.tables.maxPages
+	total := 0
 	for i := range st.Vars {
-		if st.Vars[i].Present {
-			present++
+		if count := int(st.Vars[i].count); count > n {
+			return nil, fmt.Errorf("accesstree: variable %d has %d node table entries, its tree %d nodes", i, count, n)
 		}
+		total += int(st.Vars[i].count)
 	}
-	if len(tables) != 8*n*present {
-		return nil, fmt.Errorf("accesstree: node table section of %d bytes, %d variables of %d tree nodes need %d", len(tables), present, n, 8*n*present)
+	if len(tables) != entryBytes*total {
+		return nil, fmt.Errorf("accesstree: node table section of %d bytes, %d entries need %d", len(tables), total, entryBytes*total)
 	}
-	// Size the blocks first: count the nodes not at rest of every table.
-	pages, sets, full := 0, 0, 0
-	for i, off := 0, 0; i < len(st.Vars); i++ {
-		vsn := &st.Vars[i]
-		if !vsn.Present {
-			continue
-		}
-		count := 0
-		for id := range n {
-			d := binary.LittleEndian.Uint64(tables[off+8*id:]) ^ restWord
-			count += int((d | -d) >> 63) // 1 unless w is the word at rest
-		}
-		off += 8 * n
-		if k := s.tables.pagesFor(count); k > 0 {
-			vsn.pages = uint8(k)
-			pages += k
-			sets++
-		} else {
-			full += n
-		}
-	}
-	st.treeNodes = n
-	st.pages = make([]page, pages)
-	st.sets = make([]pageSet, 0, sets)
-	st.full = make([]nodeState, full)
-	imgs, fulls, root := st.pages, st.full, s.t.Root()
+	st.makeBlocks(n) // room for a full table's entries before keep spreads them
+	root := s.t.Root()
 	for i := range st.Vars {
 		vsn := &st.Vars[i]
-		if !vsn.Present {
+		count := int(vsn.count)
+		if count == 0 {
 			continue
 		}
-		ws := tables[:8*n]
-		tables = tables[8*n:]
-		malformed := func(id int) error {
-			return fmt.Errorf("accesstree: variable %d: node table entry of tree node %d is malformed", i, id)
+		ws := tables[:entryBytes*count]
+		tables = tables[entryBytes*count:]
+		from, prev, rooted := len(st.ids), -1, false
+		for e := range count {
+			id, w := int(binary.LittleEndian.Uint16(ws[entryBytes*e:])), binary.LittleEndian.Uint64(ws[entryBytes*e+2:])
+			if id <= prev || id >= n {
+				return nil, fmt.Errorf("accesstree: variable %d: node table entry %d names tree node %d after %d, of %d", i, e, id, prev, n)
+			}
+			// An entry is a node not at rest, in a state its node can hold.
+			if w == restWord || !s.fits(id, w) {
+				return nil, fmt.Errorf("accesstree: variable %d: node table entry of tree node %d is malformed", i, id)
+			}
+			prev, rooted = id, rooted || id == root
+			st.ids = append(st.ids, uint16(id))
+			st.nodes = append(st.nodes, nodeFromWord(w))
 		}
 		// The root is never at rest: its data pointer leads down.
-		if binary.LittleEndian.Uint64(ws[8*root:]) == restWord {
-			return nil, malformed(root)
+		if !rooted {
+			return nil, fmt.Errorf("accesstree: variable %d: node table has no entry for the root", i)
 		}
-		if vsn.pages == 0 {
-			for id := range n {
-				w := binary.LittleEndian.Uint64(ws[8*id:])
-				if w != restWord && !s.fits(id, w) {
-					return nil, malformed(id)
-				}
-				fulls[id] = nodeFromWord(w)
-			}
-			vsn.at = int32((len(st.full) - len(fulls)) / n)
-			fulls = fulls[n:]
-			continue
-		}
-		e := 0
-		for id := range n {
-			w := binary.LittleEndian.Uint64(ws[8*id:])
-			if w == restWord {
-				continue
-			}
-			if !s.fits(id, w) {
-				return nil, malformed(id)
-			}
-			pg := &imgs[e/pageNodes]
-			pg.ids[e%pageNodes], pg.slots[e%pageNodes] = uint16(id), nodeFromWord(w)
-			e++
-		}
-		imgs = imgs[vsn.pages:]
-		vsn.at = int32(len(st.sets))
-		st.sets = append(st.sets, pageSet{count: uint8(e), npages: vsn.pages, lent: 1})
-	}
-	st.lend()
-	for i := range st.sets {
-		st.sets[i].reindex()
+		st.keep(vsn, from)
 	}
 	if err := s.check(st, vars); err != nil {
 		return nil, err

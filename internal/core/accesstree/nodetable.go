@@ -1,6 +1,9 @@
 package accesstree
 
-import "unsafe"
+import (
+	"slices"
+	"unsafe"
+)
 
 // nodeState is one tree node's protocol state, packed into 8 bytes.
 type nodeState struct {
@@ -41,13 +44,21 @@ var restNode = nodeState{toward: towardUp, arrow: towardUp}
 // No Go map: a protocol hop reads its node once per message, and a map
 // lookup there cost ~15 % of the CPU.
 //
-// A fork's table is lent: it reads a snapshot's page set and page images
-// or full table in place, and copies them into storage of its own only at
-// its first write (ref). Forks of one snapshot may run at once, so lent
-// storage is only ever read, and it never joins the free lists.
+// A fork's table is lent: it reads a snapshot's full table or entries in
+// place, and builds storage of its own only at its first write (own). Forks
+// of one snapshot may run at once, so a capture is only ever read, and it
+// never joins the free lists.
 type nodeTable struct {
 	full  []nodeState // the full table; nil while sparse
-	pages *pageSet    // the sparse table; nil once full, lentFull if lent full
+	pages *pageSet    // the sparse table; nil once full, lentSet if lent
+	lent  *entries    // a lent table's entries; nil unless lent and not full
+}
+
+// entries is a captured table that is not full: its nodes not at rest, ids
+// strictly ascending, and their states.
+type entries struct {
+	ids   []uint16
+	nodes []nodeState
 }
 
 // A page holds pageNodes entries — entry e of a sparse table is at
@@ -65,12 +76,12 @@ type pageSet struct {
 	pages  [maxPages]*page
 	count  uint8 // entries
 	npages uint8
-	lent   uint8    // 1 if a snapshot's: read only, never freed
 	next   *pageSet // the next free page set
 }
 
-// lentFull is the page set of a lent full table: it holds no entry.
-var lentFull = pageSet{lent: 1}
+// lentSet is the page set of every lent table: read only, never freed. It
+// holds no entry, so a lookup in it misses at its first probe.
+var lentSet = pageSet{pages: [maxPages]*page{new(page)}, npages: 1}
 
 const (
 	pageNodes  = 16
@@ -107,12 +118,17 @@ func (t *nodeTable) get(id int) nodeState {
 	if e, _, ok := t.pages.find(id); ok {
 		return t.pages.pages[e/pageNodes].slots[e%pageNodes]
 	}
+	if e := t.lent; e != nil {
+		if i, ok := slices.BinarySearch(e.ids, uint16(id)); ok {
+			return e.nodes[i]
+		}
+	}
 	return restNode
 }
 
 // each calls f with every node the table holds and its state: every node
 // of a full table in id order, the entries of a sparse table in insertion
-// order.
+// order, those of a lent one in id order.
 func (t *nodeTable) each(f func(id int, st nodeState)) {
 	for id, st := range t.full {
 		f(id, st)
@@ -123,6 +139,21 @@ func (t *nodeTable) each(f func(id int, st nodeState)) {
 			f(int(pg.ids[e%pageNodes]), pg.slots[e%pageNodes])
 		}
 	}
+	if e := t.lent; e != nil {
+		for i, id := range e.ids {
+			f(int(id), e.nodes[i])
+		}
+	}
+}
+
+// unrested returns how many nodes the table holds that are not at rest.
+func (t *nodeTable) unrested() (k int) {
+	t.each(func(_ int, st nodeState) {
+		if st != restNode {
+			k++
+		}
+	})
+	return k
 }
 
 // nodeTables carves and recycles the node tables of one strategy's
@@ -166,20 +197,11 @@ func (p *nodeTables) blockLen(size int) int {
 	return max(1, blockTables*8*p.n/size)
 }
 
-// pagesFor returns how many pages a table holding count nodes starts with,
-// 0 for a full table.
-func (p *nodeTables) pagesFor(count int) int {
-	if k := max(1, (count+pageNodes-1)/pageNodes); k <= p.maxPages {
-		return k
-	}
-	return 0
-}
-
 // newTable returns a table that holds count nodes without growing, every
 // node at rest: sparse if that fits maxPages, full otherwise.
 func (p *nodeTables) newTable(count int) nodeTable {
-	k := p.pagesFor(count)
-	if k == 0 {
+	k := max(1, (count+pageNodes-1)/pageNodes)
+	if k > p.maxPages {
 		return nodeTable{full: p.newFull()}
 	}
 	ps := p.newSet()
@@ -266,7 +288,7 @@ func (ps *pageSet) reindex() {
 func (p *nodeTables) put(t *nodeTable) {
 	if ps := t.pages; ps == nil {
 		p.full = append(p.full, t.full)
-	} else if ps.lent == 0 {
+	} else if ps != &lentSet {
 		p.release(t)
 	}
 	*t = nodeTable{}
@@ -288,7 +310,7 @@ func (p *nodeTables) ref(t *nodeTable, id int) *nodeState {
 	if ps == nil {
 		return &t.full[id]
 	}
-	if ps.lent != 0 {
+	if ps == &lentSet {
 		p.own(t)
 		return p.ref(t, id)
 	}
@@ -314,7 +336,8 @@ func (p *nodeTables) ref(t *nodeTable, id int) *nodeState {
 	return &ps.pages[e/pageNodes].slots[e%pageNodes]
 }
 
-// own replaces a lent table by a copy in carved storage of its own.
+// own replaces a lent table by a copy in carved storage of its own: a full
+// table, or a sparse one holding the entries.
 func (p *nodeTables) own(t *nodeTable) {
 	if t.full != nil {
 		full := p.carveFull()
@@ -322,11 +345,9 @@ func (p *nodeTables) own(t *nodeTable) {
 		*t = nodeTable{full: full}
 		return
 	}
-	src, ps := t.pages, p.newSet()
-	for j, img := range src.pages[:src.npages] {
-		ps.pages[j] = p.newPage()
-		*ps.pages[j] = *img
+	src := t.lent
+	*t = p.newTable(len(src.ids))
+	for i, id := range src.ids {
+		*p.ref(t, int(id)) = src.nodes[i]
 	}
-	ps.count, ps.npages = src.count, src.npages
-	t.pages = ps
 }

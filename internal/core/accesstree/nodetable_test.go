@@ -1,7 +1,9 @@
 package accesstree
 
 import (
+	"encoding/binary"
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -16,10 +18,13 @@ import (
 // the 4×4, 8×8, 16×16 and 32×32 4-ary trees (21, 85, 341 and 1 365 nodes):
 // every table is full from the start on the first, and on the others sparse
 // tables grow through every page count up to the cutover to a full table.
-// A lend captures a table the way a snapshot does and goes on with a lent
-// table over the capture, as a fork does; after every step each capture
-// must still equal its first copy, and no table of the strategy's own and
-// no free list may hold captured storage (checkLent).
+// A lend captures a table the way a snapshot does — as entries, or as a
+// full table if a sparse one could not hold its nodes not at rest — and
+// goes on with a lent table over the capture, as a fork does, which reads
+// the entries in place and builds a table of its own at its first write;
+// after every step each capture must still equal its first copy, and no
+// table of the strategy's own and no free list may hold captured storage
+// (checkLent).
 func FuzzNodeTable(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
 	f.Add([]byte{1, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9})
@@ -69,6 +74,9 @@ func FuzzNodeTable(f *testing.F) {
 				}
 				*p.ref(&tabs[v], id) = st
 				refs[v][id] = st
+				if tabs[v].pages == &lentSet || tabs[v].lent != nil {
+					t.Fatal("a write left the table lent")
+				}
 			case 6: // iterate
 				seen := make(map[int]bool)
 				tabs[v].each(func(id int, st nodeState) {
@@ -99,7 +107,7 @@ func FuzzNodeTable(f *testing.F) {
 			}
 			checkLent(t, &p, tabs[:], lent)
 			tab := &tabs[v]
-			if ps := tab.pages; ps != nil && ps != &lentFull && (tab.full != nil || int(ps.count) > pageNodes*int(ps.npages) || int(ps.npages) > p.maxPages) {
+			if ps := tab.pages; ps != nil && ps != &lentSet && (tab.full != nil || int(ps.count) > pageNodes*int(ps.npages) || int(ps.npages) > p.maxPages) {
 				t.Fatalf("table shape: full %v, %d entries in %d of at most %d pages", tab.full != nil, ps.count, ps.npages, p.maxPages)
 			}
 			for id := range refs[v] {
@@ -117,66 +125,51 @@ type lentCapture struct {
 	st, want *State
 }
 
-// lend captures table t of an n-node tree and lends the capture its page
-// set, as SnapshotState does.
+// lend captures table t of an n-node tree, as SnapshotState does.
 func lend(t *nodeTable, n int) lentCapture {
-	c := lentCapture{st: &State{Vars: []VarState{{Present: true}}, treeNodes: n}}
+	p := newNodeTables(n)
+	c := lentCapture{st: &State{Vars: []VarState{{count: uint32(t.unrested())}}, treeNodes: n, maxEntries: pageNodes * p.maxPages}}
 	c.st.capture(t, &c.st.Vars[0])
-	c.st.lend()
-	c.want = &State{pages: slices.Clone(c.st.pages), sets: slices.Clone(c.st.sets), full: slices.Clone(c.st.full)}
+	c.want = &State{ids: slices.Clone(c.st.ids), nodes: slices.Clone(c.st.nodes), full: slices.Clone(c.st.full)}
 	return c
 }
 
 // table returns a lent table over the capture, as RestoreVar makes one.
 func (c lentCapture) table() nodeTable { return c.st.lentTable(&c.st.Vars[0]) }
 
-// checkLent fails unless every capture is as it was taken, lentFull holds
-// no entry, and neither a table that is not lent nor a free list of p holds
-// a captured page, page set or full table.
+// checkLent fails unless every capture is as it was taken, lentSet holds
+// no entry, every lent table reads a capture's entries or full table, and
+// neither a table that is not lent nor the free list of p holds a captured
+// full table.
 func checkLent(t *testing.T, p *nodeTables, tabs []nodeTable, lent []lentCapture) {
 	t.Helper()
-	if lentFull != (pageSet{lent: 1}) {
-		t.Fatalf("lentFull was written: %+v", lentFull)
+	if lentSet.count != 0 || lentSet.npages != 1 || lentSet.next != nil || *lentSet.pages[0] != (page{}) || slices.ContainsFunc(lentSet.pages[1:], func(pg *page) bool { return pg != nil }) {
+		t.Fatalf("lentSet was written: %+v", lentSet)
 	}
-	pages, sets, fulls := map[*page]bool{}, map[*pageSet]bool{}, map[*nodeState]bool{}
+	tabsLent, fulls := map[*entries]bool{}, map[*nodeState]bool{}
 	for _, c := range lent {
-		if !slices.Equal(c.st.pages, c.want.pages) || !slices.Equal(c.st.sets, c.want.sets) || !slices.Equal(c.st.full, c.want.full) {
+		if !slices.Equal(c.st.ids, c.want.ids) || !slices.Equal(c.st.nodes, c.want.nodes) || !slices.Equal(c.st.full, c.want.full) {
 			t.Fatal("a lent capture was written")
 		}
-		for i := range c.st.pages {
-			pages[&c.st.pages[i]] = true
-		}
-		for i := range c.st.sets {
-			sets[&c.st.sets[i]] = true
+		for i := range c.st.tabs {
+			tabsLent[&c.st.tabs[i]] = true
 		}
 		if len(c.st.full) > 0 {
 			fulls[&c.st.full[0]] = true
 		}
 	}
-	owned := func(ps *pageSet) {
-		if sets[ps] {
-			t.Fatal("a captured page set is in use as the strategy's own")
-		}
-		for _, pg := range ps.pages[:ps.npages] {
-			if pages[pg] {
-				t.Fatal("a captured page is in use as the strategy's own")
-			}
-		}
-	}
 	for i := range tabs {
-		if ps := tabs[i].pages; ps == nil {
-			if tabs[i].full != nil && fulls[&tabs[i].full[0]] {
-				t.Fatal("a captured full table is in use as the strategy's own")
+		tab := &tabs[i]
+		switch {
+		case tab.pages == &lentSet:
+			if tab.lent == nil && !fulls[&tab.full[0]] || tab.lent != nil && (tab.full != nil || !tabsLent[tab.lent]) {
+				t.Fatal("a lent table reads no capture")
 			}
-		} else if ps.lent == 0 {
-			owned(ps)
+		case tab.lent != nil:
+			t.Fatal("a table of the strategy's own reads captured entries")
+		case tab.full != nil && fulls[&tab.full[0]]:
+			t.Fatal("a captured full table is in use as the strategy's own")
 		}
-	}
-	for ps := p.bags; ps != nil; ps = ps.next {
-		owned(ps)
-	}
-	for ps := p.sets; ps != nil; ps = ps.next {
-		owned(ps)
 	}
 	for _, f := range p.full {
 		if fulls[&f[0]] {
@@ -222,15 +215,17 @@ func TestLentTable(t *testing.T) {
 			tabs := []nodeTable{written, freed}
 			checkLent(t, &p, tabs, []lentCapture{c})
 
-			// The writer's first new node copies the table, cutting the
-			// cutover case over to a full table.
-			id := slices.Index(ref, restNode)
+			// The writer's first write, to a node the capture holds, copies
+			// the table; its first new node cuts the cutover case over to a
+			// full table.
+			held, id := 7, slices.Index(ref, restNode)
 			st := nodeState{edges: 1, toward: towardSelf, member: true, arrow: towardSelf}
+			*p.ref(&tabs[0], held) = st
 			*p.ref(&tabs[0], id) = st
 			want := slices.Clone(ref)
-			want[id] = st
-			if tabs[0].pages != nil && tabs[0].pages.lent != 0 || tc.name == "cutover" && tabs[0].full == nil {
-				t.Fatalf("written table: lent %v, full %v", tabs[0].pages != nil && tabs[0].pages.lent != 0, tabs[0].full != nil)
+			want[held], want[id] = st, st
+			if tabs[0].pages == &lentSet || tc.name == "cutover" && tabs[0].full == nil {
+				t.Fatalf("written table: lent %v, full %v", tabs[0].pages == &lentSet, tabs[0].full != nil)
 			}
 			for id := range tc.n {
 				if got := tabs[0].get(id); got != want[id] {
@@ -261,6 +256,9 @@ func TestLentTable(t *testing.T) {
 func (t *nodeTable) held() int {
 	if t.full != nil {
 		return len(t.full)
+	}
+	if t.lent != nil {
+		return len(t.lent.ids)
 	}
 	return int(t.pages.count)
 }
@@ -351,6 +349,114 @@ func TestMaxPagesFromTreeSize(t *testing.T) {
 	for n, want := range map[int]int{21: 0, 31: 0, 85: 3, 127: 4, 341: 8, 383: 8, 1365: 8, 1<<16 + 1: 0} {
 		if got := newNodeTables(n).maxPages; got != want {
 			t.Errorf("%d-node tree: %d pages, want %d", n, got, want)
+		}
+	}
+}
+
+// TestLoadStateRejectsHostileTables: LoadState refuses a table section that
+// does not hold each live variable's nodes not at rest, ids strictly
+// ascending below the tree's size, the root among them, each in a state its
+// node can hold — and a section whose length is not what the state
+// section's counts say. Every case is tried on a table kept as entries and
+// on a full one (8×8 at4: 85 nodes, at most 48 entries); none may panic.
+func TestLoadStateRejectsHostileTables(t *testing.T) {
+	m := newTestMachine(decomp.Ary4, 8, 8, 5)
+	few, all := m.AllocAt(3, 32, 0), m.AllocAt(9, 32, 0)
+	if err := m.Run(func(p *core.Proc) {
+		_ = p.Read(all)
+		if p.ID%16 == 0 {
+			_ = p.Read(few)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	s := m.Strat.(*strategy)
+	captured, err := s.SnapshotState([]*core.Variable{m.Var(few), m.Var(all)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := captured.(*State)
+	n, vars := len(s.t.Nodes), []core.VarState{{Present: true}, {Present: true}}
+	if c := st.Vars; int(c[0].count) > st.maxEntries || int(c[1].count) <= st.maxEntries {
+		t.Fatalf("tables of %d and %d nodes, at most %d kept as entries; want one of each", c[0].count, c[1].count, st.maxEntries)
+	}
+	// Split the section into each variable's entries.
+	section := st.AppendTables(nil)
+	var tables [2][][entryBytes]byte
+	for v := range tables {
+		for range st.Vars[v].count {
+			tables[v] = append(tables[v], [entryBytes]byte(section[:entryBytes]))
+			section = section[entryBytes:]
+		}
+	}
+	if _, err := s.LoadState(st.AppendState(nil), st.AppendTables(nil), vars); err != nil {
+		t.Fatalf("the capture as taken: %v", err)
+	}
+	id := func(e [entryBytes]byte) int { return int(binary.LittleEndian.Uint16(e[:])) }
+	setID := func(e *[entryBytes]byte, id int) { binary.LittleEndian.PutUint16(e[:], uint16(id)) }
+	setWord := func(e *[entryBytes]byte, f func(uint64) uint64) {
+		binary.LittleEndian.PutUint64(e[2:], f(binary.LittleEndian.Uint64(e[2:])))
+	}
+	for _, tc := range []struct {
+		name string
+		// bend rewrites one variable's entries and returns the count the
+		// state section gives for them.
+		bend func(es [][entryBytes]byte) ([][entryBytes]byte, int)
+		want string
+	}{
+		{"ids not ascending", func(es [][entryBytes]byte) ([][entryBytes]byte, int) {
+			es[1], es[2] = es[2], es[1]
+			return es, len(es)
+		}, "names tree node"},
+		{"an id past the tree", func(es [][entryBytes]byte) ([][entryBytes]byte, int) {
+			setID(&es[len(es)-1], n)
+			return es, len(es)
+		}, "names tree node 85"},
+		{"more entries than nodes", func(es [][entryBytes]byte) ([][entryBytes]byte, int) {
+			for len(es) <= n {
+				es = append(es, es[len(es)-1])
+			}
+			return es, len(es)
+		}, "86 node table entries"},
+		{"no root", func(es [][entryBytes]byte) ([][entryBytes]byte, int) {
+			return es[1:], len(es) - 1
+		}, "no entry for the root"},
+		{"an entry at rest", func(es [][entryBytes]byte) ([][entryBytes]byte, int) {
+			setWord(&es[1], func(uint64) uint64 { return restWord })
+			return es, len(es)
+		}, "malformed"},
+		{"a leaf with a child edge", func(es [][entryBytes]byte) ([][entryBytes]byte, int) {
+			i := slices.IndexFunc(es, func(e [entryBytes]byte) bool { return s.t.Nodes[id(e)].Leaf() })
+			setWord(&es[i], func(w uint64) uint64 { return w | 1<<1 })
+			return es, len(es)
+		}, "malformed"},
+		{"a section short of the count", func(es [][entryBytes]byte) ([][entryBytes]byte, int) {
+			return es[:len(es)-1], len(es)
+		}, "node table section"},
+		{"a section past the count", func(es [][entryBytes]byte) ([][entryBytes]byte, int) {
+			return es, len(es) - 1
+		}, "node table section"},
+	} {
+		for v, kind := range []string{"entries", "full"} {
+			t.Run(tc.name+"/"+kind, func(t *testing.T) {
+				bad := *st
+				bad.Vars = slices.Clone(st.Vars)
+				var section []byte
+				for u := range tables {
+					es := slices.Clone(tables[u])
+					if u == v {
+						var count int
+						es, count = tc.bend(es)
+						bad.Vars[u].count = uint32(count)
+					}
+					for _, e := range es {
+						section = append(section, e[:]...)
+					}
+				}
+				if got, err := s.LoadState(bad.AppendState(nil), section, vars); err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("LoadState = %v, %v; want an error containing %q", got != nil, err, tc.want)
+				}
+			})
 		}
 	}
 }

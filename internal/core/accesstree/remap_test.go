@@ -276,7 +276,7 @@ func TestRemapCheckRefusesMisfitMoved(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := state.(*State)
-		st.Vars[0].Moved = tc.bend(st.Vars[0].Moved)
+		st.Moved = tc.bend(st.Moved)
 		err = s.check(st, []core.VarState{{Present: true}})
 		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
 			t.Errorf("%s: check = %v, want %q", tc.name, err, tc.want)

@@ -3,7 +3,9 @@ package core
 import "diva/internal/sim"
 
 // TxnSlab is how many transaction records a TxnArena materializes per
-// slab.
+// slab. An arena without a shelf (per-variable records) carves one fewer:
+// 64 records of 128 bytes and the allocator's 8-byte header take 9 472
+// bytes, 63 fit 8 192.
 const TxnSlab = 64
 
 // TxnArena slab-allocates the strategies' transaction records, and their
@@ -69,9 +71,16 @@ func (a *TxnArena[T]) grow() {
 		}
 	}
 	a.misses++
-	recs := make([]T, TxnSlab)
+	n := TxnSlab
+	if a.Shelf == nil {
+		n--
+	}
+	recs := make([]T, n)
 	if a.Init != nil {
 		a.Init(recs, a.Key)
+	}
+	if a.free == nil {
+		a.free = make([]*T, 0, n) // not grown from nil by doubling
 	}
 	for i := range recs {
 		a.free = append(a.free, &recs[i])

@@ -18,7 +18,14 @@ func SetClock(s *Snapshot, now float64) { s.st.Kern.Now = now }
 
 // SetVarSize overwrites the size a snapshot records for variable id, for
 // the tests of what a stored snapshot may hold.
-func SetVarSize(s *Snapshot, id VarID, size int) { s.st.Vars[id].Size = size }
+func SetVarSize(s *Snapshot, id VarID, size int32) { s.st.Vars[id].Size = size }
+
+// ReadVarState decodes b, one variable record of a state section, whole.
+func ReadVarState(b []byte) (VarState, error) {
+	r := wire.NewReader(b)
+	v := readVarState(r)
+	return v, r.Finish()
+}
 
 // LiveVarCount returns how many variables of m exist, those a fork still
 // borrows included.

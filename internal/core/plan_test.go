@@ -103,7 +103,9 @@ func TestForkAllocBudget(t *testing.T) {
 	// variable makes, per variable, a Variable and a varState record (128
 	// bytes each), a local-copy word and the arenas' slack, and stays
 	// within the 320 bytes a variable cost when a fork copied them all up
-	// front. A node table would cost 272 to 680 bytes more.
+	// front (measured: 283.9, since a slab of 63 varStates fits its size
+	// class; 305.6 with slabs of 64). A node table would cost 272 to 680
+	// bytes more.
 	birth, _ := forkCost(t, core.MustNewMachine(core.Config{Rows: 8, Cols: 8, Seed: 1, Tree: decomp.Ary4, Strategy: accesstree.Factory()}), nil)
 	m := warmedMachine(t)
 	live := uint64(core.LiveVarCount(m))

@@ -62,9 +62,10 @@ type Forker interface {
 	RestoreVar(v *Variable)
 	// LoadState decodes a state from a snapshot file — the strategy's own
 	// bytes of the state section (StratState.AppendState) and the raw
-	// table section (AppendTables) — and validates it against this
-	// strategy's machine, vars being the stored variable records. A state
-	// it returns restores without error.
+	// table section (AppendTables) — into the form SnapshotState captures,
+	// copying what it keeps, and validates it against this strategy's
+	// machine, vars being the stored variable records. A state it returns
+	// restores without error.
 	LoadState(state, tables []byte, vars []VarState) (StratState, error)
 	// Reseed re-derives the strategy's private random stream from a fresh
 	// seed, so a fork diverges from its siblings in every future random
@@ -75,7 +76,7 @@ type Forker interface {
 
 // StratState is a strategy's captured state: the value a fork restores
 // from and the value a snapshot file carries, in two parts — its bulk
-// numeric tables as raw little-endian words in the table section, the rest
+// tables as raw little-endian integers in the table section, the rest
 // as the strategy's own bytes at the end of the state section. Only the
 // strategy reads either back (Forker.LoadState), so no type names them.
 type StratState interface {
@@ -130,11 +131,13 @@ type snapState struct {
 	Strat   StratState
 }
 
-// VarState captures one variable record's scalars.
+// VarState captures one variable record's scalars. A snapshot holds one a
+// variable id, so they are int32: Snapshot refuses a variable whose size
+// does not fit.
 type VarState struct {
 	Present bool
-	Size    int
-	Creator int
+	Size    int32
+	Creator int32
 }
 
 // BarrierState is the barrier's epochs and commit counters.
@@ -223,8 +226,11 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 		if v == nil {
 			continue
 		}
+		if int(int32(v.Size)) != v.Size || int(int32(v.Creator)) != v.Creator {
+			return nil, fmt.Errorf("diva: snapshot: variable %d has size %d and creator %d, past a snapshot's int32", v.ID, v.Size, v.Creator)
+		}
 		copy(s.locals[i*w:], v.local)
-		s.st.Vars[i] = VarState{Present: true, Size: v.Size, Creator: v.Creator}
+		s.st.Vars[i] = VarState{Present: true, Size: int32(v.Size), Creator: int32(v.Creator)}
 		s.data[i] = v.Data
 	}
 	s.st.Barrier = BarrierState{
@@ -328,7 +334,7 @@ func (m *Machine) borrow(id VarID) *Variable {
 	s, w := m.lender, m.localWords()
 	vs := &s.st.Vars[id]
 	v := m.newVar()
-	*v = Variable{ID: id, Size: vs.Size, Creator: vs.Creator, Data: s.data[id], local: m.newLocal()}
+	*v = Variable{ID: id, Size: int(vs.Size), Creator: int(vs.Creator), Data: s.data[id], local: m.newLocal()}
 	copy(v.local, s.locals[int(id)*w:])
 	m.Strat.(Forker).RestoreVar(v)
 	m.vars[id] = v

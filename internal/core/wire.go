@@ -112,14 +112,14 @@ func appendVarState(b []byte, v VarState) []byte {
 	if !v.Present {
 		return b
 	}
-	return wire.AppendInt(wire.AppendInt(b, v.Size), v.Creator)
+	return wire.AppendInt32(wire.AppendInt32(b, v.Size), v.Creator)
 }
 
 func readVarState(r *wire.Reader) VarState {
 	if !r.Bool() {
 		return VarState{}
 	}
-	return VarState{Present: true, Size: r.Int(), Creator: r.Int()}
+	return VarState{Present: true, Size: r.Int32(), Creator: r.Int32()}
 }
 
 func appendCacheState(b []byte, c CacheState) []byte {

@@ -9,6 +9,7 @@ import (
 	"diva/internal/core"
 	"diva/internal/core/accesstree"
 	"diva/internal/decomp"
+	"diva/internal/wire"
 )
 
 // TestSnapshotFromWireRejectsNegativeSize: a stored variable of negative
@@ -25,9 +26,41 @@ func TestSnapshotFromWireRejectsNegativeSize(t *testing.T) {
 	if err := reload(t, cfg, snap); err != nil {
 		t.Fatalf("the snapshot as captured: %v", err)
 	}
-	core.SetVarSize(snap, v, -1<<40)
-	if err := reload(t, cfg, snap); err == nil || !strings.Contains(err.Error(), "size -1099511627776") {
+	core.SetVarSize(snap, v, -1<<30)
+	if err := reload(t, cfg, snap); err == nil || !strings.Contains(err.Error(), "size -1073741824") {
 		t.Fatalf("SnapshotFromWire = %v, want a negative-size error", err)
+	}
+}
+
+// TestVarStateIsInt32: a snapshot keeps a variable's size and creator as
+// int32. A capture refuses a size past that range, and so does the decoder
+// of a stored record, instead of truncating it; the widest that fits
+// survives both.
+func TestVarStateIsInt32(t *testing.T) {
+	cfg := core.Config{Rows: 4, Cols: 4, Seed: 1, Tree: decomp.Ary4, Strategy: accesstree.Factory()}
+	m := core.MustNewMachine(cfg)
+	m.AllocAt(3, math.MaxInt32, 1)
+	if _, err := m.Snapshot(); err != nil {
+		t.Fatalf("snapshot of a variable of size MaxInt32: %v", err)
+	}
+	m.AllocAt(3, math.MaxInt32+1, 1)
+	if _, err := m.Snapshot(); err == nil || !strings.Contains(err.Error(), "size 2147483648") {
+		t.Errorf("snapshot of a variable of size MaxInt32+1: %v, want a size error", err)
+	}
+	for _, tc := range []struct {
+		size, creator int
+		ok            bool
+	}{
+		{math.MaxInt32, 3, true},
+		{math.MaxInt32 + 1, 3, false},
+		{64, math.MaxInt32 + 1, false},
+		{math.MinInt32 - 1, 3, false},
+	} {
+		b := wire.AppendInt(wire.AppendInt(wire.AppendBool(nil, true), tc.size), tc.creator)
+		v, err := core.ReadVarState(b)
+		if tc.ok != (err == nil) || tc.ok && (int(v.Size) != tc.size || int(v.Creator) != tc.creator) {
+			t.Errorf("record of size %d, creator %d: %+v, %v", tc.size, tc.creator, v, err)
+		}
 	}
 }
 

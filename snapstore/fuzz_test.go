@@ -21,7 +21,8 @@ import (
 // allocates, so the multiple is the ratio of a decoded value's size to
 // its encoding's. Every input is tried twice, as it is and under a
 // matching checksum, so that mutations reach the decoders behind the
-// checksum.
+// checksum. The seeds are files of the current layout, among them an 8×8
+// at4 machine whose node tables are part entries, part full.
 func FuzzLoad(f *testing.F) {
 	matmul := spec.Workload{Name: "matmul", Block: 64, Seed: 1}
 	bare := spec.Spec{Topology: "mesh", Rows: 4, Cols: 4, Tree: "2-ary", Seed: 1999,
@@ -33,7 +34,7 @@ func FuzzLoad(f *testing.F) {
 	reactive.Recovery = spec.RecoveryReactive
 	reactive.AckTimeoutUS, reactive.MaxRetries = 500, 3
 	seedDir := f.TempDir()
-	for _, sp := range []spec.Spec{machineSpec("mesh", "at4", 4, 4), machineSpec("torus", "fixedhome", 4, 4), bare, reactive} {
+	for _, sp := range []spec.Spec{machineSpec("mesh", "at4", 4, 4), machineSpec("mesh", "at4", 8, 8), machineSpec("torus", "fixedhome", 4, 4), bare, reactive} {
 		if sp.Workload.Name == "" {
 			sp.Workload = matmul
 		}
@@ -63,7 +64,7 @@ func FuzzLoad(f *testing.F) {
 		long := append([]byte(nil), data...)
 		binary.LittleEndian.PutUint64(long[16:], 1<<40) // a table section larger than the file
 		f.Add(long)
-		f.Add(append([]byte("DIVASNP5"), data[8:]...))
+		f.Add(append([]byte("DIVASNP6"), data[8:]...))
 	}
 
 	dir := f.TempDir()

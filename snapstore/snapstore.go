@@ -1,28 +1,29 @@
 // Package snapstore persists machine snapshots to disk, crash-consistently.
 //
-// A stored snapshot is one file in the DIVASNP6 layout, laid out so that
+// A stored snapshot is one file in the DIVASNP7 layout, laid out so that
 // restoring it is a checksum pass, one linear decode of the state section
 // straight from the file buffer, and two linear copies. All fixed-width
 // integers are little-endian:
 //
 //	offset  size  content
-//	0       8     magic "DIVASNP6"
+//	0       8     magic "DIVASNP7"
 //	8       8     S: length of the spec section
 //	16      8     T: length of the table section
 //	24      8     L: length of the bitmap section
 //	32      8     G: length of the state section
 //	40      S     spec: the machine's normalized spec document (the
 //	              serializable run description of diva/spec), JSON
-//	40+S    T     tables: the strategy's bulk protocol tables — every
-//	              access-tree node table in variable order, 8 bytes a node
-//	              (edges uint32, toward int8, member 0/1, acks 0, arrow
-//	              int8); empty for the other strategies. This is the dense
-//	              form whatever a table holds in memory: a sparse table
-//	              writes every node it does not hold as the state at rest
-//	              (both pointers up), and Load keeps only the nodes that
-//	              differ from it, refusing a word that does not fit its
-//	              tree node (a pointer past the root or to a missing
-//	              child, an edge to a missing neighbor)
+//	40+S    T     tables: every live variable's access-tree node table in
+//	              variable order as its nodes not at rest (at rest: both
+//	              pointers up, nothing else), ids strictly ascending, 10
+//	              bytes an entry: the id (uint16), then the node (edges
+//	              uint32, toward int8, member 0/1, acks 0, arrow int8);
+//	              empty for the other strategies. The state section gives
+//	              each table's entry count. Load refuses ids out of order
+//	              or past the tree, a table without the root, and a node
+//	              in a state its tree node cannot hold (a pointer past the
+//	              root or to a missing child, an edge to a missing
+//	              neighbor)
 //	..      L     bitmaps: the local-copy bitmap of every live variable in
 //	              variable order, ceil(P/64) uint64 words each
 //	..      G     state: the irregular remainder in the binary encoding of
@@ -38,8 +39,8 @@
 //	              cache's keys in LRU order; the variable values, one kind
 //	              byte a variable, then the values of each kind, ascending
 //	              by kind; then, to the section's end, the strategy's own
-//	              state (an access tree's embedding, lock token leaf and
-//	              remap counters a variable)
+//	              state (an access tree's table entry count, embedding and
+//	              lock token leaf a variable, then its remap blocks)
 //	40+S+T+L+G 8  checksum of every byte before it: CRC-32C in the high
 //	              half, CRC-32 (IEEE) in the low half — both computed by
 //	              hardware instructions, and two independent polynomials
@@ -57,12 +58,13 @@
 // rebuilt machine.
 //
 // Files of an older layout are refused by their magic, with no second
-// reader: DIVASNP1 to DIVASNP5 hold the state section as an encoding/gob
-// stream, which this package no longer reads. (Earlier bumps refused
-// DIVASNP1 and DIVASNP2; DIVASNP3, which keeps a reactive network's fault
-// counters per node; and DIVASNP4, which keeps queued inbox messages
-// grouped by tag, reactive channels per node and remapped positions as
-// pairs — layouts gob would have loaded with state silently dropped.)
+// reader: DIVASNP6 holds every node of every access-tree table, and
+// DIVASNP1 to DIVASNP5 hold the state section as an encoding/gob stream.
+// (Earlier bumps refused DIVASNP1 and DIVASNP2; DIVASNP3, which keeps a
+// reactive network's fault counters per node; and DIVASNP4, which keeps
+// queued inbox messages grouped by tag, reactive channels per node and
+// remapped positions as pairs — layouts gob would have loaded with state
+// silently dropped.)
 //
 // Load rebuilds a machine from the stored spec and decodes the sections
 // straight into the state a fork restores from — the same representation a
@@ -101,7 +103,7 @@ import (
 // magic is the file format version header. Bump the trailing digit on any
 // incompatible layout change; old files then fail with a clear error
 // instead of a decode failure.
-const magic = "DIVASNP6"
+const magic = "DIVASNP7"
 
 // headerLen is the magic plus the four section lengths; sumLen the
 // trailing checksum.

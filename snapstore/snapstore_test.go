@@ -271,12 +271,12 @@ func TestHandlePinned(t *testing.T) {
 	}
 }
 
-// fileSections returns the offsets framing a DIVASNP6 file, as the package
+// fileSections returns the offsets framing a DIVASNP7 file, as the package
 // comment lays it out: header, the four sections, checksum, end of file.
 func fileSections(t testing.TB, data []byte) [7]int {
 	t.Helper()
-	if len(data) < 48 || string(data[:8]) != "DIVASNP6" {
-		t.Fatalf("not a DIVASNP6 file: %d bytes, starts %q", len(data), data[:min(8, len(data))])
+	if len(data) < 48 || string(data[:8]) != "DIVASNP7" {
+		t.Fatalf("not a DIVASNP7 file: %d bytes, starts %q", len(data), data[:min(8, len(data))])
 	}
 	off := [7]int{0, 40}
 	for i := 0; i < 4; i++ {
@@ -399,10 +399,10 @@ func TestLoadRejectsOldFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(data, []byte("DIVASNP6")) {
-		t.Fatalf("file starts with %q, want DIVASNP6", data[:8])
+	if !bytes.HasPrefix(data, []byte("DIVASNP7")) {
+		t.Fatalf("file starts with %q, want DIVASNP7", data[:8])
 	}
-	for _, magic := range []string{"DIVASNP1", "DIVASNP2", "DIVASNP3", "DIVASNP4", "DIVASNP5"} {
+	for _, magic := range []string{"DIVASNP1", "DIVASNP2", "DIVASNP3", "DIVASNP4", "DIVASNP5", "DIVASNP6"} {
 		// Re-stamp the file as the old version under a checksum that
 		// matches, so the magic is the only thing left to refuse it.
 		old := stamp(append([]byte(magic), data[8:len(data)-8]...))
@@ -431,10 +431,13 @@ func TestLoadRejectsOldFormat(t *testing.T) {
 
 // TestLoadEarlierFiles loads two files written before sharded execution was
 // removed, committed under testdata/. They were written as DIVASNP3 and
-// re-stamped DIVASNP4, then DIVASNP5 (magic and checksum only), and their
-// gob state sections were re-encoded once into the DIVASNP6 state section,
-// every other section kept byte for byte: they are oracle-mode snapshots
-// with no queued inbox messages and no remapping. The sequential one
+// re-stamped DIVASNP4, then DIVASNP5 (magic and checksum only); their gob
+// state sections were re-encoded once into the DIVASNP6 state section, and
+// the sequential one's dense node tables and access-tree state once more
+// into DIVASNP7's entries (the sharded one holds no strategy state, so only
+// its magic and checksum changed), every other section kept byte for byte:
+// they are oracle-mode snapshots with no queued inbox messages and no
+// remapping. The sequential one
 // (its spec pins "shards":1, a 4×4 at4 machine warmed by matmul(16)) loads
 // and forks a bitonic query to the trajectory its writer recorded; the
 // sharded one (spec "shards":4) is refused by spec validation.
@@ -473,8 +476,8 @@ func TestLoadEarlierFiles(t *testing.T) {
 	}
 
 	// Saving the loaded snapshot writes the stored file back byte for
-	// byte: the tables were decoded into sparse tables and written densely
-	// again.
+	// byte: the tables were decoded into full tables (the 21-node tree's
+	// tables are too small to be sparse) and written as entries again.
 	stored, err := os.ReadFile(filepath.Join(dir, seqHandle+".snap"))
 	if err != nil {
 		t.Fatal(err)
@@ -506,7 +509,7 @@ func TestLoadEarlierFiles(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsMisfitNodeWords: every word of the node table section
+// TestLoadRejectsMisfitNodeWords: every entry of the node table section
 // must fit its tree node — a pointer names the node itself, its parent (the
 // root has none) or a child the node has, and an edge bit a neighbor it
 // has. Each case rewrites the committed 4×4 at4 file and re-seals it under
@@ -537,13 +540,13 @@ func TestLoadRejectsMisfitNodeWords(t *testing.T) {
 	}
 	nodes := m.Tree.Nodes
 	off := fileSections(t, data)
-	const toward, member, arrow = 32, 40, 56
+	const toward, arrow = 32, 56
 	for _, tc := range []struct {
 		name    string
 		rewrite func(id int, w uint64) (uint64, bool)
 	}{
 		{"leaf points at child 3", func(id int, w uint64) (uint64, bool) {
-			if !nodes[id].Leaf() || w>>member&1 == 1 {
+			if !nodes[id].Leaf() {
 				return w, false
 			}
 			return w&^(0xff<<toward) | 3<<toward, true
@@ -565,9 +568,10 @@ func TestLoadRejectsMisfitNodeWords(t *testing.T) {
 			bad := append([]byte(nil), data[:len(data)-8]...)
 			tables := bad[off[2]:off[3]]
 			rewritten := 0
-			for i := 0; i < len(tables); i += 8 {
-				if w, ok := tc.rewrite(i/8%len(nodes), binary.LittleEndian.Uint64(tables[i:])); ok {
-					binary.LittleEndian.PutUint64(tables[i:], w)
+			for i := 0; i < len(tables); i += 10 { // a uint16 node id, then its word
+				id := int(binary.LittleEndian.Uint16(tables[i:]))
+				if w, ok := tc.rewrite(id, binary.LittleEndian.Uint64(tables[i+2:])); ok {
+					binary.LittleEndian.PutUint64(tables[i+2:], w)
 					rewritten++
 				}
 			}
