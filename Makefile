@@ -1,7 +1,7 @@
 GO ?= go
 DATE := $(shell date +%Y-%m-%d)
 
-.PHONY: all build test vet fmt bench bench-check bench-repo check-imports
+.PHONY: all build test vet fmt bench bench-check bench-repo check-imports traffic
 
 all: vet build test check-imports
 
@@ -83,3 +83,26 @@ bench-check:
 # signature its layer probes call (benchmark/probes.go) has changed.
 bench-repo:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# traffic lists the code that the benchmark's workloads and the quick figure
+# suite never reach: the first table of the line-budget audit (ROADMAP item
+# 10). It builds benchmark/ and cmd/experiments with coverage of every diva
+# package into a temporary directory, runs there each workload for 6 s
+# (seed 3, tracing off) and `experiments -quick`, all under one GOCOVERDIR,
+# and prints the functions outside diva/benchmark/ at 0.0 %, then each
+# package's unreached and instrumented statements. Nothing in the checkout
+# is written.
+TRAFFIC_WORKLOADS = figures-dsm serve-fork warm-state faults-recovery
+traffic:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; mkdir "$$tmp/cov"; \
+	(cd benchmark && $(GO) build -cover -coverpkg=diva/... -o "$$tmp/divabench" .); \
+	$(GO) build -cover -coverpkg=diva/... -o "$$tmp/experiments" ./cmd/experiments; \
+	cd "$$tmp"; export GOCOVERDIR="$$tmp/cov"; \
+	for w in $(TRAFFIC_WORKLOADS); do ./divabench -workload $$w -seed 3 -seconds 6 -trace 0 > /dev/null; done; \
+	./experiments -quick > /dev/null; \
+	$(GO) tool covdata func -i cov | awk '$$NF == "0.0%" && $$1 !~ /^diva\/benchmark\//'; \
+	$(GO) tool covdata textfmt -i cov -o profile.txt; \
+	awk 'NR > 1 && $$1 !~ /^diva\/benchmark\// { n[$$1] = $$2; if ($$3 > 0) hit[$$1] = 1 } \
+	END { for (b in n) { p = b; sub(/\/[^\/]*:.*/, "", p); all[p] += n[b]; miss[p] += hit[b] ? 0 : n[b]; A += n[b]; M += hit[b] ? 0 : n[b] } \
+	for (p in all) printf "%-32s %5d of %5d statements unreached\n", p, miss[p], all[p]; \
+	printf "%-32s %5d of %5d statements unreached\n", "total", M, A }' profile.txt | sort

@@ -334,14 +334,14 @@ func TestForkReseedDivergence(t *testing.T) {
 
 // TestForkWarmedConcurrent forks one Barnes-Hut-warmed 8×8 at4 snapshot in
 // eight goroutines at once, from the live capture and from the same
-// snapshot saved and loaded back. Every fork borrows the snapshot's node
-// tables and copies a table at its first write. Each one writes most body
-// variables, locks the final tree's root cell, frees it and the bodies it
-// left untouched, and then allocates and writes a variable a processor
-// that every processor reads, so that its table turns full; no table may
-// reuse the freed borrowed ones. The fingerprints must equal a fork's run
-// alone, and the snapshot's table section must read the same bytes before
-// and after. Run under -race: the forks share the captured tables.
+// snapshot saved and loaded back. Every fork restores the node table of
+// each variable it reaches from the snapshot's captured entries. Each one
+// writes most body variables, locks the final tree's root cell, frees it
+// and the bodies it left untouched, and then allocates and writes a
+// variable a processor that every processor reads, so that its table turns
+// full. The fingerprints must equal a fork's run alone, and the snapshot's
+// table section must read the same bytes before and after. Run under
+// -race: the forks read the captured tables together.
 func TestForkWarmedConcurrent(t *testing.T) {
 	sp := spec.Spec{Topology: "mesh", Rows: 8, Cols: 8, Strategy: "at4", Seed: 1999,
 		Workload: spec.Workload{Name: "barneshut", Bodies: 256, Steps: 2, MeasureFrom: 1}}
@@ -371,8 +371,8 @@ func TestForkWarmedConcurrent(t *testing.T) {
 			return 0, err
 		}
 		fresh := make([]diva.VarID, f.P())
-		// The first 16 bodies are freed untouched, while their tables are
-		// still borrowed; the others are written.
+		// The first 16 bodies are freed untouched, while the fork still
+		// borrows them; the others are written.
 		untouched, bodies := res.BodyVars[:16], res.BodyVars[16:]
 		err = f.Run(func(p *diva.Proc) {
 			for i := p.ID; i < len(bodies); i += f.P() {
@@ -575,8 +575,8 @@ func TestForkLentBoundedCache(t *testing.T) {
 // goroutines at once, the live capture and the same snapshot saved and
 // restored from disk; fork g reads and writes a window of the bodies that
 // overlaps fork g+1's, so several forks make their own records of one
-// borrowed variable, and read or build their own table from one lent
-// table, at the same time. Each fingerprint must equal the same query's on
+// borrowed variable, and restore their own tables from one capture, at
+// the same time. Each fingerprint must equal the same query's on
 // a lone fork of the live capture. Run under -race: the forks read the
 // snapshot's variable records, bitmaps and tables together.
 func TestForkLentConcurrent(t *testing.T) {

@@ -14,15 +14,14 @@ import (
 // strategy's state for machine snapshot/fork. Captured per variable: the
 // embedding (root position / ablation seed), the node table, the leaf the
 // lock token rests at, and the remap counters and moved positions. A table
-// is kept as its nodes not at rest, ids ascending, if a sparse table could
-// hold them, else as a full table — alike whether captured live or read
-// from a file, so either saves to the same bytes. A fork lends all of it:
-// RestoreVar builds a variable's record when the fork first reaches it,
-// reading the captured table in place until the fork first writes it
-// (nodeTables.ref). The captured state is never written, so forks of one
-// snapshot may run at once. Arenas (no live transactions at quiescence),
-// recycled tables and the embedding tables (a pure function of the tree,
-// shared through core.Plan) are not captured.
+// is kept as its nodes not at rest, ids ascending, whether captured live or
+// read from a file, so either saves to the same bytes. A fork lends all of
+// it: RestoreVar builds a variable's record and a node table of its own
+// (nodeTables.restore) when the fork first reaches the variable. The
+// captured state is never written, so forks of one snapshot may run at
+// once. Arenas (no live transactions at quiescence), recycled tables and
+// the embedding tables (a pure function of the tree, shared through
+// core.Plan) are not captured.
 
 // State is the strategy's captured state (core.StratState): forks restore
 // from it, and a snapshot file carries it — the exported fields and the
@@ -36,15 +35,12 @@ type State struct {
 	// tree node; nil unless the strategy remaps.
 	Accesses []uint32
 	Moved    []int32
-	// tabs holds the tables kept as entries, backed by ids and nodes, and
-	// full the full tables. treeNodes is the tree's size and maxEntries
-	// the most nodes a table kept as entries holds (nodeTables).
-	tabs       []entries
-	ids        []uint16
-	nodes      []nodeState
-	full       []nodeState
-	treeNodes  int
-	maxEntries int
+	// ids and nodes hold every live variable's table, variable by
+	// variable: its nodes not at rest, ids ascending (VarState.at).
+	// treeNodes is the tree's size.
+	ids       []uint16
+	nodes     []nodeState
+	treeNodes int
 }
 
 // VarState is one quiescent variable. Of its lock only the arrows (in the
@@ -58,8 +54,7 @@ type VarState struct {
 	TokenAt int32 // leaf the free lock token rests at
 	// count is how many nodes of the table are not at rest, 0 for a freed
 	// variable (a live table holds the root, whose data pointer leads
-	// down), and at where the table is: in State.tabs if count is at most
-	// State.maxEntries, else among the full tables.
+	// down), and at where its entries start in State.ids and State.nodes.
 	count uint32
 	at    int32
 }
@@ -108,12 +103,12 @@ func readVarState(r *wire.Reader) VarState {
 func (s *strategy) SnapshotState(vars []*core.Variable) (core.StratState, error) {
 	n := len(s.t.Nodes)
 	st := &State{
-		RNG:        s.rng.State(),
-		Remaps:     s.remaps,
-		Vars:       make([]VarState, len(vars)),
-		treeNodes:  n,
-		maxEntries: pageNodes * s.tables.maxPages,
+		RNG:       s.rng.State(),
+		Remaps:    s.remaps,
+		Vars:      make([]VarState, len(vars)),
+		treeNodes: n,
 	}
+	total := 0
 	for i, v := range vars {
 		if v == nil {
 			continue
@@ -126,13 +121,14 @@ func (s *strategy) SnapshotState(vars []*core.Variable) (core.StratState, error)
 			return nil, fmt.Errorf("accesstree: variable %d has lock activity in flight", v.ID)
 		}
 		st.Vars[i] = VarState{Seed: vs.seed, RootPos: int32(vs.rootPos), TokenAt: int32(vs.lock.tokenAt), count: uint32(vs.nodes.unrested())}
+		total += int(st.Vars[i].count)
 	}
 	for p := range s.lockers {
 		if s.lockers[p].v != nil {
 			return nil, fmt.Errorf("accesstree: processor %d is blocked in a lock", p)
 		}
 	}
-	st.makeBlocks(0)
+	st.ids, st.nodes = make([]uint16, 0, total), make([]nodeState, 0, total)
 	if s.opts.RemapThreshold > 0 {
 		st.Accesses, st.Moved = make([]uint32, n*len(vars)), make([]int32, n*len(vars))
 	}
@@ -150,32 +146,9 @@ func (s *strategy) SnapshotState(vars []*core.Variable) (core.StratState, error)
 	return st, nil
 }
 
-// makeBlocks makes the blocks of the tables the counts in st.Vars size,
-// with room for spare more entries.
-func (st *State) makeBlocks(spare int) {
-	held, tabs, full := 0, 0, 0
-	for i := range st.Vars {
-		if count := int(st.Vars[i].count); count > st.maxEntries {
-			full += st.treeNodes
-		} else if count > 0 {
-			held += count
-			tabs++
-		}
-	}
-	st.tabs = make([]entries, 0, tabs)
-	st.ids, st.nodes = make([]uint16, 0, held+spare), make([]nodeState, 0, held+spare)
-	st.full = make([]nodeState, 0, full)
-}
-
-// capture appends table t, which holds vsn.count nodes not at rest, to the
-// full tables or as entries to tabs, and records in vsn where it is. Only a
-// full table holds more than maxEntries nodes.
+// capture appends the nodes not at rest of table t as variable vsn's
+// entries, sorted by id: a sparse table holds its nodes in insertion order.
 func (st *State) capture(t *nodeTable, vsn *VarState) {
-	if int(vsn.count) > st.maxEntries {
-		vsn.at = int32(len(st.full) / st.treeNodes)
-		st.full = append(st.full, t.full...)
-		return
-	}
 	from := len(st.ids)
 	t.each(func(id int, nd nodeState) {
 		if nd != restNode {
@@ -183,45 +156,20 @@ func (st *State) capture(t *nodeTable, vsn *VarState) {
 			st.nodes = append(st.nodes, nd)
 		}
 	})
-	st.keep(vsn, from)
-}
-
-// keep makes the entries appended since from variable vsn's table: sorted
-// by id — a sparse table holds its nodes in insertion order — if a sparse
-// table could hold them, else spread into a full table in the room
-// makeBlocks made.
-func (st *State) keep(vsn *VarState, from int) {
-	ids, nodes := st.ids[from:len(st.ids):len(st.ids)], st.nodes[from:len(st.nodes):len(st.nodes)]
-	if len(ids) > st.maxEntries {
-		at := len(st.full)
-		vsn.at, st.full = int32(at/st.treeNodes), st.full[:at+st.treeNodes]
-		for id := range st.treeNodes {
-			st.full[at+id] = restNode
-		}
-		for i, id := range ids {
-			st.full[at+int(id)] = nodes[i]
-		}
-		st.ids, st.nodes = st.ids[:from], st.nodes[:from]
-		return
-	}
+	ids, nodes := st.ids[from:], st.nodes[from:]
 	for i := 1; i < len(ids); i++ {
 		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
 			ids[j], ids[j-1] = ids[j-1], ids[j]
 			nodes[j], nodes[j-1] = nodes[j-1], nodes[j]
 		}
 	}
-	vsn.at = int32(len(st.tabs))
-	st.tabs = append(st.tabs, entries{ids: ids, nodes: nodes})
+	vsn.at = int32(from)
 }
 
-// lentTable returns variable vsn's captured table, lent: its entries, or
-// its full table.
-func (st *State) lentTable(vsn *VarState) nodeTable {
-	if int(vsn.count) <= st.maxEntries {
-		return nodeTable{pages: &lentSet, lent: &st.tabs[vsn.at]}
-	}
-	n := st.treeNodes
-	return nodeTable{full: st.full[int(vsn.at)*n:][:n:n], pages: &lentSet}
+// entries returns variable vsn's captured entries.
+func (st *State) entries(vsn *VarState) ([]uint16, []nodeState) {
+	at, end := int(vsn.at), int(vsn.at)+int(vsn.count)
+	return st.ids[at:end], st.nodes[at:end]
 }
 
 // check validates a state against this strategy's machine and the
@@ -277,8 +225,9 @@ func (s *strategy) RestoreState(state core.StratState, vars []core.VarState) err
 	return nil
 }
 
-// RestoreVar implements core.Forker: the record comes from the arena
-// InitVar's do, the node table is the capture's, lent.
+// RestoreVar implements core.Forker: the record and the node table come
+// from the arena and the tables InitVar's do, the table filled from the
+// capture.
 func (s *strategy) RestoreVar(v *core.Variable) {
 	st := s.lent
 	vsn := &st.Vars[v.ID]
@@ -287,7 +236,7 @@ func (s *strategy) RestoreVar(v *core.Variable) {
 		rootPos: int(vsn.RootPos),
 		seed:    vsn.Seed,
 		lock:    restingLock(int(vsn.TokenAt)),
-		nodes:   st.lentTable(vsn),
+		nodes:   s.tables.restore(st.entries(vsn)),
 	}
 	if s.opts.RemapThreshold > 0 {
 		at, n := int(v.ID)*st.treeNodes, st.treeNodes
@@ -323,31 +272,18 @@ func nodeFromWord(w uint64) nodeState {
 
 var restWord = nodeWord(restNode)
 
-// AppendTables implements core.StratState: every live variable's entries.
+// AppendTables implements core.StratState: every live variable's entries,
+// which st holds in variable order.
 func (st *State) AppendTables(b []byte) []byte {
-	total := 0
-	for i := range st.Vars {
-		total += int(st.Vars[i].count)
-	}
-	b = slices.Grow(b, entryBytes*total)
-	for i := range st.Vars {
-		vsn := &st.Vars[i]
-		if vsn.count == 0 {
-			continue
-		}
-		t := st.lentTable(vsn)
-		t.each(func(id int, nd nodeState) {
-			if nd != restNode {
-				b = binary.LittleEndian.AppendUint16(b, uint16(id))
-				b = binary.LittleEndian.AppendUint64(b, nodeWord(nd))
-			}
-		})
+	b = slices.Grow(b, entryBytes*len(st.ids))
+	for i, id := range st.ids {
+		b = binary.LittleEndian.AppendUint16(b, id)
+		b = binary.LittleEndian.AppendUint64(b, nodeWord(st.nodes[i]))
 	}
 	return b
 }
 
-// LoadState implements core.Forker: a variable whose entries a sparse table
-// could hold keeps them as they are, the others become full tables.
+// LoadState implements core.Forker: the entries are kept as they are.
 func (s *strategy) LoadState(state, tables []byte, vars []core.VarState) (core.StratState, error) {
 	r := wire.NewReader(state)
 	st := ReadState(r, len(vars))
@@ -355,7 +291,7 @@ func (s *strategy) LoadState(state, tables []byte, vars []core.VarState) (core.S
 		return nil, fmt.Errorf("accesstree: decode snapshot state: %w", err)
 	}
 	n := len(s.t.Nodes)
-	st.treeNodes, st.maxEntries = n, pageNodes*s.tables.maxPages
+	st.treeNodes = n
 	total := 0
 	for i := range st.Vars {
 		if count := int(st.Vars[i].count); count > n {
@@ -366,7 +302,7 @@ func (s *strategy) LoadState(state, tables []byte, vars []core.VarState) (core.S
 	if len(tables) != entryBytes*total {
 		return nil, fmt.Errorf("accesstree: node table section of %d bytes, %d entries need %d", len(tables), total, entryBytes*total)
 	}
-	st.makeBlocks(n) // room for a full table's entries before keep spreads them
+	st.ids, st.nodes = make([]uint16, 0, total), make([]nodeState, 0, total)
 	root := s.t.Root()
 	for i := range st.Vars {
 		vsn := &st.Vars[i]
@@ -376,7 +312,8 @@ func (s *strategy) LoadState(state, tables []byte, vars []core.VarState) (core.S
 		}
 		ws := tables[:entryBytes*count]
 		tables = tables[entryBytes*count:]
-		from, prev, rooted := len(st.ids), -1, false
+		prev, rooted := -1, false
+		vsn.at = int32(len(st.ids))
 		for e := range count {
 			id, w := int(binary.LittleEndian.Uint16(ws[entryBytes*e:])), binary.LittleEndian.Uint64(ws[entryBytes*e+2:])
 			if id <= prev || id >= n {
@@ -394,7 +331,6 @@ func (s *strategy) LoadState(state, tables []byte, vars []core.VarState) (core.S
 		if !rooted {
 			return nil, fmt.Errorf("accesstree: variable %d: node table has no entry for the root", i)
 		}
-		st.keep(vsn, from)
 	}
 	if err := s.check(st, vars); err != nil {
 		return nil, err

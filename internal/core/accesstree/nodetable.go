@@ -1,9 +1,6 @@
 package accesstree
 
-import (
-	"slices"
-	"unsafe"
-)
+import "unsafe"
 
 // nodeState is one tree node's protocol state, packed into 8 bytes.
 type nodeState struct {
@@ -44,21 +41,11 @@ var restNode = nodeState{toward: towardUp, arrow: towardUp}
 // No Go map: a protocol hop reads its node once per message, and a map
 // lookup there cost ~15 % of the CPU.
 //
-// A fork's table is lent: it reads a snapshot's full table or entries in
-// place, and builds storage of its own only at its first write (own). Forks
-// of one snapshot may run at once, so a capture is only ever read, and it
-// never joins the free lists.
+// A fork's table is its own from the start: restore builds it from a
+// snapshot's captured entries, which forks of one snapshot only ever read.
 type nodeTable struct {
 	full  []nodeState // the full table; nil while sparse
-	pages *pageSet    // the sparse table; nil once full, lentSet if lent
-	lent  *entries    // a lent table's entries; nil unless lent and not full
-}
-
-// entries is a captured table that is not full: its nodes not at rest, ids
-// strictly ascending, and their states.
-type entries struct {
-	ids   []uint16
-	nodes []nodeState
+	pages *pageSet    // the sparse table; nil once full
 }
 
 // A page holds pageNodes entries — entry e of a sparse table is at
@@ -78,10 +65,6 @@ type pageSet struct {
 	npages uint8
 	next   *pageSet // the next free page set
 }
-
-// lentSet is the page set of every lent table: read only, never freed. It
-// holds no entry, so a lookup in it misses at its first probe.
-var lentSet = pageSet{pages: [maxPages]*page{new(page)}, npages: 1}
 
 const (
 	pageNodes  = 16
@@ -118,17 +101,12 @@ func (t *nodeTable) get(id int) nodeState {
 	if e, _, ok := t.pages.find(id); ok {
 		return t.pages.pages[e/pageNodes].slots[e%pageNodes]
 	}
-	if e := t.lent; e != nil {
-		if i, ok := slices.BinarySearch(e.ids, uint16(id)); ok {
-			return e.nodes[i]
-		}
-	}
 	return restNode
 }
 
 // each calls f with every node the table holds and its state: every node
 // of a full table in id order, the entries of a sparse table in insertion
-// order, those of a lent one in id order.
+// order.
 func (t *nodeTable) each(f func(id int, st nodeState)) {
 	for id, st := range t.full {
 		f(id, st)
@@ -137,11 +115,6 @@ func (t *nodeTable) each(f func(id int, st nodeState)) {
 		for e := range int(ps.count) {
 			pg := ps.pages[e/pageNodes]
 			f(int(pg.ids[e%pageNodes]), pg.slots[e%pageNodes])
-		}
-	}
-	if e := t.lent; e != nil {
-		for i, id := range e.ids {
-			f(int(id), e.nodes[i])
 		}
 	}
 }
@@ -226,25 +199,18 @@ func (p *nodeTables) newSet() *pageSet {
 
 // newFull returns a full table, every node at rest.
 func (p *nodeTables) newFull() []nodeState {
-	full := p.carveFull()
+	var full []nodeState
+	if n := len(p.full); n > 0 {
+		full, p.full = p.full[n-1], p.full[:n-1]
+	} else {
+		if len(p.fullBlock) < p.n {
+			p.fullBlock = make([]nodeState, p.blockLen(8)/p.n*p.n)
+		}
+		full, p.fullBlock = p.fullBlock[:p.n:p.n], p.fullBlock[p.n:]
+	}
 	for i := range full {
 		full[i] = restNode
 	}
-	return full
-}
-
-// carveFull returns a full table of undefined contents.
-func (p *nodeTables) carveFull() []nodeState {
-	if n := len(p.full); n > 0 {
-		full := p.full[n-1]
-		p.full = p.full[:n-1]
-		return full
-	}
-	if len(p.fullBlock) < p.n {
-		p.fullBlock = make([]nodeState, p.blockLen(8)/p.n*p.n)
-	}
-	full := p.fullBlock[:p.n:p.n]
-	p.fullBlock = p.fullBlock[p.n:]
 	return full
 }
 
@@ -284,11 +250,11 @@ func (ps *pageSet) reindex() {
 	}
 }
 
-// put returns the storage of a table to the free lists, unless it is lent.
+// put returns the storage of a table to the free lists.
 func (p *nodeTables) put(t *nodeTable) {
-	if ps := t.pages; ps == nil {
+	if t.pages == nil {
 		p.full = append(p.full, t.full)
-	} else if ps != &lentSet {
+	} else {
 		p.release(t)
 	}
 	*t = nodeTable{}
@@ -309,10 +275,6 @@ func (p *nodeTables) ref(t *nodeTable, id int) *nodeState {
 	ps := t.pages
 	if ps == nil {
 		return &t.full[id]
-	}
-	if ps == &lentSet {
-		p.own(t)
-		return p.ref(t, id)
 	}
 	e, h, ok := ps.find(id)
 	if !ok {
@@ -336,18 +298,12 @@ func (p *nodeTables) ref(t *nodeTable, id int) *nodeState {
 	return &ps.pages[e/pageNodes].slots[e%pageNodes]
 }
 
-// own replaces a lent table by a copy in carved storage of its own: a full
-// table, or a sparse one holding the entries.
-func (p *nodeTables) own(t *nodeTable) {
-	if t.full != nil {
-		full := p.carveFull()
-		copy(full, t.full)
-		*t = nodeTable{full: full}
-		return
+// restore returns a table of its own holding the captured entries ids and
+// nodes: sparse if that fits maxPages, full otherwise.
+func (p *nodeTables) restore(ids []uint16, nodes []nodeState) nodeTable {
+	t := p.newTable(len(ids))
+	for i, id := range ids {
+		*p.ref(&t, int(id)) = nodes[i]
 	}
-	src := t.lent
-	*t = p.newTable(len(src.ids))
-	for i, id := range src.ids {
-		*p.ref(t, int(id)) = src.nodes[i]
-	}
+	return t
 }

@@ -3,6 +3,7 @@ package accesstree
 import (
 	"encoding/binary"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
@@ -12,19 +13,17 @@ import (
 	"diva/internal/xrand"
 )
 
-// FuzzNodeTable runs random get, write, iterate, free and lend sequences
+// FuzzNodeTable runs random get, write, iterate, free and restore sequences
 // on the node tables of one strategy and on a plain []nodeState per
 // variable, comparing the two after every step. The tree sizes are those of
 // the 4×4, 8×8, 16×16 and 32×32 4-ary trees (21, 85, 341 and 1 365 nodes):
 // every table is full from the start on the first, and on the others sparse
 // tables grow through every page count up to the cutover to a full table.
-// A lend captures a table the way a snapshot does — as entries, or as a
-// full table if a sparse one could not hold its nodes not at rest — and
-// goes on with a lent table over the capture, as a fork does, which reads
-// the entries in place and builds a table of its own at its first write;
-// after every step each capture must still equal its first copy, and no
-// table of the strategy's own and no free list may hold captured storage
-// (checkLent).
+// A restore captures a table the way a snapshot does — its nodes not at
+// rest, ids ascending — and goes on with a table restored from the
+// capture, as a fork does. After every step each capture must still equal
+// its first copy, and no two tables, free lists or captures may share
+// storage (checkOwn).
 func FuzzNodeTable(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
 	f.Add([]byte{1, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9})
@@ -41,7 +40,7 @@ func FuzzNodeTable(f *testing.F) {
 		}
 		const vars = 3
 		var tabs [vars]nodeTable
-		var lent []lentCapture
+		var caps []captured
 		var refs [vars][]nodeState
 		reset := func(v, count int) {
 			tabs[v] = p.newTable(count)
@@ -74,9 +73,6 @@ func FuzzNodeTable(f *testing.F) {
 				}
 				*p.ref(&tabs[v], id) = st
 				refs[v][id] = st
-				if tabs[v].pages == &lentSet || tabs[v].lent != nil {
-					t.Fatal("a write left the table lent")
-				}
 			case 6: // iterate
 				seen := make(map[int]bool)
 				tabs[v].each(func(id int, st nodeState) {
@@ -99,15 +95,15 @@ func FuzzNodeTable(f *testing.F) {
 			case 7: // free, and start a new variable of some size
 				p.put(&tabs[v])
 				reset(v, int(h>>24)%(n+1))
-			case 8: // lend: go on with a lent table over a capture
-				c := lend(&tabs[v], n)
+			case 8: // go on with a table restored from a capture
+				c := capture(t, &tabs[v], n)
 				p.put(&tabs[v])
-				tabs[v] = c.table()
-				lent = append(lent, c)
+				tabs[v] = c.restore(&p)
+				caps = append(caps, c)
 			}
-			checkLent(t, &p, tabs[:], lent)
+			checkOwn(t, &p, tabs[:], caps)
 			tab := &tabs[v]
-			if ps := tab.pages; ps != nil && ps != &lentSet && (tab.full != nil || int(ps.count) > pageNodes*int(ps.npages) || int(ps.npages) > p.maxPages) {
+			if ps := tab.pages; ps != nil && (tab.full != nil || int(ps.count) > pageNodes*int(ps.npages) || int(ps.npages) > p.maxPages) {
 				t.Fatalf("table shape: full %v, %d entries in %d of at most %d pages", tab.full != nil, ps.count, ps.npages, p.maxPages)
 			}
 			for id := range refs[v] {
@@ -119,72 +115,97 @@ func FuzzNodeTable(f *testing.F) {
 	})
 }
 
-// lentCapture is one table captured the way SnapshotState captures it, and
+// captured is one table captured the way SnapshotState captures it, and
 // a second copy of the capture to compare it with.
-type lentCapture struct {
+type captured struct {
 	st, want *State
 }
 
-// lend captures table t of an n-node tree, as SnapshotState does.
-func lend(t *nodeTable, n int) lentCapture {
-	p := newNodeTables(n)
-	c := lentCapture{st: &State{Vars: []VarState{{count: uint32(t.unrested())}}, treeNodes: n, maxEntries: pageNodes * p.maxPages}}
-	c.st.capture(t, &c.st.Vars[0])
-	c.want = &State{ids: slices.Clone(c.st.ids), nodes: slices.Clone(c.st.nodes), full: slices.Clone(c.st.full)}
+// capture captures table tab of an n-node tree, as SnapshotState does,
+// and fails unless the capture is the table's nodes not at rest, ids
+// strictly ascending.
+func capture(t *testing.T, tab *nodeTable, n int) captured {
+	t.Helper()
+	count := tab.unrested()
+	c := captured{st: &State{Vars: []VarState{{count: uint32(count)}}, treeNodes: n}}
+	c.st.ids, c.st.nodes = make([]uint16, 0, count), make([]nodeState, 0, count)
+	c.st.capture(tab, &c.st.Vars[0])
+	ids := c.st.ids
+	for i := range ids {
+		if i > 0 && ids[i] <= ids[i-1] || tab.get(int(ids[i])) != c.st.nodes[i] {
+			t.Fatalf("captured ids %v are not ascending or hold other states than the table", ids)
+		}
+	}
+	if len(ids) != count {
+		t.Fatalf("captured %d entries of a table with %d nodes not at rest", len(ids), count)
+	}
+	c.want = &State{ids: slices.Clone(ids), nodes: slices.Clone(c.st.nodes)}
 	return c
 }
 
-// table returns a lent table over the capture, as RestoreVar makes one.
-func (c lentCapture) table() nodeTable { return c.st.lentTable(&c.st.Vars[0]) }
+// restore returns a table restored from the capture, as RestoreVar makes
+// one.
+func (c captured) restore(p *nodeTables) nodeTable { return p.restore(c.st.entries(&c.st.Vars[0])) }
 
-// checkLent fails unless every capture is as it was taken, lentSet holds
-// no entry, every lent table reads a capture's entries or full table, and
-// neither a table that is not lent nor the free list of p holds a captured
-// full table.
-func checkLent(t *testing.T, p *nodeTables, tabs []nodeTable, lent []lentCapture) {
+// checkOwn fails unless every capture is as it was taken and every table
+// has storage of its own: no page set, page or full table of one is
+// another table's, on a free list of p or inside a capture.
+func checkOwn(t *testing.T, p *nodeTables, tabs []nodeTable, caps []captured) {
 	t.Helper()
-	if lentSet.count != 0 || lentSet.npages != 1 || lentSet.next != nil || *lentSet.pages[0] != (page{}) || slices.ContainsFunc(lentSet.pages[1:], func(pg *page) bool { return pg != nil }) {
-		t.Fatalf("lentSet was written: %+v", lentSet)
+	for _, c := range caps {
+		if !slices.Equal(c.st.ids, c.want.ids) || !slices.Equal(c.st.nodes, c.want.nodes) {
+			t.Fatal("a capture was written")
+		}
 	}
-	tabsLent, fulls := map[*entries]bool{}, map[*nodeState]bool{}
-	for _, c := range lent {
-		if !slices.Equal(c.st.ids, c.want.ids) || !slices.Equal(c.st.nodes, c.want.nodes) || !slices.Equal(c.st.full, c.want.full) {
-			t.Fatal("a lent capture was written")
+	owner := map[unsafe.Pointer]string{}
+	claim := func(ptr unsafe.Pointer, who string) {
+		if prev, ok := owner[ptr]; ok {
+			t.Fatalf("%s and %s share storage", prev, who)
 		}
-		for i := range c.st.tabs {
-			tabsLent[&c.st.tabs[i]] = true
+		owner[ptr] = who
+	}
+	claimSet := func(ps *pageSet, who string) {
+		claim(unsafe.Pointer(ps), who)
+		for _, pg := range ps.pages[:ps.npages] {
+			claim(unsafe.Pointer(pg), who)
 		}
-		if len(c.st.full) > 0 {
-			fulls[&c.st.full[0]] = true
-		}
+	}
+	for ps := p.sets; ps != nil; ps = ps.next {
+		claimSet(ps, "a free page set")
+	}
+	for ps := p.bags; ps != nil; ps = ps.next {
+		claimSet(ps, "a free page set")
+	}
+	for _, f := range p.full {
+		claim(unsafe.Pointer(&f[0]), "a free full table")
 	}
 	for i := range tabs {
 		tab := &tabs[i]
-		switch {
-		case tab.pages == &lentSet:
-			if tab.lent == nil && !fulls[&tab.full[0]] || tab.lent != nil && (tab.full != nil || !tabsLent[tab.lent]) {
-				t.Fatal("a lent table reads no capture")
-			}
-		case tab.lent != nil:
-			t.Fatal("a table of the strategy's own reads captured entries")
-		case tab.full != nil && fulls[&tab.full[0]]:
-			t.Fatal("a captured full table is in use as the strategy's own")
+		who := "table " + strconv.Itoa(i)
+		if ps := tab.pages; ps != nil {
+			claimSet(ps, who)
 		}
-	}
-	for _, f := range p.full {
-		if fulls[&f[0]] {
-			t.Fatal("a captured full table is on the free list")
+		if tab.full == nil {
+			continue
+		}
+		claim(unsafe.Pointer(&tab.full[0]), who)
+		for _, c := range caps {
+			if base := unsafe.SliceData(c.st.nodes); base != nil && uintptr(unsafe.Pointer(&tab.full[0]))-uintptr(unsafe.Pointer(base)) < uintptr(cap(c.st.nodes))*unsafe.Sizeof(nodeState{}) {
+				t.Fatalf("%s is inside a capture", who)
+			}
 		}
 	}
 }
 
-// TestLentTable lends a sparse table, a sparse table whose next node cuts
-// it over to a full one, and a full table, as a snapshot lends its tables
-// to two forks: one fork writes its table, the other frees its table
-// unwritten and then carves new tables. The capture must stay as it was
-// taken, both forks must read their own reference, and no carved page or
-// full table may be captured storage.
-func TestLentTable(t *testing.T) {
+// TestRestoredTableOwnsItsStorage restores a sparse table, a sparse table
+// whose next node cuts it over to a full one, and a full table twice from
+// one capture, as a snapshot's variable is restored by two forks: one fork
+// writes its table, the other frees its table unwritten, and then new
+// tables are carved. The capture must stay as it was taken, both forks
+// must read their own reference, no two tables may share storage, and a
+// table of the freed one's size must take back its pages or its full
+// table from the free lists.
+func TestRestoredTableOwnsItsStorage(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		n     int
@@ -202,30 +223,31 @@ func TestLentTable(t *testing.T) {
 				ref[id] = restNode
 			}
 			for i := range tc.nodes {
-				id := i * 7 % tc.n
+				id := (tc.nodes - i) * 7 % tc.n // descending: a capture sorts them
 				st := nodeState{edges: uint32(i + 1), toward: int8(i % 3), member: true, arrow: towardSelf}
 				*p.ref(&src, id), ref[id] = st, st
 			}
 			if sparse := src.full == nil; sparse != (tc.name != "full") || tc.name == "cutover" && int(src.pages.npages) != p.maxPages {
 				t.Fatalf("source table: sparse %v, %d of %d pages", sparse, src.pages.npages, p.maxPages)
 			}
-			c := lend(&src, tc.n)
+			c := capture(t, &src, tc.n)
 			p.put(&src)
-			written, freed := c.table(), c.table()
-			tabs := []nodeTable{written, freed}
-			checkLent(t, &p, tabs, []lentCapture{c})
+			tabs := []nodeTable{c.restore(&p), c.restore(&p)}
+			checkOwn(t, &p, tabs, []captured{c})
+			if sparse := tabs[0].full == nil; sparse != (tc.name != "full") {
+				t.Fatalf("restored table: sparse %v, want %v", sparse, tc.name != "full")
+			}
 
-			// The writer's first write, to a node the capture holds, copies
-			// the table; its first new node cuts the cutover case over to a
-			// full table.
+			// The writer writes a node the capture holds, then a new node,
+			// which cuts the cutover case over to a full table.
 			held, id := 7, slices.Index(ref, restNode)
 			st := nodeState{edges: 1, toward: towardSelf, member: true, arrow: towardSelf}
 			*p.ref(&tabs[0], held) = st
 			*p.ref(&tabs[0], id) = st
 			want := slices.Clone(ref)
 			want[held], want[id] = st, st
-			if tabs[0].pages == &lentSet || tc.name == "cutover" && tabs[0].full == nil {
-				t.Fatalf("written table: lent %v, full %v", tabs[0].pages == &lentSet, tabs[0].full != nil)
+			if tc.name == "cutover" && tabs[0].full == nil {
+				t.Fatal("written table: not cut over to a full table")
 			}
 			for id := range tc.n {
 				if got := tabs[0].get(id); got != want[id] {
@@ -235,17 +257,28 @@ func TestLentTable(t *testing.T) {
 					t.Fatalf("unwritten fork: node %d reads %+v, want %+v", id, got, ref[id])
 				}
 			}
-			checkLent(t, &p, tabs, []lentCapture{c})
+			checkOwn(t, &p, tabs, []captured{c})
 
-			// Freeing the unwritten fork's table hands nothing to the free
-			// lists, so the tables carved next are fresh.
+			// Freeing the unwritten fork's table hands its storage to the
+			// free lists: a table of the same size takes it again.
+			freed := tabs[1]
+			var pages []*page
+			if ps := freed.pages; ps != nil {
+				pages = slices.Clone(ps.pages[:ps.npages])
+			}
 			p.put(&tabs[1])
+			tabs[1] = p.newTable(tc.nodes)
+			if again := tabs[1]; freed.full != nil && &again.full[0] != &freed.full[0] {
+				t.Fatal("a table of the freed size did not take the freed full table")
+			} else if ps := again.pages; ps != nil && (len(pages) != int(ps.npages) || slices.ContainsFunc(ps.pages[:ps.npages], func(pg *page) bool { return !slices.Contains(pages, pg) })) {
+				t.Fatal("a table of the freed size did not take the freed pages")
+			}
 			for i := range 8 {
 				tabs = append(tabs, p.newTable(i*pageNodes))
 				for id := range tc.n {
 					*p.ref(&tabs[len(tabs)-1], id) = restNode
 				}
-				checkLent(t, &p, tabs, []lentCapture{c})
+				checkOwn(t, &p, tabs, []captured{c})
 			}
 		})
 	}
@@ -256,9 +289,6 @@ func TestLentTable(t *testing.T) {
 func (t *nodeTable) held() int {
 	if t.full != nil {
 		return len(t.full)
-	}
-	if t.lent != nil {
-		return len(t.lent.ids)
 	}
 	return int(t.pages.count)
 }
@@ -357,8 +387,9 @@ func TestMaxPagesFromTreeSize(t *testing.T) {
 // does not hold each live variable's nodes not at rest, ids strictly
 // ascending below the tree's size, the root among them, each in a state its
 // node can hold — and a section whose length is not what the state
-// section's counts say. Every case is tried on a table kept as entries and
-// on a full one (8×8 at4: 85 nodes, at most 48 entries); none may panic.
+// section's counts say. Every case is tried on a table a sparse table can
+// hold and on one only a full table can (8×8 at4: 85 nodes, at most 48 in
+// a sparse table); none may panic.
 func TestLoadStateRejectsHostileTables(t *testing.T) {
 	m := newTestMachine(decomp.Ary4, 8, 8, 5)
 	few, all := m.AllocAt(3, 32, 0), m.AllocAt(9, 32, 0)
@@ -377,8 +408,8 @@ func TestLoadStateRejectsHostileTables(t *testing.T) {
 	}
 	st := captured.(*State)
 	n, vars := len(s.t.Nodes), []core.VarState{{Present: true}, {Present: true}}
-	if c := st.Vars; int(c[0].count) > st.maxEntries || int(c[1].count) <= st.maxEntries {
-		t.Fatalf("tables of %d and %d nodes, at most %d kept as entries; want one of each", c[0].count, c[1].count, st.maxEntries)
+	if c, sparse := st.Vars, pageNodes*s.tables.maxPages; int(c[0].count) > sparse || int(c[1].count) <= sparse {
+		t.Fatalf("tables of %d and %d nodes, at most %d in a sparse table; want one of each", c[0].count, c[1].count, sparse)
 	}
 	// Split the section into each variable's entries.
 	section := st.AppendTables(nil)

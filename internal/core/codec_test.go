@@ -20,15 +20,12 @@ import (
 // does not carry, each with the reason. Every other field, exported or
 // not, must survive its type's codec.
 var notCarried = map[string]string{
-	"core.snapState.Strat":        "the strategy's own bytes end the section; its state is a row of its own",
-	"mesh.Msg.pooled":             "a queued message is never pooled",
-	"accesstree.State.tabs":       "the table section carries the node tables",
-	"accesstree.State.ids":        "the table section carries the node tables",
-	"accesstree.State.nodes":      "the table section carries the node tables",
-	"accesstree.State.full":       "the table section carries the node tables",
-	"accesstree.State.treeNodes":  "the machine's tree size, checked against the table section",
-	"accesstree.State.maxEntries": "the machine's sparse table size",
-	"accesstree.VarState.at":      "derived from the table section",
+	"core.snapState.Strat":       "the strategy's own bytes end the section; its state is a row of its own",
+	"mesh.Msg.pooled":            "a queued message is never pooled",
+	"accesstree.State.ids":       "the table section carries the node tables",
+	"accesstree.State.nodes":     "the table section carries the node tables",
+	"accesstree.State.treeNodes": "the machine's tree size, checked against the table section",
+	"accesstree.VarState.at":     "derived from the table section",
 }
 
 // fill sets every field v holds, exported or not and through slices,

@@ -33,9 +33,8 @@ import (
 // barrier, caches, the strategy's counters — with copies from the snapshot.
 // The variables are lent, not copied: a fork starts with every variable
 // the snapshot holds marked as still borrowed, and makes its own record of
-// one — the Variable, its local-copy bitmap and the strategy's state,
-// whose node table stays lent in turn — the first time the query reaches it
-// (Machine.Var). A query that touches a few of a warmed machine's
+// one — the Variable, its local-copy bitmap and the strategy's state, node
+// table included — the first time the query reaches it (Machine.Var). A query that touches a few of a warmed machine's
 // variables pays for those few. The snapshot itself is immutable after
 // capture, so concurrent forks from one snapshot are safe — the serve layer
 // relies on this.

@@ -25,7 +25,7 @@
 // it avoids container/heap entirely. Events live unboxed in plain []event
 // arrays; a queue entry is 32 bytes — timestamp, sequence, and either the
 // *Proc to wake (the most frequent event, inline) or a slot index into a
-// recycled payload table holding the callback variants — and the hot
+// recycled payload table holding the callback and its argument — and the hot
 // paths (proc wakeups, message deliveries) schedule with zero
 // allocations.
 //

@@ -16,7 +16,7 @@ type Time = float64
 // callback whose payload lives in the kernel's slot table (slot). Process
 // wakeups — the most frequent event by far — carry their payload inline;
 // callbacks pay one indirection. Keeping the queue entry at 32 bytes
-// (vs. 56 with the callback variants unboxed inline) nearly halves the
+// (vs. 48 with the callback and its argument inline) cuts a third of the
 // memory the ladder's appends, inserts and epoch sorts move.
 type event struct {
 	t    Time
@@ -25,14 +25,12 @@ type event struct {
 	slot int32
 }
 
-// payload holds a callback event's fields: a typed callback applied to arg,
-// or a func() closure as the fallback. Slots live in the kernel's store
-// (evStore.pay) and are recycled through a free stack, so scheduling stays
-// allocation-free in steady state.
+// payload holds a callback event's fields: a typed callback applied to arg.
+// Slots live in the kernel's store (evStore.pay) and are recycled through a
+// free stack, so scheduling stays allocation-free in steady state.
 type payload struct {
 	hfn func(interface{})
 	arg interface{}
-	fn  func()
 }
 
 // before is the queue's strict ordering: time, then schedule order.
@@ -45,7 +43,7 @@ func (e *event) before(o *event) bool {
 
 // dead reports whether the slot belongs to a canceled timer (CancelTimer
 // clears it); the queue drops its entry (ladderQueue.dropDead).
-func (p *payload) dead() bool { return p.hfn == nil && p.fn == nil }
+func (p *payload) dead() bool { return p.hfn == nil }
 
 // Stats are cumulative counters of kernel activity. Events counts every
 // executed event, timers and skipped wakeups of killed processes included;
@@ -188,14 +186,16 @@ func (k *Kernel) slot(p payload) int32 {
 
 // At schedules fn to run in event context at absolute time t. Scheduling in
 // the past panics: it would make time run backwards.
-func (k *Kernel) At(t Time, fn func()) {
-	k.checkPast(t)
-	k.lq.push(event{t: t, seq: k.allocSeq(), slot: k.slot(payload{fn: fn})})
-}
+func (k *Kernel) At(t Time, fn func()) { k.AtCall(t, callFunc, fn) }
+
+// callFunc runs the func() At passes as arg. A func value is pointer-shaped,
+// so boxing it in the interface allocates nothing.
+func callFunc(x interface{}) { x.(func())() }
 
 // AtCall schedules fn(arg) to run in event context at absolute time t.
-// Unlike At it captures no closure: callers keep one long-lived fn and pass
-// per-event state through arg (a pointer, so no boxing allocation either).
+// Callers on hot paths keep one long-lived fn and pass per-event state
+// through arg (a pointer, so no boxing allocation either) instead of
+// building a closure for At.
 func (k *Kernel) AtCall(t Time, fn func(interface{}), arg interface{}) {
 	k.checkPast(t)
 	k.lq.push(event{t: t, seq: k.allocSeq(), slot: k.slot(payload{hfn: fn, arg: arg})})
@@ -312,11 +312,7 @@ func (k *Kernel) loop(self *Proc) {
 			continue
 		}
 		pl := k.takeSlot(e.slot)
-		if pl.hfn != nil {
-			pl.hfn(pl.arg)
-		} else {
-			pl.fn()
-		}
+		pl.hfn(pl.arg)
 		if self != nil && self.done {
 			// The callback we just ran killed us: the body must not resume.
 			panic(killed{})

@@ -142,8 +142,8 @@ func (s *evStore) Trim(max int) {
 }
 
 // Scrub clears every reference the set could keep alive — the *Proc of
-// stale events in slabs handed out since the last scrub, and hfn, arg and
-// fn of used payload slots — so the machine that ran on it is collectable
+// stale events in slabs handed out since the last scrub, and hfn and arg
+// of used payload slots — so the machine that ran on it is collectable
 // while the set waits in the stock.
 func (s *evStore) Scrub() {
 	for c := range s.free {

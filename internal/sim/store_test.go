@@ -188,7 +188,7 @@ func TestReleasedStoreIsCleared(t *testing.T) {
 		t.Errorf("payload table released with %d slots in use, %d free", len(s.pay), len(s.payFree))
 	}
 	for i, p := range s.pay[:cap(s.pay)] {
-		if p.hfn != nil || p.arg != nil || p.fn != nil {
+		if p.hfn != nil || p.arg != nil {
 			t.Fatalf("payload slot %d keeps a reference", i)
 		}
 	}
