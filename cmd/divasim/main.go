@@ -235,7 +235,7 @@ func runMain(args []string) {
 	if rf.verbose {
 		msgs, bytes := m.Net.SendStats()
 		fmt.Println("\nmessages by kind:")
-		for k := 0; k < 256; k++ {
+		for k := range msgs {
 			if msgs[k] > 0 {
 				fmt.Printf("  kind %3d: %8d msgs, %12d bytes\n", k, msgs[k], bytes[k])
 			}

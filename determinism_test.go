@@ -29,8 +29,8 @@ type detRun struct {
 	fingerprint uint64
 	elapsedUS   float64
 	cong        mesh.Congestion
-	sendMsgs    [256]uint64
-	sendBytes   [256]uint64
+	sendMsgs    [mesh.NumKinds]uint64
+	sendBytes   [mesh.NumKinds]uint64
 }
 
 // runMatmulDet runs the 8x8 matmul workload used as determinism probe.

@@ -440,6 +440,56 @@ func TestForkWarmedConcurrent(t *testing.T) {
 	}
 }
 
+// TestForkUnboundedConcurrent forks one birth snapshot of an unbounded 4×4
+// at4 machine in eight goroutines at once and runs matmul on each, as the
+// service serves tiny cached runs. Machines without a cache bound keep no
+// caches of their own: every one of them hands its strategy the one shared
+// unbounded cache, which nothing may write. Each fingerprint must equal a
+// lone fork's. Run under -race.
+func TestForkUnboundedConcurrent(t *testing.T) {
+	sp := spec.Spec{Topology: "mesh", Rows: 4, Cols: 4, Strategy: "at4", Seed: 1999,
+		Workload: spec.Workload{Name: "matmul", Block: 16, Seed: 1}}
+	m, w, err := diva.FromSpec(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	birth, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := func() (uint64, error) {
+		f, err := diva.Fork(birth)
+		if err != nil {
+			return 0, err
+		}
+		if _, err := w.Run(f, nil); err != nil {
+			return 0, err
+		}
+		return f.K.Fingerprint(), nil
+	}
+	want, err := query()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const forks = 8
+	got := make([]uint64, forks)
+	errs := make([]error, forks)
+	var wg sync.WaitGroup
+	for i := range forks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = query()
+		}()
+	}
+	wg.Wait()
+	for i := range forks {
+		if errs[i] != nil || got[i] != want {
+			t.Errorf("fork %d: fingerprint %#x (%v), alone %#x", i, got[i], errs[i], want)
+		}
+	}
+}
+
 // warmedBarnesHut returns the spec of an 8×8 at4 machine, the machine
 // after the spec's Barnes-Hut warm-up, and the warm-up's result.
 func warmedBarnesHut(t *testing.T) (spec.Spec, *diva.Machine, diva.BarnesHutResult) {

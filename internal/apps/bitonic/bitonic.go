@@ -19,6 +19,7 @@ package bitonic
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"diva/internal/core"
@@ -65,28 +66,38 @@ func Circuit(p int) [][]Comparator {
 	if p <= 0 || p&(p-1) != 0 {
 		panic(fmt.Sprintf("bitonic: %d wires is not a power of two", p))
 	}
-	logP := 0
-	for 1<<logP < p {
-		logP++
-	}
+	logP := bits.Len(uint(p)) - 1
 	var steps [][]Comparator
 	for i := 1; i <= logP; i++ {
 		for j := i - 1; j >= 0; j-- {
-			var step []Comparator
+			step := make([]Comparator, 0, p/2)
 			for w := 0; w < p; w++ {
-				if w&(1<<j) != 0 {
-					continue
+				if w&(1<<j) == 0 {
+					step = append(step, Comparator{Lo: w, Hi: w | 1<<j, Asc: w>>i&1 == 0})
 				}
-				step = append(step, Comparator{
-					Lo:  w,
-					Hi:  w | 1<<j,
-					Asc: w>>i&1 == 0,
-				})
 			}
 			steps = append(steps, step)
 		}
 	}
 	return steps
+}
+
+// stepCount is the number of steps of p wires' circuit, logP(logP+1)/2.
+func stepCount(p int) int {
+	logP := bits.Len(uint(p)) - 1
+	return logP * (logP + 1) / 2
+}
+
+// comparator returns the comparator wire w takes part in at step si of the
+// circuit: the one Circuit lists for it there.
+func comparator(w, si int) Comparator {
+	i := 1 // step si is in phase i, at span 2^j
+	for ; si >= i; i++ {
+		si -= i
+	}
+	j := i - 1 - si
+	lo := w &^ (1 << j)
+	return Comparator{Lo: lo, Hi: lo | 1<<j, Asc: lo>>i&1 == 0}
 }
 
 // genKeys produces the input keys of a wire.
@@ -155,7 +166,7 @@ func RunDSM(m *core.Machine, cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("bitonic: %d processors is not a power of two", p)
 	}
 	keyBytes := 4 * cfg.KeysPerProc
-	steps := Circuit(p)
+	steps := stepCount(p)
 	tree := m.Tree
 
 	// wireOf[proc] is the wire the processor simulates (its leaf number);
@@ -177,23 +188,13 @@ func RunDSM(m *core.Machine, cfg Config) (Result, error) {
 		vars[w] = m.AllocAt(procOf[w], keyBytes, keys)
 	}
 
-	// comparatorOf[step] indexed by wire.
-	cmpOf := make([]map[int]Comparator, len(steps))
-	for si, step := range steps {
-		cmpOf[si] = make(map[int]Comparator, len(step))
-		for _, c := range step {
-			cmpOf[si][c.Lo] = c
-			cmpOf[si][c.Hi] = c
-		}
-	}
-
 	runErr := m.Run(func(pr *core.Proc) {
 		w := wireOf[pr.ID]
 		if cfg.WithCompute {
 			pr.Compute(cfg.sortCost())
 		}
 		for si := range steps {
-			cmp := cmpOf[si][w]
+			cmp := comparator(w, si)
 			partner := cmp.Lo + cmp.Hi - w
 			other := pr.Read(vars[partner])
 			var next []int32
@@ -216,7 +217,7 @@ func RunDSM(m *core.Machine, cfg Config) (Result, error) {
 	if runErr != nil {
 		return Result{}, runErr
 	}
-	res := Result{ElapsedUS: m.Elapsed(), Steps: len(steps)}
+	res := Result{ElapsedUS: m.Elapsed(), Steps: steps}
 	if cfg.Check {
 		if err := verifySorted(m, vars, cfg); err != nil {
 			return res, err
@@ -250,7 +251,6 @@ func verifySorted(m *core.Machine, vars []core.VarID, cfg Config) error {
 		want = append(want, genKeys(cfg.Seed, w, cfg.KeysPerProc)...)
 	}
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
 	for i := range want {
 		if all[i] != want[i] {
 			return fmt.Errorf("bitonic: output multiset differs from input at %d", i)
@@ -268,20 +268,12 @@ func RunHandOpt(m *core.Machine, cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("bitonic: %d processors is not a power of two", p)
 	}
 	keyBytes := 4 * cfg.KeysPerProc
-	steps := Circuit(p)
+	steps := stepCount(p)
 	tree := m.Tree
 	procOf := tree.ProcOfLeaf
 	wireOf := make([]int, p)
 	for w, pr := range procOf {
 		wireOf[pr] = w
-	}
-	cmpOf := make([]map[int]Comparator, len(steps))
-	for si, step := range steps {
-		cmpOf[si] = make(map[int]Comparator, len(step))
-		for _, c := range step {
-			cmpOf[si][c.Lo] = c
-			cmpOf[si][c.Hi] = c
-		}
 	}
 
 	final := make([][]int32, p)
@@ -296,7 +288,7 @@ func RunHandOpt(m *core.Machine, cfg Config) (Result, error) {
 			pr.Compute(cfg.sortCost())
 		}
 		for si := range steps {
-			cmp := cmpOf[si][w]
+			cmp := comparator(w, si)
 			partner := cmp.Lo + cmp.Hi - w
 			m.Net.SendInbox(pr.Proc, pr.ID, procOf[partner], core.HeaderBytes+keyBytes, si, keys)
 			got := m.Net.Recv(pr.Proc, pr.ID, si)
@@ -312,7 +304,7 @@ func RunHandOpt(m *core.Machine, cfg Config) (Result, error) {
 	if runErr != nil {
 		return Result{}, runErr
 	}
-	res := Result{ElapsedUS: m.Elapsed(), Steps: len(steps)}
+	res := Result{ElapsedUS: m.Elapsed(), Steps: steps}
 	if cfg.Check {
 		var prev int32
 		firstKey := true

@@ -91,6 +91,29 @@ func TestCircuitStepCount(t *testing.T) {
 	}
 }
 
+// TestComparatorMatchesCircuit: the comparator the runs take for a wire at
+// a step is the one Circuit lists for that wire there, for every step and
+// wire, and stepCount counts Circuit's steps.
+func TestComparatorMatchesCircuit(t *testing.T) {
+	for p := 1; p <= 1024; p *= 2 {
+		steps := Circuit(p)
+		if n := stepCount(p); n != len(steps) {
+			t.Fatalf("P=%d: stepCount %d, circuit has %d steps", p, n, len(steps))
+		}
+		listed := make([]Comparator, p)
+		for si, step := range steps {
+			for _, c := range step {
+				listed[c.Lo], listed[c.Hi] = c, c
+			}
+			for w := range p {
+				if got := comparator(w, si); got != listed[w] {
+					t.Fatalf("P=%d step %d wire %d: comparator %+v, circuit lists %+v", p, si, w, got, listed[w])
+				}
+			}
+		}
+	}
+}
+
 func TestMergeSplit(t *testing.T) {
 	a := []int32{1, 4, 6}
 	b := []int32{2, 3, 9}

@@ -23,7 +23,7 @@ func fastParams() mesh.Params {
 
 // barrierTrajectory runs rounds of barriers (with a reduction every other
 // round) and returns everything observable about the run.
-func barrierTrajectory(t *testing.T, cfg Config, rounds int, noBatch bool) (elapsed float64, cong mesh.Congestion, msgs [256]uint64, b *barrier) {
+func barrierTrajectory(t *testing.T, cfg Config, rounds int, noBatch bool) (elapsed float64, cong mesh.Congestion, msgs [mesh.NumKinds]uint64, b *barrier) {
 	t.Helper()
 	m := MustNewMachine(cfg)
 	m.bar.noBatch = noBatch
@@ -110,7 +110,7 @@ func TestBatchedReleaseMatchesCascade(t *testing.T) {
 // Against the plain cascade, the fused hops the batched run saved must be
 // exactly the messages its committed epochs accounted inline.
 func TestBarrierReleaseWithFusedDelivery(t *testing.T) {
-	sum := func(msgs [256]uint64) (n uint64) {
+	sum := func(msgs [mesh.NumKinds]uint64) (n uint64) {
 		for _, c := range msgs {
 			n += c
 		}

@@ -22,12 +22,13 @@ const (
 	LockBytes = 16
 )
 
-// Message kinds. Kind 0 is reserved by the mesh inbox.
+// Message kinds, below mesh.NumKinds (32): 0 is the inbox's, 1 to 14 the
+// machine's and the network's (the barrier's two), 15 the transport ack's
+// (mesh.KindTransportAck), 16 to 31 the data management strategies'.
 const (
 	KindBarrierArrive  uint8 = 1
 	KindBarrierRelease uint8 = 2
-	// Kinds 16.. are free for the data management strategies.
-	KindStrategyBase uint8 = 16
+	KindStrategyBase   uint8 = 16
 )
 
 // DataBytes returns the wire size of a message carrying a variable's

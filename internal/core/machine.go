@@ -121,10 +121,7 @@ type Machine struct {
 
 	Strat  Strategy
 	vars   []*Variable
-	caches []Cache
-	// fastLocal enables the local-read fast path: unbounded caches mean a
-	// local hit involves no replacement bookkeeping at all.
-	fastLocal bool
+	caches []Cache // one a node if the caches are bounded, else none (Cache)
 	// localSlab is the unused tail of the current bitmap slab the
 	// variables' local-copy bitmaps are carved from (one bit per
 	// processor each); localFree recycles the bitmaps of freed variables.
@@ -249,15 +246,16 @@ func newMachine(cfg Config, plan *Plan) (*Machine, error) {
 			return nil, err
 		}
 	}
-	m.caches = make([]Cache, m.Topo.N())
-	m.fastLocal = cfg.CacheCapacity == 0
 	m.bar = newBarrier(m)
 	if cfg.Strategy != nil {
 		m.Strat = cfg.Strategy(m)
 	}
-	ev, _ := m.Strat.(Evictor)
-	for i := range m.caches {
-		m.caches[i] = Cache{capacity: cfg.CacheCapacity, proc: i, ev: ev}
+	if cfg.CacheCapacity > 0 {
+		ev, _ := m.Strat.(Evictor)
+		m.caches = make([]Cache, m.Topo.N())
+		for i := range m.caches {
+			m.caches[i] = Cache{capacity: cfg.CacheCapacity, proc: i, ev: ev}
+		}
 	}
 	return m, nil
 }
@@ -294,8 +292,16 @@ func (m *Machine) Var(id VarID) *Variable {
 	return m.borrow(id)
 }
 
-// Cache returns node's copy cache (used by strategies).
-func (m *Machine) Cache(node int) *Cache { return &m.caches[node] }
+// Cache returns node's copy cache (used by strategies). Without a cache
+// bound all machines share one unbounded cache, which no method writes.
+func (m *Machine) Cache(node int) *Cache {
+	if m.caches == nil {
+		return &unboundedCache
+	}
+	return &m.caches[node]
+}
+
+var unboundedCache Cache
 
 // CachesBounded reports whether the machine's caches enforce a capacity
 // (strategies skip all replacement bookkeeping when they do not).
@@ -476,7 +482,7 @@ func (p *Proc) Read(id VarID) interface{} {
 	// bookkeeping, and since it cannot block, the reader-count round-trip
 	// through the rw queue is unobservable — one bitmap load replaces the
 	// strategy dispatch and its pointer chase through the variable state.
-	if p.M.fastLocal && !v.rw.writer && v.rw.waiters.Len() == 0 && v.LocalBit(p.ID) {
+	if p.M.caches == nil && !v.rw.writer && v.rw.waiters.Len() == 0 && v.LocalBit(p.ID) {
 		return v.Data
 	}
 	v.acquireRead(p)

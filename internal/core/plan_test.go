@@ -3,11 +3,14 @@ package core_test
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"diva/internal/core"
 	"diva/internal/core/accesstree"
+	"diva/internal/core/fixedhome"
 	"diva/internal/decomp"
 	"diva/internal/mesh"
+	"diva/internal/sim"
 )
 
 // planTraffic runs reads, writes and barriers all over the machine — a
@@ -92,6 +95,41 @@ func TestForkAllocBudget(t *testing.T) {
 				t.Errorf("fork of a birth %dx%d %s snapshot: %d bytes in %.0f allocations, budget %d in %.0f",
 					tc.n, tc.n, strat.name, bytes, allocs, tc.bytes, tc.allocs)
 			}
+		}
+	}
+
+	// A fork of a birth 4×4 snapshot makes only the machine's own records:
+	// the Machine, Kernel and Network records (the Network's kind tables
+	// have 32 slots); a link record, a clock and a LinkLoad, for each link
+	// slot; per node the network's two CPU clocks and inbox slot and the
+	// barrier's epoch, waiter and wake-up words, 56 bytes; the barrier
+	// record (352 bytes) and its map (48); a random stream (32) for the
+	// machine and one for a strategy; and the strategy's record and a lock
+	// record a node, within 1 KiB (at4: 368 + 16 × 24). Every allocation
+	// may round up by an eighth to its size class. No cache record: none of
+	// the three has a cache bound, and each node's would add 96 bytes.
+	for _, strat := range []struct {
+		name string
+		tree decomp.Spec
+		f    core.Factory
+	}{
+		{"at4", decomp.Ary4, accesstree.Factory()},
+		{"fixedhome", decomp.Ary4, fixedhome.Factory()},
+		{"handopt", decomp.Ary2, nil},
+	} {
+		m := core.MustNewMachine(core.Config{Rows: 4, Cols: 4, Seed: 1, Tree: strat.tree, Strategy: strat.f})
+		budget := unsafe.Sizeof(core.Machine{}) + unsafe.Sizeof(sim.Kernel{}) + unsafe.Sizeof(mesh.Network{}) +
+			uintptr(m.Topo.NumLinks())*(unsafe.Sizeof(sim.Time(0))+unsafe.Sizeof(mesh.LinkLoad{})) +
+			uintptr(m.P())*56 + 352 + 48 + 32
+		if strat.f != nil {
+			budget += 32 + 1<<10
+		}
+		budget += budget / 8
+		bytes, allocs := forkCost(t, m, nil)
+		t.Logf("birth 4x4 %s: %d bytes in %.0f allocations, budget %d", strat.name, bytes, allocs, budget)
+		if bytes > uint64(budget) || allocs > 1000 {
+			t.Errorf("fork of a birth 4x4 %s snapshot: %d bytes in %.0f allocations, budget %d in 1000",
+				strat.name, bytes, allocs, budget)
 		}
 	}
 

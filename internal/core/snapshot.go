@@ -126,7 +126,7 @@ type snapState struct {
 	RNG     xrand.State
 	Vars    []VarState // by id; the zero value marks a freed variable
 	Barrier BarrierState
-	Caches  []CacheState
+	Caches  []CacheState // one a node if the caches are bounded, else none
 	Strat   StratState
 }
 
@@ -294,16 +294,15 @@ func (s *Snapshot) Fork(o ForkOptions) (*Machine, error) {
 		if err := f.RestoreState(st.Strat, st.Vars); err != nil {
 			return nil, fmt.Errorf("diva: fork: %w", err)
 		}
-		// Cache entries replay in the source caches' LRU order, without
-		// triggering replacement.
-		for node := range st.Caches {
-			for _, key := range st.Caches[node].Keys {
-				m.caches[node].InsertRestored(m.Var(VarID(key.Var)), key.Node)
-			}
-		}
 	}
-	for i := range st.Caches {
-		m.caches[i].evictions = st.Caches[i].Evictions
+	// Cache entries (only a strategy makes them) replay in the source
+	// caches' LRU order, without triggering replacement.
+	for node := range st.Caches {
+		c := &m.caches[node]
+		for _, key := range st.Caches[node].Keys {
+			c.InsertRestored(m.Var(VarID(key.Var)), key.Node)
+		}
+		c.evictions = st.Caches[node].Evictions
 	}
 	if o.Reseed {
 		m.RNG = xrand.New(o.Seed ^ seedSalt)

@@ -117,8 +117,8 @@ func TestFaultRerouteOverSpanningTree(t *testing.T) {
 	}
 	k, nw := faultNet(t, New(2, 2), sched)
 	var at sim.Time
-	nw.Handle(42, func(m *Msg) { at = k.Now() })
-	k.At(0, func() { nw.Send(&Msg{Src: 0, Dst: 1, Size: 50, Kind: 42}) })
+	nw.Handle(20, func(m *Msg) { at = k.Now() })
+	k.At(0, func() { nw.Send(&Msg{Src: 0, Dst: 1, Size: 50, Kind: 20}) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -158,9 +158,9 @@ func TestFaultDetourGrowsRouteBuffers(t *testing.T) {
 	}
 	var at sim.Time
 	deliveries := 0
-	nw.Handle(42, func(m *Msg) { at = k.Now(); deliveries++ })
-	k.At(0, func() { nw.Send(&Msg{Src: 0, Dst: 1, Size: 50, Kind: 42}) })
-	k.At(1000, func() { nw.Send(&Msg{Src: 0, Dst: 1, Size: 50, Kind: 42}) })
+	nw.Handle(20, func(m *Msg) { at = k.Now(); deliveries++ })
+	k.At(0, func() { nw.Send(&Msg{Src: 0, Dst: 1, Size: 50, Kind: 20}) })
+	k.At(1000, func() { nw.Send(&Msg{Src: 0, Dst: 1, Size: 50, Kind: 20}) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -188,8 +188,8 @@ func TestFaultHeldUntilHeal(t *testing.T) {
 	}
 	k, nw := faultNet(t, New(2, 2), sched)
 	var at sim.Time
-	nw.Handle(42, func(m *Msg) { at = k.Now() })
-	k.At(0, func() { nw.Send(&Msg{Src: 0, Dst: 1, Size: 50, Kind: 42}) })
+	nw.Handle(20, func(m *Msg) { at = k.Now() })
+	k.At(0, func() { nw.Send(&Msg{Src: 0, Dst: 1, Size: 50, Kind: 20}) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -220,8 +220,8 @@ func TestFaultNodeChurnLocalDeliveryUnaffected(t *testing.T) {
 	}
 	k, nw := faultNet(t, New(2, 2), sched)
 	var at sim.Time
-	nw.Handle(42, func(m *Msg) { at = k.Now() })
-	k.At(0, func() { nw.Send(&Msg{Src: 1, Dst: 1, Size: 50, Kind: 42}) })
+	nw.Handle(20, func(m *Msg) { at = k.Now() })
+	k.At(0, func() { nw.Send(&Msg{Src: 1, Dst: 1, Size: 50, Kind: 20}) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -13,14 +13,14 @@ import (
 func TestFusedBusyRecvTiming(t *testing.T) {
 	k, nw := newTestNet(1, 2)
 	var times []sim.Time
-	nw.Handle(42, func(m *Msg) { times = append(times, k.Now()) })
+	nw.Handle(20, func(m *Msg) { times = append(times, k.Now()) })
 	k.At(0, func() {
 		// First message: depart 100, head 105, tail 105+200, arrive 305,
 		// recv done 405. Second: depart 200 (CPU), waits for the link
 		// (busy until 305), head 310, arrive 320 — while the CPU is
 		// busy until 405 — so its receive startup runs 405..505.
-		nw.Send(&Msg{Src: 0, Dst: 1, Size: 200, Kind: 42})
-		nw.Send(&Msg{Src: 0, Dst: 1, Size: 10, Kind: 42})
+		nw.Send(&Msg{Src: 0, Dst: 1, Size: 200, Kind: 20})
+		nw.Send(&Msg{Src: 0, Dst: 1, Size: 10, Kind: 20})
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -41,8 +41,8 @@ func TestFusedBusyRecvTiming(t *testing.T) {
 func TestFusedTimingGoldens(t *testing.T) {
 	k, nw := newTestNet(1, 3)
 	var at sim.Time
-	nw.Handle(42, func(m *Msg) { at = k.Now() })
-	k.At(0, func() { nw.Send(&Msg{Src: 0, Dst: 2, Size: 50, Kind: 42}) })
+	nw.Handle(20, func(m *Msg) { at = k.Now() })
+	k.At(0, func() { nw.Send(&Msg{Src: 0, Dst: 2, Size: 50, Kind: 20}) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -109,13 +109,13 @@ func TestInboxOtherTagQueuedWhileWaiting(t *testing.T) {
 // own; later sends that reuse the recycled pooled message leave it intact.
 func TestInboxRecvCopyOutlivesPool(t *testing.T) {
 	k, nw := newTestNet(2, 2)
-	nw.Handle(42, func(*Msg) {})
+	nw.Handle(20, func(*Msg) {})
 	var first, second Msg
 	k.Spawn("send", func(p *sim.Proc) {
 		nw.SendInbox(p, 0, 3, 10, 7, "first")
 		p.WaitUntil(10000)
 		for i := 0; i < 4; i++ {
-			nw.SendPooledTag(1, 2, 99, 42, 99, "other")
+			nw.SendPooledTag(1, 2, 99, 20, 99, "other")
 		}
 		nw.SendInbox(p, 2, 3, 20, 7, "second")
 	})
@@ -242,7 +242,7 @@ func TestCheckStateRejectsMisfitInbox(t *testing.T) {
 		bend func(in []Msg)
 		want string
 	}{
-		{"wrong kind", func(in []Msg) { in[1].Kind = 42 }, "kind 42"},
+		{"wrong kind", func(in []Msg) { in[1].Kind = 20 }, "kind 20"},
 		{"wrong destination", func(in []Msg) { in[2].Dst = 2 }, "queued at node 2"},
 		{"destination out of range", func(in []Msg) { in[0].Dst = 4 }, "queued at node 4"},
 		{"destination negative", func(in []Msg) { in[0].Dst = -1 }, "queued at node -1"},

@@ -90,6 +90,11 @@ type link struct {
 // complete futures.
 type Handler func(*Msg)
 
+// NumKinds bounds the message kinds: a network's handler, give-up and
+// send-counter tables have this many slots, indexed by kind. Kind 0 is the
+// inbox's, KindTransportAck the transport's; the machine assigns the rest.
+const NumKinds = 32
+
 // Network simulates the interconnect of any Topology: routing, contention,
 // congestion accounting, per-node CPU/startup accounting and message
 // dispatch.
@@ -99,15 +104,15 @@ type Network struct {
 	P Params
 
 	links    []link
-	handlers [256]Handler
+	handlers [NumKinds]Handler
 
 	cpuFree   []sim.Time // per node: time the CPU becomes available
 	computeUS []float64  // per node: accumulated application compute time
 
 	// sends counts messages and payload bytes by message kind
 	// (diagnostics; local deliveries included).
-	sendMsgs  [256]uint64
-	sendBytes [256]uint64
+	sendMsgs  [NumKinds]uint64
+	sendBytes [NumKinds]uint64
 
 	inbox inboxStore // per-node inbox queues and blocked receivers (inbox.go)
 
@@ -357,15 +362,17 @@ func (nw *Network) SendPooledTag(src, dst, size int, kind uint8, tag int, payloa
 }
 
 // Handle registers the handler for a message kind. Registering kind 0
-// (KindInbox) panics; it is reserved for process-level receives.
+// (KindInbox) panics; it is reserved for process-level receives. So does a
+// kind ≥ NumKinds.
 func (nw *Network) Handle(kind uint8, h Handler) {
-	if kind == KindInbox {
+	switch {
+	case kind >= NumKinds:
+		panic(fmt.Sprintf("mesh: handler for kind %d, a network has kinds 0 to %d", kind, NumKinds-1))
+	case kind == KindInbox:
 		panic("mesh: kind 0 is reserved for the inbox")
-	}
-	if kind == KindTransportAck && nw.react != nil {
+	case kind == KindTransportAck && nw.react != nil:
 		panic(fmt.Sprintf("mesh: kind %d is reserved for transport acks in reactive mode", KindTransportAck))
-	}
-	if nw.handlers[kind] != nil {
+	case nw.handlers[kind] != nil:
 		panic(fmt.Sprintf("mesh: handler for kind %d registered twice", kind))
 	}
 	nw.handlers[kind] = h
@@ -401,18 +408,14 @@ func (nw *Network) SendInbox(p *sim.Proc, src, dst, size, tag int, payload inter
 
 // SendStats reports how many messages (and payload bytes) of each kind
 // were sent, including node-local deliveries.
-func (nw *Network) SendStats() (msgs, bytes [256]uint64) {
+func (nw *Network) SendStats() (msgs, bytes [NumKinds]uint64) {
 	return nw.sendMsgs, nw.sendBytes
 }
 
 // chargeSend reserves the source CPU for the send startup and returns the
 // time the message leaves the node.
 func (nw *Network) chargeSend(src int) sim.Time {
-	t := nw.K.Now()
-	if nw.cpuFree[src] > t {
-		t = nw.cpuFree[src]
-	}
-	depart := t + nw.P.StartupSendUS
+	depart := max(nw.K.Now(), nw.cpuFree[src]) + nw.P.StartupSendUS
 	nw.cpuFree[src] = depart
 	return depart
 }
@@ -422,6 +425,9 @@ func (nw *Network) chargeSend(src int) sim.Time {
 // which dispatches. Both are typed events carrying the *Msg itself — no
 // closures, no allocations.
 func (nw *Network) deliverAfterRoute(m *Msg, depart sim.Time) {
+	if m.Kind >= NumKinds { // no handler can take it: refuse it now
+		panic(noHandler(m.Kind))
+	}
 	if nw.react != nil {
 		// Reactive mode: stamp the channel sequence, register the
 		// outstanding record and schedule the retransmission timer before
@@ -488,13 +494,15 @@ func (nw *Network) msgReady(x interface{}) {
 	}
 	h := nw.handlers[m.Kind]
 	if h == nil {
-		panic(fmt.Sprintf("mesh: no handler for message kind %d", m.Kind))
+		panic(noHandler(m.Kind))
 	}
 	h(m)
 	if m.pooled {
 		nw.pool.put(m)
 	}
 }
+
+func noHandler(kind uint8) string { return fmt.Sprintf("mesh: no handler for message kind %d", kind) }
 
 // InlineSendAt models Send issued at simulated time `now` without
 // scheduling delivery events: identical charging — send startup on the
@@ -506,11 +514,7 @@ func (nw *Network) msgReady(x interface{}) {
 // responsible for interleaving the per-message charges in global
 // (time, schedule-order) order, exactly as the kernel would have.
 func (nw *Network) InlineSendAt(now sim.Time, src, dst, size int, kind uint8) sim.Time {
-	t := now
-	if nw.cpuFree[src] > t {
-		t = nw.cpuFree[src]
-	}
-	depart := t + nw.P.StartupSendUS
+	depart := max(now, nw.cpuFree[src]) + nw.P.StartupSendUS
 	if nw.ilj.active {
 		nw.ilj.cpus = append(nw.ilj.cpus, cpuSave{int32(src), nw.cpuFree[src]})
 		nw.ilj.stats = append(nw.ilj.stats, statSave{kind, int32(size)})
@@ -525,11 +529,7 @@ func (nw *Network) InlineSendAt(now sim.Time, src, dst, size int, kind uint8) si
 // it charges the receive startup on the destination CPU at the given
 // arrival time and returns the time the message handler would have run.
 func (nw *Network) InlineRecvAt(dst int, arrive sim.Time) sim.Time {
-	t := arrive
-	if nw.cpuFree[dst] > t {
-		t = nw.cpuFree[dst]
-	}
-	ready := t + nw.P.StartupRecvUS
+	ready := max(arrive, nw.cpuFree[dst]) + nw.P.StartupRecvUS
 	if nw.ilj.active {
 		nw.ilj.cpus = append(nw.ilj.cpus, cpuSave{int32(dst), nw.cpuFree[dst]})
 	}

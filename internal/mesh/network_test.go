@@ -1,7 +1,10 @@
 package mesh
 
 import (
+	"fmt"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"diva/internal/sim"
 )
@@ -26,9 +29,9 @@ func newTestNet(rows, cols int) (*sim.Kernel, *Network) {
 func TestSendDeliversToHandler(t *testing.T) {
 	k, nw := newTestNet(4, 4)
 	var got *Msg
-	nw.Handle(42, func(m *Msg) { got = m })
+	nw.Handle(20, func(m *Msg) { got = m })
 	k.At(0, func() {
-		nw.Send(&Msg{Src: 0, Dst: 15, Size: 100, Kind: 42, Payload: "hi"})
+		nw.Send(&Msg{Src: 0, Dst: 15, Size: 100, Kind: 20, Payload: "hi"})
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -41,9 +44,9 @@ func TestSendDeliversToHandler(t *testing.T) {
 func TestDeliveryTiming(t *testing.T) {
 	k, nw := newTestNet(1, 3)
 	var at sim.Time
-	nw.Handle(42, func(m *Msg) { at = k.Now() })
+	nw.Handle(20, func(m *Msg) { at = k.Now() })
 	k.At(0, func() {
-		nw.Send(&Msg{Src: 0, Dst: 2, Size: 50, Kind: 42})
+		nw.Send(&Msg{Src: 0, Dst: 2, Size: 50, Kind: 20})
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -57,9 +60,9 @@ func TestDeliveryTiming(t *testing.T) {
 func TestLocalDelivery(t *testing.T) {
 	k, nw := newTestNet(2, 2)
 	var at sim.Time
-	nw.Handle(42, func(m *Msg) { at = k.Now() })
+	nw.Handle(20, func(m *Msg) { at = k.Now() })
 	k.At(0, func() {
-		nw.Send(&Msg{Src: 1, Dst: 1, Size: 1000, Kind: 42})
+		nw.Send(&Msg{Src: 1, Dst: 1, Size: 1000, Kind: 20})
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -75,9 +78,9 @@ func TestLocalDelivery(t *testing.T) {
 
 func TestCongestionCounting(t *testing.T) {
 	k, nw := newTestNet(1, 4)
-	nw.Handle(42, func(m *Msg) {})
+	nw.Handle(20, func(m *Msg) {})
 	k.At(0, func() {
-		nw.Send(&Msg{Src: 0, Dst: 3, Size: 10, Kind: 42})
+		nw.Send(&Msg{Src: 0, Dst: 3, Size: 10, Kind: 20})
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -96,8 +99,8 @@ func TestCongestionCounting(t *testing.T) {
 
 func TestCongestionSnapshotDelta(t *testing.T) {
 	k, nw := newTestNet(1, 2)
-	nw.Handle(42, func(m *Msg) {})
-	send := func() { nw.Send(&Msg{Src: 0, Dst: 1, Size: 8, Kind: 42}) }
+	nw.Handle(20, func(m *Msg) {})
+	send := func() { nw.Send(&Msg{Src: 0, Dst: 1, Size: 8, Kind: 20}) }
 	var snap []LinkLoad
 	k.At(0, send)
 	k.At(1000, func() { snap = nw.AppendLoads(nil) })
@@ -120,12 +123,12 @@ func TestCongestionSnapshotDelta(t *testing.T) {
 func TestLinkContentionSerializes(t *testing.T) {
 	k, nw := newTestNet(1, 2)
 	var times []sim.Time
-	nw.Handle(42, func(m *Msg) { times = append(times, k.Now()) })
+	nw.Handle(20, func(m *Msg) { times = append(times, k.Now()) })
 	k.At(0, func() {
 		// Two sends from node 0; the second pays the startup after the
 		// first (CPU) and then queues behind it on the link.
-		nw.Send(&Msg{Src: 0, Dst: 1, Size: 1000, Kind: 42})
-		nw.Send(&Msg{Src: 0, Dst: 1, Size: 1000, Kind: 42})
+		nw.Send(&Msg{Src: 0, Dst: 1, Size: 1000, Kind: 20})
+		nw.Send(&Msg{Src: 0, Dst: 1, Size: 1000, Kind: 20})
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -147,10 +150,10 @@ func TestLinkContentionSerializes(t *testing.T) {
 func TestOppositeDirectionsIndependent(t *testing.T) {
 	k, nw := newTestNet(1, 2)
 	var times []sim.Time
-	nw.Handle(42, func(m *Msg) { times = append(times, k.Now()) })
+	nw.Handle(20, func(m *Msg) { times = append(times, k.Now()) })
 	k.At(0, func() {
-		nw.Send(&Msg{Src: 0, Dst: 1, Size: 1000, Kind: 42})
-		nw.Send(&Msg{Src: 1, Dst: 0, Size: 1000, Kind: 42})
+		nw.Send(&Msg{Src: 0, Dst: 1, Size: 1000, Kind: 20})
+		nw.Send(&Msg{Src: 1, Dst: 0, Size: 1000, Kind: 20})
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -163,10 +166,10 @@ func TestOppositeDirectionsIndependent(t *testing.T) {
 func TestFIFOBetweenSamePair(t *testing.T) {
 	k, nw := newTestNet(1, 8)
 	var order []int
-	nw.Handle(42, func(m *Msg) { order = append(order, m.Tag) })
+	nw.Handle(20, func(m *Msg) { order = append(order, m.Tag) })
 	k.At(0, func() {
-		nw.Send(&Msg{Src: 0, Dst: 7, Size: 5000, Kind: 42, Tag: 1})
-		nw.Send(&Msg{Src: 0, Dst: 7, Size: 10, Kind: 42, Tag: 2})
+		nw.Send(&Msg{Src: 0, Dst: 7, Size: 5000, Kind: 20, Tag: 1})
+		nw.Send(&Msg{Src: 0, Dst: 7, Size: 10, Kind: 20, Tag: 2})
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -245,9 +248,9 @@ func TestInboxTagsSeparate(t *testing.T) {
 
 func TestSendFromDelaysProcess(t *testing.T) {
 	k, nw := newTestNet(1, 2)
-	nw.Handle(42, func(m *Msg) {})
+	nw.Handle(20, func(m *Msg) {})
 	k.Spawn("s", func(p *sim.Proc) {
-		nw.SendFrom(p, &Msg{Src: 0, Dst: 1, Size: 10, Kind: 42})
+		nw.SendFrom(p, &Msg{Src: 0, Dst: 1, Size: 10, Kind: 20})
 		if p.Now() != 100 {
 			t.Errorf("sender resumed at %v, want 100 (startup)", p.Now())
 		}
@@ -257,26 +260,58 @@ func TestSendFromDelaysProcess(t *testing.T) {
 	}
 }
 
+// TestUnknownKindPanics: a message of a kind without a handler panics,
+// naming the kind, whether the kind has a slot in the tables (31, refused
+// at dispatch) or lies past them (refused at its send).
 func TestUnknownKindPanics(t *testing.T) {
-	k, nw := newTestNet(1, 2)
-	k.At(0, func() {
-		nw.Send(&Msg{Src: 0, Dst: 1, Size: 1, Kind: 99})
-	})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unregistered kind did not panic")
+	for _, kind := range []uint8{31, NumKinds, 99, 255} {
+		k, nw := newTestNet(1, 2)
+		k.At(0, func() {
+			nw.Send(&Msg{Src: 0, Dst: 1, Size: 1, Kind: kind})
+		})
+		want := fmt.Sprintf("mesh: no handler for message kind %d", kind)
+		if got := panicOf(func() { _ = k.Run() }); got != want {
+			t.Errorf("kind %d: panic %v, want %q", kind, got, want)
 		}
-	}()
-	_ = k.Run()
+	}
+}
+
+// TestHandleKindPastTables: registering a handler for a kind the tables
+// have no slot for panics, naming the kind.
+func TestHandleKindPastTables(t *testing.T) {
+	_, nw := newTestNet(1, 2)
+	nw.Handle(NumKinds-1, func(*Msg) {})
+	for _, kind := range []uint8{NumKinds, 255} {
+		got, _ := panicOf(func() { nw.Handle(kind, func(*Msg) {}) }).(string)
+		if !strings.Contains(got, fmt.Sprintf("kind %d,", kind)) {
+			t.Errorf("Handle(%d): panic %q, want one naming the kind", kind, got)
+		}
+	}
+}
+
+// TestNetworkSize: a network's fixed part stays small. A table of 256
+// slots indexed by kind would add 2 KiB (handlers) or 4 KiB (the two send
+// counters) to every machine.
+func TestNetworkSize(t *testing.T) {
+	if n := unsafe.Sizeof(Network{}); n > 2<<10 {
+		t.Errorf("a Network is %d bytes, want at most 2 KiB", n)
+	}
+}
+
+// panicOf runs f and returns the value it panicked with, nil if none.
+func panicOf(f func()) (v any) {
+	defer func() { v = recover() }()
+	f()
+	return nil
 }
 
 func TestHandlerDoubleRegisterPanics(t *testing.T) {
 	_, nw := newTestNet(1, 2)
-	nw.Handle(42, func(m *Msg) {})
+	nw.Handle(20, func(m *Msg) {})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("double register did not panic")
 		}
 	}()
-	nw.Handle(42, func(m *Msg) {})
+	nw.Handle(20, func(m *Msg) {})
 }

@@ -32,7 +32,7 @@ import (
 // acknowledgements in reactive mode. It is intercepted by the delivery
 // path before handler dispatch; registering a handler for it on a reactive
 // network panics.
-const KindTransportAck uint8 = 255
+const KindTransportAck uint8 = 15
 
 // TransportAckBytes is the wire size of one transport ack.
 const TransportAckBytes = 8
@@ -215,7 +215,7 @@ func (c *channel) unsuspect() (since sim.Time, was bool) {
 type reactState struct {
 	p      ReactParams
 	rngs   []xrand.RNG // per node: the jitter stream
-	giveUp [256]GiveUpHandler
+	giveUp [NumKinds]GiveUpHandler
 
 	chanIdx map[uint64]int32 // (src, dst) -> index in chans
 	chans   []channel
@@ -344,16 +344,18 @@ func (nw *Network) Reactive() bool { return nw.react != nil }
 
 // OnGiveUp registers kind's give-up handler: called when MaxRetries+1
 // transmissions of a message went unacknowledged. Strategies register
-// their recovery here. Panics on kind 255 (the ack kind never gives up —
-// acks are fire-and-forget) and on double registration.
+// their recovery here. Panics on KindTransportAck (the ack kind never
+// gives up — acks are fire-and-forget), on a kind past NumKinds and on
+// double registration.
 func (nw *Network) OnGiveUp(kind uint8, h GiveUpHandler) {
-	if nw.react == nil {
+	switch {
+	case nw.react == nil:
 		panic("mesh: OnGiveUp on an oracle-mode network")
-	}
-	if kind == KindTransportAck {
+	case kind >= NumKinds:
+		panic(fmt.Sprintf("mesh: give-up handler for kind %d, a network has kinds 0 to %d", kind, NumKinds-1))
+	case kind == KindTransportAck:
 		panic("mesh: transport acks have no give-up handler")
-	}
-	if nw.react.giveUp[kind] != nil {
+	case nw.react.giveUp[kind] != nil:
 		panic(fmt.Sprintf("mesh: give-up handler for kind %d registered twice", kind))
 	}
 	nw.react.giveUp[kind] = h

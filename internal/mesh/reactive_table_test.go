@@ -321,11 +321,11 @@ func TestCheckStateRejectsMisfitReactive(t *testing.T) {
 	}
 	capture := func() (*Network, *NetworkState) {
 		k, nw := reactiveNet(t, New(2, 2), sched, ReactParams{AckTimeoutUS: 100, MaxRetries: 2, Backoff: 2})
-		nw.Handle(42, func(*Msg) {})
-		nw.OnGiveUp(42, func(GiveUp) (int, GiveUpAction) { return 0, GiveUpDrop })
+		nw.Handle(20, func(*Msg) {})
+		nw.OnGiveUp(20, func(GiveUp) (int, GiveUpAction) { return 0, GiveUpDrop })
 		for _, d := range []int{1, 2, 3} {
-			k.At(0, func() { nw.Send(&Msg{Src: 0, Dst: d, Size: 10, Kind: 42}) })
-			k.At(0, func() { nw.Send(&Msg{Src: d, Dst: 0, Size: 10, Kind: 42}) })
+			k.At(0, func() { nw.Send(&Msg{Src: 0, Dst: d, Size: 10, Kind: 20}) })
+			k.At(0, func() { nw.Send(&Msg{Src: d, Dst: 0, Size: 10, Kind: 20}) })
 		}
 		if err := k.Run(); err != nil {
 			t.Fatal(err)

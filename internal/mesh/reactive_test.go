@@ -50,8 +50,8 @@ func TestFaultOverlapMergeLink(t *testing.T) {
 		t.Fatalf("merged schedule has %d events, want 2", len(got))
 	}
 	var at sim.Time
-	nw.Handle(42, func(m *Msg) { at = k.Now() })
-	k.At(25000, func() { nw.Send(&Msg{Src: 0, Dst: 1, Size: 50, Kind: 42}) })
+	nw.Handle(20, func(m *Msg) { at = k.Now() })
+	k.At(25000, func() { nw.Send(&Msg{Src: 0, Dst: 1, Size: 50, Kind: 20}) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +76,8 @@ func TestFaultOverlapMergeNode(t *testing.T) {
 		t.Fatalf("merged schedule has %d events, want 2", len(got))
 	}
 	var at sim.Time
-	nw.Handle(42, func(m *Msg) { at = k.Now() })
-	k.At(1, func() { nw.Send(&Msg{Src: 0, Dst: 2, Size: 50, Kind: 42}) })
+	nw.Handle(20, func(m *Msg) { at = k.Now() })
+	k.At(1, func() { nw.Send(&Msg{Src: 0, Dst: 2, Size: 50, Kind: 20}) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -91,8 +91,8 @@ func TestFaultOverlapMergeNode(t *testing.T) {
 func TestReactiveAckRoundTrip(t *testing.T) {
 	k, nw := reactiveNet(t, New(2, 2), nil, fastReact())
 	got := 0
-	nw.Handle(42, func(m *Msg) { got++ })
-	k.At(0, func() { nw.Send(&Msg{Src: 0, Dst: 3, Size: 100, Kind: 42}) })
+	nw.Handle(20, func(m *Msg) { got++ })
+	k.At(0, func() { nw.Send(&Msg{Src: 0, Dst: 3, Size: 100, Kind: 20}) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +123,8 @@ func TestReactiveRetransmitAcrossOutage(t *testing.T) {
 	k, nw := reactiveNet(t, New(2, 2), sched, fastReact())
 	got := 0
 	var at sim.Time
-	nw.Handle(42, func(m *Msg) { got++; at = k.Now() })
-	k.At(0, func() { nw.Send(&Msg{Src: 0, Dst: 3, Size: 100, Kind: 42}) })
+	nw.Handle(20, func(m *Msg) { got++; at = k.Now() })
+	k.At(0, func() { nw.Send(&Msg{Src: 0, Dst: 3, Size: 100, Kind: 20}) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -157,9 +157,9 @@ func TestReactiveGiveUpDrop(t *testing.T) {
 	p := ReactParams{AckTimeoutUS: 100, MaxRetries: 2, Backoff: 2}
 	k, nw := reactiveNet(t, New(2, 2), sched, p)
 	delivered := 0
-	nw.Handle(42, func(m *Msg) { delivered++ })
+	nw.Handle(20, func(m *Msg) { delivered++ })
 	var gu *GiveUp
-	nw.OnGiveUp(42, func(g GiveUp) (int, GiveUpAction) {
+	nw.OnGiveUp(20, func(g GiveUp) (int, GiveUpAction) {
 		if gu == nil {
 			gu = &g
 		}
@@ -168,7 +168,7 @@ func TestReactiveGiveUpDrop(t *testing.T) {
 		}
 		return g.Dst, GiveUpDrop
 	})
-	k.At(0, func() { nw.Send(&Msg{Src: 0, Dst: 3, Size: 100, Kind: 42, Tag: 9, Payload: "p"}) })
+	k.At(0, func() { nw.Send(&Msg{Src: 0, Dst: 3, Size: 100, Kind: 20, Tag: 9, Payload: "p"}) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestReactiveGiveUpDrop(t *testing.T) {
 	if gu == nil {
 		t.Fatal("give-up handler never called")
 	}
-	if gu.Src != 0 || gu.Dst != 3 || gu.Kind != 42 || gu.Tag != 9 || gu.Payload != "p" {
+	if gu.Src != 0 || gu.Dst != 3 || gu.Kind != 20 || gu.Tag != 9 || gu.Payload != "p" {
 		t.Fatalf("give-up fields = %+v", *gu)
 	}
 	if gu.Attempts != p.MaxRetries+1 {
@@ -204,11 +204,11 @@ func TestReactiveGiveUpRedirect(t *testing.T) {
 	p := ReactParams{AckTimeoutUS: 100, MaxRetries: 2, Backoff: 2}
 	k, nw := reactiveNet(t, New(2, 2), sched, p)
 	var deliveredAt []int
-	nw.Handle(42, func(m *Msg) { deliveredAt = append(deliveredAt, m.Dst) })
-	nw.OnGiveUp(42, func(g GiveUp) (int, GiveUpAction) {
+	nw.Handle(20, func(m *Msg) { deliveredAt = append(deliveredAt, m.Dst) })
+	nw.OnGiveUp(20, func(g GiveUp) (int, GiveUpAction) {
 		return 2, GiveUpRedirect
 	})
-	k.At(0, func() { nw.Send(&Msg{Src: 0, Dst: 3, Size: 100, Kind: 42}) })
+	k.At(0, func() { nw.Send(&Msg{Src: 0, Dst: 3, Size: 100, Kind: 20}) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -232,11 +232,11 @@ func TestReactiveGiveUpReissue(t *testing.T) {
 	p := ReactParams{AckTimeoutUS: 300, MaxRetries: 1, Backoff: 2}
 	k, nw := reactiveNet(t, New(2, 2), sched, p)
 	got := 0
-	nw.Handle(42, func(m *Msg) { got++ })
-	nw.OnGiveUp(42, func(g GiveUp) (int, GiveUpAction) {
+	nw.Handle(20, func(m *Msg) { got++ })
+	nw.OnGiveUp(20, func(g GiveUp) (int, GiveUpAction) {
 		return g.Dst, GiveUpReissue
 	})
-	k.At(0, func() { nw.Send(&Msg{Src: 0, Dst: 3, Size: 100, Kind: 42}) })
+	k.At(0, func() { nw.Send(&Msg{Src: 0, Dst: 3, Size: 100, Kind: 20}) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -268,12 +268,12 @@ func TestReactiveReissueKeepsBackoff(t *testing.T) {
 	k, nw := reactiveNet(t, New(2, 2), sched, p)
 	got := 0
 	var giveUps []sim.Time
-	nw.Handle(42, func(m *Msg) { got++ })
-	nw.OnGiveUp(42, func(g GiveUp) (int, GiveUpAction) {
+	nw.Handle(20, func(m *Msg) { got++ })
+	nw.OnGiveUp(20, func(g GiveUp) (int, GiveUpAction) {
 		giveUps = append(giveUps, k.Now())
 		return g.Dst, GiveUpReissue
 	})
-	k.At(0, func() { nw.Send(&Msg{Src: 0, Dst: 3, Size: 100, Kind: 42}) })
+	k.At(0, func() { nw.Send(&Msg{Src: 0, Dst: 3, Size: 100, Kind: 20}) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -299,8 +299,8 @@ func TestReactiveFalseTimeouts(t *testing.T) {
 	p := ReactParams{AckTimeoutUS: 50, MaxRetries: 100, Backoff: 2}
 	k, nw := reactiveNet(t, New(1, 2), nil, p)
 	got := 0
-	nw.Handle(42, func(m *Msg) { got++ })
-	k.At(0, func() { nw.Send(&Msg{Src: 0, Dst: 1, Size: 100, Kind: 42}) })
+	nw.Handle(20, func(m *Msg) { got++ })
+	k.At(0, func() { nw.Send(&Msg{Src: 0, Dst: 1, Size: 100, Kind: 20}) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -338,16 +338,22 @@ func TestReactiveRegistrationPanics(t *testing.T) {
 
 	oracle := NewNetwork(sim.New(), New(2, 2), testParams())
 	mustPanic("OnGiveUp on oracle", "oracle-mode", func() {
-		oracle.OnGiveUp(42, func(GiveUp) (int, GiveUpAction) { return 0, GiveUpDrop })
+		oracle.OnGiveUp(20, func(GiveUp) (int, GiveUpAction) { return 0, GiveUpDrop })
 	})
 
 	_, nw := reactiveNet(t, New(2, 2), nil, fastReact())
 	mustPanic("OnGiveUp for ack kind", "no give-up handler", func() {
 		nw.OnGiveUp(KindTransportAck, func(GiveUp) (int, GiveUpAction) { return 0, GiveUpDrop })
 	})
-	nw.OnGiveUp(42, func(GiveUp) (int, GiveUpAction) { return 0, GiveUpDrop })
+	mustPanic("OnGiveUp past the kinds", "kind 32,", func() {
+		nw.OnGiveUp(NumKinds, func(GiveUp) (int, GiveUpAction) { return 0, GiveUpDrop })
+	})
+	mustPanic("OnGiveUp for kind 255", "kind 255,", func() {
+		nw.OnGiveUp(255, func(GiveUp) (int, GiveUpAction) { return 0, GiveUpDrop })
+	})
+	nw.OnGiveUp(20, func(GiveUp) (int, GiveUpAction) { return 0, GiveUpDrop })
 	mustPanic("OnGiveUp twice", "registered twice", func() {
-		nw.OnGiveUp(42, func(GiveUp) (int, GiveUpAction) { return 0, GiveUpDrop })
+		nw.OnGiveUp(20, func(GiveUp) (int, GiveUpAction) { return 0, GiveUpDrop })
 	})
 	mustPanic("Handle for ack kind", "reserved for transport acks", func() {
 		nw.Handle(KindTransportAck, func(*Msg) {})

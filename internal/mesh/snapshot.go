@@ -37,8 +37,8 @@ type NetworkState struct {
 	LinkBytes []uint64
 	CPUFree   []sim.Time
 	ComputeUS []float64
-	SendMsgs  [256]uint64
-	SendBytes [256]uint64
+	SendMsgs  [NumKinds]uint64
+	SendBytes [NumKinds]uint64
 	// Inbox holds the queued, not yet received messages node by node (a
 	// queued message's Dst is its node), each node's in arrival order:
 	// the node queues as the network holds them, back to back. Msg values

@@ -14,15 +14,15 @@ func setup() (*sim.Kernel, *mesh.Network, *Collector) {
 		BytesPerUS: 1, HopLatencyUS: 1, StartupSendUS: 10, StartupRecvUS: 10,
 		LocalDeliveryUS: 1,
 	})
-	nw.Handle(42, func(m *mesh.Msg) {})
+	nw.Handle(20, func(m *mesh.Msg) {})
 	return k, nw, New(nw)
 }
 
 func TestWarmupExcluded(t *testing.T) {
 	k, nw, c := setup()
-	k.At(0, func() { nw.Send(&mesh.Msg{Src: 0, Dst: 3, Size: 100, Kind: 42}) })
+	k.At(0, func() { nw.Send(&mesh.Msg{Src: 0, Dst: 3, Size: 100, Kind: 20}) })
 	k.At(1000, func() { c.Baseline() })
-	k.At(2000, func() { nw.Send(&mesh.Msg{Src: 0, Dst: 3, Size: 50, Kind: 42}) })
+	k.At(2000, func() { nw.Send(&mesh.Msg{Src: 0, Dst: 3, Size: 50, Kind: 20}) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -40,13 +40,13 @@ func TestPhaseAccumulation(t *testing.T) {
 	k.At(0, func() { c.Baseline() })
 	// Two "rounds" of the same phase, plus another phase in between.
 	k.At(100, func() { c.StartPhase() })
-	k.At(110, func() { nw.Send(&mesh.Msg{Src: 0, Dst: 1, Size: 30, Kind: 42}) })
+	k.At(110, func() { nw.Send(&mesh.Msg{Src: 0, Dst: 1, Size: 30, Kind: 20}) })
 	k.At(500, func() { c.EndPhase("force") })
 	k.At(600, func() { c.StartPhase() })
-	k.At(610, func() { nw.Send(&mesh.Msg{Src: 2, Dst: 3, Size: 99, Kind: 42}) })
+	k.At(610, func() { nw.Send(&mesh.Msg{Src: 2, Dst: 3, Size: 99, Kind: 20}) })
 	k.At(700, func() { c.EndPhase("build") })
 	k.At(800, func() { c.StartPhase() })
-	k.At(810, func() { nw.Send(&mesh.Msg{Src: 0, Dst: 1, Size: 70, Kind: 42}) })
+	k.At(810, func() { nw.Send(&mesh.Msg{Src: 0, Dst: 1, Size: 70, Kind: 20}) })
 	k.At(1200, func() { c.EndPhase("force") })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -123,7 +123,7 @@ func TestComputeTracking(t *testing.T) {
 
 func TestHeatmap(t *testing.T) {
 	k, nw, _ := setup()
-	k.At(0, func() { nw.Send(&mesh.Msg{Src: 0, Dst: 3, Size: 90, Kind: 42}) })
+	k.At(0, func() { nw.Send(&mesh.Msg{Src: 0, Dst: 3, Size: 90, Kind: 20}) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestHeatmap(t *testing.T) {
 
 func TestTopLinks(t *testing.T) {
 	k, nw, _ := setup()
-	k.At(0, func() { nw.Send(&mesh.Msg{Src: 0, Dst: 2, Size: 10, Kind: 42}) })
+	k.At(0, func() { nw.Send(&mesh.Msg{Src: 0, Dst: 2, Size: 10, Kind: 20}) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}

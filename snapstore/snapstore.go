@@ -1,12 +1,12 @@
 // Package snapstore persists machine snapshots to disk, crash-consistently.
 //
-// A stored snapshot is one file in the DIVASNP7 layout, laid out so that
+// A stored snapshot is one file in the DIVASNP8 layout, laid out so that
 // restoring it is a checksum pass, one linear decode of the state section
 // straight from the file buffer, and two linear copies. All fixed-width
 // integers are little-endian:
 //
 //	offset  size  content
-//	0       8     magic "DIVASNP7"
+//	0       8     magic "DIVASNP8"
 //	8       8     S: length of the spec section
 //	16      8     T: length of the table section
 //	24      8     L: length of the bitmap section
@@ -30,15 +30,17 @@
 //	              diva/internal/wire (varints; floats, seeds and stream
 //	              positions as words), in this order: kernel clock,
 //	              counters and fingerprint; the network — link and node
-//	              clocks and loads, the queued inbox messages node by node
+//	              clocks and loads, the messages and bytes sent of each
+//	              of the 32 kinds, the queued inbox messages node by node
 //	              in arrival order with their payloads, the fault cursor
 //	              and counters, the reactive transport's node streams and
 //	              its channel table in (src, dst) order; the machine's
 //	              random stream; the per-variable scalars (a freed variable
 //	              is one zero byte); barrier epochs and counters; each
-//	              cache's keys in LRU order; the variable values, one kind
-//	              byte a variable, then the values of each kind, ascending
-//	              by kind; then, to the section's end, the strategy's own
+//	              node's cache keys in LRU order and its replacement count
+//	              (no cache without a cache bound); the variable values,
+//	              one kind byte a variable, then the values of each kind,
+//	              ascending by kind; then, to the section's end, the strategy's own
 //	              state (an access tree's table entry count, embedding and
 //	              lock token leaf a variable, then its remap blocks)
 //	40+S+T+L+G 8  checksum of every byte before it: CRC-32C in the high
@@ -58,13 +60,10 @@
 // rebuilt machine.
 //
 // Files of an older layout are refused by their magic, with no second
-// reader: DIVASNP6 holds every node of every access-tree table, and
-// DIVASNP1 to DIVASNP5 hold the state section as an encoding/gob stream.
-// (Earlier bumps refused DIVASNP1 and DIVASNP2; DIVASNP3, which keeps a
-// reactive network's fault counters per node; and DIVASNP4, which keeps
-// queued inbox messages grouped by tag, reactive channels per node and
-// remapped positions as pairs — layouts gob would have loaded with state
-// silently dropped.)
+// reader: DIVASNP7 keeps 256 send counters of each sort and a cache record
+// a node without a cache bound, DIVASNP6 every node of every access-tree
+// table, and DIVASNP1 to DIVASNP5 the state section as an encoding/gob
+// stream, which would load older layouts with state silently dropped.
 //
 // Load rebuilds a machine from the stored spec and decodes the sections
 // straight into the state a fork restores from — the same representation a
@@ -103,7 +102,7 @@ import (
 // magic is the file format version header. Bump the trailing digit on any
 // incompatible layout change; old files then fail with a clear error
 // instead of a decode failure.
-const magic = "DIVASNP7"
+const magic = "DIVASNP8"
 
 // headerLen is the magic plus the four section lengths; sumLen the
 // trailing checksum.
