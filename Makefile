@@ -1,7 +1,7 @@
 GO ?= go
 DATE := $(shell date +%Y-%m-%d)
 
-.PHONY: all build test vet fmt bench bench-check bench-repo check-imports traffic
+.PHONY: all build test vet fmt bench bench-check bench-repo check-imports traffic lines
 
 all: vet build test check-imports
 
@@ -83,6 +83,14 @@ bench-check:
 # signature its layer probes call (benchmark/probes.go) has changed.
 bench-repo:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# lines prints the non-test Go lines of each package directory and their
+# total, outside benchmark/ and .bench_build/: the count ROADMAP item 10
+# asks every change to record before and after.
+lines:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' \
+		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%-36s %6d\n", d, n[d]; printf "%-36s %6d\n", "total", t }' | sort
 
 # traffic lists the code that the benchmark's workloads and the quick figure
 # suite never reach: the first table of the line-budget audit (ROADMAP item

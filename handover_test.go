@@ -87,8 +87,8 @@ func handOverRuns(t *testing.T, side int) []handOverRun {
 }
 
 // TestHandOverEquivalence: a run on storage that drained runs handed over
-// — message pool, receiver records, replay journal, transaction and
-// barrier records, kernel slabs — gives the trajectory of the same run on
+// — message pool, receiver records, replay journal, transaction records,
+// kernel slabs — gives the trajectory of the same run on
 // cold storage, for every registered strategy and the hand-optimized
 // stencil, with machines of different shapes interleaved (4×4, 32×32,
 // 4×4) so that each finds the other shape's sets on the shelves. Then

@@ -12,13 +12,14 @@ import (
 // stencil allocates, with Check off as the service runs it: the halo
 // messages are pooled, the inbox copies them into queues and receiver
 // records carved from chunks, and the neighbor lists share one array, so
-// nothing is allocated per message, per receive or per node; the pool,
-// the receiver records and the barrier's records come from the run before
+// nothing is allocated per message, per receive or per node; the pool
+// and the receiver records come from the run before
 // (testing.AllocsPerRun runs once first), handed over when it drained. What
-// is left is the fork and process start-up, the same for any program: 69
-// objects at 16×16 (0.27 per processor) and 80 at 32×32 (0.08) — 157 and
-// 216 while each fork grew its own pool and records, 17.8 per processor
-// when every message and every blocking receive allocated.
+// is left is the fork and process start-up, the same for any program: 46
+// objects at 16×16 (0.18 per processor) and 50 at 32×32 (0.05) — 68 and 79
+// while the barrier kept a map of its arrivals, 157 and 216 while each
+// fork grew its own pool and records, 17.8 per processor when every
+// message and every blocking receive allocated.
 func TestForkRunAllocations(t *testing.T) {
 	cfg := Config{Iters: 1, HaloInts: 64, WithCompute: true, OpUS: 0.5, Seed: 7}
 	for _, side := range []int{16, 32} {

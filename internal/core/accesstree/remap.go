@@ -22,12 +22,6 @@ import (
 // implementation forwards those few messages from the old address, which
 // we approximate by delivering them against the logical node state.
 
-// remapMsg carries a migration or an address notification.
-type remapMsg struct {
-	v    *Variable
-	node int
-}
-
 // remapState is one variable's remapping state, dense by tree node:
 // accesses counts the protocol messages handled at each node and moved
 // holds 1 + the processor a remapped node moved to (0: not moved).
@@ -73,24 +67,14 @@ func (s *strategy) remapNode(vs *varState, v *Variable, id int) {
 		s.m.Cache(oldProc).Remove(v.ID, id)
 		s.m.Cache(newProc).Insert(v, id)
 	}
-	s.m.Net.Send(&mesh.Msg{
-		Src: oldProc, Dst: newProc,
-		Size: size, Kind: kindRemapMove,
-		Payload: &remapMsg{v: v, node: id},
-	})
-	// Notify the tree neighbors of the new address.
+	s.m.Net.SendPooled(oldProc, newProc, size, kindRemapMove, nil)
+	// Notify the tree neighbors of the new address, parent first.
 	n := &s.t.Nodes[id]
-	nbs := make([]int, 0, len(n.Children)+1)
 	if n.Parent != -1 {
-		nbs = append(nbs, n.Parent)
+		s.m.Net.SendPooled(newProc, s.procOf(vs, n.Parent), core.InvalBytes, kindRemapNote, nil)
 	}
-	nbs = append(nbs, n.Children...)
-	for _, nb := range nbs {
-		s.m.Net.Send(&mesh.Msg{
-			Src: newProc, Dst: s.procOf(vs, nb),
-			Size: core.InvalBytes, Kind: kindRemapNote,
-			Payload: &remapMsg{v: v, node: nb},
-		})
+	for _, c := range n.Children {
+		s.m.Net.SendPooled(newProc, s.procOf(vs, c), core.InvalBytes, kindRemapNote, nil)
 	}
 }
 

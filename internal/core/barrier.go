@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"unsafe"
 
 	"diva/internal/mesh"
 	"diva/internal/sim"
@@ -50,17 +49,21 @@ type barrier struct {
 	m   *Machine
 	pos []int32 // embedding of every tree node: the simulating processor (shared, Plan.PosTable)
 
-	epoch   []uint64      // per processor: next epoch to enter
 	waiting []*sim.Future // per processor: outstanding completion
 
-	// state holds the partial arrival combines.
-	state map[barKey]*barState
+	// arrivals holds each tree node's partial combine, made at the
+	// machine's first arrival; open counts the nodes holding one. A node
+	// gathers one epoch at a time: it completes before its parent, the
+	// root before any release, and no process enters the next epoch before
+	// it is released. combine is the reduction of the epoch being gathered
+	// (BarrierReduce requires the same one on every process).
+	arrivals []arrival
+	open     int
+	combine  func(a, b interface{}) interface{}
 
 	// relHeap is the reusable frontier heap of the batched release replay,
 	// wakeBuf its deferred leaf wake-ups and wokenAt the per-processor wake
-	// times of the epoch being replayed (+Inf = not yet released); msgFree
-	// and stFree recycle the cascade's payload records (the simulation is
-	// single-threaded, plain slices suffice).
+	// times of the epoch being replayed (+Inf = not yet released).
 	relHeap []relEvent
 	wakeBuf []relWake
 	wokenAt []sim.Time
@@ -78,48 +81,21 @@ type barrier struct {
 	// sends real messages, which the reactive transport covers like any
 	// other traffic.
 	noBatch bool
-
-	// msgs/sts recycle the cascade's payload and combining records through
-	// the package's slab arenas, handed to barMsgShelf and barStateShelf
-	// when a run drains.
-	msgs TxnArena[barMsg]
-	sts  TxnArena[barState]
 }
 
-// The shelves of the barrier's records from drained runs.
-var (
-	barMsgShelf   = NewTxnShelf[barMsg]()
-	barStateShelf = NewTxnShelf[barState]()
-)
-
-type barKey struct {
-	node  int
-	epoch uint64
-}
-
-type barState struct {
-	arrived int
+// arrival is one tree node's partial combine: n arrivals so far, their
+// combined value and its payload size. The messages carry no record: an
+// arrival or a release names its receiving tree node in Msg.Tag and its
+// value in Msg.Payload, and the value's size is Msg.Size less BarrierBytes.
+type arrival struct {
+	n, size int32
 	val     interface{}
-	combine func(a, b interface{}) interface{}
-	size    int
-}
-
-type barMsg struct {
-	node    int // receiving tree node
-	epoch   uint64
-	val     interface{}
-	size    int
-	combine func(a, b interface{}) interface{}
 }
 
 func newBarrier(m *Machine) *barrier {
 	b := &barrier{
 		m:       m,
-		epoch:   make([]uint64, m.P()),
 		waiting: make([]*sim.Future, m.P()),
-		state:   make(map[barKey]*barState),
-		msgs:    TxnArena[barMsg]{Shelf: barMsgShelf, RecBytes: int(unsafe.Sizeof(barMsg{}))},
-		sts:     TxnArena[barState]{Shelf: barStateShelf, RecBytes: int(unsafe.Sizeof(barState{}))},
 	}
 	b.noBatch = m.Net.Reactive()
 	b.pos = m.Plan.PosTable(m.Tree.RandomRoot(m.RNG))
@@ -135,19 +111,9 @@ func newBarrier(m *Machine) *barrier {
 // proc returns the processor simulating tree node n.
 func (b *barrier) proc(n int) int { return int(b.pos[n]) }
 
-// releaseMsg recycles a barrier payload whose message was handled.
-func (b *barrier) releaseMsg(bm *barMsg) {
-	*bm = barMsg{}
-	b.msgs.Release(bm)
-}
-
 // wait enters the barrier from process p, optionally contributing a
 // reduction value.
 func (b *barrier) wait(p *Proc, val interface{}, combine func(a, b interface{}) interface{}, size int) interface{} {
-	t := b.m.Tree
-	leaf := t.LeafOfProc[p.ID]
-	epoch := b.epoch[p.ID]
-	b.epoch[p.ID]++
 	if b.m.P() == 1 {
 		return val
 	}
@@ -156,44 +122,40 @@ func (b *barrier) wait(p *Proc, val interface{}, combine func(a, b interface{}) 
 	}
 	f := p.Park()
 	b.waiting[p.ID] = f
-	parent := t.Nodes[leaf].Parent
-	bm := b.msgs.Acquire()
-	bm.node, bm.epoch, bm.val, bm.size, bm.combine = parent, epoch, val, size, combine
-	b.m.Net.SendPooled(p.ID, b.proc(parent), BarrierBytes+size, KindBarrierArrive, bm)
+	b.combine = combine
+	parent := b.m.Tree.Nodes[b.m.Tree.LeafOfProc[p.ID]].Parent
+	b.m.Net.SendPooledTag(p.ID, b.proc(parent), BarrierBytes+size, KindBarrierArrive, parent, val)
 	return f.Await(p.Proc)
 }
 
 func (b *barrier) onArrive(m *mesh.Msg) {
-	bm := m.Payload.(*barMsg)
-	t := b.m.Tree
-	key := barKey{node: bm.node, epoch: bm.epoch}
-	st := b.state[key]
-	if st == nil {
-		st = b.sts.Acquire()
-		st.arrived, st.val, st.combine, st.size = 0, bm.val, bm.combine, bm.size
-		b.state[key] = st
-	} else if st.combine != nil {
-		st.val = st.combine(st.val, bm.val)
+	if b.arrivals == nil {
+		b.arrivals = make([]arrival, len(b.m.Tree.Nodes))
 	}
-	st.arrived++
-	node := &t.Nodes[bm.node]
-	if st.arrived < len(node.Children) {
-		b.releaseMsg(bm)
+	n := m.Tag
+	a := &b.arrivals[n]
+	if a.n == 0 {
+		a.val, a.size = m.Payload, int32(m.Size-BarrierBytes)
+		b.open++
+	} else if b.combine != nil {
+		a.val = b.combine(a.val, m.Payload)
+	}
+	a.n++
+	node := &b.m.Tree.Nodes[n]
+	if int(a.n) < len(node.Children) {
 		return
 	}
-	delete(b.state, key)
+	val, size := a.val, int(a.size)
+	*a = arrival{}
+	b.open--
 	if node.Parent == -1 {
 		// Root complete: release downward.
-		b.release(bm.node, bm.epoch, st.val, st.size)
-		b.releaseMsg(bm)
+		b.release(n, val, size)
 	} else {
-		// Forward the combined arrival upward, reusing the payload record.
-		bm.node, bm.val, bm.size, bm.combine = node.Parent, st.val, st.size, st.combine
-		b.m.Net.SendPooled(b.proc(key.node), b.proc(node.Parent), BarrierBytes+st.size,
-			KindBarrierArrive, bm)
+		// Forward the combined arrival upward.
+		b.m.Net.SendPooledTag(b.proc(n), b.proc(node.Parent), BarrierBytes+size,
+			KindBarrierArrive, node.Parent, val)
 	}
-	st.val, st.combine = nil, nil
-	b.sts.Release(st)
 }
 
 // relEvent is one in-flight release message of the batched replay: the
@@ -217,26 +179,23 @@ func relBefore(a, b *relEvent) bool {
 // release starts the downward multicast from tree node n at the current
 // simulated time: batched when the kernel is quiescent and the speculative
 // replay proves itself exact, as a per-hop message cascade otherwise.
-func (b *barrier) release(n int, epoch uint64, val interface{}, size int) {
+func (b *barrier) release(n int, val interface{}, size int) {
 	if !b.noBatch && b.m.K.Pending() == 0 && b.releaseBatched(n, val, size) {
 		b.batched++
 		return
 	}
 	b.cascaded++
-	b.releaseCascade(n, epoch, val, size)
+	b.releaseCascade(n, val, size)
 }
 
 // releaseCascade forwards the release from tree node n to all its children
 // as real messages (the exact-by-construction fallback).
-func (b *barrier) releaseCascade(n int, epoch uint64, val interface{}, size int) {
-	t := b.m.Tree
+func (b *barrier) releaseCascade(n int, val interface{}, size int) {
 	src := b.proc(n)
-	for _, child := range t.Nodes[n].Children {
+	for _, child := range b.m.Tree.Nodes[n].Children {
 		// A leaf's region is its single processor, so the embedding pins
 		// the leaf to the processor whose process it releases.
-		bm := b.msgs.Acquire()
-		bm.node, bm.epoch, bm.val, bm.size = child, epoch, val, size
-		b.m.Net.SendPooled(src, b.proc(child), BarrierBytes+size, KindBarrierRelease, bm)
+		b.m.Net.SendPooledTag(src, b.proc(child), BarrierBytes+size, KindBarrierRelease, child, val)
 	}
 }
 
@@ -368,16 +327,13 @@ func (b *barrier) releaseBatched(root int, val interface{}, size int) bool {
 }
 
 func (b *barrier) onRelease(m *mesh.Msg) {
-	bm := m.Payload.(*barMsg)
-	t := b.m.Tree
-	node := &t.Nodes[bm.node]
-	if node.Leaf() {
-		proc := b.proc(bm.node)
+	n := m.Tag
+	if b.m.Tree.Nodes[n].Leaf() {
+		proc := b.proc(n)
 		f := b.waiting[proc]
 		b.waiting[proc] = nil
-		f.Complete(b.m.K, bm.val)
+		f.Complete(b.m.K, m.Payload)
 	} else {
-		b.releaseCascade(bm.node, bm.epoch, bm.val, bm.size)
+		b.releaseCascade(n, m.Payload, m.Size-BarrierBytes)
 	}
-	b.releaseMsg(bm)
 }

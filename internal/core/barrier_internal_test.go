@@ -5,7 +5,6 @@ import (
 
 	"diva/internal/decomp"
 	"diva/internal/mesh"
-	"diva/internal/sim"
 )
 
 // fastParams is a machine model with negligible startup costs: release
@@ -172,38 +171,5 @@ func TestBatchedReleaseCommitsSomewhere(t *testing.T) {
 	t.Logf("batched=%d cascaded=%d", batched, cascaded)
 	if batched == 0 {
 		t.Fatal("batched release never committed on the low-startup machine")
-	}
-}
-
-// TestHandedOverBarrierRecords: on both release paths, the payload and
-// combining records of a drained run's barriers reach the shelves cleared
-// of every reduction operand and combine function of the finished machine.
-func TestHandedOverBarrierRecords(t *testing.T) {
-	for _, noBatch := range []bool{false, true} {
-		sim.DropSpares()
-		m := MustNewMachine(Config{Rows: 4, Cols: 4, Seed: 1})
-		m.bar.noBatch = noBatch
-		err := m.Run(func(p *Proc) {
-			p.BarrierReduce(p.ID, 8, func(a, b interface{}) interface{} { return a.(int) + b.(int) })
-			p.Barrier()
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		msgs, ok := barMsgShelf.Take(0)
-		sts, ok2 := barStateShelf.Take(0)
-		if !ok || !ok2 || len(msgs.free) == 0 || len(sts.free) == 0 {
-			t.Fatalf("noBatch %v: no barrier records on the shelves", noBatch)
-		}
-		for _, bm := range msgs.free {
-			if bm.val != nil || bm.combine != nil || bm.node != 0 || bm.epoch != 0 || bm.size != 0 {
-				t.Fatalf("noBatch %v: handed-over message record keeps %+v", noBatch, *bm)
-			}
-		}
-		for _, st := range sts.free {
-			if st.val != nil || st.combine != nil {
-				t.Fatalf("noBatch %v: handed-over combining record keeps a value or a combine function", noBatch)
-			}
-		}
 	}
 }

@@ -1,12 +1,15 @@
 package core_test
 
 import (
+	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"diva/internal/core"
 	"diva/internal/core/accesstree"
 	"diva/internal/decomp"
+	"diva/internal/sim"
 )
 
 // TestBarrierMessageComplexity: one barrier costs exactly two messages per
@@ -125,8 +128,8 @@ func TestBarrierManyRoundsManyShapes(t *testing.T) {
 func TestBarrierDoubleEntryPanics(t *testing.T) {
 	// Entering a barrier twice concurrently is impossible for a single
 	// process by construction (Barrier blocks); this guards the internal
-	// invariant through the machine's accounting instead: barrier epochs
-	// advance once per call.
+	// invariant through the machine's accounting instead: every call
+	// completes exactly once.
 	m := core.MustNewMachine(core.Config{
 		Rows: 2, Cols: 2, Seed: 2, Tree: decomp.Ary2,
 		Strategy: accesstree.Factory(),
@@ -144,6 +147,31 @@ func TestBarrierDoubleEntryPanics(t *testing.T) {
 		if c != 3 {
 			t.Fatalf("proc %d completed %d barriers", i, c)
 		}
+	}
+}
+
+// TestSnapshotRefusesBarrierInProgress: a run whose processor 0 returns
+// before a BarrierReduce the other processes enter ends in a deadlock, its
+// processes killed and nothing pending, so the kernel alone would let it be
+// captured; the barrier's partial arrivals and blocked waiters must not be.
+func TestSnapshotRefusesBarrierInProgress(t *testing.T) {
+	m := core.MustNewMachine(core.Config{
+		Rows: 4, Cols: 4, Seed: 1, Tree: decomp.Ary4,
+		Strategy: accesstree.Factory(),
+	})
+	err := m.Run(func(p *core.Proc) {
+		if p.ID == 0 {
+			return
+		}
+		p.BarrierReduce(p.ID, 8, func(a, b interface{}) interface{} { return a.(int) + b.(int) })
+	})
+	var dl *sim.DeadlockError
+	if !errors.As(err, &dl) {
+		t.Fatalf("run ended with %v, want a deadlock", err)
+	}
+	snap, err := m.Snapshot()
+	if snap != nil || err == nil || !strings.Contains(err.Error(), "partial barrier arrival") {
+		t.Fatalf("Snapshot = %v, %v; want the partial-arrival refusal", snap, err)
 	}
 }
 

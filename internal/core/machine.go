@@ -142,8 +142,6 @@ type Machine struct {
 	lent   []uint64
 
 	bar *barrier
-
-	procs []*Proc
 }
 
 // NewMachine builds a machine from cfg. The configuration is validated:
@@ -331,8 +329,8 @@ func (p *Proc) Park() *sim.Future {
 // surface here).
 //
 // A run that drains — returns with nothing pending, the moment the kernel
-// hands its event store over — hands over the network's, the barrier's
-// and the strategy's run-transient storage too (handOver); a canceled or
+// hands its event store over — hands over the network's and the
+// strategy's run-transient storage too (handOver); a canceled or
 // deadlocked run keeps it.
 func (m *Machine) Run(program func(p *Proc)) error {
 	m.SpawnAll(program)
@@ -349,14 +347,12 @@ type handOverer interface{ HandOver() }
 
 // handOver gives the storage that holds nothing once a run has drained —
 // the network's message pool, receiver records, replay journal and start
-// times, the barrier's records and the strategy's transaction records — to
+// times, and the strategy's transaction records — to
 // the process-wide shelves, for the next machine to adopt at its first
 // need. Machine state that snapshots capture stays: variables and their
 // protocol state, node tables, inbox queues, reactive channels.
 func (m *Machine) handOver() {
 	m.Net.HandOver()
-	m.bar.msgs.HandOver()
-	m.bar.sts.HandOver()
 	if s, ok := m.Strat.(handOverer); ok {
 		s.HandOver()
 	}
@@ -375,7 +371,6 @@ func (m *Machine) SpawnAll(program func(p *Proc)) {
 	for i := range recs {
 		r := &recs[i]
 		r.p = Proc{Proc: &r.sp, ID: i, M: m}
-		m.procs = append(m.procs, &r.p)
 		m.K.SpawnAt(&r.sp, i, body)
 	}
 }

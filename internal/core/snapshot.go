@@ -11,7 +11,7 @@ import (
 
 // This file implements machine snapshot/fork: a deep copy of a quiescent
 // machine's entire simulated state — kernel clock/sequence/fingerprint,
-// network links and inboxes, variables, caches, barrier epochs, and the
+// network links and inboxes, variables, caches, barrier counters, and the
 // strategy's protocol state — from which any number of independent machines
 // can be forked. A fork continues the run exactly where the snapshot was
 // taken: fork-then-run is bit-identical (fingerprints and all simulated
@@ -139,9 +139,9 @@ type VarState struct {
 	Creator int32
 }
 
-// BarrierState is the barrier's epochs and commit counters.
+// BarrierState is the barrier's release counters: Batched + Cascaded is
+// the number of epochs released.
 type BarrierState struct {
-	Epoch    []uint64
 	Batched  uint64
 	Cascaded uint64
 	Aborted  uint64
@@ -175,20 +175,16 @@ type ForkOptions struct {
 // Machines with a strategy require it to implement Forker. A fork first
 // makes every variable it still borrows: a capture is O(variables) anyway.
 func (m *Machine) Snapshot() (*Snapshot, error) {
-	if n := m.K.Pending(); n > 0 {
-		return nil, fmt.Errorf("diva: snapshot of a non-quiescent machine: %d events pending", n)
-	}
-	for _, p := range m.procs {
-		if !p.Done() {
-			return nil, fmt.Errorf("diva: snapshot of a non-quiescent machine: process p%d still live", p.ID)
-		}
+	ks, err := m.K.SnapshotState()
+	if err != nil {
+		return nil, fmt.Errorf("diva: snapshot: %w", err)
 	}
 	for _, v := range m.vars {
 		if v != nil && v.busy() {
 			return nil, fmt.Errorf("diva: snapshot with an active transaction on variable %d", v.ID)
 		}
 	}
-	if len(m.bar.state) > 0 {
+	if m.bar.open > 0 {
 		return nil, fmt.Errorf("diva: snapshot with a partial barrier arrival")
 	}
 	for i, f := range m.bar.waiting {
@@ -207,10 +203,6 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 	s := &Snapshot{plan: m.Plan}
 	s.st.RNG = m.RNG.State()
 	s.cfg = m.Cfg
-	ks, err := m.K.SnapshotState()
-	if err != nil {
-		return nil, fmt.Errorf("diva: snapshot: %w", err)
-	}
 	s.st.Kern = ks
 	ns, err := m.Net.SnapshotState()
 	if err != nil {
@@ -233,7 +225,6 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 		s.data[i] = v.Data
 	}
 	s.st.Barrier = BarrierState{
-		Epoch:    append([]uint64(nil), m.bar.epoch...),
 		Batched:  m.bar.batched,
 		Cascaded: m.bar.cascaded,
 		Aborted:  m.bar.aborted,
@@ -287,7 +278,6 @@ func (s *Snapshot) Fork(o ForkOptions) (*Machine, error) {
 			m.lent[i/64] |= 1 << (i % 64)
 		}
 	}
-	copy(m.bar.epoch, st.Barrier.Epoch)
 	m.bar.batched, m.bar.cascaded, m.bar.aborted = st.Barrier.Batched, st.Barrier.Cascaded, st.Barrier.Aborted
 	if st.Strat != nil {
 		f := m.Strat.(Forker) // same config built the same strategy type

@@ -88,7 +88,6 @@ func (st *snapState) append(b []byte) ([]byte, error) {
 	}
 	b = st.RNG.Append(b)
 	b = wire.AppendSlice(b, st.Vars, appendVarState)
-	b = wire.AppendSlice(b, st.Barrier.Epoch, wire.AppendUvarint)
 	b = wire.AppendUvarint(b, st.Barrier.Batched)
 	b = wire.AppendUvarint(b, st.Barrier.Cascaded)
 	b = wire.AppendUvarint(b, st.Barrier.Aborted)
@@ -101,8 +100,7 @@ func (st *snapState) read(r *wire.Reader) {
 	st.Net = mesh.ReadNetworkState(r)
 	st.RNG = xrand.ReadState(r)
 	st.Vars = wire.ReadSlice(r, 1, readVarState)
-	st.Barrier = BarrierState{Epoch: wire.ReadSlice(r, 1, (*wire.Reader).Uvarint),
-		Batched: r.Uvarint(), Cascaded: r.Uvarint(), Aborted: r.Uvarint()}
+	st.Barrier = BarrierState{Batched: r.Uvarint(), Cascaded: r.Uvarint(), Aborted: r.Uvarint()}
 	st.Caches = wire.ReadSlice(r, 2, readCacheState)
 }
 
@@ -141,8 +139,8 @@ func readCacheState(r *wire.Reader) CacheState {
 // and the Plan of m, a machine freshly built from the machine description
 // the snapshot was captured under (the store keeps that description
 // alongside the sections); m itself is not touched. Everything Fork relies
-// on is validated against m here — network and strategy shape, barrier
-// width, cache count and keys, bitmap words — so the snapshot returned
+// on is validated against m here — network and strategy shape, cache
+// count and keys, bitmap words — so the snapshot returned
 // forks without error.
 func SnapshotFromWire(m *Machine, tables, locals, state []byte) (*Snapshot, error) {
 	s := &Snapshot{cfg: m.Cfg, plan: m.Plan}
@@ -159,9 +157,6 @@ func SnapshotFromWire(m *Machine, tables, locals, state []byte) (*Snapshot, erro
 	}
 	if err := m.Net.CheckState(st.Net); err != nil {
 		return nil, err
-	}
-	if len(st.Barrier.Epoch) != len(m.bar.epoch) {
-		return nil, fmt.Errorf("diva: stored barrier has %d epochs, machine has %d", len(st.Barrier.Epoch), len(m.bar.epoch))
 	}
 	if len(st.Caches) != len(m.caches) {
 		return nil, fmt.Errorf("diva: stored snapshot has %d caches, machine has %d", len(st.Caches), len(m.caches))

@@ -134,8 +134,8 @@
 // at the same moment and under the same rule: core.Machine.Run, when the
 // kernel's Run returned with nothing pending, gives the network's message
 // pool, free receiver records, replay journal and start times
-// (mesh/spare.go), the barrier's message and combining records and the
-// strategy's transaction records (core.TxnArena); each is adopted by the
+// (mesh/spare.go) and the strategy's transaction records
+// (core.TxnArena); each is adopted by the
 // next network or arena at its first need, and a canceled or deadlocked
 // run keeps it. Storage shaped by the machine carries a shape key — an
 // access-tree record's path buffer holds 2·MaxDepth+1 nodes — and goes

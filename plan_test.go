@@ -116,8 +116,8 @@ func TestNamedGraphSharedAcrossMachines(t *testing.T) {
 // large hand-optimized one. The fork is per-machine state only
 // (TestForkAllocBudget in internal/core); the run starts on the event
 // storage the first one handed to the kernel stock and on its message
-// pool, receiver, transaction and barrier records, so it grows no queue or
-// pool from nothing, and its processes on the workers the first one left
+// pool, receiver and transaction records, so it grows no queue or pool
+// from nothing, and its processes on the workers the first one left
 // in the process stock, so it starts no goroutine and allocates one slab
 // of process records.
 func TestRunAllocBudget(t *testing.T) {
@@ -131,11 +131,11 @@ func TestRunAllocBudget(t *testing.T) {
 		{"4x4 at4 matmul(16)",
 			diva.MustNew(diva.WithMesh(4, 4), diva.WithStrategyName("at4"), diva.WithSeed(1)),
 			func() diva.Workload { return diva.Matmul(diva.MatmulConfig{BlockInts: 16, Seed: 1}) },
-			48 << 10, 120}, // measured 34 KB, 79 objects; 71 KB, 146 while each run grew its own pool and records
+			48 << 10, 120}, // measured 25 KB, 65 objects (72 with the barrier's arrival map); 71 KB, 146 while each run grew its own pool and records
 		{"32x32 handopt stencil(1)",
 			diva.MustNew(diva.WithMesh(32, 32), diva.WithTree(diva.Ary2), diva.WithSeed(1)),
 			func() diva.Workload { return diva.Stencil(diva.StencilConfig{Iters: 1, HaloInts: 64, Seed: 1}) },
-			800 << 10, 150}, // measured 0.6 MB, 84 objects; 1.4 MB, 220 with a pool of its own, 18 248 while each message and blocking receive allocated
+			800 << 10, 150}, // measured 0.45 MB, 54 objects (0.5 MB, 83 with the barrier's arrival map); 1.4 MB, 220 with a pool of its own, 18 248 while each message and blocking receive allocated
 	} {
 		snap, err := tc.m.Snapshot()
 		if err != nil {

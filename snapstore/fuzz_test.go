@@ -64,7 +64,7 @@ func FuzzLoad(f *testing.F) {
 		long := append([]byte(nil), data...)
 		binary.LittleEndian.PutUint64(long[16:], 1<<40) // a table section larger than the file
 		f.Add(long)
-		f.Add(append([]byte("DIVASNP7"), data[8:]...))
+		f.Add(append([]byte("DIVASNP8"), data[8:]...))
 	}
 
 	dir := f.TempDir()

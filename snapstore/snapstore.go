@@ -1,12 +1,12 @@
 // Package snapstore persists machine snapshots to disk, crash-consistently.
 //
-// A stored snapshot is one file in the DIVASNP8 layout, laid out so that
+// A stored snapshot is one file in the DIVASNP9 layout, laid out so that
 // restoring it is a checksum pass, one linear decode of the state section
 // straight from the file buffer, and two linear copies. All fixed-width
 // integers are little-endian:
 //
 //	offset  size  content
-//	0       8     magic "DIVASNP8"
+//	0       8     magic "DIVASNP9"
 //	8       8     S: length of the spec section
 //	16      8     T: length of the table section
 //	24      8     L: length of the bitmap section
@@ -36,7 +36,7 @@
 //	              and counters, the reactive transport's node streams and
 //	              its channel table in (src, dst) order; the machine's
 //	              random stream; the per-variable scalars (a freed variable
-//	              is one zero byte); barrier epochs and counters; each
+//	              is one zero byte); the barrier's release counters; each
 //	              node's cache keys in LRU order and its replacement count
 //	              (no cache without a cache bound); the variable values,
 //	              one kind byte a variable, then the values of each kind,
@@ -60,7 +60,8 @@
 // rebuilt machine.
 //
 // Files of an older layout are refused by their magic, with no second
-// reader: DIVASNP7 keeps 256 send counters of each sort and a cache record
+// reader: DIVASNP8 keeps an epoch counter a processor for the barrier,
+// DIVASNP7 256 send counters of each sort and a cache record
 // a node without a cache bound, DIVASNP6 every node of every access-tree
 // table, and DIVASNP1 to DIVASNP5 the state section as an encoding/gob
 // stream, which would load older layouts with state silently dropped.
@@ -102,7 +103,7 @@ import (
 // magic is the file format version header. Bump the trailing digit on any
 // incompatible layout change; old files then fail with a clear error
 // instead of a decode failure.
-const magic = "DIVASNP8"
+const magic = "DIVASNP9"
 
 // headerLen is the magic plus the four section lengths; sumLen the
 // trailing checksum.

@@ -271,12 +271,12 @@ func TestHandlePinned(t *testing.T) {
 	}
 }
 
-// fileSections returns the offsets framing a DIVASNP8 file, as the package
+// fileSections returns the offsets framing a DIVASNP9 file, as the package
 // comment lays it out: header, the four sections, checksum, end of file.
 func fileSections(t testing.TB, data []byte) [7]int {
 	t.Helper()
-	if len(data) < 48 || string(data[:8]) != "DIVASNP8" {
-		t.Fatalf("not a DIVASNP8 file: %d bytes, starts %q", len(data), data[:min(8, len(data))])
+	if len(data) < 48 || string(data[:8]) != "DIVASNP9" {
+		t.Fatalf("not a DIVASNP9 file: %d bytes, starts %q", len(data), data[:min(8, len(data))])
 	}
 	off := [7]int{0, 40}
 	for i := 0; i < 4; i++ {
@@ -399,10 +399,10 @@ func TestLoadRejectsOldFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(data, []byte("DIVASNP8")) {
-		t.Fatalf("file starts with %q, want DIVASNP8", data[:8])
+	if !bytes.HasPrefix(data, []byte("DIVASNP9")) {
+		t.Fatalf("file starts with %q, want DIVASNP9", data[:8])
 	}
-	for _, magic := range []string{"DIVASNP1", "DIVASNP2", "DIVASNP3", "DIVASNP4", "DIVASNP5", "DIVASNP6", "DIVASNP7"} {
+	for _, magic := range []string{"DIVASNP1", "DIVASNP2", "DIVASNP3", "DIVASNP4", "DIVASNP5", "DIVASNP6", "DIVASNP7", "DIVASNP8"} {
 		// Re-stamp the file as the old version under a checksum that
 		// matches, so the magic is the only thing left to refuse it.
 		old := stamp(append([]byte(magic), data[8:len(data)-8]...))
@@ -437,8 +437,9 @@ func TestLoadRejectsOldFormat(t *testing.T) {
 // into DIVASNP7's entries (the sharded one holds no strategy state, so only
 // its magic and checksum changed), and both state sections once more into
 // DIVASNP8's (32 send counters of each sort instead of 256, and no cache
-// records, neither machine having a cache bound), every other section kept
-// byte for byte: they are oracle-mode snapshots with no queued inbox
+// records, neither machine having a cache bound), and once more into
+// DIVASNP9's (no barrier epoch counters), every other section kept byte
+// for byte: they are oracle-mode snapshots with no queued inbox
 // messages and no remapping. The sequential one
 // (its spec pins "shards":1, a 4×4 at4 machine warmed by matmul(16)) loads
 // and forks a bitonic query to the trajectory its writer recorded; the
